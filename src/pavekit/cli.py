@@ -21,11 +21,8 @@ from . import __version__
 from .core import (
     BudgetExceeded,
     ContractViolation,
-    EXHAUSTIVE_INDEX_MAX,
     Frame,
-    PARTITION_BUDGET,
     Partition,
-    count_partitions,
     frame_from_json,
     gen_harmonic_frame,
     gen_random_projection,
@@ -61,7 +58,13 @@ from .harmonic import (
     uniform_feichtinger_criterion,
     uniform_paving_criterion,
 )
-from .paving import pave_exhaustive, pave_local, pave_projection_check, weaver_check
+from .paving import (
+    _fits_exhaustive,
+    pave_exhaustive,
+    pave_local,
+    pave_projection_check,
+    weaver_check,
+)
 from .reports import (
     input_record,
     make_report,
@@ -215,7 +218,7 @@ def _cmd_dilate(args):
 def _auto_mode(mode, m, r_max):
     if mode != "auto":
         return mode
-    if m <= EXHAUSTIVE_INDEX_MAX and count_partitions(m, r_max) <= PARTITION_BUDGET:
+    if _fits_exhaustive(m, r_max):
         return "exhaustive"
     return "local"
 

@@ -26,6 +26,11 @@ BIPARTITION_INDEX_MAX = 22         # largest index set for bipartition scans
 RIESZ_EXHAUSTIVE_MAX = 12          # exhaustive block-Riesz search cutoff
 RADO_HORN_INDEX_MAX = 20
 
+# Absolute slack of every "achieved <= target" verdict.  Producers and
+# verify() share it through within(), so a report always passes its own
+# re-check when the recomputed value matches the stored one bit for bit.
+VERDICT_SLACK = 1e-12
+
 
 class ContractViolation(ValueError):
     """Input falls outside an operation's stated contract."""
@@ -55,6 +60,11 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
+
+
+def within(achieved, target):
+    """The verdict comparator: achieved <= target up to VERDICT_SLACK."""
+    return achieved <= target + VERDICT_SLACK
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +361,17 @@ def matrix_from_json(d):
     if rows < 1 or cols < 1 or len(entries) != rows * cols:
         raise ContractViolation("matrix JSON shape mismatch")
     out = np.empty((rows, cols), dtype=np.complex128)
-    for j in range(cols):
-        for i in range(rows):
-            e = entries[j * rows + i]
-            if isinstance(e, (int, float)):
-                out[i, j] = float(e)
-            else:
-                out[i, j] = complex(float(e[0]), float(e[1]))
+    try:
+        for j in range(cols):
+            for i in range(rows):
+                e = entries[j * rows + i]
+                if isinstance(e, (int, float)):
+                    out[i, j] = float(e)
+                else:
+                    out[i, j] = complex(float(e[0]), float(e[1]))
+    except (IndexError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ContractViolation(
+            f"malformed matrix entry at row {i}, column {j}: {exc}")
     if fieldname == "real":
         if np.abs(out.imag).max() > 0.0:
             raise ContractViolation("real matrix JSON carries imaginary parts")

@@ -30,14 +30,18 @@ from .core import (
     ContractViolation,
     Frame,
     Partition,
-    count_partitions,
     ensure_matrix,
-    enumerate_partitions,
     numeric_rank,
     sym_eig,
 )
 from .frames import gram_matrix
-from .paving import wkhb_partition
+from .paving import (
+    _ROUND_SLACK,
+    _block_cost_cache,
+    _block_mask,
+    _rgs_walk,
+    wkhb_partition,
+)
 
 __all__ = [
     "riesz_bounds", "epsilon_riesz_partition", "feichtinger_partition",
@@ -62,29 +66,26 @@ def _unit_norm_guard(fr, tol):
 
 
 def _gram_block_bounds(g):
-    cache = {}
+    """(lowest, highest) Gram eigenvalue of each block, memoized by the
+    block's bitmask."""
+    def spectrum(idx):
+        sub = g[np.ix_(idx, idx)]
+        w = np.linalg.eigvalsh(0.5 * (sub + sub.conj().T))
+        return float(w[0]), float(w[-1])
 
-    def get(blk):
-        key = frozenset(blk)
-        if key not in cache:
-            sub = g[np.ix_(sorted(key), sorted(key))]
-            w = np.linalg.eigvalsh(0.5 * (sub + sub.conj().T))
-            cache[key] = (float(w[0]), float(w[-1]))
-        return cache[key]
-
-    return get
+    return _block_cost_cache(spectrum)
 
 
 def _greedy_blocks(m, r_max, ok, score, backtracks=3):
     """Depth-first assignment with a small backtrack budget.
 
-    ok(block_tuple) says whether a block is still feasible; feasibility must
+    ok(block_mask) says whether a block is still feasible; feasibility must
     be monotone under removal for the pruning to be sound.  score orders the
     candidate blocks for each index (lower is better).  Returns labels or
     None when the budget runs out.
     """
     labels = [-1] * m
-    blocks = [[] for _ in range(r_max)]
+    blocks = [0] * r_max
     tried = [set() for _ in range(m)]
     i = 0
     budget = backtracks
@@ -94,15 +95,15 @@ def _greedy_blocks(m, r_max, ok, score, backtracks=3):
         for b in range(min(used + 1, r_max)):  # canonical: open at most one new block
             if b in tried[i]:
                 continue
-            cand = blocks[b] + [i]
-            if ok(tuple(cand)):
-                cands.append((score(tuple(cand)), b))
+            cand = blocks[b] | 1 << i
+            if ok(cand):
+                cands.append((score(cand), b))
         if cands:
             cands.sort()
             b = cands[0][1]
             tried[i].add(b)
             labels[i] = b
-            blocks[b].append(i)
+            blocks[b] |= 1 << i
             i += 1
         else:
             if budget == 0:
@@ -112,7 +113,7 @@ def _greedy_blocks(m, r_max, ok, score, backtracks=3):
             i -= 1
             if i < 0:
                 return None
-            blocks[labels[i]].pop()
+            blocks[labels[i]] ^= 1 << i
             labels[i] = -1
             # tried[i] keeps the failed choice so the retry moves on
     return labels
@@ -138,25 +139,45 @@ class RieszReport:
 
 
 def _partition_by_block_predicate(fr, r_max, lo_target, hi_target, tol):
-    """Shared search for epsilon-Riesz and lower-bound partitions."""
+    """Shared search for epsilon-Riesz and lower-bound partitions.
+
+    Up to RIESZ_EXHAUSTIVE_MAX vectors the search is exact: for rr = 1..r_max
+    it walks the partitions into at most rr blocks in enumeration order and
+    returns the first whose blocks all pass block_ok.  Block feasibility is
+    downward closed (Cauchy interlacing), so a prefix whose newest block
+    fails by more than rounding has no feasible completion.  Every block
+    spectrum lies in [0, trace g], which bounds the rounding the slack must
+    cover.
+    """
     g = gram_matrix(fr)
     bounds = _gram_block_bounds(g)
     m = fr.M
 
-    def block_ok(blk):
-        lo, hi = bounds(blk)
+    def block_ok(mask):
+        lo, hi = bounds(mask)
         return lo >= lo_target - 1e-12 and (hi_target is None or
                                             hi <= hi_target + 1e-12)
 
     if m <= RIESZ_EXHAUSTIVE_MAX:
+        slack = 1e-12 + _ROUND_SLACK * (1.0 + float(np.trace(g).real))
+
+        def admit(carry, spectrum):
+            lo, hi = spectrum
+            if lo < lo_target - slack or (hi_target is not None and
+                                          hi > hi_target + slack):
+                return None
+            return carry
+
+        def leaf(labels, masks, nblocks):
+            return all(block_ok(masks[b]) for b in range(nblocks))
+
         for rr in range(1, r_max + 1):
-            if count_partitions(m, rr) > SUBSET_BUDGET * 10:
-                break
-            for p in enumerate_partitions(m, rr):
-                if all(block_ok(tuple(b)) for b in p.blocks()):
-                    per = [bounds(tuple(b)) for b in p.blocks()]
-                    return RieszReport(True, p, per,
-                                       (lo_target, hi_target), "exhaustive")
+            labels = _rgs_walk(m, rr, bounds, admit, leaf, True)
+            if labels is not None:
+                p = Partition(labels, max(labels) + 1)
+                per = [bounds(_block_mask(b)) for b in p.blocks()]
+                return RieszReport(True, p, per,
+                                   (lo_target, hi_target), "exhaustive")
         return RieszReport(False, None, [], (lo_target, hi_target),
                            "exhaustive")
     labels = _greedy_blocks(
@@ -167,7 +188,7 @@ def _partition_by_block_predicate(fr, r_max, lo_target, hi_target, tol):
         return RieszReport(False, None, [], (lo_target, hi_target), "greedy",
                            flags={"exhausted_backtracks": True})
     p = Partition(tuple(labels), max(labels) + 1)
-    per = [bounds(tuple(b)) for b in p.blocks()]
+    per = [bounds(_block_mask(b)) for b in p.blocks()]
     return RieszReport(True, p, per, (lo_target, hi_target), "greedy")
 
 

@@ -19,17 +19,15 @@ import numpy as np
 from .core import (
     BIPARTITION_INDEX_MAX,
     DEFAULT_TOL,
-    EXHAUSTIVE_INDEX_MAX,
-    PARTITION_BUDGET,
     SUBSET_BUDGET,
     BudgetExceeded,
     ContractViolation,
     Partition,
-    count_partitions,
     numeric_rank,
+    within,
 )
 from .frames import frame_operator, gram_matrix
-from .paving import _exhaustive_search, _local_search
+from .paving import _search
 
 __all__ = ["ErasureReport", "erasure_robustness", "cc_partition_search",
            "ccc_partition_search", "phase_retrieval_check"]
@@ -158,13 +156,7 @@ def ccc_partition_search(fr, r_max, epsilon, seed=0, tol=DEFAULT_TOL):
         return float(max(w[-1], 0.0))
 
     flags = {}
-    if m <= EXHAUSTIVE_INDEX_MAX and count_partitions(m, r_max) <= PARTITION_BUDGET:
-        part, achieved, scanned = _exhaustive_search(m, r_max, cost)
-        mode = "exhaustive"
-    else:
-        part, achieved, scanned = _local_search(m, r_max, cost, seed)
-        mode = "local"
-        flags["seed"] = int(seed)
+    part, achieved, scanned, mode = _search(m, r_max, cost, seed, flags)
     cross = []
     for blk in part.blocks():
         t = fr.synthesis[:, blk]
@@ -175,7 +167,7 @@ def ccc_partition_search(fr, r_max, epsilon, seed=0, tol=DEFAULT_TOL):
             raise ContractViolation(
                 f"block spectrum mismatch: {direct} vs {via_gram}")
         cross.append({"block": list(blk), "lambda_max": direct})
-    return {"verdict": achieved <= 1.0 - epsilon + 1e-15,
+    return {"verdict": within(achieved, 1.0 - epsilon),
             "achieved": achieved, "target": 1.0 - epsilon,
             "partition": part, "mode": mode, "scanned": scanned,
             "blocks": cross, "flags": flags}

@@ -5,9 +5,12 @@ statement about arbitrary matrices only ever constrains what survives off
 the diagonal.  Projection paving is the exception and compresses the full
 matrix, since there the diagonal is the obstruction being measured.
 
-The exhaustive searches enumerate canonical partitions under hard budgets;
-the local searches do steepest-descent single-index moves and never claim
-optimality.  Every report records which mode produced it.
+The exhaustive searches walk canonical partitions depth first under hard
+budgets, with block costs memoized by bitmask, and prune a prefix only when
+it provably cannot beat the best partition found so far; they return the
+partition a full scan would.  The local searches do steepest-descent
+single-index moves and never claim optimality.  Every report records which
+mode produced it.
 """
 
 from __future__ import annotations
@@ -26,10 +29,10 @@ from .core import (
     Partition,
     count_partitions,
     ensure_matrix,
-    enumerate_partitions,
     is_hermitian,
     operator_norm,
     sym_eig,
+    within,
 )
 from .frames import gram_matrix
 
@@ -101,34 +104,112 @@ class PavingReport:
         }
 
 
-def _block_cost_cache(cost):
-    cache = {}
+# Relative slack for rounding in computed block costs.  Every block cost in
+# use is monotone under inclusion in exact arithmetic (compression norms,
+# and Gram eigenvalues by Cauchy interlacing), but a computed cost can dip
+# below a sub-block's by a few ulps of the block's scale.  A prune that
+# waits for a gap of _ROUND_SLACK * (1 + scale) therefore never drops a
+# completion the full scan would have accepted.
+_ROUND_SLACK = 1e-12
 
-    def get(blk):
-        key = frozenset(blk)
-        if key not in cache:
-            cache[key] = cost(sorted(key)) if key else 0.0
-        return cache[key]
+
+def _block_mask(indices):
+    """Bitmask of a block: bit i is set when index i belongs to it."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
+
+
+def _block_cost_cache(cost):
+    """Memo of block costs keyed by bitmask, filled on first use.
+
+    cost is called once per distinct nonempty block, on its sorted index
+    list; the empty block costs 0.0.  A search over M indices holds at most
+    2^M entries.
+    """
+    cache = {0: 0.0}
+
+    def get(mask):
+        val = cache.get(mask)
+        if val is None:
+            idx = [i for i in range(mask.bit_length()) if mask >> i & 1]
+            val = cache[mask] = cost(idx)
+        return val
 
     return get
 
 
+def _rgs_walk(m, r_max, get, admit, leaf, carry):
+    """Depth-first walk over the partitions of {0..m-1} into at most r_max
+    blocks, in enumerate_partitions order (restricted-growth label strings).
+
+    Placing index i in block b prices the grown block with get(mask) and
+    asks admit(carry, price) for the carry of the longer prefix; None
+    prunes every completion of that prefix.  leaf(labels, masks, nblocks)
+    sees each complete partition that survives, and a true return stops
+    the walk.  Returns the labels of the partition that stopped it, or None.
+    """
+    labels = [0] * m
+    masks = [0] * r_max
+
+    def rec(i, top, carry):
+        if i == m:
+            return tuple(labels) if leaf(labels, masks, top + 1) else None
+        bit = 1 << i
+        for b in range(min(top + 2, r_max)):
+            mask = masks[b] | bit
+            nxt = admit(carry, get(mask))
+            if nxt is None:
+                continue
+            labels[i] = b
+            masks[b] = mask
+            found = rec(i + 1, b if b > top else top, nxt)
+            masks[b] = mask ^ bit
+            if found is not None:
+                return found
+        return None
+
+    return rec(0, -1, carry)
+
+
 def _exhaustive_search(m, r_max, cost):
-    """Minimize the max block cost over every partition into <= r_max blocks."""
+    """Minimize the max block cost over every partition into <= r_max blocks.
+
+    Branch-and-bound over _rgs_walk.  The carry is the largest block cost
+    seen along the prefix; a prefix is pruned once it exceeds the incumbent
+    by more than _ROUND_SLACK * (1 + incumbent), so by monotonicity each
+    pruned completion costs strictly more than the incumbent.  The
+    incumbent is replaced only on a strict <, as in a full scan, so the
+    result is the first optimal partition in enumeration order.
+    evaluated counts the complete partitions reached.
+    """
     total = count_partitions(m, r_max)
     if total > PARTITION_BUDGET:
         raise BudgetExceeded(
             f"{total} partitions exceed the {PARTITION_BUDGET} budget")
     get = _block_cost_cache(cost)
-    best = None
+    best, best_labels = None, None
+    limit = float("inf")
     evaluated = 0
-    for p in enumerate_partitions(m, r_max):
+
+    def admit(partial, c):
+        if c > partial:
+            partial = c
+        return partial if partial <= limit else None
+
+    def leaf(labels, masks, nblocks):
+        nonlocal best, best_labels, limit, evaluated
         evaluated += 1
-        val = max(get(tuple(b)) for b in p.blocks())
-        if best is None or val < best[0]:
-            best = (val, p)
-    achieved, part = best
-    return part, achieved, evaluated
+        val = max(get(masks[b]) for b in range(nblocks))
+        if best is None or val < best:
+            best, best_labels = val, tuple(labels)
+            limit = val + _ROUND_SLACK * (1.0 + val)
+        return False
+
+    _rgs_walk(m, r_max, get, admit, leaf, -float("inf"))
+    part = Partition(best_labels, max(best_labels) + 1)
+    return part, best, evaluated
 
 
 def _local_search(m, r_max, cost, seed, max_moves=2000):
@@ -145,14 +226,14 @@ def _local_search(m, r_max, cost, seed, max_moves=2000):
         labels[int(i)] = pos % r_max
     get = _block_cost_cache(cost)
 
-    def blocks_of(lab):
-        out = [[] for _ in range(r_max)]
+    def masks_of(lab):
+        out = [0] * r_max
         for i, b in enumerate(lab):
-            out[b].append(i)
+            out[b] |= 1 << i
         return out
 
     def objective(lab):
-        per = [get(tuple(b)) for b in blocks_of(lab)]
+        per = [get(mask) for mask in masks_of(lab)]
         return max(per), float(sum(v * v for v in per))
 
     cur = objective(labels)
@@ -179,8 +260,24 @@ def _local_search(m, r_max, cost, seed, max_moves=2000):
             moves += 1
             improved = True
     part = Partition(tuple(labels), r_max, allow_empty=True).canonical()
-    per = [get(tuple(b)) for b in part.blocks()]
+    per = [get(_block_mask(b)) for b in part.blocks()]
     return part, max(per), evaluated
+
+
+def _fits_exhaustive(m, r_max):
+    """Whether the exhaustive search runs within its index and partition
+    budgets; searches that do not fit fall back to local search."""
+    return m <= EXHAUSTIVE_INDEX_MAX and \
+        count_partitions(m, r_max) <= PARTITION_BUDGET
+
+
+def _search(m, r_max, cost, seed, flags):
+    """(partition, achieved, evaluated, mode): exhaustive when it fits,
+    else local search from seed, which is then recorded in flags."""
+    if _fits_exhaustive(m, r_max):
+        return _exhaustive_search(m, r_max, cost) + ("exhaustive",)
+    flags["seed"] = int(seed)
+    return _local_search(m, r_max, cost, seed) + ("local",)
 
 
 def pave_exhaustive(t, r_max, epsilon, tol=DEFAULT_TOL):
@@ -197,7 +294,7 @@ def pave_exhaustive(t, r_max, epsilon, tol=DEFAULT_TOL):
         m, r_max, lambda blk: operator_norm(t0[np.ix_(blk, blk)]))
     _, per = paving_norm(t, part)
     target = epsilon * scale
-    return PavingReport(form="matrix", verdict=achieved <= target + 1e-15,
+    return PavingReport(form="matrix", verdict=within(achieved, target),
                         achieved=achieved, target=target, partition=part,
                         per_block=per, mode="exhaustive", evaluated=evaluated,
                         scale=scale)
@@ -214,7 +311,7 @@ def pave_local(t, r_max, epsilon, seed=0, tol=DEFAULT_TOL):
         m, r_max, lambda blk: operator_norm(t0[np.ix_(blk, blk)]), seed)
     _, per = paving_norm(t, part)
     target = epsilon * scale
-    return PavingReport(form="matrix", verdict=achieved <= target + 1e-15,
+    return PavingReport(form="matrix", verdict=within(achieved, target),
                         achieved=achieved, target=target, partition=part,
                         per_block=per, mode="local", evaluated=evaluated,
                         scale=scale, flags={"seed": int(seed)})
@@ -240,16 +337,10 @@ def pave_projection_check(p, r_max, epsilon, delta=None, seed=0,
     if delta is not None and flags["diag_delta"] > delta + tol.check_tol:
         flags["precondition_violated"] = True
     cost = lambda blk: operator_norm(p[np.ix_(blk, blk)])
-    if m <= EXHAUSTIVE_INDEX_MAX and count_partitions(m, r_max) <= PARTITION_BUDGET:
-        part, achieved, evaluated = _exhaustive_search(m, r_max, cost)
-        mode = "exhaustive"
-    else:
-        part, achieved, evaluated = _local_search(m, r_max, cost, seed)
-        mode = "local"
-        flags["seed"] = int(seed)
+    part, achieved, evaluated, mode = _search(m, r_max, cost, seed, flags)
     per = [cost(blk) for blk in part.blocks()]
     target = 1.0 - epsilon
-    return PavingReport(form="projection", verdict=achieved <= target + 1e-15,
+    return PavingReport(form="projection", verdict=within(achieved, target),
                         achieved=achieved, target=target, partition=part,
                         per_block=per, mode=mode, evaluated=evaluated,
                         scale=1.0, flags=flags)
@@ -278,16 +369,10 @@ def weaver_check(fr, bessel, epsilon, r_max, seed=0, tol=DEFAULT_TOL):
         w, _ = sym_eig(sub, tol)
         return float(max(w[-1], 0.0))
 
-    if m <= EXHAUSTIVE_INDEX_MAX and count_partitions(m, r_max) <= PARTITION_BUDGET:
-        part, achieved, evaluated = _exhaustive_search(m, r_max, cost)
-        mode = "exhaustive"
-    else:
-        part, achieved, evaluated = _local_search(m, r_max, cost, seed)
-        mode = "local"
-        flags["seed"] = int(seed)
+    part, achieved, evaluated, mode = _search(m, r_max, cost, seed, flags)
     per = [cost(blk) for blk in part.blocks()]
     target = bessel - epsilon
-    return PavingReport(form="weaver", verdict=achieved <= target + 1e-15,
+    return PavingReport(form="weaver", verdict=within(achieved, target),
                         achieved=achieved, target=target, partition=part,
                         per_block=per, mode=mode, evaluated=evaluated,
                         scale=float(bessel), flags=flags)

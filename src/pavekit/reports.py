@@ -29,6 +29,7 @@ from .core import (
     gen_random_unit_frame,
     matrix_from_json,
     matrix_to_json,
+    within,
 )
 from .frames import parseval_normalize, spectral_summary
 from .decomposition import (
@@ -242,8 +243,7 @@ def _verify_pave(payload, reasons):
     if not _close(achieved, res["achieved"]):
         reasons.append(f"achieved norm changed: {res['achieved']} -> {achieved}")
         return False
-    verdict = achieved <= res["target"] + 1e-12
-    if bool(verdict) != bool(res["verdict"]):
+    if within(achieved, res["target"]) != bool(res["verdict"]):
         reasons.append("verdict inconsistent with recomputed norms")
         return False
     return True
@@ -264,7 +264,7 @@ def _verify_weaver(payload, reasons):
     if not _close(max(per), res["achieved"]):
         reasons.append("recomputed block bound differs from the report")
         return False
-    if (max(per) <= res["target"] + 1e-12) != bool(res["verdict"]):
+    if within(max(per), res["target"]) != bool(res["verdict"]):
         reasons.append("verdict inconsistent with recomputed bounds")
         return False
     return True

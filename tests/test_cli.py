@@ -7,6 +7,7 @@ import pytest
 
 from pavekit.cli import main
 from pavekit.core import matrix_to_json
+from pavekit.paving import pave_exhaustive
 from pavekit.reports import canonical_payload, load_report, verify
 
 
@@ -58,6 +59,32 @@ def test_malformed_input_exits_2(tmp_path):
     assert run("analyze", "--input", str(bad)) == 2
     missing = tmp_path / "missing.json"
     assert run("analyze", "--input", str(missing)) == 2
+
+
+def test_malformed_matrix_entry_exits_2(tmp_path, capsys):
+    for entry in ([1], None, "x", [[1.0, 0.0]]):
+        bad = tmp_path / "entry.json"
+        bad.write_text(json.dumps({"rows": 1, "cols": 2, "field": "real",
+                                   "entries": [[1.0, 0.0], entry]}))
+        assert run("analyze", "--input", str(bad)) == 2
+        assert "malformed matrix entry" in capsys.readouterr().err
+
+
+def test_verdict_just_inside_slack_passes_verify(tmp_path):
+    m = tmp_path / "m.json"
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((6, 6))
+    m.write_text(json.dumps(matrix_to_json(a + a.T)))
+    first = pave_exhaustive(a + a.T, 2, 0.5)
+    epsilon = (first.achieved - 5e-13) / first.scale
+    rep = tmp_path / "p.json"
+    assert run("pave", "--input", str(m), "--mode", "exhaustive",
+               "--r-max", "2", "--epsilon", repr(epsilon),
+               "--report", str(rep)) == 0
+    res = load_report(str(rep))["payload"]["results"]
+    assert res["target"] < res["achieved"] and res["verdict"]
+    ok, reasons = verify(str(rep))
+    assert ok, reasons
 
 
 def test_budget_exits_3(tmp_path):

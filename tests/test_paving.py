@@ -12,6 +12,7 @@ from pavekit.core import (
     gen_random_projection,
     gen_random_unit_frame,
     refine_partition,
+    within,
 )
 from pavekit.paving import (
     delta_diag,
@@ -122,7 +123,7 @@ def test_projection_paving():
     for blk, val in zip(rep.partition.blocks(), rep.per_block):
         sub = p[np.ix_(blk, blk)]
         assert abs(np.linalg.norm(sub, 2) - val) < 1e-10
-    assert rep.verdict == (rep.achieved <= 1.0 - 0.3 + 1e-15)
+    assert rep.verdict == within(rep.achieved, 1.0 - 0.3)
     # diagonal precondition: rank-3 projection on 8 indices has some
     # diagonal entry >= 3/8, so a tiny delta must trip the flag
     rep2 = pave_projection_check(p, 3, 0.3, delta=0.01)
