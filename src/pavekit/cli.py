@@ -79,22 +79,6 @@ __all__ = ["main", "build_parser"]
 # small parsing / serialization helpers
 # ---------------------------------------------------------------------------
 
-def _plain(x):
-    if isinstance(x, dict):
-        return {k: _plain(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_plain(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return _plain(x.tolist())
-    if isinstance(x, np.bool_):
-        return bool(x)
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.floating):
-        return float(x)
-    return x
-
-
 def _write_json(path, obj):
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -185,7 +169,7 @@ def _cmd_gen(args):
     _write_json(args.out, obj)
     results = {"kind": kind, "object_sha256": _object_sha256(obj)}
     if kind == "e1-grid":
-        results["bookkeeping"] = _plain(book)
+        results["bookkeeping"] = book
         results["semantics"] = "grid-uniform"
     return config, {}, results, f"wrote {args.out}"
 
@@ -295,7 +279,7 @@ def _cmd_radohorn(args):
     fr = _load_frame(args.input)
     ok, worst = rado_horn_check(fr, args.r)
     config = {"r": args.r, "partition": bool(args.partition)}
-    results = {"verdict": bool(ok), "worst": _plain(worst),
+    results = {"verdict": bool(ok), "worst": worst,
                "partition": None}
     if ok and args.partition:
         part = rado_horn_partition(fr, args.r)
@@ -609,8 +593,8 @@ def main(argv=None):
         wall = time.perf_counter() - start
         print(line)
         if getattr(args, "report", None):
-            report = make_report(args.command, _plain(config), inputs,
-                                 _plain(results), wall)
+            report = make_report(args.command, config, inputs, results,
+                                 wall)
             write_report(args.report, report)
             print(f"report: {args.report}")
         return 0

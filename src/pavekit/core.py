@@ -334,19 +334,40 @@ def gen_random_projection(M, n, seed):
 # JSON wire formats
 # ---------------------------------------------------------------------------
 
+def _complex_to_pairs(v):
+    """[[re, im], ...] for the entries of v in flattened (C) order."""
+    v = np.ravel(v)
+    return np.stack([v.real, v.imag], 1).tolist()
+
+
+def _pairs_to_complex(entries, n, what):
+    """Exactly n [re, im] pairs of JSON numbers as a complex128 vector.
+
+    The (n, 2) float64 array is viewed, not recombined as re + 1j * im,
+    so every bit survives, signed zeros included.  Booleans, strings,
+    bare numbers and pairs of any other length are malformed.
+    """
+    if type(entries) is not list or len(entries) != n:
+        raise ContractViolation(f"{what} JSON needs a list of {n} entries")
+    numbers = itertools.chain.from_iterable(entries)
+    if set(map(type, entries)) - {list} or set(map(len, entries)) - {2} or \
+            set(map(type, numbers)) - {int, float}:
+        raise ContractViolation(
+            f"malformed {what} entry: each must be [re, im] with two numbers")
+    try:
+        pairs = np.array(entries, dtype=np.float64).reshape(n, 2)
+    except OverflowError as exc:
+        raise ContractViolation(f"malformed {what} entry: {exc}")
+    return pairs.view(np.complex128).reshape(n)
+
+
 def matrix_to_json(m):
     """Column-major [[re, im], ...] pairs with explicit shape and field."""
     m = ensure_matrix(m)
     rows, cols = m.shape
-    complex_field = np.iscomplexobj(m)
-    entries = []
-    for j in range(cols):
-        for i in range(rows):
-            z = m[i, j]
-            entries.append([float(np.real(z)), float(np.imag(z))])
     return {"rows": rows, "cols": cols,
-            "field": "complex" if complex_field else "real",
-            "entries": entries}
+            "field": "complex" if np.iscomplexobj(m) else "real",
+            "entries": _complex_to_pairs(m.T)}
 
 
 def matrix_from_json(d):
@@ -354,24 +375,14 @@ def matrix_from_json(d):
         rows, cols = int(d["rows"]), int(d["cols"])
         fieldname = d["field"]
         entries = d["entries"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ContractViolation(f"malformed matrix JSON: {exc}")
     if fieldname not in ("real", "complex"):
         raise ContractViolation(f"unknown field {fieldname!r}")
-    if rows < 1 or cols < 1 or len(entries) != rows * cols:
+    if rows < 1 or cols < 1:
         raise ContractViolation("matrix JSON shape mismatch")
-    out = np.empty((rows, cols), dtype=np.complex128)
-    try:
-        for j in range(cols):
-            for i in range(rows):
-                e = entries[j * rows + i]
-                if isinstance(e, (int, float)):
-                    out[i, j] = float(e)
-                else:
-                    out[i, j] = complex(float(e[0]), float(e[1]))
-    except (IndexError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ContractViolation(
-            f"malformed matrix entry at row {i}, column {j}: {exc}")
+    z = _pairs_to_complex(entries, rows * cols, "matrix")
+    out = np.ascontiguousarray(z.reshape(cols, rows).T)
     if fieldname == "real":
         if np.abs(out.imag).max() > 0.0:
             raise ContractViolation("real matrix JSON carries imaginary parts")

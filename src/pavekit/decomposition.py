@@ -33,6 +33,7 @@ from .core import (
     ensure_matrix,
     numeric_rank,
     sym_eig,
+    within,
 )
 from .frames import gram_matrix
 from .paving import (
@@ -138,7 +139,7 @@ class RieszReport:
         }
 
 
-def _partition_by_block_predicate(fr, r_max, lo_target, hi_target, tol):
+def _partition_by_block_predicate(fr, r_max, lo_target, hi_target):
     """Shared search for epsilon-Riesz and lower-bound partitions.
 
     Up to RIESZ_EXHAUSTIVE_MAX vectors the search is exact: for rr = 1..r_max
@@ -155,8 +156,8 @@ def _partition_by_block_predicate(fr, r_max, lo_target, hi_target, tol):
 
     def block_ok(mask):
         lo, hi = bounds(mask)
-        return lo >= lo_target - 1e-12 and (hi_target is None or
-                                            hi <= hi_target + 1e-12)
+        return within(lo_target, lo) and (hi_target is None or
+                                           within(hi, hi_target))
 
     if m <= RIESZ_EXHAUSTIVE_MAX:
         slack = 1e-12 + _ROUND_SLACK * (1.0 + float(np.trace(g).real))
@@ -201,7 +202,7 @@ def epsilon_riesz_partition(fr, epsilon, r_max, tol=DEFAULT_TOL):
     if r_max < 1:
         raise ContractViolation("need r_max >= 1")
     return _partition_by_block_predicate(
-        fr, r_max, 1.0 - epsilon, 1.0 + epsilon, tol)
+        fr, r_max, 1.0 - epsilon, 1.0 + epsilon)
 
 
 def feichtinger_partition(fr, a_target, r_max, tol=DEFAULT_TOL):
@@ -213,7 +214,7 @@ def feichtinger_partition(fr, a_target, r_max, tol=DEFAULT_TOL):
     norms = np.linalg.norm(fr.synthesis, axis=0)
     if norms.min() <= tol.check_tol:
         raise ContractViolation("zero vectors can never sit in a Riesz block")
-    return _partition_by_block_predicate(fr, r_max, a_target, None, tol)
+    return _partition_by_block_predicate(fr, r_max, a_target, None)
 
 
 def restricted_isometry(fr, s, tol=DEFAULT_TOL):
@@ -351,7 +352,7 @@ def rado_horn_check(fr, r, tol=DEFAULT_TOL):
             if worst is None or ratio > worst["ratio"]:
                 worst = {"subset": list(subset), "size": size, "rank": rank,
                          "ratio": ratio}
-    ok = worst["ratio"] <= r + 1e-12
+    ok = within(worst["ratio"], r)
     return ok, worst
 
 

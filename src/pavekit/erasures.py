@@ -105,7 +105,7 @@ def erasure_robustness(fr, k, tol=DEFAULT_TOL):
                          value_max=vmax)
 
 
-def cc_partition_search(fr, tol=DEFAULT_TOL):
+def cc_partition_search(fr):
     """Bipartition maximizing the smaller of the two lower frame bounds.
 
     Exhaustive over all 2^(M-1) - 1 proper bipartitions; index 0 stays on

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractViolation, DEFAULT_TOL
+from .core import ContractViolation, _complex_to_pairs, _pairs_to_complex
 
 __all__ = [
     "GridFunction", "grid_indicator", "translate", "translate_average",
@@ -56,22 +56,17 @@ class GridFunction:
         return float(np.abs(self.values).max() ** 2)
 
     def to_json(self):
-        return {"N": int(self.N),
-                "values": [[float(np.real(z)), float(np.imag(z))]
-                           for z in self.values]}
+        return {"N": int(self.N), "values": _complex_to_pairs(self.values)}
 
     @classmethod
     def from_json(cls, d):
         try:
             n = int(d["N"])
             vals = d["values"]
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ContractViolation(f"malformed grid JSON: {exc}")
-        if len(vals) != n:
-            raise ContractViolation("grid JSON length mismatch")
-        v = np.array([complex(e[0], e[1]) if not isinstance(e, (int, float))
-                      else complex(e) for e in vals])
-        if np.abs(v.imag).max() == 0.0:
+        v = _pairs_to_complex(vals, n, "grid")
+        if not np.any(v.imag):
             v = v.real
         return cls(v)
 
@@ -291,7 +286,7 @@ def ap_blocks(freqs, stride):
     return [sorted(b) for _, b in sorted(blocks.items())]
 
 
-def distribution_check(g, freq_blocks, epsilon, tol=DEFAULT_TOL):
+def distribution_check(g, freq_blocks, epsilon):
     """Check that every block section has spectrum within a relative epsilon
     of the mean of g.  Returns a report dict with per-block extremes."""
     if epsilon <= 0.0:

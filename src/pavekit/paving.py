@@ -280,7 +280,7 @@ def _search(m, r_max, cost, seed, flags):
     return _local_search(m, r_max, cost, seed) + ("local",)
 
 
-def pave_exhaustive(t, r_max, epsilon, tol=DEFAULT_TOL):
+def pave_exhaustive(t, r_max, epsilon):
     """Provably minimal paving over all partitions into at most r_max blocks."""
     t0 = _offdiag(t)
     m = t0.shape[0]
@@ -300,7 +300,7 @@ def pave_exhaustive(t, r_max, epsilon, tol=DEFAULT_TOL):
                         scale=scale)
 
 
-def pave_local(t, r_max, epsilon, seed=0, tol=DEFAULT_TOL):
+def pave_local(t, r_max, epsilon, seed=0):
     """Heuristic paving by steepest-descent index moves; no optimality claim."""
     t0 = _offdiag(t)
     m = t0.shape[0]

@@ -31,9 +31,10 @@ from .core import (
     matrix_to_json,
     within,
 )
-from .frames import parseval_normalize, spectral_summary
+from .frames import gram_matrix, parseval_normalize, spectral_summary
 from .decomposition import (
     Subspace,
+    _gram_block_bounds,
     decomposition_vectors,
     is_large,
     is_r_decomposable,
@@ -52,7 +53,7 @@ from .harmonic import (
     uniform_feichtinger_criterion,
     uniform_paving_criterion,
 )
-from .paving import paving_norm
+from .paving import _block_mask, paving_norm
 
 __all__ = ["make_report", "canonical_payload", "payload_hash",
            "write_report", "load_report", "file_sha256", "verify"]
@@ -60,9 +61,16 @@ __all__ = ["make_report", "canonical_payload", "payload_hash",
 _MATCH_TOL = 1e-9
 
 
+def _numpy_default(x):
+    """json fallback: numpy arrays and scalars as their Python values."""
+    if isinstance(x, (np.ndarray, np.generic)):
+        return x.tolist()
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
+
+
 def canonical_payload(report):
     return json.dumps(report["payload"], sort_keys=True,
-                      separators=(",", ":")).encode()
+                      separators=(",", ":"), default=_numpy_default).encode()
 
 
 def payload_hash(report):
@@ -85,7 +93,8 @@ def make_report(command, config, inputs, results, wall_time_s):
 
 def write_report(path, report):
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True,
+                  default=_numpy_default)
         fh.write("\n")
 
 
@@ -292,15 +301,13 @@ def _verify_decompose(payload, reasons):
                 return False
         return True
     lo_t, hi_t = res["target"]
+    bounds = _gram_block_bounds(gram_matrix(fr))
     for blk, stored in zip(part.blocks(), res["per_block"]):
-        sub = fr.synthesis[:, blk]
-        g = sub.conj().T @ sub
-        w = np.linalg.eigvalsh(0.5 * (g + g.conj().T))
-        lo, hi = float(w[0]), float(w[-1])
+        lo, hi = bounds(_block_mask(blk))
         if not (_close(lo, stored[0]) and _close(hi, stored[1])):
             reasons.append(f"block {blk} bounds changed")
             return False
-        if lo < lo_t - 1e-9 or (hi_t is not None and hi > hi_t + 1e-9):
+        if not within(lo_t, lo) or (hi_t is not None and not within(hi, hi_t)):
             reasons.append(f"block {blk} violates the target range")
             return False
     return True
@@ -346,7 +353,7 @@ def _verify_radohorn(payload, reasons):
     if rank != worst["rank"]:
         reasons.append("witness subset rank changed")
         return False
-    if bool(res["verdict"]) != (worst["ratio"] <= payload["config"]["r"] + 1e-12):
+    if bool(res["verdict"]) != within(worst["ratio"], payload["config"]["r"]):
         reasons.append("verdict inconsistent with the witness ratio")
         return False
     return True

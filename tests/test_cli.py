@@ -1,14 +1,21 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import pavekit
 from pavekit.cli import main
 from pavekit.core import matrix_to_json
 from pavekit.paving import pave_exhaustive
-from pavekit.reports import canonical_payload, load_report, verify
+from pavekit.reports import (
+    canonical_payload,
+    load_report,
+    verify,
+    write_report,
+)
 
 
 def run(*argv):
@@ -61,13 +68,42 @@ def test_malformed_input_exits_2(tmp_path):
     assert run("analyze", "--input", str(missing)) == 2
 
 
+# Entries that are not a [re, im] pair of JSON numbers.  "12" has length 2,
+# and bare numbers and booleans coerce to floats, so each needs its own check.
+MALFORMED_ENTRIES = ([1], None, "x", [[1.0, 0.0]], "12", True, [True, 0.0],
+                     [1, 2, 3], 1.5)
+
+
 def test_malformed_matrix_entry_exits_2(tmp_path, capsys):
-    for entry in ([1], None, "x", [[1.0, 0.0]]):
-        bad = tmp_path / "entry.json"
-        bad.write_text(json.dumps({"rows": 1, "cols": 2, "field": "real",
-                                   "entries": [[1.0, 0.0], entry]}))
-        assert run("analyze", "--input", str(bad)) == 2
-        assert "malformed matrix entry" in capsys.readouterr().err
+    bad = tmp_path / "entry.json"
+    for field in ("real", "complex"):
+        for entry in MALFORMED_ENTRIES:
+            bad.write_text(json.dumps({"rows": 1, "cols": 2, "field": field,
+                                       "entries": [[1.0, 0.0], entry]}))
+            assert run("analyze", "--input", str(bad)) == 2, (field, entry)
+            assert "malformed matrix entry" in capsys.readouterr().err
+
+
+def test_malformed_size_exits_2(tmp_path, capsys):
+    bad = tmp_path / "size.json"
+    for size in (float("inf"), float("nan"), "x", None, [1]):
+        bad.write_text(json.dumps({"rows": size, "cols": 1, "field": "real",
+                                   "entries": [[1.0, 0.0]]}))
+        assert run("analyze", "--input", str(bad)) == 2, size
+        assert "malformed matrix JSON" in capsys.readouterr().err
+        bad.write_text(json.dumps({"N": size, "values": [[1.0, 0.0]]}))
+        assert run("toeplitz", "--input", str(bad), "--k-list", "1",
+                   "--epsilon", "0.5") == 2, size
+        assert "malformed grid JSON" in capsys.readouterr().err
+
+
+def test_malformed_grid_entry_exits_2(tmp_path, capsys):
+    bad = tmp_path / "grid.json"
+    for entry in MALFORMED_ENTRIES:
+        bad.write_text(json.dumps({"N": 2, "values": [[1.0, 0.0], entry]}))
+        assert run("toeplitz", "--input", str(bad), "--k-list", "2",
+                   "--epsilon", "0.5") == 2, entry
+        assert "malformed grid entry" in capsys.readouterr().err
 
 
 def test_verdict_just_inside_slack_passes_verify(tmp_path):
@@ -168,6 +204,41 @@ def test_decompose_ric_radohorn(tmp_path):
         assert ok, (argv, reasons)
 
 
+def test_decompose_verify_rejects_raised_lower_target(tmp_path):
+    f = _gen_frame(tmp_path, n=2, M=6)
+    rep = tmp_path / "riesz.json"
+    assert run("decompose", "--input", str(f), "--criterion", "riesz",
+               "--epsilon", "0.95", "--r-max", "4", "--report", str(rep)) == 0
+    doc = load_report(str(rep))
+    res = doc["payload"]["results"]
+    lowest = min(lo for lo, _ in res["per_block"])
+    res["target"][0] = lowest + 5e-13   # inside the verdict slack
+    assert verify(doc)[0]
+    res["target"][0] = lowest + 5e-10
+    ok, reasons = verify(doc)
+    assert not ok and "violates the target range" in reasons[-1]
+
+
+def test_write_report_converts_numpy_values(tmp_path):
+    payload = {"flag": np.bool_(True), "count": np.int64(7),
+               "x": np.float32(0.1), "y": np.float64(1 / 3),
+               "rows": np.arange(4.0).reshape(2, 2),
+               "nested": [np.int64(2), (np.bool_(False),)]}
+    plain = {"flag": True, "count": 7, "x": float(np.float32(0.1)),
+             "y": 1 / 3, "rows": [[0.0, 1.0], [2.0, 3.0]],
+             "nested": [2, [False]]}
+    path = tmp_path / "r.json"
+    write_report(str(path), {"payload": payload, "meta": {}})
+    assert path.read_text() == json.dumps(
+        {"payload": plain, "meta": {}}, indent=2, sort_keys=True) + "\n"
+    assert canonical_payload({"payload": payload}) == \
+        canonical_payload({"payload": plain})
+    with pytest.raises(TypeError):
+        write_report(str(path), {"payload": {"bad": object()}})
+    with pytest.raises(TypeError):
+        canonical_payload({"payload": {"bad": np.complex128(1j)}})
+
+
 def test_subspace_command(tmp_path):
     basis = tmp_path / "b.json"
     rng = np.random.default_rng(1)
@@ -212,8 +283,13 @@ def test_kadec_mv_erasure_phase(tmp_path):
 
 
 def test_entry_point_subprocess(tmp_path):
+    # the child must import the same pavekit as this process, also when
+    # pytest put src/ on sys.path rather than PYTHONPATH
+    src = os.path.dirname(os.path.dirname(pavekit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-m", "pavekit.cli", "--version"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=env)
     assert out.returncode == 0
     assert "pavekit" in out.stdout
 

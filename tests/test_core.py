@@ -107,13 +107,27 @@ def test_matrix_json_roundtrip_exact():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((3, 5))
     b = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-    for m in (a, b):
-        d = json.loads(json.dumps(matrix_to_json(m)))
-        assert np.array_equal(matrix_from_json(d), m)
+    signed_zeros = np.array([[-0.0, 1.5], [0.1, -0.0], [2.0, -1e-300]])
+    cplx_zeros = np.array([[-0.0, 0.0, 1.0, -0.0], [0.5, -0.0, -0.0, 3.0]])
+    for m in (a, b, signed_zeros, cplx_zeros.view(np.complex128)):
+        got = matrix_from_json(json.loads(json.dumps(matrix_to_json(m))))
+        assert got.dtype == m.dtype and got.shape == m.shape
+        assert got.tobytes() == m.tobytes()
     fr = Frame(a, label="x")
     fr2 = frame_from_json(frame_to_json(fr))
     assert np.array_equal(fr2.synthesis, fr.synthesis)
     assert fr2.label == "x"
+
+
+def test_matrix_to_json_matches_per_entry_encoder():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((3, 5))
+    b = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    for m in (a, b, a.T):
+        rows, cols = m.shape
+        entries = [[float(np.real(m[i, j])), float(np.imag(m[i, j]))]
+                   for j in range(cols) for i in range(rows)]
+        assert matrix_to_json(m)["entries"] == entries
 
 
 def test_matrix_json_field_mismatch():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -40,10 +41,12 @@ def _trig_poly(rng, n, terms=6):
 
 def test_grid_function_json_roundtrip():
     rng = np.random.default_rng(0)
-    g = _trig_poly(rng, 24)
-    h = GridFunction.from_json(g.to_json())
-    assert np.array_equal(h.values, g.values)
-    assert h.N == 24
+    signed_zeros = np.array([-0.0, -0.0, 1.0, 0.0, 0.0, -0.0, -2.5, 3.0])
+    for g in (_trig_poly(rng, 24), GridFunction(signed_zeros),
+              GridFunction(signed_zeros.view(np.complex128))):
+        h = GridFunction.from_json(json.loads(json.dumps(g.to_json())))
+        assert h.values.dtype == g.values.dtype and h.N == g.N
+        assert h.values.tobytes() == g.values.tobytes()
 
 
 def test_translate_and_divisor_contract():
