@@ -38,7 +38,6 @@ from .decomposition import (
     is_large,
     is_r_decomposable,
     rado_horn_check,
-    rado_horn_partition,
     restricted_isometry,
     tp1_partition,
 )
@@ -277,17 +276,14 @@ def _cmd_ric(args):
 
 def _cmd_radohorn(args):
     fr = _load_frame(args.input)
-    ok, worst = rado_horn_check(fr, args.r)
-    config = {"r": args.r, "partition": bool(args.partition)}
-    results = {"verdict": bool(ok), "worst": worst,
-               "partition": None}
-    if ok and args.partition:
-        part = rado_horn_partition(fr, args.r)
-        results["partition"] = part.to_json()
+    ok, part, witness = rado_horn_check(fr, args.r)
+    results = {"verdict": ok, "partition": part.to_json() if ok else None,
+               "witness": witness}
+    if ok:
         line = f"verdict=True blocks={part.r}"
     else:
-        line = f"verdict={bool(ok)} worst_ratio={worst['ratio']:.6g}"
-    return config, {"frame": input_record(args.input)}, results, line
+        line = f"verdict=False witness_ratio={witness['ratio']:.6g}"
+    return {"r": args.r}, {"frame": input_record(args.input)}, results, line
 
 
 def _cmd_subspace(args):
@@ -503,11 +499,13 @@ def build_parser():
     p.set_defaults(func=_cmd_ric)
 
     p = sub.add_parser("radohorn",
-                       help="independence counting test and partition")
+                       help="partition into at most r independent blocks, "
+                            "or a violating subset")
     p.add_argument("--input", required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--partition", action="store_true",
-                   help="also build an independent partition when feasible")
+                   help="no effect: the partition is always reported when "
+                        "one exists; kept so older command lines still run")
     _add_report(p)
     p.set_defaults(func=_cmd_radohorn)
 

@@ -22,9 +22,8 @@ import numpy as np
 EXHAUSTIVE_INDEX_MAX = 14          # largest index set for exhaustive paving
 PARTITION_BUDGET = 10**7           # most partitions any exhaustive scan may visit
 SUBSET_BUDGET = 10**6              # most subsets any exhaustive scan may visit
-BIPARTITION_INDEX_MAX = 22         # largest index set for bipartition scans
+BIPARTITION_INDEX_MAX = 22         # largest index set for cc_partition_search
 RIESZ_EXHAUSTIVE_MAX = 12          # exhaustive block-Riesz search cutoff
-RADO_HORN_INDEX_MAX = 20
 
 # Absolute slack of every "achieved <= target" verdict.  Producers and
 # verify() share it through within(), so a report always passes its own
@@ -200,8 +199,9 @@ class Partition:
         return {"blocks": self.blocks()}
 
     @classmethod
-    def from_json(cls, d):
-        return cls.from_blocks(d["blocks"])
+    def from_json(cls, d, M):
+        """Blocks that must cover 0..M-1 exactly once."""
+        return cls.from_blocks(d["blocks"], M=M)
 
 
 def count_partitions(M, r):
@@ -372,11 +372,15 @@ def matrix_to_json(m):
 
 def matrix_from_json(d):
     try:
-        rows, cols = int(d["rows"]), int(d["cols"])
+        rows, cols = d["rows"], d["cols"]
         fieldname = d["field"]
         entries = d["entries"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ContractViolation(f"malformed matrix JSON: {exc}")
+    if type(rows) is not int or type(cols) is not int:
+        raise ContractViolation(
+            f"malformed matrix JSON: rows {rows!r} and cols {cols!r} must be "
+            "integers")
     if fieldname not in ("real", "complex"):
         raise ContractViolation(f"unknown field {fieldname!r}")
     if rows < 1 or cols < 1:

@@ -23,7 +23,6 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
-    RADO_HORN_INDEX_MAX,
     RIESZ_EXHAUSTIVE_MAX,
     SUBSET_BUDGET,
     BudgetExceeded,
@@ -333,27 +332,13 @@ def tp1_partition(fr, s, delta, seed=0, r_max=64, tol=DEFAULT_TOL):
                      dict(flags, exhausted=True))
 
 
-def rado_horn_check(fr, r, tol=DEFAULT_TOL):
-    """Test |J| <= r * dim span(J) for every nonempty index subset.
-
-    Returns (ok, worst) with the subset maximizing |J| / rank as witness.
-    """
-    if r < 1:
-        raise ContractViolation("need r >= 1")
-    m = fr.M
-    if m > RADO_HORN_INDEX_MAX:
-        raise BudgetExceeded(
-            f"rado_horn_check is capped at {RADO_HORN_INDEX_MAX} indices")
-    worst = None
-    for size in range(1, m + 1):
-        for subset in itertools.combinations(range(m), size):
-            rank = numeric_rank(fr.synthesis[:, subset], tol)
-            ratio = math.inf if rank == 0 else size / rank
-            if worst is None or ratio > worst["ratio"]:
-                worst = {"subset": list(subset), "size": size, "rank": rank,
-                         "ratio": ratio}
-    ok = within(worst["ratio"], r)
-    return ok, worst
+def _rado_horn_witness(fr, subset, tol=DEFAULT_TOL):
+    """{subset, size, rank, ratio} of an index subset; the rank is the
+    numeric_rank of its columns."""
+    rank = numeric_rank(fr.synthesis[:, subset], tol)
+    size = len(subset)
+    return {"subset": list(subset), "size": size, "rank": rank,
+            "ratio": math.inf if rank == 0 else size / rank}
 
 
 def _independent(fr, cache, blk, tol):
@@ -367,18 +352,19 @@ def _independent(fr, cache, blk, tol):
     return cache[key]
 
 
-def rado_horn_partition(fr, r, tol=DEFAULT_TOL):
-    """Partition indices into at most r linearly independent blocks.
+def _exchange_chains(fr, r, tol):
+    """Edmonds' matroid partition over the linear matroid of the columns.
 
-    Augmenting exchange chains over the linear matroid of the columns:
-    to place a vector, search breadth-first for a chain of single-element
+    To place a vector, search breadth-first for a chain of single-element
     evictions ending at a block that accepts its last element outright.
-    Infeasible inputs raise with a violating subset (the set of elements
-    reachable in the exchange search).
+    Returns (blocks, None) with the nonempty independent blocks, or
+    (None, J) when some vector cannot be placed.  J is the set of elements
+    the search reached.  Each block spans J, because every member of J
+    outside a block closes a circuit in it whose members were all reached.
+    So |J| = 1 + r * rank J, a violation of Rado-Horn.
     """
     if r < 1:
         raise ContractViolation("need r >= 1")
-    m = fr.M
     blocks = [[] for _ in range(r)]
     where = {}
     cache = {}
@@ -386,7 +372,7 @@ def rado_horn_partition(fr, r, tol=DEFAULT_TOL):
     def indep(blk):
         return _independent(fr, cache, blk, tol)
 
-    for e in range(m):
+    for e in range(fr.M):
         parent = {e: None}        # element -> (displacer, block it vacates)
         queue = [e]
         terminal = None
@@ -406,9 +392,7 @@ def rado_horn_partition(fr, r, tol=DEFAULT_TOL):
                         parent[y] = (x, b)
                         queue.append(y)
         if terminal is None:
-            raise ContractViolation(
-                f"no partition into {r} independent blocks; "
-                f"violating subset {sorted(parent)}")
+            return None, sorted(parent)
         x, b = terminal
         while x is not None:
             if x in where:
@@ -424,8 +408,40 @@ def rado_horn_partition(fr, r, tol=DEFAULT_TOL):
         for blk in blocks:
             if not indep(blk):
                 raise ContractViolation("exchange chain broke independence")
-    used = [blk for blk in blocks if blk]
-    return Partition.from_blocks(used, M=m)
+    return [blk for blk in blocks if blk], None
+
+
+def rado_horn_check(fr, r, tol=DEFAULT_TOL):
+    """Decide whether the indices split into at most r linearly independent
+    blocks; by Rado-Horn, iff |J| <= r * dim span(J) for every subset J.
+
+    Returns (True, partition, None) or (False, None, witness).  The witness
+    {subset, size, rank, ratio} is a subset J with |J| > r * rank J, its
+    rank re-priced by numeric_rank; a J that fails that re-check raises
+    rather than being reported.
+    """
+    blocks, reached = _exchange_chains(fr, r, tol)
+    if blocks is not None:
+        return True, Partition.from_blocks(blocks, M=fr.M), None
+    witness = _rado_horn_witness(fr, reached, tol)
+    if within(witness["ratio"], r):
+        raise ContractViolation(
+            f"stalled exchange chain reached {reached}, which has "
+            f"|J| <= {r} * rank J: no checkable verdict")
+    return False, None, witness
+
+
+def rado_horn_partition(fr, r, tol=DEFAULT_TOL):
+    """Partition indices into at most r linearly independent blocks.
+
+    Infeasible inputs raise with a violating subset (see rado_horn_check).
+    """
+    ok, part, witness = rado_horn_check(fr, r, tol)
+    if not ok:
+        raise ContractViolation(
+            f"no partition into {r} independent blocks; "
+            f"violating subset {witness['subset']}")
+    return part
 
 
 def mixed_norm(x):

@@ -173,23 +173,58 @@ def ccc_partition_search(fr, r_max, epsilon, seed=0, tol=DEFAULT_TOL):
             "blocks": cross, "flags": flags}
 
 
+def _complement_witness(t, tol):
+    """{side, complement} with neither side spanning and index 0 on side,
+    or None when the real n x M family t has the complement property.
+
+    A failing bipartition can be grown until one side is a flat of rank
+    n - 1, so the candidates are the flats F = {i : [S, f_i] has rank
+    n - 1} of the (n - 1)-subsets S of rank n - 1: C(M, n - 1) of them,
+    not 2^(M - 1).  Ranks follow numeric_rank's cutoff throughout.
+    """
+    n, m = t.shape
+    seen = set()
+    for s in itertools.combinations(range(m), n - 1):
+        s = list(s)
+        if s and numeric_rank(t[:, s], tol) != n - 1:
+            continue
+        stacks = np.empty((m, n, n))
+        stacks[:, :, :n - 1] = t[:, s]
+        stacks[:, :, n - 1] = t.T
+        sv = np.linalg.svd(stacks, compute_uv=False)
+        ranks = np.sum(sv > tol.rank_tol * sv[:, :1] * n, axis=1)
+        flat = tuple(np.flatnonzero(ranks == n - 1).tolist())
+        if flat in seen:
+            continue
+        seen.add(flat)
+        inside = set(flat)
+        rest = [i for i in range(m) if i not in inside]
+        side, comp = (list(flat), rest) if 0 in inside else (rest, list(flat))
+        if numeric_rank(t[:, side], tol) < n and \
+                (not comp or numeric_rank(t[:, comp], tol) < n):
+            return {"side": side, "complement": comp}
+    return None
+
+
 def phase_retrieval_check(fr, trials=10**4, seed=0, tol=DEFAULT_TOL):
     """Decide sign-blind recovery for a real family, then stress-test it.
 
-    Complement property scan: every bipartition must leave one spanning
-    side; the first failure is returned as a witness.  When the scan
-    passes, randomized cross-validation solves for vectors matching the
-    absolute analysis coefficients of random inputs under random sign
-    patterns (the two uniform patterns are always included so at least two
-    solvable instances exist) and every solvable instance must recover the
-    input up to a global sign.
+    Complement property: every bipartition must leave one spanning side.
+    The first rank-(n - 1) flat whose complement does not span is returned
+    as the witness.  When the property holds, randomized cross-validation
+    solves for vectors matching the absolute analysis coefficients of
+    random inputs under random sign patterns (the two uniform patterns are
+    always included so at least two solvable instances exist) and every
+    solvable instance must recover the input up to a global sign.
     """
     if np.iscomplexobj(fr.synthesis) and np.abs(fr.synthesis.imag).max() > 0.0:
         raise ContractViolation("sign-blind recovery check is real-case only")
     m, n = fr.M, fr.n
-    if m > BIPARTITION_INDEX_MAX:
+    total = math.comb(m, n - 1)
+    if total > SUBSET_BUDGET:
         raise BudgetExceeded(
-            f"bipartition scans are capped at {BIPARTITION_INDEX_MAX} indices")
+            f"{total} candidate hyperplanes exceed the {SUBSET_BUDGET} "
+            "subset budget")
     t = np.real(fr.synthesis)
     rank_full = numeric_rank(t, tol)
     report = {"verdict": False, "witness": None, "trials": 0,
@@ -197,15 +232,9 @@ def phase_retrieval_check(fr, trials=10**4, seed=0, tol=DEFAULT_TOL):
     if rank_full < n:
         report["witness"] = {"side": list(range(m)), "complement": []}
         return report
-    rest = list(range(1, m))
-    for size in range(0, m):
-        for extra in itertools.combinations(rest, size):
-            side = sorted({0, *extra})
-            comp = [i for i in range(m) if i not in set(side)]
-            if numeric_rank(t[:, side], tol) < n and \
-                    (not comp or numeric_rank(t[:, comp], tol) < n):
-                report["witness"] = {"side": side, "complement": comp}
-                return report
+    report["witness"] = _complement_witness(t, tol)
+    if report["witness"] is not None:
+        return report
     rng = np.random.default_rng(seed)
     analysis = t.T
     solvable = failures = 0

@@ -61,10 +61,13 @@ class GridFunction:
     @classmethod
     def from_json(cls, d):
         try:
-            n = int(d["N"])
+            n = d["N"]
             vals = d["values"]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ContractViolation(f"malformed grid JSON: {exc}")
+        if type(n) is not int:
+            raise ContractViolation(f"malformed grid JSON: N {n!r} must be "
+                                    "an integer")
         v = _pairs_to_complex(vals, n, "grid")
         if not np.any(v.imag):
             v = v.real

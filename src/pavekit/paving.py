@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    BIPARTITION_INDEX_MAX,
     DEFAULT_TOL,
     EXHAUSTIVE_INDEX_MAX,
     PARTITION_BUDGET,
@@ -29,7 +28,6 @@ from .core import (
     Partition,
     count_partitions,
     ensure_matrix,
-    is_hermitian,
     operator_norm,
     sym_eig,
     within,

@@ -6,8 +6,10 @@ timing lives in meta, so identical runs produce byte-identical canonical
 payloads.  verify() re-derives every certified quantity in a report from
 its referenced inputs: partition certificates are re-priced, worst subsets
 re-evaluated, closed-form bounds re-evaluated, seeded constructions
-regenerated.  Searches are not repeated; what a certificate cannot pin down
-(optimality of an exhaustive scan) is recorded as the producing mode.
+regenerated.  Exponential searches are not repeated; what a certificate
+cannot pin down (optimality of an exhaustive scan) is recorded as the
+producing mode.  The polynomial complement-property decision behind phase
+is re-run, because its positive verdict has no short certificate.
 """
 
 from __future__ import annotations
@@ -29,12 +31,14 @@ from .core import (
     gen_random_unit_frame,
     matrix_from_json,
     matrix_to_json,
+    numeric_rank,
     within,
 )
 from .frames import gram_matrix, parseval_normalize, spectral_summary
 from .decomposition import (
     Subspace,
     _gram_block_bounds,
+    _rado_horn_witness,
     decomposition_vectors,
     is_large,
     is_r_decomposable,
@@ -240,7 +244,7 @@ def _verify_pave(payload, reasons):
         return False
     res = payload["results"]
     t = matrix_from_json(d)
-    part = Partition.from_json(res["partition"])
+    part = Partition.from_json(res["partition"], t.shape[0])
     if res["form"] == "projection":
         per = []
         for blk in part.blocks():
@@ -264,7 +268,7 @@ def _verify_weaver(payload, reasons):
         return False
     res = payload["results"]
     fr = frame_from_json(d)
-    part = Partition.from_json(res["partition"])
+    part = Partition.from_json(res["partition"], fr.M)
     per = []
     for blk in part.blocks():
         sub = fr.synthesis[:, blk]
@@ -288,7 +292,7 @@ def _verify_decompose(payload, reasons):
     res = payload["results"]
     if not res.get("verdict"):
         return True  # a negative result certifies nothing to recompute
-    part = Partition.from_json(res["partition"])
+    part = Partition.from_json(res["partition"], fr.M)
     crit = config["criterion"]
     if crit == "tp1":
         if not _need_seed(config, reasons):
@@ -334,27 +338,29 @@ def _verify_radohorn(payload, reasons):
     if d is None:
         return False
     fr = frame_from_json(d)
+    r = payload["config"]["r"]
     res = payload["results"]
-    if "partition" in res and res["partition"] is not None:
-        part = Partition.from_json(res["partition"])
-        seen = sorted(i for blk in part.blocks() for i in blk)
-        if seen != list(range(fr.M)):
-            reasons.append("partition does not cover the index set")
+    if res["verdict"]:
+        part = Partition.from_json(res["partition"], fr.M)
+        if part.r > r:
+            reasons.append(f"partition has {part.r} blocks, more than {r}")
             return False
-        from .core import numeric_rank
         for blk in part.blocks():
             if numeric_rank(fr.synthesis[:, blk]) != len(blk):
                 reasons.append(f"block {blk} is not linearly independent")
                 return False
         return True
-    worst = res["worst"]
-    from .core import numeric_rank
-    rank = numeric_rank(fr.synthesis[:, worst["subset"]])
-    if rank != worst["rank"]:
-        reasons.append("witness subset rank changed")
+    subset = res["witness"]["subset"]
+    if not (all(type(i) is int and 0 <= i < fr.M for i in subset) and
+            sorted(set(subset)) == subset):
+        reasons.append("witness subset is not a sorted list of input indices")
         return False
-    if bool(res["verdict"]) != within(worst["ratio"], payload["config"]["r"]):
-        reasons.append("verdict inconsistent with the witness ratio")
+    witness = _rado_horn_witness(fr, subset)
+    if witness != res["witness"]:
+        reasons.append(f"witness changed: recomputed {witness}")
+        return False
+    if within(witness["ratio"], r):
+        reasons.append("witness does not violate |J| <= r * rank J")
         return False
     return True
 
@@ -375,7 +381,8 @@ def _verify_subspace(payload, reasons):
             reasons.append("largeness result changed")
             ok = False
     if "decomposable" in res:
-        part = Partition.from_json(res["decomposable"]["partition"])
+        part = Partition.from_json(res["decomposable"]["partition"],
+                                   sub.ambient)
         got_ok, ranks = is_r_decomposable(sub, part)
         if bool(got_ok) != bool(res["decomposable"]["verdict"]) or \
                 ranks != res["decomposable"]["ranks"]:
@@ -497,6 +504,9 @@ def _verify_phase(payload, reasons):
                                 seed=config["seed"])
     if bool(rep["verdict"]) != bool(payload["results"]["verdict"]):
         reasons.append("recovery verdict changed")
+        return False
+    if rep["witness"] != payload["results"]["witness"]:
+        reasons.append(f"witness changed: recomputed {rep['witness']}")
         return False
     return True
 

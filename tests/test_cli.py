@@ -86,7 +86,8 @@ def test_malformed_matrix_entry_exits_2(tmp_path, capsys):
 
 def test_malformed_size_exits_2(tmp_path, capsys):
     bad = tmp_path / "size.json"
-    for size in (float("inf"), float("nan"), "x", None, [1]):
+    for size in (float("inf"), float("nan"), "x", None, [1], 2.7, True,
+                 "3"):
         bad.write_text(json.dumps({"rows": size, "cols": 1, "field": "real",
                                    "entries": [[1.0, 0.0]]}))
         assert run("analyze", "--input", str(bad)) == 2, size
@@ -125,7 +126,7 @@ def test_verdict_just_inside_slack_passes_verify(tmp_path):
 
 def test_budget_exits_3(tmp_path):
     f = tmp_path / "wide.json"
-    assert run("gen", "--kind", "random-unit", "--n", "4", "--M", "30",
+    assert run("gen", "--kind", "random-unit", "--n", "8", "--M", "60",
                "--seed", "0", "--out", str(f)) == 0
     assert run("phase", "--input", str(f)) == 3
 
@@ -167,6 +168,75 @@ def test_pave_and_verify_corruption(tmp_path):
         doc["payload"]["results"]["achieved"] += 0.25
         ok, reasons = verify(doc)
     assert not ok and reasons
+
+
+def test_verify_rejects_out_of_range_partition(tmp_path, capsys):
+    f = _gen_frame(tmp_path, n=2, M=6)
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps(matrix_to_json(np.ones((6, 6)))))
+    for argv in (
+        ["weaver", "--input", str(f), "--bessel", "3.0", "--epsilon", "0.4",
+         "--r-max", "3"],
+        ["pave", "--input", str(m), "--r-max", "2", "--epsilon", "0.7"],
+        ["decompose", "--input", str(f), "--criterion", "riesz",
+         "--epsilon", "0.95", "--r-max", "4"],
+        ["radohorn", "--input", str(f), "--r", "3"],
+    ):
+        rep = tmp_path / f"{argv[0]}.json"
+        assert run(*argv, "--report", str(rep)) == 0
+        doc = load_report(str(rep))
+        doc["payload"]["results"]["partition"]["blocks"] = [[0, 1, 2],
+                                                            [3, 4, 5, 6]]
+        rep.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("verify", "--report", str(rep)) == 0, argv[0]
+        out = json.loads(capsys.readouterr().out)
+        assert out["verified"] is False and out["reasons"], argv[0]
+
+
+def _tampered(path, edit):
+    doc = load_report(str(path))
+    edit(doc["payload"]["results"])
+    return verify(doc)
+
+
+def test_verify_rejects_tampered_radohorn_and_phase(tmp_path):
+    f = _gen_frame(tmp_path, n=2, M=6)
+    feasible, infeasible = tmp_path / "r3.json", tmp_path / "r2.json"
+    assert run("radohorn", "--input", str(f), "--r", "3",
+               "--report", str(feasible)) == 0
+    assert run("radohorn", "--input", str(f), "--r", "2",
+               "--report", str(infeasible)) == 0
+    assert verify(str(feasible))[0] and verify(str(infeasible))[0]
+
+    def singletons(res):
+        res["partition"]["blocks"] = [[i] for i in range(6)]
+    ok, reasons = _tampered(feasible, singletons)
+    assert not ok and "more than 3" in reasons[-1]
+
+    def ratio(res):
+        res["witness"]["ratio"] = 4.0
+    ok, reasons = _tampered(infeasible, ratio)
+    assert not ok and "witness changed" in reasons[-1]
+    doc = load_report(str(infeasible))
+    doc["payload"]["config"]["r"] = 3    # six vectors of rank 2 do split
+    ok, reasons = verify(doc)
+    assert not ok and "does not violate" in reasons[-1]
+
+    m = tmp_path / "e1e1e2.json"
+    m.write_text(json.dumps(matrix_to_json(
+        np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))))
+    rep = tmp_path / "ph.json"
+    assert run("phase", "--input", str(m), "--trials", "10",
+               "--report", str(rep)) == 0
+    assert load_report(str(rep))["payload"]["results"]["witness"] == \
+        {"side": [0, 1], "complement": [2]}
+    assert verify(str(rep))[0]
+
+    def side(res):
+        res["witness"] = {"side": [0], "complement": [1, 2]}
+    ok, reasons = _tampered(rep, side)
+    assert not ok and "witness changed" in reasons[-1]
 
 
 def test_verify_detects_changed_input(tmp_path):

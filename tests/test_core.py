@@ -57,8 +57,10 @@ def test_partition_blocks_roundtrip():
     p = Partition.from_blocks([[0, 2], [1], [3, 4]])
     assert p.blocks() == [[0, 2], [1], [3, 4]]
     assert p.M == 5 and p.r == 3
-    q = Partition.from_json(p.to_json())
+    q = Partition.from_json(p.to_json(), 5)
     assert q.block_of == p.block_of
+    with pytest.raises(ContractViolation):
+        Partition.from_json(p.to_json(), 4)       # names index 4 of 0..3
     with pytest.raises(ContractViolation):
         Partition.from_blocks([[0, 1], [1, 2]])   # overlap
     with pytest.raises(ContractViolation):

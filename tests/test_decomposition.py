@@ -4,14 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from frame_cases import oracle_frames
 from pavekit.core import (
-    BudgetExceeded,
     ContractViolation,
     Frame,
     Partition,
     gen_harmonic_frame,
     gen_random_unit_frame,
     numeric_rank,
+    within,
 )
 from pavekit.decomposition import (
     Subspace,
@@ -132,23 +133,38 @@ def test_tp1_rejects_non_unit():
         tp1_partition(Frame(np.eye(2) * 2.0), 1, 0.5)
 
 
+def _max_ratio_oracle(fr):
+    """max |J| / rank J over every nonempty index subset, by enumeration."""
+    best = 0.0
+    for size in range(1, fr.M + 1):
+        for sub in itertools.combinations(range(fr.M), size):
+            rank = numeric_rank(fr.synthesis[:, sub])
+            best = max(best, math.inf if rank == 0 else size / rank)
+    return best
+
+
 def test_rado_horn_check():
     # three copies of e1 cannot split into two independent blocks
     bad = Frame(np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]))
-    ok, worst = rado_horn_check(bad, 2)
-    assert not ok
-    assert worst["ratio"] >= 3.0 - 1e-12
-    ok2, worst2 = rado_horn_check(bad, 3)
-    assert ok2 and worst2["ratio"] <= 3.0 + 1e-12
-    fr = gen_random_unit_frame(2, 4, 0)
-    ok3, worst3 = rado_horn_check(fr, 2)
-    assert ok3
-    # oracle: worst ratio by brute force
-    best = 0.0
-    for size in range(1, 5):
-        for sub in itertools.combinations(range(4), size):
-            best = max(best, size / numeric_rank(fr.synthesis[:, sub]))
-    assert abs(best - worst3["ratio"]) < 1e-12
+    assert rado_horn_check(bad, 2) == (
+        False, None, {"subset": [0, 1, 2], "size": 3, "rank": 1, "ratio": 3.0})
+    verdicts = set()
+    for fr in oracle_frames(0, 45):
+        worst = _max_ratio_oracle(fr)
+        for r in range(1, 5):
+            ok, part, witness = rado_horn_check(fr, r)
+            assert ok == within(worst, r), (fr.synthesis, r)
+            verdicts.add(ok)
+            if ok:
+                assert witness is None and part.M == fr.M and part.r <= r
+                for blk in part.blocks():
+                    assert numeric_rank(fr.synthesis[:, blk]) == len(blk)
+            else:
+                sub = witness["subset"]
+                assert part is None and witness["size"] == len(sub)
+                assert witness["rank"] == numeric_rank(fr.synthesis[:, sub])
+                assert witness["size"] > r * witness["rank"]
+    assert verdicts == {True, False}
 
 
 def test_rado_horn_partition_blocks_independent():
@@ -167,9 +183,11 @@ def test_rado_horn_partition_infeasible_witness():
         rado_horn_partition(bad, 2)
 
 
-def test_rado_horn_budget():
-    with pytest.raises(BudgetExceeded):
-        rado_horn_check(gen_random_unit_frame(2, 21, 0), 21)
+def test_rado_horn_has_no_index_cap():
+    fr = gen_random_unit_frame(2, 21, 0)
+    assert rado_horn_check(fr, 11)[0]
+    ok, _, witness = rado_horn_check(fr, 10)
+    assert not ok and witness["size"] == 21 and witness["rank"] == 2
 
 
 def test_mixed_norm_basics():

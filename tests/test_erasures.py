@@ -3,12 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
+from frame_cases import oracle_frames
 from pavekit.core import (
     BudgetExceeded,
     ContractViolation,
     Frame,
     gen_harmonic_frame,
     gen_random_unit_frame,
+    numeric_rank,
 )
 from pavekit.erasures import (
     cc_partition_search,
@@ -109,11 +111,42 @@ def test_phase_retrieval_negative_witness():
     assert rep["witness"] == {"side": [0], "complement": [1]}
 
 
+def _bipartition_oracle(t):
+    """First bipartition, index 0 on side, with neither side spanning."""
+    n, m = t.shape
+    for size in range(m):
+        for extra in itertools.combinations(range(1, m), size):
+            side = [0, *extra]
+            comp = [i for i in range(m) if i not in side]
+            if numeric_rank(t[:, side]) < n and \
+                    (not comp or numeric_rank(t[:, comp]) < n):
+                return side, comp
+    return None
+
+
+def test_phase_retrieval_matches_bipartition_oracle():
+    verdicts = set()
+    for fr in oracle_frames(0, 60):
+        rep = phase_retrieval_check(fr, trials=20, seed=0)
+        t, n = fr.synthesis, fr.n
+        assert rep["verdict"] == (_bipartition_oracle(t) is None), t
+        verdicts.add(rep["verdict"])
+        if not rep["verdict"]:
+            side, comp = rep["witness"]["side"], rep["witness"]["complement"]
+            assert 0 in side and sorted(side + comp) == list(range(fr.M))
+            assert numeric_rank(t[:, side]) < n
+            assert not comp or numeric_rank(t[:, comp]) < n
+    assert verdicts == {True, False}
+
+
 def test_phase_retrieval_contracts():
     with pytest.raises(ContractViolation):
         phase_retrieval_check(gen_random_unit_frame(2, 4, 0, field="complex"))
+    # C(60, 7) candidate hyperplanes are past the subset budget
     with pytest.raises(BudgetExceeded):
-        phase_retrieval_check(gen_random_unit_frame(2, 23, 0))
+        phase_retrieval_check(gen_random_unit_frame(8, 60, 0), trials=1)
+    assert phase_retrieval_check(gen_random_unit_frame(2, 23, 0),
+                                 trials=10)["verdict"]
 
 
 def test_phase_retrieval_rank_deficient():
