@@ -5,8 +5,9 @@ n x M array whose column i is the i-th vector of a family; everything
 downstream (frame operators, Gram matrices, block compressions) is an
 ordinary matrix product away.  This module owns the boundary checks
 (finite entries, Hermitian symmetry, shape sanity), the eigen/rank
-primitives, partition enumeration in canonical restricted-growth form,
-the seeded generators, and the JSON wire formats.
+primitives (block_spectra is the one kernel behind every block spectrum),
+partition enumeration in canonical restricted-growth form, the seeded
+generators, and the JSON wire formats.
 """
 
 from __future__ import annotations
@@ -112,6 +113,41 @@ def sym_eig(m, tol=DEFAULT_TOL):
     if resid > tol.eig_tol * scale:
         raise ContractViolation(f"eigen residual {resid:.3e} exceeds tolerance")
     return w, v
+
+
+# Most bytes block_spectra stacks for one eigvalsh call.  A module constant,
+# not a parameter, so a scan's memory stays flat however many subsets it has.
+BLOCK_STACK_BYTES = 256 * 1024
+
+
+def block_spectra(a, subsets, frame=False):
+    """Ascending eigenvalues of each subset's block of a: the symmetrized
+    principal block a[S, S], or with frame=True the partial frame operator
+    a[:, S] a[:, S]*, not symmetrized.
+
+    subsets is read lazily.  Runs of same-size subsets are stacked up to
+    BLOCK_STACK_BYTES and solved by one eigvalsh, which gives each block
+    the bits a lone eigvalsh would.  Yields (idx, w) per stack: the (B, k)
+    subsets and their (B, d) spectra, in input order.
+    """
+    n = a.shape[0]
+    for k, run in itertools.groupby(subsets, len):
+        size = a.itemsize * (n * max(n, k) if frame else k * k)
+        while chunk := list(itertools.islice(
+                run, max(1, BLOCK_STACK_BYTES // max(size, 1)))):
+            idx = np.array(chunk, dtype=np.intp).reshape(len(chunk), k)
+            if frame:
+                t = a[:, idx].transpose(1, 0, 2)
+                blocks = t @ t.conj().transpose(0, 2, 1)
+            else:
+                sub = a[idx[:, :, None], idx[:, None, :]]
+                blocks = 0.5 * (sub + sub.conj().transpose(0, 2, 1))
+            yield idx, np.linalg.eigvalsh(blocks)
+
+
+def block_spectrum(a, subset, frame=False):
+    """block_spectra of a single subset."""
+    return next(block_spectra(a, [subset], frame))[1][0]
 
 
 def operator_norm(m):

@@ -29,6 +29,8 @@ from .core import (
     ContractViolation,
     Frame,
     Partition,
+    block_spectra,
+    block_spectrum,
     ensure_matrix,
     numeric_rank,
     sym_eig,
@@ -69,8 +71,7 @@ def _gram_block_bounds(g):
     """(lowest, highest) Gram eigenvalue of each block, memoized by the
     block's bitmask."""
     def spectrum(idx):
-        sub = g[np.ix_(idx, idx)]
-        w = np.linalg.eigvalsh(0.5 * (sub + sub.conj().T))
+        w = block_spectrum(g, idx)
         return float(w[0]), float(w[-1])
 
     return _block_cost_cache(spectrum)
@@ -228,16 +229,15 @@ def restricted_isometry(fr, s, tol=DEFAULT_TOL):
         raise BudgetExceeded(
             f"{total} subsets exceed the {SUBSET_BUDGET} budget; "
             "use restricted_isometry_sampled for a flagged lower bound")
-    g = gram_matrix(fr)
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(range(fr.M), k) for k in range(1, s + 1))
     worst, worst_subset = -1.0, None
-    for k in range(1, s + 1):
-        for subset in itertools.combinations(range(fr.M), k):
-            sub = g[np.ix_(subset, subset)]
-            w = np.linalg.eigvalsh(0.5 * (sub + sub.conj().T))
-            dev = max(float(w[-1] - 1.0), float(1.0 - w[0]))
-            if dev > worst:
-                worst, worst_subset = dev, subset
-    return max(worst, 0.0), list(worst_subset)
+    for idx, w in block_spectra(gram_matrix(fr), subsets):
+        dev = np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0])
+        i = int(np.argmax(dev))        # first occurrence, as a scan finds
+        if dev[i] > worst:
+            worst, worst_subset = float(dev[i]), idx[i].tolist()
+    return max(worst, 0.0), worst_subset
 
 
 def restricted_isometry_sampled(fr, s, samples=1000, seed=0, tol=DEFAULT_TOL):
@@ -246,20 +246,21 @@ def restricted_isometry_sampled(fr, s, samples=1000, seed=0, tol=DEFAULT_TOL):
     if s < 1:
         raise ContractViolation("need s >= 1")
     s = min(s, fr.M)
+    if samples < 1:
+        raise ContractViolation("need samples >= 1")
     rng = np.random.default_rng(seed)
     g = gram_matrix(fr)
     worst, worst_subset = -1.0, None
     for _ in range(samples):
         k = int(rng.integers(1, s + 1))
-        subset = tuple(sorted(rng.choice(fr.M, size=k, replace=False)))
-        sub = g[np.ix_(subset, subset)]
-        w = np.linalg.eigvalsh(0.5 * (sub + sub.conj().T))
+        subset = sorted(rng.choice(fr.M, size=k, replace=False).tolist())
+        w = block_spectrum(g, subset)
         dev = max(float(w[-1] - 1.0), float(1.0 - w[0]))
         if dev > worst:
             worst, worst_subset = dev, subset
-    return max(worst, 0.0), list(worst_subset), {"lower_bound_only": True,
-                                                 "samples": samples,
-                                                 "seed": int(seed)}
+    return max(worst, 0.0), worst_subset, {"lower_bound_only": True,
+                                           "samples": samples,
+                                           "seed": int(seed)}
 
 
 @dataclass
@@ -301,8 +302,7 @@ def tp1_partition(fr, s, delta, seed=0, r_max=64, tol=DEFAULT_TOL):
     if s < 1:
         raise ContractViolation("need s >= 1")
     g = gram_matrix(fr)
-    gw = np.linalg.eigvalsh(0.5 * (g + g.conj().T))
-    bessel = float(max(gw[-1], 1.0))
+    bessel = float(max(block_spectrum(g, range(fr.M))[-1], 1.0))
     k = max(1, math.ceil(bessel * s / (delta * delta)))
     mass_bound = bessel / k
     h = np.abs(g) ** 2
@@ -322,7 +322,7 @@ def tp1_partition(fr, s, delta, seed=0, r_max=64, tol=DEFAULT_TOL):
                 sub = Frame(fr.synthesis[:, blk])
                 d, _ = restricted_isometry(sub, min(s, len(blk)), tol)
                 per.append(d)
-                ok = ok and d <= delta + 1e-9
+                ok = ok and within(d, delta)
             if ok:
                 return Tp1Report(True, part, r, k, bessel, delta, per,
                                  mass_bound, flags)

@@ -23,11 +23,13 @@ from .core import (
     BudgetExceeded,
     ContractViolation,
     Partition,
+    block_spectra,
+    block_spectrum,
     numeric_rank,
     within,
 )
 from .frames import frame_operator, gram_matrix
-from .paving import _search
+from .paving import _gram_block_top, _search
 
 __all__ = ["ErasureReport", "erasure_robustness", "cc_partition_search",
            "ccc_partition_search", "phase_retrieval_check"]
@@ -61,9 +63,21 @@ def _surviving_lower(fr, erased):
     keep = [i for i in range(fr.M) if i not in erased]
     if not keep:
         return 0.0
-    t = fr.synthesis[:, keep]
-    w = np.linalg.eigvalsh(t @ t.conj().T)
-    return float(max(w[0], 0.0))
+    return float(max(block_spectrum(fr.synthesis, keep, frame=True)[0], 0.0))
+
+
+def _complements(idx, m):
+    """The complement in range(m) of each row of idx, in ascending rows."""
+    out = np.ones((len(idx), m), dtype=bool)
+    out[np.arange(len(idx))[:, None], idx] = False
+    return np.nonzero(out)[1].reshape(len(idx), m - idx.shape[1])
+
+
+def _eigenvalues(j, a, subsets, frame=False):
+    """Eigenvalue j (0 the lowest, -1 the top) of each subset's block, as
+    one array."""
+    return np.concatenate([w[:, j] for _, w in
+                           block_spectra(a, subsets, frame)])
 
 
 def erasure_robustness(fr, k, tol=DEFAULT_TOL):
@@ -81,24 +95,27 @@ def erasure_robustness(fr, k, tol=DEFAULT_TOL):
     s = frame_operator(fr)
     parseval = bool(np.abs(s - np.eye(fr.n)).max() <= tol.check_tol)
     g = gram_matrix(fr) if parseval else None
-    worst, worst_subset = math.inf, []
-    vmin, vmax = math.inf, -math.inf
-    scanned = 0
-    for subset in itertools.combinations(range(fr.M), k):
-        scanned += 1
-        val = _surviving_lower(fr, set(subset))
+    m = fr.M
+    keeps = (tuple(i for i in range(m) if i not in erased)
+             for erased in itertools.combinations(range(m), k))
+    vmin, vmax, worst_subset, scanned = math.inf, -math.inf, [], 0
+    for keep, w in block_spectra(fr.synthesis, keeps, frame=True):
+        erased, val = _complements(keep, m), np.maximum(w[:, 0], 0.0)
         if parseval and k > 0:
-            sub = g[np.ix_(subset, subset)]
-            w = np.linalg.eigvalsh(0.5 * (sub + sub.conj().T))
-            via_complement = 1.0 - float(w[-1])
-            if abs(via_complement - val) > 1e-9:
+            via_complement = 1.0 - _eigenvalues(-1, g, erased)
+            bad = np.flatnonzero(np.abs(via_complement - val) > 1e-9)
+            if bad.size:
+                i = bad[0]
                 raise ContractViolation(
-                    f"complementarity identity violated at {subset}: "
-                    f"{val} vs {via_complement}")
-        vmin, vmax = min(vmin, val), max(vmax, val)
-        if val < worst:
-            worst, worst_subset = val, list(subset)
-    return ErasureReport(k=k, worst_value=worst, worst_subset=worst_subset,
+                    f"complementarity identity violated at "
+                    f"{tuple(erased[i].tolist())}: {val[i]} vs "
+                    f"{via_complement[i]}")
+        scanned += len(val)
+        lo, hi = int(np.argmin(val)), int(np.argmax(val))  # first occurrences
+        if val[lo] < vmin:
+            vmin, worst_subset = float(val[lo]), erased[lo].tolist()
+        vmax = max(vmax, float(val[hi]))
+    return ErasureReport(k=k, worst_value=vmin, worst_subset=worst_subset,
                          is_parseval=parseval,
                          identity_checked=parseval and k > 0,
                          subsets_scanned=scanned, value_min=vmin,
@@ -117,20 +134,19 @@ def cc_partition_search(fr):
     if m > BIPARTITION_INDEX_MAX:
         raise BudgetExceeded(
             f"bipartition scans are capped at {BIPARTITION_INDEX_MAX} indices")
-    best = None
-    scanned = 0
-    rest = list(range(1, m))
-    for size in range(0, m - 1):
-        for extra in itertools.combinations(rest, size):
-            side = {0, *extra}
-            comp = [i for i in range(m) if i not in side]
-            scanned += 1
-            val = min(_surviving_lower(fr, set(comp)),
-                      _surviving_lower(fr, side))
-            if best is None or val > best[0]:
-                best = (val, sorted(side), comp)
-    value, side, comp = best
-    part = Partition.from_blocks([side, comp], M=m)
+    t = fr.synthesis
+    sides = ((0, *extra) for size in range(m - 1)
+             for extra in itertools.combinations(range(1, m), size))
+    value, scanned = -math.inf, 0
+    for side, w in block_spectra(t, sides, frame=True):
+        comp = _complements(side, m)
+        val = np.maximum(np.minimum(w[:, 0], _eigenvalues(0, t, comp, True)),
+                         0.0)
+        scanned += len(val)
+        i = int(np.argmax(val))        # first occurrence, as a scan finds
+        if val[i] > value:
+            value, best = float(val[i]), [side[i].tolist(), comp[i].tolist()]
+    part = Partition.from_blocks(best, M=m)
     return {"best_value": value, "partition": part, "scanned": scanned}
 
 
@@ -148,25 +164,17 @@ def ccc_partition_search(fr, r_max, epsilon, seed=0, tol=DEFAULT_TOL):
     if np.abs(s - np.eye(fr.n)).max() > tol.check_tol:
         raise ContractViolation("ccc_partition_search needs a Parseval family")
     g = gram_matrix(fr)
-    m = fr.M
-
-    def cost(blk):
-        sub = g[np.ix_(blk, blk)]
-        w = np.linalg.eigvalsh(0.5 * (sub + sub.conj().T))
-        return float(max(w[-1], 0.0))
-
     flags = {}
-    part, achieved, scanned, mode = _search(m, r_max, cost, seed, flags)
-    cross = []
-    for blk in part.blocks():
-        t = fr.synthesis[:, blk]
-        w = np.linalg.eigvalsh(t @ t.conj().T)
-        direct = float(max(w[-1], 0.0))
-        via_gram = cost(blk)
-        if abs(direct - via_gram) > 1e-9:
-            raise ContractViolation(
-                f"block spectrum mismatch: {direct} vs {via_gram}")
-        cross.append({"block": list(blk), "lambda_max": direct})
+    part, achieved, scanned, mode = _search(fr.M, r_max, _gram_block_top(g),
+                                            seed, flags)
+    blocks = part.blocks()
+    direct, via_gram = (np.maximum(_eigenvalues(-1, a, blocks, frame), 0.0)
+                        for a, frame in ((fr.synthesis, True), (g, False)))
+    for d, v in zip(direct.tolist(), via_gram.tolist()):
+        if abs(d - v) > 1e-9:
+            raise ContractViolation(f"block spectrum mismatch: {d} vs {v}")
+    cross = [{"block": blk, "lambda_max": d}
+             for blk, d in zip(blocks, direct.tolist())]
     return {"verdict": within(achieved, 1.0 - epsilon),
             "achieved": achieved, "target": 1.0 - epsilon,
             "partition": part, "mode": mode, "scanned": scanned,

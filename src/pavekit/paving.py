@@ -26,6 +26,7 @@ from .core import (
     BudgetExceeded,
     ContractViolation,
     Partition,
+    block_spectrum,
     count_partitions,
     ensure_matrix,
     operator_norm,
@@ -344,6 +345,12 @@ def pave_projection_check(p, r_max, epsilon, delta=None, seed=0,
                         scale=1.0, flags=flags)
 
 
+def _gram_block_top(g):
+    """Block cost of weaver and ccc: the top eigenvalue of the Gram block,
+    clipped at 0, which is the norm of the block frame operator."""
+    return lambda blk: float(max(block_spectrum(g, blk)[-1], 0.0))
+
+
 def weaver_check(fr, bessel, epsilon, r_max, seed=0, tol=DEFAULT_TOL):
     """Partition a unit-norm family so every block frame operator stays
     below bessel - epsilon.
@@ -360,14 +367,8 @@ def weaver_check(fr, bessel, epsilon, r_max, seed=0, tol=DEFAULT_TOL):
     flags = {"bessel_actual": float(max(gw[-1], 0.0))}
     if flags["bessel_actual"] > bessel + tol.check_tol:
         flags["precondition_violated"] = True
-    m = fr.M
-
-    def cost(blk):
-        sub = g[np.ix_(blk, blk)]
-        w, _ = sym_eig(sub, tol)
-        return float(max(w[-1], 0.0))
-
-    part, achieved, evaluated, mode = _search(m, r_max, cost, seed, flags)
+    cost = _gram_block_top(g)
+    part, achieved, evaluated, mode = _search(fr.M, r_max, cost, seed, flags)
     per = [cost(blk) for blk in part.blocks()]
     target = bessel - epsilon
     return PavingReport(form="weaver", verdict=within(achieved, target),

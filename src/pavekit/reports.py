@@ -25,6 +25,7 @@ from .core import (
     ContractViolation,
     Frame,
     Partition,
+    block_spectrum,
     frame_from_json,
     gen_harmonic_frame,
     gen_random_projection,
@@ -57,7 +58,7 @@ from .harmonic import (
     uniform_feichtinger_criterion,
     uniform_paving_criterion,
 )
-from .paving import _block_mask, paving_norm
+from .paving import _block_mask, _gram_block_top, paving_norm
 
 __all__ = ["make_report", "canonical_payload", "payload_hash",
            "write_report", "load_report", "file_sha256", "verify"]
@@ -142,6 +143,18 @@ def _load_input(payload, name, reasons):
         return None
     with open(rec["path"]) as fh:
         return json.load(fh)
+
+
+def _index_subset(subset, m, sizes, what, reasons):
+    """Whether subset is a sorted list of distinct indices in range(m),
+    with a length in the range sizes; if not, says why in reasons."""
+    if type(subset) is list and len(subset) in sizes and \
+            all(type(i) is int and 0 <= i < m for i in subset) and \
+            sorted(set(subset)) == subset:
+        return True
+    reasons.append(f"{what} is not a sorted list of {sizes.start} to "
+                   f"{sizes.stop - 1} distinct input indices")
+    return False
 
 
 def _need_seed(config, reasons):
@@ -269,11 +282,7 @@ def _verify_weaver(payload, reasons):
     res = payload["results"]
     fr = frame_from_json(d)
     part = Partition.from_json(res["partition"], fr.M)
-    per = []
-    for blk in part.blocks():
-        sub = fr.synthesis[:, blk]
-        w = np.linalg.eigvalsh(sub @ sub.conj().T)
-        per.append(float(max(w[-1], 0.0)))
+    per = list(map(_gram_block_top(gram_matrix(fr)), part.blocks()))
     if not _close(max(per), res["achieved"]):
         reasons.append("recomputed block bound differs from the report")
         return False
@@ -300,7 +309,7 @@ def _verify_decompose(payload, reasons):
         for blk, stored in zip(part.blocks(), res["per_block_delta"]):
             sub = Frame(fr.synthesis[:, blk])
             dlt, _ = restricted_isometry(sub, min(config["s"], len(blk)))
-            if not _close(dlt, stored) or dlt > config["delta"] + 1e-9:
+            if not _close(dlt, stored) or not within(dlt, config["delta"]):
                 reasons.append(f"block {blk} fails its recorded delta")
                 return False
         return True
@@ -324,8 +333,10 @@ def _verify_ric(payload, reasons):
     fr = frame_from_json(d)
     res = payload["results"]
     subset = res["worst_subset"]
-    g = fr.synthesis[:, subset].conj().T @ fr.synthesis[:, subset]
-    w = np.linalg.eigvalsh(0.5 * (g + g.conj().T))
+    if not _index_subset(subset, fr.M, range(1, payload["config"]["s"] + 1),
+                         "worst subset", reasons):
+        return False
+    w = block_spectrum(gram_matrix(fr), subset)
     dev = max(float(w[-1] - 1.0), float(1.0 - w[0]), 0.0)
     if not _close(dev, res["delta"]):
         reasons.append("worst subset no longer attains the recorded delta")
@@ -351,9 +362,8 @@ def _verify_radohorn(payload, reasons):
                 return False
         return True
     subset = res["witness"]["subset"]
-    if not (all(type(i) is int and 0 <= i < fr.M for i in subset) and
-            sorted(set(subset)) == subset):
-        reasons.append("witness subset is not a sorted list of input indices")
+    if not _index_subset(subset, fr.M, range(1, fr.M + 1), "witness subset",
+                         reasons):
         return False
     witness = _rado_horn_witness(fr, subset)
     if witness != res["witness"]:
@@ -485,6 +495,10 @@ def _verify_erasure(payload, reasons):
         return False
     fr = frame_from_json(d)
     res = payload["results"]
+    k = payload["config"]["k"]
+    if not _index_subset(res["worst_subset"], fr.M, range(k, k + 1),
+                         "worst subset", reasons):
+        return False
     val = _surviving_lower(fr, set(res["worst_subset"]))
     if not _close(val, res["worst_value"]):
         reasons.append("worst subset no longer attains the recorded value")

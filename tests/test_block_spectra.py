@@ -1,0 +1,292 @@
+"""The stacked block-spectrum kernel and the subset scans built on it.
+
+block_spectra must give every block the bits a lone eigvalsh of that block
+gives, however the blocks are stacked.  The oracles below are the
+per-subset loops the scans ran before they were stacked; the scans must
+match them bit for bit: values, worst subset, tie order and counts.
+"""
+
+import ast
+import itertools
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import pavekit
+from pavekit import core
+from pavekit.core import (
+    ContractViolation,
+    Frame,
+    block_spectra,
+    block_spectrum,
+    gen_harmonic_frame,
+    gen_random_unit_frame,
+)
+from pavekit.decomposition import (
+    restricted_isometry,
+    restricted_isometry_sampled,
+)
+from pavekit.erasures import cc_partition_search, erasure_robustness
+from pavekit.frames import gram_matrix, parseval_normalize
+
+
+def _bits(x):
+    """Bytes of a float or array, so -0.0 and 0.0 differ."""
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def _lone(a, subset, frame):
+    subset = list(subset)
+    if frame:
+        t = a[:, subset]
+        return np.linalg.eigvalsh(t @ t.conj().T)
+    sub = a[np.ix_(subset, subset)]
+    return np.linalg.eigvalsh(0.5 * (sub + sub.conj().T))
+
+
+def _matrices():
+    rng = np.random.default_rng(3)
+    for field in ("real", "complex"):
+        t = gen_random_unit_frame(3, 7, 1, field).synthesis
+        yield t, True
+        yield gram_matrix(Frame(t)), False
+    t = gen_harmonic_frame(3, 7).synthesis
+    yield t, True
+    yield gram_matrix(Frame(t)), False
+    # the real view of a complex array, the layout JSON decoding gives
+    z = rng.standard_normal((4, 6)) + 0j
+    yield z.real, True
+    yield gram_matrix(Frame(z.real)), False
+
+
+# A cap of 200 bytes splits every run of subsets into many stacks.
+CAPS = [None, 200]
+
+
+def _cap(monkeypatch, cap):
+    if cap is not None:
+        monkeypatch.setattr(core, "BLOCK_STACK_BYTES", cap)
+
+
+@pytest.mark.parametrize("cap", CAPS)
+def test_block_spectra_matches_lone_eigvalsh(monkeypatch, cap):
+    _cap(monkeypatch, cap)
+    for a, frame in _matrices():
+        m = a.shape[1]
+        subsets = [s for k in range(1, 5)
+                   for s in itertools.combinations(range(m), k)]
+        got = [(idx, w) for idx, w in block_spectra(a, iter(subsets), frame)]
+        assert [tuple(i) for idx, _ in got for i in idx.tolist()] == subsets
+        rows = [row for _, w in got for row in w]
+        for subset, row in zip(subsets, rows):
+            assert _bits(row) == _bits(_lone(a, subset, frame))
+        if cap is not None:     # runs split at the cap, not only by size
+            assert len(got) > 4
+            for idx, _ in got:
+                k = idx.shape[1]
+                width = a.shape[0] * max(k, a.shape[0]) if frame else k * k
+                assert len(idx) == 1 or \
+                    len(idx) * width * a.itemsize <= cap
+
+
+def test_block_spectra_keeps_mixed_order():
+    g = gram_matrix(gen_random_unit_frame(3, 6, 2))
+    subsets = [[0, 1], [2], [3, 4], [1, 3, 5], [5], [0, 2, 4]]
+    got = [w for _, ws in block_spectra(g, subsets) for w in ws]
+    for subset, w in zip(subsets, got):
+        assert _bits(w) == _bits(_lone(g, subset, False))
+    assert _bits(block_spectrum(g, [1, 3, 5])) == _bits(got[3])
+
+
+def test_no_hand_copied_eigensolves():
+    """Block eigensolves go through core.block_spectra; only harmonic's
+    Toeplitz sections and Kadec Gram, which are not blocks of a stored
+    matrix, call eigvalsh themselves."""
+    allowed = {"core.py", "harmonic.py"}
+    found = []
+    for path in sorted(Path(pavekit.__file__).parent.glob("*.py")):
+        if path.name in allowed:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [node.attr] if isinstance(node, ast.Attribute) else \
+                [a.name for a in node.names] \
+                if isinstance(node, ast.ImportFrom) else []
+            if "eigvalsh" in names:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+# ---------------------------------------------------------------------------
+# the per-subset scans the stacked ones replaced, kept as oracles
+# ---------------------------------------------------------------------------
+
+def _surviving_lower_oracle(fr, erased):
+    keep = [i for i in range(fr.M) if i not in erased]
+    if not keep:
+        return 0.0
+    t = fr.synthesis[:, keep]
+    w = np.linalg.eigvalsh(t @ t.conj().T)
+    return float(max(w[0], 0.0))
+
+
+def _erasure_oracle(fr, k, parseval):
+    g = gram_matrix(fr) if parseval else None
+    worst, worst_subset = math.inf, []
+    vmin, vmax = math.inf, -math.inf
+    scanned = 0
+    for subset in itertools.combinations(range(fr.M), k):
+        scanned += 1
+        val = _surviving_lower_oracle(fr, set(subset))
+        if parseval and k > 0:
+            sub = g[np.ix_(subset, subset)]
+            w = np.linalg.eigvalsh(0.5 * (sub + sub.conj().T))
+            assert abs(1.0 - float(w[-1]) - val) <= 1e-9
+        vmin, vmax = min(vmin, val), max(vmax, val)
+        if val < worst:
+            worst, worst_subset = val, list(subset)
+    return worst, worst_subset, scanned, vmin, vmax
+
+
+def _ric_oracle(fr, s):
+    s = min(s, fr.M)
+    g = gram_matrix(fr)
+    worst, worst_subset = -1.0, None
+    for k in range(1, s + 1):
+        for subset in itertools.combinations(range(fr.M), k):
+            sub = g[np.ix_(subset, subset)]
+            w = np.linalg.eigvalsh(0.5 * (sub + sub.conj().T))
+            dev = max(float(w[-1] - 1.0), float(1.0 - w[0]))
+            if dev > worst:
+                worst, worst_subset = dev, subset
+    return max(worst, 0.0), list(worst_subset)
+
+
+def _ric_sampled_oracle(fr, s, samples, seed):
+    s = min(s, fr.M)
+    rng = np.random.default_rng(seed)
+    g = gram_matrix(fr)
+    worst, worst_subset = -1.0, None
+    for _ in range(samples):
+        k = int(rng.integers(1, s + 1))
+        subset = tuple(sorted(rng.choice(fr.M, size=k, replace=False)))
+        sub = g[np.ix_(subset, subset)]
+        w = np.linalg.eigvalsh(0.5 * (sub + sub.conj().T))
+        dev = max(float(w[-1] - 1.0), float(1.0 - w[0]))
+        if dev > worst:
+            worst, worst_subset = dev, subset
+    return max(worst, 0.0), list(worst_subset)
+
+
+def _cc_oracle(fr):
+    m = fr.M
+    best = None
+    scanned = 0
+    rest = list(range(1, m))
+    for size in range(0, m - 1):
+        for extra in itertools.combinations(rest, size):
+            side = {0, *extra}
+            comp = [i for i in range(m) if i not in side]
+            scanned += 1
+            val = min(_surviving_lower_oracle(fr, set(comp)),
+                      _surviving_lower_oracle(fr, side))
+            if best is None or val > best[0]:
+                best = (val, sorted(side), comp)
+    return best, scanned
+
+
+def _unit_frames():
+    """Random, repeated-column and harmonic unit-norm families."""
+    rng = np.random.default_rng(11)
+    for seed, (n, m) in enumerate([(2, 6), (3, 7), (4, 8)]):
+        fr = gen_random_unit_frame(n, m, seed)
+        yield fr
+        yield Frame(fr.synthesis[:, rng.integers(max(1, m // 3), size=m)])
+    yield gen_random_unit_frame(3, 7, 5, "complex")
+    yield gen_harmonic_frame(3, 7)
+    yield gen_harmonic_frame(2, 8)
+
+
+def _parseval_frames():
+    rng = np.random.default_rng(12)
+    for n, m in ((2, 6), (3, 7)):
+        q, _ = np.linalg.qr(rng.standard_normal((m, n)))
+        yield Frame(q.T.copy())
+    yield parseval_normalize(gen_harmonic_frame(3, 7))
+    yield parseval_normalize(gen_harmonic_frame(2, 8))
+    # repeated columns, rescaled to a Parseval family
+    yield parseval_normalize(Frame(np.tile(np.eye(2), 3)))
+
+
+@pytest.mark.parametrize("cap", CAPS)
+def test_erasure_matches_per_subset_oracle(monkeypatch, cap):
+    _cap(monkeypatch, cap)
+    checked = set()
+    for fr in itertools.chain(_unit_frames(), _parseval_frames()):
+        for k in range(0, min(fr.M, 4)):
+            rep = erasure_robustness(fr, k)
+            worst, subset, scanned, vmin, vmax = _erasure_oracle(
+                fr, k, rep.is_parseval)
+            assert _bits(rep.worst_value) == _bits(worst)
+            assert rep.worst_subset == subset
+            assert rep.subsets_scanned == scanned
+            assert _bits([rep.value_min, rep.value_max]) == _bits([vmin, vmax])
+            checked.add(rep.identity_checked)
+    assert checked == {True, False}
+
+
+@pytest.mark.parametrize("cap", CAPS)
+def test_erasure_reports_the_first_complementarity_violation(monkeypatch,
+                                                             cap):
+    # S = I + diag(5e-9, -5e-9) passes the Parseval check (1e-8), but the
+    # two routes then differ by about 5e-9, past the identity's 1e-9
+    _cap(monkeypatch, cap)
+    fr = parseval_normalize(gen_harmonic_frame(2, 6))
+    bent = Frame(np.sqrt([[1.0 + 5e-9], [1.0 - 5e-9]]) * fr.synthesis)
+    g = gram_matrix(bent)
+    first = next(
+        subset for subset in itertools.combinations(range(6), 2)
+        if abs(1.0 - _lone(g, subset, False)[-1] -
+               _surviving_lower_oracle(bent, set(subset))) > 1e-9)
+    with pytest.raises(ContractViolation,
+                       match=rf"violated at \({first[0]}, {first[1]}\): "):
+        erasure_robustness(bent, 2)
+
+
+@pytest.mark.parametrize("cap", CAPS)
+def test_restricted_isometry_matches_per_subset_oracle(monkeypatch, cap):
+    _cap(monkeypatch, cap)
+    for fr in _unit_frames():
+        for s in (1, 2, 3):
+            delta, subset = restricted_isometry(fr, s)
+            want, want_subset = _ric_oracle(fr, s)
+            assert _bits(delta) == _bits(want)
+            assert subset == want_subset
+
+
+@pytest.mark.parametrize("cap", CAPS)
+def test_restricted_isometry_sampled_matches_oracle(monkeypatch, cap):
+    _cap(monkeypatch, cap)
+    for fr in _unit_frames():
+        for s, seed in ((2, 0), (4, 7)):
+            delta, subset, flags = restricted_isometry_sampled(
+                fr, s, samples=60, seed=seed)
+            want, want_subset = _ric_sampled_oracle(fr, s, 60, seed)
+            assert _bits(delta) == _bits(want)
+            assert subset == want_subset
+            assert flags == {"lower_bound_only": True, "samples": 60,
+                             "seed": seed}
+    with pytest.raises(ContractViolation):
+        restricted_isometry_sampled(gen_harmonic_frame(2, 4), 2, samples=0)
+
+
+@pytest.mark.parametrize("cap", CAPS)
+def test_cc_partition_matches_per_subset_oracle(monkeypatch, cap):
+    _cap(monkeypatch, cap)
+    for fr in itertools.chain(_unit_frames(), _parseval_frames()):
+        res = cc_partition_search(fr)
+        (value, side, comp), scanned = _cc_oracle(fr)
+        assert _bits(res["best_value"]) == _bits(value)
+        assert res["partition"].blocks() == [side, comp]
+        assert res["scanned"] == scanned == 2 ** (fr.M - 1) - 1

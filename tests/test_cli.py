@@ -289,6 +289,54 @@ def test_decompose_verify_rejects_raised_lower_target(tmp_path):
     assert not ok and "violates the target range" in reasons[-1]
 
 
+def _verify_cli(path, capsys):
+    capsys.readouterr()
+    assert run("verify", "--report", str(path)) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("command, subset", [
+    ("ric", [0, 7]),        # index past M
+    ("ric", [1, -2]),       # numpy indexing would wrap -2 round
+    ("ric", [0, 1, 2]),     # longer than s = 2
+    ("ric", []),
+    ("ric", [1, 0]),
+    ("erasure", [0, 0]),    # repeated, on a k = 1 report
+    ("erasure", [0, 1]),    # longer than k = 1
+    ("erasure", [9]),
+])
+def test_verify_rejects_malformed_subsets(tmp_path, capsys, command, subset):
+    f = _gen_frame(tmp_path, n=2, M=5)
+    rep = tmp_path / "r.json"
+    opt = ["--s", "2"] if command == "ric" else ["--k", "1"]
+    assert run(command, "--input", str(f), *opt, "--report", str(rep)) == 0
+    assert _verify_cli(rep, capsys)["verified"] is True
+    doc = load_report(str(rep))
+    doc["payload"]["results"]["worst_subset"] = subset
+    rep.write_text(json.dumps(doc))
+    out = _verify_cli(rep, capsys)
+    assert out["verified"] is False
+    assert "not a sorted list" in out["reasons"][-1]
+
+
+def test_tp1_verify_uses_the_verdict_slack(tmp_path, capsys):
+    f = _gen_frame(tmp_path, n=2, M=6)
+    rep = tmp_path / "tp1.json"
+    assert run("decompose", "--input", str(f), "--criterion", "tp1",
+               "--s", "2", "--delta", "0.9", "--report", str(rep)) == 0
+    doc = load_report(str(rep))
+    assert doc["payload"]["results"]["verdict"]
+    top = max(doc["payload"]["results"]["per_block_delta"])
+    doc["payload"]["config"]["delta"] = top - 5e-13   # inside the slack
+    rep.write_text(json.dumps(doc))
+    assert _verify_cli(rep, capsys)["verified"] is True
+    doc["payload"]["config"]["delta"] = top - 1e-10
+    rep.write_text(json.dumps(doc))
+    out = _verify_cli(rep, capsys)
+    assert out["verified"] is False
+    assert "fails its recorded delta" in out["reasons"][-1]
+
+
 def test_write_report_converts_numpy_values(tmp_path):
     payload = {"flag": np.bool_(True), "count": np.int64(7),
                "x": np.float32(0.1), "y": np.float64(1 / 3),
