@@ -21,42 +21,19 @@ from . import __version__
 from .core import (
     BudgetExceeded,
     ContractViolation,
-    Frame,
-    Partition,
     frame_from_json,
-    gen_harmonic_frame,
-    gen_random_projection,
-    gen_random_unit_frame,
     matrix_from_json,
-    matrix_to_json,
 )
 from .decomposition import (
-    Subspace,
-    decomposition_vectors,
     epsilon_riesz_partition,
     feichtinger_partition,
-    is_large,
-    is_r_decomposable,
     rado_horn_check,
     restricted_isometry,
     tp1_partition,
 )
 from .dilation import dilate_operator, naimark_dilate
-from .erasures import erasure_robustness, phase_retrieval_check
-from .frames import parseval_normalize, spectral_summary
-from .harmonic import (
-    GridFunction,
-    ap_blocks,
-    christensen_bounds,
-    distribution_check,
-    example_e1_set,
-    kadec_bounds,
-    kadec_empirical_check,
-    montgomery_vaughan_theta,
-    tt3_identity_check,
-    uniform_feichtinger_criterion,
-    uniform_paving_criterion,
-)
+from .erasures import erasure_robustness
+from .harmonic import GridFunction
 from .paving import (
     _fits_exhaustive,
     pave_exhaustive,
@@ -65,6 +42,16 @@ from .paving import (
     weaver_check,
 )
 from .reports import (
+    _analyze,
+    _kadec,
+    _mv_theta,
+    _object_hash as _object_sha256,  # the name perfbench/tracing.py binds
+    _phase,
+    _radohorn,
+    _regenerate,
+    _ric,
+    _subspace,
+    _toeplitz,
     input_record,
     make_report,
     verify,
@@ -87,12 +74,6 @@ def _write_json(path, obj):
 def _read_json(path):
     with open(path) as fh:
         return json.load(fh)
-
-
-def _object_sha256(obj):
-    import hashlib
-    return hashlib.sha256(json.dumps(obj, sort_keys=True,
-                                     separators=(",", ":")).encode()).hexdigest()
 
 
 def _parse_ints(s):
@@ -130,72 +111,44 @@ def _load_matrix(path):
 # subcommand handlers: each returns (config, inputs, results, summary line)
 # ---------------------------------------------------------------------------
 
+# The options each generator kind records in its config.
+_GEN_OPTIONS = {
+    "harmonic": ("n", "M", "parseval"),
+    "random-unit": ("n", "M", "seed", "field"),
+    "projection": ("M", "n", "seed"),
+    "e1-grid": ("N", "levels", "c"),
+}
+
+
 def _cmd_gen(args):
-    kind = args.kind
-    if kind == "harmonic":
-        if args.n is None or args.M is None:
-            raise ContractViolation("harmonic generation needs --n and --M")
-        fr = gen_harmonic_frame(args.n, args.M)
-        if args.parseval:
-            fr = parseval_normalize(fr)
-        obj = matrix_to_json(fr.synthesis)
-        config = {"kind": kind, "n": args.n, "M": args.M,
-                  "parseval": bool(args.parseval)}
-    elif kind == "random-unit":
-        if args.n is None or args.M is None or args.seed is None:
-            raise ContractViolation(
-                "random generation needs --n, --M and --seed")
-        fr = gen_random_unit_frame(args.n, args.M, args.seed, args.field)
-        obj = matrix_to_json(fr.synthesis)
-        config = {"kind": kind, "n": args.n, "M": args.M,
-                  "seed": args.seed, "field": args.field}
-    elif kind == "projection":
-        if args.n is None or args.M is None or args.seed is None:
-            raise ContractViolation(
-                "projection generation needs --M (ambient), --n (rank) "
-                "and --seed")
-        obj = matrix_to_json(gen_random_projection(args.M, args.n, args.seed))
-        config = {"kind": kind, "M": args.M, "n": args.n, "seed": args.seed}
-    elif kind == "e1-grid":
-        if args.N is None or args.levels is None:
-            raise ContractViolation("grid generation needs --N and --levels")
-        g, book = example_e1_set(args.N, args.levels, args.c)
-        obj = g.to_json()
-        config = {"kind": kind, "N": args.N, "levels": args.levels,
-                  "c": args.c}
-    else:  # pragma: no cover - argparse restricts choices
-        raise ContractViolation(f"unknown kind {kind!r}")
+    config = {"kind": args.kind}
+    config.update((key, getattr(args, key)) for key in _GEN_OPTIONS[args.kind])
+    missing = [f"--{key}" for key, val in config.items() if val is None]
+    if missing:
+        raise ContractViolation(
+            f"{args.kind} generation needs {', '.join(missing)}")
+    obj, results = _regenerate(config)
     _write_json(args.out, obj)
-    results = {"kind": kind, "object_sha256": _object_sha256(obj)}
-    if kind == "e1-grid":
-        results["bookkeeping"] = book
-        results["semantics"] = "grid-uniform"
     return config, {}, results, f"wrote {args.out}"
 
 
 def _cmd_analyze(args):
     fr = _load_frame(args.input)
-    summ = spectral_summary(fr)
-    results = {"summary": summ.to_json()}
-    line = (f"n={fr.n} M={fr.M} bounds=({summ.lower:.6g}, {summ.upper:.6g}) "
-            f"parseval={summ.is_parseval}")
+    results = _analyze(fr)
+    summ = results["summary"]
+    line = (f"n={fr.n} M={fr.M} bounds=({summ['lower']:.6g}, "
+            f"{summ['upper']:.6g}) parseval={summ['is_parseval']}")
     return ({}, {"frame": input_record(args.input)}, results, line)
 
 
 def _cmd_dilate(args):
     if args.mode == "naimark":
-        fr = _load_frame(args.input)
-        dil = naimark_dilate(fr)
-        rank = fr.n
+        dil = naimark_dilate(_load_frame(args.input))
     else:
-        t = _load_matrix(args.input)
-        dil = dilate_operator(t)
-        rank = t.shape[0]
-    results = dil.to_json()
-    results["rank"] = rank
+        dil = dilate_operator(_load_matrix(args.input))
     config = {"mode": args.mode}
-    line = f"ambient={dil.ambient_dim} rank={rank}"
-    return config, {"input": input_record(args.input)}, results, line
+    line = f"ambient={dil.ambient_dim} rank={dil.frame.n}"
+    return config, {"input": input_record(args.input)}, dil.to_json(), line
 
 
 def _auto_mode(mode, m, r_max):
@@ -267,18 +220,17 @@ def _cmd_decompose(args):
 
 def _cmd_ric(args):
     fr = _load_frame(args.input)
-    delta, worst = restricted_isometry(fr, args.s)
+    _, worst = restricted_isometry(fr, args.s)
     config = {"s": args.s}
-    results = {"s": args.s, "delta": delta, "worst_subset": list(worst)}
-    line = f"delta_{args.s}={delta:.6g} worst={list(worst)}"
+    results = _ric(config, fr, list(worst))
+    line = f"delta_{args.s}={results['delta']:.6g} worst={list(worst)}"
     return config, {"frame": input_record(args.input)}, results, line
 
 
 def _cmd_radohorn(args):
     fr = _load_frame(args.input)
     ok, part, witness = rado_horn_check(fr, args.r)
-    results = {"verdict": ok, "partition": part.to_json() if ok else None,
-               "witness": witness}
+    results = _radohorn(part, witness)
     if ok:
         line = f"verdict=True blocks={part.r}"
     else:
@@ -287,30 +239,18 @@ def _cmd_radohorn(args):
 
 
 def _cmd_subspace(args):
-    mat = _load_matrix(args.input)
-    sub = Subspace.from_span(mat) if args.span else Subspace(mat)
     config = {"span": bool(args.span)}
-    results = {"ambient": sub.ambient, "dim": sub.dim}
-    bits = [f"dim={sub.dim}/{sub.ambient}"]
     if args.a is not None:
         config["a"] = args.a
-        ok, mn = is_large(sub, args.a)
-        results["largeness"] = {"verdict": bool(ok), "min_norm": mn,
-                                "a": args.a}
-        bits.append(f"large={bool(ok)} (min {mn:.6g})")
     if args.blocks is not None:
-        blocks = _parse_blocks(args.blocks)
-        config["blocks"] = blocks
-        part = Partition.from_blocks(blocks, M=sub.ambient)
-        ok, ranks = is_r_decomposable(sub, part)
-        entry = {"verdict": bool(ok), "ranks": list(ranks),
-                 "partition": part.to_json()}
-        if ok:
-            solved = decomposition_vectors(sub, part)
-            entry["vectors"] = [matrix_to_json(b["vectors"]) for b in solved]
-            entry["bessel"] = [b["bessel"] for b in solved]
-        results["decomposable"] = entry
-        bits.append(f"decomposable={bool(ok)}")
+        config["blocks"] = _parse_blocks(args.blocks)
+    results = _subspace(config, _load_matrix(args.input))
+    bits = [f"dim={results['dim']}/{results['ambient']}"]
+    if "largeness" in results:
+        large = results["largeness"]
+        bits.append(f"large={large['verdict']} (min {large['min_norm']:.6g})")
+    if "decomposable" in results:
+        bits.append(f"decomposable={results['decomposable']['verdict']}")
     return (config, {"basis": input_record(args.input)}, results,
             " ".join(bits))
 
@@ -321,26 +261,13 @@ def _cmd_toeplitz(args):
     if not ks:
         raise ContractViolation("need at least one modulus in --k-list")
     config = {"k_list": ks, "epsilon": args.epsilon}
-    per_k = []
-    for k in ks:
-        ok3, resid = tt3_identity_check(g, k)
-        pav_ok, dev = uniform_paving_criterion(g, k, args.epsilon)
-        fei_ok, mn = uniform_feichtinger_criterion(g, k, args.epsilon)
-        per_k.append({"K": int(k), "tt3_ok": bool(ok3),
-                      "tt3_residual": resid, "paving_ok": bool(pav_ok),
-                      "deviation": dev, "feichtinger_ok": bool(fei_ok),
-                      "minimum": mn})
-    # measure statements hold grid-uniformly, not almost-everywhere
-    results = {"per_k": per_k, "distribution": None,
-               "semantics": "grid-uniform"}
     if args.stride is not None:
         if args.freq_max is None:
             raise ContractViolation("--stride needs --freq-max")
         config.update({"stride": args.stride, "freq_min": args.freq_min,
                        "freq_max": args.freq_max})
-        freqs = list(range(args.freq_min, args.freq_max + 1))
-        results["distribution"] = distribution_check(
-            g, ap_blocks(freqs, args.stride), args.epsilon)
+    results = _toeplitz(config, g)
+    per_k = results["per_k"]
     worst = max(e["tt3_residual"] for e in per_k)
     line = (f"K={ks} max_identity_residual={worst:.3e} "
             f"paving_ok={[e['paving_ok'] for e in per_k]}")
@@ -350,36 +277,32 @@ def _cmd_toeplitz(args):
 def _cmd_kadec(args):
     config = {"a": args.a, "b": args.b, "gamma": args.gamma,
               "delta": args.delta}
-    bounds = kadec_bounds(args.a, args.b, args.gamma, args.delta)
-    results = {"bounds": bounds, "empirical": None, "christensen": None}
-    line = f"L={bounds['L']:.6g} valid={bounds['valid']}"
     if args.empirical:
         if args.n_max is None or args.delta_max is None or args.seed is None:
             raise ContractViolation(
                 "--empirical needs --n-max, --delta-max and --seed")
         config.update({"n_max": args.n_max, "delta_max": args.delta_max,
                        "seed": args.seed})
-        emp = kadec_empirical_check(args.n_max, args.delta_max, args.seed)
-        results["empirical"] = emp
-        line += (f" lambda_min={emp['lambda_min']:.6g} "
-                 f"passed={emp['passed']}")
     if args.lam is not None or args.mu is not None:
         if args.lam is None or args.mu is None:
             raise ContractViolation(
                 "perturbation bounds need both --lam and --mu")
         config.update({"lam": args.lam, "mu": args.mu})
-        results["christensen"] = christensen_bounds(args.a, args.b,
-                                                    args.lam, args.mu)
+    results = _kadec(config)
+    bounds, emp = results["bounds"], results["empirical"]
+    line = f"L={bounds['L']:.6g} valid={bounds['valid']}"
+    if emp is not None:
+        line += (f" lambda_min={emp['lambda_min']:.6g} "
+                 f"passed={emp['passed']}")
     return config, {}, results, line
 
 
 def _cmd_mv_theta(args):
-    freqs = _parse_floats(args.freqs)
-    coeffs = _parse_complexes(args.coeffs)
-    config = {"freqs": freqs,
-              "coeffs": [[c.real, c.imag] for c in coeffs],
+    config = {"freqs": _parse_floats(args.freqs),
+              "coeffs": [[c.real, c.imag]
+                         for c in _parse_complexes(args.coeffs)],
               "t_len": args.t_len, "quad_n": args.quad_n}
-    rep = montgomery_vaughan_theta(freqs, coeffs, args.t_len, args.quad_n)
+    rep = _mv_theta(config)
     line = f"theta={rep['theta']:.6g} within_unit={rep['within_unit']}"
     return config, {}, rep, line
 
@@ -395,9 +318,8 @@ def _cmd_erasure(args):
 
 
 def _cmd_phase(args):
-    fr = _load_frame(args.input)
-    report = phase_retrieval_check(fr, trials=args.trials, seed=args.seed)
     config = {"trials": args.trials, "seed": args.seed}
+    report = _phase(config, _load_frame(args.input))
     line = f"verdict={report['verdict']}"
     if report["witness"] is not None:
         line += f" witness_side={report['witness']['side']}"

@@ -135,8 +135,21 @@ class RieszReport:
             "partition": self.partition.to_json() if self.partition else None,
             "per_block": [list(b) for b in self.per_block],
             "target": list(self.target), "mode": self.mode,
-            "flags": dict(self.flags),
+            "flags": self.flags,
         }
+
+
+def _in_range(bounds, lo_target, hi_target):
+    """Whether a block's (lowest, highest) Gram eigenvalue lies in the
+    target range; hi_target None leaves it open above."""
+    lo, hi = bounds
+    return within(lo_target, lo) and (hi_target is None or
+                                      within(hi, hi_target))
+
+
+def _block_bounds(bounds, part):
+    """(lowest, highest) Gram eigenvalue of each block of part."""
+    return [bounds(_block_mask(b)) for b in part.blocks()]
 
 
 def _partition_by_block_predicate(fr, r_max, lo_target, hi_target):
@@ -155,9 +168,7 @@ def _partition_by_block_predicate(fr, r_max, lo_target, hi_target):
     m = fr.M
 
     def block_ok(mask):
-        lo, hi = bounds(mask)
-        return within(lo_target, lo) and (hi_target is None or
-                                           within(hi, hi_target))
+        return _in_range(bounds(mask), lo_target, hi_target)
 
     if m <= RIESZ_EXHAUSTIVE_MAX:
         slack = 1e-12 + _ROUND_SLACK * (1.0 + float(np.trace(g).real))
@@ -176,8 +187,7 @@ def _partition_by_block_predicate(fr, r_max, lo_target, hi_target):
             labels = _rgs_walk(m, rr, bounds, admit, leaf, True)
             if labels is not None:
                 p = Partition(labels, max(labels) + 1)
-                per = [bounds(_block_mask(b)) for b in p.blocks()]
-                return RieszReport(True, p, per,
+                return RieszReport(True, p, _block_bounds(bounds, p),
                                    (lo_target, hi_target), "exhaustive")
         return RieszReport(False, None, [], (lo_target, hi_target),
                            "exhaustive")
@@ -189,8 +199,8 @@ def _partition_by_block_predicate(fr, r_max, lo_target, hi_target):
         return RieszReport(False, None, [], (lo_target, hi_target), "greedy",
                            flags={"exhausted_backtracks": True})
     p = Partition(tuple(labels), max(labels) + 1)
-    per = [bounds(_block_mask(b)) for b in p.blocks()]
-    return RieszReport(True, p, per, (lo_target, hi_target), "greedy")
+    return RieszReport(True, p, _block_bounds(bounds, p),
+                       (lo_target, hi_target), "greedy")
 
 
 def epsilon_riesz_partition(fr, epsilon, r_max, tol=DEFAULT_TOL):
@@ -282,8 +292,25 @@ class Tp1Report:
             "r_used": self.r_used, "k": self.k, "bessel": self.bessel,
             "delta_target": self.delta_target,
             "per_block_delta": list(self.per_block_delta),
-            "mass_bound": self.mass_bound, "flags": dict(self.flags),
+            "mass_bound": self.mass_bound, "flags": self.flags,
         }
+
+
+def _tp1_mass_bound(g, s, delta):
+    """(bessel, k, mass bound) of tp1: B = max(top Gram eigenvalue, 1),
+    k = ceil(B s / delta^2) and the in-block row mass bound B / k."""
+    if not (0.0 < delta < 1.0):
+        raise ContractViolation("delta must lie in (0, 1)")
+    bessel = float(max(block_spectrum(g, range(g.shape[0]))[-1], 1.0))
+    k = max(1, math.ceil(bessel * s / (delta * delta)))
+    return bessel, k, bessel / k
+
+
+def _block_deltas(fr, part, s, tol=DEFAULT_TOL):
+    """Brute-force restricted isometry constant of each block of part."""
+    return [restricted_isometry(Frame(fr.synthesis[:, blk]),
+                                min(s, len(blk)), tol)[0]
+            for blk in part.blocks()]
 
 
 def tp1_partition(fr, s, delta, seed=0, r_max=64, tol=DEFAULT_TOL):
@@ -297,14 +324,10 @@ def tp1_partition(fr, s, delta, seed=0, r_max=64, tol=DEFAULT_TOL):
     deviation.  Every block is re-verified with the brute-force oracle.
     """
     _unit_norm_guard(fr, tol)
-    if not (0.0 < delta < 1.0):
-        raise ContractViolation("delta must lie in (0, 1)")
     if s < 1:
         raise ContractViolation("need s >= 1")
     g = gram_matrix(fr)
-    bessel = float(max(block_spectrum(g, range(fr.M))[-1], 1.0))
-    k = max(1, math.ceil(bessel * s / (delta * delta)))
-    mass_bound = bessel / k
+    bessel, k, mass_bound = _tp1_mass_bound(g, s, delta)
     h = np.abs(g) ** 2
     h = 0.5 * (h + h.T)   # BLAS products need not be bitwise Hermitian
     np.fill_diagonal(h, 0.0)
@@ -316,14 +339,8 @@ def tp1_partition(fr, s, delta, seed=0, r_max=64, tol=DEFAULT_TOL):
         flags["escalations"].append({"r": r, "max_mass": max_mass})
         if max_mass <= mass_bound + 1e-12:
             part = res["partition"].canonical()
-            per = []
-            ok = True
-            for blk in part.blocks():
-                sub = Frame(fr.synthesis[:, blk])
-                d, _ = restricted_isometry(sub, min(s, len(blk)), tol)
-                per.append(d)
-                ok = ok and within(d, delta)
-            if ok:
+            per = _block_deltas(fr, part, s, tol)
+            if all(within(d, delta) for d in per):
                 return Tp1Report(True, part, r, k, bessel, delta, per,
                                  mass_bound, flags)
             flags["escalations"][-1]["verified"] = False

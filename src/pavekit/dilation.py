@@ -40,6 +40,7 @@ class DilationResult:
     its embedded copy, frame the Parseval family that was dilated (for
     operator dilation: original columns first, completion vectors after),
     and added_vectors the completion columns (empty for a plain frame).
+    The projection's rank is the dimension n of the frame's vectors.
     """
 
     ambient_dim: int
@@ -57,7 +58,7 @@ class DilationResult:
             "frame": matrix_to_json(self.frame.synthesis),
             "added_vectors": matrix_to_json(self.added_vectors)
             if self.added_vectors.size else None,
-            "meta": dict(self.meta),
+            "meta": dict(self.meta), "rank": self.frame.n,
         }
 
 

@@ -55,8 +55,14 @@ class ErasureReport:
             "identity_checked": self.identity_checked,
             "subsets_scanned": self.subsets_scanned,
             "value_min": self.value_min, "value_max": self.value_max,
-            "flags": dict(self.flags),
+            "flags": self.flags,
         }
+
+
+def _is_parseval(fr, tol=DEFAULT_TOL):
+    """Whether the frame operator is the identity to check_tol."""
+    s = frame_operator(fr)
+    return bool(np.abs(s - np.eye(fr.n)).max() <= tol.check_tol)
 
 
 def _surviving_lower(fr, erased):
@@ -92,8 +98,7 @@ def erasure_robustness(fr, k, tol=DEFAULT_TOL):
     total = math.comb(fr.M, k)
     if total > SUBSET_BUDGET:
         raise BudgetExceeded(f"{total} erasure patterns exceed the budget")
-    s = frame_operator(fr)
-    parseval = bool(np.abs(s - np.eye(fr.n)).max() <= tol.check_tol)
+    parseval = _is_parseval(fr, tol)
     g = gram_matrix(fr) if parseval else None
     m = fr.M
     keeps = (tuple(i for i in range(m) if i not in erased)
@@ -160,8 +165,7 @@ def ccc_partition_search(fr, r_max, epsilon, seed=0, tol=DEFAULT_TOL):
     """
     if not (0.0 < epsilon < 1.0):
         raise ContractViolation("epsilon must lie in (0, 1)")
-    s = frame_operator(fr)
-    if np.abs(s - np.eye(fr.n)).max() > tol.check_tol:
+    if not _is_parseval(fr, tol):
         raise ContractViolation("ccc_partition_search needs a Parseval family")
     g = gram_matrix(fr)
     flags = {}

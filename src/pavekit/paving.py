@@ -99,7 +99,7 @@ class PavingReport:
             "partition": self.partition.to_json(),
             "per_block": list(self.per_block), "mode": self.mode,
             "evaluated": self.evaluated, "scale": self.scale,
-            "flags": dict(self.flags),
+            "flags": self.flags,
         }
 
 
@@ -279,41 +279,58 @@ def _search(m, r_max, cost, seed, flags):
     return _local_search(m, r_max, cost, seed) + ("local",)
 
 
+def _pricing(form, a, epsilon, bessel=None):
+    """(block cost, target, scale) of a paving form on the matrix its blocks
+    are read from: T for "matrix" (compressions of T - D(T), target epsilon
+    times ||T - D(T)||), the projection for "projection" (target
+    1 - epsilon), the Gram matrix for "weaver" (target bessel - epsilon)."""
+    if form == "matrix":
+        t0 = _offdiag(a)
+        scale = operator_norm(t0)
+        return (lambda blk: operator_norm(t0[np.ix_(blk, blk)]),
+                epsilon * scale, scale)
+    if form == "projection":
+        return (lambda blk: operator_norm(a[np.ix_(blk, blk)]),
+                1.0 - epsilon, 1.0)
+    if form == "weaver":
+        return _gram_block_top(a), bessel - epsilon, float(bessel)
+    raise ContractViolation(f"unknown paving form {form!r}")
+
+
+def _priced(form, cost, part, target, scale, mode, evaluated, flags):
+    """The report on a partition: every block priced with cost, and the
+    verdict on the worst of them against target."""
+    per = [cost(blk) for blk in part.blocks()]
+    achieved = max(per)
+    return PavingReport(form=form, verdict=within(achieved, target),
+                        achieved=achieved, target=target, partition=part,
+                        per_block=per, mode=mode, evaluated=evaluated,
+                        scale=scale, flags=flags)
+
+
 def pave_exhaustive(t, r_max, epsilon):
     """Provably minimal paving over all partitions into at most r_max blocks."""
-    t0 = _offdiag(t)
-    m = t0.shape[0]
+    m = _offdiag(t).shape[0]
     if m > EXHAUSTIVE_INDEX_MAX:
         raise BudgetExceeded(
             f"exhaustive paving is capped at {EXHAUSTIVE_INDEX_MAX} indices")
     if r_max < 1 or not (0.0 < epsilon):
         raise ContractViolation("need r_max >= 1 and epsilon > 0")
-    scale = operator_norm(t0)
-    part, achieved, evaluated = _exhaustive_search(
-        m, r_max, lambda blk: operator_norm(t0[np.ix_(blk, blk)]))
-    _, per = paving_norm(t, part)
-    target = epsilon * scale
-    return PavingReport(form="matrix", verdict=within(achieved, target),
-                        achieved=achieved, target=target, partition=part,
-                        per_block=per, mode="exhaustive", evaluated=evaluated,
-                        scale=scale)
+    cost, target, scale = _pricing("matrix", t, epsilon)
+    part, _, evaluated = _exhaustive_search(m, r_max, cost)
+    return _priced("matrix", cost, part, target, scale, "exhaustive",
+                   evaluated, {})
 
 
 def pave_local(t, r_max, epsilon, seed=0):
     """Heuristic paving by steepest-descent index moves; no optimality claim."""
-    t0 = _offdiag(t)
-    m = t0.shape[0]
+    m = _offdiag(t).shape[0]
     if r_max < 1 or not (0.0 < epsilon):
         raise ContractViolation("need r_max >= 1 and epsilon > 0")
-    scale = operator_norm(t0)
-    part, achieved, evaluated = _local_search(
-        m, r_max, lambda blk: operator_norm(t0[np.ix_(blk, blk)]), seed)
-    _, per = paving_norm(t, part)
-    target = epsilon * scale
-    return PavingReport(form="matrix", verdict=within(achieved, target),
-                        achieved=achieved, target=target, partition=part,
-                        per_block=per, mode="local", evaluated=evaluated,
-                        scale=scale, flags={"seed": int(seed)})
+    cost, target, scale = _pricing("matrix", t, epsilon)
+    part, _, evaluated = _local_search(m, r_max, cost, seed)
+    return _priced("matrix", cost, part, target, scale, "local", evaluated,
+                   {"seed": int(seed)})
 
 
 def pave_projection_check(p, r_max, epsilon, delta=None, seed=0,
@@ -328,21 +345,17 @@ def pave_projection_check(p, r_max, epsilon, delta=None, seed=0,
     m = p.shape[0]
     if p.shape[0] != p.shape[1]:
         raise ContractViolation("projection must be square")
-    scale = 1.0 + np.abs(p).max()
-    if np.abs(p @ p - p).max() > tol.check_tol * scale or \
-            np.abs(p - p.conj().T).max() > tol.check_tol * scale:
+    slack = tol.check_tol * (1.0 + np.abs(p).max())
+    if np.abs(p @ p - p).max() > slack or \
+            np.abs(p - p.conj().T).max() > slack:
         raise ContractViolation("matrix is not an orthogonal projection")
     flags = {"diag_delta": delta_diag(p)}
     if delta is not None and flags["diag_delta"] > delta + tol.check_tol:
         flags["precondition_violated"] = True
-    cost = lambda blk: operator_norm(p[np.ix_(blk, blk)])
-    part, achieved, evaluated, mode = _search(m, r_max, cost, seed, flags)
-    per = [cost(blk) for blk in part.blocks()]
-    target = 1.0 - epsilon
-    return PavingReport(form="projection", verdict=within(achieved, target),
-                        achieved=achieved, target=target, partition=part,
-                        per_block=per, mode=mode, evaluated=evaluated,
-                        scale=1.0, flags=flags)
+    cost, target, scale = _pricing("projection", p, epsilon)
+    part, _, evaluated, mode = _search(m, r_max, cost, seed, flags)
+    return _priced("projection", cost, part, target, scale, mode, evaluated,
+                   flags)
 
 
 def _gram_block_top(g):
@@ -367,14 +380,10 @@ def weaver_check(fr, bessel, epsilon, r_max, seed=0, tol=DEFAULT_TOL):
     flags = {"bessel_actual": float(max(gw[-1], 0.0))}
     if flags["bessel_actual"] > bessel + tol.check_tol:
         flags["precondition_violated"] = True
-    cost = _gram_block_top(g)
-    part, achieved, evaluated, mode = _search(fr.M, r_max, cost, seed, flags)
-    per = [cost(blk) for blk in part.blocks()]
-    target = bessel - epsilon
-    return PavingReport(form="weaver", verdict=within(achieved, target),
-                        achieved=achieved, target=target, partition=part,
-                        per_block=per, mode=mode, evaluated=evaluated,
-                        scale=float(bessel), flags=flags)
+    cost, target, scale = _pricing("weaver", g, epsilon, bessel)
+    part, _, evaluated, mode = _search(fr.M, r_max, cost, seed, flags)
+    return _priced("weaver", cost, part, target, scale, mode, evaluated,
+                   flags)
 
 
 def wkhb_partition(a, r, seed=0, max_moves=10**6):

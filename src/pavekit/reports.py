@@ -3,19 +3,26 @@
 A report is {"payload": ..., "meta": ...}: everything semantic lives in the
 payload (command, config, input hashes, results with certificates) and only
 timing lives in meta, so identical runs produce byte-identical canonical
-payloads.  verify() re-derives every certified quantity in a report from
-its referenced inputs: partition certificates are re-priced, worst subsets
-re-evaluated, closed-form bounds re-evaluated, seeded constructions
-regenerated.  Exponential searches are not repeated; what a certificate
-cannot pin down (optimality of an exhaustive scan) is recorded as the
-producing mode.  The polynomial complement-property decision behind phase
-is re-run, because its positive verdict has no short certificate.
+payloads.
+
+verify() rebuilds the whole results of a report from its referenced inputs
+with the producer's own code, then compares stored and rebuilt results in
+one place, _match.  A command that runs no search is re-run: the CLI and
+verify build its results with the same function below.  A search is not
+repeated; its certificate (partition, worst subset, witness) is re-priced,
+and the fields only the search itself could reproduce (mode, evaluated,
+search flags) are rebuilt as UNCHECKED.  The polynomial complement-property
+decision behind phase is re-run, because its positive verdict has no short
+certificate.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
+import reprlib
 import time
 
 import numpy as np
@@ -23,7 +30,6 @@ import numpy as np
 from . import __version__
 from .core import (
     ContractViolation,
-    Frame,
     Partition,
     block_spectrum,
     frame_from_json,
@@ -37,17 +43,28 @@ from .core import (
 )
 from .frames import gram_matrix, parseval_normalize, spectral_summary
 from .decomposition import (
+    RieszReport,
     Subspace,
+    Tp1Report,
+    _block_bounds,
+    _block_deltas,
     _gram_block_bounds,
+    _in_range,
     _rado_horn_witness,
+    _tp1_mass_bound,
     decomposition_vectors,
     is_large,
     is_r_decomposable,
-    restricted_isometry,
 )
-from .erasures import _surviving_lower, phase_retrieval_check
+from .erasures import (
+    ErasureReport,
+    _is_parseval,
+    _surviving_lower,
+    phase_retrieval_check,
+)
 from .harmonic import (
     GridFunction,
+    ap_blocks,
     christensen_bounds,
     distribution_check,
     example_e1_set,
@@ -58,7 +75,7 @@ from .harmonic import (
     uniform_feichtinger_criterion,
     uniform_paving_criterion,
 )
-from .paving import _block_mask, _gram_block_top, paving_norm
+from .paving import _priced, _pricing
 
 __all__ = ["make_report", "canonical_payload", "payload_hash",
            "write_report", "load_report", "file_sha256", "verify"]
@@ -120,409 +137,424 @@ def input_record(path):
 
 
 # ---------------------------------------------------------------------------
-# verification
+# results builders: the CLI writes a command's results with these, and
+# verify rebuilds them with the same function from the stored config and
+# certificate
 # ---------------------------------------------------------------------------
-
-def _close(x, y, tol=_MATCH_TOL):
-    return abs(float(x) - float(y)) <= tol * max(1.0, abs(float(x)),
-                                                 abs(float(y)))
-
-
-def _load_input(payload, name, reasons):
-    rec = payload.get("inputs", {}).get(name)
-    if rec is None:
-        reasons.append(f"missing input record {name!r}")
-        return None
-    try:
-        actual = file_sha256(rec["path"])
-    except OSError as exc:
-        reasons.append(f"input {name!r} unreadable: {exc}")
-        return None
-    if actual != rec["sha256"]:
-        reasons.append(f"input {name!r} changed since the report was written")
-        return None
-    with open(rec["path"]) as fh:
-        return json.load(fh)
-
-
-def _index_subset(subset, m, sizes, what, reasons):
-    """Whether subset is a sorted list of distinct indices in range(m),
-    with a length in the range sizes; if not, says why in reasons."""
-    if type(subset) is list and len(subset) in sizes and \
-            all(type(i) is int and 0 <= i < m for i in subset) and \
-            sorted(set(subset)) == subset:
-        return True
-    reasons.append(f"{what} is not a sorted list of {sizes.start} to "
-                   f"{sizes.stop - 1} distinct input indices")
-    return False
-
-
-def _need_seed(config, reasons):
-    if config.get("seed") is None:
-        reasons.append("missing seed")
-        return False
-    return True
-
-
-def _regenerate(config):
-    kind = config["kind"]
-    if kind == "harmonic":
-        fr = gen_harmonic_frame(config["n"], config["M"])
-        if config.get("parseval"):
-            fr = parseval_normalize(fr)
-        return matrix_to_json(fr.synthesis)
-    if kind == "random-unit":
-        fr = gen_random_unit_frame(config["n"], config["M"], config["seed"],
-                                   config.get("field", "real"))
-        return matrix_to_json(fr.synthesis)
-    if kind == "projection":
-        return matrix_to_json(gen_random_projection(
-            config["M"], config["n"], config["seed"]))
-    if kind == "e1-grid":
-        g, _ = example_e1_set(config["N"], config["levels"],
-                              config.get("c", 0.5))
-        return g.to_json()
-    raise ContractViolation(f"unknown generator kind {kind!r}")
-
 
 def _object_hash(obj):
     return hashlib.sha256(json.dumps(obj, sort_keys=True,
                                      separators=(",", ":")).encode()).hexdigest()
 
 
-def _verify_gen(payload, reasons):
-    config = payload["config"]
-    if config["kind"] in ("random-unit", "projection") and \
-            not _need_seed(config, reasons):
-        return False
-    try:
-        obj = _regenerate(config)
-    except ContractViolation as exc:
-        reasons.append(str(exc))
-        return False
-    if _object_hash(obj) != payload["results"]["object_sha256"]:
-        reasons.append("regenerated object does not match the recorded hash")
-        return False
-    return True
-
-
-def _verify_analyze(payload, reasons):
-    d = _load_input(payload, "frame", reasons)
-    if d is None:
-        return False
-    summ = spectral_summary(frame_from_json(d)).to_json()
-    stored = payload["results"]["summary"]
-    for key, val in stored.items():
-        got = summ.get(key)
-        if isinstance(val, bool) or val is None or isinstance(got, bool):
-            if got != val:
-                reasons.append(f"summary field {key} changed: {val} -> {got}")
-                return False
-        elif not _close(val, got):
-            reasons.append(f"summary field {key} changed: {val} -> {got}")
-            return False
-    return True
-
-
-def _verify_dilate(payload, reasons):
-    d = _load_input(payload, "input", reasons)
-    if d is None:
-        return False
-    res = payload["results"]
-    p = matrix_from_json(res["projection"])
-    emb = matrix_from_json(res["embedding"])
-    fr = matrix_from_json(res["frame"])
-    ok = True
-    if np.abs(p - p.conj().T).max() > 1e-9 or np.abs(p @ p - p).max() > 1e-8:
-        reasons.append("stored projection is not an orthogonal projection")
-        ok = False
-    if np.abs(p - emb @ fr).max() > 1e-8:
-        reasons.append("projection does not dilate the stored family")
-        ok = False
-    # in both modes the dilated family starts with the input columns
-    original = matrix_from_json(d)
-    k = original.shape[1]
-    if fr.shape[1] < k or np.abs(fr[:, :k] - original).max() > 1e-12:
-        reasons.append("dilated family does not extend the input columns")
-        ok = False
-    if not _close(np.real(np.trace(p)), res["rank"], 1e-6):
-        reasons.append("projection trace does not match the recorded rank")
-        ok = False
-    return ok
-
-
-def _verify_pave(payload, reasons):
-    d = _load_input(payload, "matrix", reasons)
-    if d is None:
-        return False
-    res = payload["results"]
-    t = matrix_from_json(d)
-    part = Partition.from_json(res["partition"], t.shape[0])
-    if res["form"] == "projection":
-        per = []
-        for blk in part.blocks():
-            sub = t[np.ix_(blk, blk)]
-            per.append(float(np.linalg.norm(sub, 2)))
-        achieved = max(per)
+def _regenerate(config):
+    """(object, results) of gen: the frame, projection or grid symbol that
+    config describes, and the results recording it."""
+    kind = config["kind"]
+    results = {"kind": kind}
+    if kind == "harmonic":
+        fr = gen_harmonic_frame(config["n"], config["M"])
+        if config["parseval"]:
+            fr = parseval_normalize(fr)
+        obj = matrix_to_json(fr.synthesis)
+    elif kind == "random-unit":
+        obj = matrix_to_json(gen_random_unit_frame(
+            config["n"], config["M"], config["seed"],
+            config["field"]).synthesis)
+    elif kind == "projection":
+        obj = matrix_to_json(gen_random_projection(
+            config["M"], config["n"], config["seed"]))
+    elif kind == "e1-grid":
+        g, book = example_e1_set(config["N"], config["levels"], config["c"])
+        obj = g.to_json()
+        results.update(bookkeeping=book, semantics="grid-uniform")
     else:
-        achieved, per = paving_norm(t, part)
-    if not _close(achieved, res["achieved"]):
-        reasons.append(f"achieved norm changed: {res['achieved']} -> {achieved}")
-        return False
-    if within(achieved, res["target"]) != bool(res["verdict"]):
-        reasons.append("verdict inconsistent with recomputed norms")
-        return False
-    return True
+        raise ContractViolation(f"unknown generator kind {kind!r}")
+    results["object_sha256"] = _object_hash(obj)
+    return obj, results
 
 
-def _verify_weaver(payload, reasons):
-    d = _load_input(payload, "frame", reasons)
-    if d is None:
-        return False
-    res = payload["results"]
-    fr = frame_from_json(d)
-    part = Partition.from_json(res["partition"], fr.M)
-    per = list(map(_gram_block_top(gram_matrix(fr)), part.blocks()))
-    if not _close(max(per), res["achieved"]):
-        reasons.append("recomputed block bound differs from the report")
-        return False
-    if within(max(per), res["target"]) != bool(res["verdict"]):
-        reasons.append("verdict inconsistent with recomputed bounds")
-        return False
-    return True
+def _analyze(fr):
+    return {"summary": spectral_summary(fr).to_json()}
 
 
-def _verify_decompose(payload, reasons):
-    d = _load_input(payload, "frame", reasons)
-    if d is None:
-        return False
-    fr = frame_from_json(d)
-    config = payload["config"]
-    res = payload["results"]
-    if not res.get("verdict"):
-        return True  # a negative result certifies nothing to recompute
-    part = Partition.from_json(res["partition"], fr.M)
-    crit = config["criterion"]
-    if crit == "tp1":
-        if not _need_seed(config, reasons):
-            return False
-        for blk, stored in zip(part.blocks(), res["per_block_delta"]):
-            sub = Frame(fr.synthesis[:, blk])
-            dlt, _ = restricted_isometry(sub, min(config["s"], len(blk)))
-            if not _close(dlt, stored) or not within(dlt, config["delta"]):
-                reasons.append(f"block {blk} fails its recorded delta")
-                return False
-        return True
-    lo_t, hi_t = res["target"]
-    bounds = _gram_block_bounds(gram_matrix(fr))
-    for blk, stored in zip(part.blocks(), res["per_block"]):
-        lo, hi = bounds(_block_mask(blk))
-        if not (_close(lo, stored[0]) and _close(hi, stored[1])):
-            reasons.append(f"block {blk} bounds changed")
-            return False
-        if not within(lo_t, lo) or (hi_t is not None and not within(hi, hi_t)):
-            reasons.append(f"block {blk} violates the target range")
-            return False
-    return True
+def _subspace(config, mat):
+    """Largeness at config["a"] and decomposability over config["blocks"],
+    each when configured, of the subspace mat spans or bases."""
+    sub = Subspace.from_span(mat) if config["span"] else Subspace(mat)
+    results = {"ambient": sub.ambient, "dim": sub.dim}
+    if "a" in config:
+        ok, mn = is_large(sub, config["a"])
+        results["largeness"] = {"verdict": bool(ok), "min_norm": mn,
+                                "a": config["a"]}
+    if "blocks" in config:
+        part = Partition.from_blocks(config["blocks"], M=sub.ambient)
+        ok, ranks = is_r_decomposable(sub, part)
+        entry = {"verdict": bool(ok), "ranks": list(ranks),
+                 "partition": part.to_json()}
+        if ok:
+            solved = decomposition_vectors(sub, part)
+            entry["vectors"] = [matrix_to_json(b["vectors"]) for b in solved]
+            entry["bessel"] = [b["bessel"] for b in solved]
+        results["decomposable"] = entry
+    return results
 
 
-def _verify_ric(payload, reasons):
-    d = _load_input(payload, "frame", reasons)
-    if d is None:
-        return False
-    fr = frame_from_json(d)
-    res = payload["results"]
-    subset = res["worst_subset"]
-    if not _index_subset(subset, fr.M, range(1, payload["config"]["s"] + 1),
-                         "worst subset", reasons):
-        return False
-    w = block_spectrum(gram_matrix(fr), subset)
-    dev = max(float(w[-1] - 1.0), float(1.0 - w[0]), 0.0)
-    if not _close(dev, res["delta"]):
-        reasons.append("worst subset no longer attains the recorded delta")
-        return False
-    return True
-
-
-def _verify_radohorn(payload, reasons):
-    d = _load_input(payload, "frame", reasons)
-    if d is None:
-        return False
-    fr = frame_from_json(d)
-    r = payload["config"]["r"]
-    res = payload["results"]
-    if res["verdict"]:
-        part = Partition.from_json(res["partition"], fr.M)
-        if part.r > r:
-            reasons.append(f"partition has {part.r} blocks, more than {r}")
-            return False
-        for blk in part.blocks():
-            if numeric_rank(fr.synthesis[:, blk]) != len(blk):
-                reasons.append(f"block {blk} is not linearly independent")
-                return False
-        return True
-    subset = res["witness"]["subset"]
-    if not _index_subset(subset, fr.M, range(1, fr.M + 1), "witness subset",
-                         reasons):
-        return False
-    witness = _rado_horn_witness(fr, subset)
-    if witness != res["witness"]:
-        reasons.append(f"witness changed: recomputed {witness}")
-        return False
-    if within(witness["ratio"], r):
-        reasons.append("witness does not violate |J| <= r * rank J")
-        return False
-    return True
-
-
-def _verify_subspace(payload, reasons):
-    d = _load_input(payload, "basis", reasons)
-    if d is None:
-        return False
-    config = payload["config"]
-    mat = matrix_from_json(d)
-    sub = Subspace.from_span(mat) if config.get("span") else Subspace(mat)
-    res = payload["results"]
-    ok = True
-    if "largeness" in res:
-        got_ok, got_min = is_large(sub, config["a"])
-        if not _close(got_min, res["largeness"]["min_norm"]) or \
-                bool(got_ok) != bool(res["largeness"]["verdict"]):
-            reasons.append("largeness result changed")
-            ok = False
-    if "decomposable" in res:
-        part = Partition.from_json(res["decomposable"]["partition"],
-                                   sub.ambient)
-        got_ok, ranks = is_r_decomposable(sub, part)
-        if bool(got_ok) != bool(res["decomposable"]["verdict"]) or \
-                ranks != res["decomposable"]["ranks"]:
-            reasons.append("decomposability result changed")
-            ok = False
-        if got_ok and "vectors" in res["decomposable"]:
-            blocks = decomposition_vectors(sub, part)
-            for blk, stored in zip(blocks, res["decomposable"]["vectors"]):
-                got = blk["vectors"]
-                kept = matrix_from_json(stored)
-                if np.abs(got - kept).max() > 1e-8:
-                    reasons.append("solved vectors changed")
-                    ok = False
-                    break
-    return ok
-
-
-def _verify_toeplitz(payload, reasons):
-    d = _load_input(payload, "grid", reasons)
-    if d is None:
-        return False
-    g = GridFunction.from_json(d)
-    config = payload["config"]
-    res = payload["results"]
-    for entry in res["per_k"]:
-        k = entry["K"]
+def _toeplitz(config, g):
+    """Identity residual and both uniform criteria per modulus, and the
+    progression sections when a stride is configured."""
+    per_k = []
+    for k in config["k_list"]:
         ok3, resid = tt3_identity_check(g, k)
-        if not ok3 or abs(resid - entry["tt3_residual"]) > 1e-9:
-            reasons.append(f"decomposition identity residual changed at K={k}")
-            return False
         pav_ok, dev = uniform_paving_criterion(g, k, config["epsilon"])
         fei_ok, mn = uniform_feichtinger_criterion(g, k, config["epsilon"])
-        if bool(pav_ok) != bool(entry["paving_ok"]) or \
-                not _close(dev, entry["deviation"]) or \
-                bool(fei_ok) != bool(entry["feichtinger_ok"]) or \
-                not _close(mn, entry["minimum"], 1e-8):
-            reasons.append(f"criterion values changed at K={k}")
-            return False
-    if "distribution" in res and res["distribution"] is not None:
-        blocks = [b["freqs"] for b in res["distribution"]["blocks"]]
-        rep = distribution_check(g, blocks, config["epsilon"])
-        if bool(rep["verdict"]) != bool(res["distribution"]["verdict"]):
-            reasons.append("distribution verdict changed")
-            return False
-    return True
+        per_k.append({"K": int(k), "tt3_ok": bool(ok3),
+                      "tt3_residual": resid, "paving_ok": bool(pav_ok),
+                      "deviation": dev, "feichtinger_ok": bool(fei_ok),
+                      "minimum": mn})
+    # measure statements hold grid-uniformly, not almost-everywhere
+    results = {"per_k": per_k, "distribution": None,
+               "semantics": "grid-uniform"}
+    if "stride" in config:
+        freqs = range(config["freq_min"], config["freq_max"] + 1)
+        results["distribution"] = distribution_check(
+            g, ap_blocks(freqs, config["stride"]), config["epsilon"])
+    return results
 
 
-def _verify_kadec(payload, reasons):
-    config = payload["config"]
+def _kadec(config):
+    """Closed-form bounds, plus the seeded empirical spectrum and the
+    perturbation bounds when configured."""
+    results = {"bounds": kadec_bounds(config["a"], config["b"],
+                                      config["gamma"], config["delta"]),
+               "empirical": None, "christensen": None}
+    if "n_max" in config:
+        results["empirical"] = kadec_empirical_check(
+            config["n_max"], config["delta_max"], config["seed"])
+    if "lam" in config:
+        results["christensen"] = christensen_bounds(
+            config["a"], config["b"], config["lam"], config["mu"])
+    return results
+
+
+def _mv_theta(config):
+    return montgomery_vaughan_theta(
+        config["freqs"], [complex(re, im) for re, im in config["coeffs"]],
+        config["t_len"], config["quad_n"])
+
+
+def _phase(config, fr):
+    return phase_retrieval_check(fr, trials=config["trials"],
+                                 seed=config["seed"])
+
+
+def _ric(config, fr, subset):
+    """delta_s at the worst subset: the largest deviation of its Gram
+    block's spectrum from one."""
+    w = block_spectrum(gram_matrix(fr), subset)
+    return {"s": config["s"],
+            "delta": max(float(w[-1] - 1.0), float(1.0 - w[0]), 0.0),
+            "worst_subset": subset}
+
+
+def _radohorn(part, witness):
+    """A partition into independent blocks, or else a witness subset."""
+    return {"verdict": part is not None,
+            "partition": None if part is None else part.to_json(),
+            "witness": witness}
+
+
+# ---------------------------------------------------------------------------
+# verification
+# ---------------------------------------------------------------------------
+
+_MATCH_TOL = 1e-9
+# Float slack of _match per command, as (tol, relative); see _close.  The
+# closed forms of kadec are re-evaluated to 1e-12.  Subspace vectors and
+# toeplitz residuals are compared absolutely, since their size is not a
+# scale for their rounding.
+_SLACK = {"kadec": (1e-12, True), "subspace": (1e-9, False),
+          "toeplitz": (1e-9, False)}
+
+# Stands in the rebuilt results for a field no certificate can re-derive,
+# a record of the search that produced it; it matches any stored value.
+UNCHECKED = object()
+
+
+def _close(x, y, tol=_MATCH_TOL, relative=True):
+    """|x - y| <= tol, times max(1, |x|, |y|) when relative."""
+    x, y = float(x), float(y)
+    return abs(x - y) <= tol * (max(1.0, abs(x), abs(y)) if relative else 1.0)
+
+
+def _match(stored, got, slack=(_MATCH_TOL, True), path="results"):
+    """None when a stored value matches the rebuilt one, else a reason that
+    names the first field that differs.
+
+    Dicts need the same keys and lists the same length.  Floats match when
+    equal or _close; every other value must be equal and of the same type,
+    so true is not 1.  UNCHECKED matches anything, and so does the stored
+    value itself, which a verifier hands back for a part it checked by
+    other means.  got is what a producer would write: numpy values count
+    as their Python values, tuples as lists and non-string keys as their
+    JSON text.
+    """
+    if got is UNCHECKED or got is stored:
+        return None
+    if isinstance(got, (np.ndarray, np.generic)):
+        got = got.tolist()
+    if isinstance(got, dict) and type(stored) is dict:
+        got = {k if type(k) is str else json.dumps(k): v
+               for k, v in got.items()}
+        if stored.keys() != got.keys():
+            return (f"{path} has fields {sorted(stored)}, rebuilt "
+                    f"{sorted(got)}")
+        pairs = ((stored[k], got[k], f"{path}.{k}") for k in got)
+    elif isinstance(got, (list, tuple)) and type(stored) is list:
+        if len(stored) != len(got):
+            return f"{path} has {len(stored)} entries, rebuilt {len(got)}"
+        pairs = ((s, g, f"{path}[{i}]")
+                 for i, (s, g) in enumerate(zip(stored, got)))
+    elif type(stored) is type(got) and (
+            stored == got or type(got) is float and
+            _close(stored, got, *slack)):
+        return None
+    else:
+        return (f"{path} differs: stored {reprlib.repr(stored)}, rebuilt "
+                f"{reprlib.repr(got)}")
+    for s, g, p in pairs:
+        reason = _match(s, g, slack, p)
+        if reason:
+            return reason
+    return None
+
+
+def _malformed(payload):
+    """Why a payload lacks the structure verify reads, or None."""
+    if not isinstance(payload, dict) or \
+            type(payload.get("command")) is not str:
+        return "report has no payload/command"
+    if any(type(payload.get(k)) is not dict
+           for k in ("config", "inputs", "results")):
+        return "payload config, inputs and results must be objects"
+    for name, rec in payload["inputs"].items():
+        if type(rec) is not dict or type(rec.get("path")) is not str or \
+                type(rec.get("sha256")) is not str:
+            return f"input record {name!r} needs a string path and sha256"
+    return None
+
+
+def _load_input(payload, name):
+    """The JSON of input `name`, which must still hash as recorded."""
+    rec = payload["inputs"].get(name)
+    if rec is None:
+        raise ContractViolation(f"missing input record {name!r}")
+    if not os.path.isfile(rec["path"]):
+        raise ContractViolation(f"input {name!r} is not a regular file")
+    try:
+        actual = file_sha256(rec["path"])
+    except OSError as exc:
+        raise ContractViolation(f"input {name!r} unreadable: {exc}")
+    if actual != rec["sha256"]:
+        raise ContractViolation(
+            f"input {name!r} changed since the report was written")
+    with open(rec["path"]) as fh:
+        return json.load(fh)
+
+
+def _index_subset(subset, m, sizes, what):
+    """subset, which must be a sorted list of distinct indices in range(m)
+    with a length in the range sizes."""
+    if type(subset) is list and len(subset) in sizes and \
+            all(type(i) is int and 0 <= i < m for i in subset) and \
+            sorted(set(subset)) == subset:
+        return subset
+    raise ContractViolation(
+        f"{what} is not a sorted list of {sizes.start} to {sizes.stop - 1} "
+        "distinct input indices")
+
+
+def _partition(res, m, r_max):
+    """The stored partition of range(m), which has at most r_max blocks."""
+    part = Partition.from_json(res["partition"], m)
+    if part.r > r_max:
+        raise ContractViolation(
+            f"partition has {part.r} blocks, more than {r_max}")
+    return part
+
+
+def _verify_gen(payload):
+    return _regenerate(payload["config"])[1]
+
+
+def _verify_analyze(payload):
+    return _analyze(frame_from_json(_load_input(payload, "frame")))
+
+
+def _verify_subspace(payload):
+    return _subspace(payload["config"],
+                     matrix_from_json(_load_input(payload, "basis")))
+
+
+def _verify_toeplitz(payload):
+    return _toeplitz(payload["config"],
+                     GridFunction.from_json(_load_input(payload, "grid")))
+
+
+def _verify_kadec(payload):
+    return _kadec(payload["config"])
+
+
+def _verify_mv_theta(payload):
     res = payload["results"]
-    bounds = kadec_bounds(config["a"], config["b"], config["gamma"],
-                          config["delta"])
-    for key in ("L", "lower", "upper"):
-        if not _close(bounds[key], res["bounds"][key], 1e-12):
-            reasons.append(f"closed-form bound {key} changed")
-            return False
-    if bool(bounds["valid"]) != bool(res["bounds"]["valid"]):
-        reasons.append("validity flag changed")
-        return False
-    if "empirical" in res and res["empirical"] is not None:
-        if not _need_seed(config, reasons):
-            return False
-        emp = kadec_empirical_check(config["n_max"], config["delta_max"],
-                                    config["seed"])
-        if not _close(emp["lambda_min"], res["empirical"]["lambda_min"]) or \
-                bool(emp["passed"]) != bool(res["empirical"]["passed"]):
-            reasons.append("empirical spectrum changed")
-            return False
-    if "christensen" in res and res["christensen"] is not None:
-        got = christensen_bounds(config["a"], config["b"], config["lam"],
-                                 config["mu"])
-        for key in ("lower", "upper"):
-            if not _close(got[key], res["christensen"][key], 1e-12):
-                reasons.append(f"perturbation bound {key} changed")
-                return False
-        if bool(got["valid"]) != bool(res["christensen"]["valid"]):
-            reasons.append("perturbation validity flag changed")
-            return False
-    return True
-
-
-def _verify_mv_theta(payload, reasons):
-    config = payload["config"]
-    res = payload["results"]
-    rep = montgomery_vaughan_theta(config["freqs"],
-                                   [complex(re, im) for re, im
-                                    in config["coeffs"]],
-                                   config["t_len"], config.get("quad_n"))
-    slack = max(1e-9, 4.0 * rep["quad_error_theta"],
+    got = _mv_theta(payload["config"])
+    # theta is a quadrature: another platform may round it anywhere within
+    # the quadrature error
+    slack = max(1e-9, 4.0 * got["quad_error_theta"],
                 4.0 * res.get("quad_error_theta", 0.0))
-    if abs(rep["theta"] - res["theta"]) > slack:
-        reasons.append("theta changed beyond quadrature slack")
-        return False
-    return True
+    if type(res.get("theta")) is float and \
+            _close(got["theta"], res["theta"], slack, relative=False):
+        got["theta"] = res["theta"]
+    return got
 
 
-def _verify_erasure(payload, reasons):
-    d = _load_input(payload, "frame", reasons)
-    if d is None:
-        return False
-    fr = frame_from_json(d)
+def _verify_phase(payload):
+    return _phase(payload["config"],
+                  frame_from_json(_load_input(payload, "frame")))
+
+
+def _verify_dilate(payload):
+    """Checks that the stored projection dilates the input instead of
+    re-running the dilation, and hands the checked matrices back."""
+    original = matrix_from_json(_load_input(payload, "input"))
     res = payload["results"]
-    k = payload["config"]["k"]
-    if not _index_subset(res["worst_subset"], fr.M, range(k, k + 1),
-                         "worst subset", reasons):
-        return False
-    val = _surviving_lower(fr, set(res["worst_subset"]))
-    if not _close(val, res["worst_value"]):
-        reasons.append("worst subset no longer attains the recorded value")
-        return False
-    return True
+    p, emb, fr = (matrix_from_json(res[key])
+                  for key in ("projection", "embedding", "frame"))
+    if np.abs(p - p.conj().T).max() > 1e-9 or np.abs(p @ p - p).max() > 1e-8:
+        raise ContractViolation(
+            "stored projection is not an orthogonal projection")
+    if np.abs(p - emb @ fr).max() > 1e-8:
+        raise ContractViolation("projection does not dilate the stored family")
+    # in both modes the dilated family starts with the input columns
+    k = original.shape[1]
+    if fr.shape[1] < k or np.abs(fr[:, :k] - original).max() > 1e-12:
+        raise ContractViolation(
+            "dilated family does not extend the input columns")
+    rank = original.shape[0]
+    if not _close(np.real(np.trace(p)), rank, 1e-6):
+        raise ContractViolation("projection trace does not match the rank")
+    added = fr[:, k:]
+    return {"ambient_dim": p.shape[0], "projection": res["projection"],
+            "embedding": res["embedding"], "frame": res["frame"],
+            "added_vectors": matrix_to_json(added) if added.size else None,
+            "meta": UNCHECKED, "rank": rank}
 
 
-def _verify_phase(payload, reasons):
-    d = _load_input(payload, "frame", reasons)
-    if d is None:
-        return False
+def _repaved(payload, form, a, bessel=None):
+    """Paving results re-priced from the stored partition with the
+    producer's block cost.  The verdict is judged against the stored
+    target, which must itself match the one the config gives."""
+    config, res = payload["config"], payload["results"]
+    cost, target, scale = _pricing(form, a, config["epsilon"], bessel)
+    part = _partition(res, a.shape[0], config["r_max"])
+    got = _priced(form, cost, part, target, scale, UNCHECKED, UNCHECKED,
+                  UNCHECKED).to_json()
+    got["verdict"] = within(got["achieved"], res["target"])
+    return got
+
+
+def _verify_pave(payload):
+    t = matrix_from_json(_load_input(payload, "matrix"))
+    return _repaved(payload, payload["config"]["form"], t)
+
+
+def _verify_weaver(payload):
+    fr = frame_from_json(_load_input(payload, "frame"))
+    got = _repaved(payload, "weaver", gram_matrix(fr),
+                   payload["config"]["bessel"])
+    # The worst block priced a second way, through the partial frame
+    # operator T_S T_S*, so a fault in the Gram route shows as an achieved
+    # value that differs from the stored one.
+    worst = got["partition"]["blocks"][int(np.argmax(got["per_block"]))]
+    got["achieved"] = float(max(
+        block_spectrum(fr.synthesis, worst, frame=True)[-1], 0.0))
+    return got
+
+
+def _verify_decompose(payload):
+    """A True verdict is re-priced from its partition and judged against
+    the stored target (tp1: the configured and the recorded delta).  A
+    False one is not re-decided, so only the fields it derives from the
+    config are rebuilt."""
+    fr = frame_from_json(_load_input(payload, "frame"))
+    config, res = payload["config"], payload["results"]
+    part = _partition(res, fr.M, config["r_max"]) \
+        if res["verdict"] is True else None
+    criterion = config["criterion"]
+    if criterion == "tp1":
+        delta = res["delta_target"]
+        bessel, k, mass_bound = _tp1_mass_bound(gram_matrix(fr), config["s"],
+                                                delta)
+        per = _block_deltas(fr, part, config["s"]) if part else []
+        ok = bool(per) and all(within(d, config["delta"]) and within(d, delta)
+                               for d in per)
+        return Tp1Report(ok, part, UNCHECKED if part else 0, k, bessel, delta,
+                         per, mass_bound, UNCHECKED).to_json()
+    if criterion == "riesz":
+        wanted = (1.0 - config["epsilon"], 1.0 + config["epsilon"])
+    elif criterion == "feichtinger":
+        wanted = (config["a_target"], None)
+    else:
+        raise ContractViolation(f"unknown criterion {criterion!r}")
+    # a stored target range inside the configured one is a stronger claim
+    lo_t, hi_t = res["target"]
+    target = (lo_t, hi_t) if _in_range((lo_t, hi_t), *wanted) else wanted
+    per = _block_bounds(_gram_block_bounds(gram_matrix(fr)), part) \
+        if part else []
+    ok = bool(per) and all(_in_range(b, lo_t, hi_t) for b in per)
+    return RieszReport(ok, part, per, target, UNCHECKED, UNCHECKED).to_json()
+
+
+def _verify_ric(payload):
+    fr = frame_from_json(_load_input(payload, "frame"))
     config = payload["config"]
-    if not _need_seed(config, reasons):
-        return False
-    fr = frame_from_json(d)
-    rep = phase_retrieval_check(fr, trials=config["trials"],
-                                seed=config["seed"])
-    if bool(rep["verdict"]) != bool(payload["results"]["verdict"]):
-        reasons.append("recovery verdict changed")
-        return False
-    if rep["witness"] != payload["results"]["witness"]:
-        reasons.append(f"witness changed: recomputed {rep['witness']}")
-        return False
-    return True
+    subset = _index_subset(payload["results"]["worst_subset"], fr.M,
+                           range(1, config["s"] + 1), "worst subset")
+    return _ric(config, fr, subset)
+
+
+def _verify_radohorn(payload):
+    """A True verdict is certified by independent blocks, a False one by
+    a witness subset J with |J| > r * rank J."""
+    fr = frame_from_json(_load_input(payload, "frame"))
+    r = payload["config"]["r"]
+    res = payload["results"]
+    if res["verdict"] is True:
+        part = _partition(res, fr.M, r)
+        for blk in part.blocks():
+            if numeric_rank(fr.synthesis[:, blk]) != len(blk):
+                raise ContractViolation(
+                    f"block {blk} is not linearly independent")
+        return _radohorn(part, None)
+    subset = _index_subset(res["witness"]["subset"], fr.M,
+                           range(1, fr.M + 1), "witness subset")
+    witness = _rado_horn_witness(fr, subset)
+    if within(witness["ratio"], r):
+        raise ContractViolation("witness does not violate |J| <= r * rank J")
+    return _radohorn(None, witness)
+
+
+def _verify_erasure(payload):
+    fr = frame_from_json(_load_input(payload, "frame"))
+    k = payload["config"]["k"]
+    subset = _index_subset(payload["results"]["worst_subset"], fr.M,
+                           range(k, k + 1), "worst subset")
+    val = _surviving_lower(fr, set(subset))
+    return ErasureReport(k=k, worst_value=val, worst_subset=subset,
+                         is_parseval=_is_parseval(fr),
+                         identity_checked=UNCHECKED,
+                         subsets_scanned=math.comb(fr.M, k), value_min=val,
+                         value_max=UNCHECKED, flags={}).to_json()
 
 
 _VERIFIERS = {
@@ -544,13 +576,12 @@ _VERIFIERS = {
 
 
 def verify(report_or_path):
-    """(verified, reasons): recompute every certified quantity in a report.
+    """(verified, reasons): rebuild a report's results and match them.
 
     Accepts a report dict or a path to one.  Returns False (never raises)
     for structurally broken reports, changed inputs, missing seeds, or any
-    certificate that fails to reproduce.
+    results that the rebuild does not reproduce.
     """
-    reasons = []
     report = report_or_path
     if isinstance(report_or_path, str):
         try:
@@ -558,13 +589,20 @@ def verify(report_or_path):
         except (OSError, json.JSONDecodeError) as exc:
             return False, [f"unreadable report: {exc}"]
     payload = report.get("payload") if isinstance(report, dict) else None
-    if not isinstance(payload, dict) or "command" not in payload:
-        return False, ["report has no payload/command"]
+    malformed = _malformed(payload)
+    if malformed:
+        return False, [malformed]
     fn = _VERIFIERS.get(payload["command"])
     if fn is None:
         return False, [f"unknown command {payload['command']!r}"]
+    if payload["config"].get("seed", 0) is None:
+        return False, ["missing seed"]
     try:
-        ok = fn(payload, reasons)
-    except (ContractViolation, KeyError, TypeError, ValueError) as exc:
-        return False, reasons + [f"verification error: {exc!r}"]
-    return bool(ok), reasons
+        got = fn(payload)
+    except ContractViolation as exc:
+        return False, [str(exc)]
+    except (KeyError, TypeError, ValueError) as exc:
+        return False, [f"verification error: {exc!r}"]
+    mismatch = _match(payload["results"], got,
+                      _SLACK.get(payload["command"], (_MATCH_TOL, True)))
+    return mismatch is None, [mismatch] if mismatch else []

@@ -1,0 +1,82 @@
+"""One small report for every pavekit command, written through the CLI."""
+
+import contextlib
+import io
+import json
+
+import numpy as np
+
+from pavekit.cli import main
+from pavekit.core import matrix_to_json
+
+
+def _write(path, a):
+    path.write_text(json.dumps(matrix_to_json(a)))
+    return str(path)
+
+
+def make_reports(tmp):
+    """{case: report path} over every command, with inputs written to tmp.
+
+    Both verdicts of radohorn are covered; decompose is covered with each
+    criterion and pave in both forms."""
+    rng = np.random.default_rng(5)
+
+    def unit(n, m):
+        a = rng.standard_normal((n, m))
+        return a / np.linalg.norm(a, axis=0)
+
+    f37 = _write(tmp / "f37.json", unit(3, 7))
+    f39 = _write(tmp / "f39.json", unit(3, 9))
+    sym = rng.standard_normal((6, 6))
+    matrix = _write(tmp / "matrix.json", sym + sym.T)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 2)))
+    proj = _write(tmp / "proj.json", q @ q.T)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 3)))
+    parseval = _write(tmp / "parseval.json", q.T)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 3)))
+    basis = _write(tmp / "basis.json", q)
+    grid = str(tmp / "grid.json")
+    runs = {
+        "gen": ["gen", "--kind", "harmonic", "--n", "2", "--M", "4",
+                "--out", str(tmp / "harmonic.json")],
+        "gen-grid": ["gen", "--kind", "e1-grid", "--N", "360",
+                     "--levels", "3", "--out", grid],
+        "analyze": ["analyze", "--input", f37],
+        "dilate": ["dilate", "--input", parseval],
+        "pave": ["pave", "--input", matrix, "--r-max", "2",
+                 "--epsilon", "0.7"],
+        "pave-projection": ["pave", "--input", proj, "--form", "projection",
+                            "--r-max", "2", "--epsilon", "0.2"],
+        "weaver": ["weaver", "--input", f37, "--bessel", "4",
+                   "--epsilon", "0.5", "--r-max", "3"],
+        "riesz": ["decompose", "--input", f37, "--criterion", "riesz",
+                  "--epsilon", "0.95", "--r-max", "7"],
+        "feichtinger": ["decompose", "--input", f37,
+                        "--criterion", "feichtinger", "--a-target", "0.01",
+                        "--r-max", "7"],
+        "tp1": ["decompose", "--input", f39, "--criterion", "tp1",
+                "--s", "2", "--delta", "0.9"],
+        "ric": ["ric", "--input", f37, "--s", "2"],
+        "radohorn": ["radohorn", "--input", f37, "--r", "3"],
+        "radohorn-false": ["radohorn", "--input", f37, "--r", "2"],
+        "subspace": ["subspace", "--input", basis, "--a", "0.05",
+                     "--blocks", "0,1;2,3"],
+        "toeplitz": ["toeplitz", "--input", grid, "--k-list", "2,3",
+                     "--epsilon", "0.5", "--stride", "2", "--freq-max", "6"],
+        "kadec": ["kadec", "--a", "1", "--b", "2", "--gamma", "3",
+                  "--delta", "0.1", "--empirical", "--n-max", "3",
+                  "--delta-max", "0.2", "--seed", "3", "--lam", "0.1",
+                  "--mu", "0.1"],
+        "mv-theta": ["mv-theta", "--freqs", "0,1.5,3.2",
+                     "--coeffs", "1,0.5-0.2j,2", "--t-len", "2.0"],
+        "erasure": ["erasure", "--input", parseval, "--k", "1"],
+        "phase": ["phase", "--input", f37, "--trials", "20", "--seed", "1"],
+    }
+    reports = {}
+    with contextlib.redirect_stdout(io.StringIO()):
+        for case, argv in runs.items():
+            rep = tmp / f"{case}.report.json"
+            assert main(argv + ["--report", str(rep)]) == 0, case
+            reports[case] = rep
+    return reports

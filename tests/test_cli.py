@@ -217,7 +217,7 @@ def test_verify_rejects_tampered_radohorn_and_phase(tmp_path):
     def ratio(res):
         res["witness"]["ratio"] = 4.0
     ok, reasons = _tampered(infeasible, ratio)
-    assert not ok and "witness changed" in reasons[-1]
+    assert not ok and "results.witness" in reasons[-1]
     doc = load_report(str(infeasible))
     doc["payload"]["config"]["r"] = 3    # six vectors of rank 2 do split
     ok, reasons = verify(doc)
@@ -236,7 +236,7 @@ def test_verify_rejects_tampered_radohorn_and_phase(tmp_path):
     def side(res):
         res["witness"] = {"side": [0], "complement": [1, 2]}
     ok, reasons = _tampered(rep, side)
-    assert not ok and "witness changed" in reasons[-1]
+    assert not ok and "results.witness" in reasons[-1]
 
 
 def test_verify_detects_changed_input(tmp_path):
@@ -286,7 +286,7 @@ def test_decompose_verify_rejects_raised_lower_target(tmp_path):
     assert verify(doc)[0]
     res["target"][0] = lowest + 5e-10
     ok, reasons = verify(doc)
-    assert not ok and "violates the target range" in reasons[-1]
+    assert not ok and "results.verdict" in reasons[-1]
 
 
 def _verify_cli(path, capsys):
@@ -334,7 +334,7 @@ def test_tp1_verify_uses_the_verdict_slack(tmp_path, capsys):
     rep.write_text(json.dumps(doc))
     out = _verify_cli(rep, capsys)
     assert out["verified"] is False
-    assert "fails its recorded delta" in out["reasons"][-1]
+    assert "results.verdict" in out["reasons"][-1]
 
 
 def test_write_report_converts_numpy_values(tmp_path):

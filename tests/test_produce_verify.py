@@ -1,5 +1,5 @@
-"""Every radohorn, phase, erasure, ric, weaver and riesz decompose report
-the CLI writes passes its own verify, on real frames drawn with many
+"""Every radohorn, phase, erasure, ric, weaver, pave, decompose and subspace
+report the CLI writes passes its own verify, on real frames drawn with many
 degeneracies (repeated, parallel and zero columns, columns in a
 hyperplane) and parameters on both sides of each verdict."""
 
@@ -105,3 +105,54 @@ def test_riesz_decompose_reports_verify(frame, epsilon, r):
                                   "--epsilon", repr(epsilon),
                                   "--r-max", str(r))
     hypothesis.event(f"verdict={verdict}")
+
+
+@hypothesis.settings(max_examples=120, deadline=None, derandomize=True)
+@hypothesis.given(frames(), st.floats(0.05, 2.0), st.integers(1, 3))
+def test_pave_reports_verify(frame, epsilon, r):
+    verdict = _produce_and_verify(frame.T @ frame, "pave",
+                                  "--epsilon", repr(epsilon),
+                                  "--r-max", str(r))
+    hypothesis.event(f"verdict={verdict}")
+
+
+@hypothesis.settings(max_examples=120, deadline=None, derandomize=True)
+@hypothesis.given(frames(), st.floats(0.01, 0.99), st.integers(1, 3))
+def test_projection_pave_reports_verify(frame, epsilon, r):
+    q, _ = np.linalg.qr(frame.T)
+    verdict = _produce_and_verify(q @ q.T, "pave", "--form", "projection",
+                                  "--epsilon", repr(epsilon),
+                                  "--r-max", str(r))
+    hypothesis.event(f"verdict={verdict}")
+
+
+@hypothesis.settings(max_examples=120, deadline=None, derandomize=True)
+@hypothesis.given(unit_frames, st.floats(0.01, 1.5), st.integers(1, 4))
+def test_feichtinger_decompose_reports_verify(frame, a_target, r):
+    verdict = _produce_and_verify(frame, "decompose",
+                                  "--criterion", "feichtinger",
+                                  "--a-target", repr(a_target),
+                                  "--r-max", str(r))
+    hypothesis.event(f"verdict={verdict}")
+
+
+@hypothesis.settings(max_examples=120, deadline=None, derandomize=True)
+@hypothesis.given(unit_frames, st.integers(1, 3), st.floats(0.05, 0.95),
+                  st.integers(1, 8))
+def test_tp1_decompose_reports_verify(frame, s, delta, r):
+    verdict = _produce_and_verify(frame, "decompose", "--criterion", "tp1",
+                                  "--s", str(s), "--delta", repr(delta),
+                                  "--r-max", str(r))
+    hypothesis.event(f"verdict={verdict}")
+
+
+@hypothesis.settings(max_examples=120, deadline=None, derandomize=True)
+@hypothesis.given(unit_frames, st.floats(0.01, 1.0), st.data())
+def test_subspace_reports_verify(frame, a, data):
+    # the frame's rows span a subspace of R^M; the blocks split range(M)
+    m = frame.shape[1]
+    labels = data.draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    blocks = ";".join(",".join(str(i) for i in range(m) if labels[i] == b)
+                      for b in sorted(set(labels)))
+    _produce_and_verify(frame.T, "subspace", "--span", "--a", repr(a),
+                        "--blocks", blocks)
