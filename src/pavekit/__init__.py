@@ -47,8 +47,7 @@ from .paving import (
     PavingReport,
     delta_diag,
     diagonal_projection,
-    pave_exhaustive,
-    pave_local,
+    pave_matrix_check,
     pave_projection_check,
     paving_norm,
     weaver_check,

@@ -34,13 +34,7 @@ from .decomposition import (
 from .dilation import dilate_operator, naimark_dilate
 from .erasures import erasure_robustness
 from .harmonic import GridFunction
-from .paving import (
-    _fits_exhaustive,
-    pave_exhaustive,
-    pave_local,
-    pave_projection_check,
-    weaver_check,
-)
+from .paving import pave_matrix_check, pave_projection_check, weaver_check
 from .reports import (
     _analyze,
     _kadec,
@@ -151,14 +145,6 @@ def _cmd_dilate(args):
     return config, {"input": input_record(args.input)}, dil.to_json(), line
 
 
-def _auto_mode(mode, m, r_max):
-    if mode != "auto":
-        return mode
-    if _fits_exhaustive(m, r_max):
-        return "exhaustive"
-    return "local"
-
-
 def _cmd_pave(args):
     t = _load_matrix(args.input)
     config = {"form": args.form, "r_max": args.r_max,
@@ -166,13 +152,11 @@ def _cmd_pave(args):
     if args.form == "projection":
         config["delta"] = args.delta
         report = pave_projection_check(t, args.r_max, args.epsilon,
-                                       delta=args.delta, seed=args.seed)
+                                       delta=args.delta, mode=args.mode,
+                                       seed=args.seed)
     else:
-        mode = _auto_mode(args.mode, t.shape[0], args.r_max)
-        if mode == "exhaustive":
-            report = pave_exhaustive(t, args.r_max, args.epsilon)
-        else:
-            report = pave_local(t, args.r_max, args.epsilon, seed=args.seed)
+        report = pave_matrix_check(t, args.r_max, args.epsilon,
+                                   mode=args.mode, seed=args.seed)
     results = report.to_json()
     line = (f"verdict={report.verdict} achieved={report.achieved:.6g} "
             f"target={report.target:.6g} blocks={report.partition.r}")

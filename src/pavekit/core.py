@@ -18,13 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Hard combinatorial budgets.  Searches check these up front and refuse to
-# start work that cannot finish, rather than timing out halfway through.
-EXHAUSTIVE_INDEX_MAX = 14          # largest index set for exhaustive paving
-PARTITION_BUDGET = 10**7           # most partitions any exhaustive scan may visit
+# Hard combinatorial budgets, in units of work: past one, a search raises
+# BudgetExceeded rather than run on without bound.
+EXHAUSTIVE_INDEX_MAX = 14          # most indices a walk takes (2^M memo)
+PARTITION_BUDGET = 10**7           # most placements of one partition search
 SUBSET_BUDGET = 10**6              # most subsets any exhaustive scan may visit
 BIPARTITION_INDEX_MAX = 22         # largest index set for cc_partition_search
-RIESZ_EXHAUSTIVE_MAX = 12          # exhaustive block-Riesz search cutoff
 
 # Absolute slack of every "achieved <= target" verdict.  Producers and
 # verify() share it through within(), so a report always passes its own
@@ -205,6 +204,8 @@ class Partition:
         idx = {}
         for b, blk in enumerate(blocks):
             for i in blk:
+                if type(i) is bool or not isinstance(i, (int, np.integer)):
+                    raise ContractViolation(f"index {i!r} is not an integer")
                 if i in idx:
                     raise ContractViolation(f"index {i} appears in two blocks")
                 idx[int(i)] = b

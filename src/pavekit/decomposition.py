@@ -23,7 +23,6 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
-    RIESZ_EXHAUSTIVE_MAX,
     SUBSET_BUDGET,
     BudgetExceeded,
     ContractViolation,
@@ -155,52 +154,55 @@ def _block_bounds(bounds, part):
 def _partition_by_block_predicate(fr, r_max, lo_target, hi_target):
     """Shared search for epsilon-Riesz and lower-bound partitions.
 
-    Up to RIESZ_EXHAUSTIVE_MAX vectors the search is exact: for rr = 1..r_max
-    it walks the partitions into at most rr blocks in enumeration order and
+    The search is exact while its walks fit their one placement budget:
+    for rr = 1..min(r_max, m) (more blocks than vectors add nothing) it
+    walks the partitions into at most rr blocks in enumeration order and
     returns the first whose blocks all pass block_ok.  Block feasibility is
     downward closed (Cauchy interlacing), so a prefix whose newest block
     fails by more than rounding has no feasible completion.  Every block
     spectrum lies in [0, trace g], which bounds the rounding the slack must
-    cover.
+    cover.  Past the budget, or past EXHAUSTIVE_INDEX_MAX vectors, a greedy
+    search with a small backtrack budget takes over.
     """
     g = gram_matrix(fr)
     bounds = _gram_block_bounds(g)
     m = fr.M
+    target = (lo_target, hi_target)
+    slack = 1e-12 + _ROUND_SLACK * (1.0 + float(np.trace(g).real))
 
     def block_ok(mask):
         return _in_range(bounds(mask), lo_target, hi_target)
 
-    if m <= RIESZ_EXHAUSTIVE_MAX:
-        slack = 1e-12 + _ROUND_SLACK * (1.0 + float(np.trace(g).real))
+    def admit(carry, spectrum):
+        lo, hi = spectrum
+        if lo < lo_target - slack or (hi_target is not None and
+                                      hi > hi_target + slack):
+            return None
+        return carry
 
-        def admit(carry, spectrum):
-            lo, hi = spectrum
-            if lo < lo_target - slack or (hi_target is not None and
-                                          hi > hi_target + slack):
-                return None
-            return carry
+    def leaf(labels, masks, nblocks):
+        return all(block_ok(masks[b]) for b in range(nblocks))
 
-        def leaf(labels, masks, nblocks):
-            return all(block_ok(masks[b]) for b in range(nblocks))
-
-        for rr in range(1, r_max + 1):
-            labels = _rgs_walk(m, rr, bounds, admit, leaf, True)
+    spent = 0
+    try:
+        for rr in range(1, min(r_max, m) + 1):
+            labels, spent = _rgs_walk(m, rr, bounds, admit, leaf, True, spent)
             if labels is not None:
                 p = Partition(labels, max(labels) + 1)
-                return RieszReport(True, p, _block_bounds(bounds, p),
-                                   (lo_target, hi_target), "exhaustive")
-        return RieszReport(False, None, [], (lo_target, hi_target),
-                           "exhaustive")
+                return RieszReport(True, p, _block_bounds(bounds, p), target,
+                                   "exhaustive")
+        return RieszReport(False, None, [], target, "exhaustive")
+    except BudgetExceeded:
+        pass
     labels = _greedy_blocks(
         m, r_max, block_ok,
         score=lambda blk: -bounds(blk)[0] + (bounds(blk)[1]
                                              if hi_target is not None else 0.0))
     if labels is None:
-        return RieszReport(False, None, [], (lo_target, hi_target), "greedy",
+        return RieszReport(False, None, [], target, "greedy",
                            flags={"exhausted_backtracks": True})
     p = Partition(tuple(labels), max(labels) + 1)
-    return RieszReport(True, p, _block_bounds(bounds, p),
-                       (lo_target, hi_target), "greedy")
+    return RieszReport(True, p, _block_bounds(bounds, p), target, "greedy")
 
 
 def epsilon_riesz_partition(fr, epsilon, r_max, tol=DEFAULT_TOL):

@@ -5,12 +5,12 @@ statement about arbitrary matrices only ever constrains what survives off
 the diagonal.  Projection paving is the exception and compresses the full
 matrix, since there the diagonal is the obstruction being measured.
 
-The exhaustive searches walk canonical partitions depth first under hard
-budgets, with block costs memoized by bitmask, and prune a prefix only when
-it provably cannot beat the best partition found so far; they return the
-partition a full scan would.  The local searches do steepest-descent
-single-index moves and never claim optimality.  Every report records which
-mode produced it.
+The exhaustive searches walk canonical partitions depth first under one
+placement budget, with block costs memoized by bitmask, and prune a prefix
+only when it provably cannot beat the best partition found so far; they
+return the partition a full scan would.  The local search does steepest-
+descent single-index moves and never claims optimality.  Every report
+records which mode produced it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .core import (
     ContractViolation,
     Partition,
     block_spectrum,
-    count_partitions,
     ensure_matrix,
     operator_norm,
     sym_eig,
@@ -37,7 +36,7 @@ from .frames import gram_matrix
 
 __all__ = [
     "PavingReport", "delta_diag", "diagonal_projection", "paving_norm",
-    "pave_exhaustive", "pave_local", "pave_projection_check", "weaver_check",
+    "pave_matrix_check", "pave_projection_check", "weaver_check",
     "wkhb_partition",
 ]
 
@@ -139,7 +138,7 @@ def _block_cost_cache(cost):
     return get
 
 
-def _rgs_walk(m, r_max, get, admit, leaf, carry):
+def _rgs_walk(m, r_max, get, admit, leaf, carry, spent=0):
     """Depth-first walk over the partitions of {0..m-1} into at most r_max
     blocks, in enumerate_partitions order (restricted-growth label strings).
 
@@ -147,16 +146,30 @@ def _rgs_walk(m, r_max, get, admit, leaf, carry):
     asks admit(carry, price) for the carry of the longer prefix; None
     prunes every completion of that prefix.  leaf(labels, masks, nblocks)
     sees each complete partition that survives, and a true return stops
-    the walk.  Returns the labels of the partition that stopped it, or None.
+    the walk.  Returns (its labels or None, placements spent so far).
+
+    A search may make PARTITION_BUDGET placements in all, spent of them in
+    earlier walks, and the memo behind get holds up to 2^m entries; past
+    either bound, PARTITION_BUDGET or EXHAUSTIVE_INDEX_MAX, the walk raises
+    BudgetExceeded.
     """
+    if m > EXHAUSTIVE_INDEX_MAX:
+        raise BudgetExceeded(f"the partition walk runs on at most "
+                             f"{EXHAUSTIVE_INDEX_MAX} indices, not {m}")
+    allowed = PARTITION_BUDGET       # read per call, so tests can lower it
     labels = [0] * m
     masks = [0] * r_max
 
     def rec(i, top, carry):
+        nonlocal spent
         if i == m:
             return tuple(labels) if leaf(labels, masks, top + 1) else None
         bit = 1 << i
         for b in range(min(top + 2, r_max)):
+            spent += 1
+            if spent > allowed:
+                raise BudgetExceeded(f"partition search reached {spent} "
+                                     f"placements, over the {allowed} allowed")
             mask = masks[b] | bit
             nxt = admit(carry, get(mask))
             if nxt is None:
@@ -169,7 +182,7 @@ def _rgs_walk(m, r_max, get, admit, leaf, carry):
                 return found
         return None
 
-    return rec(0, -1, carry)
+    return rec(0, -1, carry), spent
 
 
 def _exhaustive_search(m, r_max, cost):
@@ -183,10 +196,6 @@ def _exhaustive_search(m, r_max, cost):
     result is the first optimal partition in enumeration order.
     evaluated counts the complete partitions reached.
     """
-    total = count_partitions(m, r_max)
-    if total > PARTITION_BUDGET:
-        raise BudgetExceeded(
-            f"{total} partitions exceed the {PARTITION_BUDGET} budget")
     get = _block_cost_cache(cost)
     best, best_labels = None, None
     limit = float("inf")
@@ -263,38 +272,49 @@ def _local_search(m, r_max, cost, seed, max_moves=2000):
     return part, max(per), evaluated
 
 
-def _fits_exhaustive(m, r_max):
-    """Whether the exhaustive search runs within its index and partition
-    budgets; searches that do not fit fall back to local search."""
-    return m <= EXHAUSTIVE_INDEX_MAX and \
-        count_partitions(m, r_max) <= PARTITION_BUDGET
-
-
-def _search(m, r_max, cost, seed, flags):
-    """(partition, achieved, evaluated, mode): exhaustive when it fits,
-    else local search from seed, which is then recorded in flags."""
-    if _fits_exhaustive(m, r_max):
-        return _exhaustive_search(m, r_max, cost) + ("exhaustive",)
+def _search(m, r_max, cost, seed, flags, mode="auto"):
+    """(partition, achieved, evaluated, mode) of the "exhaustive" search,
+    which raises BudgetExceeded when the walk does, or of local search from
+    seed, which is then recorded in flags; "auto" runs the first and falls
+    back to the second."""
+    if mode not in ("auto", "exhaustive", "local") or r_max < 1:
+        raise ContractViolation(f"need r_max >= 1 and a search mode, got "
+                                f"{r_max!r} and {mode!r}")
+    if mode != "local":
+        try:
+            return _exhaustive_search(m, r_max, cost) + ("exhaustive",)
+        except BudgetExceeded:
+            if mode == "exhaustive":
+                raise
     flags["seed"] = int(seed)
     return _local_search(m, r_max, cost, seed) + ("local",)
 
 
-def _pricing(form, a, epsilon, bessel=None):
-    """(block cost, target, scale) of a paving form on the matrix its blocks
-    are read from: T for "matrix" (compressions of T - D(T), target epsilon
-    times ||T - D(T)||), the projection for "projection" (target
-    1 - epsilon), the Gram matrix for "weaver" (target bessel - epsilon)."""
+def _pricing(form, a, epsilon, bound=None, tol=DEFAULT_TOL):
+    """(block cost, target, scale, flags) of a paving form on the matrix its
+    blocks are read from: T for "matrix" (compressions of T - D(T), target
+    epsilon times ||T - D(T)||), the projection for "projection" (target
+    1 - epsilon, flags on diag_delta against the bound delta), the Gram
+    matrix for "weaver" (target bessel - epsilon, flags on the top Gram
+    eigenvalue against the bound bessel)."""
     if form == "matrix":
         t0 = _offdiag(a)
         scale = operator_norm(t0)
         return (lambda blk: operator_norm(t0[np.ix_(blk, blk)]),
-                epsilon * scale, scale)
+                epsilon * scale, scale, {})
     if form == "projection":
-        return (lambda blk: operator_norm(a[np.ix_(blk, blk)]),
-                1.0 - epsilon, 1.0)
-    if form == "weaver":
-        return _gram_block_top(a), bessel - epsilon, float(bessel)
-    raise ContractViolation(f"unknown paving form {form!r}")
+        cost, target, scale = (lambda blk: operator_norm(a[np.ix_(blk, blk)]),
+                               1.0 - epsilon, 1.0)
+        key, actual = "diag_delta", delta_diag(a)
+    elif form == "weaver":
+        cost, target, scale = _gram_block_top(a), bound - epsilon, float(bound)
+        key, actual = "bessel_actual", float(max(sym_eig(a, tol)[0][-1], 0.0))
+    else:
+        raise ContractViolation(f"unknown paving form {form!r}")
+    flags = {key: actual}
+    if bound is not None and actual > bound + tol.check_tol:
+        flags["precondition_violated"] = True
+    return cost, target, scale, flags
 
 
 def _priced(form, cost, part, target, scale, mode, evaluated, flags):
@@ -308,54 +328,44 @@ def _priced(form, cost, part, target, scale, mode, evaluated, flags):
                         scale=scale, flags=flags)
 
 
-def pave_exhaustive(t, r_max, epsilon):
-    """Provably minimal paving over all partitions into at most r_max blocks."""
-    m = _offdiag(t).shape[0]
-    if m > EXHAUSTIVE_INDEX_MAX:
-        raise BudgetExceeded(
-            f"exhaustive paving is capped at {EXHAUSTIVE_INDEX_MAX} indices")
-    if r_max < 1 or not (0.0 < epsilon):
-        raise ContractViolation("need r_max >= 1 and epsilon > 0")
-    cost, target, scale = _pricing("matrix", t, epsilon)
-    part, _, evaluated = _exhaustive_search(m, r_max, cost)
-    return _priced("matrix", cost, part, target, scale, "exhaustive",
-                   evaluated, {})
+def _pave(form, a, r_max, epsilon, bound, mode, seed, tol=DEFAULT_TOL):
+    """The report of a search for the best partition of a's indices."""
+    cost, target, scale, flags = _pricing(form, a, epsilon, bound, tol)
+    part, _, evaluated, mode = _search(len(a), r_max, cost, seed, flags, mode)
+    return _priced(form, cost, part, target, scale, mode, evaluated, flags)
 
 
-def pave_local(t, r_max, epsilon, seed=0):
-    """Heuristic paving by steepest-descent index moves; no optimality claim."""
-    m = _offdiag(t).shape[0]
-    if r_max < 1 or not (0.0 < epsilon):
-        raise ContractViolation("need r_max >= 1 and epsilon > 0")
-    cost, target, scale = _pricing("matrix", t, epsilon)
-    part, _, evaluated = _local_search(m, r_max, cost, seed)
-    return _priced("matrix", cost, part, target, scale, "local", evaluated,
-                   {"seed": int(seed)})
+def pave_matrix_check(t, r_max, epsilon, mode="auto", seed=0):
+    """Search for a partition whose compressions of T - D(T) all have norm
+    at most epsilon ||T - D(T)||.
+
+    mode "exhaustive" finds a provably minimal paving or raises
+    BudgetExceeded, "local" moves single indices downhill from seed with
+    no optimality claim, and "auto" falls back from the first to the
+    second when the walk does not fit its budget.
+    """
+    if not (0.0 < epsilon):
+        raise ContractViolation("need epsilon > 0")
+    return _pave("matrix", _offdiag(t), r_max, epsilon, None, mode, seed)
 
 
-def pave_projection_check(p, r_max, epsilon, delta=None, seed=0,
+def pave_projection_check(p, r_max, epsilon, delta=None, mode="auto", seed=0,
                           tol=DEFAULT_TOL):
-    """Search for a partition with every ||Q_A P Q_A|| <= 1 - epsilon.
+    """Search for a partition with every ||Q_A P Q_A|| <= 1 - epsilon,
+    in the modes of pave_matrix_check.
 
     The full projection is compressed (no diagonal subtraction).  When a
     diagonal bound delta is supplied and delta_diag(p) exceeds it, the
     report is flagged precondition_violated instead of failing.
     """
     p = ensure_matrix(p, "projection")
-    m = p.shape[0]
     if p.shape[0] != p.shape[1]:
         raise ContractViolation("projection must be square")
     slack = tol.check_tol * (1.0 + np.abs(p).max())
     if np.abs(p @ p - p).max() > slack or \
             np.abs(p - p.conj().T).max() > slack:
         raise ContractViolation("matrix is not an orthogonal projection")
-    flags = {"diag_delta": delta_diag(p)}
-    if delta is not None and flags["diag_delta"] > delta + tol.check_tol:
-        flags["precondition_violated"] = True
-    cost, target, scale = _pricing("projection", p, epsilon)
-    part, _, evaluated, mode = _search(m, r_max, cost, seed, flags)
-    return _priced("projection", cost, part, target, scale, mode, evaluated,
-                   flags)
+    return _pave("projection", p, r_max, epsilon, delta, mode, seed, tol)
 
 
 def _gram_block_top(g):
@@ -375,15 +385,8 @@ def weaver_check(fr, bessel, epsilon, r_max, seed=0, tol=DEFAULT_TOL):
     norms = np.linalg.norm(fr.synthesis, axis=0)
     if np.abs(norms - 1.0).max() > tol.check_tol:
         raise ContractViolation("weaver_check needs unit-norm vectors")
-    g = gram_matrix(fr)
-    gw, _ = sym_eig(g, tol)
-    flags = {"bessel_actual": float(max(gw[-1], 0.0))}
-    if flags["bessel_actual"] > bessel + tol.check_tol:
-        flags["precondition_violated"] = True
-    cost, target, scale = _pricing("weaver", g, epsilon, bessel)
-    part, _, evaluated, mode = _search(fr.M, r_max, cost, seed, flags)
-    return _priced("weaver", cost, part, target, scale, mode, evaluated,
-                   flags)
+    return _pave("weaver", gram_matrix(fr), r_max, epsilon, bessel, "auto",
+                 seed, tol)
 
 
 def wkhb_partition(a, r, seed=0, max_moves=10**6):

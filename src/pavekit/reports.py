@@ -11,9 +11,10 @@ one place, _match.  A command that runs no search is re-run: the CLI and
 verify build its results with the same function below.  A search is not
 repeated; its certificate (partition, worst subset, witness) is re-priced,
 and the fields only the search itself could reproduce (mode, evaluated,
-search flags) are rebuilt as UNCHECKED.  The polynomial complement-property
-decision behind phase is re-run, because its positive verdict has no short
-certificate.
+search flags) are rebuilt as UNCHECKED, except that pave and weaver
+rebuild their flags and hold the mode to the configured one.  The
+polynomial complement-property decision behind phase is re-run, because
+its positive verdict has no short certificate.
 """
 
 from __future__ import annotations
@@ -450,22 +451,31 @@ def _verify_dilate(payload):
             "meta": UNCHECKED, "rank": rank}
 
 
-def _repaved(payload, form, a, bessel=None):
+def _repaved(payload, form, a, bound=None):
     """Paving results re-priced from the stored partition with the
-    producer's block cost.  The verdict is judged against the stored
-    target, which must itself match the one the config gives."""
+    producer's block cost and flags.  The verdict is judged against the
+    stored target, which must itself match the one the config gives, and
+    the mode must be the configured one (either one under auto)."""
     config, res = payload["config"], payload["results"]
-    cost, target, scale = _pricing(form, a, config["epsilon"], bessel)
+    if type(config["seed"]) is not int:
+        raise ContractViolation("config seed must be an integer")
+    cost, target, scale, flags = _pricing(form, a, config["epsilon"], bound)
     part = _partition(res, a.shape[0], config["r_max"])
-    got = _priced(form, cost, part, target, scale, UNCHECKED, UNCHECKED,
-                  UNCHECKED).to_json()
+    mode = config.get("mode", "auto")       # weaver always runs auto
+    if mode == "auto":
+        mode = "local" if res["mode"] == "local" else "exhaustive"
+    if mode == "local":
+        flags["seed"] = config["seed"]
+    got = _priced(form, cost, part, target, scale, mode, UNCHECKED,
+                  flags).to_json()
     got["verdict"] = within(got["achieved"], res["target"])
     return got
 
 
 def _verify_pave(payload):
     t = matrix_from_json(_load_input(payload, "matrix"))
-    return _repaved(payload, payload["config"]["form"], t)
+    return _repaved(payload, payload["config"]["form"], t,
+                    payload["config"].get("delta"))
 
 
 def _verify_weaver(payload):

@@ -19,7 +19,7 @@ def make_reports(tmp):
     """{case: report path} over every command, with inputs written to tmp.
 
     Both verdicts of radohorn are covered; decompose is covered with each
-    criterion and pave in both forms."""
+    criterion and pave in both forms and both search modes."""
     rng = np.random.default_rng(5)
 
     def unit(n, m):
@@ -46,8 +46,11 @@ def make_reports(tmp):
         "dilate": ["dilate", "--input", parseval],
         "pave": ["pave", "--input", matrix, "--r-max", "2",
                  "--epsilon", "0.7"],
+        "pave-local": ["pave", "--input", matrix, "--r-max", "2",
+                       "--epsilon", "0.7", "--mode", "local", "--seed", "3"],
         "pave-projection": ["pave", "--input", proj, "--form", "projection",
-                            "--r-max", "2", "--epsilon", "0.2"],
+                            "--r-max", "2", "--epsilon", "0.2",
+                            "--delta", "0.5"],
         "weaver": ["weaver", "--input", f37, "--bessel", "4",
                    "--epsilon", "0.5", "--r-max", "3"],
         "riesz": ["decompose", "--input", f37, "--criterion", "riesz",

@@ -29,7 +29,7 @@ from pavekit import (
     montgomery_vaughan_theta,
     naimark_dilate,
     parseval_normalize,
-    pave_exhaustive,
+    pave_matrix_check,
     rado_horn_partition,
     restricted_isometry,
     subframe,
@@ -120,10 +120,12 @@ def test_criterion_03_exhaustive_paving():
             a = rng.standard_normal((8, 8))
             a = a + a.T
             np.fill_diagonal(a, 0.0)
-            rep = pave_exhaustive(a, r_max=3, epsilon=0.5)
+            rep = pave_matrix_check(a, r_max=3, epsilon=0.5,
+                                    mode="exhaustive")
             assert rep.achieved == _min_paving_oracle(a, 3)
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-        rep = pave_exhaustive(swap, r_max=2, epsilon=0.5)
+        rep = pave_matrix_check(swap, r_max=2, epsilon=0.5,
+                                mode="exhaustive")
         assert rep.achieved == 0.0
         assert sorted(tuple(b) for b in rep.partition.blocks()) == [(0,), (1,)]
 

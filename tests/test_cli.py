@@ -9,7 +9,7 @@ import pytest
 import pavekit
 from pavekit.cli import main
 from pavekit.core import matrix_to_json
-from pavekit.paving import pave_exhaustive
+from pavekit.paving import pave_matrix_check
 from pavekit.reports import (
     canonical_payload,
     load_report,
@@ -112,7 +112,7 @@ def test_verdict_just_inside_slack_passes_verify(tmp_path):
     rng = np.random.default_rng(0)
     a = rng.standard_normal((6, 6))
     m.write_text(json.dumps(matrix_to_json(a + a.T)))
-    first = pave_exhaustive(a + a.T, 2, 0.5)
+    first = pave_matrix_check(a + a.T, 2, 0.5, mode="exhaustive")
     epsilon = (first.achieved - 5e-13) / first.scale
     rep = tmp_path / "p.json"
     assert run("pave", "--input", str(m), "--mode", "exhaustive",

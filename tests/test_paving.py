@@ -17,8 +17,7 @@ from pavekit.core import (
 from pavekit.paving import (
     delta_diag,
     diagonal_projection,
-    pave_exhaustive,
-    pave_local,
+    pave_matrix_check,
     pave_projection_check,
     paving_norm,
     weaver_check,
@@ -69,7 +68,7 @@ def test_paving_norm_matches_compression_oracle():
 
 def test_antidiagonal_paves_to_zero():
     t = np.array([[0.0, 1.0], [1.0, 0.0]])
-    rep = pave_exhaustive(t, 2, 0.5)
+    rep = pave_matrix_check(t, 2, 0.5, mode="exhaustive")
     assert rep.achieved == 0.0
     assert rep.verdict
     assert sorted(map(tuple, rep.partition.blocks())) == [(0,), (1,)]
@@ -79,7 +78,7 @@ def test_exhaustive_matches_brute_force():
     rng = np.random.default_rng(1)
     for _ in range(8):
         t = _sym(rng, 6)
-        rep = pave_exhaustive(t, 3, 0.5)
+        rep = pave_matrix_check(t, 3, 0.5, mode="exhaustive")
         assert rep.achieved == _brute_min_paving(t, 3)
 
 
@@ -87,8 +86,8 @@ def test_local_never_beats_exhaustive():
     rng = np.random.default_rng(2)
     for seed in range(6):
         t = _sym(rng, 8)
-        ex = pave_exhaustive(t, 3, 0.5)
-        lo = pave_local(t, 3, 0.5, seed=seed)
+        ex = pave_matrix_check(t, 3, 0.5, mode="exhaustive")
+        lo = pave_matrix_check(t, 3, 0.5, mode="local", seed=seed)
         assert lo.achieved >= ex.achieved - 1e-12
         # the local partition's claimed value is honest
         mx, _ = paving_norm(t, lo.partition)
@@ -113,7 +112,7 @@ def test_diagonal_is_always_removed():
 
 def test_exhaustive_budget():
     with pytest.raises(BudgetExceeded):
-        pave_exhaustive(np.zeros((15, 15)), 3, 0.5)
+        pave_matrix_check(np.zeros((15, 15)), 3, 0.5, mode="exhaustive")
 
 
 def test_projection_paving():

@@ -1,7 +1,9 @@
-"""Every radohorn, phase, erasure, ric, weaver, pave, decompose and subspace
-report the CLI writes passes its own verify, on real frames drawn with many
-degeneracies (repeated, parallel and zero columns, columns in a
-hyperplane) and parameters on both sides of each verdict."""
+"""Every radohorn, phase, erasure, ric, weaver, pave, decompose, subspace,
+toeplitz, kadec and mv-theta report the CLI writes passes its own verify,
+on real frames drawn with many degeneracies (repeated, parallel and zero
+columns, columns in a hyperplane) and parameters on both sides of each
+verdict.  A threshold a command compares against is drawn at the computed
+value and VERDICT_SLACK to either side of it."""
 
 import contextlib
 import io
@@ -16,7 +18,13 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from pavekit.cli import main  # noqa: E402
-from pavekit.core import matrix_to_json  # noqa: E402
+from pavekit.core import VERDICT_SLACK, matrix_to_json  # noqa: E402
+from pavekit.harmonic import (  # noqa: E402
+    GridFunction,
+    kadec_bounds,
+    uniform_feichtinger_criterion,
+    uniform_paving_criterion,
+)
 
 # A few exact values make repeated and dependent columns common.
 entries = st.sampled_from([0.0, 1.0, -1.0, 0.5]) | st.floats(-2.0, 2.0)
@@ -45,13 +53,17 @@ unit_frames = frames().map(_unit_columns)
 
 
 def _produce_and_verify(frame, *argv):
+    """Run argv with frame written as its --input (a matrix, a grid as JSON,
+    or None for no input), then verify the report; returns its verdict."""
     with tempfile.TemporaryDirectory() as tmp:
         path, rep = Path(tmp) / "frame.json", Path(tmp) / "report.json"
-        path.write_text(json.dumps(matrix_to_json(frame)))
+        if frame is not None:
+            path.write_text(json.dumps(frame if isinstance(frame, dict)
+                                       else matrix_to_json(frame)))
+            argv = (argv[0], "--input", str(path), *argv[1:])
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            assert main([argv[0], "--input", str(path), *argv[1:],
-                         "--report", str(rep)]) == 0
+            assert main([*argv, "--report", str(rep)]) == 0
             assert main(["verify", "--report", str(rep)]) == 0
         verdict = json.loads(rep.read_text())["payload"]["results"].get(
             "verdict")
@@ -156,3 +168,71 @@ def test_subspace_reports_verify(frame, a, data):
                       for b in sorted(set(labels)))
     _produce_and_verify(frame.T, "subspace", "--span", "--a", repr(a),
                         "--blocks", blocks)
+
+
+# Threshold offsets: on the computed value and one slack to either side.
+offsets = st.sampled_from([-VERDICT_SLACK, 0.0, VERDICT_SLACK])
+
+
+@st.composite
+def grids(draw):
+    """A nonnegative grid symbol of N = 12, 24 or 36 points with positive
+    mean, whose moduli divide N."""
+    n = 12 * draw(st.integers(1, 3))
+    values = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 2.0),
+                           min_size=n, max_size=n))
+    hypothesis.assume(sum(values) > 0.0)
+    return GridFunction(np.array(values))
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+@hypothesis.given(grids(), st.lists(st.sampled_from([1, 2, 3, 4, 6]),
+                                    min_size=1, max_size=3, unique=True),
+                  st.booleans(), offsets, st.booleans())
+def test_toeplitz_reports_verify(g, ks, paving, offset, stride):
+    crit = uniform_paving_criterion if paving else \
+        uniform_feichtinger_criterion
+    epsilon = crit(g, ks[0], 1.0)[1] + offset
+    hypothesis.assume(epsilon > 0.0)
+    argv = ["toeplitz", "--k-list", ",".join(map(str, ks)),
+            "--epsilon", repr(epsilon)]
+    if stride:
+        argv += ["--stride", "2", "--freq-max", str(g.N // 2 - 1)]
+    _produce_and_verify(g.to_json(), *argv)
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+@hypothesis.given(st.floats(0.1, 4.0), st.floats(1.0, 4.0),
+                  st.floats(0.5, 4.0), offsets, st.booleans(),
+                  st.floats(0.0, 1.0), st.integers(0, 4))
+def test_kadec_reports_verify(a, ratio, gamma, offset, perturb, lam, n_max):
+    b = a * ratio
+    delta = kadec_bounds(a, b, gamma, 0.0)["L"] + offset
+    hypothesis.assume(delta >= 0.0)
+    argv = ["kadec", "--a", repr(a), "--b", repr(b), "--gamma", repr(gamma),
+            "--delta", repr(delta), "--empirical", "--n-max", str(n_max),
+            "--delta-max", repr(min(delta, 0.24)), "--seed", str(n_max)]
+    if perturb:
+        # lam + mu / sqrt(a) lands on 1, the bound christensen_bounds needs
+        # below it, or next to it
+        mu = (1.0 - lam + offset) * a ** 0.5
+        hypothesis.assume(mu >= 0.0)
+        argv += ["--lam", repr(lam), "--mu", repr(mu)]
+    _produce_and_verify(None, *argv)
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+@hypothesis.given(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=5,
+                           unique=True),
+                  st.lists(st.tuples(st.floats(-2.0, 2.0),
+                                     st.floats(-2.0, 2.0)),
+                           min_size=5, max_size=5),
+                  st.floats(0.1, 3.0))
+def test_mv_theta_reports_verify(freqs, coeffs, t_len):
+    coeffs = [complex(re, im) for re, im in coeffs[:len(freqs)]]
+    hypothesis.assume(any(coeffs) and
+                      (len(freqs) == 1 or np.diff(sorted(freqs)).min() > 0.0))
+    _produce_and_verify(None, "mv-theta",
+                        "--freqs=" + ",".join(map(repr, freqs)),
+                        "--coeffs=" + ",".join(map(repr, coeffs)),
+                        "--t-len", repr(t_len))

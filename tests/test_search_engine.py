@@ -1,4 +1,5 @@
-"""Parity of the branch-and-bound partition engine with a full scan.
+"""Parity of the branch-and-bound partition engine with a full scan, and
+the placement budget the walk counts itself.
 
 The oracles below enumerate every canonical partition and price each one
 from scratch, the way the searches worked before pruning: the engine must
@@ -6,22 +7,35 @@ return the same partition, not just the same value, on random inputs and
 on tie-heavy ones where many partitions share the optimum.
 """
 
+import json
+
 import numpy as np
 import pytest
 
+from pavekit import decomposition, paving
+from pavekit.cli import main
 from pavekit.core import (
+    EXHAUSTIVE_INDEX_MAX,
+    PARTITION_BUDGET,
     Frame,
     count_partitions,
     enumerate_partitions,
     gen_harmonic_frame,
     gen_random_projection,
     gen_random_unit_frame,
+    matrix_to_json,
     operator_norm,
 )
 from pavekit.decomposition import epsilon_riesz_partition, feichtinger_partition
 from pavekit.erasures import ccc_partition_search
 from pavekit.frames import gram_matrix
-from pavekit.paving import pave_exhaustive, pave_projection_check, weaver_check
+from pavekit.paving import (
+    _rgs_walk,
+    pave_matrix_check,
+    pave_projection_check,
+    weaver_check,
+)
+from pavekit.reports import load_report, verify
 
 
 def _scan(m, r_max, cost):
@@ -82,7 +96,7 @@ def _matrices():
 @pytest.mark.parametrize("r", R_VALUES)
 def test_matrix_paving_matches_scan(r):
     for t in _matrices():
-        rep = pave_exhaustive(t, r, 0.5)
+        rep = pave_matrix_check(t, r, 0.5, mode="exhaustive")
         t0 = t - np.diag(np.diag(t))
         oracle = _scan(t.shape[0], r,
                        lambda blk: operator_norm(t0[np.ix_(blk, blk)]))
@@ -212,3 +226,109 @@ def test_predicate_walk_checks_leaves_exactly():
         rep = feichtinger_partition(fr, a_target, 3)
         assert rep.verdict == feasible
         assert rep.partition == _predicate_scan(fr, 3, a_target, None)
+
+
+# ---------------------------------------------------------------------------
+# the placement budget
+# ---------------------------------------------------------------------------
+
+def _full_tree(m, r):
+    """Placements of a walk that prunes nothing: one per prefix of every
+    partition of {0..m-1} into at most r blocks."""
+    return sum(count_partitions(i, r) for i in range(1, m + 1))
+
+
+def test_walk_counts_one_placement_per_prefix():
+    for m, r in ((1, 1), (5, 2), (6, 3), (7, 7)):
+        labels, spent = _rgs_walk(m, r, lambda mask: 0.0,
+                                  lambda carry, price: carry,
+                                  lambda labels, masks, nblocks: False, 0)
+        assert labels is None and spent == _full_tree(m, r)
+
+
+def test_admitted_trees_fit_the_placement_budget():
+    # every (m, r) whose partitions the old Stirling pre-count admitted
+    # walks a full tree within the budget, so it still finishes exhaustive
+    trees = [_full_tree(m, r) for m in range(1, EXHAUSTIVE_INDEX_MAX + 1)
+             for r in range(1, m + 1) if count_partitions(m, r) <= 10**7]
+    assert max(trees) == _full_tree(12, 12) == 5_034_584
+    assert max(trees) <= PARTITION_BUDGET
+
+
+def _write_matrix(tmp_path, a):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(matrix_to_json(a)))
+    return str(path)
+
+
+@pytest.fixture
+def small_budget(monkeypatch):
+    monkeypatch.setattr(paving, "PARTITION_BUDGET", 100)
+
+
+def test_auto_falls_back_to_local_past_the_budget(tmp_path, small_budget):
+    t = _write_matrix(tmp_path, _sym(np.random.default_rng(3), 8))
+    rep = tmp_path / "pave.json"
+    assert main(["pave", "--input", t, "--r-max", "3", "--epsilon", "0.5",
+                 "--seed", "4", "--report", str(rep)]) == 0
+    res = load_report(str(rep))["payload"]["results"]
+    assert res["mode"] == "local" and res["flags"] == {"seed": 4}
+    assert verify(str(rep)) == (True, [])
+
+
+def test_exhaustive_past_the_budget_exits_3(tmp_path, small_budget, capsys):
+    t = _write_matrix(tmp_path, _sym(np.random.default_rng(3), 8))
+    assert main(["pave", "--input", t, "--mode", "exhaustive", "--r-max",
+                 "3", "--epsilon", "0.5"]) == 3
+    err = capsys.readouterr().err
+    assert "reached 101 placements, over the 100 allowed" in err
+    assert "Traceback" not in err
+
+
+def test_riesz_falls_back_to_greedy_past_the_budget(monkeypatch):
+    fr = gen_random_unit_frame(3, 9, 2)
+    assert epsilon_riesz_partition(fr, 0.9, 4).mode == "exhaustive"
+    monkeypatch.setattr(paving, "PARTITION_BUDGET", 100)
+    assert epsilon_riesz_partition(fr, 0.9, 4).mode == "greedy"
+
+
+def test_riesz_walks_share_one_budget_and_stop_at_m(monkeypatch):
+    walks = []
+    walk = decomposition._rgs_walk
+
+    def recorded(m, rr, get, admit, leaf, carry, spent):
+        walks.append((rr, spent))
+        return walk(m, rr, get, admit, leaf, carry, spent)
+
+    monkeypatch.setattr(decomposition, "_rgs_walk", recorded)
+    # the last vector's norm is below the target, so no partition passes,
+    # and each walk first tries the partitions of the other six
+    fr = gen_random_unit_frame(3, 7, 3)
+    fr = Frame(fr.synthesis * np.linspace(2.0, 0.5, 7))
+    rep = feichtinger_partition(fr, 0.3, 64)
+    assert not rep.verdict and rep.mode == "exhaustive"
+    assert [rr for rr, _ in walks] == list(range(1, 8))
+    spent = [s for _, s in walks]
+    assert spent[0] == 0 and all(a < b for a, b in zip(spent, spent[1:]))
+
+
+def _hermitian(rng, m):
+    a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    h = a + a.conj().T
+    np.fill_diagonal(h, 0.0)
+    return h
+
+
+@pytest.mark.parametrize("m, r", [(14, 4), (13, 5)])
+def test_walk_finishes_past_the_old_stirling_cap(tmp_path, m, r):
+    assert count_partitions(m, r) > 10**7
+    h = _hermitian(np.random.default_rng(m), m)
+    rep = tmp_path / "pave.json"
+    assert main(["pave", "--input", _write_matrix(tmp_path, h), "--r-max",
+                 str(r), "--epsilon", "0.5", "--report", str(rep)]) == 0
+    res = load_report(str(rep))["payload"]["results"]
+    assert res["mode"] == "exhaustive" and res["flags"] == {}
+    assert verify(str(rep)) == (True, [])
+    for seed in range(5):
+        local = pave_matrix_check(h, r, 0.5, mode="local", seed=seed)
+        assert res["achieved"] <= local.achieved

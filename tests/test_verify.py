@@ -73,6 +73,42 @@ def test_forged_field_fails_verify(cases, tmp_path, capsys, forgery):
     assert out["verified"] is False and out["reasons"], case
 
 
+# Each edits one field a report states about its input, config or search
+# record, not its certificate, and keeps every other field as written.
+PAYLOAD_FORGERIES = {
+    "subspace-float-index": ("subspace", lambda p: p["config"].update(
+        blocks=[[0, 1.5], [2, 3]])),
+    "subspace-bool-index": ("subspace", lambda p: p["config"].update(
+        blocks=[[0, True], [2, 3]])),
+    "pave-float-index": ("pave", lambda p: p["results"]["partition"].update(
+        blocks=[[i + 0.5 if i == 1 else i for i in blk]
+                for blk in p["results"]["partition"]["blocks"]])),
+    "projection-diag-delta": ("pave-projection", lambda p: p["results"][
+        "flags"].update(diag_delta=0.0)),
+    # the projection's largest diagonal entry is 0.5046, over delta 0.5
+    "projection-precondition": (
+        "pave-projection", lambda p: p["config"].update(delta=0.6)),
+    "weaver-bessel-actual": ("weaver", lambda p: p["results"]["flags"].update(
+        bessel_actual=1.0)),
+    "weaver-precondition": ("weaver", lambda p: p["results"]["flags"].update(
+        precondition_violated=True)),
+    "local-seed": ("pave-local", lambda p: p["config"].update(seed=4)),
+    "exhaustive-seed": ("pave", lambda p: p["config"].update(seed=[])),
+    "mode": ("pave-local", lambda p: p["config"].update(mode="exhaustive")),
+}
+
+
+@pytest.mark.parametrize("forgery", PAYLOAD_FORGERIES)
+def test_forged_payload_field_fails_verify(cases, tmp_path, capsys, forgery):
+    case, edit = PAYLOAD_FORGERIES[forgery]
+    doc = load_report(str(cases[case]))
+    edit(doc["payload"])
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(doc))
+    out = _verify_cli(forged, capsys)
+    assert out["verified"] is False and out["reasons"], case
+
+
 def _child_verify(doc, path):
     """Run `pavekit verify` on doc in a child process whose stdin is a pipe
     nobody writes to or closes, so reading it would block."""
