@@ -46,6 +46,7 @@ from .reports import (
     _ric,
     _subspace,
     _toeplitz,
+    _write_text as _write_json,  # the name perfbench/tracing.py binds
     input_record,
     make_report,
     verify,
@@ -58,12 +59,6 @@ __all__ = ["main", "build_parser"]
 # ---------------------------------------------------------------------------
 # small parsing / serialization helpers
 # ---------------------------------------------------------------------------
-
-def _write_json(path, obj):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
 
 def _read_json(path):
     with open(path) as fh:
@@ -121,8 +116,8 @@ def _cmd_gen(args):
     if missing:
         raise ContractViolation(
             f"{args.kind} generation needs {', '.join(missing)}")
-    obj, results = _regenerate(config)
-    _write_json(args.out, obj)
+    text, results = _regenerate(config)
+    _write_json(args.out, text)
     return config, {}, results, f"wrote {args.out}"
 
 

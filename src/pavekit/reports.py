@@ -78,10 +78,9 @@ from .harmonic import (
 )
 from .paving import _priced, _pricing
 
-__all__ = ["make_report", "canonical_payload", "payload_hash",
-           "write_report", "load_report", "file_sha256", "verify"]
-
-_MATCH_TOL = 1e-9
+__all__ = ["make_report", "canonical_json", "canonical_payload",
+           "payload_hash", "write_report", "load_report", "file_sha256",
+           "verify"]
 
 
 def _numpy_default(x):
@@ -91,9 +90,16 @@ def _numpy_default(x):
     raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
+def canonical_json(obj):
+    """The one JSON text pavekit writes or hashes: sorted keys, no
+    whitespace, numpy values as their Python values.  A one-shot dumps
+    with no indent runs CPython's C encoder."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      default=_numpy_default)
+
+
 def canonical_payload(report):
-    return json.dumps(report["payload"], sort_keys=True,
-                      separators=(",", ":"), default=_numpy_default).encode()
+    return canonical_json(report["payload"]).encode()
 
 
 def payload_hash(report):
@@ -114,11 +120,15 @@ def make_report(command, config, inputs, results, wall_time_s):
     }
 
 
-def write_report(path, report):
+def _write_text(path, text):
+    """Write a canonical JSON text and one trailing newline."""
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True,
-                  default=_numpy_default)
+        fh.write(text)
         fh.write("\n")
+
+
+def write_report(path, report):
+    _write_text(path, canonical_json(report))
 
 
 def load_report(path):
@@ -143,14 +153,14 @@ def input_record(path):
 # certificate
 # ---------------------------------------------------------------------------
 
-def _object_hash(obj):
-    return hashlib.sha256(json.dumps(obj, sort_keys=True,
-                                     separators=(",", ":")).encode()).hexdigest()
+def _object_hash(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _regenerate(config):
-    """(object, results) of gen: the frame, projection or grid symbol that
-    config describes, and the results recording it."""
+    """(text, results) of gen: the canonical JSON of the frame, projection
+    or grid symbol that config describes, and the results recording it,
+    whose object_sha256 hashes that text."""
     kind = config["kind"]
     results = {"kind": kind}
     if kind == "harmonic":
@@ -171,8 +181,9 @@ def _regenerate(config):
         results.update(bookkeeping=book, semantics="grid-uniform")
     else:
         raise ContractViolation(f"unknown generator kind {kind!r}")
-    results["object_sha256"] = _object_hash(obj)
-    return obj, results
+    text = canonical_json(obj)
+    results["object_sha256"] = _object_hash(text)
+    return text, results
 
 
 def _analyze(fr):
@@ -427,6 +438,8 @@ def _verify_phase(payload):
 def _verify_dilate(payload):
     """Checks that the stored projection dilates the input instead of
     re-running the dilation, and hands the checked matrices back."""
+    if payload["config"].get("mode") not in ("naimark", "operator"):
+        raise ContractViolation("dilate mode must be naimark or operator")
     original = matrix_from_json(_load_input(payload, "input"))
     res = payload["results"]
     p, emb, fr = (matrix_from_json(res[key])
@@ -457,8 +470,6 @@ def _repaved(payload, form, a, bound=None):
     stored target, which must itself match the one the config gives, and
     the mode must be the configured one (either one under auto)."""
     config, res = payload["config"], payload["results"]
-    if type(config["seed"]) is not int:
-        raise ContractViolation("config seed must be an integer")
     cost, target, scale, flags = _pricing(form, a, config["epsilon"], bound)
     part = _partition(res, a.shape[0], config["r_max"])
     mode = config.get("mode", "auto")       # weaver always runs auto
@@ -589,8 +600,8 @@ def verify(report_or_path):
     """(verified, reasons): rebuild a report's results and match them.
 
     Accepts a report dict or a path to one.  Returns False (never raises)
-    for structurally broken reports, changed inputs, missing seeds, or any
-    results that the rebuild does not reproduce.
+    for structurally broken reports, changed inputs, missing or non-integer
+    seeds, or any results that the rebuild does not reproduce.
     """
     report = report_or_path
     if isinstance(report_or_path, str):
@@ -605,8 +616,10 @@ def verify(report_or_path):
     fn = _VERIFIERS.get(payload["command"])
     if fn is None:
         return False, [f"unknown command {payload['command']!r}"]
-    if payload["config"].get("seed", 0) is None:
-        return False, ["missing seed"]
+    seed = payload["config"].get("seed", 0)
+    if type(seed) is not int:
+        return False, ["missing seed" if seed is None
+                       else "config seed must be an integer"]
     try:
         got = fn(payload)
     except ContractViolation as exc:

@@ -348,7 +348,8 @@ def test_write_report_converts_numpy_values(tmp_path):
     path = tmp_path / "r.json"
     write_report(str(path), {"payload": payload, "meta": {}})
     assert path.read_text() == json.dumps(
-        {"payload": plain, "meta": {}}, indent=2, sort_keys=True) + "\n"
+        {"payload": plain, "meta": {}}, sort_keys=True,
+        separators=(",", ":")) + "\n"
     assert canonical_payload({"payload": payload}) == \
         canonical_payload({"payload": plain})
     with pytest.raises(TypeError):

@@ -95,6 +95,9 @@ PAYLOAD_FORGERIES = {
     "local-seed": ("pave-local", lambda p: p["config"].update(seed=4)),
     "exhaustive-seed": ("pave", lambda p: p["config"].update(seed=[])),
     "mode": ("pave-local", lambda p: p["config"].update(mode="exhaustive")),
+    "riesz-seed": ("riesz", lambda p: p["config"].update(seed=[])),
+    "tp1-seed": ("tp1", lambda p: p["config"].update(seed=[])),
+    "dilate-mode": ("dilate", lambda p: p["config"].update(mode=None)),
 }
 
 
