@@ -11,10 +11,8 @@ __version__ = "0.1.0"
 from .core import (
     BudgetExceeded,
     ContractViolation,
-    DEFAULT_TOL,
     Frame,
     Partition,
-    Tolerances,
     count_partitions,
     enumerate_partitions,
     frame_from_json,

@@ -24,6 +24,9 @@ EXHAUSTIVE_INDEX_MAX = 14          # most indices a walk takes (2^M memo)
 PARTITION_BUDGET = 10**7           # most placements of one partition search
 SUBSET_BUDGET = 10**6              # most subsets any exhaustive scan may visit
 BIPARTITION_INDEX_MAX = 22         # largest index set for cc_partition_search
+LOCAL_MOVE_BUDGET = 2000           # most accepted moves of one local search
+WKHB_MOVE_BUDGET = 10**6           # most moves of one wkhb_partition
+GREEDY_BACKTRACKS = 3              # backtracks of the greedy Riesz fallback
 
 # Absolute slack of every "achieved <= target" verdict.  Producers and
 # verify() share it through within(), so a report always passes its own
@@ -39,26 +42,12 @@ class BudgetExceeded(RuntimeError):
     """The requested search would exceed its combinatorial budget."""
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numeric slack used by predicates and decompositions.
-
-    eig_tol bounds accepted eigen-residuals relative to the matrix norm,
-    rank_tol is the relative singular-value cutoff for numeric ranks, and
-    check_tol is the generic slack for yes/no predicates (Parseval, tight,
-    equal-norm, Hermitian, projection).
-    """
-
-    eig_tol: float = 1e-9
-    rank_tol: float = 1e-10
-    check_tol: float = 1e-8
-
-    def __post_init__(self):
-        if not (self.eig_tol > 0 and self.rank_tol > 0 and self.check_tol > 0):
-            raise ContractViolation("tolerances must be strictly positive")
-
-
-DEFAULT_TOL = Tolerances()
+# Numeric slack: constants, so every report re-verifies against the slack
+# that made it.
+EIG_TOL = 1e-9      # eigen-residuals, relative to the matrix norm
+RANK_TOL = 1e-10    # numeric-rank cutoff, relative to the top singular value
+CHECK_TOL = 1e-8    # yes/no predicates: Parseval, tight, equal- and unit-norm,
+                    # Hermitian, projection
 
 
 def within(achieved, target):
@@ -84,32 +73,49 @@ def ensure_matrix(m, name="matrix"):
     return a
 
 
-def is_hermitian(m, tol=DEFAULT_TOL):
+def is_hermitian(m):
     m = ensure_matrix(m)
     if m.shape[0] != m.shape[1]:
         return False
     scale = 1.0 + np.abs(m).max()
-    return np.abs(m - m.conj().T).max() <= tol.check_tol * scale
+    return np.abs(m - m.conj().T).max() <= CHECK_TOL * scale
 
 
-def sym_eig(m, tol=DEFAULT_TOL):
+def ensure_projection(p):
+    """p if it is an orthogonal projection, up to CHECK_TOL * (1 + max|p|)."""
+    p = ensure_matrix(p, "projection")
+    slack = CHECK_TOL * (1.0 + np.abs(p).max())
+    if p.shape[0] != p.shape[1] or np.abs(p @ p - p).max() > slack or \
+            np.abs(p - p.conj().T).max() > slack:
+        raise ContractViolation("matrix is not an orthogonal projection")
+    return p
+
+
+def ensure_unit_norm(fr):
+    """Raise unless every vector of fr has norm one up to CHECK_TOL."""
+    norms = np.linalg.norm(fr.synthesis, axis=0)
+    if np.abs(norms - 1.0).max() > CHECK_TOL:
+        raise ContractViolation("the family needs unit-norm vectors")
+
+
+def sym_eig(m):
     """Full eigendecomposition of a Hermitian matrix.
 
     Returns (w, V) with w ascending and columns of V orthonormal, and
-    guarantees the reconstruction residual ||M v - w v|| <= eig_tol * ||M||
+    guarantees the reconstruction residual ||M v - w v|| <= EIG_TOL * ||M||
     for every pair.  Backed by LAPACK through numpy.linalg.eigh; the
     residual guarantee is asserted, not assumed.
     """
     m = ensure_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ContractViolation("sym_eig needs a square matrix")
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         raise ContractViolation("sym_eig needs a Hermitian matrix")
     h = 0.5 * (m + m.conj().T)  # symmetrize away roundoff before factoring
     w, v = np.linalg.eigh(h)
     scale = max(1.0, float(np.abs(w).max()) if w.size else 1.0)
     resid = np.abs(h @ v - v * w).max()
-    if resid > tol.eig_tol * scale:
+    if resid > EIG_TOL * scale:
         raise ContractViolation(f"eigen residual {resid:.3e} exceeds tolerance")
     return w, v
 
@@ -155,13 +161,13 @@ def operator_norm(m):
     return float(np.linalg.norm(m, 2))
 
 
-def numeric_rank(m, tol=DEFAULT_TOL):
-    """Count singular values above rank_tol * sigma_max * max(rows, cols)."""
+def numeric_rank(m):
+    """Count singular values above RANK_TOL * sigma_max * max(rows, cols)."""
     m = ensure_matrix(m)
     s = np.linalg.svd(m, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > tol.rank_tol * s[0] * max(m.shape)))
+    return int(np.sum(s > RANK_TOL * s[0] * max(m.shape)))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    DEFAULT_TOL,
+    CHECK_TOL,
+    GREEDY_BACKTRACKS,
     SUBSET_BUDGET,
     BudgetExceeded,
     ContractViolation,
@@ -31,6 +32,7 @@ from .core import (
     block_spectra,
     block_spectrum,
     ensure_matrix,
+    ensure_unit_norm,
     numeric_rank,
     sym_eig,
     within,
@@ -52,18 +54,12 @@ __all__ = [
 ]
 
 
-def riesz_bounds(fr, tol=DEFAULT_TOL):
+def riesz_bounds(fr):
     """Extreme eigenvalues of the Gram matrix: the optimal constants in
     lower * sum|a|^2 <= ||sum a_i f_i||^2 <= upper * sum|a|^2."""
     g = gram_matrix(fr)
-    w, _ = sym_eig(g, tol)
+    w, _ = sym_eig(g)
     return float(max(w[0], 0.0)), float(max(w[-1], 0.0))
-
-
-def _unit_norm_guard(fr, tol):
-    norms = np.linalg.norm(fr.synthesis, axis=0)
-    if np.abs(norms - 1.0).max() > tol.check_tol:
-        raise ContractViolation("operation needs unit-norm vectors")
 
 
 def _gram_block_bounds(g):
@@ -76,8 +72,8 @@ def _gram_block_bounds(g):
     return _block_cost_cache(spectrum)
 
 
-def _greedy_blocks(m, r_max, ok, score, backtracks=3):
-    """Depth-first assignment with a small backtrack budget.
+def _greedy_blocks(m, r_max, ok, score):
+    """Depth-first assignment with GREEDY_BACKTRACKS backtracks.
 
     ok(block_mask) says whether a block is still feasible; feasibility must
     be monotone under removal for the pruning to be sound.  score orders the
@@ -88,7 +84,7 @@ def _greedy_blocks(m, r_max, ok, score, backtracks=3):
     blocks = [0] * r_max
     tried = [set() for _ in range(m)]
     i = 0
-    budget = backtracks
+    budget = GREEDY_BACKTRACKS
     while 0 <= i < m:
         cands = []
         used = max(labels[:i], default=-1) + 1
@@ -205,10 +201,10 @@ def _partition_by_block_predicate(fr, r_max, lo_target, hi_target):
     return RieszReport(True, p, _block_bounds(bounds, p), target, "greedy")
 
 
-def epsilon_riesz_partition(fr, epsilon, r_max, tol=DEFAULT_TOL):
+def epsilon_riesz_partition(fr, epsilon, r_max):
     """Partition unit-norm vectors so every block Gram spectrum lies in
     [1 - epsilon, 1 + epsilon]."""
-    _unit_norm_guard(fr, tol)
+    ensure_unit_norm(fr)
     if not (0.0 < epsilon < 1.0):
         raise ContractViolation("epsilon must lie in (0, 1)")
     if r_max < 1:
@@ -217,22 +213,22 @@ def epsilon_riesz_partition(fr, epsilon, r_max, tol=DEFAULT_TOL):
         fr, r_max, 1.0 - epsilon, 1.0 + epsilon)
 
 
-def feichtinger_partition(fr, a_target, r_max, tol=DEFAULT_TOL):
+def feichtinger_partition(fr, a_target, r_max):
     """Partition into blocks whose lower Riesz bound is at least a_target."""
     if a_target <= 0.0:
         raise ContractViolation("a_target must be positive")
     if r_max < 1:
         raise ContractViolation("need r_max >= 1")
     norms = np.linalg.norm(fr.synthesis, axis=0)
-    if norms.min() <= tol.check_tol:
+    if norms.min() <= CHECK_TOL:
         raise ContractViolation("zero vectors can never sit in a Riesz block")
     return _partition_by_block_predicate(fr, r_max, a_target, None)
 
 
-def restricted_isometry(fr, s, tol=DEFAULT_TOL):
+def restricted_isometry(fr, s):
     """delta_s by brute force: worst Gram-spectrum deviation from one over
     all subsets of size at most s.  Returns (delta, worst_subset)."""
-    _unit_norm_guard(fr, tol)
+    ensure_unit_norm(fr)
     if s < 1:
         raise ContractViolation("need s >= 1")
     s = min(s, fr.M)
@@ -252,9 +248,9 @@ def restricted_isometry(fr, s, tol=DEFAULT_TOL):
     return max(worst, 0.0), worst_subset
 
 
-def restricted_isometry_sampled(fr, s, samples=1000, seed=0, tol=DEFAULT_TOL):
+def restricted_isometry_sampled(fr, s, samples=1000, seed=0):
     """Sampled lower bound on delta_s, flagged as such: (value, subset, flag)."""
-    _unit_norm_guard(fr, tol)
+    ensure_unit_norm(fr)
     if s < 1:
         raise ContractViolation("need s >= 1")
     s = min(s, fr.M)
@@ -308,14 +304,14 @@ def _tp1_mass_bound(g, s, delta):
     return bessel, k, bessel / k
 
 
-def _block_deltas(fr, part, s, tol=DEFAULT_TOL):
+def _block_deltas(fr, part, s):
     """Brute-force restricted isometry constant of each block of part."""
     return [restricted_isometry(Frame(fr.synthesis[:, blk]),
-                                min(s, len(blk)), tol)[0]
+                                min(s, len(blk)))[0]
             for blk in part.blocks()]
 
 
-def tp1_partition(fr, s, delta, seed=0, r_max=64, tol=DEFAULT_TOL):
+def tp1_partition(fr, s, delta, seed=0, r_max=64):
     """Partition a unit-norm family into blocks of restricted isometry
     constant at most delta (for sparsity s).
 
@@ -325,7 +321,7 @@ def tp1_partition(fr, s, delta, seed=0, r_max=64, tol=DEFAULT_TOL):
     then sqrt(s * max_mass) <= sqrt(B s / k) <= delta bounds each block's
     deviation.  Every block is re-verified with the brute-force oracle.
     """
-    _unit_norm_guard(fr, tol)
+    ensure_unit_norm(fr)
     if s < 1:
         raise ContractViolation("need s >= 1")
     g = gram_matrix(fr)
@@ -339,9 +335,9 @@ def tp1_partition(fr, s, delta, seed=0, r_max=64, tol=DEFAULT_TOL):
         res = wkhb_partition(h, r, seed=seed)
         max_mass = float(res["in_block_mass"].max()) if fr.M else 0.0
         flags["escalations"].append({"r": r, "max_mass": max_mass})
-        if max_mass <= mass_bound + 1e-12:
+        if within(max_mass, mass_bound):
             part = res["partition"].canonical()
-            per = _block_deltas(fr, part, s, tol)
+            per = _block_deltas(fr, part, s)
             if all(within(d, delta) for d in per):
                 return Tp1Report(True, part, r, k, bessel, delta, per,
                                  mass_bound, flags)
@@ -351,27 +347,27 @@ def tp1_partition(fr, s, delta, seed=0, r_max=64, tol=DEFAULT_TOL):
                      dict(flags, exhausted=True))
 
 
-def _rado_horn_witness(fr, subset, tol=DEFAULT_TOL):
+def _rado_horn_witness(fr, subset):
     """{subset, size, rank, ratio} of an index subset; the rank is the
     numeric_rank of its columns."""
-    rank = numeric_rank(fr.synthesis[:, subset], tol)
+    rank = numeric_rank(fr.synthesis[:, subset])
     size = len(subset)
     return {"subset": list(subset), "size": size, "rank": rank,
             "ratio": math.inf if rank == 0 else size / rank}
 
 
-def _independent(fr, cache, blk, tol):
+def _independent(fr, cache, blk):
     key = frozenset(blk)
     if key not in cache:
         if not key:
             cache[key] = True
         else:
             cols = sorted(key)
-            cache[key] = numeric_rank(fr.synthesis[:, cols], tol) == len(cols)
+            cache[key] = numeric_rank(fr.synthesis[:, cols]) == len(cols)
     return cache[key]
 
 
-def _exchange_chains(fr, r, tol):
+def _exchange_chains(fr, r):
     """Edmonds' matroid partition over the linear matroid of the columns.
 
     To place a vector, search breadth-first for a chain of single-element
@@ -389,7 +385,7 @@ def _exchange_chains(fr, r, tol):
     cache = {}
 
     def indep(blk):
-        return _independent(fr, cache, blk, tol)
+        return _independent(fr, cache, blk)
 
     for e in range(fr.M):
         parent = {e: None}        # element -> (displacer, block it vacates)
@@ -430,7 +426,7 @@ def _exchange_chains(fr, r, tol):
     return [blk for blk in blocks if blk], None
 
 
-def rado_horn_check(fr, r, tol=DEFAULT_TOL):
+def rado_horn_check(fr, r):
     """Decide whether the indices split into at most r linearly independent
     blocks; by Rado-Horn, iff |J| <= r * dim span(J) for every subset J.
 
@@ -439,10 +435,10 @@ def rado_horn_check(fr, r, tol=DEFAULT_TOL):
     rank re-priced by numeric_rank; a J that fails that re-check raises
     rather than being reported.
     """
-    blocks, reached = _exchange_chains(fr, r, tol)
+    blocks, reached = _exchange_chains(fr, r)
     if blocks is not None:
         return True, Partition.from_blocks(blocks, M=fr.M), None
-    witness = _rado_horn_witness(fr, reached, tol)
+    witness = _rado_horn_witness(fr, reached)
     if within(witness["ratio"], r):
         raise ContractViolation(
             f"stalled exchange chain reached {reached}, which has "
@@ -450,12 +446,12 @@ def rado_horn_check(fr, r, tol=DEFAULT_TOL):
     return False, None, witness
 
 
-def rado_horn_partition(fr, r, tol=DEFAULT_TOL):
+def rado_horn_partition(fr, r):
     """Partition indices into at most r linearly independent blocks.
 
     Infeasible inputs raise with a violating subset (see rado_horn_check).
     """
-    ok, part, witness = rado_horn_check(fr, r, tol)
+    ok, part, witness = rado_horn_check(fr, r)
     if not ok:
         raise ContractViolation(
             f"no partition into {r} independent blocks; "
@@ -503,27 +499,27 @@ class Subspace:
         return self.basis @ self.basis.conj().T
 
     @classmethod
-    def from_span(cls, vectors, tol=DEFAULT_TOL):
+    def from_span(cls, vectors):
         """Orthonormalize a spanning set (columns) into a Subspace."""
         a = ensure_matrix(vectors, "spanning set")
         q, s, _ = np.linalg.svd(a, full_matrices=False)
-        r = numeric_rank(a, tol)
+        r = numeric_rank(a)
         if r == 0:
             raise ContractViolation("spanning set is numerically zero")
         return cls(q[:, :r])
 
 
-def is_large(sub, a, tol=DEFAULT_TOL):
+def is_large(sub, a):
     """(ok, min_i ||P e_i||): every coordinate direction keeps length >= a
     under the projection onto the subspace."""
     if a <= 0.0:
         raise ContractViolation("largeness level must be positive")
     row_norms = np.linalg.norm(sub.basis, axis=1)  # ||P e_i|| = ||basis row i||
     mn = float(row_norms.min())
-    return mn >= a - tol.check_tol, mn
+    return mn >= a - CHECK_TOL, mn
 
 
-def is_r_decomposable(sub, p, tol=DEFAULT_TOL):
+def is_r_decomposable(sub, p):
     """(ok, per-block ranks): each block of coordinates must be fully
     reachable, i.e. the block rows of the basis have full row rank."""
     if p.M != sub.ambient:
@@ -531,13 +527,13 @@ def is_r_decomposable(sub, p, tol=DEFAULT_TOL):
     ranks = []
     ok = True
     for blk in p.blocks():
-        rk = numeric_rank(sub.basis[blk, :], tol) if blk else 0
+        rk = numeric_rank(sub.basis[blk, :]) if blk else 0
         ranks.append(rk)
         ok = ok and rk == len(blk)
     return ok, ranks
 
 
-def decomposition_vectors(sub, p, tol=DEFAULT_TOL):
+def decomposition_vectors(sub, p):
     """For each block E and each i in E, the minimum-norm h in the subspace
     with h(i) = 1 and h(l) = 0 for the other l in E.
 
@@ -547,7 +543,7 @@ def decomposition_vectors(sub, p, tol=DEFAULT_TOL):
     in all of H.  Returns one dict per block with the solved vectors as
     columns and the Bessel bound of the off-block parts {h - e_i}.
     """
-    ok, ranks = is_r_decomposable(sub, p, tol)
+    ok, ranks = is_r_decomposable(sub, p)
     if not ok:
         raise ContractViolation(f"subspace is not decomposable: ranks {ranks}")
     v = sub.basis

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    DEFAULT_TOL,
+    CHECK_TOL,
     ContractViolation,
     Frame,
     ensure_matrix,
@@ -62,17 +62,7 @@ class DilationResult:
         }
 
 
-def _projection_checks(p, n, tol, slack=1.0):
-    lim = slack * tol.check_tol * (1.0 + np.abs(p).max())
-    if np.abs(p - p.conj().T).max() > lim:
-        raise ContractViolation("dilation projection is not Hermitian")
-    if np.abs(p @ p - p).max() > lim:
-        raise ContractViolation("dilation projection is not idempotent")
-    if numeric_rank(p, tol) != n:
-        raise ContractViolation("dilation projection has wrong rank")
-
-
-def naimark_dilate(fr, tol=DEFAULT_TOL, _slack=1.0):
+def naimark_dilate(fr, _slack=1.0):
     """Dilate a Parseval family: projection = Gram, embedding = analysis map.
 
     P e_i lands on the embedded copy of f_i, so inner products among the
@@ -80,17 +70,23 @@ def naimark_dilate(fr, tol=DEFAULT_TOL, _slack=1.0):
     """
     s = frame_operator(fr)
     eye = np.eye(fr.n)
-    if np.abs(s - eye).max() > _slack * tol.check_tol:
+    if np.abs(s - eye).max() > _slack * CHECK_TOL:
         raise ContractViolation("naimark_dilate needs a Parseval family")
     p = gram_matrix(fr)
     emb = analysis_matrix(fr)
-    _projection_checks(p, fr.n, tol, slack=max(_slack, 2.0) * max(1.0, fr.M))
+    lim = max(_slack, 2.0) * max(1.0, fr.M) * CHECK_TOL * (1.0 + np.abs(p).max())
+    if np.abs(p - p.conj().T).max() > lim:
+        raise ContractViolation("dilation projection is not Hermitian")
+    if np.abs(p @ p - p).max() > lim:
+        raise ContractViolation("dilation projection is not idempotent")
+    if numeric_rank(p) != fr.n:
+        raise ContractViolation("dilation projection has wrong rank")
     # embedded vectors: P e_i == emb @ f_i by construction, asserted anyway
     resid = np.abs(p - emb @ fr.synthesis).max()
-    if resid > tol.check_tol * max(1.0, fr.M):
+    if resid > CHECK_TOL * max(1.0, fr.M):
         raise ContractViolation(f"embedding residual {resid:.3e}")
     tr = float(np.real(np.trace(p)))
-    if abs(tr - fr.n) > max(_slack, 2.0) * tol.check_tol * fr.M:
+    if abs(tr - fr.n) > max(_slack, 2.0) * CHECK_TOL * fr.M:
         raise ContractViolation("projection trace does not match the rank")
     return DilationResult(
         ambient_dim=fr.M, projection=p, embedding=emb, frame=fr,
@@ -98,7 +94,7 @@ def naimark_dilate(fr, tol=DEFAULT_TOL, _slack=1.0):
         meta={"mode": "naimark", "n": fr.n, "M": fr.M})
 
 
-def dilate_operator(t, tol=DEFAULT_TOL):
+def dilate_operator(t):
     """Dilate a norm-at-most-one operator into a basis-projection compression.
 
     Columns f_i = T g_i are completed to a Parseval family by appending
@@ -113,20 +109,20 @@ def dilate_operator(t, tol=DEFAULT_TOL):
     if t.shape[0] != t.shape[1]:
         raise ContractViolation("dilate_operator needs a square matrix")
     nrm = operator_norm(t)
-    if nrm > 1.0 + tol.check_tol:
+    if nrm > 1.0 + CHECK_TOL:
         raise ContractViolation(f"operator norm {nrm:.6f} exceeds one")
     s = t @ t.conj().T
-    w, v = sym_eig(s, tol)          # ascending
+    w, v = sym_eig(s)               # ascending
     lam = w[::-1]                   # descending
     vecs = v[:, ::-1]
-    norm_one = lam[0] >= 1.0 - tol.check_tol
+    norm_one = lam[0] >= 1.0 - CHECK_TOL
     start = 1 if norm_one else 0    # skip the top eigenvector at norm one
     gaps = np.sqrt(np.clip(1.0 - lam[start:], 0.0, None))
     added = vecs[:, start:] * gaps
     combined = np.concatenate([t, added], axis=1)
     fr = Frame(combined, label="operator-dilation",
                meta={"mode": "operator", "norm_one": bool(norm_one)})
-    res = naimark_dilate(fr, tol, _slack=4.0)
+    res = naimark_dilate(fr, _slack=4.0)
     res.added_vectors = added
     res.meta.update({"mode": "operator", "norm_one": bool(norm_one),
                      "operator_norm": nrm, "n": n})
@@ -136,17 +132,17 @@ def dilate_operator(t, tol=DEFAULT_TOL):
     return res
 
 
-def parseval_complete(fr, tol=DEFAULT_TOL):
+def parseval_complete(fr):
     """Append vectors to a family with Bessel bound at most one until Parseval.
 
     One completion vector per eigenvalue of the frame operator below
-    1 - check_tol, scaled by sqrt(1 - lambda); at most n are appended.
+    1 - CHECK_TOL, scaled by sqrt(1 - lambda); at most n are appended.
     """
     s = frame_operator(fr)
-    w, v = sym_eig(s, tol)
-    if w[-1] > 1.0 + tol.check_tol:
+    w, v = sym_eig(s)
+    if w[-1] > 1.0 + CHECK_TOL:
         raise ContractViolation("upper frame bound exceeds one")
-    low = w < 1.0 - tol.check_tol
+    low = w < 1.0 - CHECK_TOL
     gaps = np.sqrt(np.clip(1.0 - w[low], 0.0, None))
     added = v[:, low] * gaps
     combined = np.concatenate([fr.synthesis, added], axis=1)
@@ -154,6 +150,6 @@ def parseval_complete(fr, tol=DEFAULT_TOL):
                 meta=dict(fr.meta, appended=int(added.shape[1])))
     s_out = frame_operator(out)
     resid = np.abs(s_out - np.eye(fr.n)).max()
-    if resid > 2.0 * tol.check_tol:
+    if resid > 2.0 * CHECK_TOL:
         raise ContractViolation(f"completion failed, residual {resid:.3e}")
     return out

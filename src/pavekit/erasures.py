@@ -18,7 +18,8 @@ import numpy as np
 
 from .core import (
     BIPARTITION_INDEX_MAX,
-    DEFAULT_TOL,
+    CHECK_TOL,
+    RANK_TOL,
     SUBSET_BUDGET,
     BudgetExceeded,
     ContractViolation,
@@ -59,10 +60,10 @@ class ErasureReport:
         }
 
 
-def _is_parseval(fr, tol=DEFAULT_TOL):
-    """Whether the frame operator is the identity to check_tol."""
+def _is_parseval(fr):
+    """Whether the frame operator is the identity to CHECK_TOL."""
     s = frame_operator(fr)
-    return bool(np.abs(s - np.eye(fr.n)).max() <= tol.check_tol)
+    return bool(np.abs(s - np.eye(fr.n)).max() <= CHECK_TOL)
 
 
 def _surviving_lower(fr, erased):
@@ -86,7 +87,7 @@ def _eigenvalues(j, a, subsets, frame=False):
                            block_spectra(a, subsets, frame)])
 
 
-def erasure_robustness(fr, k, tol=DEFAULT_TOL):
+def erasure_robustness(fr, k):
     """Worst surviving lower frame bound over every erasure of k vectors.
 
     For Parseval inputs the complementary route 1 - lambda_max(gram block)
@@ -98,7 +99,7 @@ def erasure_robustness(fr, k, tol=DEFAULT_TOL):
     total = math.comb(fr.M, k)
     if total > SUBSET_BUDGET:
         raise BudgetExceeded(f"{total} erasure patterns exceed the budget")
-    parseval = _is_parseval(fr, tol)
+    parseval = _is_parseval(fr)
     g = gram_matrix(fr) if parseval else None
     m = fr.M
     keeps = (tuple(i for i in range(m) if i not in erased)
@@ -155,7 +156,7 @@ def cc_partition_search(fr):
     return {"best_value": value, "partition": part, "scanned": scanned}
 
 
-def ccc_partition_search(fr, r_max, epsilon, seed=0, tol=DEFAULT_TOL):
+def ccc_partition_search(fr, r_max, epsilon, seed=0):
     """Partition a Parseval family so every block frame operator has top
     eigenvalue at most 1 - epsilon.
 
@@ -165,7 +166,7 @@ def ccc_partition_search(fr, r_max, epsilon, seed=0, tol=DEFAULT_TOL):
     """
     if not (0.0 < epsilon < 1.0):
         raise ContractViolation("epsilon must lie in (0, 1)")
-    if not _is_parseval(fr, tol):
+    if not _is_parseval(fr):
         raise ContractViolation("ccc_partition_search needs a Parseval family")
     g = gram_matrix(fr)
     flags = {}
@@ -185,7 +186,7 @@ def ccc_partition_search(fr, r_max, epsilon, seed=0, tol=DEFAULT_TOL):
             "blocks": cross, "flags": flags}
 
 
-def _complement_witness(t, tol):
+def _complement_witness(t):
     """{side, complement} with neither side spanning and index 0 on side,
     or None when the real n x M family t has the complement property.
 
@@ -198,13 +199,13 @@ def _complement_witness(t, tol):
     seen = set()
     for s in itertools.combinations(range(m), n - 1):
         s = list(s)
-        if s and numeric_rank(t[:, s], tol) != n - 1:
+        if s and numeric_rank(t[:, s]) != n - 1:
             continue
         stacks = np.empty((m, n, n))
         stacks[:, :, :n - 1] = t[:, s]
         stacks[:, :, n - 1] = t.T
         sv = np.linalg.svd(stacks, compute_uv=False)
-        ranks = np.sum(sv > tol.rank_tol * sv[:, :1] * n, axis=1)
+        ranks = np.sum(sv > RANK_TOL * sv[:, :1] * n, axis=1)
         flat = tuple(np.flatnonzero(ranks == n - 1).tolist())
         if flat in seen:
             continue
@@ -212,13 +213,13 @@ def _complement_witness(t, tol):
         inside = set(flat)
         rest = [i for i in range(m) if i not in inside]
         side, comp = (list(flat), rest) if 0 in inside else (rest, list(flat))
-        if numeric_rank(t[:, side], tol) < n and \
-                (not comp or numeric_rank(t[:, comp], tol) < n):
+        if numeric_rank(t[:, side]) < n and \
+                (not comp or numeric_rank(t[:, comp]) < n):
             return {"side": side, "complement": comp}
     return None
 
 
-def phase_retrieval_check(fr, trials=10**4, seed=0, tol=DEFAULT_TOL):
+def phase_retrieval_check(fr, trials=10**4, seed=0):
     """Decide sign-blind recovery for a real family, then stress-test it.
 
     Complement property: every bipartition must leave one spanning side.
@@ -238,13 +239,13 @@ def phase_retrieval_check(fr, trials=10**4, seed=0, tol=DEFAULT_TOL):
             f"{total} candidate hyperplanes exceed the {SUBSET_BUDGET} "
             "subset budget")
     t = np.real(fr.synthesis)
-    rank_full = numeric_rank(t, tol)
+    rank_full = numeric_rank(t)
     report = {"verdict": False, "witness": None, "trials": 0,
               "solvable": 0, "failures": 0, "seed": int(seed)}
     if rank_full < n:
         report["witness"] = {"side": list(range(m)), "complement": []}
         return report
-    report["witness"] = _complement_witness(t, tol)
+    report["witness"] = _complement_witness(t)
     if report["witness"] is not None:
         return report
     rng = np.random.default_rng(seed)

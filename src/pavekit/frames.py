@@ -14,10 +14,12 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .core import (
-    DEFAULT_TOL,
+    CHECK_TOL,
+    EIG_TOL,
+    RANK_TOL,
     ContractViolation,
     Frame,
-    ensure_matrix,
+    ensure_projection,
     numeric_rank,
     sym_eig,
 )
@@ -77,11 +79,11 @@ class SpectralSummary:
         return asdict(self)
 
 
-def spectral_summary(fr, tol=DEFAULT_TOL):
+def spectral_summary(fr):
     s = frame_operator(fr)
-    w, _ = sym_eig(s, tol)
+    w, _ = sym_eig(s)
     upper = float(max(w[-1], 0.0))
-    rank = numeric_rank(fr.synthesis, tol)
+    rank = numeric_rank(fr.synthesis)
     spans = rank == fr.n
     lower = float(max(w[0], 0.0)) if spans else 0.0
     norms = np.linalg.norm(fr.synthesis, axis=0)
@@ -90,29 +92,29 @@ def spectral_summary(fr, tol=DEFAULT_TOL):
     riesz_lower = riesz_upper = None
     if rank == fr.M:  # independent columns: Gram is nonsingular
         g = gram_matrix(fr)
-        gw, _ = sym_eig(g, tol)
+        gw, _ = sym_eig(g)
         riesz_lower = float(max(gw[0], 0.0))
         riesz_upper = float(max(gw[-1], 0.0))
-    is_tight = spans and abs(upper - lower) <= tol.check_tol * scale
-    is_parseval = is_tight and abs(upper - 1.0) <= tol.check_tol and \
-        abs(lower - 1.0) <= tol.check_tol
-    is_equal_norm = bool(np.ptp(norms) <= tol.check_tol * max(1.0, norms.max()))
+    is_tight = spans and abs(upper - lower) <= CHECK_TOL * scale
+    is_parseval = is_tight and abs(upper - 1.0) <= CHECK_TOL and \
+        abs(lower - 1.0) <= CHECK_TOL
+    is_equal_norm = bool(np.ptp(norms) <= CHECK_TOL * max(1.0, norms.max()))
     return SpectralSummary(
         n=fr.n, M=fr.M, lower=lower, upper=upper, bessel=upper,
         trace_S=float(np.real(np.trace(s))), rank=rank, spans=spans,
         riesz_lower=riesz_lower, riesz_upper=riesz_upper,
         is_parseval=is_parseval, is_tight=is_tight,
         is_equal_norm=is_equal_norm, degenerate=degenerate,
-        check_tol=tol.check_tol)
+        check_tol=CHECK_TOL)
 
 
-def frame_bounds(fr, tol=DEFAULT_TOL):
+def frame_bounds(fr):
     """(lower, upper) optimal frame bounds; lower is 0 for non-spanning."""
-    summ = spectral_summary(fr, tol)
+    summ = spectral_summary(fr)
     return summ.lower, summ.upper
 
 
-def is_frame_sequence(fr, tol=DEFAULT_TOL):
+def is_frame_sequence(fr):
     """(ok, A') where A' is the optimal lower bound on the span.
 
     Every nonzero finite family is a frame for its span; A' is the smallest
@@ -120,37 +122,37 @@ def is_frame_sequence(fr, tol=DEFAULT_TOL):
     numeric-rank cutoff.  The zero family is flagged degenerate: (False, None).
     """
     s = frame_operator(fr)
-    w, _ = sym_eig(s, tol)
+    w, _ = sym_eig(s)
     if w[-1] <= 0.0:
         return False, None
-    cutoff = (tol.rank_tol * max(fr.n, fr.M)) ** 2 * w[-1]
+    cutoff = (RANK_TOL * max(fr.n, fr.M)) ** 2 * w[-1]
     nonzero = w[w > cutoff]
     if nonzero.size == 0:
         return False, None
     return True, float(nonzero[0])
 
 
-def _inv_sqrt_and_inv(fr, tol):
+def _inv_sqrt_and_inv(fr):
     """Eigendata of S with a spanning check shared by dual and normalize."""
     s = frame_operator(fr)
-    w, v = sym_eig(s, tol)
-    floor = tol.eig_tol * max(w[-1], 0.0)
+    w, v = sym_eig(s)
+    floor = EIG_TOL * max(w[-1], 0.0)
     if w[-1] <= 0.0 or w[0] <= floor:
         raise ContractViolation("family is not a frame for the space")
     return w, v
 
 
-def canonical_dual(fr, tol=DEFAULT_TOL):
+def canonical_dual(fr):
     """The dual family {S^-1 f_i}; reconstruction holds against the input."""
-    w, v = _inv_sqrt_and_inv(fr, tol)
+    w, v = _inv_sqrt_and_inv(fr)
     s_inv = (v / w) @ v.conj().T
     return Frame(s_inv @ fr.synthesis, label=fr.label + "-dual",
                  meta=dict(fr.meta, derived="canonical-dual"))
 
 
-def parseval_normalize(fr, tol=DEFAULT_TOL):
+def parseval_normalize(fr):
     """The family {S^-1/2 f_i}, a Parseval frame with the same span behavior."""
-    w, v = _inv_sqrt_and_inv(fr, tol)
+    w, v = _inv_sqrt_and_inv(fr)
     s_inv_half = (v / np.sqrt(w)) @ v.conj().T
     return Frame(s_inv_half @ fr.synthesis, label=fr.label + "-parseval",
                  meta=dict(fr.meta, derived="parseval-normalize"))
@@ -168,24 +170,20 @@ def subframe(fr, indices):
                  meta=dict(fr.meta, subframe_indices=[int(i) for i in idx]))
 
 
-def project_frame(fr, p, tol=DEFAULT_TOL):
+def project_frame(fr, p):
     """Apply an orthogonal projection to every vector.
 
     A Parseval frame stays Parseval on the range of the projection; callers
     verify that by restricting to an orthonormal basis of range(p).
     """
-    p = ensure_matrix(p, "projection")
+    p = ensure_projection(p)
     if p.shape != (fr.n, fr.n):
         raise ContractViolation("projection shape must match the frame space")
-    scale = 1.0 + np.abs(p).max()
-    if np.abs(p @ p - p).max() > tol.check_tol * scale or \
-            np.abs(p - p.conj().T).max() > tol.check_tol * scale:
-        raise ContractViolation("matrix is not an orthogonal projection")
     return Frame(p @ fr.synthesis, label=fr.label + "-projected",
                  meta=dict(fr.meta, derived="projected"))
 
 
-def frames_equivalent(fr1, fr2, tol=DEFAULT_TOL):
+def frames_equivalent(fr1, fr2):
     """True iff the two synthesis maps kill the same coefficient vectors.
 
     Same index count required; the null spaces coincide exactly when the row
@@ -193,12 +191,12 @@ def frames_equivalent(fr1, fr2, tol=DEFAULT_TOL):
     """
     if fr1.M != fr2.M:
         raise ContractViolation("frames_equivalent needs equal index counts")
-    r1 = numeric_rank(fr1.synthesis, tol)
-    r2 = numeric_rank(fr2.synthesis, tol)
+    r1 = numeric_rank(fr1.synthesis)
+    r2 = numeric_rank(fr2.synthesis)
     if r1 != r2:
         return False
     stacked = np.vstack([
         fr1.synthesis.astype(np.complex128),
         fr2.synthesis.astype(np.complex128),
     ])
-    return numeric_rank(stacked, tol) == r1
+    return numeric_rank(stacked) == r1

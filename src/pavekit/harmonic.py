@@ -16,7 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractViolation, _complex_to_pairs, _pairs_to_complex
+from .core import ContractViolation, _complex_to_pairs, _pairs_to_complex, within
+
+TT3_REL_TOL = 1e-10     # slack of tt3_identity_check, times 1 + sup|g|^2
+KADEC_MARGIN = 0.05     # how far lambda_min may fall below the Kadec bound
 
 __all__ = [
     "GridFunction", "grid_indicator", "translate", "translate_average",
@@ -140,17 +143,17 @@ def shift_covariance_residual(g, k, res, ell):
     return float(np.abs(shifted.values - phase * comp.values).max())
 
 
-def tt3_identity_check(g, k, rel_tol=1e-10):
+def tt3_identity_check(g, k):
     """sum_res |g_res|^2 == translate_average(g, K) exactly on the grid.
 
-    Returns (ok, residual); the tolerance scales with 1 + sup|g|^2.
+    Returns (ok, residual); the slack is TT3_REL_TOL * (1 + sup|g|^2).
     """
     avg = translate_average(g, k)
     acc = np.zeros(g.N)
     for res in range(k):
         acc += np.abs(gk_component(g, k, res).values) ** 2
     resid = float(np.abs(acc - avg.values).max())
-    return resid <= rel_tol * (1.0 + g.sup_sq()), resid
+    return resid <= TT3_REL_TOL * (1.0 + g.sup_sq()), resid
 
 
 def uniform_paving_criterion(g, k, epsilon):
@@ -303,8 +306,8 @@ def distribution_check(g, freq_blocks, epsilon):
         sec = toeplitz_section(g, blk)
         w = np.linalg.eigvalsh(sec)
         lo, hi = float(w[0]), float(w[-1])
-        inside = lo >= (1.0 - epsilon) * mean - 1e-12 and \
-            hi <= (1.0 + epsilon) * mean + 1e-12
+        inside = within((1.0 - epsilon) * mean, lo) and \
+            within(hi, (1.0 + epsilon) * mean)
         ok = ok and inside
         per.append({"freqs": [int(x) for x in blk], "min": lo, "max": hi,
                     "inside": bool(inside)})
@@ -414,8 +417,7 @@ def christensen_bounds(a, b, lam, mu):
     }
 
 
-def kadec_empirical_check(n_max, delta_max=None, seed=0, deltas=None,
-                          margin=0.05):
+def kadec_empirical_check(n_max, delta_max=None, seed=0, deltas=None):
     """Gram spectrum of a perturbed exponential system on the unit interval
     against the predicted lower bound.
 
@@ -423,7 +425,7 @@ def kadec_empirical_check(n_max, delta_max=None, seed=0, deltas=None,
     (seeded uniform draws unless explicit deltas are given).  Gram entries
     come from the closed-form integral of a unimodular exponential, so the
     only numerics here are one Hermitian eigensolve.  Passes when
-    lambda_min >= predicted lower - margin.
+    lambda_min >= predicted lower - KADEC_MARGIN.
     """
     if n_max < 0:
         raise ContractViolation("need n_max >= 0")
@@ -450,6 +452,6 @@ def kadec_empirical_check(n_max, delta_max=None, seed=0, deltas=None,
         "lambda_min": float(w[0]), "lambda_max": float(w[-1]),
         "delta_sup": sup, "predicted_lower": bound["lower"],
         "predicted_upper": bound["upper"], "valid_radius": bound["valid"],
-        "passed": bool(w[0] >= bound["lower"] - margin),
+        "passed": bool(w[0] >= bound["lower"] - KADEC_MARGIN),
         "seed": None if deltas is not None else int(seed),
     }

@@ -20,14 +20,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    DEFAULT_TOL,
+    CHECK_TOL,
     EXHAUSTIVE_INDEX_MAX,
+    LOCAL_MOVE_BUDGET,
     PARTITION_BUDGET,
+    WKHB_MOVE_BUDGET,
     BudgetExceeded,
     ContractViolation,
     Partition,
     block_spectrum,
     ensure_matrix,
+    ensure_projection,
+    ensure_unit_norm,
     operator_norm,
     sym_eig,
     within,
@@ -195,6 +199,9 @@ def _exhaustive_search(m, r_max, cost):
     incumbent is replaced only on a strict <, as in a full scan, so the
     result is the first optimal partition in enumeration order.
     evaluated counts the complete partitions reached.
+
+    Every block cost must be >= 0 (norms and clipped eigenvalues are), so
+    no partition beats a value of 0.0 and the walk stops at the first one.
     """
     get = _block_cost_cache(cost)
     best, best_labels = None, None
@@ -213,15 +220,16 @@ def _exhaustive_search(m, r_max, cost):
         if best is None or val < best:
             best, best_labels = val, tuple(labels)
             limit = val + _ROUND_SLACK * (1.0 + val)
-        return False
+        return best == 0.0
 
     _rgs_walk(m, r_max, get, admit, leaf, -float("inf"))
     part = Partition(best_labels, max(best_labels) + 1)
     return part, best, evaluated
 
 
-def _local_search(m, r_max, cost, seed, max_moves=2000):
-    """Steepest-descent single-index moves on (max block cost, block mass).
+def _local_search(m, r_max, cost, seed):
+    """Steepest-descent single-index moves on (max block cost, block mass),
+    at most LOCAL_MOVE_BUDGET of them.
 
     The mass tie-break is the sum of squared block costs, which lets moves
     drain weight out of non-binding blocks; the primary objective is
@@ -246,10 +254,7 @@ def _local_search(m, r_max, cost, seed, max_moves=2000):
 
     cur = objective(labels)
     evaluated = 1
-    moves = 0
-    improved = True
-    while improved and moves < max_moves:
-        improved = False
+    for _ in range(LOCAL_MOVE_BUDGET):
         best_move, best_val = None, cur
         for i in range(m):
             old = labels[i]
@@ -262,11 +267,10 @@ def _local_search(m, r_max, cost, seed, max_moves=2000):
                 if val < best_val:
                     best_val, best_move = val, (i, b)
                 labels[i] = old
-        if best_move is not None:
-            labels[best_move[0]] = best_move[1]
-            cur = best_val
-            moves += 1
-            improved = True
+        if best_move is None:
+            break
+        labels[best_move[0]] = best_move[1]
+        cur = best_val
     part = Partition(tuple(labels), r_max, allow_empty=True).canonical()
     per = [get(_block_mask(b)) for b in part.blocks()]
     return part, max(per), evaluated
@@ -290,7 +294,7 @@ def _search(m, r_max, cost, seed, flags, mode="auto"):
     return _local_search(m, r_max, cost, seed) + ("local",)
 
 
-def _pricing(form, a, epsilon, bound=None, tol=DEFAULT_TOL):
+def _pricing(form, a, epsilon, bound=None):
     """(block cost, target, scale, flags) of a paving form on the matrix its
     blocks are read from: T for "matrix" (compressions of T - D(T), target
     epsilon times ||T - D(T)||), the projection for "projection" (target
@@ -308,11 +312,11 @@ def _pricing(form, a, epsilon, bound=None, tol=DEFAULT_TOL):
         key, actual = "diag_delta", delta_diag(a)
     elif form == "weaver":
         cost, target, scale = _gram_block_top(a), bound - epsilon, float(bound)
-        key, actual = "bessel_actual", float(max(sym_eig(a, tol)[0][-1], 0.0))
+        key, actual = "bessel_actual", float(max(sym_eig(a)[0][-1], 0.0))
     else:
         raise ContractViolation(f"unknown paving form {form!r}")
     flags = {key: actual}
-    if bound is not None and actual > bound + tol.check_tol:
+    if bound is not None and actual > bound + CHECK_TOL:
         flags["precondition_violated"] = True
     return cost, target, scale, flags
 
@@ -328,9 +332,9 @@ def _priced(form, cost, part, target, scale, mode, evaluated, flags):
                         scale=scale, flags=flags)
 
 
-def _pave(form, a, r_max, epsilon, bound, mode, seed, tol=DEFAULT_TOL):
+def _pave(form, a, r_max, epsilon, bound, mode, seed):
     """The report of a search for the best partition of a's indices."""
-    cost, target, scale, flags = _pricing(form, a, epsilon, bound, tol)
+    cost, target, scale, flags = _pricing(form, a, epsilon, bound)
     part, _, evaluated, mode = _search(len(a), r_max, cost, seed, flags, mode)
     return _priced(form, cost, part, target, scale, mode, evaluated, flags)
 
@@ -349,8 +353,7 @@ def pave_matrix_check(t, r_max, epsilon, mode="auto", seed=0):
     return _pave("matrix", _offdiag(t), r_max, epsilon, None, mode, seed)
 
 
-def pave_projection_check(p, r_max, epsilon, delta=None, mode="auto", seed=0,
-                          tol=DEFAULT_TOL):
+def pave_projection_check(p, r_max, epsilon, delta=None, mode="auto", seed=0):
     """Search for a partition with every ||Q_A P Q_A|| <= 1 - epsilon,
     in the modes of pave_matrix_check.
 
@@ -358,14 +361,8 @@ def pave_projection_check(p, r_max, epsilon, delta=None, mode="auto", seed=0,
     diagonal bound delta is supplied and delta_diag(p) exceeds it, the
     report is flagged precondition_violated instead of failing.
     """
-    p = ensure_matrix(p, "projection")
-    if p.shape[0] != p.shape[1]:
-        raise ContractViolation("projection must be square")
-    slack = tol.check_tol * (1.0 + np.abs(p).max())
-    if np.abs(p @ p - p).max() > slack or \
-            np.abs(p - p.conj().T).max() > slack:
-        raise ContractViolation("matrix is not an orthogonal projection")
-    return _pave("projection", p, r_max, epsilon, delta, mode, seed, tol)
+    return _pave("projection", ensure_projection(p), r_max, epsilon, delta,
+                 mode, seed)
 
 
 def _gram_block_top(g):
@@ -374,7 +371,7 @@ def _gram_block_top(g):
     return lambda blk: float(max(block_spectrum(g, blk)[-1], 0.0))
 
 
-def weaver_check(fr, bessel, epsilon, r_max, seed=0, tol=DEFAULT_TOL):
+def weaver_check(fr, bessel, epsilon, r_max, seed=0):
     """Partition a unit-norm family so every block frame operator stays
     below bessel - epsilon.
 
@@ -382,14 +379,12 @@ def weaver_check(fr, bessel, epsilon, r_max, seed=0, tol=DEFAULT_TOL):
     the block frame operator).  Unit norms and the stated Bessel bound are
     preconditions; a violated Bessel bound yields a flagged report.
     """
-    norms = np.linalg.norm(fr.synthesis, axis=0)
-    if np.abs(norms - 1.0).max() > tol.check_tol:
-        raise ContractViolation("weaver_check needs unit-norm vectors")
+    ensure_unit_norm(fr)
     return _pave("weaver", gram_matrix(fr), r_max, epsilon, bessel, "auto",
-                 seed, tol)
+                 seed)
 
 
-def wkhb_partition(a, r, seed=0, max_moves=10**6):
+def wkhb_partition(a, r, seed=0):
     """Partition indices so each in-block row mass is at most every
     cross-block row mass.
 
@@ -398,7 +393,8 @@ def wkhb_partition(a, r, seed=0, max_moves=10**6):
     mass; the total in-block mass strictly decreases by a positive amount
     each move, so the loop reaches a fixed point.  At the fixed point the
     certificate holds, and consequently each in-block row mass is at most
-    that row's total mass divided by r.
+    that row's total mass divided by r.  Past WKHB_MOVE_BUDGET moves it
+    raises BudgetExceeded.
     """
     a = ensure_matrix(a, "mass matrix")
     m = a.shape[0]
@@ -420,8 +416,7 @@ def wkhb_partition(a, r, seed=0, max_moves=10**6):
     onehot = np.zeros((m, r))
     onehot[np.arange(m), labels] = 1.0
     masses = a @ onehot                     # masses[i, b] = mass from i into block b
-    moves = 0
-    while moves < max_moves:
+    for moves in range(WKHB_MOVE_BUDGET):
         cur = masses[np.arange(m), labels]
         best = masses.min(axis=1)
         movable = np.nonzero(best < cur)[0]
@@ -433,7 +428,6 @@ def wkhb_partition(a, r, seed=0, max_moves=10**6):
         labels[i] = b
         masses[:, old] -= a[:, i]
         masses[:, b] += a[:, i]
-        moves += 1
     else:
         raise BudgetExceeded("wkhb_partition did not stabilize in budget")
     part = Partition(tuple(int(b) for b in labels), r, allow_empty=True)
@@ -442,8 +436,8 @@ def wkhb_partition(a, r, seed=0, max_moves=10**6):
     masses = a @ onehot                     # recompute to shed update roundoff
     in_mass = masses[np.arange(m), labels]
     row_tot = a.sum(axis=1)
-    certified = bool(np.all(in_mass <= masses.min(axis=1) + 1e-12) and
-                     np.all(in_mass <= row_tot / r + 1e-12))
+    certified = bool(np.all(within(in_mass, masses.min(axis=1))) and
+                     np.all(within(in_mass, row_tot / r)))
     return {
         "partition": part,
         "in_block_mass": in_mass.copy(),

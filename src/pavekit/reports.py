@@ -12,7 +12,8 @@ verify build its results with the same function below.  A search is not
 repeated; its certificate (partition, worst subset, witness) is re-priced,
 and the fields only the search itself could reproduce (mode, evaluated,
 search flags) are rebuilt as UNCHECKED, except that pave and weaver
-rebuild their flags and hold the mode to the configured one.  The
+rebuild their flags and hold the mode to the configured one, tp1's flags
+must hold the configured seed and dilate's meta the configured mode.  The
 polynomial complement-property decision behind phase is re-run, because
 its positive verdict has no short certificate.
 """
@@ -40,6 +41,7 @@ from .core import (
     matrix_from_json,
     matrix_to_json,
     numeric_rank,
+    operator_norm,
     within,
 )
 from .frames import gram_matrix, parseval_normalize, spectral_summary
@@ -281,7 +283,7 @@ def _radohorn(part, witness):
 # ---------------------------------------------------------------------------
 
 _MATCH_TOL = 1e-9
-# Float slack of _match per command, as (tol, relative); see _close.  The
+# Float slack of _match per command, as (bound, relative); see _close.  The
 # closed forms of kadec are re-evaluated to 1e-12.  Subspace vectors and
 # toeplitz residuals are compared absolutely, since their size is not a
 # scale for their rounding.
@@ -293,10 +295,10 @@ _SLACK = {"kadec": (1e-12, True), "subspace": (1e-9, False),
 UNCHECKED = object()
 
 
-def _close(x, y, tol=_MATCH_TOL, relative=True):
-    """|x - y| <= tol, times max(1, |x|, |y|) when relative."""
+def _close(x, y, bound=_MATCH_TOL, relative=True):
+    """|x - y| <= bound, times max(1, |x|, |y|) when relative."""
     x, y = float(x), float(y)
-    return abs(x - y) <= tol * (max(1.0, abs(x), abs(y)) if relative else 1.0)
+    return abs(x - y) <= bound * (max(1.0, abs(x), abs(y)) if relative else 1.0)
 
 
 def _match(stored, got, slack=(_MATCH_TOL, True), path="results"):
@@ -437,8 +439,9 @@ def _verify_phase(payload):
 
 def _verify_dilate(payload):
     """Checks that the stored projection dilates the input instead of
-    re-running the dilation, and hands the checked matrices back."""
-    if payload["config"].get("mode") not in ("naimark", "operator"):
+    re-running the dilation, hands the checked matrices back and rebuilds meta."""
+    mode = payload["config"].get("mode")
+    if mode not in ("naimark", "operator"):
         raise ContractViolation("dilate mode must be naimark or operator")
     original = matrix_from_json(_load_input(payload, "input"))
     res = payload["results"]
@@ -458,10 +461,14 @@ def _verify_dilate(payload):
     if not _close(np.real(np.trace(p)), rank, 1e-6):
         raise ContractViolation("projection trace does not match the rank")
     added = fr[:, k:]
+    meta = {"mode": mode, "n": rank, "M": fr.shape[1]}
+    if mode == "operator":      # norm one leaves the top eigenvector out
+        meta.update(norm_one=added.shape[1] == rank - 1,
+                    operator_norm=operator_norm(original))
     return {"ambient_dim": p.shape[0], "projection": res["projection"],
             "embedding": res["embedding"], "frame": res["frame"],
             "added_vectors": matrix_to_json(added) if added.size else None,
-            "meta": UNCHECKED, "rank": rank}
+            "meta": meta, "rank": rank}
 
 
 def _repaved(payload, form, a, bound=None):
@@ -520,7 +527,8 @@ def _verify_decompose(payload):
         ok = bool(per) and all(within(d, config["delta"]) and within(d, delta)
                                for d in per)
         return Tp1Report(ok, part, UNCHECKED if part else 0, k, bessel, delta,
-                         per, mass_bound, UNCHECKED).to_json()
+                         per, mass_bound,
+                         dict(res["flags"], seed=config["seed"])).to_json()
     if criterion == "riesz":
         wanted = (1.0 - config["epsilon"], 1.0 + config["epsilon"])
     elif criterion == "feichtinger":

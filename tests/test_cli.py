@@ -1,5 +1,8 @@
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -40,6 +43,38 @@ def test_gen_analyze_verify_cycle(tmp_path, capsys):
     assert run("verify", "--report", str(rep)) == 0
     out = capsys.readouterr().out
     assert '"verified": true' in out
+
+
+def _callables(mod):
+    """Every function and method defined in module mod."""
+    for _, obj in inspect.getmembers(mod):
+        if getattr(obj, "__module__", None) != mod.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield obj
+        elif inspect.isclass(obj):
+            for _, fn in inspect.getmembers(obj, inspect.isroutine):
+                if getattr(fn, "__module__", None) == mod.__name__:
+                    yield fn
+
+
+def test_tolerances_are_constants_not_parameters(tmp_path):
+    knobs = {"tol", "rel_tol", "max_moves", "backtracks", "margin"}
+    found = []
+    for info in pkgutil.iter_modules(pavekit.__path__):
+        mod = importlib.import_module(f"pavekit.{info.name}")
+        for fn in _callables(mod):
+            hit = knobs & set(inspect.signature(fn).parameters)
+            if hit:
+                found.append((mod.__name__, fn.__qualname__, sorted(hit)))
+    assert found == []
+    assert not hasattr(pavekit, "Tolerances")
+    assert not hasattr(pavekit, "DEFAULT_TOL")
+    rep = tmp_path / "an.json"
+    assert run("analyze", "--input", str(_gen_frame(tmp_path, n=2, M=4)),
+               "--report", str(rep)) == 0
+    summary = load_report(str(rep))["payload"]["results"]["summary"]
+    assert summary["check_tol"] == 1e-8
 
 
 def test_gen_requires_seed_for_random(tmp_path):

@@ -7,7 +7,6 @@ from pavekit.core import (
     ContractViolation,
     Frame,
     Partition,
-    Tolerances,
     count_partitions,
     ensure_matrix,
     enumerate_partitions,
@@ -162,11 +161,6 @@ def test_operator_norm_and_rank():
     assert abs(operator_norm(a) - 3.0) < 1e-12
     assert numeric_rank(a) == 2
     assert numeric_rank(np.zeros((3, 3))) == 0
-
-
-def test_tolerances_validation():
-    with pytest.raises(ContractViolation):
-        Tolerances(eig_tol=-1e-9)
 
 
 def test_frame_shape_contract():

@@ -332,3 +332,16 @@ def test_walk_finishes_past_the_old_stirling_cap(tmp_path, m, r):
     for seed in range(5):
         local = pave_matrix_check(h, r, 0.5, mode="local", seed=seed)
         assert res["achieved"] <= local.achieved
+
+
+def test_a_zero_leaf_ends_the_walk(tmp_path):
+    # every block cost is >= 0, so the first partition of value 0.0 is
+    # optimal; the tie-heavy zero matrix no longer walks the whole budget
+    rep = tmp_path / "pave.json"
+    assert main(["pave", "--input", _write_matrix(tmp_path, np.zeros((14, 14))),
+                 "--mode", "exhaustive", "--r-max", "4", "--epsilon", "0.5",
+                 "--report", str(rep)]) == 0
+    res = load_report(str(rep))["payload"]["results"]
+    assert res["mode"] == "exhaustive" and res["evaluated"] == 1
+    assert res["achieved"] == 0.0 and res["verdict"] is True
+    assert verify(str(rep)) == (True, [])

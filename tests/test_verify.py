@@ -98,6 +98,10 @@ PAYLOAD_FORGERIES = {
     "riesz-seed": ("riesz", lambda p: p["config"].update(seed=[])),
     "tp1-seed": ("tp1", lambda p: p["config"].update(seed=[])),
     "dilate-mode": ("dilate", lambda p: p["config"].update(mode=None)),
+    "dilate-relabeled": ("dilate", lambda p: p["config"].update(
+        mode="operator")),
+    "tp1-other-seed": ("tp1", lambda p: p["config"].update(
+        seed=p["config"]["seed"] + 1)),
 }
 
 
