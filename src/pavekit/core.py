@@ -120,9 +120,17 @@ def sym_eig(m):
     return w, v
 
 
-# Most bytes block_spectra stacks for one eigvalsh call.  A module constant,
-# not a parameter, so a scan's memory stays flat however many subsets it has.
+# Most bytes stacked for one batched eigvalsh, svd or lstsq call, a constant
+# so a scan's memory stays flat however many subsets or trials it has.
 BLOCK_STACK_BYTES = 256 * 1024
+
+
+def stacks(items, size):
+    """items, read lazily, in lists of BLOCK_STACK_BYTES // size (min 1)."""
+    items = iter(items)
+    while chunk := list(itertools.islice(
+            items, max(1, BLOCK_STACK_BYTES // max(size, 1)))):
+        yield chunk
 
 
 def block_spectra(a, subsets, frame=False):
@@ -168,6 +176,18 @@ def numeric_rank(m):
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > RANK_TOL * s[0] * max(m.shape)))
+
+
+def subset_ranks(t, subsets):
+    """numeric_rank of each t[:, S] (0 for an empty S), as one int array:
+    stacked as in block_spectra, one svd per stack, bit for bit the same."""
+    n, ranks = t.shape[0], [np.zeros(0, dtype=np.intp)]
+    for k, run in itertools.groupby(subsets, len):
+        for chunk in stacks(run, t.itemsize * n * k):
+            idx = np.array(chunk, dtype=np.intp).reshape(len(chunk), k)
+            s = np.linalg.svd(t[:, idx].transpose(1, 0, 2), compute_uv=False)
+            ranks.append(np.sum(s > RANK_TOL * s[:, :1] * max(n, k), axis=1))
+    return np.concatenate(ranks)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ import numpy as np
 from .core import (
     BIPARTITION_INDEX_MAX,
     CHECK_TOL,
-    RANK_TOL,
     SUBSET_BUDGET,
     BudgetExceeded,
     ContractViolation,
@@ -27,6 +26,8 @@ from .core import (
     block_spectra,
     block_spectrum,
     numeric_rank,
+    stacks,
+    subset_ranks,
     within,
 )
 from .frames import frame_operator, gram_matrix
@@ -194,28 +195,23 @@ def _complement_witness(t):
     n - 1, so the candidates are the flats F = {i : [S, f_i] has rank
     n - 1} of the (n - 1)-subsets S of rank n - 1: C(M, n - 1) of them,
     not 2^(M - 1).  Ranks follow numeric_rank's cutoff throughout.
+    Stacks of S whose flat tests fill a quarter of BLOCK_STACK_BYTES (their
+    index tuples and copies fill the rest) take three subset_ranks calls.
     """
-    n, m = t.shape
-    seen = set()
-    for s in itertools.combinations(range(m), n - 1):
-        s = list(s)
-        if s and numeric_rank(t[:, s]) != n - 1:
-            continue
-        stacks = np.empty((m, n, n))
-        stacks[:, :, :n - 1] = t[:, s]
-        stacks[:, :, n - 1] = t.T
-        sv = np.linalg.svd(stacks, compute_uv=False)
-        ranks = np.sum(sv > RANK_TOL * sv[:, :1] * n, axis=1)
-        flat = tuple(np.flatnonzero(ranks == n - 1).tolist())
-        if flat in seen:
-            continue
-        seen.add(flat)
-        inside = set(flat)
-        rest = [i for i in range(m) if i not in inside]
-        side, comp = (list(flat), rest) if 0 in inside else (rest, list(flat))
-        if numeric_rank(t[:, side]) < n and \
-                (not comp or numeric_rank(t[:, comp]) < n):
-            return {"side": side, "complement": comp}
+    (n, m), seen = t.shape, set()
+    for chunk in stacks(itertools.combinations(range(m), n - 1),
+                        4 * t.itemsize * m * n * n):
+        good = [s for s, r in zip(chunk, subset_ranks(t, chunk)) if r == n - 1]
+        tests = subset_ranks(t, ((*s, i) for s in good for i in range(m)))
+        flats = [f for f in dict.fromkeys(tuple(np.flatnonzero(row).tolist())
+                 for row in tests.reshape(len(good), m) == n - 1)
+                 if f not in seen]
+        seen.update(flats)
+        rests = [tuple(sorted(set(range(m)).difference(f))) for f in flats]
+        low = subset_ranks(t, flats + rests).reshape(2, len(flats)) < n
+        for flat, rest in itertools.compress(zip(flats, rests), low.all(0)):
+            side, comp = (flat, rest) if 0 in flat else (rest, flat)
+            return {"side": list(side), "complement": list(comp)}
     return None
 
 
@@ -228,48 +224,46 @@ def phase_retrieval_check(fr, trials=10**4, seed=0):
     solves for vectors matching the absolute analysis coefficients of
     random inputs under random sign patterns (the two uniform patterns are
     always included so at least two solvable instances exist) and every
-    solvable instance must recover the input up to a global sign.
+    solvable instance must recover the input up to a global sign.  A stack
+    of trials, sized so eight (trials, M) arrays fit BLOCK_STACK_BYTES, is
+    one least-squares solve with a column per trial.
     """
+    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 0:
+        raise ContractViolation("trials must be a non-negative integer")
     if np.iscomplexobj(fr.synthesis) and np.abs(fr.synthesis.imag).max() > 0.0:
         raise ContractViolation("sign-blind recovery check is real-case only")
     m, n = fr.M, fr.n
-    total = math.comb(m, n - 1)
-    if total > SUBSET_BUDGET:
+    if (total := math.comb(m, n - 1)) > SUBSET_BUDGET:
         raise BudgetExceeded(
             f"{total} candidate hyperplanes exceed the {SUBSET_BUDGET} "
             "subset budget")
     t = np.real(fr.synthesis)
-    rank_full = numeric_rank(t)
     report = {"verdict": False, "witness": None, "trials": 0,
               "solvable": 0, "failures": 0, "seed": int(seed)}
-    if rank_full < n:
+    if numeric_rank(t) < n:
         report["witness"] = {"side": list(range(m)), "complement": []}
         return report
     report["witness"] = _complement_witness(t)
     if report["witness"] is not None:
         return report
     rng = np.random.default_rng(seed)
-    analysis = t.T
     solvable = failures = 0
-    for trial in range(trials):
-        f = rng.standard_normal(n)
-        c = analysis @ f
-        if trial == 0:
-            signs = np.ones(m)
-        elif trial == 1:
-            signs = -np.ones(m)
-        else:
-            signs = rng.choice([-1.0, 1.0], size=m)
-        target = signs * c
-        gvec, *_ = np.linalg.lstsq(analysis, target, rcond=None)
-        resid = float(np.abs(analysis @ gvec - target).max())
-        if resid > 1e-9 * max(1.0, float(np.abs(c).max())):
-            continue  # the sign pattern is not realizable; nothing to test
-        solvable += 1
-        gap = min(float(np.linalg.norm(gvec - f)),
-                  float(np.linalg.norm(gvec + f)))
-        if gap > 1e-6 * (1.0 + float(np.linalg.norm(f))):
-            failures += 1
+    for chunk in stacks(range(trials), 8 * t.itemsize * m):
+        f, signs = np.empty((len(chunk), n)), np.ones((len(chunk), m))
+        for j, trial in enumerate(chunk):   # the stream rng.choice draws
+            rng.standard_normal(out=f[j])
+            if trial:
+                signs[j] = rng.integers(0, 2, size=m) if trial > 1 else 0.0
+        signs = 2.0 * signs - 1.0       # 0 and 1 become -1 and +1
+        c = np.einsum("jn,nm->jm", f, t)  # @ would page in gemm buffers
+        g = np.linalg.lstsq(t.T, (signs * c).T, rcond=None)[0].T
+        # an unrealizable sign pattern has nothing to test
+        resid = np.abs(np.einsum("jn,nm->jm", g, t) - signs * c).max(axis=1)
+        ok = ~(resid > 1e-9 * np.maximum(1.0, np.abs(c).max(axis=1)))
+        bad = np.linalg.norm(g - [f, -f], axis=2).min(axis=0) > \
+            1e-6 * (1.0 + np.linalg.norm(f, axis=1))
+        solvable += int(ok.sum())
+        failures += int((ok & bad).sum())
     report.update({"verdict": failures == 0, "trials": trials,
                    "solvable": solvable, "failures": failures})
     return report

@@ -14,21 +14,29 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from frame_cases import oracle_frames
 import pavekit
 from pavekit import core
 from pavekit.core import (
+    RANK_TOL,
     ContractViolation,
     Frame,
     block_spectra,
     block_spectrum,
     gen_harmonic_frame,
     gen_random_unit_frame,
+    numeric_rank,
+    subset_ranks,
 )
 from pavekit.decomposition import (
     restricted_isometry,
     restricted_isometry_sampled,
 )
-from pavekit.erasures import cc_partition_search, erasure_robustness
+from pavekit.erasures import (
+    cc_partition_search,
+    erasure_robustness,
+    phase_retrieval_check,
+)
 from pavekit.frames import gram_matrix, parseval_normalize
 
 
@@ -290,3 +298,78 @@ def test_cc_partition_matches_per_subset_oracle(monkeypatch, cap):
         assert _bits(res["best_value"]) == _bits(value)
         assert res["partition"].blocks() == [side, comp]
         assert res["scanned"] == scanned == 2 ** (fr.M - 1) - 1
+
+
+# ---------------------------------------------------------------------------
+# stacked numeric ranks
+# ---------------------------------------------------------------------------
+
+def _rank_matrices():
+    """Random, rank-deficient, all-zero, near-cutoff, complex and n = 1
+    families."""
+    rng = np.random.default_rng(5)
+    yield rng.standard_normal((4, 7))
+    yield rng.standard_normal((3, 2)) @ rng.standard_normal((2, 7))
+    yield np.zeros((3, 6))
+    # orthogonal columns of length 1, 1 and RANK_TOL * 3 * (1 -+ 1e-3):
+    # columns 0-2 sit just under and just over the cutoff
+    # RANK_TOL * sigma_max * max(3, 3)
+    base = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    for off in (1 - 1e-3, 1 + 1e-3):
+        yield np.column_stack([base[:, 0], base[:, 1],
+                               RANK_TOL * 3 * off * base[:, 2], base[:, 1]])
+    # singular values sqrt(2), 1 and RANK_TOL * sqrt(2) * 3.5: the last
+    # counts for 3 columns and not for all 4, whose cutoff has max(3, 4)
+    yield np.column_stack([base[:, 0], base[:, 1], base[:, 1],
+                           RANK_TOL * np.sqrt(2) * 3.5 * base[:, 2]])
+    yield gen_random_unit_frame(3, 6, 2, "complex").synthesis
+    yield rng.standard_normal((1, 5)) * (rng.random(5) < 0.5)
+
+
+@pytest.mark.parametrize("cap", CAPS)
+def test_subset_ranks_match_numeric_rank(monkeypatch, cap):
+    _cap(monkeypatch, cap)
+    ranks_seen = set()
+    for t in _rank_matrices():
+        m = t.shape[1]
+        # mixed sizes, repeated columns and empty index lists, in one stream
+        subsets = [s for k in range(0, min(m, 5) + 1)
+                   for s in itertools.combinations(range(m), k)]
+        subsets += [(0, 0), (1, 1, 2), (), (m - 1, 0, m - 1)]
+        got = subset_ranks(t, iter(subsets))
+        want = [numeric_rank(t[:, list(s)]) if s else 0 for s in subsets]
+        assert got.tolist() == want
+        ranks_seen.update(want)
+    assert ranks_seen == {0, 1, 2, 3, 4}
+    assert subset_ranks(np.eye(2), []).tolist() == []
+
+
+def test_subset_ranks_sees_the_cutoff():
+    under, over, wide = list(_rank_matrices())[3:6]
+    assert [subset_ranks(t, [(0, 1, 2)])[0] for t in (under, over)] == [2, 3]
+    assert subset_ranks(wide, [(1, 2, 3), (0, 1, 3), (0, 1, 2, 3)]).tolist() \
+        == [2, 3, 2]
+
+
+def test_no_hand_copied_rank_scans():
+    """erasures and reports call no svd of their own: their rank scans
+    go through core.subset_ranks."""
+    found = []
+    for name in ("erasures.py", "reports.py"):
+        path = Path(pavekit.__file__).parent / name
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "svd":
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
+# 200 bytes puts every stacked S, flat test and trial in its own few-item
+# stack; 600 splits the runs unevenly
+@pytest.mark.parametrize("cap", [200, 600])
+def test_phase_payloads_do_not_depend_on_stacking(monkeypatch, cap):
+    frames = list(oracle_frames(1, 40)) + [gen_random_unit_frame(4, 13, 5)]
+    want = [phase_retrieval_check(fr, trials=25, seed=3) for fr in frames]
+    _cap(monkeypatch, cap)
+    got = [phase_retrieval_check(fr, trials=25, seed=3) for fr in frames]
+    assert got == want
+    assert {rep["verdict"] for rep in got} == {True, False}

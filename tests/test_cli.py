@@ -166,6 +166,16 @@ def test_budget_exits_3(tmp_path):
     assert run("phase", "--input", str(f)) == 3
 
 
+def test_negative_trials_exit_2(tmp_path, capsys):
+    f = _gen_frame(tmp_path, kind="random-unit", n=2, M=5, seed=1)
+    rep = tmp_path / "ph.json"
+    assert run("phase", "--input", str(f), "--trials", "-3",
+               "--report", str(rep)) == 2
+    err = capsys.readouterr().err
+    assert "trials must be a non-negative integer" in err
+    assert "Traceback" not in err and not rep.exists()
+
+
 def test_verdict_false_still_exits_0(tmp_path, capsys):
     f = _gen_frame(tmp_path, n=2, M=6)
     rep = tmp_path / "w.json"

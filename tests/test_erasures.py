@@ -1,10 +1,12 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from frame_cases import oracle_frames
 from pavekit.core import (
+    RANK_TOL,
     BudgetExceeded,
     ContractViolation,
     Frame,
@@ -154,3 +156,133 @@ def test_phase_retrieval_rank_deficient():
     rep = phase_retrieval_check(fr, trials=10, seed=0)
     assert not rep["verdict"]
     assert rep["witness"]["side"] == [0, 1]
+
+
+# ---------------------------------------------------------------------------
+# the per-subset scan and per-trial loop the stacked phase route replaced,
+# kept as oracles
+# ---------------------------------------------------------------------------
+
+def _complement_witness_oracle(t):
+    n, m = t.shape
+    seen = set()
+    for s in itertools.combinations(range(m), n - 1):
+        s = list(s)
+        if s and numeric_rank(t[:, s]) != n - 1:
+            continue
+        stacks = np.empty((m, n, n))
+        stacks[:, :, :n - 1] = t[:, s]
+        stacks[:, :, n - 1] = t.T
+        sv = np.linalg.svd(stacks, compute_uv=False)
+        ranks = np.sum(sv > RANK_TOL * sv[:, :1] * n, axis=1)
+        flat = tuple(np.flatnonzero(ranks == n - 1).tolist())
+        if flat in seen:
+            continue
+        seen.add(flat)
+        inside = set(flat)
+        rest = [i for i in range(m) if i not in inside]
+        side, comp = (list(flat), rest) if 0 in inside else (rest, list(flat))
+        if numeric_rank(t[:, side]) < n and \
+                (not comp or numeric_rank(t[:, comp]) < n):
+            return {"side": side, "complement": comp}
+    return None
+
+
+def _trials_oracle(t, trials, seed):
+    n, m = t.shape
+    rng = np.random.default_rng(seed)
+    analysis = t.T
+    solvable = failures = 0
+    for trial in range(trials):
+        f = rng.standard_normal(n)
+        c = analysis @ f
+        if trial == 0:
+            signs = np.ones(m)
+        elif trial == 1:
+            signs = -np.ones(m)
+        else:
+            signs = rng.choice([-1.0, 1.0], size=m)
+        target = signs * c
+        gvec, *_ = np.linalg.lstsq(analysis, target, rcond=None)
+        resid = float(np.abs(analysis @ gvec - target).max())
+        if resid > 1e-9 * max(1.0, float(np.abs(c).max())):
+            continue
+        solvable += 1
+        gap = min(float(np.linalg.norm(gvec - f)),
+                  float(np.linalg.norm(gvec + f)))
+        if gap > 1e-6 * (1.0 + float(np.linalg.norm(f))):
+            failures += 1
+    return trials, solvable, failures
+
+
+def _phase_oracle(fr, trials, seed):
+    t = fr.synthesis
+    report = {"verdict": False, "witness": None, "trials": 0,
+              "solvable": 0, "failures": 0, "seed": seed}
+    if numeric_rank(t) < fr.n:
+        report["witness"] = {"side": list(range(fr.M)), "complement": []}
+    else:
+        report["witness"] = _complement_witness_oracle(t)
+    if report["witness"] is None:
+        done, solvable, failures = _trials_oracle(t, trials, seed)
+        report.update(verdict=failures == 0, trials=done,
+                      solvable=solvable, failures=failures)
+    return report
+
+
+def _sign_blind_frames():
+    yield from oracle_frames(0, 60)
+    yield gen_random_unit_frame(4, 13, 5)       # the benchmark's shape
+    yield Frame(np.tile(np.eye(3), 2))          # each side spans too little
+    yield Frame(np.ones((1, 3)))                # n = 1, no zero column
+
+
+def test_phase_matches_per_subset_and_per_trial_oracle():
+    verdicts, solved = set(), 0
+    for fr in _sign_blind_frames():
+        for seed in range(5):
+            for trials in (0, 1, 2, 37):
+                rep = phase_retrieval_check(fr, trials=trials, seed=seed)
+                assert rep == _phase_oracle(fr, trials, seed), \
+                    (fr.synthesis, seed, trials)
+                verdicts.add(rep["verdict"])
+                solved += rep["solvable"]
+    assert verdicts == {True, False} and solved > 0
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def test_sign_draws_are_the_choice_stream():
+    for seed in range(5):
+        for n, m in ((1, 1), (2, 3), (4, 13), (3, 64)):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(20):
+                assert np.array_equal(a.standard_normal(n),
+                                      b.standard_normal(n))
+                want = a.choice([-1.0, 1.0], size=m)
+                got = 2.0 * b.integers(0, 2, size=m) - 1.0
+                assert _bits(got) == _bits(want)
+            assert a.random() == b.random()
+
+
+def test_phase_trial_memory_does_not_grow_with_trials():
+    fr = gen_random_unit_frame(4, 13, 5)
+    peaks = {}
+    for trials in (500, 50_000):
+        tracemalloc.start()
+        try:
+            rep = phase_retrieval_check(fr, trials=trials, seed=1)
+            peaks[trials] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep["verdict"] and rep["trials"] == trials
+    # one whole-run array of 50,000 x 13 doubles alone is 5.2 MB
+    assert peaks[50_000] <= 2 * peaks[500], peaks
+
+
+@pytest.mark.parametrize("trials", [-1, -3, True, 2.0, "5", None])
+def test_phase_trials_must_be_a_non_negative_int(trials):
+    with pytest.raises(ContractViolation, match="trials"):
+        phase_retrieval_check(gen_random_unit_frame(2, 3, 4), trials=trials)

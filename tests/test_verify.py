@@ -102,6 +102,10 @@ PAYLOAD_FORGERIES = {
         mode="operator")),
     "tp1-other-seed": ("tp1", lambda p: p["config"].update(
         seed=p["config"]["seed"] + 1)),
+    # config and results as a phase run with --trials -1 used to write them
+    "phase-negative-trials": ("phase", lambda p: (
+        p["config"].update(trials=-1),
+        p["results"].update(trials=-1, solvable=0, failures=0))),
 }
 
 
