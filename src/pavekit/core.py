@@ -146,8 +146,7 @@ def block_spectra(a, subsets, frame=False):
     n = a.shape[0]
     for k, run in itertools.groupby(subsets, len):
         size = a.itemsize * (n * max(n, k) if frame else k * k)
-        while chunk := list(itertools.islice(
-                run, max(1, BLOCK_STACK_BYTES // max(size, 1)))):
+        for chunk in stacks(run, size):
             idx = np.array(chunk, dtype=np.intp).reshape(len(chunk), k)
             if frame:
                 t = a[:, idx].transpose(1, 0, 2)
@@ -170,17 +169,16 @@ def operator_norm(m):
 
 
 def numeric_rank(m):
-    """Count singular values above RANK_TOL * sigma_max * max(rows, cols)."""
+    """subset_ranks of all of m's columns."""
     m = ensure_matrix(m)
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > RANK_TOL * s[0] * max(m.shape)))
+    return int(subset_ranks(m, [range(m.shape[1])])[0])
 
 
 def subset_ranks(t, subsets):
-    """numeric_rank of each t[:, S] (0 for an empty S), as one int array:
-    stacked as in block_spectra, one svd per stack, bit for bit the same."""
+    """Numeric rank of each t[:, S] (0 for an empty S), as one int array:
+    the count of singular values above RANK_TOL * sigma_max * max(rows,
+    cols).  Stacked as in block_spectra, one svd per stack; each matrix
+    still gets the bits a lone svd would."""
     n, ranks = t.shape[0], [np.zeros(0, dtype=np.intp)]
     for k, run in itertools.groupby(subsets, len):
         for chunk in stacks(run, t.itemsize * n * k):

@@ -225,8 +225,8 @@ def phase_retrieval_check(fr, trials=10**4, seed=0):
     random inputs under random sign patterns (the two uniform patterns are
     always included so at least two solvable instances exist) and every
     solvable instance must recover the input up to a global sign.  A stack
-    of trials, sized so eight (trials, M) arrays fit BLOCK_STACK_BYTES, is
-    one least-squares solve with a column per trial.
+    of trials, sized so its eight (trials, M) arrays fill a quarter of
+    BLOCK_STACK_BYTES, is one least-squares solve with a column per trial.
     """
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 0:
         raise ContractViolation("trials must be a non-negative integer")
@@ -248,7 +248,7 @@ def phase_retrieval_check(fr, trials=10**4, seed=0):
         return report
     rng = np.random.default_rng(seed)
     solvable = failures = 0
-    for chunk in stacks(range(trials), 8 * t.itemsize * m):
+    for chunk in stacks(range(trials), 32 * t.itemsize * m):
         f, signs = np.empty((len(chunk), n)), np.ones((len(chunk), m))
         for j, trial in enumerate(chunk):   # the stream rng.choice draws
             rng.standard_normal(out=f[j])
