@@ -13,7 +13,6 @@ from .core import (
     ContractViolation,
     Frame,
     Partition,
-    count_partitions,
     enumerate_partitions,
     frame_from_json,
     frame_to_json,
@@ -24,30 +23,21 @@ from .core import (
     matrix_to_json,
     numeric_rank,
     operator_norm,
-    refine_partition,
 )
 from .frames import (
     SpectralSummary,
     analysis_matrix,
-    canonical_dual,
-    frame_bounds,
     frame_operator,
-    frames_equivalent,
     gram_matrix,
-    is_frame_sequence,
     parseval_normalize,
-    project_frame,
     spectral_summary,
-    subframe,
 )
-from .dilation import DilationResult, dilate_operator, naimark_dilate, parseval_complete
+from .dilation import DilationResult, dilate_operator, naimark_dilate
 from .paving import (
     PavingReport,
     delta_diag,
-    diagonal_projection,
     pave_matrix_check,
     pave_projection_check,
-    paving_norm,
     weaver_check,
     wkhb_partition,
 )
@@ -62,38 +52,25 @@ from .decomposition import (
     is_r_decomposable,
     mixed_norm,
     rado_horn_check,
-    rado_horn_partition,
     restricted_isometry,
-    restricted_isometry_sampled,
-    riesz_bounds,
     tp1_partition,
 )
 from .harmonic import (
     GridFunction,
     ap_blocks,
     christensen_bounds,
-    deviation_profile,
     distribution_check,
     example_e1_set,
     gk_component,
-    gk_component_by_mask,
     grid_indicator,
     kadec_bounds,
     kadec_empirical_check,
     montgomery_vaughan_theta,
-    shift_covariance_residual,
     toeplitz_section,
-    translate,
     translate_average,
     tt3_identity_check,
     uniform_feichtinger_criterion,
     uniform_paving_criterion,
 )
-from .erasures import (
-    ErasureReport,
-    cc_partition_search,
-    ccc_partition_search,
-    erasure_robustness,
-    phase_retrieval_check,
-)
-from .reports import load_report, make_report, payload_hash, verify, write_report
+from .erasures import ErasureReport, erasure_robustness, phase_retrieval_check
+from .reports import load_report, make_report, verify, write_report

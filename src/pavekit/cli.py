@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -63,6 +64,18 @@ __all__ = ["main", "build_parser"]
 def _read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def _finite_float(s):
+    """argparse type of every float option: anything but a finite number,
+    NaN and infinities included, exits 2."""
+    try:
+        x = float(s)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"{s!r} is not a finite number")
+    return x
 
 
 def _parse_ints(s):
@@ -213,7 +226,9 @@ def _cmd_radohorn(args):
     if ok:
         line = f"verdict=True blocks={part.r}"
     else:
-        line = f"verdict=False witness_ratio={witness['ratio']:.6g}"
+        ratio = witness["ratio"]       # None at rank 0
+        line = "verdict=False witness_ratio=" + (
+            "inf" if ratio is None else f"{ratio:.6g}")
     return {"r": args.r}, {"frame": input_record(args.input)}, results, line
 
 
@@ -339,7 +354,7 @@ def build_parser():
                    help="rescale the harmonic family to a Parseval one")
     p.add_argument("--N", type=int, help="grid size for e1-grid")
     p.add_argument("--levels", type=int, help="moduli 1..levels for e1-grid")
-    p.add_argument("--c", type=float, default=0.5)
+    p.add_argument("--c", type=_finite_float, default=0.5)
     p.add_argument("--out", required=True)
     _add_report(p)
     p.set_defaults(func=_cmd_gen)
@@ -361,19 +376,19 @@ def build_parser():
     p.add_argument("--form", choices=["matrix", "projection"],
                    default="matrix")
     p.add_argument("--r-max", type=int, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--epsilon", type=_finite_float, required=True)
     p.add_argument("--mode", choices=["auto", "exhaustive", "local"],
                    default="auto")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--delta", type=float,
+    p.add_argument("--delta", type=_finite_float,
                    help="diagonal bound precondition (projection form)")
     _add_report(p)
     p.set_defaults(func=_cmd_pave)
 
     p = sub.add_parser("weaver", help="two-sided block bound partition search")
     p.add_argument("--input", required=True)
-    p.add_argument("--bessel", type=float, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--bessel", type=_finite_float, required=True)
+    p.add_argument("--epsilon", type=_finite_float, required=True)
     p.add_argument("--r-max", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     _add_report(p)
@@ -384,10 +399,10 @@ def build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--criterion", required=True,
                    choices=["riesz", "feichtinger", "tp1"])
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--a-target", type=float)
+    p.add_argument("--epsilon", type=_finite_float)
+    p.add_argument("--a-target", type=_finite_float)
     p.add_argument("--s", type=int)
-    p.add_argument("--delta", type=float)
+    p.add_argument("--delta", type=_finite_float)
     p.add_argument("--r-max", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     _add_report(p)
@@ -416,7 +431,7 @@ def build_parser():
                         "the subspace")
     p.add_argument("--span", action="store_true",
                    help="orthonormalize the given columns first")
-    p.add_argument("--a", type=float, help="largeness level to test")
+    p.add_argument("--a", type=_finite_float, help="largeness level to test")
     p.add_argument("--blocks", help="coordinate partition, e.g. '0,1;2,3'")
     _add_report(p)
     p.set_defaults(func=_cmd_subspace)
@@ -427,7 +442,7 @@ def build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--k-list", required=True,
                    help="comma-separated moduli, each dividing N")
-    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--epsilon", type=_finite_float, required=True)
     p.add_argument("--stride", type=int,
                    help="also check progression sections at this stride")
     p.add_argument("--freq-min", type=int, default=0)
@@ -436,17 +451,17 @@ def build_parser():
     p.set_defaults(func=_cmd_toeplitz)
 
     p = sub.add_parser("kadec", help="perturbation stability bounds")
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--a", type=_finite_float, required=True)
+    p.add_argument("--b", type=_finite_float, required=True)
+    p.add_argument("--gamma", type=_finite_float, required=True)
+    p.add_argument("--delta", type=_finite_float, required=True)
     p.add_argument("--empirical", action="store_true")
     p.add_argument("--n-max", type=int)
-    p.add_argument("--delta-max", type=float)
+    p.add_argument("--delta-max", type=_finite_float)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lam", type=float,
+    p.add_argument("--lam", type=_finite_float,
                    help="relative perturbation constant")
-    p.add_argument("--mu", type=float,
+    p.add_argument("--mu", type=_finite_float,
                    help="absolute perturbation constant")
     _add_report(p)
     p.set_defaults(func=_cmd_kadec)
@@ -455,7 +470,7 @@ def build_parser():
     p.add_argument("--freqs", required=True)
     p.add_argument("--coeffs", required=True,
                    help="comma-separated complex numbers, e.g. '1,0.5-0.2j'")
-    p.add_argument("--t-len", type=float, required=True)
+    p.add_argument("--t-len", type=_finite_float, required=True)
     p.add_argument("--quad-n", type=int)
     _add_report(p)
     p.set_defaults(func=_cmd_mv_theta)
@@ -501,7 +516,8 @@ def main(argv=None):
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
     except (ContractViolation, ValueError, KeyError, TypeError, OSError,
-            json.JSONDecodeError, np.linalg.LinAlgError) as exc:
+            OverflowError, json.JSONDecodeError,
+            np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,10 +23,10 @@ import numpy as np
 EXHAUSTIVE_INDEX_MAX = 14          # most indices a walk takes (2^M memo)
 PARTITION_BUDGET = 10**7           # most placements of one partition search
 SUBSET_BUDGET = 10**6              # most subsets any exhaustive scan may visit
-BIPARTITION_INDEX_MAX = 22         # largest index set for cc_partition_search
 LOCAL_MOVE_BUDGET = 2000           # most accepted moves of one local search
 WKHB_MOVE_BUDGET = 10**6           # most moves of one wkhb_partition
 GREEDY_BACKTRACKS = 3              # backtracks of the greedy Riesz fallback
+QUADRATURE_BUDGET = 10**6          # most (panel, frequency) terms of mv-theta
 
 # Absolute slack of every "achieved <= target" verdict.  Producers and
 # verify() share it through within(), so a report always passes its own
@@ -265,19 +265,6 @@ class Partition:
         return cls.from_blocks(d["blocks"], M=M)
 
 
-def count_partitions(M, r):
-    """Number of partitions of an M-set into at most r nonempty blocks."""
-    if M < 1 or r < 1:
-        raise ContractViolation("count_partitions needs M >= 1, r >= 1")
-    # Stirling numbers of the second kind, S[m][j]
-    S = [[0] * (r + 1) for _ in range(M + 1)]
-    S[0][0] = 1
-    for m in range(1, M + 1):
-        for j in range(1, r + 1):
-            S[m][j] = j * S[m - 1][j] + S[m - 1][j - 1]
-    return sum(S[M][j] for j in range(1, r + 1))
-
-
 def enumerate_partitions(M, r):
     """Yield each partition of {0..M-1} into at most r blocks exactly once.
 
@@ -297,20 +284,6 @@ def enumerate_partitions(M, r):
             yield from rec(i + 1, max(top, b))
 
     yield from rec(1, 0)
-
-
-def refine_partition(p, subdivide):
-    """Split blocks of p according to subdivide: {block: list of sub-blocks}."""
-    blocks = []
-    for b, blk in enumerate(p.blocks()):
-        if b in subdivide:
-            parts = subdivide[b]
-            if sorted(itertools.chain.from_iterable(parts)) != sorted(blk):
-                raise ContractViolation("subdivision must repartition the block")
-            blocks.extend(list(q) for q in parts if q)
-        else:
-            blocks.append(blk)
-    return Partition.from_blocks(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +308,6 @@ class Frame:
     @property
     def M(self):
         return self.synthesis.shape[1]
-
-    def vector(self, i):
-        return self.synthesis[:, i]
 
 
 def gen_random_unit_frame(n, M, seed, field="real"):

@@ -34,7 +34,6 @@ from .core import (
     ensure_matrix,
     ensure_unit_norm,
     numeric_rank,
-    sym_eig,
     within,
 )
 from .frames import gram_matrix
@@ -47,19 +46,10 @@ from .paving import (
 )
 
 __all__ = [
-    "riesz_bounds", "epsilon_riesz_partition", "feichtinger_partition",
-    "restricted_isometry", "restricted_isometry_sampled", "tp1_partition",
-    "rado_horn_check", "rado_horn_partition", "mixed_norm",
+    "epsilon_riesz_partition", "feichtinger_partition",
+    "restricted_isometry", "tp1_partition", "rado_horn_check", "mixed_norm",
     "Subspace", "is_large", "is_r_decomposable", "decomposition_vectors",
 ]
-
-
-def riesz_bounds(fr):
-    """Extreme eigenvalues of the Gram matrix: the optimal constants in
-    lower * sum|a|^2 <= ||sum a_i f_i||^2 <= upper * sum|a|^2."""
-    g = gram_matrix(fr)
-    w, _ = sym_eig(g)
-    return float(max(w[0], 0.0)), float(max(w[-1], 0.0))
 
 
 def _gram_block_bounds(g):
@@ -235,8 +225,7 @@ def restricted_isometry(fr, s):
     total = sum(math.comb(fr.M, k) for k in range(1, s + 1))
     if total > SUBSET_BUDGET:
         raise BudgetExceeded(
-            f"{total} subsets exceed the {SUBSET_BUDGET} budget; "
-            "use restricted_isometry_sampled for a flagged lower bound")
+            f"{total} subsets exceed the {SUBSET_BUDGET} budget")
     subsets = itertools.chain.from_iterable(
         itertools.combinations(range(fr.M), k) for k in range(1, s + 1))
     worst, worst_subset = -1.0, None
@@ -246,29 +235,6 @@ def restricted_isometry(fr, s):
         if dev[i] > worst:
             worst, worst_subset = float(dev[i]), idx[i].tolist()
     return max(worst, 0.0), worst_subset
-
-
-def restricted_isometry_sampled(fr, s, samples=1000, seed=0):
-    """Sampled lower bound on delta_s, flagged as such: (value, subset, flag)."""
-    ensure_unit_norm(fr)
-    if s < 1:
-        raise ContractViolation("need s >= 1")
-    s = min(s, fr.M)
-    if samples < 1:
-        raise ContractViolation("need samples >= 1")
-    rng = np.random.default_rng(seed)
-    g = gram_matrix(fr)
-    worst, worst_subset = -1.0, None
-    for _ in range(samples):
-        k = int(rng.integers(1, s + 1))
-        subset = sorted(rng.choice(fr.M, size=k, replace=False).tolist())
-        w = block_spectrum(g, subset)
-        dev = max(float(w[-1] - 1.0), float(1.0 - w[0]))
-        if dev > worst:
-            worst, worst_subset = dev, subset
-    return max(worst, 0.0), worst_subset, {"lower_bound_only": True,
-                                           "samples": samples,
-                                           "seed": int(seed)}
 
 
 @dataclass
@@ -349,11 +315,12 @@ def tp1_partition(fr, s, delta, seed=0, r_max=64):
 
 def _rado_horn_witness(fr, subset):
     """{subset, size, rank, ratio} of an index subset; the rank is the
-    numeric_rank of its columns."""
+    numeric_rank of its columns, and the ratio size / rank is None at rank
+    0, so a report holds no infinity."""
     rank = numeric_rank(fr.synthesis[:, subset])
     size = len(subset)
     return {"subset": list(subset), "size": size, "rank": rank,
-            "ratio": math.inf if rank == 0 else size / rank}
+            "ratio": size / rank if rank else None}
 
 
 def _independent(fr, cache, blk):
@@ -439,24 +406,11 @@ def rado_horn_check(fr, r):
     if blocks is not None:
         return True, Partition.from_blocks(blocks, M=fr.M), None
     witness = _rado_horn_witness(fr, reached)
-    if within(witness["ratio"], r):
+    if witness["size"] <= r * witness["rank"]:
         raise ContractViolation(
             f"stalled exchange chain reached {reached}, which has "
             f"|J| <= {r} * rank J: no checkable verdict")
     return False, None, witness
-
-
-def rado_horn_partition(fr, r):
-    """Partition indices into at most r linearly independent blocks.
-
-    Infeasible inputs raise with a violating subset (see rado_horn_check).
-    """
-    ok, part, witness = rado_horn_check(fr, r)
-    if not ok:
-        raise ContractViolation(
-            f"no partition into {r} independent blocks; "
-            f"violating subset {witness['subset']}")
-    return part
 
 
 def mixed_norm(x):
@@ -494,9 +448,6 @@ class Subspace:
     @property
     def dim(self):
         return self.basis.shape[1]
-
-    def projector(self):
-        return self.basis @ self.basis.conj().T
 
     @classmethod
     def from_span(cls, vectors):

@@ -27,8 +27,7 @@ from .core import (
 )
 from .frames import analysis_matrix, frame_operator, gram_matrix
 
-__all__ = ["DilationResult", "naimark_dilate", "dilate_operator",
-           "parseval_complete"]
+__all__ = ["DilationResult", "naimark_dilate", "dilate_operator"]
 
 
 @dataclass
@@ -130,26 +129,3 @@ def dilate_operator(t):
     if res.ambient_dim != expected:
         raise ContractViolation("unexpected ambient dimension")
     return res
-
-
-def parseval_complete(fr):
-    """Append vectors to a family with Bessel bound at most one until Parseval.
-
-    One completion vector per eigenvalue of the frame operator below
-    1 - CHECK_TOL, scaled by sqrt(1 - lambda); at most n are appended.
-    """
-    s = frame_operator(fr)
-    w, v = sym_eig(s)
-    if w[-1] > 1.0 + CHECK_TOL:
-        raise ContractViolation("upper frame bound exceeds one")
-    low = w < 1.0 - CHECK_TOL
-    gaps = np.sqrt(np.clip(1.0 - w[low], 0.0, None))
-    added = v[:, low] * gaps
-    combined = np.concatenate([fr.synthesis, added], axis=1)
-    out = Frame(combined, label=fr.label + "-completed",
-                meta=dict(fr.meta, appended=int(added.shape[1])))
-    s_out = frame_operator(out)
-    resid = np.abs(s_out - np.eye(fr.n)).max()
-    if resid > 2.0 * CHECK_TOL:
-        raise ContractViolation(f"completion failed, residual {resid:.3e}")
-    return out

@@ -17,24 +17,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    BIPARTITION_INDEX_MAX,
     CHECK_TOL,
     SUBSET_BUDGET,
     BudgetExceeded,
     ContractViolation,
-    Partition,
     block_spectra,
     block_spectrum,
     numeric_rank,
     stacks,
     subset_ranks,
-    within,
 )
 from .frames import frame_operator, gram_matrix
-from .paving import _gram_block_top, _search
 
-__all__ = ["ErasureReport", "erasure_robustness", "cc_partition_search",
-           "ccc_partition_search", "phase_retrieval_check"]
+__all__ = ["ErasureReport", "erasure_robustness", "phase_retrieval_check"]
 
 
 @dataclass
@@ -81,13 +76,6 @@ def _complements(idx, m):
     return np.nonzero(out)[1].reshape(len(idx), m - idx.shape[1])
 
 
-def _eigenvalues(j, a, subsets, frame=False):
-    """Eigenvalue j (0 the lowest, -1 the top) of each subset's block, as
-    one array."""
-    return np.concatenate([w[:, j] for _, w in
-                           block_spectra(a, subsets, frame)])
-
-
 def erasure_robustness(fr, k):
     """Worst surviving lower frame bound over every erasure of k vectors.
 
@@ -109,7 +97,8 @@ def erasure_robustness(fr, k):
     for keep, w in block_spectra(fr.synthesis, keeps, frame=True):
         erased, val = _complements(keep, m), np.maximum(w[:, 0], 0.0)
         if parseval and k > 0:
-            via_complement = 1.0 - _eigenvalues(-1, g, erased)
+            via_complement = 1.0 - np.concatenate(
+                [top[:, -1] for _, top in block_spectra(g, erased)])
             bad = np.flatnonzero(np.abs(via_complement - val) > 1e-9)
             if bad.size:
                 i = bad[0]
@@ -127,64 +116,6 @@ def erasure_robustness(fr, k):
                          identity_checked=parseval and k > 0,
                          subsets_scanned=scanned, value_min=vmin,
                          value_max=vmax)
-
-
-def cc_partition_search(fr):
-    """Bipartition maximizing the smaller of the two lower frame bounds.
-
-    Exhaustive over all 2^(M-1) - 1 proper bipartitions; index 0 stays on
-    the first side to kill the mirror symmetry.
-    """
-    m = fr.M
-    if m < 2:
-        raise ContractViolation("need at least two vectors to bipartition")
-    if m > BIPARTITION_INDEX_MAX:
-        raise BudgetExceeded(
-            f"bipartition scans are capped at {BIPARTITION_INDEX_MAX} indices")
-    t = fr.synthesis
-    sides = ((0, *extra) for size in range(m - 1)
-             for extra in itertools.combinations(range(1, m), size))
-    value, scanned = -math.inf, 0
-    for side, w in block_spectra(t, sides, frame=True):
-        comp = _complements(side, m)
-        val = np.maximum(np.minimum(w[:, 0], _eigenvalues(0, t, comp, True)),
-                         0.0)
-        scanned += len(val)
-        i = int(np.argmax(val))        # first occurrence, as a scan finds
-        if val[i] > value:
-            value, best = float(val[i]), [side[i].tolist(), comp[i].tolist()]
-    part = Partition.from_blocks(best, M=m)
-    return {"best_value": value, "partition": part, "scanned": scanned}
-
-
-def ccc_partition_search(fr, r_max, epsilon, seed=0):
-    """Partition a Parseval family so every block frame operator has top
-    eigenvalue at most 1 - epsilon.
-
-    Each final block's top eigenvalue is computed both from the block frame
-    operator and from the Gram submatrix (the compressed projection in the
-    dilation picture); the two must agree to 1e-9.
-    """
-    if not (0.0 < epsilon < 1.0):
-        raise ContractViolation("epsilon must lie in (0, 1)")
-    if not _is_parseval(fr):
-        raise ContractViolation("ccc_partition_search needs a Parseval family")
-    g = gram_matrix(fr)
-    flags = {}
-    part, achieved, scanned, mode = _search(fr.M, r_max, _gram_block_top(g),
-                                            seed, flags)
-    blocks = part.blocks()
-    direct, via_gram = (np.maximum(_eigenvalues(-1, a, blocks, frame), 0.0)
-                        for a, frame in ((fr.synthesis, True), (g, False)))
-    for d, v in zip(direct.tolist(), via_gram.tolist()):
-        if abs(d - v) > 1e-9:
-            raise ContractViolation(f"block spectrum mismatch: {d} vs {v}")
-    cross = [{"block": blk, "lambda_max": d}
-             for blk, d in zip(blocks, direct.tolist())]
-    return {"verdict": within(achieved, 1.0 - epsilon),
-            "achieved": achieved, "target": 1.0 - epsilon,
-            "partition": part, "mode": mode, "scanned": scanned,
-            "blocks": cross, "flags": flags}
 
 
 def _complement_witness(t):

@@ -16,18 +16,15 @@ import numpy as np
 from .core import (
     CHECK_TOL,
     EIG_TOL,
-    RANK_TOL,
     ContractViolation,
     Frame,
-    ensure_projection,
     numeric_rank,
     sym_eig,
 )
 
 __all__ = [
     "frame_operator", "gram_matrix", "analysis_matrix", "SpectralSummary",
-    "spectral_summary", "frame_bounds", "is_frame_sequence", "canonical_dual",
-    "parseval_normalize", "subframe", "project_frame", "frames_equivalent",
+    "spectral_summary", "parseval_normalize",
 ]
 
 
@@ -108,95 +105,11 @@ def spectral_summary(fr):
         check_tol=CHECK_TOL)
 
 
-def frame_bounds(fr):
-    """(lower, upper) optimal frame bounds; lower is 0 for non-spanning."""
-    summ = spectral_summary(fr)
-    return summ.lower, summ.upper
-
-
-def is_frame_sequence(fr):
-    """(ok, A') where A' is the optimal lower bound on the span.
-
-    Every nonzero finite family is a frame for its span; A' is the smallest
-    nonzero eigenvalue of the frame operator, with "nonzero" decided by the
-    numeric-rank cutoff.  The zero family is flagged degenerate: (False, None).
-    """
-    s = frame_operator(fr)
-    w, _ = sym_eig(s)
-    if w[-1] <= 0.0:
-        return False, None
-    cutoff = (RANK_TOL * max(fr.n, fr.M)) ** 2 * w[-1]
-    nonzero = w[w > cutoff]
-    if nonzero.size == 0:
-        return False, None
-    return True, float(nonzero[0])
-
-
-def _inv_sqrt_and_inv(fr):
-    """Eigendata of S with a spanning check shared by dual and normalize."""
-    s = frame_operator(fr)
-    w, v = sym_eig(s)
-    floor = EIG_TOL * max(w[-1], 0.0)
-    if w[-1] <= 0.0 or w[0] <= floor:
-        raise ContractViolation("family is not a frame for the space")
-    return w, v
-
-
-def canonical_dual(fr):
-    """The dual family {S^-1 f_i}; reconstruction holds against the input."""
-    w, v = _inv_sqrt_and_inv(fr)
-    s_inv = (v / w) @ v.conj().T
-    return Frame(s_inv @ fr.synthesis, label=fr.label + "-dual",
-                 meta=dict(fr.meta, derived="canonical-dual"))
-
-
 def parseval_normalize(fr):
     """The family {S^-1/2 f_i}, a Parseval frame with the same span behavior."""
-    w, v = _inv_sqrt_and_inv(fr)
+    w, v = sym_eig(frame_operator(fr))
+    if w[-1] <= 0.0 or w[0] <= EIG_TOL * max(w[-1], 0.0):
+        raise ContractViolation("family is not a frame for the space")
     s_inv_half = (v / np.sqrt(w)) @ v.conj().T
     return Frame(s_inv_half @ fr.synthesis, label=fr.label + "-parseval",
                  meta=dict(fr.meta, derived="parseval-normalize"))
-
-
-def subframe(fr, indices):
-    """Column selection in the given order; indices must be in range."""
-    idx = list(indices)
-    if len(idx) == 0:
-        raise ContractViolation("subframe needs at least one index")
-    if any((not isinstance(i, (int, np.integer))) or i < 0 or i >= fr.M
-           for i in idx):
-        raise ContractViolation("subframe index out of range")
-    return Frame(fr.synthesis[:, idx], label=fr.label + "-sub",
-                 meta=dict(fr.meta, subframe_indices=[int(i) for i in idx]))
-
-
-def project_frame(fr, p):
-    """Apply an orthogonal projection to every vector.
-
-    A Parseval frame stays Parseval on the range of the projection; callers
-    verify that by restricting to an orthonormal basis of range(p).
-    """
-    p = ensure_projection(p)
-    if p.shape != (fr.n, fr.n):
-        raise ContractViolation("projection shape must match the frame space")
-    return Frame(p @ fr.synthesis, label=fr.label + "-projected",
-                 meta=dict(fr.meta, derived="projected"))
-
-
-def frames_equivalent(fr1, fr2):
-    """True iff the two synthesis maps kill the same coefficient vectors.
-
-    Same index count required; the null spaces coincide exactly when the row
-    spaces of the two synthesis matrices agree, tested by three ranks.
-    """
-    if fr1.M != fr2.M:
-        raise ContractViolation("frames_equivalent needs equal index counts")
-    r1 = numeric_rank(fr1.synthesis)
-    r2 = numeric_rank(fr2.synthesis)
-    if r1 != r2:
-        return False
-    stacked = np.vstack([
-        fr1.synthesis.astype(np.complex128),
-        fr2.synthesis.astype(np.complex128),
-    ])
-    return numeric_rank(stacked) == r1

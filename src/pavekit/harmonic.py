@@ -16,19 +16,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractViolation, _complex_to_pairs, _pairs_to_complex, within
+from .core import (
+    QUADRATURE_BUDGET,
+    BudgetExceeded,
+    ContractViolation,
+    _complex_to_pairs,
+    _pairs_to_complex,
+    within,
+)
 
 TT3_REL_TOL = 1e-10     # slack of tt3_identity_check, times 1 + sup|g|^2
 KADEC_MARGIN = 0.05     # how far lambda_min may fall below the Kadec bound
 
 __all__ = [
-    "GridFunction", "grid_indicator", "translate", "translate_average",
-    "gk_component", "gk_component_by_mask", "shift_covariance_residual",
+    "GridFunction", "grid_indicator", "translate_average", "gk_component",
     "tt3_identity_check", "uniform_paving_criterion",
-    "uniform_feichtinger_criterion", "deviation_profile", "example_e1_set",
-    "toeplitz_section", "ap_blocks", "distribution_check",
-    "montgomery_vaughan_theta", "kadec_bounds", "christensen_bounds",
-    "kadec_empirical_check",
+    "uniform_feichtinger_criterion", "example_e1_set", "toeplitz_section",
+    "ap_blocks", "distribution_check", "montgomery_vaughan_theta",
+    "kadec_bounds", "christensen_bounds", "kadec_empirical_check",
 ]
 
 
@@ -90,12 +95,6 @@ def _check_divisor(g, k):
         raise ContractViolation(f"translate modulus {k} must divide N = {g.N}")
 
 
-def translate(g, j, k):
-    """g(t - j/K) on the grid: a roll by j * N / K samples."""
-    _check_divisor(g, k)
-    return GridFunction(np.roll(g.values, (j % k) * (g.N // k)))
-
-
 def translate_average(g, k):
     """(1/K) sum_j |g(t - j/K)|^2, a real grid function."""
     _check_divisor(g, k)
@@ -118,29 +117,6 @@ def gk_component(g, k, res):
     for j in range(k):
         acc += np.roll(g.values, j * step) * np.exp(2j * np.pi * j * res / k)
     return GridFunction(acc / k)
-
-
-def gk_component_by_mask(g, k, res):
-    """Same component through the DFT: keep bins congruent to res mod K.
-
-    Kept as an independent second route; tests cross-check it against the
-    translate formula rather than collapsing the two.
-    """
-    _check_divisor(g, k)
-    if not (0 <= res < k):
-        raise ContractViolation("residue must lie in 0..K-1")
-    spec = np.fft.fft(g.values)
-    mask = (np.arange(g.N) % k) == res
-    return GridFunction(np.fft.ifft(spec * mask))
-
-
-def shift_covariance_residual(g, k, res, ell):
-    """Residual of the covariance law: shifting a component by ell/K only
-    multiplies it by exp(-2 pi i res ell / K)."""
-    comp = gk_component(g, k, res)
-    shifted = translate(comp, ell, k)
-    phase = np.exp(-2j * np.pi * res * ell / k)
-    return float(np.abs(shifted.values - phase * comp.values).max())
 
 
 def tt3_identity_check(g, k):
@@ -172,15 +148,6 @@ def uniform_feichtinger_criterion(g, k, epsilon):
     avg = translate_average(g, k)
     mn = float(avg.values.min())
     return mn >= epsilon, mn
-
-
-def deviation_profile(g, ks):
-    """[(K, deviation)] of the translate average from the mean, per modulus."""
-    out = []
-    for k in ks:
-        _, dev = uniform_paving_criterion(g, k, 1.0)
-        out.append((int(k), dev))
-    return out
 
 
 def example_e1_set(n, levels, c=0.5):
@@ -340,7 +307,7 @@ def montgomery_vaughan_theta(freqs, coeffs, t_len, quad_n=None):
         raise ContractViolation("frequencies and coefficients must pair up")
     if not np.all(np.isfinite(lam)) or not np.all(np.isfinite(a)):
         raise ContractViolation("inputs must be finite")
-    if t_len <= 0.0:
+    if not t_len > 0.0:
         raise ContractViolation("interval length must be positive")
     energy = float(np.sum(np.abs(a) ** 2))
     if energy == 0.0:
@@ -351,7 +318,15 @@ def montgomery_vaughan_theta(freqs, coeffs, t_len, quad_n=None):
     sep = float(np.diff(np.sort(lam)).min())
     if sep <= 0.0:
         raise ContractViolation("frequencies must be distinct")
-    need = int(math.ceil(64.0 * t_len * float(np.abs(lam).max())))
+    need = 64.0 * t_len * float(np.abs(lam).max())
+    # the finer Simpson run evaluates every frequency at 2n + 1 points
+    terms = 2.0 * max(need, 256.0 if quad_n is None else float(quad_n)) \
+        * lam.size
+    if terms > QUADRATURE_BUDGET:
+        raise BudgetExceeded(
+            f"a quadrature of {terms:.3g} (panel, frequency) terms exceeds "
+            f"the {QUADRATURE_BUDGET} budget")
+    need = math.ceil(need)
     n = quad_n if quad_n is not None else max(256, need)
     n += n % 2
     if n < need:

@@ -1,6 +1,6 @@
 """Paving searches: compress a matrix onto diagonal blocks and shrink its norm.
 
-paving_norm always works on T - D(T) (the off-diagonal part): a paving
+Matrix paving always works on T - D(T) (the off-diagonal part): a paving
 statement about arbitrary matrices only ever constrains what survives off
 the diagonal.  Projection paving is the exception and compresses the full
 matrix, since there the diagonal is the obstruction being measured.
@@ -39,9 +39,8 @@ from .core import (
 from .frames import gram_matrix
 
 __all__ = [
-    "PavingReport", "delta_diag", "diagonal_projection", "paving_norm",
-    "pave_matrix_check", "pave_projection_check", "weaver_check",
-    "wkhb_partition",
+    "PavingReport", "delta_diag", "pave_matrix_check",
+    "pave_projection_check", "weaver_check", "wkhb_partition",
 ]
 
 
@@ -53,33 +52,11 @@ def delta_diag(t):
     return float(np.abs(np.diag(t)).max())
 
 
-def diagonal_projection(m, indices):
-    """The 0/1 diagonal matrix keeping exactly the given coordinates."""
-    idx = sorted(set(int(i) for i in indices))
-    if idx and (idx[0] < 0 or idx[-1] >= m):
-        raise ContractViolation("diagonal_projection index out of range")
-    q = np.zeros((m, m))
-    for i in idx:
-        q[i, i] = 1.0
-    return q
-
-
 def _offdiag(t):
     t = ensure_matrix(t)
     if t.shape[0] != t.shape[1]:
         raise ContractViolation("paving needs a square matrix")
     return t - np.diag(np.diag(t))
-
-
-def paving_norm(t, p):
-    """(max, per-block) operator norms of the diagonal compressions of T - D(T)."""
-    t0 = _offdiag(t)
-    if p.M != t0.shape[0]:
-        raise ContractViolation("partition size does not match the matrix")
-    per = []
-    for blk in p.blocks():
-        per.append(operator_norm(t0[np.ix_(blk, blk)]) if blk else 0.0)
-    return max(per), per
 
 
 @dataclass
@@ -366,7 +343,7 @@ def pave_projection_check(p, r_max, epsilon, delta=None, mode="auto", seed=0):
 
 
 def _gram_block_top(g):
-    """Block cost of weaver and ccc: the top eigenvalue of the Gram block,
+    """Block cost of weaver: the top eigenvalue of the Gram block,
     clipped at 0, which is the norm of the block frame operator."""
     return lambda blk: float(max(block_spectrum(g, blk)[-1], 0.0))
 

@@ -31,6 +31,7 @@ import numpy as np
 
 from . import __version__
 from .core import (
+    BudgetExceeded,
     ContractViolation,
     Partition,
     block_spectrum,
@@ -80,9 +81,8 @@ from .harmonic import (
 )
 from .paving import _priced, _pricing
 
-__all__ = ["make_report", "canonical_json", "canonical_payload",
-           "payload_hash", "write_report", "load_report", "file_sha256",
-           "verify"]
+__all__ = ["make_report", "canonical_json", "write_report", "load_report",
+           "file_sha256", "verify"]
 
 
 def _numpy_default(x):
@@ -95,17 +95,10 @@ def _numpy_default(x):
 def canonical_json(obj):
     """The one JSON text pavekit writes or hashes: sorted keys, no
     whitespace, numpy values as their Python values.  A one-shot dumps
-    with no indent runs CPython's C encoder."""
+    with no indent runs CPython's C encoder.  NaN and infinities raise
+    ValueError, since RFC 8259 JSON has no text for them."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      default=_numpy_default)
-
-
-def canonical_payload(report):
-    return canonical_json(report["payload"]).encode()
-
-
-def payload_hash(report):
-    return hashlib.sha256(canonical_payload(report)).hexdigest()
+                      default=_numpy_default, allow_nan=False)
 
 
 def make_report(command, config, inputs, results, wall_time_s):
@@ -569,7 +562,7 @@ def _verify_radohorn(payload):
     subset = _index_subset(res["witness"]["subset"], fr.M,
                            range(1, fr.M + 1), "witness subset")
     witness = _rado_horn_witness(fr, subset)
-    if within(witness["ratio"], r):
+    if witness["size"] <= r * witness["rank"]:
         raise ContractViolation("witness does not violate |J| <= r * rank J")
     return _radohorn(None, witness)
 
@@ -631,7 +624,7 @@ def verify(report_or_path):
                        else "config seed must be an integer"]
     try:
         got = fn(payload)
-    except ContractViolation as exc:
+    except (ContractViolation, BudgetExceeded) as exc:
         return False, [str(exc)]
     except (KeyError, TypeError, ValueError) as exc:
         return False, [f"verification error: {exc!r}"]

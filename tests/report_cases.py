@@ -1,4 +1,5 @@
-"""One small report for every pavekit command, written through the CLI."""
+"""One small run of every pavekit command, and its report written through
+the CLI."""
 
 import contextlib
 import io
@@ -15,8 +16,9 @@ def _write(path, a):
     return str(path)
 
 
-def make_reports(tmp):
-    """{case: report path} over every command, with inputs written to tmp.
+def commands(tmp):
+    """{case: argv} over every command, with inputs written to tmp; run in
+    order, since toeplitz reads the grid gen-grid writes.
 
     Both verdicts of radohorn are covered; decompose is covered with each
     criterion and pave in both forms and both search modes."""
@@ -37,7 +39,7 @@ def make_reports(tmp):
     q, _ = np.linalg.qr(rng.standard_normal((4, 3)))
     basis = _write(tmp / "basis.json", q)
     grid = str(tmp / "grid.json")
-    runs = {
+    return {
         "gen": ["gen", "--kind", "harmonic", "--n", "2", "--M", "4",
                 "--out", str(tmp / "harmonic.json")],
         "gen-grid": ["gen", "--kind", "e1-grid", "--N", "360",
@@ -76,9 +78,13 @@ def make_reports(tmp):
         "erasure": ["erasure", "--input", parseval, "--k", "1"],
         "phase": ["phase", "--input", f37, "--trials", "20", "--seed", "1"],
     }
+
+
+def make_reports(tmp):
+    """{case: report path} of every case of commands(tmp)."""
     reports = {}
     with contextlib.redirect_stdout(io.StringIO()):
-        for case, argv in runs.items():
+        for case, argv in commands(tmp).items():
             rep = tmp / f"{case}.report.json"
             assert main(argv + ["--report", str(rep)]) == 0, case
             reports[case] = rep

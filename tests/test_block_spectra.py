@@ -28,15 +28,8 @@ from pavekit.core import (
     numeric_rank,
     subset_ranks,
 )
-from pavekit.decomposition import (
-    restricted_isometry,
-    restricted_isometry_sampled,
-)
-from pavekit.erasures import (
-    cc_partition_search,
-    erasure_robustness,
-    phase_retrieval_check,
-)
+from pavekit.decomposition import restricted_isometry
+from pavekit.erasures import erasure_robustness, phase_retrieval_check
 from pavekit.frames import gram_matrix, parseval_normalize
 
 
@@ -171,39 +164,6 @@ def _ric_oracle(fr, s):
     return max(worst, 0.0), list(worst_subset)
 
 
-def _ric_sampled_oracle(fr, s, samples, seed):
-    s = min(s, fr.M)
-    rng = np.random.default_rng(seed)
-    g = gram_matrix(fr)
-    worst, worst_subset = -1.0, None
-    for _ in range(samples):
-        k = int(rng.integers(1, s + 1))
-        subset = tuple(sorted(rng.choice(fr.M, size=k, replace=False)))
-        sub = g[np.ix_(subset, subset)]
-        w = np.linalg.eigvalsh(0.5 * (sub + sub.conj().T))
-        dev = max(float(w[-1] - 1.0), float(1.0 - w[0]))
-        if dev > worst:
-            worst, worst_subset = dev, subset
-    return max(worst, 0.0), list(worst_subset)
-
-
-def _cc_oracle(fr):
-    m = fr.M
-    best = None
-    scanned = 0
-    rest = list(range(1, m))
-    for size in range(0, m - 1):
-        for extra in itertools.combinations(rest, size):
-            side = {0, *extra}
-            comp = [i for i in range(m) if i not in side]
-            scanned += 1
-            val = min(_surviving_lower_oracle(fr, set(comp)),
-                      _surviving_lower_oracle(fr, side))
-            if best is None or val > best[0]:
-                best = (val, sorted(side), comp)
-    return best, scanned
-
-
 def _unit_frames():
     """Random, repeated-column and harmonic unit-norm families."""
     rng = np.random.default_rng(11)
@@ -271,33 +231,6 @@ def test_restricted_isometry_matches_per_subset_oracle(monkeypatch, cap):
             want, want_subset = _ric_oracle(fr, s)
             assert _bits(delta) == _bits(want)
             assert subset == want_subset
-
-
-@pytest.mark.parametrize("cap", CAPS)
-def test_restricted_isometry_sampled_matches_oracle(monkeypatch, cap):
-    _cap(monkeypatch, cap)
-    for fr in _unit_frames():
-        for s, seed in ((2, 0), (4, 7)):
-            delta, subset, flags = restricted_isometry_sampled(
-                fr, s, samples=60, seed=seed)
-            want, want_subset = _ric_sampled_oracle(fr, s, 60, seed)
-            assert _bits(delta) == _bits(want)
-            assert subset == want_subset
-            assert flags == {"lower_bound_only": True, "samples": 60,
-                             "seed": seed}
-    with pytest.raises(ContractViolation):
-        restricted_isometry_sampled(gen_harmonic_frame(2, 4), 2, samples=0)
-
-
-@pytest.mark.parametrize("cap", CAPS)
-def test_cc_partition_matches_per_subset_oracle(monkeypatch, cap):
-    _cap(monkeypatch, cap)
-    for fr in itertools.chain(_unit_frames(), _parseval_frames()):
-        res = cc_partition_search(fr)
-        (value, side, comp), scanned = _cc_oracle(fr)
-        assert _bits(res["best_value"]) == _bits(value)
-        assert res["partition"].blocks() == [side, comp]
-        assert res["scanned"] == scanned == 2 ** (fr.M - 1) - 1
 
 
 # ---------------------------------------------------------------------------

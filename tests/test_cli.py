@@ -14,7 +14,7 @@ from pavekit.cli import main
 from pavekit.core import matrix_to_json
 from pavekit.paving import pave_matrix_check
 from pavekit.reports import (
-    canonical_payload,
+    canonical_json,
     load_report,
     verify,
     write_report,
@@ -90,7 +90,7 @@ def test_report_payload_deterministic(tmp_path):
                    "--epsilon", "0.4", "--r-max", "3",
                    "--report", str(r)) == 0
     a, b = load_report(str(r1)), load_report(str(r2))
-    assert canonical_payload(a) == canonical_payload(b)
+    assert canonical_json(a["payload"]) == canonical_json(b["payload"])
     # wall time may coincide, but it lives outside the hashed payload
     assert "wall_time_s" in a["meta"] and "timestamp" in a["meta"]
 
@@ -395,12 +395,11 @@ def test_write_report_converts_numpy_values(tmp_path):
     assert path.read_text() == json.dumps(
         {"payload": plain, "meta": {}}, sort_keys=True,
         separators=(",", ":")) + "\n"
-    assert canonical_payload({"payload": payload}) == \
-        canonical_payload({"payload": plain})
+    assert canonical_json(payload) == canonical_json(plain)
     with pytest.raises(TypeError):
         write_report(str(path), {"payload": {"bad": object()}})
     with pytest.raises(TypeError):
-        canonical_payload({"payload": {"bad": np.complex128(1j)}})
+        canonical_json({"bad": np.complex128(1j)})
 
 
 def test_subspace_command(tmp_path):

@@ -1,0 +1,135 @@
+"""The exit-code contract at the CLI boundary: 0 done, 2 bad input, 3 over
+budget, with no exception escaping and a verifiable report on every 0.
+
+Every float option of every subcommand is driven with edge values on the
+small fixed inputs of report_cases, in-process through cli.main.  Integer
+options stay out: a huge size would allocate before any check could run.
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import math
+
+import numpy as np
+import pytest
+
+from pavekit import cli
+from pavekit.core import BudgetExceeded, matrix_to_json
+from pavekit.harmonic import montgomery_vaughan_theta
+from pavekit.reports import load_report, verify
+from report_cases import commands
+
+FINITE_EDGES = ("0", "-1", "1e308")
+NOT_FINITE = ("nan", "inf", "-inf", "1e999", "x")
+
+
+def _float_options():
+    """{subcommand: its float options}, read off the parser, which must
+    read every float through cli._finite_float."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert not [a for p in sub.choices.values() for a in p._actions
+                if a.type is float]
+    return {name: [a.option_strings[0] for a in p._actions
+                   if a.type is cli._finite_float]
+            for name, p in sub.choices.items()}
+
+
+def _run(argv):
+    """(exit code, stderr) of cli.main, argparse's own exits included."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def _with_option(argv, option, value):
+    """argv with option set to value (as option=value, so that "-inf" is
+    not read as a flag), replacing any value it had."""
+    out = list(argv)
+    if option in out:
+        i = out.index(option)
+        del out[i:i + 2]
+    return out + [f"{option}={value}"]
+
+
+def test_every_float_option_keeps_the_exit_contract(tmp_path):
+    options = _float_options()
+    driven = set()
+    rep = tmp_path / "report.json"
+    for case, argv in commands(tmp_path).items():
+        assert _run(argv)[0] == 0, case        # gen-grid writes toeplitz's grid
+        for option in options[argv[0]]:
+            driven.add((argv[0], option))
+            for value in FINITE_EDGES + NOT_FINITE:
+                rep.unlink(missing_ok=True)
+                run = _with_option(argv, option, value) + ["--report", str(rep)]
+                code, err = _run(run)
+                assert code in (0, 2, 3), (run, code, err)
+                if value in NOT_FINITE:
+                    assert code == 2 and "not a finite number" in err, run
+                assert rep.exists() == (code == 0), (run, code, err)
+                if code == 0:
+                    text = rep.read_text()
+                    assert "Infinity" not in text and "NaN" not in text, run
+                    assert verify(str(rep)) == (True, []), run
+    assert driven == {(name, option) for name, opts in options.items()
+                      for option in opts}
+
+
+@pytest.mark.parametrize("extra", [["--t-len", "1e308"],
+                                   ["--t-len", "2", "--quad-n", str(10**12)]])
+def test_mv_theta_quadrature_over_budget_exits_3(extra):
+    code, err = _run(["mv-theta", "--freqs", "0,1", "--coeffs", "1,1",
+                      *extra])
+    assert code == 3 and "budget exceeded" in err and "Traceback" not in err
+
+
+def test_mv_theta_budget_raises_before_allocating():
+    for t_len, quad_n in ((1e308, None), (math.inf, None), (2.0, 10**12)):
+        with pytest.raises(BudgetExceeded):
+            montgomery_vaughan_theta([0.0, 1.0], [1.0, 1.0], t_len, quad_n)
+
+
+def test_rank_zero_radohorn_witness_is_json(tmp_path):
+    frame = tmp_path / "zero-column.json"
+    frame.write_text(json.dumps(matrix_to_json(
+        np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))))
+    rep = tmp_path / "radohorn.json"
+    assert _run(["radohorn", "--input", str(frame), "--r", "2",
+                 "--report", str(rep)])[0] == 0
+    text = rep.read_text()
+    assert "Infinity" not in text and "NaN" not in text
+    witness = json.loads(text)["payload"]["results"]["witness"]
+    assert witness == {"subset": [1], "size": 1, "rank": 0, "ratio": None}
+    assert verify(str(rep)) == (True, [])
+
+
+def test_generated_projection_paves(tmp_path):
+    proj, gen, pave = (tmp_path / name for name in
+                       ("projection.json", "gen.json", "pave.json"))
+    assert _run(["gen", "--kind", "projection", "--M", "6", "--n", "2",
+                 "--seed", "3", "--out", str(proj),
+                 "--report", str(gen)])[0] == 0
+    assert _run(["pave", "--input", str(proj), "--form", "projection",
+                 "--r-max", "2", "--epsilon", "0.2",
+                 "--report", str(pave)])[0] == 0
+    for rep in (gen, pave):
+        assert verify(str(rep)) == (True, [])
+
+
+def test_riesz_decompose_past_the_walk_is_greedy(tmp_path):
+    frame, rep = tmp_path / "frame.json", tmp_path / "riesz.json"
+    assert _run(["gen", "--kind", "random-unit", "--n", "3", "--M", "16",
+                 "--seed", "2", "--out", str(frame)])[0] == 0
+    assert _run(["decompose", "--input", str(frame), "--criterion", "riesz",
+                 "--epsilon", "0.9", "--r-max", "16",
+                 "--report", str(rep)])[0] == 0
+    assert load_report(str(rep))["payload"]["results"]["mode"] == "greedy"
+    assert verify(str(rep)) == (True, [])

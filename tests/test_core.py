@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from oracles import count_partitions
 from pavekit.core import (
     ContractViolation,
     Frame,
     Partition,
-    count_partitions,
     ensure_matrix,
     enumerate_partitions,
     frame_from_json,
@@ -20,7 +20,6 @@ from pavekit.core import (
     matrix_to_json,
     numeric_rank,
     operator_norm,
-    refine_partition,
     sym_eig,
 )
 
@@ -64,14 +63,6 @@ def test_partition_blocks_roundtrip():
         Partition.from_blocks([[0, 1], [1, 2]])   # overlap
     with pytest.raises(ContractViolation):
         Partition.from_blocks([[0], [2]])         # gap
-
-
-def test_refine_partition_splits_blocks():
-    p = Partition.from_blocks([[0, 1, 2, 3]])
-    q = refine_partition(p, {0: [[0, 1], [2, 3]]})
-    assert sorted(map(tuple, q.blocks())) == [(0, 1), (2, 3)]
-    for blk in q.blocks():
-        assert any(set(blk) <= set(b) for b in p.blocks())
 
 
 def test_random_unit_frame_deterministic_and_unit():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from pavekit.core import ContractViolation, Frame, gen_random_unit_frame, numeric_rank
-from pavekit.dilation import dilate_operator, naimark_dilate, parseval_complete
-from pavekit.frames import frame_operator, gram_matrix, parseval_normalize
+from pavekit.core import ContractViolation, gen_random_unit_frame, numeric_rank
+from pavekit.dilation import dilate_operator, naimark_dilate
+from pavekit.frames import gram_matrix, parseval_normalize
 
 
 def _parseval(n, m, seed, field="real"):
@@ -74,22 +74,6 @@ def test_dilate_operator_contract_seeded():
 def test_dilate_rejects_expansive():
     with pytest.raises(ContractViolation):
         dilate_operator(np.diag([1.5, 0.2]))
-
-
-def test_parseval_complete():
-    rng = np.random.default_rng(5)
-    t = rng.standard_normal((3, 4))
-    t = t / (np.linalg.norm(t, 2) * 1.2)    # Bessel bound < 1
-    fr = Frame(t)
-    full = parseval_complete(fr)
-    s = frame_operator(full)
-    assert np.abs(s - np.eye(3)).max() < 2e-8
-    assert np.array_equal(full.synthesis[:, :4], t)
-
-
-def test_parseval_complete_rejects_big_bessel():
-    with pytest.raises(ContractViolation):
-        parseval_complete(Frame(np.eye(2) * 1.5))
 
 
 def test_projection_equals_gram():

@@ -14,12 +14,7 @@ from pavekit.core import (
     gen_random_unit_frame,
     numeric_rank,
 )
-from pavekit.erasures import (
-    cc_partition_search,
-    ccc_partition_search,
-    erasure_robustness,
-    phase_retrieval_check,
-)
+from pavekit.erasures import erasure_robustness, phase_retrieval_check
 from pavekit.frames import parseval_normalize
 
 
@@ -62,39 +57,6 @@ def test_erasure_k_zero_and_validation():
     assert not rep.identity_checked
     with pytest.raises(ContractViolation):
         erasure_robustness(fr, 4)
-
-
-def test_cc_bipartition_matches_brute_force():
-    fr = parseval_normalize(gen_harmonic_frame(2, 4))
-    res = cc_partition_search(fr)
-    # oracle: all proper bipartitions
-    best = -np.inf
-    for size in range(1, 4):
-        for side in itertools.combinations(range(4), size):
-            if 0 not in side:
-                continue
-            comp = [i for i in range(4) if i not in side]
-            vals = []
-            for half in (list(side), comp):
-                t = fr.synthesis[:, half]
-                w = np.linalg.eigvalsh(t @ t.conj().T)
-                vals.append(max(float(w[0]), 0.0))
-            best = max(best, min(vals))
-    assert abs(res["best_value"] - best) < 1e-12
-    assert res["scanned"] == 2 ** 3 - 1
-
-
-def test_ccc_partition_certificates():
-    fr = parseval_normalize(gen_harmonic_frame(2, 6))
-    res = ccc_partition_search(fr, 3, 0.4)
-    assert res["mode"] == "exhaustive"
-    for entry in res["blocks"]:
-        t = fr.synthesis[:, entry["block"]]
-        w = np.linalg.eigvalsh(t @ t.conj().T)
-        assert abs(entry["lambda_max"] - w[-1]) < 1e-9
-    assert res["verdict"] == (res["achieved"] <= res["target"] + 1e-12)
-    with pytest.raises(ContractViolation):
-        ccc_partition_search(gen_random_unit_frame(2, 6, 0), 3, 0.4)
 
 
 def test_phase_retrieval_positive():

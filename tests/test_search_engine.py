@@ -12,13 +12,13 @@ import json
 import numpy as np
 import pytest
 
+from oracles import count_partitions
 from pavekit import decomposition, paving
 from pavekit.cli import main
 from pavekit.core import (
     EXHAUSTIVE_INDEX_MAX,
     PARTITION_BUDGET,
     Frame,
-    count_partitions,
     enumerate_partitions,
     gen_harmonic_frame,
     gen_random_projection,
@@ -27,7 +27,6 @@ from pavekit.core import (
     operator_norm,
 )
 from pavekit.decomposition import epsilon_riesz_partition, feichtinger_partition
-from pavekit.erasures import ccc_partition_search
 from pavekit.frames import gram_matrix
 from pavekit.paving import (
     _rgs_walk,
@@ -162,17 +161,16 @@ def _parseval_frames():
 @pytest.mark.parametrize("r", R_VALUES)
 def test_ccc_matches_scan(r):
     for fr in _parseval_frames():
-        res = ccc_partition_search(fr, r, 0.4)
-        assert res["mode"] == "exhaustive"
         g = gram_matrix(fr)
+        part, achieved, evaluated = paving._exhaustive_search(
+            fr.M, r, paving._gram_block_top(g))
 
         def cost(blk):
             sub = g[np.ix_(blk, blk)]
             w = np.linalg.eigvalsh(0.5 * (sub + sub.conj().T))
             return float(max(w[-1], 0.0))
 
-        _check(res["partition"], res["achieved"], res["scanned"], fr.M, r,
-               _scan(fr.M, r, cost))
+        _check(part, achieved, evaluated, fr.M, r, _scan(fr.M, r, cost))
 
 
 def _predicate_scan(fr, r_max, lo_target, hi_target):

@@ -102,6 +102,9 @@ PAYLOAD_FORGERIES = {
         mode="operator")),
     "tp1-other-seed": ("tp1", lambda p: p["config"].update(
         seed=p["config"]["seed"] + 1)),
+    # over the quadrature budget: verify reports it instead of raising
+    "mv-theta-huge-t-len": ("mv-theta", lambda p: p["config"].update(
+        t_len=1e308)),
     # config and results as a phase run with --trials -1 used to write them
     "phase-negative-trials": ("phase", lambda p: (
         p["config"].update(trials=-1),
