@@ -152,14 +152,27 @@ def block_spectra(a, subsets, frame=False):
                 t = a[:, idx].transpose(1, 0, 2)
                 blocks = t @ t.conj().transpose(0, 2, 1)
             else:
-                sub = a[idx[:, :, None], idx[:, None, :]]
-                blocks = 0.5 * (sub + sub.conj().transpose(0, 2, 1))
+                blocks = _principal(a, idx)
             yield idx, np.linalg.eigvalsh(blocks)
 
 
+def _principal(a, idx):
+    """Symmetrized principal blocks a[S, S] of index arrays idx (..., k)."""
+    sub = a[idx[..., :, None], idx[..., None, :]]
+    return 0.5 * (sub + np.swapaxes(sub.conj(), -1, -2))
+
+
 def block_spectrum(a, subset, frame=False):
-    """block_spectra of a single subset."""
-    return next(block_spectra(a, [subset], frame))[1][0]
+    """block_spectra of one subset; a principal block takes one eigvalsh."""
+    if frame:  # stacked: a 2-d product may take another BLAS route and bits
+        return next(block_spectra(a, [subset], frame))[1][0]
+    return np.linalg.eigvalsh(_principal(a, np.array(subset, dtype=np.intp)))
+
+
+def block_norm(a, subset):
+    """operator_norm of a[S, S], bit for bit, from one unchecked svd."""
+    idx = np.array(subset, dtype=np.intp)
+    return float(np.linalg.svd(a[idx[:, None], idx], compute_uv=False)[0])
 
 
 def operator_norm(m):

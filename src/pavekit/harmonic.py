@@ -368,7 +368,9 @@ def kadec_bounds(a, b, gamma, delta):
         raise ContractViolation("need gamma > 0 and delta >= 0")
     ratio = math.sqrt(a / b)
     level = math.pi / (4.0 * gamma) - math.asin((1.0 - ratio) / math.sqrt(2.0)) / gamma
-    x = gamma * delta
+    if not math.isfinite(x := gamma * delta):
+        raise ContractViolation(f"--delta {delta} times --gamma {gamma} is "
+                                "out of float range")
     lower = a * (1.0 - ratio * (1.0 - math.cos(x) + math.sin(x))) ** 2
     upper = b * (2.0 - math.cos(x) + math.sin(x)) ** 2
     return {"L": level, "valid": delta < level, "lower": lower, "upper": upper}
@@ -385,6 +387,10 @@ def christensen_bounds(a, b, lam, mu):
     if lam < 0.0 or mu < 0.0:
         raise ContractViolation("need lambda >= 0 and mu >= 0")
     slack = lam + mu / math.sqrt(a)
+    for option, term in ((f"--lam {lam}", lam), (f"--mu {mu}", slack - lam)):
+        if not term < 1e150:    # past it, a squared bound would overflow
+            raise ContractViolation(f"{option} puts the perturbed bounds out "
+                                    "of float range")
     return {
         "valid": slack < 1.0,
         "lower": a * (1.0 - slack) ** 2,

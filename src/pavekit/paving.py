@@ -10,12 +10,14 @@ placement budget, with block costs memoized by bitmask, and prune a prefix
 only when it provably cannot beat the best partition found so far; they
 return the partition a full scan would.  The local search does steepest-
 descent single-index moves and never claims optimality.  Every report
-records which mode produced it.
+records which mode produced it.  Blocks are priced on memo misses by core's
+one-block kernels, one cost for the searches, _priced and verify.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from .core import (
     BudgetExceeded,
     ContractViolation,
     Partition,
+    block_norm,
     block_spectrum,
     ensure_matrix,
     ensure_projection,
@@ -50,13 +53,6 @@ def delta_diag(t):
     if t.shape[0] != t.shape[1]:
         raise ContractViolation("delta_diag needs a square matrix")
     return float(np.abs(np.diag(t)).max())
-
-
-def _offdiag(t):
-    t = ensure_matrix(t)
-    if t.shape[0] != t.shape[1]:
-        raise ContractViolation("paving needs a square matrix")
-    return t - np.diag(np.diag(t))
 
 
 @dataclass
@@ -273,28 +269,33 @@ def _search(m, r_max, cost, seed, flags, mode="auto"):
 
 def _pricing(form, a, epsilon, bound=None):
     """(block cost, target, scale, flags) of a paving form on the matrix its
-    blocks are read from: T for "matrix" (compressions of T - D(T), target
-    epsilon times ||T - D(T)||), the projection for "projection" (target
-    1 - epsilon, flags on diag_delta against the bound delta), the Gram
-    matrix for "weaver" (target bessel - epsilon, flags on the top Gram
-    eigenvalue against the bound bessel)."""
+    blocks are read from: T for "matrix" (block_norm of T - D(T), target
+    epsilon ||T - D(T)||), the projection for "projection" (block_norm of P,
+    target 1 - epsilon, flags on diag_delta against the bound delta), the
+    Gram matrix for "weaver" (top Gram block eigenvalue, target bessel -
+    epsilon, flags on the top Gram eigenvalue against the bound bessel).
+    An overflowing target is refused, naming the option that set it."""
     if form == "matrix":
-        t0 = _offdiag(a)
-        scale = operator_norm(t0)
-        return (lambda blk: operator_norm(t0[np.ix_(blk, blk)]),
-                epsilon * scale, scale, {})
-    if form == "projection":
-        cost, target, scale = (lambda blk: operator_norm(a[np.ix_(blk, blk)]),
-                               1.0 - epsilon, 1.0)
-        key, actual = "diag_delta", delta_diag(a)
+        a = ensure_matrix(a)
+        if a.shape[0] != a.shape[1]:
+            raise ContractViolation("paving needs a square matrix")
+        a = a - np.diag(np.diag(a))
+        scale = operator_norm(a)
+        target, flags = epsilon * scale, {}
+    elif form == "projection":
+        target, scale, flags = 1.0 - epsilon, 1.0, {"diag_delta": delta_diag(a)}
     elif form == "weaver":
-        cost, target, scale = _gram_block_top(a), bound - epsilon, float(bound)
-        key, actual = "bessel_actual", float(max(sym_eig(a)[0][-1], 0.0))
+        target, scale = bound - epsilon, float(bound)
+        flags = {"bessel_actual": float(max(sym_eig(a)[0][-1], 0.0))}
     else:
         raise ContractViolation(f"unknown paving form {form!r}")
-    flags = {key: actual}
-    if bound is not None and actual > bound + CHECK_TOL:
+    if not np.isfinite(target):
+        option = "--bessel" if form == "weaver" else "--epsilon"
+        raise ContractViolation(f"{option} gives a {form} target of {target}")
+    if bound is not None and form != "matrix" and \
+            max(flags.values()) > bound + CHECK_TOL:
         flags["precondition_violated"] = True
+    cost = _gram_block_top(a) if form == "weaver" else partial(block_norm, a)
     return cost, target, scale, flags
 
 
@@ -327,7 +328,7 @@ def pave_matrix_check(t, r_max, epsilon, mode="auto", seed=0):
     """
     if not (0.0 < epsilon):
         raise ContractViolation("need epsilon > 0")
-    return _pave("matrix", _offdiag(t), r_max, epsilon, None, mode, seed)
+    return _pave("matrix", t, r_max, epsilon, None, mode, seed)
 
 
 def pave_projection_check(p, r_max, epsilon, delta=None, mode="auto", seed=0):

@@ -1,7 +1,10 @@
-"""The stacked block-spectrum kernel and the subset scans built on it.
+"""The stacked block-spectrum kernel, its one-block forms, and the subset
+scans built on it.
 
 block_spectra must give every block the bits a lone eigvalsh of that block
-gives, however the blocks are stacked.  The oracles below are the
+gives, however the blocks are stacked; block_spectrum and block_norm, which
+price one block of a partition walk, must give the bits of the stacked
+kernel and of operator_norm.  The oracles below are the
 per-subset loops the scans ran before they were stacked; the scans must
 match them bit for bit: values, worst subset, tie order and counts.
 """
@@ -21,11 +24,14 @@ from pavekit.core import (
     RANK_TOL,
     ContractViolation,
     Frame,
+    block_norm,
     block_spectra,
     block_spectrum,
     gen_harmonic_frame,
+    gen_random_projection,
     gen_random_unit_frame,
     numeric_rank,
+    operator_norm,
     subset_ranks,
 )
 from pavekit.decomposition import restricted_isometry
@@ -101,8 +107,41 @@ def test_block_spectra_keeps_mixed_order():
     assert _bits(block_spectrum(g, [1, 3, 5])) == _bits(got[3])
 
 
+def _one_block_cases():
+    """(matrix, subsets): every subset of a real and a complex 10 x 10
+    Hermitian matrix and of a rank-4 projection, and 300 random blocks of
+    each kind of matrix at M = 14."""
+    rng = np.random.default_rng(12)
+    for m, subsets in ((10, None), (14, 300)):
+        a = rng.standard_normal((m, m))
+        z = a + 1j * rng.standard_normal((m, m))
+        if subsets is None:
+            subsets = [s for k in range(1, m + 1)
+                       for s in itertools.combinations(range(m), k)]
+        else:
+            subsets = [sorted(rng.choice(m, int(rng.integers(1, m + 1)),
+                                         replace=False).tolist())
+                       for _ in range(subsets)]
+        # Hermitian up to roundoff, as computed Gram matrices and
+        # projections are, so that the symmetrization shows in the bits
+        noise = 1e-15 * rng.standard_normal((m, m))
+        for h in (a + a.T + noise, z + z.conj().T + noise,
+                  gen_random_projection(m, 4, m)):
+            yield h, subsets
+
+
+def test_one_block_kernels_match_stacked_and_checked_routes():
+    for a, subsets in _one_block_cases():
+        stacked = [w for _, ws in block_spectra(a, subsets) for w in ws]
+        assert len(stacked) == len(subsets)
+        for subset, w in zip(subsets, stacked):
+            assert _bits(block_spectrum(a, subset)) == _bits(w)
+            assert _bits(block_norm(a, subset)) == \
+                _bits(operator_norm(a[np.ix_(subset, subset)]))
+
+
 def test_no_hand_copied_eigensolves():
-    """Block eigensolves go through core.block_spectra; only harmonic's
+    """Block eigensolves go through core's block kernels; only harmonic's
     Toeplitz sections and Kadec Gram, which are not blocks of a stored
     matrix, call eigvalsh themselves."""
     allowed = {"core.py", "harmonic.py"}

@@ -83,6 +83,30 @@ def test_every_float_option_keeps_the_exit_contract(tmp_path):
                       for option in opts}
 
 
+@pytest.mark.parametrize("report", [False, True])
+def test_overflowing_paving_target_exits_2(tmp_path, report):
+    """The target overflows where it is computed, with or without a report
+    to write, and the option that set it is named."""
+    argv = commands(tmp_path)
+    weaver = _with_option(argv["weaver"], "--bessel", "1e308")
+    for run, option in ((_with_option(argv["pave"], "--epsilon", "1e308"),
+                         "--epsilon"),
+                        (_with_option(weaver, "--epsilon", "-1e308"),
+                         "--bessel")):
+        rep = tmp_path / "report.json"
+        code, err = _run(run + ["--report", str(rep)] if report else run)
+        assert code == 2 and f"error: {option} gives a" in err, (run, err)
+        assert not rep.exists()
+
+
+@pytest.mark.parametrize("option", ["--delta", "--lam", "--mu"])
+def test_kadec_overflow_names_the_option(tmp_path, option):
+    code, err = _run(_with_option(commands(tmp_path)["kadec"], option,
+                                  "1e308"))
+    assert code == 2 and err.startswith(f"error: {option} 1e+308 "), err
+    assert "out of float range" in err
+
+
 @pytest.mark.parametrize("extra", [["--t-len", "1e308"],
                                    ["--t-len", "2", "--quad-n", str(10**12)]])
 def test_mv_theta_quadrature_over_budget_exits_3(extra):

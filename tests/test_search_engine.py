@@ -19,6 +19,7 @@ from pavekit.core import (
     EXHAUSTIVE_INDEX_MAX,
     PARTITION_BUDGET,
     Frame,
+    block_spectra,
     enumerate_partitions,
     gen_harmonic_frame,
     gen_random_projection,
@@ -171,6 +172,62 @@ def test_ccc_matches_scan(r):
             return float(max(w[-1], 0.0))
 
         _check(part, achieved, evaluated, fr.M, r, _scan(fr.M, r, cost))
+
+
+def _old_pricing(monkeypatch, calls):
+    """The block costs before the one-block kernels, counted in calls:
+    operator_norm of an np.ix_ copy, and block_spectra of a one-subset
+    stack."""
+    def norm(a, blk):
+        calls.append("norm")
+        return operator_norm(a[np.ix_(blk, blk)])
+
+    def spectrum(a, blk, frame=False):
+        calls.append("spectrum")
+        return next(block_spectra(a, [blk], frame))[1][0]
+
+    monkeypatch.setattr(paving, "block_norm", norm)
+    monkeypatch.setattr(paving, "block_spectrum", spectrum)
+    monkeypatch.setattr(decomposition, "block_spectrum", spectrum)
+
+
+def _searches_at_10():
+    """{form: search at r blocks} on 10 indices, each form as the CLI runs
+    it; riesz with a target no partition into fewer than 4 blocks meets, and
+    with one that 3 blocks meet."""
+    rng = np.random.default_rng(23)
+    t, p = _sym(rng, 10), gen_random_projection(10, 4, 5)
+    fr = gen_random_unit_frame(4, 10, 6, "complex")
+    return {
+        "matrix": lambda r: pave_matrix_check(t, r, 0.5, mode="exhaustive"),
+        "projection": lambda r: pave_projection_check(p, r, 0.3,
+                                                      mode="exhaustive"),
+        "weaver": lambda r: weaver_check(fr, fr.M, 0.5, r),
+        "riesz": lambda r: epsilon_riesz_partition(fr, 0.6, r),
+        "riesz-wide": lambda r: epsilon_riesz_partition(fr, 0.8, r),
+    }
+
+
+def _fingerprint(rep):
+    """A report's partition, mode, verdict and evaluated, with the bits of
+    achieved and per_block."""
+    return (rep.partition and rep.partition.blocks(), rep.mode, rep.verdict,
+            getattr(rep, "evaluated", None),
+            np.float64(getattr(rep, "achieved", np.nan)).tobytes(),
+            np.array(rep.per_block, dtype=np.float64).tobytes())
+
+
+@pytest.mark.parametrize("r", (2, 3, 4))
+def test_one_block_pricing_matches_the_old_costs(monkeypatch, r):
+    for form, search in _searches_at_10().items():
+        rep = search(r)
+        calls = []
+        with monkeypatch.context() as patched:
+            _old_pricing(patched, calls)
+            old = search(r)
+        assert calls, form
+        assert rep.mode == "exhaustive", form
+        assert _fingerprint(rep) == _fingerprint(old), form
 
 
 def _predicate_scan(fr, r_max, lo_target, hi_target):
