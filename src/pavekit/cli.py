@@ -327,23 +327,14 @@ def _cmd_verify(args):
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser: one table row per subcommand
 # ---------------------------------------------------------------------------
 
 def _add_report(p):
     p.add_argument("--report", help="write a JSON report to this path")
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="pavekit",
-        description="Finite-dimensional paving, dilation and partition "
-                    "toolkit with verifiable reports.")
-    parser.add_argument("--version", action="version",
-                        version=f"pavekit {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="generate a frame, projection or grid symbol")
+def _gen_options(p):
     p.add_argument("--kind", required=True,
                    choices=["harmonic", "random-unit", "projection", "e1-grid"])
     p.add_argument("--n", type=int)
@@ -357,21 +348,21 @@ def build_parser():
     p.add_argument("--c", type=_finite_float, default=0.5)
     p.add_argument("--out", required=True)
     _add_report(p)
-    p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("analyze", help="spectral summary of a frame file")
+
+def _analyze_options(p):
     p.add_argument("--input", required=True)
     _add_report(p)
-    p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("dilate", help="projection dilation of a frame or operator")
+
+def _dilate_options(p):
     p.add_argument("--input", required=True)
     p.add_argument("--mode", choices=["naimark", "operator"],
                    default="naimark")
     _add_report(p)
-    p.set_defaults(func=_cmd_dilate)
 
-    p = sub.add_parser("pave", help="search for a paving partition")
+
+def _pave_options(p):
     p.add_argument("--input", required=True)
     p.add_argument("--form", choices=["matrix", "projection"],
                    default="matrix")
@@ -383,19 +374,18 @@ def build_parser():
     p.add_argument("--delta", type=_finite_float,
                    help="diagonal bound precondition (projection form)")
     _add_report(p)
-    p.set_defaults(func=_cmd_pave)
 
-    p = sub.add_parser("weaver", help="two-sided block bound partition search")
+
+def _weaver_options(p):
     p.add_argument("--input", required=True)
     p.add_argument("--bessel", type=_finite_float, required=True)
     p.add_argument("--epsilon", type=_finite_float, required=True)
     p.add_argument("--r-max", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     _add_report(p)
-    p.set_defaults(func=_cmd_weaver)
 
-    p = sub.add_parser("decompose",
-                       help="partition into well-bounded subfamilies")
+
+def _decompose_options(p):
     p.add_argument("--input", required=True)
     p.add_argument("--criterion", required=True,
                    choices=["riesz", "feichtinger", "tp1"])
@@ -406,26 +396,24 @@ def build_parser():
     p.add_argument("--r-max", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     _add_report(p)
-    p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("ric", help="restricted isometry deviation")
+
+def _ric_options(p):
     p.add_argument("--input", required=True)
     p.add_argument("--s", type=int, required=True)
     _add_report(p)
-    p.set_defaults(func=_cmd_ric)
 
-    p = sub.add_parser("radohorn",
-                       help="partition into at most r independent blocks, "
-                            "or a violating subset")
+
+def _radohorn_options(p):
     p.add_argument("--input", required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--partition", action="store_true",
                    help="no effect: the partition is always reported when "
                         "one exists; kept so older command lines still run")
     _add_report(p)
-    p.set_defaults(func=_cmd_radohorn)
 
-    p = sub.add_parser("subspace", help="largeness and decomposability")
+
+def _subspace_options(p):
     p.add_argument("--input", required=True,
                    help="matrix whose columns span or orthonormally base "
                         "the subspace")
@@ -434,11 +422,9 @@ def build_parser():
     p.add_argument("--a", type=_finite_float, help="largeness level to test")
     p.add_argument("--blocks", help="coordinate partition, e.g. '0,1;2,3'")
     _add_report(p)
-    p.set_defaults(func=_cmd_subspace)
 
-    p = sub.add_parser("toeplitz",
-                       help="grid symbol identities, uniform criteria and "
-                            "section spectra")
+
+def _toeplitz_options(p):
     p.add_argument("--input", required=True)
     p.add_argument("--k-list", required=True,
                    help="comma-separated moduli, each dividing N")
@@ -448,9 +434,9 @@ def build_parser():
     p.add_argument("--freq-min", type=int, default=0)
     p.add_argument("--freq-max", type=int)
     _add_report(p)
-    p.set_defaults(func=_cmd_toeplitz)
 
-    p = sub.add_parser("kadec", help="perturbation stability bounds")
+
+def _kadec_options(p):
     p.add_argument("--a", type=_finite_float, required=True)
     p.add_argument("--b", type=_finite_float, required=True)
     p.add_argument("--gamma", type=_finite_float, required=True)
@@ -464,40 +450,105 @@ def build_parser():
     p.add_argument("--mu", type=_finite_float,
                    help="absolute perturbation constant")
     _add_report(p)
-    p.set_defaults(func=_cmd_kadec)
 
-    p = sub.add_parser("mv-theta", help="exponential sum energy correction")
+
+def _mv_theta_options(p):
     p.add_argument("--freqs", required=True)
     p.add_argument("--coeffs", required=True,
                    help="comma-separated complex numbers, e.g. '1,0.5-0.2j'")
     p.add_argument("--t-len", type=_finite_float, required=True)
     p.add_argument("--quad-n", type=int)
     _add_report(p)
-    p.set_defaults(func=_cmd_mv_theta)
 
-    p = sub.add_parser("erasure", help="worst-case erasure robustness")
+
+def _erasure_options(p):
     p.add_argument("--input", required=True)
     p.add_argument("--k", type=int, required=True)
     _add_report(p)
-    p.set_defaults(func=_cmd_erasure)
 
-    p = sub.add_parser("phase", help="sign-blind recovery check")
+
+def _phase_options(p):
     p.add_argument("--input", required=True)
     p.add_argument("--trials", type=int, default=10**4)
     p.add_argument("--seed", type=int, default=0)
     _add_report(p)
-    p.set_defaults(func=_cmd_phase)
 
-    p = sub.add_parser("verify", help="recompute a report's certificates")
+
+def _verify_options(p):
     p.add_argument("--report", dest="report_path", required=True)
-    p.set_defaults(func=_cmd_verify)
 
+
+# name -> (help, the function that adds its options, handler), in the order
+# the help lists them
+_COMMANDS = {
+    "gen": ("generate a frame, projection or grid symbol", _gen_options,
+            _cmd_gen),
+    "analyze": ("spectral summary of a frame file", _analyze_options,
+                _cmd_analyze),
+    "dilate": ("projection dilation of a frame or operator", _dilate_options,
+               _cmd_dilate),
+    "pave": ("search for a paving partition", _pave_options, _cmd_pave),
+    "weaver": ("two-sided block bound partition search", _weaver_options,
+               _cmd_weaver),
+    "decompose": ("partition into well-bounded subfamilies",
+                  _decompose_options, _cmd_decompose),
+    "ric": ("restricted isometry deviation", _ric_options, _cmd_ric),
+    "radohorn": ("partition into at most r independent blocks, "
+                 "or a violating subset", _radohorn_options, _cmd_radohorn),
+    "subspace": ("largeness and decomposability", _subspace_options,
+                 _cmd_subspace),
+    "toeplitz": ("grid symbol identities, uniform criteria and "
+                 "section spectra", _toeplitz_options, _cmd_toeplitz),
+    "kadec": ("perturbation stability bounds", _kadec_options, _cmd_kadec),
+    "mv-theta": ("exponential sum energy correction", _mv_theta_options,
+                 _cmd_mv_theta),
+    "erasure": ("worst-case erasure robustness", _erasure_options,
+                _cmd_erasure),
+    "phase": ("sign-blind recovery check", _phase_options, _cmd_phase),
+    "verify": ("recompute a report's certificates", _verify_options,
+               _cmd_verify),
+}
+
+
+def _parser(names, metavar=None):
+    """The root parser with the subparsers of the named commands."""
+    parser = argparse.ArgumentParser(
+        prog="pavekit",
+        description="Finite-dimensional paving, dilation and partition "
+                    "toolkit with verifiable reports.")
+    parser.add_argument("--version", action="version",
+                        version=f"pavekit {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=metavar)
+    for name in names:
+        help_text, add_options, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_options(p)
+        p.set_defaults(func=handler)
     return parser
 
 
+def build_parser():
+    """The parser of every subcommand: what help, --version and any
+    misspelled command get."""
+    return _parser(_COMMANDS)
+
+
+def _parser_for(argv):
+    """Only the named subcommand's parser when argv starts with one, the
+    full parser otherwise.  The narrow root still lists every command in
+    its usage line, which its "unrecognized arguments" error prints; the
+    full root keeps argparse's own metavar, since its errors name the
+    command argument by it."""
+    if argv and argv[0] in _COMMANDS:
+        return _parser([argv[0]], "{" + ",".join(_COMMANDS) + "}")
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parser_for(argv).parse_args(argv)
     start = time.perf_counter()
     try:
         out = args.func(args)

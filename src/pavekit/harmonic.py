@@ -352,6 +352,14 @@ def montgomery_vaughan_theta(freqs, coeffs, t_len, quad_n=None):
 # perturbation bounds for exponential systems
 # ---------------------------------------------------------------------------
 
+def _check_bounds_finite(lower, upper, a_option, b_option):
+    """Refuse an infinite perturbed bound, naming the option that set it."""
+    for option, bound in ((a_option, lower), (b_option, upper)):
+        if not math.isfinite(bound):
+            raise ContractViolation(f"{option} puts the perturbed bounds out "
+                                    "of float range")
+
+
 def kadec_bounds(a, b, gamma, delta):
     """Stability radius and perturbed bounds for frequency perturbations.
 
@@ -373,6 +381,7 @@ def kadec_bounds(a, b, gamma, delta):
                                 "out of float range")
     lower = a * (1.0 - ratio * (1.0 - math.cos(x) + math.sin(x))) ** 2
     upper = b * (2.0 - math.cos(x) + math.sin(x)) ** 2
+    _check_bounds_finite(lower, upper, f"--a {a}", f"--b {b}")
     return {"L": level, "valid": delta < level, "lower": lower, "upper": upper}
 
 
@@ -391,11 +400,11 @@ def christensen_bounds(a, b, lam, mu):
         if not term < 1e150:    # past it, a squared bound would overflow
             raise ContractViolation(f"{option} puts the perturbed bounds out "
                                     "of float range")
-    return {
-        "valid": slack < 1.0,
-        "lower": a * (1.0 - slack) ** 2,
-        "upper": b * (1.0 + lam + mu / math.sqrt(b)) ** 2,
-    }
+    lower = a * (1.0 - slack) ** 2
+    upper = b * (1.0 + lam + mu / math.sqrt(b)) ** 2
+    both = f"with --lam {lam} and --mu {mu}"
+    _check_bounds_finite(lower, upper, f"--a {a} {both}", f"--b {b} {both}")
+    return {"valid": slack < 1.0, "lower": lower, "upper": upper}
 
 
 def kadec_empirical_check(n_max, delta_max=None, seed=0, deltas=None):

@@ -11,6 +11,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -107,6 +108,28 @@ def test_kadec_overflow_names_the_option(tmp_path, option):
     assert "out of float range" in err
 
 
+@pytest.mark.parametrize("report", [False, True])
+@pytest.mark.parametrize("values, option", [
+    (("--a", "1", "--b", "1e308", "--gamma", "3", "--delta", "0.1",
+      "--lam", "0.5", "--mu", "0"), "--b"),
+    (("--a", "1.5e308", "--b", "1.5e308", "--gamma", "3",
+      "--delta", "0.785"), "--a"),
+    (("--a", "1e300", "--b", "1e300", "--gamma", "3", "--delta", "0.1",
+      "--lam", "1e5", "--mu", "0"), "--a"),
+])
+def test_kadec_frame_bound_overflow_names_the_option(tmp_path, values,
+                                                     option, report):
+    """A perturbed bound that overflows exits 2 where it is computed, with
+    or without a report to write, naming the frame bound that set it."""
+    rep = tmp_path / "kadec.json"
+    run = ["kadec", *values] + (["--report", str(rep)] if report else [])
+    code, err = _run(run)
+    value = float(values[values.index(option) + 1])
+    assert code == 2 and err.startswith(f"error: {option} {value} "), err
+    assert "out of float range" in err
+    assert not rep.exists()
+
+
 @pytest.mark.parametrize("extra", [["--t-len", "1e308"],
                                    ["--t-len", "2", "--quad-n", str(10**12)]])
 def test_mv_theta_quadrature_over_budget_exits_3(extra):
@@ -157,3 +180,77 @@ def test_riesz_decompose_past_the_walk_is_greedy(tmp_path):
                  "--report", str(rep)])[0] == 0
     assert load_report(str(rep))["payload"]["results"]["mode"] == "greedy"
     assert verify(str(rep)) == (True, [])
+
+
+# ---------------------------------------------------------------------------
+# cli.main builds one subcommand's parser; its texts are the full parser's
+# ---------------------------------------------------------------------------
+
+SUBCOMMANDS = tuple(next(
+    a for a in cli.build_parser()._actions
+    if isinstance(a, argparse._SubParsersAction)).choices)
+
+
+def _parse_outcome(parse, argv):
+    """(exit code, stdout, stderr) of parse(argv), which must exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+def _same_texts(argv):
+    full = _parse_outcome(lambda a: cli.build_parser().parse_args(a), argv)
+    assert _parse_outcome(cli.main, argv) == full, argv
+
+
+def test_float_options_are_all_seen():
+    assert len(SUBCOMMANDS) == 15
+    assert sum(map(len, _float_options().values())) == 18
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], [], ["pav"]])
+def test_root_texts_are_the_full_parsers(argv):
+    _same_texts(argv)
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_subcommand_texts_are_the_full_parsers(tmp_path, name):
+    valid = next((argv for argv in commands(tmp_path).values()
+                  if argv[0] == name),
+                 ["verify", "--report", str(tmp_path / "r.json")])
+    assert valid[0] == name
+    for argv in ([name, "--help"], [name], [name, "--bogus", "1"],
+                 valid + ["extra"]):
+        _same_texts(argv)
+
+
+def _count_parsers(monkeypatch):
+    """The list that every ArgumentParser built from now on appends to."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return built
+
+
+def test_a_command_builds_only_its_own_parser(tmp_path, monkeypatch,
+                                              capsys):
+    rep = str(tmp_path / "kadec.json")
+    assert cli.main(commands(tmp_path)["kadec"] + ["--report", rep]) == 0
+    built = _count_parsers(monkeypatch)
+    assert cli.main(["verify", "--report", rep]) == 0
+    assert len(built) <= 2
+    built.clear()
+    monkeypatch.setattr(sys, "argv", ["pavekit", "verify", "--report", rep])
+    assert cli.main() == 0
+    assert len(built) <= 2
+    assert capsys.readouterr().out.count('"verified": true') == 2
+    built.clear()
+    assert _run(["--help"])[0] == 0
+    assert len(built) == 1 + len(SUBCOMMANDS)
