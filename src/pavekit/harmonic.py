@@ -90,45 +90,46 @@ def grid_indicator(n, mask):
     return GridFunction(m.astype(np.float64))
 
 
-def _check_divisor(g, k):
+def _orbits(g, k):
+    """(K, N/K) view of the samples whose columns are the translate orbits:
+    column c holds g(c + u N/K) for u = 0..K-1."""
     if k < 1 or g.N % k != 0:
         raise ContractViolation(f"translate modulus {k} must divide N = {g.N}")
+    return g.values.reshape(k, -1)
 
 
 def translate_average(g, k):
-    """(1/K) sum_j |g(t - j/K)|^2, a real grid function."""
-    _check_divisor(g, k)
-    step = g.N // k
-    a = np.abs(g.values) ** 2
-    acc = np.zeros(g.N)
-    for j in range(k):
-        acc += np.roll(a, j * step)
-    return GridFunction(acc / k)
+    """(1/K) sum_j |g(t - j/K)|^2, a real grid function: the mean of |g|^2
+    over the orbit of t."""
+    orbit_mean = (np.abs(_orbits(g, k)) ** 2).mean(axis=0)
+    return GridFunction(np.tile(orbit_mean, k))
 
 
 def gk_component(g, k, res):
     """Frequency component of g for residue res mod K, via translates:
-    (1/K) sum_j g(t - j/K) exp(2 pi i j res / K)."""
-    _check_divisor(g, k)
+    (1/K) sum_j g(t - j/K) exp(2 pi i j res / K).  On row u of the orbit
+    view that is exp(2 pi i u res / K) times the orbits' K-point DFT at
+    res, over K."""
+    orbits = _orbits(g, k)
     if not (0 <= res < k):
         raise ContractViolation("residue must lie in 0..K-1")
-    step = g.N // k
-    acc = np.zeros(g.N, dtype=np.complex128)
-    for j in range(k):
-        acc += np.roll(g.values, j * step) * np.exp(2j * np.pi * j * res / k)
-    return GridFunction(acc / k)
+    spec = np.fft.fft(orbits, axis=0)[res] / k
+    phase = np.exp(2j * np.pi * np.arange(k) * res / k)
+    return GridFunction(np.outer(phase, spec).reshape(-1))
 
 
 def tt3_identity_check(g, k):
     """sum_res |g_res|^2 == translate_average(g, K) exactly on the grid.
 
-    Returns (ok, residual); the slack is TT3_REL_TOL * (1 + sup|g|^2).
+    Each component's phase has modulus one, so the sum is the squared
+    moduli of the orbits' DFT summed over residues, over K^2, and constant
+    along each orbit.  Returns (ok, residual); the slack is
+    TT3_REL_TOL * (1 + sup|g|^2).
     """
     avg = translate_average(g, k)
-    acc = np.zeros(g.N)
-    for res in range(k):
-        acc += np.abs(gk_component(g, k, res).values) ** 2
-    resid = float(np.abs(acc - avg.values).max())
+    spec = np.fft.fft(_orbits(g, k), axis=0)
+    acc = (np.abs(spec) ** 2).sum(axis=0) / k ** 2
+    resid = float(np.abs(avg.values.reshape(k, -1) - acc).max())
     return resid <= TT3_REL_TOL * (1.0 + g.sup_sq()), resid
 
 
@@ -174,33 +175,21 @@ def example_e1_set(n, levels, c=0.5):
     used = np.zeros(n, dtype=bool)
     cells = {}
     starts = {}
-    order = list(range(levels, 1, -1)) + [1]
-    for m in order:
-        step = n // m
+    for m in range(levels, 0, -1):
         want = round(c * n / (m * 2 ** m))
         if want < 1:
             raise ContractViolation(
                 f"grid too small to carve a level-{m} piece; increase N")
-        placed = []
-        if m == 1:
-            free = np.nonzero(~used)[0]
-            if free.size < want:
-                raise ContractViolation("no room left for the base level")
-            placed = [int(j) for j in free[:want]]
-            used[placed] = True
-        else:
-            for j in range(step):
-                if len(placed) == want:
-                    break
-                orbit = [j + t * step for t in range(m)]
-                if not used[orbit].any():
-                    used[orbit] = True
-                    placed.append(j)
-            if len(placed) < want:
-                raise ContractViolation(
-                    f"could not place level {m} disjointly; lower c or levels")
+        # column j of the view is the orbit of j under translates by 1/m
+        orbits = used.reshape(m, -1)
+        free = np.flatnonzero(~orbits.any(axis=0))[:want]
+        if free.size < want:
+            raise ContractViolation(
+                "no room left for the base level" if m == 1 else
+                f"could not place level {m} disjointly; lower c or levels")
+        orbits[:, free] = True
         cells[m] = want
-        starts[m] = placed
+        starts[m] = free.tolist()
     measure_e = float(used.mean())
     book = {
         "N": int(n), "levels": int(levels), "c": float(c),
@@ -237,15 +226,12 @@ def _check_freqs(g, freqs):
 def toeplitz_section(g, freqs):
     """Matrix of the multiplication-by-g operator compressed onto the given
     exponential frequencies: entry (a, b) = (1/N) sum_j g(j)
-    exp(+2 pi i (freqs[a] - freqs[b]) j / N).  Diagonal = mean of g."""
+    exp(+2 pi i (freqs[a] - freqs[b]) j / N), the inverse DFT of the
+    samples at freqs[a] - freqs[b] mod N.  Diagonal = mean of g."""
     f = _check_freqs(g, freqs)
     if np.iscomplexobj(g.values) and np.abs(g.values.imag).max() > 0.0:
         raise ContractViolation("section symbol must be real-valued")
-    j = np.arange(g.N)
-    diffs = {d for a in f for d in (a - b for b in f)}
-    coeff = {d: complex(np.sum(g.values * np.exp(2j * np.pi * d * j / g.N)) / g.N)
-             for d in diffs}
-    out = np.array([[coeff[a - b] for b in f] for a in f])
+    out = np.fft.ifft(g.values)[np.subtract.outer(f, f) % g.N]
     return 0.5 * (out + out.conj().T)
 
 
@@ -262,6 +248,8 @@ def ap_blocks(freqs, stride):
 def distribution_check(g, freq_blocks, epsilon):
     """Check that every block section has spectrum within a relative epsilon
     of the mean of g.  Returns a report dict with per-block extremes."""
+    if not freq_blocks:
+        raise ContractViolation("need at least one frequency")
     if epsilon <= 0.0:
         raise ContractViolation("epsilon must be positive")
     mean = float(np.real(np.mean(g.values)))
@@ -287,7 +275,6 @@ def distribution_check(g, freq_blocks, epsilon):
 # ---------------------------------------------------------------------------
 
 def _simpson(vals, h):
-    n = vals.size - 1
     return h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum()
                       + 2.0 * vals[2:-1:2].sum())
 

@@ -426,6 +426,30 @@ def test_toeplitz_and_grid_commands(tmp_path):
     assert verify(str(rep2))[0]
 
 
+@pytest.mark.parametrize("report", [False, True])
+def test_toeplitz_refuses_an_empty_frequency_range(tmp_path, capsys, report):
+    g = tmp_path / "g.json"
+    assert run("gen", "--kind", "e1-grid", "--N", "360", "--levels", "3",
+               "--out", str(g)) == 0
+    rep = tmp_path / "t.json"
+    argv = ["toeplitz", "--input", str(g), "--k-list", "2", "--epsilon",
+            "0.5", "--stride", "2", "--freq-min", "10", "--freq-max", "5"]
+    assert run(*argv, *(["--report", str(rep)] if report else [])) == 2
+    assert "need at least one frequency" in capsys.readouterr().err
+    assert not rep.exists()
+
+
+def test_toeplitz_at_k_equal_n_verifies(tmp_path):
+    n = 7680
+    g = tmp_path / "g.json"
+    values = np.random.default_rng(12).uniform(0.5, 1.5, n)
+    g.write_text(json.dumps({"N": n, "values": [[v, 0.0] for v in values]}))
+    rep = tmp_path / "t.json"
+    assert run("toeplitz", "--input", str(g), "--k-list", str(n),
+               "--epsilon", "0.5", "--report", str(rep)) == 0
+    assert verify(str(rep)) == (True, [])
+
+
 def test_kadec_mv_erasure_phase(tmp_path):
     argvs = [
         ["kadec", "--a", "1", "--b", "1", "--gamma", "3.141592653589793",
@@ -455,6 +479,17 @@ def test_entry_point_subprocess(tmp_path):
                          capture_output=True, text=True, env=env)
     assert out.returncode == 0
     assert "pavekit" in out.stdout
+
+
+def test_cli_import_leaves_numpy_fft_unloaded():
+    src = os.path.dirname(os.path.dirname(pavekit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, pavekit.cli; print('numpy.fft' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_missing_seed_fails_verification(tmp_path):

@@ -1,9 +1,15 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import (
+    gk_component_by_rolls,
+    toeplitz_section_by_sums,
+    translate_average_by_rolls,
+)
 from pavekit.core import ContractViolation
 from pavekit.harmonic import (
     GridFunction,
@@ -55,9 +61,82 @@ def test_identity_keystone_on_random_polynomials():
     rng = np.random.default_rng(1)
     for _ in range(50):
         g = _trig_poly(rng, 360)
-        for k in (2, 3, 4, 6):
+        for k in (2, 3, 4, 6, 180, 360):
             ok, resid = tt3_identity_check(g, k)
             assert ok, f"residual {resid} at K={k}"
+
+
+def _divisors(n):
+    return [k for k in range(1, n + 1) if n % k == 0]
+
+
+def test_orbit_transforms_match_the_roll_oracles():
+    g = _trig_poly(np.random.default_rng(8), 360)
+    for g in (g, GridFunction(g.values.real)):
+        tol = 1e-12 * (1.0 + g.sup_sq())
+        for k in _divisors(360):
+            avg = translate_average(g, k).values
+            assert np.abs(avg - translate_average_by_rolls(g, k)).max() <= tol
+            # every residue up to K = 4, the ends and the middle beyond
+            for res in sorted({0, 1 % k, k // 2, k - 1}):
+                comp = gk_component(g, k, res).values
+                want = gk_component_by_rolls(g, k, res)
+                assert np.abs(comp - want).max() <= tol, (k, res)
+
+
+def test_sections_match_the_difference_sums():
+    rng = np.random.default_rng(9)
+    n = 360
+    bound = n // 2 - 1
+    for _ in range(5):
+        g = _trig_poly(rng, n)
+        for g in (GridFunction(np.abs(g.values) ** 2),
+                  GridFunction(g.values.real)):
+            tol = 1e-12 * (1.0 + g.sup_sq())
+            sets = [[-bound, 0, bound], [bound, -bound]]
+            sets += [rng.choice(np.arange(-bound, bound + 1),
+                                size=int(rng.integers(1, 17)), replace=False)
+                     for _ in range(4)]
+            for freqs in sets:
+                got = toeplitz_section(g, freqs)
+                want = toeplitz_section_by_sums(g, freqs)
+                assert np.abs(got - want).max() <= tol, list(freqs)
+
+
+def test_grid_transforms_count_no_rolls_and_one_fft_per_modulus(monkeypatch):
+    calls = {"roll": 0, "fft": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np, "roll", counted("roll", np.roll))
+    monkeypatch.setattr(np.fft, "fft", counted("fft", np.fft.fft))
+    g = _trig_poly(np.random.default_rng(10), 360)
+    for k in _divisors(360):
+        translate_average(g, k)
+        gk_component(g, k, k - 1)
+        calls["fft"] = 0
+        assert tt3_identity_check(g, k)[0]
+        assert calls["fft"] == 1, k
+    toeplitz_section(GridFunction(np.abs(g.values) ** 2), range(-179, 180, 7))
+    assert calls["roll"] == 0
+
+
+def test_identity_check_at_k_equal_n_stays_linear_in_memory():
+    n = 7680
+    g = GridFunction(np.random.default_rng(11).uniform(0.5, 1.5, n))
+    tracemalloc.start()
+    try:
+        ok, resid = tt3_identity_check(g, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok, resid
+    # a (K, N) component array would take K * N * 16 bytes, 943 MB here
+    assert peak < 16 * n * 16
 
 
 def _component_by_mask(g, k, res):
@@ -111,6 +190,20 @@ def test_e1_bookkeeping_and_criteria():
         assert not ok and mn == 0.0
         ok, dev = uniform_paving_criterion(g, k, 0.5)
         assert not ok and dev >= 0.5
+
+
+def test_e1_pieces_take_the_first_free_orbits():
+    # level 3 takes the orbits of 0..7 (points 0..7, 120..127, 240..247),
+    # so level 2's first free orbits are 8..29 (points 8..29, 188..209),
+    # and level 1 takes the first 90 points left
+    g, book = example_e1_set(360, 3)
+    assert book["level_starts"] == {3: list(range(8)), 2: list(range(8, 30)),
+                                    1: list(range(30, 120))}
+    taken = np.zeros(360, dtype=bool)
+    for m, starts in book["level_starts"].items():
+        for t in range(m):
+            taken[np.array(starts) + t * 360 // m] = True
+    assert np.array_equal(g.values == 0.0, taken)
 
 
 def test_e1_validation():

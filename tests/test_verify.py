@@ -109,6 +109,10 @@ PAYLOAD_FORGERIES = {
     "phase-negative-trials": ("phase", lambda p: (
         p["config"].update(trials=-1),
         p["results"].update(trials=-1, solvable=0, failures=0))),
+    # frequencies 7..6 form no progression, and no block is no verdict
+    "toeplitz-empty-range": ("toeplitz", lambda p: (
+        p["config"].update(freq_min=7),
+        p["results"]["distribution"].update(blocks=[], verdict=True))),
 }
 
 
