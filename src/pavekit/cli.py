@@ -62,8 +62,11 @@ __all__ = ["main", "build_parser"]
 # ---------------------------------------------------------------------------
 
 def _read_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+    """(JSON value, input record) of an input file, both from one read of
+    its bytes, so the recorded hash is that of what was parsed."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return json.loads(data), input_record(path, data)
 
 
 def _finite_float(s):
@@ -102,11 +105,15 @@ def _parse_blocks(s):
 
 
 def _load_frame(path):
-    return frame_from_json(_read_json(path))
+    """(frame, input record) of a frame file."""
+    doc, record = _read_json(path)
+    return frame_from_json(doc), record
 
 
 def _load_matrix(path):
-    return matrix_from_json(_read_json(path))
+    """(matrix, input record) of a matrix file."""
+    doc, record = _read_json(path)
+    return matrix_from_json(doc), record
 
 
 # ---------------------------------------------------------------------------
@@ -135,26 +142,28 @@ def _cmd_gen(args):
 
 
 def _cmd_analyze(args):
-    fr = _load_frame(args.input)
+    fr, record = _load_frame(args.input)
     results = _analyze(fr)
     summ = results["summary"]
     line = (f"n={fr.n} M={fr.M} bounds=({summ['lower']:.6g}, "
             f"{summ['upper']:.6g}) parseval={summ['is_parseval']}")
-    return ({}, {"frame": input_record(args.input)}, results, line)
+    return {}, {"frame": record}, results, line
 
 
 def _cmd_dilate(args):
     if args.mode == "naimark":
-        dil = naimark_dilate(_load_frame(args.input))
+        fr, record = _load_frame(args.input)
+        dil = naimark_dilate(fr)
     else:
-        dil = dilate_operator(_load_matrix(args.input))
+        mat, record = _load_matrix(args.input)
+        dil = dilate_operator(mat)
     config = {"mode": args.mode}
     line = f"ambient={dil.ambient_dim} rank={dil.frame.n}"
-    return config, {"input": input_record(args.input)}, dil.to_json(), line
+    return config, {"input": record}, dil.to_json(), line
 
 
 def _cmd_pave(args):
-    t = _load_matrix(args.input)
+    t, record = _load_matrix(args.input)
     config = {"form": args.form, "r_max": args.r_max,
               "epsilon": args.epsilon, "mode": args.mode, "seed": args.seed}
     if args.form == "projection":
@@ -168,11 +177,11 @@ def _cmd_pave(args):
     results = report.to_json()
     line = (f"verdict={report.verdict} achieved={report.achieved:.6g} "
             f"target={report.target:.6g} blocks={report.partition.r}")
-    return config, {"matrix": input_record(args.input)}, results, line
+    return config, {"matrix": record}, results, line
 
 
 def _cmd_weaver(args):
-    fr = _load_frame(args.input)
+    fr, record = _load_frame(args.input)
     report = weaver_check(fr, args.bessel, args.epsilon, args.r_max,
                           seed=args.seed)
     config = {"bessel": args.bessel, "epsilon": args.epsilon,
@@ -180,11 +189,11 @@ def _cmd_weaver(args):
     results = report.to_json()
     line = (f"verdict={report.verdict} achieved={report.achieved:.6g} "
             f"target={report.target:.6g}")
-    return config, {"frame": input_record(args.input)}, results, line
+    return config, {"frame": record}, results, line
 
 
 def _cmd_decompose(args):
-    fr = _load_frame(args.input)
+    fr, record = _load_frame(args.input)
     config = {"criterion": args.criterion, "r_max": args.r_max,
               "seed": args.seed}
     if args.criterion == "riesz":
@@ -207,20 +216,20 @@ def _cmd_decompose(args):
     results = report.to_json()
     blocks = report.partition.r if report.partition is not None else 0
     line = f"verdict={report.verdict} blocks={blocks}"
-    return config, {"frame": input_record(args.input)}, results, line
+    return config, {"frame": record}, results, line
 
 
 def _cmd_ric(args):
-    fr = _load_frame(args.input)
+    fr, record = _load_frame(args.input)
     _, worst = restricted_isometry(fr, args.s)
     config = {"s": args.s}
     results = _ric(config, fr, list(worst))
     line = f"delta_{args.s}={results['delta']:.6g} worst={list(worst)}"
-    return config, {"frame": input_record(args.input)}, results, line
+    return config, {"frame": record}, results, line
 
 
 def _cmd_radohorn(args):
-    fr = _load_frame(args.input)
+    fr, record = _load_frame(args.input)
     ok, part, witness = rado_horn_check(fr, args.r)
     results = _radohorn(part, witness)
     if ok:
@@ -229,7 +238,7 @@ def _cmd_radohorn(args):
         ratio = witness["ratio"]       # None at rank 0
         line = "verdict=False witness_ratio=" + (
             "inf" if ratio is None else f"{ratio:.6g}")
-    return {"r": args.r}, {"frame": input_record(args.input)}, results, line
+    return {"r": args.r}, {"frame": record}, results, line
 
 
 def _cmd_subspace(args):
@@ -238,19 +247,20 @@ def _cmd_subspace(args):
         config["a"] = args.a
     if args.blocks is not None:
         config["blocks"] = _parse_blocks(args.blocks)
-    results = _subspace(config, _load_matrix(args.input))
+    mat, record = _load_matrix(args.input)
+    results = _subspace(config, mat)
     bits = [f"dim={results['dim']}/{results['ambient']}"]
     if "largeness" in results:
         large = results["largeness"]
         bits.append(f"large={large['verdict']} (min {large['min_norm']:.6g})")
     if "decomposable" in results:
         bits.append(f"decomposable={results['decomposable']['verdict']}")
-    return (config, {"basis": input_record(args.input)}, results,
-            " ".join(bits))
+    return config, {"basis": record}, results, " ".join(bits)
 
 
 def _cmd_toeplitz(args):
-    g = GridFunction.from_json(_read_json(args.input))
+    doc, record = _read_json(args.input)
+    g = GridFunction.from_json(doc)
     ks = _parse_ints(args.k_list)
     if not ks:
         raise ContractViolation("need at least one modulus in --k-list")
@@ -265,7 +275,7 @@ def _cmd_toeplitz(args):
     worst = max(e["tt3_residual"] for e in per_k)
     line = (f"K={ks} max_identity_residual={worst:.3e} "
             f"paving_ok={[e['paving_ok'] for e in per_k]}")
-    return config, {"grid": input_record(args.input)}, results, line
+    return config, {"grid": record}, results, line
 
 
 def _cmd_kadec(args):
@@ -302,22 +312,23 @@ def _cmd_mv_theta(args):
 
 
 def _cmd_erasure(args):
-    fr = _load_frame(args.input)
+    fr, record = _load_frame(args.input)
     report = erasure_robustness(fr, args.k)
     config = {"k": args.k}
     results = report.to_json()
     line = (f"worst_lower={report.worst_value:.6g} at erased="
             f"{report.worst_subset} (scanned {report.subsets_scanned})")
-    return config, {"frame": input_record(args.input)}, results, line
+    return config, {"frame": record}, results, line
 
 
 def _cmd_phase(args):
     config = {"trials": args.trials, "seed": args.seed}
-    report = _phase(config, _load_frame(args.input))
+    fr, record = _load_frame(args.input)
+    report = _phase(config, fr)
     line = f"verdict={report['verdict']}"
     if report["witness"] is not None:
         line += f" witness_side={report['witness']['side']}"
-    return config, {"frame": input_record(args.input)}, report, line
+    return config, {"frame": record}, report, line
 
 
 def _cmd_verify(args):

@@ -27,6 +27,7 @@ LOCAL_MOVE_BUDGET = 2000           # most accepted moves of one local search
 WKHB_MOVE_BUDGET = 10**6           # most moves of one wkhb_partition
 GREEDY_BACKTRACKS = 3              # backtracks of the greedy Riesz fallback
 QUADRATURE_BUDGET = 10**6          # most (panel, frequency) terms of mv-theta
+ENTRY_BUDGET = 2**22               # most entries of a generated matrix or grid
 
 # Absolute slack of every "achieved <= target" verdict.  Producers and
 # verify() share it through within(), so a report always passes its own
@@ -48,6 +49,14 @@ EIG_TOL = 1e-9      # eigen-residuals, relative to the matrix norm
 RANK_TOL = 1e-10    # numeric-rank cutoff, relative to the top singular value
 CHECK_TOL = 1e-8    # yes/no predicates: Parseval, tight, equal- and unit-norm,
                     # Hermitian, projection
+
+
+def check_entries(count, what):
+    """Raise BudgetExceeded when count entries exceed ENTRY_BUDGET: called
+    with the size a generator is about to allocate, before it does."""
+    if count > ENTRY_BUDGET:
+        raise BudgetExceeded(f"{what} of {count} entries exceeds the "
+                             f"{ENTRY_BUDGET} entry budget")
 
 
 def within(achieved, target):
@@ -333,6 +342,7 @@ def gen_random_unit_frame(n, M, seed, field="real"):
         raise ContractViolation("gen_random_unit_frame needs n >= 1, M >= 1")
     if field not in ("real", "complex"):
         raise ContractViolation("field must be 'real' or 'complex'")
+    check_entries(n * M, f"a {n}x{M} frame")
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, M))
     if field == "complex":
@@ -358,6 +368,7 @@ def gen_harmonic_frame(n, M):
     """
     if not (1 <= n <= M):
         raise ContractViolation("gen_harmonic_frame needs 1 <= n <= M")
+    check_entries(n * M, f"a {n}x{M} frame")
     k = np.arange(n)[:, None]
     i = np.arange(M)[None, :]
     a = np.exp(2j * np.pi * (k * i) / M) / math.sqrt(n)
@@ -368,6 +379,7 @@ def gen_random_projection(M, n, seed):
     """Rank-n orthogonal projection on C^M from a seeded Gaussian QR."""
     if not (1 <= n <= M):
         raise ContractViolation("gen_random_projection needs 1 <= n <= M")
+    check_entries(M * M, f"a {M}x{M} projection")
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((M, n)) + 1j * rng.standard_normal((M, n))
     q, _ = np.linalg.qr(a)
@@ -379,9 +391,11 @@ def gen_random_projection(M, n, seed):
 # ---------------------------------------------------------------------------
 
 def _complex_to_pairs(v):
-    """[[re, im], ...] for the entries of v in flattened (C) order."""
+    """The entries of v in flattened (C) order as an (n, 2) float64 array of
+    [re, im] rows: the in-memory form of a wire entry list, which
+    reports.canonical_json writes as [[re, im], ...]."""
     v = np.ravel(v)
-    return np.stack([v.real, v.imag], 1).tolist()
+    return np.stack([v.real, v.imag], 1)
 
 
 def _pairs_to_complex(entries, n, what):
@@ -389,24 +403,30 @@ def _pairs_to_complex(entries, n, what):
 
     The (n, 2) float64 array is viewed, not recombined as re + 1j * im,
     so every bit survives, signed zeros included.  Booleans, strings,
-    bare numbers and pairs of any other length are malformed.
+    bare numbers and pairs of any other length are malformed.  The (n, 2)
+    float64 array _complex_to_pairs gives is read too, so an in-memory
+    wire dict decodes without a trip through JSON text.
     """
+    if type(entries) is np.ndarray and entries.dtype == np.float64 and \
+            entries.shape == (n, 2):
+        return entries.copy().view(np.complex128).reshape(n)
     if type(entries) is not list or len(entries) != n:
         raise ContractViolation(f"{what} JSON needs a list of {n} entries")
-    numbers = itertools.chain.from_iterable(entries)
-    if set(map(type, entries)) - {list} or set(map(len, entries)) - {2} or \
-            set(map(type, numbers)) - {int, float}:
-        raise ContractViolation(
-            f"malformed {what} entry: each must be [re, im] with two numbers")
-    try:
-        pairs = np.array(entries, dtype=np.float64).reshape(n, 2)
-    except OverflowError as exc:
-        raise ContractViolation(f"malformed {what} entry: {exc}")
-    return pairs.view(np.complex128).reshape(n)
+    if set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}:
+        numbers = list(itertools.chain.from_iterable(entries))
+        if set(map(type, numbers)) <= {int, float}:
+            try:
+                pairs = np.array(numbers, dtype=np.float64).reshape(n, 2)
+            except OverflowError as exc:
+                raise ContractViolation(f"malformed {what} entry: {exc}")
+            return pairs.view(np.complex128).reshape(n)
+    raise ContractViolation(
+        f"malformed {what} entry: each must be [re, im] with two numbers")
 
 
 def matrix_to_json(m):
-    """Column-major [[re, im], ...] pairs with explicit shape and field."""
+    """Shape, field and the column-major entries as _complex_to_pairs
+    gives them."""
     m = ensure_matrix(m)
     rows, cols = m.shape
     return {"rows": rows, "cols": cols,

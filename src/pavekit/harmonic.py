@@ -22,6 +22,7 @@ from .core import (
     ContractViolation,
     _complex_to_pairs,
     _pairs_to_complex,
+    check_entries,
     within,
 )
 
@@ -118,35 +119,41 @@ def gk_component(g, k, res):
     return GridFunction(np.outer(phase, spec).reshape(-1))
 
 
-def tt3_identity_check(g, k):
+def tt3_identity_check(g, k, avg=None):
     """sum_res |g_res|^2 == translate_average(g, K) exactly on the grid.
 
     Each component's phase has modulus one, so the sum is the squared
     moduli of the orbits' DFT summed over residues, over K^2, and constant
     along each orbit.  Returns (ok, residual); the slack is
-    TT3_REL_TOL * (1 + sup|g|^2).
+    TT3_REL_TOL * (1 + sup|g|^2).  avg, when given, is
+    translate_average(g, K), computed once for every check of one K.
     """
-    avg = translate_average(g, k)
+    if avg is None:
+        avg = translate_average(g, k)
     spec = np.fft.fft(_orbits(g, k), axis=0)
     acc = (np.abs(spec) ** 2).sum(axis=0) / k ** 2
     resid = float(np.abs(avg.values.reshape(k, -1) - acc).max())
     return resid <= TT3_REL_TOL * (1.0 + g.sup_sq()), resid
 
 
-def uniform_paving_criterion(g, k, epsilon):
-    """(ok, deviation): translate average within epsilon of the mean of |g|^2."""
+def uniform_paving_criterion(g, k, epsilon, avg=None):
+    """(ok, deviation): translate average within epsilon of the mean of
+    |g|^2; avg as in tt3_identity_check."""
     if epsilon <= 0.0:
         raise ContractViolation("epsilon must be positive")
-    avg = translate_average(g, k)
+    if avg is None:
+        avg = translate_average(g, k)
     dev = float(np.abs(avg.values - g.norm_sq_mean()).max())
     return dev < epsilon, dev
 
 
-def uniform_feichtinger_criterion(g, k, epsilon):
-    """(ok, minimum): translate average bounded below by epsilon."""
+def uniform_feichtinger_criterion(g, k, epsilon, avg=None):
+    """(ok, minimum): translate average bounded below by epsilon; avg as in
+    tt3_identity_check."""
     if epsilon <= 0.0:
         raise ContractViolation("epsilon must be positive")
-    avg = translate_average(g, k)
+    if avg is None:
+        avg = translate_average(g, k)
     mn = float(avg.values.min())
     return mn >= epsilon, mn
 
@@ -169,6 +176,7 @@ def example_e1_set(n, levels, c=0.5):
         raise ContractViolation("need at least one level")
     if not (0.0 < c <= 0.5):
         raise ContractViolation("c must lie in (0, 1/2] for the mean bound")
+    check_entries(n, "a grid")
     lcm = math.lcm(*range(1, levels + 1))
     if n % lcm != 0:
         raise ContractViolation(f"grid size must be divisible by {lcm}")
@@ -223,15 +231,19 @@ def _check_freqs(g, freqs):
     return f
 
 
-def toeplitz_section(g, freqs):
+def toeplitz_section(g, freqs, coeffs=None):
     """Matrix of the multiplication-by-g operator compressed onto the given
     exponential frequencies: entry (a, b) = (1/N) sum_j g(j)
     exp(+2 pi i (freqs[a] - freqs[b]) j / N), the inverse DFT of the
-    samples at freqs[a] - freqs[b] mod N.  Diagonal = mean of g."""
+    samples at freqs[a] - freqs[b] mod N.  Diagonal = mean of g.  coeffs,
+    when given, is that inverse DFT, np.fft.ifft(g.values), taken once for
+    every section of one symbol."""
     f = _check_freqs(g, freqs)
     if np.iscomplexobj(g.values) and np.abs(g.values.imag).max() > 0.0:
         raise ContractViolation("section symbol must be real-valued")
-    out = np.fft.ifft(g.values)[np.subtract.outer(f, f) % g.N]
+    if coeffs is None:
+        coeffs = np.fft.ifft(g.values)
+    out = coeffs[np.subtract.outer(f, f) % g.N]
     return 0.5 * (out + out.conj().T)
 
 
@@ -255,10 +267,11 @@ def distribution_check(g, freq_blocks, epsilon):
     mean = float(np.real(np.mean(g.values)))
     if mean <= 0.0:
         raise ContractViolation("symbol must have positive mean")
+    coeffs = np.fft.ifft(g.values)
     per = []
     ok = True
     for blk in freq_blocks:
-        sec = toeplitz_section(g, blk)
+        sec = toeplitz_section(g, blk, coeffs)
         w = np.linalg.eigvalsh(sec)
         lo, hi = float(w[0]), float(w[-1])
         inside = within((1.0 - epsilon) * mean, lo) and \

@@ -21,6 +21,7 @@ its positive verdict has no short certificate.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -75,6 +76,7 @@ from .harmonic import (
     kadec_bounds,
     kadec_empirical_check,
     montgomery_vaughan_theta,
+    translate_average,
     tt3_identity_check,
     uniform_feichtinger_criterion,
     uniform_paving_criterion,
@@ -92,13 +94,89 @@ def _numpy_default(x):
     raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
+# Rows of a pair array formatted per piece of text, so a writer never holds
+# the text of a whole large matrix at once.
+_PAIR_ROWS = 4096
+
+
+def _pair_mark(nonce):
+    """The string that stands in the skeleton text for a pair array."""
+    return f"\0pavekit-pairs-{nonce}\0"
+
+
+def _skeleton(obj, mark):
+    """(parts, arrays): the C encoder's text of obj with mark in place of
+    each pair array, an (n, 2) float64 array such as a wire entry list,
+    split at the marks, and those arrays in text order."""
+    arrays = []
+
+    def default(x):
+        if type(x) is np.ndarray and x.dtype == np.float64 and \
+                x.ndim == 2 and x.shape[1] == 2:
+            arrays.append(x)
+            return mark
+        return _numpy_default(x)
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      default=default, allow_nan=False)
+    return text.split(json.dumps(mark)), arrays
+
+
+def _pair_text(a):
+    """The JSON text of the rows of a finite pair array, [[re, im], ...], in
+    pieces of _PAIR_ROWS rows: each float as float.__repr__, as json.dumps
+    writes a.tolist().  A real matrix's imaginary column is all +0.0, so
+    its rows take one "[re,0.0]" template."""
+    if not len(a):
+        yield "[]"
+        return
+    real = not a[:, 1].any() and not np.signbit(a[:, 1]).any()
+    sep = "[["
+    for start in range(0, len(a), _PAIR_ROWS):
+        rows = a[start:start + _PAIR_ROWS]
+        if real:
+            text = ",0.0],[".join(map(float.__repr__, rows[:, 0].tolist())) \
+                + ",0.0"
+        else:
+            r = list(map(float.__repr__, rows.ravel().tolist()))
+            text = "],[".join(map(",".join, zip(r[::2], r[1::2])))
+        yield sep
+        yield text
+        sep = "],["
+    yield "]]"
+
+
+def _splice(parts, arrays):
+    yield parts[0]
+    for a, part in zip(arrays, parts[1:]):
+        yield from _pair_text(a)
+        yield part
+
+
+def _canonical_pieces(obj):
+    """canonical_json's text as an iterator of pieces.  Every check runs
+    before this returns, so a writer that opens its file afterwards never
+    leaves a partial one.
+
+    The C encoder writes the skeleton, with a marker string in place of
+    each pair array, and _pair_text writes the arrays between.  A marker
+    that also occurs in the data is retried with the next nonce."""
+    for nonce in itertools.count():
+        parts, arrays = _skeleton(obj, _pair_mark(nonce))
+        if len(parts) == len(arrays) + 1:
+            break
+    for a in arrays:
+        if not np.isfinite(a).all():    # raise the C encoder's own error
+            json.dumps(float(a[~np.isfinite(a)][0]), allow_nan=False)
+    return _splice(parts, arrays)
+
+
 def canonical_json(obj):
     """The one JSON text pavekit writes or hashes: sorted keys, no
-    whitespace, numpy values as their Python values.  A one-shot dumps
-    with no indent runs CPython's C encoder.  NaN and infinities raise
+    whitespace, numpy values as their Python values, byte for byte the
+    text json.dumps gives with those options.  The C encoder writes all of
+    it but the pair arrays (_canonical_pieces).  NaN and infinities raise
     ValueError, since RFC 8259 JSON has no text for them."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      default=_numpy_default, allow_nan=False)
+    return "".join(_canonical_pieces(obj))
 
 
 def make_report(command, config, inputs, results, wall_time_s):
@@ -123,7 +201,12 @@ def _write_text(path, text):
 
 
 def write_report(path, report):
-    _write_text(path, canonical_json(report))
+    """canonical_json of report and a newline, written piece by piece
+    without joining the whole text first."""
+    pieces = _canonical_pieces(report)
+    with open(path, "w") as fh:
+        fh.writelines(pieces)
+        fh.write("\n")
 
 
 def load_report(path):
@@ -131,15 +214,15 @@ def load_report(path):
         return json.load(fh)
 
 
-def file_sha256(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
+def file_sha256(data):
+    """The sha256 of a file's contents, data: the bytes read once to be
+    both hashed and parsed."""
+    return hashlib.sha256(data).hexdigest()
 
 
-def input_record(path):
-    return {"path": str(path), "sha256": file_sha256(path)}
+def input_record(path, data):
+    """The record of an input file at path whose contents are data."""
+    return {"path": str(path), "sha256": file_sha256(data)}
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +294,12 @@ def _toeplitz(config, g):
     """Identity residual and both uniform criteria per modulus, and the
     progression sections when a stride is configured."""
     per_k = []
+    eps = config["epsilon"]
     for k in config["k_list"]:
-        ok3, resid = tt3_identity_check(g, k)
-        pav_ok, dev = uniform_paving_criterion(g, k, config["epsilon"])
-        fei_ok, mn = uniform_feichtinger_criterion(g, k, config["epsilon"])
+        avg = translate_average(g, k)
+        ok3, resid = tt3_identity_check(g, k, avg)
+        pav_ok, dev = uniform_paving_criterion(g, k, eps, avg)
+        fei_ok, mn = uniform_feichtinger_criterion(g, k, eps, avg)
         per_k.append({"K": int(k), "tt3_ok": bool(ok3),
                       "tt3_residual": resid, "paving_ok": bool(pav_ok),
                       "deviation": dev, "feichtinger_ok": bool(fei_ok),
@@ -352,21 +437,23 @@ def _malformed(payload):
 
 
 def _load_input(payload, name):
-    """The JSON of input `name`, which must still hash as recorded."""
+    """The JSON of input `name`, which must still hash as recorded: the
+    bytes read once are hashed and then parsed, so what is parsed is what
+    was checked."""
     rec = payload["inputs"].get(name)
     if rec is None:
         raise ContractViolation(f"missing input record {name!r}")
     if not os.path.isfile(rec["path"]):
         raise ContractViolation(f"input {name!r} is not a regular file")
     try:
-        actual = file_sha256(rec["path"])
+        with open(rec["path"], "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ContractViolation(f"input {name!r} unreadable: {exc}")
-    if actual != rec["sha256"]:
+    if file_sha256(data) != rec["sha256"]:
         raise ContractViolation(
             f"input {name!r} changed since the report was written")
-    with open(rec["path"]) as fh:
-        return json.load(fh)
+    return json.loads(data)
 
 
 def _index_subset(subset, m, sizes, what):

@@ -3,16 +3,16 @@ the CLI."""
 
 import contextlib
 import io
-import json
 
 import numpy as np
 
 from pavekit.cli import main
 from pavekit.core import matrix_to_json
+from pavekit.reports import canonical_json
 
 
 def _write(path, a):
-    path.write_text(json.dumps(matrix_to_json(a)))
+    path.write_text(canonical_json(matrix_to_json(a)))
     return str(path)
 
 

@@ -39,7 +39,7 @@ from pavekit import (
     wkhb_partition,
 )
 from pavekit.cli import main as cli_main
-from pavekit.reports import load_report, verify
+from pavekit.reports import canonical_json, load_report, verify
 
 
 @contextmanager
@@ -284,7 +284,7 @@ def test_criterion_12_report_verification(tmp_path):
         assert cli_main(["gen", "--kind", "e1-grid", "--N", "360",
                          "--levels", "3", "--out", str(grid)]) == 0
         mat = tmp_path / "swap.json"
-        mat.write_text(json.dumps(
+        mat.write_text(canonical_json(
             matrix_to_json(np.array([[0.0, 1.0], [1.0, 0.0]]))))
 
         runs = [

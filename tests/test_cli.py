@@ -146,7 +146,7 @@ def test_verdict_just_inside_slack_passes_verify(tmp_path):
     m = tmp_path / "m.json"
     rng = np.random.default_rng(0)
     a = rng.standard_normal((6, 6))
-    m.write_text(json.dumps(matrix_to_json(a + a.T)))
+    m.write_text(canonical_json(matrix_to_json(a + a.T)))
     first = pave_matrix_check(a + a.T, 2, 0.5, mode="exhaustive")
     epsilon = (first.achieved - 5e-13) / first.scale
     rep = tmp_path / "p.json"
@@ -187,7 +187,7 @@ def test_verdict_false_still_exits_0(tmp_path, capsys):
 
 def test_dilate_operator_mode(tmp_path, capsys):
     t = tmp_path / "op.json"
-    t.write_text(json.dumps(matrix_to_json(np.eye(3))))
+    t.write_text(canonical_json(matrix_to_json(np.eye(3))))
     rep = tmp_path / "d.json"
     assert run("dilate", "--input", str(t), "--mode", "operator",
                "--report", str(rep)) == 0
@@ -201,7 +201,7 @@ def test_pave_and_verify_corruption(tmp_path):
     m = tmp_path / "m.json"
     rng = np.random.default_rng(0)
     a = rng.standard_normal((6, 6))
-    m.write_text(json.dumps(matrix_to_json(a + a.T)))
+    m.write_text(canonical_json(matrix_to_json(a + a.T)))
     rep = tmp_path / "p.json"
     assert run("pave", "--input", str(m), "--r-max", "2", "--epsilon", "0.7",
                "--report", str(rep)) == 0
@@ -218,7 +218,7 @@ def test_pave_and_verify_corruption(tmp_path):
 def test_verify_rejects_out_of_range_partition(tmp_path, capsys):
     f = _gen_frame(tmp_path, n=2, M=6)
     m = tmp_path / "m.json"
-    m.write_text(json.dumps(matrix_to_json(np.ones((6, 6)))))
+    m.write_text(canonical_json(matrix_to_json(np.ones((6, 6)))))
     for argv in (
         ["weaver", "--input", str(f), "--bessel", "3.0", "--epsilon", "0.4",
          "--r-max", "3"],
@@ -269,7 +269,7 @@ def test_verify_rejects_tampered_radohorn_and_phase(tmp_path):
     assert not ok and "does not violate" in reasons[-1]
 
     m = tmp_path / "e1e1e2.json"
-    m.write_text(json.dumps(matrix_to_json(
+    m.write_text(canonical_json(matrix_to_json(
         np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))))
     rep = tmp_path / "ph.json"
     assert run("phase", "--input", str(m), "--trials", "10",
@@ -406,7 +406,7 @@ def test_subspace_command(tmp_path):
     basis = tmp_path / "b.json"
     rng = np.random.default_rng(1)
     q, _ = np.linalg.qr(rng.standard_normal((4, 3)))
-    basis.write_text(json.dumps(matrix_to_json(q)))
+    basis.write_text(canonical_json(matrix_to_json(q)))
     rep = tmp_path / "s.json"
     assert run("subspace", "--input", str(basis), "--a", "0.05",
                "--blocks", "0,1;2,3", "--report", str(rep)) == 0

@@ -2,8 +2,10 @@
 budget, with no exception escaping and a verifiable report on every 0.
 
 Every float option of every subcommand is driven with edge values on the
-small fixed inputs of report_cases, in-process through cli.main.  Integer
-options stay out: a huge size would allocate before any check could run.
+small fixed inputs of report_cases, in-process through cli.main.  So are
+gen's sizes, --n, --M and --N, which core.ENTRY_BUDGET bounds before any
+allocation.  The other integer options stay out: a huge value of one would
+allocate before any check could run.
 """
 
 import argparse
@@ -12,14 +14,20 @@ import io
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pavekit import cli
-from pavekit.core import BudgetExceeded, matrix_to_json
+from pavekit.core import (
+    ENTRY_BUDGET,
+    BudgetExceeded,
+    check_entries,
+    matrix_to_json,
+)
 from pavekit.harmonic import montgomery_vaughan_theta
-from pavekit.reports import load_report, verify
+from pavekit.reports import canonical_json, load_report, verify
 from report_cases import commands
 
 FINITE_EDGES = ("0", "-1", "1e308")
@@ -144,9 +152,93 @@ def test_mv_theta_budget_raises_before_allocating():
             montgomery_vaughan_theta([0.0, 1.0], [1.0, 1.0], t_len, quad_n)
 
 
+OVER = (ENTRY_BUDGET + 1, math.isqrt(ENTRY_BUDGET) + 1, 10**30)
+# kind -> (its other options, its size options and their values)
+GEN_KINDS = {
+    "harmonic": ([], {"--n": 2, "--M": 4}),
+    "random-unit": (["--seed", "1", "--field", "complex"],
+                    {"--n": 2, "--M": 4}),
+    "projection": (["--seed", "1"], {"--M": 4, "--n": 2}),
+    "e1-grid": (["--levels", "3"], {"--N": 360}),
+}
+
+
+def _gen_entries(kind, sizes):
+    """The entries gen allocates for kind at sizes."""
+    if kind == "projection":
+        return sizes["--M"] ** 2
+    if kind == "e1-grid":
+        return sizes["--N"]
+    return sizes["--n"] * sizes["--M"]
+
+
+def _gen_runs(tmp_path):
+    """(argv, over budget) of gen with each size option of each kind set
+    to an edge value, written with a report."""
+    out, rep = str(tmp_path / "obj.json"), str(tmp_path / "gen.json")
+    for kind, (fixed, sizes) in GEN_KINDS.items():
+        for option in sizes:
+            for value in (-1, 0, 1, 6, *OVER):
+                run = {**sizes, option: value}
+                yield (["gen", "--kind", kind, *fixed,
+                        *(f"{k}={v}" for k, v in run.items()),
+                        "--out", out, "--report", rep],
+                       _gen_entries(kind, run) > ENTRY_BUDGET)
+
+
+def test_gen_sizes_keep_the_exit_contract_without_allocating(tmp_path):
+    """Over the entry budget, gen exits 3 (or 2 if the sizes also break a
+    contract) before it allocates: the traced peak stays below 1 MB."""
+    out, rep = tmp_path / "obj.json", tmp_path / "gen.json"
+    exits = set()
+    for argv, over in _gen_runs(tmp_path):
+        out.unlink(missing_ok=True)
+        rep.unlink(missing_ok=True)
+        tracemalloc.start()
+        try:
+            code, err = _run(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code in (0, 2, 3) and "Traceback" not in err, (argv, err)
+        assert rep.exists() == out.exists() == (code == 0), argv
+        if over:
+            assert code in (2, 3) and peak < 2**20, (argv, code, peak)
+        if code == 3:
+            assert over and "entry budget" in err, (argv, err)
+        if code == 0:
+            assert verify(str(rep)) == (True, []), argv
+        exits.add(code)
+    assert exits == {0, 2, 3}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "random-unit", "--n", str(ENTRY_BUDGET), "--M", "2",
+     "--seed", "0"],
+    ["--kind", "random-unit", "--n", "1", "--M", str(ENTRY_BUDGET + 1),
+     "--seed", "0"],
+    ["--kind", "harmonic", "--n", "2", "--M", str(ENTRY_BUDGET // 2 + 1)],
+    ["--kind", "projection", "--M", str(math.isqrt(ENTRY_BUDGET) + 1),
+     "--n", "1", "--seed", "0"],
+    ["--kind", "e1-grid", "--N", str(ENTRY_BUDGET + 1), "--levels", "1"],
+])
+def test_gen_just_over_the_budget_exits_3(tmp_path, argv):
+    out = tmp_path / "obj.json"
+    code, err = _run(["gen", *argv, "--out", str(out)])
+    assert code == 3, err
+    assert f"exceeds the {ENTRY_BUDGET} entry budget" in err
+    assert not out.exists()
+
+
+def test_entry_budget_admits_its_own_size():
+    check_entries(ENTRY_BUDGET, "a matrix")
+    with pytest.raises(BudgetExceeded):
+        check_entries(ENTRY_BUDGET + 1, "a matrix")
+
+
 def test_rank_zero_radohorn_witness_is_json(tmp_path):
     frame = tmp_path / "zero-column.json"
-    frame.write_text(json.dumps(matrix_to_json(
+    frame.write_text(canonical_json(matrix_to_json(
         np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))))
     rep = tmp_path / "radohorn.json"
     assert _run(["radohorn", "--input", str(frame), "--r", "2",

@@ -22,6 +22,7 @@ from pavekit.core import (
     operator_norm,
     sym_eig,
 )
+from pavekit.reports import canonical_json
 
 
 def test_partition_counts():
@@ -102,7 +103,7 @@ def test_matrix_json_roundtrip_exact():
     signed_zeros = np.array([[-0.0, 1.5], [0.1, -0.0], [2.0, -1e-300]])
     cplx_zeros = np.array([[-0.0, 0.0, 1.0, -0.0], [0.5, -0.0, -0.0, 3.0]])
     for m in (a, b, signed_zeros, cplx_zeros.view(np.complex128)):
-        got = matrix_from_json(json.loads(json.dumps(matrix_to_json(m))))
+        got = matrix_from_json(json.loads(canonical_json(matrix_to_json(m))))
         assert got.dtype == m.dtype and got.shape == m.shape
         assert got.tobytes() == m.tobytes()
     fr = Frame(a, label="x")
@@ -119,7 +120,7 @@ def test_matrix_to_json_matches_per_entry_encoder():
         rows, cols = m.shape
         entries = [[float(np.real(m[i, j])), float(np.imag(m[i, j]))]
                    for j in range(cols) for i in range(rows)]
-        assert matrix_to_json(m)["entries"] == entries
+        assert matrix_to_json(m)["entries"].tolist() == entries
 
 
 def test_matrix_json_field_mismatch():

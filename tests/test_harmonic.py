@@ -28,6 +28,8 @@ from pavekit.harmonic import (
     uniform_feichtinger_criterion,
     uniform_paving_criterion,
 )
+from pavekit import harmonic, reports
+from pavekit.reports import canonical_json
 
 
 def _trig_poly(rng, n, terms=6):
@@ -46,7 +48,7 @@ def test_grid_function_json_roundtrip():
     signed_zeros = np.array([-0.0, -0.0, 1.0, 0.0, 0.0, -0.0, -2.5, 3.0])
     for g in (_trig_poly(rng, 24), GridFunction(signed_zeros),
               GridFunction(signed_zeros.view(np.complex128))):
-        h = GridFunction.from_json(json.loads(json.dumps(g.to_json())))
+        h = GridFunction.from_json(json.loads(canonical_json(g.to_json())))
         assert h.values.dtype == g.values.dtype and h.N == g.N
         assert h.values.tobytes() == g.values.tobytes()
 
@@ -123,6 +125,48 @@ def test_grid_transforms_count_no_rolls_and_one_fft_per_modulus(monkeypatch):
         assert calls["fft"] == 1, k
     toeplitz_section(GridFunction(np.abs(g.values) ** 2), range(-179, 180, 7))
     assert calls["roll"] == 0
+
+
+def _counting(monkeypatch, owner, name):
+    """A one-entry list counting the calls of owner.name from now on."""
+    calls, fn = [0], getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_distribution_check_takes_one_inverse_fft(monkeypatch):
+    """One N-point inverse FFT serves every progression block, with the
+    bits of a section built on its own."""
+    g = GridFunction(np.random.default_rng(12).uniform(0.5, 1.5, 7680))
+    blocks = ap_blocks(range(64), 4)
+    want = [np.linalg.eigvalsh(toeplitz_section(g, blk)) for blk in blocks]
+    calls = _counting(monkeypatch, np.fft, "ifft")
+    got = distribution_check(g, blocks, 0.5)
+    assert calls[0] == 1
+    assert [(b["min"], b["max"]) for b in got["blocks"]] == \
+        [(float(w[0]), float(w[-1])) for w in want]
+
+
+def test_toeplitz_takes_one_translate_average_per_modulus(monkeypatch):
+    """reports._toeplitz hands one translate average to the identity check
+    and both criteria, with the results the criteria get on their own."""
+    g = _trig_poly(np.random.default_rng(13), 360)
+    config = {"k_list": [2, 4, 8, 360], "epsilon": 0.5}
+    want = [(tt3_identity_check(g, k), uniform_paving_criterion(g, k, 0.5),
+             uniform_feichtinger_criterion(g, k, 0.5))
+            for k in config["k_list"]]
+    calls = _counting(monkeypatch, harmonic, "translate_average")
+    monkeypatch.setattr(reports, "translate_average",
+                        harmonic.translate_average)
+    got = reports._toeplitz(config, g)["per_k"]
+    assert calls[0] == len(config["k_list"])
+    assert [((e["tt3_ok"], e["tt3_residual"]), (e["paving_ok"],
+             e["deviation"]), (e["feichtinger_ok"], e["minimum"]))
+            for e in got] == want
 
 
 def test_identity_check_at_k_equal_n_stays_linear_in_memory():

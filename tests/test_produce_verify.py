@@ -19,6 +19,7 @@ st = hypothesis.strategies
 
 from pavekit.cli import main  # noqa: E402
 from pavekit.core import VERDICT_SLACK, matrix_to_json  # noqa: E402
+from pavekit.reports import canonical_json  # noqa: E402
 from pavekit.harmonic import (  # noqa: E402
     GridFunction,
     kadec_bounds,
@@ -58,8 +59,8 @@ def _produce_and_verify(frame, *argv):
     with tempfile.TemporaryDirectory() as tmp:
         path, rep = Path(tmp) / "frame.json", Path(tmp) / "report.json"
         if frame is not None:
-            path.write_text(json.dumps(frame if isinstance(frame, dict)
-                                       else matrix_to_json(frame)))
+            path.write_text(canonical_json(frame if isinstance(frame, dict)
+                                            else matrix_to_json(frame)))
             argv = (argv[0], "--input", str(path), *argv[1:])
         out = io.StringIO()
         with contextlib.redirect_stdout(out):

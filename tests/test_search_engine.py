@@ -35,7 +35,7 @@ from pavekit.paving import (
     pave_projection_check,
     weaver_check,
 )
-from pavekit.reports import load_report, verify
+from pavekit.reports import canonical_json, load_report, verify
 
 
 def _scan(m, r_max, cost):
@@ -312,7 +312,7 @@ def test_admitted_trees_fit_the_placement_budget():
 
 def _write_matrix(tmp_path, a):
     path = tmp_path / "matrix.json"
-    path.write_text(json.dumps(matrix_to_json(a)))
+    path.write_text(canonical_json(matrix_to_json(a)))
     return str(path)
 
 

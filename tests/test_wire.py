@@ -4,17 +4,31 @@ object_sha256 hashes that text, and indented files that older versions
 wrote still read and verify."""
 
 import ast
+import builtins
+import collections
+import contextlib
 import hashlib
+import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pavekit
+from pavekit import cli, reports
 from pavekit.cli import main
-from pavekit.reports import canonical_json, load_report, verify
+from pavekit.core import (
+    ContractViolation,
+    _complex_to_pairs,
+    _pairs_to_complex,
+    matrix_from_json,
+    matrix_to_json,
+)
+from pavekit.harmonic import GridFunction
+from pavekit.reports import canonical_json, load_report, verify, write_report
 
-from report_cases import make_reports
+from report_cases import commands, make_reports
 
 
 @pytest.fixture(scope="module")
@@ -78,3 +92,177 @@ def test_no_second_json_writer():
                     isinstance(node, ast.keyword) and node.arg == "indent":
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+# ---------------------------------------------------------------------------
+# the codec: wire entries as (n, 2) float64 arrays, spliced into the C
+# encoder's text
+# ---------------------------------------------------------------------------
+
+def _plain(x):
+    """x with every numpy value as its Python value: the form whose
+    json.dumps canonical_json must reproduce."""
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_plain(v) for v in x]
+    if isinstance(x, (np.ndarray, np.generic)):
+        return x.tolist()
+    return x
+
+
+def _dumps(obj):
+    return json.dumps(_plain(obj), sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
+
+
+def test_every_report_case_encodes_as_its_plain_form(tmp_path, monkeypatch):
+    written = []
+
+    def capture(path, report):
+        written.append((path, report))
+        write_report(path, report)
+    monkeypatch.setattr(cli, "write_report", capture)
+    make_reports(tmp_path)
+    assert len(written) == len(commands(tmp_path))
+    arrays = 0
+    for path, report in written:
+        text = canonical_json(report)
+        assert text == _dumps(report), path
+        assert Path(path).read_text() == text + "\n", path
+        arrays += text.count("[[")
+    assert arrays > 10       # dilate, subspace and gen-grid's grid matrices
+
+
+SPECIAL = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 1e22, 1e-7,
+                    -1e-7, 0.1, 1 / 3, 2.0 ** 52, 1.7976931348623157e308])
+
+
+def _values(rng, n):
+    """n floats over many magnitudes, with every SPECIAL value among them."""
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    x[rng.choice(n, min(n, SPECIAL.size), replace=False)] = \
+        SPECIAL[:min(n, SPECIAL.size)]
+    return x
+
+
+def _complex(re, im):
+    """re + i im with every bit of both parts, signed zeros included, which
+    re + 1j * im would not keep."""
+    v = np.empty(re.shape, dtype=np.complex128)
+    v.real, v.imag = re, im
+    return v
+
+
+@pytest.mark.parametrize("n", [1, 2, 13, 4096, 4097, 9000])
+def test_pair_arrays_encode_as_their_lists(n):
+    """Real and complex entries, signed zeros in either part, subnormals,
+    huge and tiny values, across the row-chunk boundary."""
+    rng = np.random.default_rng(n)
+    re, im = _values(rng, n), _values(rng, n)
+    negzero_im = np.zeros(n)
+    negzero_im[rng.integers(n)] = -0.0
+    for v in (re, _complex(re, im), _complex(re, negzero_im),
+              _complex(im, -re)):
+        pairs = _complex_to_pairs(v)
+        assert pairs.dtype == np.float64 and pairs.shape == (n, 2)
+        obj = {"entries": pairs, "label": "x", "n": np.int64(n)}
+        assert canonical_json(obj) == _dumps(obj)
+        assert np.array_equal(json.loads(canonical_json(pairs)),
+                              pairs.tolist())
+    for m in (re.reshape(1, n), _complex(re, negzero_im).reshape(n, 1)):
+        d = matrix_to_json(m)
+        assert canonical_json(d) == _dumps(d)
+        got = matrix_from_json(d)                 # the in-memory form
+        assert got.dtype == m.dtype and got.tobytes() == m.tobytes()
+        got = matrix_from_json(json.loads(canonical_json(d)))
+        assert got.dtype == m.dtype and got.tobytes() == m.tobytes()
+
+
+def test_empty_and_nested_pair_arrays():
+    empty = _complex_to_pairs(np.zeros(0))
+    assert empty.shape == (0, 2)
+    for obj in (empty, {"a": empty, "b": [empty, {"c": empty}]},
+                [np.zeros((0, 3)), np.arange(4.0).reshape(2, 2),
+                 np.arange(6).reshape(3, 2), np.float32([[0.1, 0.2]])]):
+        assert canonical_json(obj) == _dumps(obj)
+
+
+def test_a_string_equal_to_the_marker_is_written_as_itself():
+    pairs = _complex_to_pairs(np.array([1.5, -0.0, 1e22]))
+    for mark in (reports._pair_mark(0), json.dumps(reports._pair_mark(0))):
+        obj = {"label": mark, "entries": pairs, mark: [mark, pairs],
+               reports._pair_mark(1): pairs}
+        assert canonical_json(obj) == _dumps(obj)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_raise_as_the_c_encoder_does(tmp_path, bad):
+    pairs = _complex_to_pairs(np.array([1.0, bad, 2.0]))
+    with pytest.raises(ValueError) as want:
+        _dumps({"entries": pairs})
+    with pytest.raises(ValueError) as got:
+        canonical_json({"entries": pairs})
+    assert str(got.value) == str(want.value)
+    path = tmp_path / "r.json"
+    with pytest.raises(ValueError):
+        write_report(str(path), {"payload": {"entries": pairs}})
+    assert not path.exists()
+
+
+MALFORMED = {
+    "malformed matrix entry: each must be [re, im] with two numbers": (
+        [1], None, "x", [[1.0, 0.0]], "12", True, [True, 0.0], [1, 2, 3],
+        1.5, [1, None], [], {}, [1.0, "2"]),
+    "malformed matrix entry: int too large to convert to float": (
+        [10 ** 400, 0],),
+}
+
+
+def test_malformed_entries_keep_their_messages():
+    for message, catalogue in MALFORMED.items():
+        for entry in catalogue:
+            with pytest.raises(ContractViolation) as exc:
+                _pairs_to_complex([[1.0, 0.0], entry], 2, "matrix")
+            assert str(exc.value) == message, entry
+    for entries, n in (([[1.0, 2.0]], 2), ("ab", 2), (None, 1),
+                       (np.zeros((2, 2)), 3), (np.zeros((1, 2), int), 1),
+                       (np.zeros((1, 3)), 1)):
+        with pytest.raises(ContractViolation) as exc:
+            _pairs_to_complex(entries, n, "grid")
+        assert str(exc.value) == f"grid JSON needs a list of {n} entries"
+
+
+def test_in_memory_grid_decodes_as_its_text():
+    g = GridFunction(np.array([0.5, -0.0, 2.0, 1e-300]))
+    for h in (GridFunction.from_json(g.to_json()),
+              GridFunction.from_json(json.loads(canonical_json(g.to_json())))):
+        assert h.values.dtype == g.values.dtype
+        assert h.values.tobytes() == g.values.tobytes()
+
+
+def test_each_input_is_opened_once_per_command(tmp_path, monkeypatch):
+    """A producer and verify each read an input file once, and hash and
+    parse those same bytes."""
+    real_open = builtins.open
+    opened = collections.Counter()
+
+    def counting(file, *args, **kwargs):
+        opened[str(file)] += 1
+        return real_open(file, *args, **kwargs)
+    monkeypatch.setattr(builtins, "open", counting)
+    seen = 0
+    with contextlib.redirect_stdout(io.StringIO()):
+        for case, argv in commands(tmp_path).items():
+            inputs = [argv[i + 1] for i, a in enumerate(argv)
+                      if a == "--input"]
+            rep = str(tmp_path / f"{case}.report.json")
+            opened.clear()
+            assert main(argv + ["--report", rep]) == 0, case
+            assert [opened[p] for p in inputs] == [1] * len(inputs), case
+            opened.clear()
+            assert verify(rep) == (True, []), case
+            assert [opened[p] for p in inputs] == [1] * len(inputs), case
+            assert opened[rep] == 1, case
+            seen += len(inputs)
+    assert seen >= 15
