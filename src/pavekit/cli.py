@@ -22,8 +22,11 @@ from . import __version__
 from .core import (
     BudgetExceeded,
     ContractViolation,
+    Frame,
+    # bound here only for perfbench/test_perfbench.py::
+    # test_install_wraps_every_binding_in_pavekit; inputs are decoded by
+    # reports._decode
     frame_from_json,
-    matrix_from_json,
 )
 from .decomposition import (
     epsilon_riesz_partition,
@@ -34,10 +37,11 @@ from .decomposition import (
 )
 from .dilation import dilate_operator, naimark_dilate
 from .erasures import erasure_robustness
-from .harmonic import GridFunction
 from .paving import pave_matrix_check, pave_projection_check, weaver_check
 from .reports import (
+    _INPUTS,
     _analyze,
+    _decode,
     _kadec,
     _mv_theta,
     _object_hash as _object_sha256,  # the name perfbench/tracing.py binds
@@ -104,20 +108,10 @@ def _parse_blocks(s):
     return blocks
 
 
-def _load_frame(path):
-    """(frame, input record) of a frame file."""
-    doc, record = _read_json(path)
-    return frame_from_json(doc), record
-
-
-def _load_matrix(path):
-    """(matrix, input record) of a matrix file."""
-    doc, record = _read_json(path)
-    return matrix_from_json(doc), record
-
-
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (config, inputs, results, summary line)
+# subcommand handlers: each takes the parsed arguments and the decoded input
+# (None for a command without one) and returns (config, results, summary
+# line)
 # ---------------------------------------------------------------------------
 
 # The options each generator kind records in its config.
@@ -129,41 +123,32 @@ _GEN_OPTIONS = {
 }
 
 
-def _cmd_gen(args):
+def _cmd_gen(args, _):
     config = {"kind": args.kind}
     config.update((key, getattr(args, key)) for key in _GEN_OPTIONS[args.kind])
     missing = [f"--{key}" for key, val in config.items() if val is None]
     if missing:
         raise ContractViolation(
             f"{args.kind} generation needs {', '.join(missing)}")
-    text, results = _regenerate(config)
-    _write_json(args.out, text)
-    return config, {}, results, f"wrote {args.out}"
+    return config, _regenerate(config, args.out), f"wrote {args.out}"
 
 
-def _cmd_analyze(args):
-    fr, record = _load_frame(args.input)
-    results = _analyze(fr)
+def _cmd_analyze(args, fr):
+    results = _analyze({}, fr)
     summ = results["summary"]
     line = (f"n={fr.n} M={fr.M} bounds=({summ['lower']:.6g}, "
             f"{summ['upper']:.6g}) parseval={summ['is_parseval']}")
-    return {}, {"frame": record}, results, line
+    return {}, results, line
 
 
-def _cmd_dilate(args):
-    if args.mode == "naimark":
-        fr, record = _load_frame(args.input)
-        dil = naimark_dilate(fr)
-    else:
-        mat, record = _load_matrix(args.input)
-        dil = dilate_operator(mat)
-    config = {"mode": args.mode}
+def _cmd_dilate(args, mat):
+    dil = naimark_dilate(Frame(mat)) if args.mode == "naimark" else \
+        dilate_operator(mat)
     line = f"ambient={dil.ambient_dim} rank={dil.frame.n}"
-    return config, {"input": record}, dil.to_json(), line
+    return {"mode": args.mode}, dil.to_json(), line
 
 
-def _cmd_pave(args):
-    t, record = _load_matrix(args.input)
+def _cmd_pave(args, t):
     config = {"form": args.form, "r_max": args.r_max,
               "epsilon": args.epsilon, "mode": args.mode, "seed": args.seed}
     if args.form == "projection":
@@ -177,11 +162,10 @@ def _cmd_pave(args):
     results = report.to_json()
     line = (f"verdict={report.verdict} achieved={report.achieved:.6g} "
             f"target={report.target:.6g} blocks={report.partition.r}")
-    return config, {"matrix": record}, results, line
+    return config, results, line
 
 
-def _cmd_weaver(args):
-    fr, record = _load_frame(args.input)
+def _cmd_weaver(args, fr):
     report = weaver_check(fr, args.bessel, args.epsilon, args.r_max,
                           seed=args.seed)
     config = {"bessel": args.bessel, "epsilon": args.epsilon,
@@ -189,11 +173,10 @@ def _cmd_weaver(args):
     results = report.to_json()
     line = (f"verdict={report.verdict} achieved={report.achieved:.6g} "
             f"target={report.target:.6g}")
-    return config, {"frame": record}, results, line
+    return config, results, line
 
 
-def _cmd_decompose(args):
-    fr, record = _load_frame(args.input)
+def _cmd_decompose(args, fr):
     config = {"criterion": args.criterion, "r_max": args.r_max,
               "seed": args.seed}
     if args.criterion == "riesz":
@@ -216,20 +199,18 @@ def _cmd_decompose(args):
     results = report.to_json()
     blocks = report.partition.r if report.partition is not None else 0
     line = f"verdict={report.verdict} blocks={blocks}"
-    return config, {"frame": record}, results, line
+    return config, results, line
 
 
-def _cmd_ric(args):
-    fr, record = _load_frame(args.input)
+def _cmd_ric(args, fr):
     _, worst = restricted_isometry(fr, args.s)
     config = {"s": args.s}
     results = _ric(config, fr, list(worst))
     line = f"delta_{args.s}={results['delta']:.6g} worst={list(worst)}"
-    return config, {"frame": record}, results, line
+    return config, results, line
 
 
-def _cmd_radohorn(args):
-    fr, record = _load_frame(args.input)
+def _cmd_radohorn(args, fr):
     ok, part, witness = rado_horn_check(fr, args.r)
     results = _radohorn(part, witness)
     if ok:
@@ -238,16 +219,15 @@ def _cmd_radohorn(args):
         ratio = witness["ratio"]       # None at rank 0
         line = "verdict=False witness_ratio=" + (
             "inf" if ratio is None else f"{ratio:.6g}")
-    return {"r": args.r}, {"frame": record}, results, line
+    return {"r": args.r}, results, line
 
 
-def _cmd_subspace(args):
+def _cmd_subspace(args, mat):
     config = {"span": bool(args.span)}
     if args.a is not None:
         config["a"] = args.a
     if args.blocks is not None:
         config["blocks"] = _parse_blocks(args.blocks)
-    mat, record = _load_matrix(args.input)
     results = _subspace(config, mat)
     bits = [f"dim={results['dim']}/{results['ambient']}"]
     if "largeness" in results:
@@ -255,12 +235,10 @@ def _cmd_subspace(args):
         bits.append(f"large={large['verdict']} (min {large['min_norm']:.6g})")
     if "decomposable" in results:
         bits.append(f"decomposable={results['decomposable']['verdict']}")
-    return config, {"basis": record}, results, " ".join(bits)
+    return config, results, " ".join(bits)
 
 
-def _cmd_toeplitz(args):
-    doc, record = _read_json(args.input)
-    g = GridFunction.from_json(doc)
+def _cmd_toeplitz(args, g):
     ks = _parse_ints(args.k_list)
     if not ks:
         raise ContractViolation("need at least one modulus in --k-list")
@@ -275,10 +253,10 @@ def _cmd_toeplitz(args):
     worst = max(e["tt3_residual"] for e in per_k)
     line = (f"K={ks} max_identity_residual={worst:.3e} "
             f"paving_ok={[e['paving_ok'] for e in per_k]}")
-    return config, {"grid": record}, results, line
+    return config, results, line
 
 
-def _cmd_kadec(args):
+def _cmd_kadec(args, _):
     config = {"a": args.a, "b": args.b, "gamma": args.gamma,
               "delta": args.delta}
     if args.empirical:
@@ -298,40 +276,38 @@ def _cmd_kadec(args):
     if emp is not None:
         line += (f" lambda_min={emp['lambda_min']:.6g} "
                  f"passed={emp['passed']}")
-    return config, {}, results, line
+    return config, results, line
 
 
-def _cmd_mv_theta(args):
+def _cmd_mv_theta(args, _):
     config = {"freqs": _parse_floats(args.freqs),
               "coeffs": [[c.real, c.imag]
                          for c in _parse_complexes(args.coeffs)],
               "t_len": args.t_len, "quad_n": args.quad_n}
     rep = _mv_theta(config)
     line = f"theta={rep['theta']:.6g} within_unit={rep['within_unit']}"
-    return config, {}, rep, line
+    return config, rep, line
 
 
-def _cmd_erasure(args):
-    fr, record = _load_frame(args.input)
+def _cmd_erasure(args, fr):
     report = erasure_robustness(fr, args.k)
     config = {"k": args.k}
     results = report.to_json()
     line = (f"worst_lower={report.worst_value:.6g} at erased="
             f"{report.worst_subset} (scanned {report.subsets_scanned})")
-    return config, {"frame": record}, results, line
+    return config, results, line
 
 
-def _cmd_phase(args):
+def _cmd_phase(args, fr):
     config = {"trials": args.trials, "seed": args.seed}
-    fr, record = _load_frame(args.input)
     report = _phase(config, fr)
     line = f"verdict={report['verdict']}"
     if report["witness"] is not None:
         line += f" witness_side={report['witness']['side']}"
-    return config, {"frame": record}, report, line
+    return config, report, line
 
 
-def _cmd_verify(args):
+def _cmd_verify(args, _):
     ok, reasons = verify(args.report_path)
     print(json.dumps({"verified": ok, "reasons": reasons}, sort_keys=True))
     return None
@@ -562,10 +538,14 @@ def main(argv=None):
     args = _parser_for(argv).parse_args(argv)
     start = time.perf_counter()
     try:
-        out = args.func(args)
+        name, obj, inputs = _INPUTS.get(args.command), None, {}
+        if name is not None:
+            doc, record = _read_json(args.input)
+            obj, inputs = _decode(name, doc), {name: record}
+        out = args.func(args, obj)
         if out is None:  # verify prints its own verdict
             return 0
-        config, inputs, results, line = out
+        config, results, line = out
         wall = time.perf_counter() - start
         print(line)
         if getattr(args, "report", None):

@@ -153,6 +153,7 @@ def _partition_by_block_predicate(fr, r_max, lo_target, hi_target):
     g = gram_matrix(fr)
     bounds = _gram_block_bounds(g)
     m = fr.M
+    r_max = min(r_max, m)
     target = (lo_target, hi_target)
     slack = 1e-12 + _ROUND_SLACK * (1.0 + float(np.trace(g).real))
 
@@ -171,7 +172,7 @@ def _partition_by_block_predicate(fr, r_max, lo_target, hi_target):
 
     spent = 0
     try:
-        for rr in range(1, min(r_max, m) + 1):
+        for rr in range(1, r_max + 1):
             labels, spent = _rgs_walk(m, rr, bounds, admit, leaf, True, spent)
             if labels is not None:
                 p = Partition(labels, max(labels) + 1)
@@ -343,11 +344,12 @@ def _exchange_chains(fr, r):
     (None, J) when some vector cannot be placed.  J is the set of elements
     the search reached.  Each block spans J, because every member of J
     outside a block closes a circuit in it whose members were all reached.
-    So |J| = 1 + r * rank J, a violation of Rado-Horn.
+    So |J| = 1 + r * rank J, a violation of Rado-Horn.  Past M blocks, r
+    adds nothing: at most M blocks are ever filled.
     """
     if r < 1:
         raise ContractViolation("need r >= 1")
-    blocks = [[] for _ in range(r)]
+    blocks = [[] for _ in range(min(r, fr.M))]
     where = {}
     cache = {}
 
@@ -360,8 +362,7 @@ def _exchange_chains(fr, r):
         terminal = None
         while queue and terminal is None:
             x = queue.pop(0)
-            for b in range(r):
-                blk = blocks[b]
+            for b, blk in enumerate(blocks):
                 if x in blk:
                     continue
                 if indep(blk + [x]):

@@ -174,6 +174,10 @@ def example_e1_set(n, levels, c=0.5):
     """
     if levels < 1:
         raise ContractViolation("need at least one level")
+    if levels > int(n).bit_length():    # 2^levels > 2N: the top piece is empty
+        raise ContractViolation(
+            f"--levels {levels} is more than a grid of {n} points can "
+            f"carve, at most {int(n).bit_length()}")
     if not (0.0 < c <= 0.5):
         raise ContractViolation("c must lie in (0, 1/2] for the mean bound")
     check_entries(n, "a grid")
@@ -415,18 +419,21 @@ def kadec_empirical_check(n_max, delta_max=None, seed=0, deltas=None):
     (seeded uniform draws unless explicit deltas are given).  Gram entries
     come from the closed-form integral of a unimodular exponential, so the
     only numerics here are one Hermitian eigensolve.  Passes when
-    lambda_min >= predicted lower - KADEC_MARGIN.
+    lambda_min >= predicted lower - KADEC_MARGIN.  A Gram matrix of more
+    than ENTRY_BUDGET entries raises BudgetExceeded before any is built.
     """
     if n_max < 0:
         raise ContractViolation("need n_max >= 0")
+    if deltas is None and (delta_max is None or
+                           not (0.0 <= delta_max < 0.25)):
+        raise ContractViolation("need 0 <= delta_max < 1/4")
+    check_entries((2 * n_max + 1) ** 2, "a Kadec Gram matrix")
     base = np.arange(-n_max, n_max + 1, dtype=float)
     if deltas is not None:
         d = np.asarray(deltas, dtype=float).reshape(-1)
         if d.size != base.size:
             raise ContractViolation("need one delta per frequency")
     else:
-        if delta_max is None or not (0.0 <= delta_max < 0.25):
-            raise ContractViolation("need 0 <= delta_max < 1/4")
         rng = np.random.default_rng(seed)
         d = rng.uniform(-delta_max, delta_max, size=base.size)
     mu = base + d

@@ -257,6 +257,7 @@ def _search(m, r_max, cost, seed, flags, mode="auto"):
     if mode not in ("auto", "exhaustive", "local") or r_max < 1:
         raise ContractViolation(f"need r_max >= 1 and a search mode, got "
                                 f"{r_max!r} and {mode!r}")
+    r_max = min(r_max, m)       # more blocks than indices add nothing
     if mode != "local":
         try:
             return _exhaustive_search(m, r_max, cost) + ("exhaustive",)

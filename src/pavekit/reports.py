@@ -7,8 +7,10 @@ payloads.
 
 verify() rebuilds the whole results of a report from its referenced inputs
 with the producer's own code, then compares stored and rebuilt results in
-one place, _match.  A command that runs no search is re-run: the CLI and
-verify build its results with the same function below.  A search is not
+one place, _match.  Each command reads at most one input file, named in
+_INPUTS, which the CLI and verify decode alike.  A command that runs no
+search is re-run: the CLI and verify build its results with the same
+function below.  A search is not
 repeated; its certificate (partition, worst subset, witness) is re-priced,
 and the fields only the search itself could reproduce (mode, evaluated,
 search flags) are rebuilt as UNCHECKED, except that pave and weaver
@@ -193,20 +195,18 @@ def make_report(command, config, inputs, results, wall_time_s):
     }
 
 
-def _write_text(path, text):
-    """Write a canonical JSON text and one trailing newline."""
+def _write_text(path, pieces):
+    """Write a canonical JSON text, given as an iterable of pieces, and one
+    trailing newline."""
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.writelines(pieces)
         fh.write("\n")
 
 
 def write_report(path, report):
     """canonical_json of report and a newline, written piece by piece
     without joining the whole text first."""
-    pieces = _canonical_pieces(report)
-    with open(path, "w") as fh:
-        fh.writelines(pieces)
-        fh.write("\n")
+    _write_text(path, _canonical_pieces(report))
 
 
 def load_report(path):
@@ -235,10 +235,10 @@ def _object_hash(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _regenerate(config):
-    """(text, results) of gen: the canonical JSON of the frame, projection
-    or grid symbol that config describes, and the results recording it,
-    whose object_sha256 hashes that text."""
+def _regenerate(config, out=None):
+    """The results of gen, which record the frame, projection or grid
+    symbol that config describes: object_sha256 hashes its canonical JSON
+    text, which is also written to the path out when one is given."""
     kind = config["kind"]
     results = {"kind": kind}
     if kind == "harmonic":
@@ -261,10 +261,12 @@ def _regenerate(config):
         raise ContractViolation(f"unknown generator kind {kind!r}")
     text = canonical_json(obj)
     results["object_sha256"] = _object_hash(text)
-    return text, results
+    if out is not None:
+        _write_text(out, (text,))
+    return results
 
 
-def _analyze(fr):
+def _analyze(config, fr):
     return {"summary": spectral_summary(fr).to_json()}
 
 
@@ -308,13 +310,19 @@ def _toeplitz(config, g):
     results = {"per_k": per_k, "distribution": None,
                "semantics": "grid-uniform"}
     if "stride" in config:
-        freqs = range(config["freq_min"], config["freq_max"] + 1)
+        lo, hi, bound = config["freq_min"], config["freq_max"], g.N // 2 - 1
+        # an empty range (lo > hi) is left to distribution_check to refuse
+        for option, f in (("--freq-min", lo), ("--freq-max", hi)):
+            if lo <= hi and abs(f) > bound:
+                raise ContractViolation(f"{option} {f} lies past the alias "
+                                        f"bound {bound} of the grid")
+        freqs = range(lo, hi + 1)
         results["distribution"] = distribution_check(
             g, ap_blocks(freqs, config["stride"]), config["epsilon"])
     return results
 
 
-def _kadec(config):
+def _kadec(config, _=None):
     """Closed-form bounds, plus the seeded empirical spectrum and the
     perturbation bounds when configured."""
     results = {"bounds": kadec_bounds(config["a"], config["b"],
@@ -436,6 +444,26 @@ def _malformed(payload):
     return None
 
 
+# command -> the name its report records its one input file under.  The
+# CLI reads and records that file and verify reads and checks it, and both
+# decode it with _decode.
+_INPUTS = {"analyze": "frame", "dilate": "input", "pave": "matrix",
+           "weaver": "frame", "decompose": "frame", "ric": "frame",
+           "radohorn": "frame", "subspace": "basis", "toeplitz": "grid",
+           "erasure": "frame", "phase": "frame"}
+
+
+def _decode(name, doc):
+    """The object the JSON of input `name` holds: a grid symbol, a matrix
+    (dilate reads either mode's input as one) or a frame.  The decoders are
+    looked up here, at call time, so a rebound module name is seen."""
+    if name == "grid":
+        return GridFunction.from_json(doc)
+    if name == "frame":
+        return frame_from_json(doc)
+    return matrix_from_json(doc)
+
+
 def _load_input(payload, name):
     """The JSON of input `name`, which must still hash as recorded: the
     bytes read once are hashed and then parsed, so what is parsed is what
@@ -477,29 +505,7 @@ def _partition(res, m, r_max):
     return part
 
 
-def _verify_gen(payload):
-    return _regenerate(payload["config"])[1]
-
-
-def _verify_analyze(payload):
-    return _analyze(frame_from_json(_load_input(payload, "frame")))
-
-
-def _verify_subspace(payload):
-    return _subspace(payload["config"],
-                     matrix_from_json(_load_input(payload, "basis")))
-
-
-def _verify_toeplitz(payload):
-    return _toeplitz(payload["config"],
-                     GridFunction.from_json(_load_input(payload, "grid")))
-
-
-def _verify_kadec(payload):
-    return _kadec(payload["config"])
-
-
-def _verify_mv_theta(payload):
+def _verify_mv_theta(payload, _):
     res = payload["results"]
     got = _mv_theta(payload["config"])
     # theta is a quadrature: another platform may round it anywhere within
@@ -512,18 +518,12 @@ def _verify_mv_theta(payload):
     return got
 
 
-def _verify_phase(payload):
-    return _phase(payload["config"],
-                  frame_from_json(_load_input(payload, "frame")))
-
-
-def _verify_dilate(payload):
+def _verify_dilate(payload, original):
     """Checks that the stored projection dilates the input instead of
     re-running the dilation, hands the checked matrices back and rebuilds meta."""
     mode = payload["config"].get("mode")
     if mode not in ("naimark", "operator"):
         raise ContractViolation("dilate mode must be naimark or operator")
-    original = matrix_from_json(_load_input(payload, "input"))
     res = payload["results"]
     p, emb, fr = (matrix_from_json(res[key])
                   for key in ("projection", "embedding", "frame"))
@@ -570,14 +570,12 @@ def _repaved(payload, form, a, bound=None):
     return got
 
 
-def _verify_pave(payload):
-    t = matrix_from_json(_load_input(payload, "matrix"))
+def _verify_pave(payload, t):
     return _repaved(payload, payload["config"]["form"], t,
                     payload["config"].get("delta"))
 
 
-def _verify_weaver(payload):
-    fr = frame_from_json(_load_input(payload, "frame"))
+def _verify_weaver(payload, fr):
     got = _repaved(payload, "weaver", gram_matrix(fr),
                    payload["config"]["bessel"])
     # The worst block priced a second way, through the partial frame
@@ -589,12 +587,11 @@ def _verify_weaver(payload):
     return got
 
 
-def _verify_decompose(payload):
+def _verify_decompose(payload, fr):
     """A True verdict is re-priced from its partition and judged against
     the stored target (tp1: the configured and the recorded delta).  A
     False one is not re-decided, so only the fields it derives from the
     config are rebuilt."""
-    fr = frame_from_json(_load_input(payload, "frame"))
     config, res = payload["config"], payload["results"]
     part = _partition(res, fr.M, config["r_max"]) \
         if res["verdict"] is True else None
@@ -624,18 +621,16 @@ def _verify_decompose(payload):
     return RieszReport(ok, part, per, target, UNCHECKED, UNCHECKED).to_json()
 
 
-def _verify_ric(payload):
-    fr = frame_from_json(_load_input(payload, "frame"))
+def _verify_ric(payload, fr):
     config = payload["config"]
     subset = _index_subset(payload["results"]["worst_subset"], fr.M,
                            range(1, config["s"] + 1), "worst subset")
     return _ric(config, fr, subset)
 
 
-def _verify_radohorn(payload):
+def _verify_radohorn(payload, fr):
     """A True verdict is certified by independent blocks, a False one by
     a witness subset J with |J| > r * rank J."""
-    fr = frame_from_json(_load_input(payload, "frame"))
     r = payload["config"]["r"]
     res = payload["results"]
     if res["verdict"] is True:
@@ -654,8 +649,7 @@ def _verify_radohorn(payload):
     return _radohorn(None, witness)
 
 
-def _verify_erasure(payload):
-    fr = frame_from_json(_load_input(payload, "frame"))
+def _verify_erasure(payload, fr):
     k = payload["config"]["k"]
     subset = _index_subset(payload["results"]["worst_subset"], fr.M,
                            range(k, k + 1), "worst subset")
@@ -667,21 +661,29 @@ def _verify_erasure(payload):
                          value_max=UNCHECKED, flags={}).to_json()
 
 
+# Commands that run no search: verify re-runs the results builder the CLI
+# ran, on the stored config and the decoded input (None without one, so
+# _regenerate writes no file).
+_REBUILT = {
+    "gen": _regenerate,
+    "analyze": _analyze,
+    "subspace": _subspace,
+    "toeplitz": _toeplitz,
+    "kadec": _kadec,
+    "phase": _phase,
+}
+
+# The others: their verifier, on the payload and the decoded input,
+# re-prices the stored certificate.
 _VERIFIERS = {
-    "gen": _verify_gen,
-    "analyze": _verify_analyze,
     "dilate": _verify_dilate,
     "pave": _verify_pave,
     "weaver": _verify_weaver,
     "decompose": _verify_decompose,
     "ric": _verify_ric,
     "radohorn": _verify_radohorn,
-    "subspace": _verify_subspace,
-    "toeplitz": _verify_toeplitz,
-    "kadec": _verify_kadec,
     "mv-theta": _verify_mv_theta,
     "erasure": _verify_erasure,
-    "phase": _verify_phase,
 }
 
 
@@ -702,19 +704,23 @@ def verify(report_or_path):
     malformed = _malformed(payload)
     if malformed:
         return False, [malformed]
-    fn = _VERIFIERS.get(payload["command"])
-    if fn is None:
-        return False, [f"unknown command {payload['command']!r}"]
-    seed = payload["config"].get("seed", 0)
+    command, config = payload["command"], payload["config"]
+    rebuild, verifier = _REBUILT.get(command), _VERIFIERS.get(command)
+    if rebuild is None and verifier is None:
+        return False, [f"unknown command {command!r}"]
+    seed = config.get("seed", 0)
     if type(seed) is not int:
         return False, ["missing seed" if seed is None
                        else "config seed must be an integer"]
     try:
-        got = fn(payload)
+        name = _INPUTS.get(command)
+        obj = None if name is None else \
+            _decode(name, _load_input(payload, name))
+        got = rebuild(config, obj) if rebuild else verifier(payload, obj)
     except (ContractViolation, BudgetExceeded) as exc:
         return False, [str(exc)]
     except (KeyError, TypeError, ValueError) as exc:
         return False, [f"verification error: {exc!r}"]
     mismatch = _match(payload["results"], got,
-                      _SLACK.get(payload["command"], (_MATCH_TOL, True)))
+                      _SLACK.get(command, (_MATCH_TOL, True)))
     return mismatch is None, [mismatch] if mismatch else []

@@ -4,8 +4,10 @@ budget, with no exception escaping and a verifiable report on every 0.
 Every float option of every subcommand is driven with edge values on the
 small fixed inputs of report_cases, in-process through cli.main.  So are
 gen's sizes, --n, --M and --N, which core.ENTRY_BUDGET bounds before any
-allocation.  The other integer options stay out: a huge value of one would
-allocate before any check could run.
+allocation.  The block counts (--r-max, --r), kadec's --n-max, toeplitz's
+--freq-min and --freq-max and gen's --levels are driven at 10^9 in a child
+process with a bounded address space.  The other integer options stay out:
+a huge value of one would allocate or loop before any check could run.
 """
 
 import argparse
@@ -13,13 +15,16 @@ import contextlib
 import io
 import json
 import math
+import os
+import resource
+import subprocess
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from pavekit import cli
+from pavekit import cli, reports
 from pavekit.core import (
     ENTRY_BUDGET,
     BudgetExceeded,
@@ -274,6 +279,94 @@ def test_riesz_decompose_past_the_walk_is_greedy(tmp_path):
     assert verify(str(rep)) == (True, [])
 
 
+BIG = 10**9
+# (report_cases case, integer option, a value past every size that command
+# can use, exit code, what the error text must name)
+HUGE_INTEGERS = (
+    ("pave", "--r-max", BIG, 0, None),
+    ("pave-local", "--r-max", BIG, 0, None),
+    ("weaver", "--r-max", BIG, 0, None),
+    ("riesz-greedy", "--r-max", BIG, 0, None),
+    ("radohorn", "--r", BIG, 0, None),
+    ("radohorn-false", "--r", BIG, 0, None),
+    ("kadec", "--n-max", BIG, 3, "entry budget"),
+    ("toeplitz", "--freq-max", BIG, 2, "--freq-max"),
+    ("toeplitz", "--freq-min", -BIG, 2, "--freq-min"),
+    ("gen-grid", "--levels", BIG, 2, "--levels"),
+    ("gen-grid", "--levels", 10000, 2, "--levels"),
+)
+
+# Runs each argv of a JSON list through cli.main and prints, per argv, its
+# exit code (or the exception that escaped), stderr, traced peak and time.
+_HUGE_CHILD = """
+import contextlib, io, json, sys, time, tracemalloc
+from pavekit import cli, reports
+out = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \\
+                contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    except Exception as exc:
+        code = repr(exc)
+    out.append([code, err.getvalue(), tracemalloc.get_traced_memory()[1],
+                time.perf_counter() - start])
+    tracemalloc.stop()
+print(json.dumps(out))
+"""
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def test_huge_integer_options_keep_the_exit_contract_without_allocating(
+        tmp_path):
+    """A block count past the number of vectors adds nothing and is clipped
+    where the walks start; a range or size past what a command can use is
+    refused before it is built.  The runs go to a child limited to 1 GB of
+    address space, so code that did allocate for these values fails there
+    with a MemoryError instead of filling the machine."""
+    argv = commands(tmp_path)
+    assert _run(argv["gen-grid"])[0] == 0           # toeplitz's grid
+    frame = str(tmp_path / "f16.json")
+    assert _run(["gen", "--kind", "random-unit", "--n", "3", "--M", "16",
+                 "--seed", "2", "--out", frame])[0] == 0
+    argv["riesz-greedy"] = ["decompose", "--input", frame,
+                            "--criterion", "riesz", "--epsilon", "0.9"]
+    runs = []
+    for i, (case, option, value, _, _) in enumerate(HUGE_INTEGERS):
+        rep = str(tmp_path / f"huge{i}.json")
+        runs.append(_with_option(argv[case], option, value) +
+                    ["--report", rep])
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, "-c", _HUGE_CHILD, json.dumps(runs)],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=_limit_address_space)
+    assert child.returncode == 0, child.stderr
+    for run, (case, option, value, want, name), (code, err, peak, secs) in \
+            zip(runs, HUGE_INTEGERS, json.loads(child.stdout)):
+        assert code == want and peak < 2**20, (run, code, err, peak)
+        assert secs < 5.0, (run, secs)
+        if name is not None:
+            assert name in err and "Traceback" not in err, (run, err)
+        rep = run[-1]
+        assert os.path.exists(rep) == (code == 0), run
+        if code == 0:
+            assert verify(rep) == (True, []), run
+            payload = load_report(rep)["payload"]
+            assert payload["config"][option[2:].replace("-", "_")] == value
+    riesz = load_report(runs[3][-1])["payload"]["results"]
+    assert riesz["mode"] == "greedy"
+
+
 # ---------------------------------------------------------------------------
 # cli.main builds one subcommand's parser; its texts are the full parser's
 # ---------------------------------------------------------------------------
@@ -295,6 +388,20 @@ def _parse_outcome(parse, argv):
 def _same_texts(argv):
     full = _parse_outcome(lambda a: cli.build_parser().parse_args(a), argv)
     assert _parse_outcome(cli.main, argv) == full, argv
+
+
+def test_the_input_table_names_the_commands_with_an_input():
+    """reports._INPUTS names an input for exactly the commands whose parser
+    takes --input, and verify rebuilds every command but verify itself in
+    exactly one way."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(reports._INPUTS) == {
+        name for name, p in sub.choices.items()
+        if any("--input" in a.option_strings for a in p._actions)}
+    assert not reports._REBUILT.keys() & reports._VERIFIERS.keys()
+    assert reports._REBUILT.keys() | reports._VERIFIERS.keys() == \
+        set(SUBCOMMANDS) - {"verify"}
 
 
 def test_float_options_are_all_seen():

@@ -33,6 +33,14 @@ def test_every_case_verifies(cases, capsys):
             case
 
 
+def test_every_case_records_its_input_under_the_tables_name(cases):
+    for case, rep in cases.items():
+        payload = load_report(str(rep))["payload"]
+        name = reports._INPUTS.get(payload["command"])
+        assert list(payload["inputs"]) == ([] if name is None else [name]), \
+            case
+
+
 def _flip(d, key):
     d[key] = not d[key]
 
