@@ -27,6 +27,7 @@ LOCAL_MOVE_BUDGET = 2000           # most accepted moves of one local search
 WKHB_MOVE_BUDGET = 10**6           # most moves of one wkhb_partition
 GREEDY_BACKTRACKS = 3              # backtracks of the greedy Riesz fallback
 QUADRATURE_BUDGET = 10**6          # most (panel, frequency) terms of mv-theta
+TRIAL_BUDGET = 10**6               # most sign-blind recovery trials of phase
 ENTRY_BUDGET = 2**22               # most entries of a generated matrix or grid
 
 # Absolute slack of every "achieved <= target" verdict.  Producers and
@@ -208,6 +209,48 @@ def subset_ranks(t, subsets):
             s = np.linalg.svd(t[:, idx].transpose(1, 0, 2), compute_uv=False)
             ranks.append(np.sum(s > RANK_TOL * s[:, :1] * max(n, k), axis=1))
     return np.concatenate(ranks)
+
+
+def hyperplane_flats(t, subsets):
+    """The (B, M) rows "subset_ranks gives [S, f_i] rank n - 1" of the
+    (n - 1)-subsets S of the n x M array t, each already of rank n - 1.
+
+    One svd with U per call gives the unit normal nu of each span S (U's
+    last column), and one product nu @ t its distance |nu . f_i| to each
+    vector.  For A = [S, f_i], sigma_n(A) <= |nu . f_i| and, from |det A| =
+    |nu . f_i| prod sigma(S), sigma_n(A) >= |nu . f_i| prod sigma(S) /
+    sigma_max(A)^(n - 1), while sigma_(n-1)(A) >= sigma_(n-1)(S) by
+    interlacing.  A test is decided from these bounds only where they clear
+    subset_ranks' cutoff RANK_TOL * n * sigma_max(A) by a factor of 2 after
+    LAPACK's rounding (err * sigma_max) and the error of the computed normal
+    (err * |f_i| sigma_max(S) / sigma_(n-1)(S)); the band between goes to
+    subset_ranks itself, so every row is the one it would give.  With
+    n = 1, S is empty and U is 1 x 1, so the bounds read |f_i| alone.
+    """
+    n, m = t.shape
+    err, tol = 64 * n * np.finfo(t.dtype).eps, RANK_TOL * n
+    idx = np.array(subsets, dtype=np.intp).reshape(len(subsets), n - 1)
+    u, s, _ = np.linalg.svd(t[:, idx].transpose(1, 0, 2))
+    smax = s.max(axis=1, initial=0.0)[:, None]       # (B, 1)
+    smin = s.min(axis=1, initial=np.inf)[:, None]    # inf when n = 1
+    es = err * smax
+    norms = np.linalg.norm(t, axis=0)                # (M,)
+    dist = np.abs(u[:, :, -1] @ t)                   # (B, M)
+    dist_err = err * norms * (1.0 + smax / (smin - es))
+    amax_hi = np.hypot(smax, norms) * (1.0 + err)    # >= sigma_max(A)
+    ea = err * amax_hi
+    cut_lo = tol * (np.maximum(smax, norms) - 2.0 * ea)
+    cut_hi = tol * (amax_hi + ea)
+    shrink = np.prod(np.maximum(s - es, 0.0)[:, None, :] / amax_hi[..., None],
+                     axis=2)
+    low = np.maximum(dist - dist_err, 0.0) * shrink - ea
+    inside = (2.0 * (dist + dist_err + ea) <= cut_lo) & \
+        (smin - es - ea >= 2.0 * cut_hi)
+    band = np.argwhere(~(inside | (low > 2.0 * cut_hi)))
+    if band.size:
+        inside[band[:, 0], band[:, 1]] = subset_ranks(
+            t, np.column_stack((idx[band[:, 0]], band[:, 1]))) == n - 1
+    return inside
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,12 @@ import numpy as np
 from .core import (
     CHECK_TOL,
     SUBSET_BUDGET,
+    TRIAL_BUDGET,
     BudgetExceeded,
     ContractViolation,
     block_spectra,
     block_spectrum,
+    hyperplane_flats,
     numeric_rank,
     stacks,
     subset_ranks,
@@ -118,6 +120,12 @@ def erasure_robustness(fr, k):
                          value_max=vmax)
 
 
+def _true_columns(rows):
+    """The columns where each row of a 2-d bool array is True, as tuples."""
+    cols, ends = np.nonzero(rows)[1].tolist(), np.cumsum(rows.sum(1)).tolist()
+    return [tuple(cols[a:b]) for a, b in zip([0, *ends], ends)]
+
+
 def _complement_witness(t):
     """{side, complement} with neither side spanning and index 0 on side,
     or None when the real n x M family t has the complement property.
@@ -125,20 +133,23 @@ def _complement_witness(t):
     A failing bipartition can be grown until one side is a flat of rank
     n - 1, so the candidates are the flats F = {i : [S, f_i] has rank
     n - 1} of the (n - 1)-subsets S of rank n - 1: C(M, n - 1) of them,
-    not 2^(M - 1).  Ranks follow numeric_rank's cutoff throughout.
-    Stacks of S whose flat tests fill a quarter of BLOCK_STACK_BYTES (their
-    index tuples and copies fill the rest) take three subset_ranks calls.
+    not 2^(M - 1).  Ranks follow numeric_rank's cutoff throughout: the
+    ranks of S and of each flat and its rest come from subset_ranks, and
+    the flat tests from hyperplane_flats, which decides them from one
+    normal vector per S and hands the undecided ones to subset_ranks.
+    Stacks of S, sized so their U's and (B, M, n) bound arrays fill a
+    quarter of BLOCK_STACK_BYTES, take one call of each.
     """
     (n, m), seen = t.shape, set()
     for chunk in stacks(itertools.combinations(range(m), n - 1),
-                        4 * t.itemsize * m * n * n):
+                        4 * t.itemsize * n * (n + m)):
         good = [s for s, r in zip(chunk, subset_ranks(t, chunk)) if r == n - 1]
-        tests = subset_ranks(t, ((*s, i) for s in good for i in range(m)))
-        flats = [f for f in dict.fromkeys(tuple(np.flatnonzero(row).tolist())
-                 for row in tests.reshape(len(good), m) == n - 1)
-                 if f not in seen]
+        rows = hyperplane_flats(t, good)
+        pairs = [p for p in dict.fromkeys(zip(_true_columns(rows),
+                                              _true_columns(~rows)))
+                 if p[0] not in seen]
+        flats, rests = [p[0] for p in pairs], [p[1] for p in pairs]
         seen.update(flats)
-        rests = [tuple(sorted(set(range(m)).difference(f))) for f in flats]
         low = subset_ranks(t, flats + rests).reshape(2, len(flats)) < n
         for flat, rest in itertools.compress(zip(flats, rests), low.all(0)):
             side, comp = (flat, rest) if 0 in flat else (rest, flat)
@@ -158,9 +169,13 @@ def phase_retrieval_check(fr, trials=10**4, seed=0):
     solvable instance must recover the input up to a global sign.  A stack
     of trials, sized so its eight (trials, M) arrays fill a quarter of
     BLOCK_STACK_BYTES, is one least-squares solve with a column per trial.
+    More than TRIAL_BUDGET trials raise BudgetExceeded before any work.
     """
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 0:
         raise ContractViolation("trials must be a non-negative integer")
+    if trials > TRIAL_BUDGET:
+        raise BudgetExceeded(f"--trials {trials} exceeds the {TRIAL_BUDGET} "
+                             "trial budget")
     if np.iscomplexobj(fr.synthesis) and np.abs(fr.synthesis.imag).max() > 0.0:
         raise ContractViolation("sign-blind recovery check is real-case only")
     m, n = fr.M, fr.n

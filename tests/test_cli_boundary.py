@@ -294,6 +294,13 @@ HUGE_INTEGERS = (
     ("toeplitz", "--freq-min", -BIG, 2, "--freq-min"),
     ("gen-grid", "--levels", BIG, 2, "--levels"),
     ("gen-grid", "--levels", 10000, 2, "--levels"),
+    ("erasure", "--k", BIG, 2, "k < M"),
+    ("ric", "--s", BIG, 0, None),
+    ("tp1", "--s", BIG, 0, None),
+    ("toeplitz", "--stride", BIG, 0, None),
+    ("toeplitz", "--k-list", BIG, 2, "must divide N"),
+    ("mv-theta", "--quad-n", BIG, 3, "budget exceeded"),
+    ("phase", "--trials", BIG, 3, "--trials"),
 )
 
 # Runs each argv of a JSON list through cli.main and prints, per argv, its

@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 from frame_cases import oracle_frames
+from pavekit import core, erasures
 from pavekit.core import (
     RANK_TOL,
+    TRIAL_BUDGET,
     BudgetExceeded,
     ContractViolation,
     Frame,
     gen_harmonic_frame,
     gen_random_unit_frame,
     numeric_rank,
+    subset_ranks,
 )
 from pavekit.erasures import erasure_robustness, phase_retrieval_check
 from pavekit.frames import parseval_normalize
@@ -109,6 +112,9 @@ def test_phase_retrieval_contracts():
     # C(60, 7) candidate hyperplanes are past the subset budget
     with pytest.raises(BudgetExceeded):
         phase_retrieval_check(gen_random_unit_frame(8, 60, 0), trials=1)
+    with pytest.raises(BudgetExceeded, match="--trials"):
+        phase_retrieval_check(gen_random_unit_frame(2, 4, 0),
+                              trials=TRIAL_BUDGET + 1)
     assert phase_retrieval_check(gen_random_unit_frame(2, 23, 0),
                                  trials=10)["verdict"]
 
@@ -210,6 +216,88 @@ def test_phase_matches_per_subset_and_per_trial_oracle():
                 verdicts.add(rep["verdict"])
                 solved += rep["solvable"]
     assert verdicts == {True, False} and solved > 0
+
+
+def _near_cutoff_families():
+    """Families near the rank cutoff.  First, n - 1 vectors with singular
+    values 1 to 1e-3 beside their top singular vector, scaled so that the
+    cutoff RANK_TOL * n * sigma_max of [S, f] is d * 1e-3 for d in (0.25,
+    0.5, 2, 4): in span S, but of rank n - 2 once d > 1.  Then vectors
+    c * RANK_TOL * n * sigma_max off the hyperplane of the first n - 1
+    vectors for c in (0.5, 1, 2, 4), beside a repeated and a scaled copy
+    of those.  Every other family adds two generic vectors."""
+    rng = np.random.default_rng(11)
+    for n in (3, 4):
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        v = np.linalg.qr(rng.standard_normal((n - 1, n - 1)))[0]
+        s = q[:, :n - 1] * np.geomspace(1.0, 1e-3, n - 1) @ v
+        scales = 1e-3 * np.array([0.25, 0.5, 2.0, 4.0]) / (RANK_TOL * n)
+        for extra in (0, 2):
+            yield np.hstack([s, np.outer(q[:, 0], scales),
+                             rng.standard_normal((n, extra))])
+    for n in (2, 3, 4):
+        for scale in (1.0, 1e-3, 1e3):
+            for extra in (0, 2):
+                s = scale * rng.standard_normal((n, n - 1))
+                nu = np.linalg.svd(s)[0][:, -1]
+                cols = [s, s[:, :1], 3.0 * s[:, -1:]]
+                for c in (0.5, 1.0, 2.0, 4.0):
+                    g = s @ rng.standard_normal(n - 1)
+                    top = np.linalg.svd(np.column_stack([s, g]),
+                                        compute_uv=False)[0]
+                    cols.append((g + c * RANK_TOL * n * top * nu)[:, None])
+                cols.append(scale * rng.standard_normal((n, extra)))
+                yield np.hstack(cols)
+
+
+def _witness_and_band(monkeypatch, t):
+    """_complement_witness(t) and the flat tests hyperplane_flats handed to
+    subset_ranks (erasures calls subset_ranks through its own binding)."""
+    band = []
+
+    def counted(t, subsets):
+        subsets = [tuple(s) for s in subsets]
+        assert all(len(s) == t.shape[0] for s in subsets)
+        band.extend(subsets)
+        return subset_ranks(t, subsets)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "subset_ranks", counted)
+        return erasures._complement_witness(t), len(band)
+
+
+def _flat_rows_oracle(t, good):
+    n, m = t.shape
+    return subset_ranks(t, [(*s, i) for s in good for i in range(m)]) \
+        .reshape(len(good), m) == n - 1
+
+
+def test_hyperplane_flats_match_subset_ranks_near_the_cutoff(monkeypatch):
+    witnesses = 0
+    for t in _near_cutoff_families():
+        n, m = t.shape
+        subsets = list(itertools.combinations(range(m), n - 1))
+        good = [s for s, r in zip(subsets, subset_ranks(t, subsets))
+                if r == n - 1]
+        assert np.array_equal(core.hyperplane_flats(t, good),
+                              _flat_rows_oracle(t, good)), t
+        witness, band = _witness_and_band(monkeypatch, t)
+        assert witness == _complement_witness_oracle(t), t
+        assert band > 0, t
+        witnesses += witness is not None
+    assert 0 < witnesses < 22
+
+
+def test_hyperplane_flats_on_oracle_frames_and_the_deck_frame(monkeypatch):
+    t = gen_random_unit_frame(4, 13, 5).synthesis
+    witness, band = _witness_and_band(monkeypatch, t)
+    assert witness is None and band == 0
+    for fr in oracle_frames(2, 40):
+        t, n = fr.synthesis, fr.n
+        good = [s for s in itertools.combinations(range(fr.M), n - 1)
+                if subset_ranks(t, [s])[0] == n - 1]
+        assert np.array_equal(core.hyperplane_flats(t, good),
+                              _flat_rows_oracle(t, good)), t
 
 
 def _bits(x):
