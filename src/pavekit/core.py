@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,7 @@ WKHB_MOVE_BUDGET = 10**6           # most moves of one wkhb_partition
 GREEDY_BACKTRACKS = 3              # backtracks of the greedy Riesz fallback
 QUADRATURE_BUDGET = 10**6          # most (panel, frequency) terms of mv-theta
 TRIAL_BUDGET = 10**6               # most sign-blind recovery trials of phase
-ENTRY_BUDGET = 2**22               # most entries of a generated matrix or grid
+ENTRY_BUDGET = 2**22               # most entries of a built matrix or grid
 
 # Absolute slack of every "achieved <= target" verdict.  Producers and
 # verify() share it through within(), so a report always passes its own
@@ -54,7 +54,7 @@ CHECK_TOL = 1e-8    # yes/no predicates: Parseval, tight, equal- and unit-norm,
 
 def check_entries(count, what):
     """Raise BudgetExceeded when count entries exceed ENTRY_BUDGET: called
-    with the size a generator is about to allocate, before it does."""
+    before a generator or a product allocates count entries."""
     if count > ENTRY_BUDGET:
         raise BudgetExceeded(f"{what} of {count} entries exceeds the "
                              f"{ENTRY_BUDGET} entry budget")
@@ -352,7 +352,7 @@ def enumerate_partitions(M, r):
 
 
 # ---------------------------------------------------------------------------
-# frames as labelled synthesis matrices
+# frames as synthesis matrices
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -360,8 +360,6 @@ class Frame:
     """A finite vector family: column i of synthesis is the i-th vector."""
 
     synthesis: np.ndarray
-    label: str = ""
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.synthesis = ensure_matrix(self.synthesis, "synthesis")
@@ -378,8 +376,7 @@ class Frame:
 def gen_random_unit_frame(n, M, seed, field="real"):
     """Seeded Gaussian columns normalized to unit length.
 
-    M < n is permitted (the family then spans a proper subspace) and is
-    flagged in the metadata rather than rejected.
+    M < n is permitted: the family then spans a proper subspace.
     """
     if n < 1 or M < 1:
         raise ContractViolation("gen_random_unit_frame needs n >= 1, M >= 1")
@@ -396,11 +393,7 @@ def gen_random_unit_frame(n, M, seed, field="real"):
         bad = norms == 0.0
         a[:, bad] = rng.standard_normal((n, int(bad.sum())))
         norms = np.linalg.norm(a, axis=0)
-    fr = Frame(a / norms, label=f"random-unit-{n}x{M}",
-               meta={"seed": int(seed), "field": field, "kind": "random-unit"})
-    if M < n:
-        fr.meta["spans"] = False
-    return fr
+    return Frame(a / norms)
 
 
 def gen_harmonic_frame(n, M):
@@ -415,7 +408,7 @@ def gen_harmonic_frame(n, M):
     k = np.arange(n)[:, None]
     i = np.arange(M)[None, :]
     a = np.exp(2j * np.pi * (k * i) / M) / math.sqrt(n)
-    return Frame(a, label=f"harmonic-{n}x{M}", meta={"kind": "harmonic"})
+    return Frame(a)
 
 
 def gen_random_projection(M, n, seed):
@@ -502,14 +495,8 @@ def matrix_from_json(d):
 
 
 def frame_to_json(fr):
-    d = matrix_to_json(fr.synthesis)
-    if fr.label:
-        d["label"] = fr.label
-    if fr.meta:
-        d["meta"] = dict(fr.meta)
-    return d
+    return matrix_to_json(fr.synthesis)
 
 
 def frame_from_json(d):
-    return Frame(matrix_from_json(d), label=d.get("label", ""),
-                 meta=dict(d.get("meta", {})))
+    return Frame(matrix_from_json(d))

@@ -86,7 +86,7 @@ def erasure_robustness(fr, k):
     agree to 1e-9; the report records that the check ran.
     """
     if not (0 <= k < fr.M):
-        raise ContractViolation("need 0 <= k < M")
+        raise ContractViolation(f"--k {k} must be in 0 <= k < M = {fr.M}")
     total = math.comb(fr.M, k)
     if total > SUBSET_BUDGET:
         raise BudgetExceeded(f"{total} erasure patterns exceed the budget")

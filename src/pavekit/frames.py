@@ -18,6 +18,7 @@ from .core import (
     EIG_TOL,
     ContractViolation,
     Frame,
+    check_entries,
     numeric_rank,
     sym_eig,
 )
@@ -29,14 +30,16 @@ __all__ = [
 
 
 def frame_operator(fr):
-    """S = T T*, an n x n positive semidefinite matrix."""
+    """S = T T*, an n x n positive semidefinite matrix, within ENTRY_BUDGET."""
     t = fr.synthesis
+    check_entries(fr.n ** 2, f"the {fr.n}x{fr.n} frame operator")
     return t @ t.conj().T
 
 
 def gram_matrix(fr):
-    """G = T* T, an M x M positive semidefinite matrix."""
+    """G = T* T, an M x M positive semidefinite matrix, within ENTRY_BUDGET."""
     t = fr.synthesis
+    check_entries(fr.M ** 2, f"the {fr.M}x{fr.M} Gram matrix")
     return t.conj().T @ t
 
 
@@ -111,5 +114,4 @@ def parseval_normalize(fr):
     if w[-1] <= 0.0 or w[0] <= EIG_TOL * max(w[-1], 0.0):
         raise ContractViolation("family is not a frame for the space")
     s_inv_half = (v / np.sqrt(w)) @ v.conj().T
-    return Frame(s_inv_half @ fr.synthesis, label=fr.label + "-parseval",
-                 meta=dict(fr.meta, derived="parseval-normalize"))
+    return Frame(s_inv_half @ fr.synthesis)

@@ -44,10 +44,10 @@ from .core import (
     gen_random_unit_frame,
     matrix_from_json,
     matrix_to_json,
-    operator_norm,
     subset_ranks,
     within,
 )
+from .dilation import _certificate
 from .frames import gram_matrix, parseval_normalize, spectral_summary
 from .decomposition import (
     RieszReport,
@@ -519,36 +519,21 @@ def _verify_mv_theta(payload, _):
 
 
 def _verify_dilate(payload, original):
-    """Checks that the stored projection dilates the input instead of
-    re-running the dilation, hands the checked matrices back and rebuilds meta."""
+    """Holds the stored projection, embedding and family to the producer's
+    certificate instead of re-running the dilation, and hands the checked
+    matrices back with the meta the certificate builds."""
     mode = payload["config"].get("mode")
     if mode not in ("naimark", "operator"):
         raise ContractViolation("dilate mode must be naimark or operator")
     res = payload["results"]
     p, emb, fr = (matrix_from_json(res[key])
                   for key in ("projection", "embedding", "frame"))
-    if np.abs(p - p.conj().T).max() > 1e-9 or np.abs(p @ p - p).max() > 1e-8:
-        raise ContractViolation(
-            "stored projection is not an orthogonal projection")
-    if np.abs(p - emb @ fr).max() > 1e-8:
-        raise ContractViolation("projection does not dilate the stored family")
-    # in both modes the dilated family starts with the input columns
-    k = original.shape[1]
-    if fr.shape[1] < k or np.abs(fr[:, :k] - original).max() > 1e-12:
-        raise ContractViolation(
-            "dilated family does not extend the input columns")
-    rank = original.shape[0]
-    if not _close(np.real(np.trace(p)), rank, 1e-6):
-        raise ContractViolation("projection trace does not match the rank")
-    added = fr[:, k:]
-    meta = {"mode": mode, "n": rank, "M": fr.shape[1]}
-    if mode == "operator":      # norm one leaves the top eigenvector out
-        meta.update(norm_one=added.shape[1] == rank - 1,
-                    operator_norm=operator_norm(original))
+    meta = _certificate(mode, original, p, emb, fr)
+    added = fr[:, original.shape[1]:]
     return {"ambient_dim": p.shape[0], "projection": res["projection"],
             "embedding": res["embedding"], "frame": res["frame"],
             "added_vectors": matrix_to_json(added) if added.size else None,
-            "meta": meta, "rank": rank}
+            "meta": meta, "rank": original.shape[0]}
 
 
 def _repaved(payload, form, a, bound=None):

@@ -20,8 +20,9 @@ def commands(tmp):
     """{case: argv} over every command, with inputs written to tmp; run in
     order, since toeplitz reads the grid gen-grid writes.
 
-    Both verdicts of radohorn are covered; decompose is covered with each
-    criterion and pave in both forms and both search modes."""
+    Both verdicts of radohorn are covered; dilate is covered in both modes,
+    decompose with each criterion and pave in both forms and both search
+    modes."""
     rng = np.random.default_rng(5)
 
     def unit(n, m):
@@ -38,6 +39,8 @@ def commands(tmp):
     parseval = _write(tmp / "parseval.json", q.T)
     q, _ = np.linalg.qr(rng.standard_normal((4, 3)))
     basis = _write(tmp / "basis.json", q)
+    op = rng.standard_normal((3, 3))
+    operator = _write(tmp / "operator.json", op / np.linalg.norm(op, 2))
     grid = str(tmp / "grid.json")
     return {
         "gen": ["gen", "--kind", "harmonic", "--n", "2", "--M", "4",
@@ -46,6 +49,8 @@ def commands(tmp):
                      "--levels", "3", "--out", grid],
         "analyze": ["analyze", "--input", f37],
         "dilate": ["dilate", "--input", parseval],
+        "dilate-operator": ["dilate", "--input", operator, "--mode",
+                            "operator"],
         "pave": ["pave", "--input", matrix, "--r-max", "2",
                  "--epsilon", "0.7"],
         "pave-local": ["pave", "--input", matrix, "--r-max", "2",

@@ -5,9 +5,10 @@ Every float option of every subcommand is driven with edge values on the
 small fixed inputs of report_cases, in-process through cli.main.  So are
 gen's sizes, --n, --M and --N, which core.ENTRY_BUDGET bounds before any
 allocation.  The block counts (--r-max, --r), kadec's --n-max, toeplitz's
---freq-min and --freq-max and gen's --levels are driven at 10^9 in a child
-process with a bounded address space.  The other integer options stay out:
-a huge value of one would allocate or loop before any check could run.
+--freq-min and --freq-max, gen's --levels and the other integer options of
+HUGE_INTEGERS are driven at 10^9 in a child process with a bounded address
+space, and so are a 20000x1 and a 1x20000 input, whose frame operator or
+Gram matrix the same entry budget refuses.
 """
 
 import argparse
@@ -294,7 +295,8 @@ HUGE_INTEGERS = (
     ("toeplitz", "--freq-min", -BIG, 2, "--freq-min"),
     ("gen-grid", "--levels", BIG, 2, "--levels"),
     ("gen-grid", "--levels", 10000, 2, "--levels"),
-    ("erasure", "--k", BIG, 2, "k < M"),
+    ("erasure", "--k", BIG, 2,
+     "error: --k 1000000000 must be in 0 <= k < M = 6"),
     ("ric", "--s", BIG, 0, None),
     ("tp1", "--s", BIG, 0, None),
     ("toeplitz", "--stride", BIG, 0, None),
@@ -330,6 +332,22 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
 
+def _child_runs(runs):
+    """[exit code or escaped exception, stderr, traced peak, seconds] of
+    each argv of runs, run through cli.main in a child limited to 1 GB of
+    address space."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, "-c", _HUGE_CHILD, json.dumps(runs)],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=_limit_address_space)
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout)
+
+
 def test_huge_integer_options_keep_the_exit_contract_without_allocating(
         tmp_path):
     """A block count past the number of vectors adds nothing and is clipped
@@ -349,17 +367,8 @@ def test_huge_integer_options_keep_the_exit_contract_without_allocating(
         rep = str(tmp_path / f"huge{i}.json")
         runs.append(_with_option(argv[case], option, value) +
                     ["--report", rep])
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, [src, os.environ.get("PYTHONPATH")])))
-    child = subprocess.run(
-        [sys.executable, "-c", _HUGE_CHILD, json.dumps(runs)],
-        capture_output=True, text=True, env=env, timeout=120,
-        preexec_fn=_limit_address_space)
-    assert child.returncode == 0, child.stderr
     for run, (case, option, value, want, name), (code, err, peak, secs) in \
-            zip(runs, HUGE_INTEGERS, json.loads(child.stdout)):
+            zip(runs, HUGE_INTEGERS, _child_runs(runs)):
         assert code == want and peak < 2**20, (run, code, err, peak)
         assert secs < 5.0, (run, secs)
         if name is not None:
@@ -372,6 +381,38 @@ def test_huge_integer_options_keep_the_exit_contract_without_allocating(
             assert payload["config"][option[2:].replace("-", "_")] == value
     riesz = load_report(runs[3][-1])["payload"]["results"]
     assert riesz["mode"] == "greedy"
+
+
+def test_square_products_of_an_input_keep_the_entry_budget(tmp_path):
+    """The n x n frame operator and the M x M Gram matrix are priced against
+    core.ENTRY_BUDGET before they are multiplied: n = 20000 exits 3 in
+    analyze, erasure and dilate, and M = 20000 in ric, weaver, decompose
+    and dilate, without allocating the 3.2 GB product in the 1 GB child."""
+    tall = np.zeros((20000, 1))
+    tall[0, 0] = 1.0
+    inputs = {"tall": tall, "wide": np.ones((1, 20000)),
+              "parseval": np.full((1, 20000), 20000 ** -0.5)}
+    for name, a in inputs.items():
+        (tmp_path / name).write_text(canonical_json(matrix_to_json(a)))
+    product = {"tall": "20000x20000 frame operator",
+               "wide": "20000x20000 Gram matrix",
+               "parseval": "20000x20000 Gram matrix"}
+    runs = [("tall", ["analyze"]), ("tall", ["erasure", "--k", "0"]),
+            ("tall", ["dilate"]), ("wide", ["ric", "--s", "1"]),
+            ("wide", ["weaver", "--bessel", "4", "--epsilon", "0.5",
+                      "--r-max", "3"]),
+            ("wide", ["decompose", "--criterion", "riesz", "--epsilon",
+                      "0.9", "--r-max", "3"]),
+            ("parseval", ["dilate"])]
+    argvs = [argv + ["--input", str(tmp_path / name),
+                     "--report", str(tmp_path / f"{i}.report.json")]
+             for i, (name, argv) in enumerate(runs)]
+    for (name, _), argv, (code, err, peak, _) in \
+            zip(runs, argvs, _child_runs(argvs)):
+        assert code == 3 and peak < 2**24, (argv, code, err, peak)
+        assert f"budget exceeded: the {product[name]} of 400000000 " \
+            "entries exceeds" in err, (argv, err)
+        assert not os.path.exists(argv[-1]), argv
 
 
 # ---------------------------------------------------------------------------

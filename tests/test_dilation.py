@@ -1,9 +1,19 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
-from pavekit.core import ContractViolation, gen_random_unit_frame, numeric_rank
+from pavekit.cli import main
+from pavekit.core import (
+    ContractViolation,
+    gen_random_unit_frame,
+    matrix_to_json,
+    numeric_rank,
+)
 from pavekit.dilation import dilate_operator, naimark_dilate
 from pavekit.frames import gram_matrix, parseval_normalize
+from pavekit.reports import canonical_json, verify
 
 
 def _parseval(n, m, seed, field="real"):
@@ -80,3 +90,40 @@ def test_projection_equals_gram():
     fr = _parseval(2, 5, 3)
     dil = naimark_dilate(fr)
     assert np.abs(dil.projection - gram_matrix(fr)).max() < 1e-12
+
+
+def _boundary_inputs():
+    """(name, matrix, mode) just inside the producers' input checks: a 3x4
+    Parseval frame whose column along (1, 1, 1)/sqrt(3) is stretched until
+    max|S - I| = 9e-9, and 3x3 operators whose top singular value is
+    1 + 0.6e-8 and 1 + 0.9e-8."""
+    u = np.ones(3) / np.sqrt(3.0)
+    rest = np.eye(3) + (np.sqrt(0.5) - 1.0) * np.outer(u, u)
+    stretch = np.sqrt(1.0 + 6 * 9.0e-9)
+    frame = np.column_stack([stretch * np.sqrt(0.5) * u, rest])
+    assert abs(np.abs(frame @ frame.T - np.eye(3)).max() - 9.0e-9) < 1e-15
+    yield "naimark", frame, "naimark"
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))
+    r, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((3, 3)))
+    for eps in (0.6e-8, 0.9e-8):
+        op = q @ np.diag([1.0 + eps, 0.7, 0.3]) @ r
+        assert abs(np.linalg.norm(op, 2) - 1.0 - eps) < 1e-15
+        yield f"operator-{eps}", op, "operator"
+
+
+@pytest.mark.parametrize("name, matrix, mode", list(_boundary_inputs()))
+def test_dilate_at_the_input_bounds_exits_2_or_verifies(tmp_path, name,
+                                                        matrix, mode):
+    """The producer holds its report to verify's certificate, so an input
+    its own checks admit still gets either a refusal or a report that
+    verifies."""
+    path, rep = tmp_path / "input.json", tmp_path / "report.json"
+    path.write_text(canonical_json(matrix_to_json(matrix)))
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(["dilate", "--input", str(path), "--mode", mode,
+                     "--report", str(rep)])
+    assert code in (0, 2), name
+    assert rep.exists() == (code == 0), name
+    if code == 0:
+        assert verify(str(rep)) == (True, []), name

@@ -6,12 +6,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import pavekit
 from pavekit import paving, reports
 from pavekit.cli import main
-from pavekit.reports import load_report
+from pavekit.core import matrix_from_json, matrix_to_json
+from pavekit.reports import canonical_json, load_report, verify
 
 from report_cases import make_reports
 
@@ -67,6 +69,11 @@ FORGERIES = {
     "mv-theta-within-unit": ("mv-theta", lambda r: _flip(r, "within_unit")),
     "radohorn-junk-witness": ("radohorn", lambda r: r.update(
         witness={"subset": [0], "ratio": 9.0})),
+    "dilate-norm-one": ("dilate-operator",
+                        lambda r: _flip(r["meta"], "norm_one")),
+    "dilate-operator-norm": ("dilate-operator", lambda r: r["meta"].update(
+        operator_norm=0.5)),
+    "dilate-rank": ("dilate", lambda r: r.update(rank=2)),
 }
 
 
@@ -133,6 +140,54 @@ def test_forged_payload_field_fails_verify(cases, tmp_path, capsys, forgery):
     forged.write_text(json.dumps(doc))
     out = _verify_cli(forged, capsys)
     assert out["verified"] is False and out["reasons"], case
+
+
+def _rank_two(p, emb, fam):
+    """The compression of fam to a 2-dimensional subspace of its span, an
+    orthogonal projection equal to its embedding times fam, of trace 2."""
+    emb = fam.T @ np.diag([1.0, 1.0, 0.0])
+    return emb @ fam, emb, fam
+
+
+# Each breaks one property of the dilation certificate of the naimark
+# report, a 3x6 Parseval family, and keeps the others: (the projection,
+# embedding and family it stores instead, the reason verify must give).
+CERTIFICATE_FORGERIES = {
+    "hermitian": (lambda p, emb, fam: (p + 5e-9 * np.eye(6, k=1), emb, fam),
+                  "dilation projection is not Hermitian"),
+    "idempotent": (lambda p, emb, fam: ((1 + 1e-7) * p, (1 + 1e-7) * emb,
+                                        fam),
+                   "dilation projection is not idempotent"),
+    "embedding": (lambda p, emb, fam: (p, emb + 1e-7 * np.eye(6, 3), fam),
+                  "projection is not embedding @ family"),
+    "input-columns": (lambda p, emb, fam: (p, emb, fam + 1e-10 * np.eye(3, 6)),
+                      "dilated family does not extend the input columns"),
+    "trace": (_rank_two, "projection trace does not match the rank"),
+}
+
+
+@pytest.mark.parametrize("forgery", CERTIFICATE_FORGERIES)
+def test_forged_dilation_certificate_fails_verify(cases, forgery):
+    edit, reason = CERTIFICATE_FORGERIES[forgery]
+    doc = load_report(str(cases["dilate"]))
+    res = doc["payload"]["results"]
+    keys = ("projection", "embedding", "frame")
+    forged = edit(*(matrix_from_json(res[key]) for key in keys))
+    res.update((key, matrix_to_json(m)) for key, m in zip(keys, forged))
+    assert verify(doc) == (False, [reason])
+
+
+def test_dilation_of_the_wrong_shape_fails_verify(tmp_path):
+    """For the Parseval row (1/2, 1/2, 1/2, 1/2), a 1x1 projection [1] with
+    embedding 2 * ones(4, 1) meets every other bound by broadcasting."""
+    row, rep = tmp_path / "row.json", tmp_path / "report.json"
+    row.write_text(canonical_json(matrix_to_json(np.full((1, 4), 0.5))))
+    assert main(["dilate", "--input", str(row), "--report", str(rep)]) == 0
+    doc = load_report(str(rep))
+    doc["payload"]["results"].update(
+        ambient_dim=1, projection=matrix_to_json(np.ones((1, 1))),
+        embedding=matrix_to_json(np.full((4, 1), 2.0)))
+    assert verify(doc) == (False, ["dilation shapes do not match the input"])
 
 
 def _child_verify(doc, path):
