@@ -25,16 +25,14 @@ from .core import (
     operator_norm,
 )
 from .frames import (
-    SpectralSummary,
     analysis_matrix,
     frame_operator,
     gram_matrix,
     parseval_normalize,
     spectral_summary,
 )
-from .dilation import DilationResult, dilate_operator, naimark_dilate
+from .dilation import dilate_operator, naimark_dilate
 from .paving import (
-    PavingReport,
     delta_diag,
     pave_matrix_check,
     pave_projection_check,
@@ -42,9 +40,7 @@ from .paving import (
     wkhb_partition,
 )
 from .decomposition import (
-    RieszReport,
     Subspace,
-    Tp1Report,
     decomposition_vectors,
     epsilon_riesz_partition,
     feichtinger_partition,
@@ -72,5 +68,5 @@ from .harmonic import (
     uniform_feichtinger_criterion,
     uniform_paving_criterion,
 )
-from .erasures import ErasureReport, erasure_robustness, phase_retrieval_check
+from .erasures import erasure_robustness, phase_retrieval_check
 from .reports import load_report, make_report, verify, write_report

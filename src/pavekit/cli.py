@@ -142,10 +142,10 @@ def _cmd_analyze(args, fr):
 
 
 def _cmd_dilate(args, mat):
-    dil = naimark_dilate(Frame(mat)) if args.mode == "naimark" else \
+    results = naimark_dilate(Frame(mat)) if args.mode == "naimark" else \
         dilate_operator(mat)
-    line = f"ambient={dil.ambient_dim} rank={dil.frame.n}"
-    return {"mode": args.mode}, dil.to_json(), line
+    line = f"ambient={results['ambient_dim']} rank={results['rank']}"
+    return {"mode": args.mode}, results, line
 
 
 def _cmd_pave(args, t):
@@ -153,26 +153,25 @@ def _cmd_pave(args, t):
               "epsilon": args.epsilon, "mode": args.mode, "seed": args.seed}
     if args.form == "projection":
         config["delta"] = args.delta
-        report = pave_projection_check(t, args.r_max, args.epsilon,
-                                       delta=args.delta, mode=args.mode,
-                                       seed=args.seed)
+        results = pave_projection_check(t, args.r_max, args.epsilon,
+                                        delta=args.delta, mode=args.mode,
+                                        seed=args.seed)
     else:
-        report = pave_matrix_check(t, args.r_max, args.epsilon,
-                                   mode=args.mode, seed=args.seed)
-    results = report.to_json()
-    line = (f"verdict={report.verdict} achieved={report.achieved:.6g} "
-            f"target={report.target:.6g} blocks={report.partition.r}")
+        results = pave_matrix_check(t, args.r_max, args.epsilon,
+                                    mode=args.mode, seed=args.seed)
+    line = (f"verdict={results['verdict']} achieved={results['achieved']:.6g}"
+            f" target={results['target']:.6g}"
+            f" blocks={len(results['partition']['blocks'])}")
     return config, results, line
 
 
 def _cmd_weaver(args, fr):
-    report = weaver_check(fr, args.bessel, args.epsilon, args.r_max,
-                          seed=args.seed)
+    results = weaver_check(fr, args.bessel, args.epsilon, args.r_max,
+                           seed=args.seed)
     config = {"bessel": args.bessel, "epsilon": args.epsilon,
               "r_max": args.r_max, "seed": args.seed}
-    results = report.to_json()
-    line = (f"verdict={report.verdict} achieved={report.achieved:.6g} "
-            f"target={report.target:.6g}")
+    line = (f"verdict={results['verdict']} achieved={results['achieved']:.6g}"
+            f" target={results['target']:.6g}")
     return config, results, line
 
 
@@ -183,23 +182,22 @@ def _cmd_decompose(args, fr):
         if args.epsilon is None:
             raise ContractViolation("riesz decomposition needs --epsilon")
         config["epsilon"] = args.epsilon
-        report = epsilon_riesz_partition(fr, args.epsilon, args.r_max)
+        results = epsilon_riesz_partition(fr, args.epsilon, args.r_max)
     elif args.criterion == "feichtinger":
         if args.a_target is None:
             raise ContractViolation("feichtinger decomposition needs --a-target")
         config["a_target"] = args.a_target
-        report = feichtinger_partition(fr, args.a_target, args.r_max)
+        results = feichtinger_partition(fr, args.a_target, args.r_max)
     else:
         if args.s is None or args.delta is None:
             raise ContractViolation("tp1 decomposition needs --s and --delta")
         config["s"] = args.s
         config["delta"] = args.delta
-        report = tp1_partition(fr, args.s, args.delta, seed=args.seed,
-                               r_max=args.r_max)
-    results = report.to_json()
-    blocks = report.partition.r if report.partition is not None else 0
-    line = f"verdict={report.verdict} blocks={blocks}"
-    return config, results, line
+        results = tp1_partition(fr, args.s, args.delta, seed=args.seed,
+                                r_max=args.r_max)
+    part = results["partition"]
+    blocks = len(part["blocks"]) if part else 0
+    return config, results, f"verdict={results['verdict']} blocks={blocks}"
 
 
 def _cmd_ric(args, fr):
@@ -290,12 +288,11 @@ def _cmd_mv_theta(args, _):
 
 
 def _cmd_erasure(args, fr):
-    report = erasure_robustness(fr, args.k)
-    config = {"k": args.k}
-    results = report.to_json()
-    line = (f"worst_lower={report.worst_value:.6g} at erased="
-            f"{report.worst_subset} (scanned {report.subsets_scanned})")
-    return config, results, line
+    results = erasure_robustness(fr, args.k)
+    line = (f"worst_lower={results['worst_value']:.6g} at erased="
+            f"{results['worst_subset']} "
+            f"(scanned {results['subsets_scanned']})")
+    return {"k": args.k}, results, line
 
 
 def _cmd_phase(args, fr):
@@ -557,9 +554,8 @@ def main(argv=None):
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except (ContractViolation, ValueError, KeyError, TypeError, OSError,
-            OverflowError, json.JSONDecodeError,
-            np.linalg.LinAlgError) as exc:
+    except (ContractViolation, ValueError, OSError, OverflowError,
+            json.JSONDecodeError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,25 +105,6 @@ def _greedy_blocks(m, r_max, ok, score):
     return labels
 
 
-@dataclass
-class RieszReport:
-    verdict: bool
-    partition: Partition | None
-    per_block: list            # (lower, upper) per block
-    target: tuple
-    mode: str
-    flags: dict = field(default_factory=dict)
-
-    def to_json(self):
-        return {
-            "verdict": bool(self.verdict),
-            "partition": self.partition.to_json() if self.partition else None,
-            "per_block": [list(b) for b in self.per_block],
-            "target": list(self.target), "mode": self.mode,
-            "flags": self.flags,
-        }
-
-
 def _in_range(bounds, lo_target, hi_target):
     """Whether a block's (lowest, highest) Gram eigenvalue lies in the
     target range; hi_target None leaves it open above."""
@@ -132,23 +113,32 @@ def _in_range(bounds, lo_target, hi_target):
                                       within(hi, hi_target))
 
 
-def _block_bounds(bounds, part):
-    """(lowest, highest) Gram eigenvalue of each block of part."""
-    return [bounds(_block_mask(b)) for b in part.blocks()]
+def _riesz_results(bounds, part, target, mode, flags):
+    """The results of the Riesz and Feichtinger searches on part, None when
+    none was found: each block's (lowest, highest) Gram eigenvalue from
+    bounds, and the verdict that there is a block and every one lies in
+    the target range."""
+    per = [bounds(_block_mask(b)) for b in part.blocks()] if part else []
+    return {"verdict": bool(per) and all(_in_range(b, *target) for b in per),
+            "partition": part.to_json() if part else None,
+            "per_block": [list(b) for b in per], "target": list(target),
+            "mode": mode, "flags": flags}
 
 
 def _partition_by_block_predicate(fr, r_max, lo_target, hi_target):
     """Shared search for epsilon-Riesz and lower-bound partitions.
 
-    The search is exact while its walks fit their one placement budget:
-    for rr = 1..min(r_max, m) (more blocks than vectors add nothing) it
-    walks the partitions into at most rr blocks in enumeration order and
-    returns the first whose blocks all pass block_ok.  Block feasibility is
-    downward closed (Cauchy interlacing), so a prefix whose newest block
-    fails by more than rounding has no feasible completion.  Every block
-    spectrum lies in [0, trace g], which bounds the rounding the slack must
-    cover.  Past the budget, or past EXHAUSTIVE_INDEX_MAX vectors, a greedy
-    search with a small backtrack budget takes over.
+    The search is exact while its walk fits the placement budget: it walks
+    the partitions into at most min(r_max, m) blocks (more blocks than
+    vectors add nothing) in enumeration order, and each partition whose
+    blocks all pass block_ok lowers the block cap of the rest of the walk
+    to one below its own count, so the last one found is the first in
+    enumeration order with the fewest blocks.  Block feasibility is downward
+    closed (Cauchy interlacing), so a prefix whose newest block fails by
+    more than rounding has no feasible completion.  Every block spectrum
+    lies in [0, trace g], which bounds the rounding the slack must cover.
+    Past the budget, or past EXHAUSTIVE_INDEX_MAX vectors, a greedy search
+    with a small backtrack budget takes over.
     """
     g = gram_matrix(fr)
     bounds = _gram_block_bounds(g)
@@ -156,6 +146,7 @@ def _partition_by_block_predicate(fr, r_max, lo_target, hi_target):
     r_max = min(r_max, m)
     target = (lo_target, hi_target)
     slack = 1e-12 + _ROUND_SLACK * (1.0 + float(np.trace(g).real))
+    found = None
 
     def block_ok(mask):
         return _in_range(bounds(mask), lo_target, hi_target)
@@ -168,17 +159,14 @@ def _partition_by_block_predicate(fr, r_max, lo_target, hi_target):
         return carry
 
     def leaf(labels, masks, nblocks):
-        return all(block_ok(masks[b]) for b in range(nblocks))
+        nonlocal found
+        if all(block_ok(masks[b]) for b in range(nblocks)):
+            found = Partition(labels, nblocks)
+        return found.r - 1 if found else r_max
 
-    spent = 0
     try:
-        for rr in range(1, r_max + 1):
-            labels, spent = _rgs_walk(m, rr, bounds, admit, leaf, True, spent)
-            if labels is not None:
-                p = Partition(labels, max(labels) + 1)
-                return RieszReport(True, p, _block_bounds(bounds, p), target,
-                                   "exhaustive")
-        return RieszReport(False, None, [], target, "exhaustive")
+        _rgs_walk(m, r_max, bounds, admit, leaf, True)
+        return _riesz_results(bounds, found, target, "exhaustive", {})
     except BudgetExceeded:
         pass
     labels = _greedy_blocks(
@@ -186,10 +174,10 @@ def _partition_by_block_predicate(fr, r_max, lo_target, hi_target):
         score=lambda blk: -bounds(blk)[0] + (bounds(blk)[1]
                                              if hi_target is not None else 0.0))
     if labels is None:
-        return RieszReport(False, None, [], target, "greedy",
-                           flags={"exhausted_backtracks": True})
-    p = Partition(tuple(labels), max(labels) + 1)
-    return RieszReport(True, p, _block_bounds(bounds, p), target, "greedy")
+        return _riesz_results(bounds, None, target, "greedy",
+                              {"exhausted_backtracks": True})
+    return _riesz_results(bounds, Partition(tuple(labels), max(labels) + 1),
+                          target, "greedy", {})
 
 
 def epsilon_riesz_partition(fr, epsilon, r_max):
@@ -238,29 +226,6 @@ def restricted_isometry(fr, s):
     return max(worst, 0.0), worst_subset
 
 
-@dataclass
-class Tp1Report:
-    verdict: bool
-    partition: Partition | None
-    r_used: int
-    k: int
-    bessel: float
-    delta_target: float
-    per_block_delta: list
-    mass_bound: float
-    flags: dict = field(default_factory=dict)
-
-    def to_json(self):
-        return {
-            "verdict": bool(self.verdict),
-            "partition": self.partition.to_json() if self.partition else None,
-            "r_used": self.r_used, "k": self.k, "bessel": self.bessel,
-            "delta_target": self.delta_target,
-            "per_block_delta": list(self.per_block_delta),
-            "mass_bound": self.mass_bound, "flags": self.flags,
-        }
-
-
 def _tp1_mass_bound(g, s, delta):
     """(bessel, k, mass bound) of tp1: B = max(top Gram eigenvalue, 1),
     k = ceil(B s / delta^2) and the in-block row mass bound B / k."""
@@ -269,6 +234,19 @@ def _tp1_mass_bound(g, s, delta):
     bessel = float(max(block_spectrum(g, range(g.shape[0]))[-1], 1.0))
     k = max(1, math.ceil(bessel * s / (delta * delta)))
     return bessel, k, bessel / k
+
+
+def _tp1_results(part, per, r_used, bound, delta, flags):
+    """The results of tp1 on part, None when none was found: per holds each
+    block's restricted isometry constant, bound the (bessel, k, mass bound)
+    of delta, and the verdict says there is a block and every one is
+    within delta."""
+    bessel, k, mass_bound = bound
+    return {"verdict": bool(per) and all(within(d, delta) for d in per),
+            "partition": part.to_json() if part else None,
+            "r_used": r_used, "k": k, "bessel": bessel,
+            "delta_target": delta, "per_block_delta": per,
+            "mass_bound": mass_bound, "flags": flags}
 
 
 def _block_deltas(fr, part, s):
@@ -292,7 +270,7 @@ def tp1_partition(fr, s, delta, seed=0, r_max=64):
     if s < 1:
         raise ContractViolation("need s >= 1")
     g = gram_matrix(fr)
-    bessel, k, mass_bound = _tp1_mass_bound(g, s, delta)
+    bound = _tp1_mass_bound(g, s, delta)    # (bessel, k, mass bound)
     h = np.abs(g) ** 2
     h = 0.5 * (h + h.T)   # BLAS products need not be bitwise Hermitian
     np.fill_diagonal(h, 0.0)
@@ -302,16 +280,14 @@ def tp1_partition(fr, s, delta, seed=0, r_max=64):
         res = wkhb_partition(h, r, seed=seed)
         max_mass = float(res["in_block_mass"].max()) if fr.M else 0.0
         flags["escalations"].append({"r": r, "max_mass": max_mass})
-        if within(max_mass, mass_bound):
+        if within(max_mass, bound[2]):
             part = res["partition"].canonical()
             per = _block_deltas(fr, part, s)
             if all(within(d, delta) for d in per):
-                return Tp1Report(True, part, r, k, bessel, delta, per,
-                                 mass_bound, flags)
+                return _tp1_results(part, per, r, bound, delta, flags)
             flags["escalations"][-1]["verified"] = False
         r *= 2
-    return Tp1Report(False, None, 0, k, bessel, delta, [], mass_bound,
-                     dict(flags, exhausted=True))
+    return _tp1_results(None, [], 0, bound, delta, dict(flags, exhausted=True))
 
 
 def _rado_horn_witness(fr, subset):

@@ -11,8 +11,6 @@ ambient dimension 2n - 1; a strict contraction needs n extra vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
@@ -25,40 +23,9 @@ from .core import (
     operator_norm,
     sym_eig,
 )
-from .frames import analysis_matrix, frame_operator, gram_matrix
+from .frames import _is_parseval, analysis_matrix, gram_matrix
 
-__all__ = ["DilationResult", "naimark_dilate", "dilate_operator"]
-
-
-@dataclass
-class DilationResult:
-    """Projection + embedding certificate for one dilation.
-
-    projection is the ambient_dim x ambient_dim orthogonal projection,
-    embedding the ambient_dim x n isometry identifying the small space with
-    its embedded copy, frame the Parseval family that was dilated (for
-    operator dilation: original columns first, completion vectors after),
-    and added_vectors the completion columns (empty for a plain frame).
-    The projection's rank is the dimension n of the frame's vectors.
-    """
-
-    ambient_dim: int
-    projection: np.ndarray
-    embedding: np.ndarray
-    frame: Frame
-    added_vectors: np.ndarray
-    meta: dict
-
-    def to_json(self):
-        return {
-            "ambient_dim": self.ambient_dim,
-            "projection": matrix_to_json(self.projection),
-            "embedding": matrix_to_json(self.embedding),
-            "frame": matrix_to_json(self.frame.synthesis),
-            "added_vectors": matrix_to_json(self.added_vectors)
-            if self.added_vectors.size else None,
-            "meta": dict(self.meta), "rank": self.frame.n,
-        }
+__all__ = ["naimark_dilate", "dilate_operator"]
 
 
 # The bounds every dilation report is held to, by the producers and by
@@ -96,17 +63,32 @@ def _certificate(mode, original, p, emb, family):
     return meta
 
 
+def _dilation_results(mode, original, p, emb, family):
+    """The results of a dilation of `original` in `mode` whose projection p,
+    embedding emb and dilated family hold to _certificate: the projection is
+    the ambient_dim x ambient_dim orthogonal projection, the embedding the
+    ambient_dim x n isometry onto the embedded copy of the small space, the
+    frame the Parseval family that was dilated (the input's columns first)
+    and added_vectors its completion columns (None for a plain frame).  The
+    projection's rank is n."""
+    meta = _certificate(mode, original, p, emb, family)
+    added = family[:, original.shape[1]:]
+    return {"ambient_dim": p.shape[0], "projection": matrix_to_json(p),
+            "embedding": matrix_to_json(emb), "frame": matrix_to_json(family),
+            "added_vectors": matrix_to_json(added) if added.size else None,
+            "meta": meta, "rank": original.shape[0]}
+
+
 def naimark_dilate(fr):
     """Dilate a Parseval family: projection = Gram, embedding = analysis map.
 
     P e_i lands on the embedded copy of f_i, so inner products among the
     projected basis vectors reproduce those of the family exactly.
     """
-    if np.abs(frame_operator(fr) - np.eye(fr.n)).max() > CHECK_TOL:
+    if not _is_parseval(fr):
         raise ContractViolation("naimark_dilate needs a Parseval family")
-    p, emb = gram_matrix(fr), analysis_matrix(fr)
-    meta = _certificate("naimark", fr.synthesis, p, emb, fr.synthesis)
-    return DilationResult(fr.M, p, emb, fr, fr.synthesis[:, fr.M:], meta)
+    return _dilation_results("naimark", fr.synthesis, gram_matrix(fr),
+                             analysis_matrix(fr), fr.synthesis)
 
 
 def dilate_operator(t):
@@ -131,6 +113,5 @@ def dilate_operator(t):
     vecs = v[:, ::-1][:, start:]
     added = vecs * np.sqrt(np.clip(1.0 - lam[start:], 0.0, None))
     fr = Frame(np.concatenate([t, added], axis=1))
-    p, emb = gram_matrix(fr), analysis_matrix(fr)
-    meta = _certificate("operator", t, p, emb, fr.synthesis)
-    return DilationResult(fr.M, p, emb, fr, added, meta)
+    return _dilation_results("operator", t, gram_matrix(fr),
+                             analysis_matrix(fr), fr.synthesis)

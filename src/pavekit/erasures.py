@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
-    CHECK_TOL,
     SUBSET_BUDGET,
     TRIAL_BUDGET,
     BudgetExceeded,
@@ -29,39 +27,19 @@ from .core import (
     stacks,
     subset_ranks,
 )
-from .frames import frame_operator, gram_matrix
+from .frames import _is_parseval, gram_matrix
 
-__all__ = ["ErasureReport", "erasure_robustness", "phase_retrieval_check"]
-
-
-@dataclass
-class ErasureReport:
-    k: int
-    worst_value: float
-    worst_subset: list
-    is_parseval: bool
-    identity_checked: bool
-    subsets_scanned: int
-    value_min: float
-    value_max: float
-    flags: dict = field(default_factory=dict)
-
-    def to_json(self):
-        return {
-            "k": self.k, "worst_value": self.worst_value,
-            "worst_subset": list(self.worst_subset),
-            "is_parseval": self.is_parseval,
-            "identity_checked": self.identity_checked,
-            "subsets_scanned": self.subsets_scanned,
-            "value_min": self.value_min, "value_max": self.value_max,
-            "flags": self.flags,
-        }
+__all__ = ["erasure_robustness", "phase_retrieval_check"]
 
 
-def _is_parseval(fr):
-    """Whether the frame operator is the identity to CHECK_TOL."""
-    s = frame_operator(fr)
-    return bool(np.abs(s - np.eye(fr.n)).max() <= CHECK_TOL)
+def _erasure_results(k, parseval, worst, subset, scanned, value_max):
+    """The results of erasure: the worst surviving lower bound and the
+    erased subset that leaves it, out of scanned k-subsets, and whether the
+    complementarity identity was checked: on Parseval input, for k > 0."""
+    return {"k": k, "worst_value": worst, "worst_subset": subset,
+            "is_parseval": parseval, "identity_checked": parseval and k > 0,
+            "subsets_scanned": scanned, "value_min": worst,
+            "value_max": value_max, "flags": {}}
 
 
 def _surviving_lower(fr, erased):
@@ -113,11 +91,7 @@ def erasure_robustness(fr, k):
         if val[lo] < vmin:
             vmin, worst_subset = float(val[lo]), erased[lo].tolist()
         vmax = max(vmax, float(val[hi]))
-    return ErasureReport(k=k, worst_value=vmin, worst_subset=worst_subset,
-                         is_parseval=parseval,
-                         identity_checked=parseval and k > 0,
-                         subsets_scanned=scanned, value_min=vmin,
-                         value_max=vmax)
+    return _erasure_results(k, parseval, vmin, worst_subset, scanned, vmax)
 
 
 def _true_columns(rows):

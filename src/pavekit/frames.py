@@ -9,8 +9,6 @@ the columns are linearly independent, are the extreme eigenvalues of G.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
-
 import numpy as np
 
 from .core import (
@@ -24,8 +22,8 @@ from .core import (
 )
 
 __all__ = [
-    "frame_operator", "gram_matrix", "analysis_matrix", "SpectralSummary",
-    "spectral_summary", "parseval_normalize",
+    "frame_operator", "gram_matrix", "analysis_matrix", "spectral_summary",
+    "parseval_normalize",
 ]
 
 
@@ -34,6 +32,11 @@ def frame_operator(fr):
     t = fr.synthesis
     check_entries(fr.n ** 2, f"the {fr.n}x{fr.n} frame operator")
     return t @ t.conj().T
+
+
+def _is_parseval(fr):
+    """Whether the frame operator is the identity to CHECK_TOL."""
+    return bool(np.abs(frame_operator(fr) - np.eye(fr.n)).max() <= CHECK_TOL)
 
 
 def gram_matrix(fr):
@@ -48,38 +51,19 @@ def analysis_matrix(fr):
     return fr.synthesis.conj().T
 
 
-@dataclass
-class SpectralSummary:
-    """Everything the optimal bounds of a family determine.
+def spectral_summary(fr):
+    """Everything the optimal bounds of a family determine, as the dict
+    analyze stores: n, M, lower, upper, bessel, trace_S, rank, spans,
+    riesz_lower, riesz_upper, is_parseval, is_tight, is_equal_norm,
+    degenerate and check_tol.
 
     lower is the optimal lower frame bound (0 when the family does not span),
     upper = bessel is the optimal upper bound, and the Riesz bounds are
     reported only when the columns are linearly independent (they are then
     the extreme eigenvalues of the Gram matrix; square roots of the frame
-    bounds in the basis case).
+    bounds in the basis case), else None.  is_parseval reads the extreme
+    eigenvalues of S, not its entries.
     """
-
-    n: int
-    M: int
-    lower: float
-    upper: float
-    bessel: float
-    trace_S: float
-    rank: int
-    spans: bool
-    riesz_lower: float | None
-    riesz_upper: float | None
-    is_parseval: bool
-    is_tight: bool
-    is_equal_norm: bool
-    degenerate: bool
-    check_tol: float
-
-    def to_json(self):
-        return asdict(self)
-
-
-def spectral_summary(fr):
     s = frame_operator(fr)
     w, _ = sym_eig(s)
     upper = float(max(w[-1], 0.0))
@@ -99,13 +83,12 @@ def spectral_summary(fr):
     is_parseval = is_tight and abs(upper - 1.0) <= CHECK_TOL and \
         abs(lower - 1.0) <= CHECK_TOL
     is_equal_norm = bool(np.ptp(norms) <= CHECK_TOL * max(1.0, norms.max()))
-    return SpectralSummary(
-        n=fr.n, M=fr.M, lower=lower, upper=upper, bessel=upper,
-        trace_S=float(np.real(np.trace(s))), rank=rank, spans=spans,
-        riesz_lower=riesz_lower, riesz_upper=riesz_upper,
-        is_parseval=is_parseval, is_tight=is_tight,
-        is_equal_norm=is_equal_norm, degenerate=degenerate,
-        check_tol=CHECK_TOL)
+    return {"n": fr.n, "M": fr.M, "lower": lower, "upper": upper,
+            "bessel": upper, "trace_S": float(np.real(np.trace(s))),
+            "rank": rank, "spans": spans, "riesz_lower": riesz_lower,
+            "riesz_upper": riesz_upper, "is_parseval": is_parseval,
+            "is_tight": is_tight, "is_equal_norm": is_equal_norm,
+            "degenerate": degenerate, "check_tol": CHECK_TOL}
 
 
 def parseval_normalize(fr):

@@ -16,7 +16,6 @@ one-block kernels, one cost for the searches, _priced and verify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -42,7 +41,7 @@ from .core import (
 from .frames import gram_matrix
 
 __all__ = [
-    "PavingReport", "delta_diag", "pave_matrix_check",
+    "delta_diag", "pave_matrix_check",
     "pave_projection_check", "weaver_check", "wkhb_partition",
 ]
 
@@ -53,30 +52,6 @@ def delta_diag(t):
     if t.shape[0] != t.shape[1]:
         raise ContractViolation("delta_diag needs a square matrix")
     return float(np.abs(np.diag(t)).max())
-
-
-@dataclass
-class PavingReport:
-    form: str                    # "matrix", "projection" or "weaver"
-    verdict: bool
-    achieved: float
-    target: float
-    partition: Partition
-    per_block: list
-    mode: str                    # "exhaustive" or "local"
-    evaluated: int
-    scale: float                 # reference norm the target was derived from
-    flags: dict = field(default_factory=dict)
-
-    def to_json(self):
-        return {
-            "form": self.form, "verdict": bool(self.verdict),
-            "achieved": self.achieved, "target": self.target,
-            "partition": self.partition.to_json(),
-            "per_block": list(self.per_block), "mode": self.mode,
-            "evaluated": self.evaluated, "scale": self.scale,
-            "flags": self.flags,
-        }
 
 
 # Relative slack for rounding in computed block costs.  Every block cost in
@@ -115,20 +90,20 @@ def _block_cost_cache(cost):
     return get
 
 
-def _rgs_walk(m, r_max, get, admit, leaf, carry, spent=0):
+def _rgs_walk(m, r_max, get, admit, leaf, carry):
     """Depth-first walk over the partitions of {0..m-1} into at most r_max
     blocks, in enumerate_partitions order (restricted-growth label strings).
 
     Placing index i in block b prices the grown block with get(mask) and
     asks admit(carry, price) for the carry of the longer prefix; None
     prunes every completion of that prefix.  leaf(labels, masks, nblocks)
-    sees each complete partition that survives, and a true return stops
-    the walk.  Returns (its labels or None, placements spent so far).
+    sees each complete partition that survives and returns how many blocks
+    the rest of the walk may use: r_max goes on, fewer drops every prefix
+    that already uses more, and 0 stops the walk.
 
-    A search may make PARTITION_BUDGET placements in all, spent of them in
-    earlier walks, and the memo behind get holds up to 2^m entries; past
-    either bound, PARTITION_BUDGET or EXHAUSTIVE_INDEX_MAX, the walk raises
-    BudgetExceeded.
+    A walk may make PARTITION_BUDGET placements, and the memo behind get
+    holds up to 2^m entries; past either bound, PARTITION_BUDGET or
+    EXHAUSTIVE_INDEX_MAX, the walk raises BudgetExceeded.
     """
     if m > EXHAUSTIVE_INDEX_MAX:
         raise BudgetExceeded(f"the partition walk runs on at most "
@@ -136,30 +111,30 @@ def _rgs_walk(m, r_max, get, admit, leaf, carry, spent=0):
     allowed = PARTITION_BUDGET       # read per call, so tests can lower it
     labels = [0] * m
     masks = [0] * r_max
+    spent, cap = 0, r_max
 
     def rec(i, top, carry):
-        nonlocal spent
+        nonlocal spent, cap
         if i == m:
-            return tuple(labels) if leaf(labels, masks, top + 1) else None
+            cap = leaf(labels, masks, top + 1)
+            return
         bit = 1 << i
         for b in range(min(top + 2, r_max)):
+            if b >= cap or top >= cap:      # a leaf may have lowered cap
+                return
             spent += 1
             if spent > allowed:
                 raise BudgetExceeded(f"partition search reached {spent} "
                                      f"placements, over the {allowed} allowed")
             mask = masks[b] | bit
             nxt = admit(carry, get(mask))
-            if nxt is None:
-                continue
-            labels[i] = b
-            masks[b] = mask
-            found = rec(i + 1, b if b > top else top, nxt)
-            masks[b] = mask ^ bit
-            if found is not None:
-                return found
-        return None
+            if nxt is not None:
+                labels[i] = b
+                masks[b] = mask
+                rec(i + 1, b if b > top else top, nxt)
+                masks[b] = mask ^ bit
 
-    return rec(0, -1, carry), spent
+    rec(0, -1, carry)
 
 
 def _exhaustive_search(m, r_max, cost):
@@ -193,7 +168,7 @@ def _exhaustive_search(m, r_max, cost):
         if best is None or val < best:
             best, best_labels = val, tuple(labels)
             limit = val + _ROUND_SLACK * (1.0 + val)
-        return best == 0.0
+        return 0 if best == 0.0 else r_max
 
     _rgs_walk(m, r_max, get, admit, leaf, -float("inf"))
     part = Partition(best_labels, max(best_labels) + 1)
@@ -301,18 +276,19 @@ def _pricing(form, a, epsilon, bound=None):
 
 
 def _priced(form, cost, part, target, scale, mode, evaluated, flags):
-    """The report on a partition: every block priced with cost, and the
-    verdict on the worst of them against target."""
+    """The results on a partition: every block priced with cost, and the
+    verdict on the worst of them against target.  scale is the reference
+    norm the target was derived from."""
     per = [cost(blk) for blk in part.blocks()]
     achieved = max(per)
-    return PavingReport(form=form, verdict=within(achieved, target),
-                        achieved=achieved, target=target, partition=part,
-                        per_block=per, mode=mode, evaluated=evaluated,
-                        scale=scale, flags=flags)
+    return {"form": form, "verdict": bool(within(achieved, target)),
+            "achieved": achieved, "target": target,
+            "partition": part.to_json(), "per_block": per, "mode": mode,
+            "evaluated": evaluated, "scale": scale, "flags": flags}
 
 
 def _pave(form, a, r_max, epsilon, bound, mode, seed):
-    """The report of a search for the best partition of a's indices."""
+    """The results of a search for the best partition of a's indices."""
     cost, target, scale, flags = _pricing(form, a, epsilon, bound)
     part, _, evaluated, mode = _search(len(a), r_max, cost, seed, flags, mode)
     return _priced(form, cost, part, target, scale, mode, evaluated, flags)

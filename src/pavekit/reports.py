@@ -10,14 +10,15 @@ with the producer's own code, then compares stored and rebuilt results in
 one place, _match.  Each command reads at most one input file, named in
 _INPUTS, which the CLI and verify decode alike.  A command that runs no
 search is re-run: the CLI and verify build its results with the same
-function below.  A search is not
-repeated; its certificate (partition, worst subset, witness) is re-priced,
-and the fields only the search itself could reproduce (mode, evaluated,
-search flags) are rebuilt as UNCHECKED, except that pave and weaver
-rebuild their flags and hold the mode to the configured one, tp1's flags
-must hold the configured seed and dilate's meta the configured mode.  The
-polynomial complement-property decision behind phase is re-run, because
-its positive verdict has no short certificate.
+function below.  A search is not repeated; its certificate (partition,
+worst subset, witness) is re-priced and handed to the results builder its
+producer returns through, so each results schema is written once.  The
+fields only the search itself could reproduce (mode, evaluated, search
+flags) go in as UNCHECKED, except that pave and weaver rebuild their
+flags and hold the mode to the configured one, tp1's flags must hold the
+configured seed and dilate's meta the configured mode.  The polynomial
+complement-property decision behind phase is re-run, because its positive
+verdict has no short certificate.
 """
 
 from __future__ import annotations
@@ -47,25 +48,28 @@ from .core import (
     subset_ranks,
     within,
 )
-from .dilation import _certificate
-from .frames import gram_matrix, parseval_normalize, spectral_summary
+from .dilation import _dilation_results
+from .frames import (
+    _is_parseval,
+    gram_matrix,
+    parseval_normalize,
+    spectral_summary,
+)
 from .decomposition import (
-    RieszReport,
     Subspace,
-    Tp1Report,
-    _block_bounds,
     _block_deltas,
     _gram_block_bounds,
     _in_range,
     _rado_horn_witness,
+    _riesz_results,
     _tp1_mass_bound,
+    _tp1_results,
     decomposition_vectors,
     is_large,
     is_r_decomposable,
 )
 from .erasures import (
-    ErasureReport,
-    _is_parseval,
+    _erasure_results,
     _surviving_lower,
     phase_retrieval_check,
 )
@@ -267,7 +271,7 @@ def _regenerate(config, out=None):
 
 
 def _analyze(config, fr):
-    return {"summary": spectral_summary(fr).to_json()}
+    return {"summary": spectral_summary(fr)}
 
 
 def _subspace(config, mat):
@@ -521,19 +525,16 @@ def _verify_mv_theta(payload, _):
 def _verify_dilate(payload, original):
     """Holds the stored projection, embedding and family to the producer's
     certificate instead of re-running the dilation, and hands the checked
-    matrices back with the meta the certificate builds."""
+    matrices back as stored."""
     mode = payload["config"].get("mode")
     if mode not in ("naimark", "operator"):
         raise ContractViolation("dilate mode must be naimark or operator")
     res = payload["results"]
-    p, emb, fr = (matrix_from_json(res[key])
-                  for key in ("projection", "embedding", "frame"))
-    meta = _certificate(mode, original, p, emb, fr)
-    added = fr[:, original.shape[1]:]
-    return {"ambient_dim": p.shape[0], "projection": res["projection"],
-            "embedding": res["embedding"], "frame": res["frame"],
-            "added_vectors": matrix_to_json(added) if added.size else None,
-            "meta": meta, "rank": original.shape[0]}
+    keys = ("projection", "embedding", "frame")
+    got = _dilation_results(mode, original,
+                            *(matrix_from_json(res[key]) for key in keys))
+    got.update((key, res[key]) for key in keys)
+    return got
 
 
 def _repaved(payload, form, a, bound=None):
@@ -549,8 +550,7 @@ def _repaved(payload, form, a, bound=None):
         mode = "local" if res["mode"] == "local" else "exhaustive"
     if mode == "local":
         flags["seed"] = config["seed"]
-    got = _priced(form, cost, part, target, scale, mode, UNCHECKED,
-                  flags).to_json()
+    got = _priced(form, cost, part, target, scale, mode, UNCHECKED, flags)
     got["verdict"] = within(got["achieved"], res["target"])
     return got
 
@@ -573,8 +573,10 @@ def _verify_weaver(payload, fr):
 
 
 def _verify_decompose(payload, fr):
-    """A True verdict is re-priced from its partition and judged against
-    the stored target (tp1: the configured and the recorded delta).  A
+    """A True verdict is re-priced from its partition.  Riesz and
+    Feichtinger judge it against the stored target where that range lies
+    inside the configured one, a stronger claim, else against the
+    configured one; tp1 against the configured and the recorded delta.  A
     False one is not re-decided, so only the fields it derives from the
     config are rebuilt."""
     config, res = payload["config"], payload["results"]
@@ -583,27 +585,22 @@ def _verify_decompose(payload, fr):
     criterion = config["criterion"]
     if criterion == "tp1":
         delta = res["delta_target"]
-        bessel, k, mass_bound = _tp1_mass_bound(gram_matrix(fr), config["s"],
-                                                delta)
+        bound = _tp1_mass_bound(gram_matrix(fr), config["s"], delta)
         per = _block_deltas(fr, part, config["s"]) if part else []
-        ok = bool(per) and all(within(d, config["delta"]) and within(d, delta)
-                               for d in per)
-        return Tp1Report(ok, part, UNCHECKED if part else 0, k, bessel, delta,
-                         per, mass_bound,
-                         dict(res["flags"], seed=config["seed"])).to_json()
+        got = _tp1_results(part, per, UNCHECKED if part else 0, bound, delta,
+                           dict(res["flags"], seed=config["seed"]))
+        got["verdict"] &= all(within(d, config["delta"]) for d in per)
+        return got
     if criterion == "riesz":
         wanted = (1.0 - config["epsilon"], 1.0 + config["epsilon"])
     elif criterion == "feichtinger":
         wanted = (config["a_target"], None)
     else:
         raise ContractViolation(f"unknown criterion {criterion!r}")
-    # a stored target range inside the configured one is a stronger claim
-    lo_t, hi_t = res["target"]
-    target = (lo_t, hi_t) if _in_range((lo_t, hi_t), *wanted) else wanted
-    per = _block_bounds(_gram_block_bounds(gram_matrix(fr)), part) \
-        if part else []
-    ok = bool(per) and all(_in_range(b, lo_t, hi_t) for b in per)
-    return RieszReport(ok, part, per, target, UNCHECKED, UNCHECKED).to_json()
+    stored = tuple(res["target"])
+    target = stored if _in_range(stored, *wanted) else wanted
+    return _riesz_results(_gram_block_bounds(gram_matrix(fr)), part, target,
+                          UNCHECKED, UNCHECKED)
 
 
 def _verify_ric(payload, fr):
@@ -638,12 +635,9 @@ def _verify_erasure(payload, fr):
     k = payload["config"]["k"]
     subset = _index_subset(payload["results"]["worst_subset"], fr.M,
                            range(k, k + 1), "worst subset")
-    val = _surviving_lower(fr, set(subset))
-    return ErasureReport(k=k, worst_value=val, worst_subset=subset,
-                         is_parseval=_is_parseval(fr),
-                         identity_checked=UNCHECKED,
-                         subsets_scanned=math.comb(fr.M, k), value_min=val,
-                         value_max=UNCHECKED, flags={}).to_json()
+    return _erasure_results(k, _is_parseval(fr),
+                            _surviving_lower(fr, set(subset)), subset,
+                            math.comb(fr.M, k), UNCHECKED)
 
 
 # Commands that run no search: verify re-runs the results builder the CLI

@@ -24,6 +24,7 @@ from pavekit import (
     gram_matrix,
     kadec_bounds,
     kadec_empirical_check,
+    matrix_from_json,
     matrix_to_json,
     mixed_norm,
     montgomery_vaughan_theta,
@@ -63,7 +64,7 @@ def test_criterion_01_projection_dilation():
             fr = parseval_normalize(
                 gen_random_unit_frame(n, m, seed=trial, field=field))
             dil = naimark_dilate(fr)
-            p = dil.projection
+            p = matrix_from_json(dil["projection"])
             assert np.linalg.norm(p @ p - p) <= 1e-9
             assert np.linalg.matrix_rank(p) == n
             ips = p.conj().T @ p          # entry (i, j) is <P e_i, P e_j>
@@ -81,8 +82,9 @@ def test_criterion_02_operator_dilation():
                 x = x + 1j * rng.standard_normal((n, n))
             t = x / np.linalg.norm(x, 2)
             dil = dilate_operator(t)
-            assert dil.ambient_dim == 2 * n - 1
-            p, emb = dil.projection, dil.embedding
+            assert dil["ambient_dim"] == 2 * n - 1
+            p, emb = (matrix_from_json(dil[key])
+                      for key in ("projection", "embedding"))
             for i in range(n):
                 assert np.linalg.norm(p[:, i] - emb @ t[:, i]) <= 1e-9
 
@@ -121,12 +123,13 @@ def test_criterion_03_exhaustive_paving():
             np.fill_diagonal(a, 0.0)
             rep = pave_matrix_check(a, r_max=3, epsilon=0.5,
                                     mode="exhaustive")
-            assert rep.achieved == _min_paving_oracle(a, 3)
+            assert rep["achieved"] == _min_paving_oracle(a, 3)
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
         rep = pave_matrix_check(swap, r_max=2, epsilon=0.5,
                                 mode="exhaustive")
-        assert rep.achieved == 0.0
-        assert sorted(tuple(b) for b in rep.partition.blocks()) == [(0,), (1,)]
+        assert rep["achieved"] == 0.0
+        assert sorted(tuple(b) for b in rep["partition"]["blocks"]) == \
+            [(0,), (1,)]
 
 
 def test_criterion_04_mass_partition():
@@ -165,8 +168,8 @@ def test_criterion_05_sparse_block_decomposition():
             s_op = fr.synthesis @ fr.synthesis.conj().T
             assert np.linalg.eigvalsh(s_op)[-1] <= 4.0 + 1e-9
             rep = tp1_partition(fr, s=3, delta=0.6, seed=trial)
-            assert rep.verdict
-            for blk in rep.partition.blocks():
+            assert rep["verdict"]
+            for blk in rep["partition"]["blocks"]:
                 if not blk:
                     continue
                 d, _ = restricted_isometry(Frame(fr.synthesis[:, blk]),
@@ -266,7 +269,7 @@ def test_criterion_11_erasure_minima():
                 s_op = t[:, keep] @ t[:, keep].conj().T
                 lam = np.linalg.eigvalsh(0.5 * (s_op + s_op.conj().T))[0]
                 best = min(best, float(lam))
-            assert abs(rep.worst_value - best) <= 1e-9
+            assert abs(rep["worst_value"] - best) <= 1e-9
 
 
 def test_criterion_12_report_verification(tmp_path):

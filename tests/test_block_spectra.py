@@ -234,12 +234,13 @@ def test_erasure_matches_per_subset_oracle(monkeypatch, cap):
         for k in range(0, min(fr.M, 4)):
             rep = erasure_robustness(fr, k)
             worst, subset, scanned, vmin, vmax = _erasure_oracle(
-                fr, k, rep.is_parseval)
-            assert _bits(rep.worst_value) == _bits(worst)
-            assert rep.worst_subset == subset
-            assert rep.subsets_scanned == scanned
-            assert _bits([rep.value_min, rep.value_max]) == _bits([vmin, vmax])
-            checked.add(rep.identity_checked)
+                fr, k, rep["is_parseval"])
+            assert _bits(rep["worst_value"]) == _bits(worst)
+            assert rep["worst_subset"] == subset
+            assert rep["subsets_scanned"] == scanned
+            assert _bits([rep["value_min"], rep["value_max"]]) == \
+                _bits([vmin, vmax])
+            checked.add(rep["identity_checked"])
     assert checked == {True, False}
 
 

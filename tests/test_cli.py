@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import pavekit
+from pavekit import cli
 from pavekit.cli import main
 from pavekit.core import matrix_to_json
 from pavekit.paving import pave_matrix_check
@@ -75,6 +76,19 @@ def test_tolerances_are_constants_not_parameters(tmp_path):
                "--report", str(rep)) == 0
     summary = load_report(str(rep))["payload"]["results"]["summary"]
     assert summary["check_tol"] == 1e-8
+
+
+@pytest.mark.parametrize("fault", [KeyError, TypeError])
+def test_a_program_fault_is_not_reported_as_bad_input(monkeypatch, fault):
+    def handler(args, _):
+        raise fault("a fault of the program, not of its input")
+
+    help_text, add_options, _ = cli._COMMANDS["kadec"]
+    monkeypatch.setitem(cli._COMMANDS, "kadec",
+                        (help_text, add_options, handler))
+    with pytest.raises(fault):
+        main(["kadec", "--a", "1", "--b", "2", "--gamma", "3",
+              "--delta", "0.1"])
 
 
 def test_gen_requires_seed_for_random(tmp_path):
@@ -148,7 +162,7 @@ def test_verdict_just_inside_slack_passes_verify(tmp_path):
     a = rng.standard_normal((6, 6))
     m.write_text(canonical_json(matrix_to_json(a + a.T)))
     first = pave_matrix_check(a + a.T, 2, 0.5, mode="exhaustive")
-    epsilon = (first.achieved - 5e-13) / first.scale
+    epsilon = (first["achieved"] - 5e-13) / first["scale"]
     rep = tmp_path / "p.json"
     assert run("pave", "--input", str(m), "--mode", "exhaustive",
                "--r-max", "2", "--epsilon", repr(epsilon),

@@ -32,26 +32,27 @@ from pavekit.frames import parseval_normalize, spectral_summary
 def test_riesz_bounds_match_gram():
     fr = gen_random_unit_frame(3, 3, 0)
     summ = spectral_summary(fr)
-    lo, hi = summ.riesz_lower, summ.riesz_upper
+    lo, hi = summ["riesz_lower"], summ["riesz_upper"]
     g = fr.synthesis.conj().T @ fr.synthesis
     w = np.linalg.eigvalsh(0.5 * (g + g.conj().T))
     assert abs(lo - w[0]) < 1e-10 and abs(hi - w[-1]) < 1e-10
     # dependent family: no Riesz bounds
     dep = Frame(np.array([[1.0, 2.0], [0.0, 0.0]]))
-    assert spectral_summary(dep).riesz_lower is None
+    assert spectral_summary(dep)["riesz_lower"] is None
 
 
 def test_riesz_partition_orthonormal_single_block():
     rep = epsilon_riesz_partition(Frame(np.eye(4)), 0.5, 4)
-    assert rep.verdict and rep.partition.r == 1
+    assert rep["verdict"] and len(rep["partition"]["blocks"]) == 1
 
 
 def test_riesz_partition_certificates():
     for seed in range(5):
         fr = gen_random_unit_frame(3, 8, seed)
         rep = epsilon_riesz_partition(fr, 0.95, 5)
-        assert rep.verdict
-        for blk, (lo, hi) in zip(rep.partition.blocks(), rep.per_block):
+        assert rep["verdict"]
+        for blk, (lo, hi) in zip(rep["partition"]["blocks"],
+                                 rep["per_block"]):
             sub = fr.synthesis[:, blk]
             g = sub.conj().T @ sub
             w = np.linalg.eigvalsh(0.5 * (g + g.conj().T))
@@ -70,8 +71,9 @@ def test_feichtinger_partition():
     for seed in range(5):
         fr = gen_random_unit_frame(3, 9, seed)
         rep = feichtinger_partition(fr, 0.05, 5)
-        assert rep.verdict
-        for blk, (lo, _) in zip(rep.partition.blocks(), rep.per_block):
+        assert rep["verdict"]
+        for blk, (lo, _) in zip(rep["partition"]["blocks"],
+                                rep["per_block"]):
             sub = fr.synthesis[:, blk]
             w = np.linalg.eigvalsh(sub.conj().T @ sub)
             assert w[0] >= 0.05 - 1e-9 and abs(w[0] - lo) < 1e-10
@@ -108,13 +110,14 @@ def test_tp1_partition_end_to_end():
     for seed in range(3):
         fr = gen_random_unit_frame(6, 12, seed)
         rep = tp1_partition(fr, 2, 0.8, seed=seed)
-        assert rep.verdict
-        for blk, d in zip(rep.partition.blocks(), rep.per_block_delta):
+        assert rep["verdict"]
+        for blk, d in zip(rep["partition"]["blocks"],
+                          rep["per_block_delta"]):
             sub = Frame(fr.synthesis[:, blk])
             oracle, _ = restricted_isometry(sub, min(2, len(blk)))
             assert abs(oracle - d) < 1e-12
             assert oracle <= 0.8 + 1e-9
-        assert rep.flags["escalations"]
+        assert rep["flags"]["escalations"]
 
 
 def test_tp1_rejects_non_unit():

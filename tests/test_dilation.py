@@ -8,6 +8,7 @@ from pavekit.cli import main
 from pavekit.core import (
     ContractViolation,
     gen_random_unit_frame,
+    matrix_from_json,
     matrix_to_json,
     numeric_rank,
 )
@@ -20,12 +21,17 @@ def _parseval(n, m, seed, field="real"):
     return parseval_normalize(gen_random_unit_frame(n, m, seed, field))
 
 
+def _arrays(dil, *keys):
+    """The matrices a dilation's results store under keys."""
+    return [matrix_from_json(dil[key]) for key in keys]
+
+
 def test_naimark_roundtrip_seeded():
     for seed in range(10):
         fr = _parseval(3, 7, seed, field="complex" if seed % 2 else "real")
         dil = naimark_dilate(fr)
-        p, emb = dil.projection, dil.embedding
-        assert dil.ambient_dim == fr.M
+        p, emb = _arrays(dil, "projection", "embedding")
+        assert dil["ambient_dim"] == fr.M
         assert np.abs(p @ p - p).max() < 1e-9
         assert np.abs(p - p.conj().T).max() < 1e-10
         assert numeric_rank(p) == fr.n
@@ -45,18 +51,19 @@ def test_naimark_rejects_non_parseval():
 def test_dilate_identity_operator():
     t = np.eye(3)
     dil = dilate_operator(t)
-    assert dil.ambient_dim == 5         # 2n - 1
+    assert dil["ambient_dim"] == 5         # 2n - 1
     want = np.diag([1.0, 1.0, 1.0, 0.0, 0.0])
-    assert np.abs(dil.projection - want).max() < 1e-8
+    assert np.abs(matrix_from_json(dil["projection"]) - want).max() < 1e-8
 
 
 def test_dilate_rank_deficient_norm_one():
     t = np.diag([1.0, 0.0])
     dil = dilate_operator(t)
-    assert dil.ambient_dim == 3
-    assert numeric_rank(dil.projection) == 2
+    assert dil["ambient_dim"] == 3
+    assert numeric_rank(matrix_from_json(dil["projection"])) == 2
     # completion supplies the missing coordinate direction
-    assert np.abs(np.abs(dil.added_vectors) - np.array([[0.0], [1.0]])).max() < 1e-9
+    added = matrix_from_json(dil["added_vectors"])
+    assert np.abs(np.abs(added) - np.array([[0.0], [1.0]])).max() < 1e-9
 
 
 def test_dilate_operator_contract_seeded():
@@ -72,12 +79,12 @@ def test_dilate_operator_contract_seeded():
             t = t / (nrm * 1.5)             # strict contraction
             expect = 2 * n
         dil = dilate_operator(t)
-        assert dil.ambient_dim == expect
-        p, emb = dil.projection, dil.embedding
+        assert dil["ambient_dim"] == expect
+        p, emb = _arrays(dil, "projection", "embedding")
         assert np.abs(p @ p - p).max() < 1e-8
         for i in range(n):
             assert np.abs(p[:, i] - emb @ t[:, i]).max() < 1e-9
-        comb = dil.frame.synthesis
+        comb = matrix_from_json(dil["frame"])
         assert np.abs(comb @ comb.conj().T - np.eye(n)).max() < 1e-8
 
 
@@ -89,7 +96,8 @@ def test_dilate_rejects_expansive():
 def test_projection_equals_gram():
     fr = _parseval(2, 5, 3)
     dil = naimark_dilate(fr)
-    assert np.abs(dil.projection - gram_matrix(fr)).max() < 1e-12
+    p = matrix_from_json(dil["projection"])
+    assert np.abs(p - gram_matrix(fr)).max() < 1e-12
 
 
 def _boundary_inputs():

@@ -21,7 +21,7 @@ def _corpus():
 def test_bounds_match_frame_operator_spectrum():
     for fr in _corpus():
         s = spectral_summary(fr)
-        lo, hi = s.lower, s.upper
+        lo, hi = s["lower"], s["upper"]
         w = np.linalg.eigvalsh(frame_operator(fr))
         assert abs(lo - max(w[0], 0.0)) < 1e-10
         assert abs(hi - w[-1]) < 1e-10
@@ -30,22 +30,22 @@ def test_bounds_match_frame_operator_spectrum():
 def test_summary_invariants():
     for fr in _corpus():
         s = spectral_summary(fr)
-        assert s.lower <= s.upper + 1e-12
-        assert abs(s.trace_S - np.linalg.norm(fr.synthesis) ** 2) < 1e-9
+        assert s["lower"] <= s["upper"] + 1e-12
+        assert abs(s["trace_S"] - np.linalg.norm(fr.synthesis) ** 2) < 1e-9
         # unit-norm family: some vector already witnesses an upper bound >= 1
         if np.abs(np.linalg.norm(fr.synthesis, axis=0) - 1.0).max() < 1e-9:
-            assert s.bessel >= 1.0 - 1e-12
-        if s.rank == fr.M:
-            assert s.riesz_lower is not None and s.riesz_lower > 0
+            assert s["bessel"] >= 1.0 - 1e-12
+        if s["rank"] == fr.M:
+            assert s["riesz_lower"] is not None and s["riesz_lower"] > 0
         else:
-            assert s.riesz_lower is None
+            assert s["riesz_lower"] is None
 
 
 def test_harmonic_summary_tight():
     s = spectral_summary(gen_harmonic_frame(3, 9))
-    assert s.is_tight and not s.is_parseval
-    assert abs(s.lower - 3.0) < 1e-12 and abs(s.upper - 3.0) < 1e-12
-    assert s.is_equal_norm and s.spans
+    assert s["is_tight"] and not s["is_parseval"]
+    assert abs(s["lower"] - 3.0) < 1e-12 and abs(s["upper"] - 3.0) < 1e-12
+    assert s["is_equal_norm"] and s["spans"]
 
 
 def test_parseval_normalize_gram_idempotent():

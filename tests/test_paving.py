@@ -74,9 +74,9 @@ def test_paving_norm_matches_compression_oracle():
 def test_antidiagonal_paves_to_zero():
     t = np.array([[0.0, 1.0], [1.0, 0.0]])
     rep = pave_matrix_check(t, 2, 0.5, mode="exhaustive")
-    assert rep.achieved == 0.0
-    assert rep.verdict
-    assert sorted(map(tuple, rep.partition.blocks())) == [(0,), (1,)]
+    assert rep["achieved"] == 0.0
+    assert rep["verdict"]
+    assert sorted(map(tuple, rep["partition"]["blocks"])) == [(0,), (1,)]
 
 
 def test_exhaustive_matches_brute_force():
@@ -84,7 +84,7 @@ def test_exhaustive_matches_brute_force():
     for _ in range(8):
         t = _sym(rng, 6)
         rep = pave_matrix_check(t, 3, 0.5, mode="exhaustive")
-        assert rep.achieved == _brute_min_paving(t, 3)
+        assert rep["achieved"] == _brute_min_paving(t, 3)
 
 
 def test_local_never_beats_exhaustive():
@@ -93,10 +93,10 @@ def test_local_never_beats_exhaustive():
         t = _sym(rng, 8)
         ex = pave_matrix_check(t, 3, 0.5, mode="exhaustive")
         lo = pave_matrix_check(t, 3, 0.5, mode="local", seed=seed)
-        assert lo.achieved >= ex.achieved - 1e-12
+        assert lo["achieved"] >= ex["achieved"] - 1e-12
         # the local partition's claimed value is honest
-        mx, _ = paving_norm(t, lo.partition)
-        assert abs(mx - lo.achieved) < 1e-12
+        mx, _ = paving_norm(t, Partition.from_json(lo["partition"], 8))
+        assert abs(mx - lo["achieved"]) < 1e-12
 
 
 def test_refinement_never_hurts():
@@ -123,16 +123,16 @@ def test_exhaustive_budget():
 def test_projection_paving():
     p = gen_random_projection(8, 3, 0)
     rep = pave_projection_check(p, 3, 0.3)
-    assert rep.form == "projection"
-    for blk, val in zip(rep.partition.blocks(), rep.per_block):
+    assert rep["form"] == "projection"
+    for blk, val in zip(rep["partition"]["blocks"], rep["per_block"]):
         sub = p[np.ix_(blk, blk)]
         assert abs(np.linalg.norm(sub, 2) - val) < 1e-10
-    assert rep.verdict == within(rep.achieved, 1.0 - 0.3)
+    assert rep["verdict"] == within(rep["achieved"], 1.0 - 0.3)
     # diagonal precondition: rank-3 projection on 8 indices has some
     # diagonal entry >= 3/8, so a tiny delta must trip the flag
     rep2 = pave_projection_check(p, 3, 0.3, delta=0.01)
-    assert rep2.flags.get("precondition_violated")
-    assert rep2.flags["diag_delta"] == delta_diag(p)
+    assert rep2["flags"].get("precondition_violated")
+    assert rep2["flags"]["diag_delta"] == delta_diag(p)
     with pytest.raises(ContractViolation):
         pave_projection_check(np.eye(3) * 0.5, 2, 0.5)
 
@@ -140,15 +140,15 @@ def test_projection_paving():
 def test_weaver_on_harmonic():
     fr = gen_harmonic_frame(2, 6)      # tight, bessel exactly 3
     rep = weaver_check(fr, 3.0, 1.0, 2)
-    assert abs(rep.flags["bessel_actual"] - 3.0) < 1e-9
-    assert "precondition_violated" not in rep.flags
-    assert rep.target == 2.0
-    for blk, val in zip(rep.partition.blocks(), rep.per_block):
+    assert abs(rep["flags"]["bessel_actual"] - 3.0) < 1e-9
+    assert "precondition_violated" not in rep["flags"]
+    assert rep["target"] == 2.0
+    for blk, val in zip(rep["partition"]["blocks"], rep["per_block"]):
         sub = fr.synthesis[:, blk]
         w = np.linalg.eigvalsh(sub @ sub.conj().T)
         assert abs(val - w[-1]) < 1e-9
     rep2 = weaver_check(fr, 2.0, 0.5, 2)   # claimed bessel below actual
-    assert rep2.flags.get("precondition_violated")
+    assert rep2["flags"].get("precondition_violated")
     with pytest.raises(ContractViolation):
         weaver_check(Frame(np.eye(2) * 2.0), 4.0, 1.0, 2)   # not unit-norm
 

@@ -75,7 +75,7 @@ def _parseval_harmonic(n, m):
 
 def _check(rep_partition, achieved, evaluated, m, r, oracle):
     want_val, want_part = oracle
-    assert rep_partition == want_part
+    assert rep_partition == want_part.to_json()
     assert achieved == want_val
     assert 1 <= evaluated <= count_partitions(m, r)
 
@@ -100,8 +100,8 @@ def test_matrix_paving_matches_scan(r):
         t0 = t - np.diag(np.diag(t))
         oracle = _scan(t.shape[0], r,
                        lambda blk: operator_norm(t0[np.ix_(blk, blk)]))
-        _check(rep.partition, rep.achieved, rep.evaluated, t.shape[0], r,
-               oracle)
+        _check(rep["partition"], rep["achieved"], rep["evaluated"],
+               t.shape[0], r, oracle)
 
 
 def _projections():
@@ -117,11 +117,11 @@ def _projections():
 def test_projection_paving_matches_scan(r):
     for p in _projections():
         rep = pave_projection_check(p, r, 0.3)
-        assert rep.mode == "exhaustive"
+        assert rep["mode"] == "exhaustive"
         oracle = _scan(p.shape[0], r,
                        lambda blk: operator_norm(p[np.ix_(blk, blk)]))
-        _check(rep.partition, rep.achieved, rep.evaluated, p.shape[0], r,
-               oracle)
+        _check(rep["partition"], rep["achieved"], rep["evaluated"],
+               p.shape[0], r, oracle)
 
 
 def _unit_frames():
@@ -144,8 +144,8 @@ def test_weaver_matches_scan(r):
             w = np.linalg.eigvalsh(0.5 * (sub + sub.conj().T))
             return float(max(w[-1], 0.0))
 
-        _check(rep.partition, rep.achieved, rep.evaluated, fr.M, r,
-               _scan(fr.M, r, cost))
+        _check(rep["partition"], rep["achieved"], rep["evaluated"], fr.M,
+               r, _scan(fr.M, r, cost))
 
 
 def _parseval_frames():
@@ -171,7 +171,8 @@ def test_ccc_matches_scan(r):
             w = np.linalg.eigvalsh(0.5 * (sub + sub.conj().T))
             return float(max(w[-1], 0.0))
 
-        _check(part, achieved, evaluated, fr.M, r, _scan(fr.M, r, cost))
+        _check(part.to_json(), achieved, evaluated, fr.M, r,
+               _scan(fr.M, r, cost))
 
 
 def _old_pricing(monkeypatch, calls):
@@ -211,10 +212,10 @@ def _searches_at_10():
 def _fingerprint(rep):
     """A report's partition, mode, verdict and evaluated, with the bits of
     achieved and per_block."""
-    return (rep.partition and rep.partition.blocks(), rep.mode, rep.verdict,
-            getattr(rep, "evaluated", None),
-            np.float64(getattr(rep, "achieved", np.nan)).tobytes(),
-            np.array(rep.per_block, dtype=np.float64).tobytes())
+    return (rep["partition"] and rep["partition"]["blocks"], rep["mode"],
+            rep["verdict"], rep.get("evaluated"),
+            np.float64(rep.get("achieved", np.nan)).tobytes(),
+            np.array(rep["per_block"], dtype=np.float64).tobytes())
 
 
 @pytest.mark.parametrize("r", (2, 3, 4))
@@ -226,13 +227,14 @@ def test_one_block_pricing_matches_the_old_costs(monkeypatch, r):
             _old_pricing(patched, calls)
             old = search(r)
         assert calls, form
-        assert rep.mode == "exhaustive", form
+        assert rep["mode"] == "exhaustive", form
         assert _fingerprint(rep) == _fingerprint(old), form
 
 
 def _predicate_scan(fr, r_max, lo_target, hi_target):
     """First partition, by block count and then enumeration order, whose
-    every block Gram spectrum passes the targets; None when none does."""
+    every block Gram spectrum passes the targets, as results store it; None
+    when none does."""
     g = gram_matrix(fr)
     cache = {}
 
@@ -248,7 +250,7 @@ def _predicate_scan(fr, r_max, lo_target, hi_target):
     for rr in range(1, r_max + 1):
         for p in enumerate_partitions(fr.M, rr):
             if all(ok(b) for b in p.blocks()):
-                return p
+                return p.to_json()
     return None
 
 
@@ -257,19 +259,20 @@ def test_riesz_and_feichtinger_match_scan():
     frames = [gen_random_unit_frame(3, 8, s) for s in range(2)]
     frames += [gen_harmonic_frame(3, 8), gen_harmonic_frame(2, 9)]
     for fr in frames:
-        for r in R_VALUES:
+        # at r = M the block cap can fall below the blocks an open prefix uses
+        for r in R_VALUES + (fr.M,):
             for eps in (0.3, 0.9):
                 rep = epsilon_riesz_partition(fr, eps, r)
                 want = _predicate_scan(fr, r, 1.0 - eps, 1.0 + eps)
-                assert rep.mode == "exhaustive"
-                assert rep.partition == want
-                verdicts.add(rep.verdict)
+                assert rep["mode"] == "exhaustive"
+                assert rep["partition"] == want
+                verdicts.add(rep["verdict"])
             for a_target in (0.05, 0.8):
                 scaled = Frame(fr.synthesis * np.linspace(0.5, 2.0, fr.M))
                 rep = feichtinger_partition(scaled, a_target, r)
                 want = _predicate_scan(scaled, r, a_target, None)
-                assert rep.partition == want
-                verdicts.add(rep.verdict)
+                assert rep["partition"] == want
+                verdicts.add(rep["verdict"])
     assert verdicts == {True, False}
 
 
@@ -279,8 +282,8 @@ def test_predicate_walk_checks_leaves_exactly():
     fr = Frame(np.diag(np.sqrt([2.0, 2.0, 1.0])))
     for a_target, feasible in ((1.0 + 3e-12, False), (1.0 + 5e-13, True)):
         rep = feichtinger_partition(fr, a_target, 3)
-        assert rep.verdict == feasible
-        assert rep.partition == _predicate_scan(fr, 3, a_target, None)
+        assert rep["verdict"] == feasible
+        assert rep["partition"] == _predicate_scan(fr, 3, a_target, None)
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +298,15 @@ def _full_tree(m, r):
 
 def test_walk_counts_one_placement_per_prefix():
     for m, r in ((1, 1), (5, 2), (6, 3), (7, 7)):
-        labels, spent = _rgs_walk(m, r, lambda mask: 0.0,
-                                  lambda carry, price: carry,
-                                  lambda labels, masks, nblocks: False, 0)
-        assert labels is None and spent == _full_tree(m, r)
+        placed = []
+
+        def get(mask):
+            placed.append(mask)
+            return 0.0
+
+        _rgs_walk(m, r, get, lambda carry, price: carry,
+                  lambda labels, masks, nblocks: r, 0)
+        assert len(placed) == _full_tree(m, r)
 
 
 def test_admitted_trees_fit_the_placement_budget():
@@ -342,29 +350,27 @@ def test_exhaustive_past_the_budget_exits_3(tmp_path, small_budget, capsys):
 
 def test_riesz_falls_back_to_greedy_past_the_budget(monkeypatch):
     fr = gen_random_unit_frame(3, 9, 2)
-    assert epsilon_riesz_partition(fr, 0.9, 4).mode == "exhaustive"
+    assert epsilon_riesz_partition(fr, 0.9, 4)["mode"] == "exhaustive"
     monkeypatch.setattr(paving, "PARTITION_BUDGET", 100)
-    assert epsilon_riesz_partition(fr, 0.9, 4).mode == "greedy"
+    assert epsilon_riesz_partition(fr, 0.9, 4)["mode"] == "greedy"
 
 
-def test_riesz_walks_share_one_budget_and_stop_at_m(monkeypatch):
+def test_riesz_search_is_one_walk_with_r_clipped_to_m(monkeypatch):
     walks = []
     walk = decomposition._rgs_walk
 
-    def recorded(m, rr, get, admit, leaf, carry, spent):
-        walks.append((rr, spent))
-        return walk(m, rr, get, admit, leaf, carry, spent)
+    def recorded(m, r, get, admit, leaf, carry):
+        walks.append(r)
+        return walk(m, r, get, admit, leaf, carry)
 
     monkeypatch.setattr(decomposition, "_rgs_walk", recorded)
     # the last vector's norm is below the target, so no partition passes,
-    # and each walk first tries the partitions of the other six
+    # and the walk tries the partitions of the other six into up to 7 blocks
     fr = gen_random_unit_frame(3, 7, 3)
     fr = Frame(fr.synthesis * np.linspace(2.0, 0.5, 7))
     rep = feichtinger_partition(fr, 0.3, 64)
-    assert not rep.verdict and rep.mode == "exhaustive"
-    assert [rr for rr, _ in walks] == list(range(1, 8))
-    spent = [s for _, s in walks]
-    assert spent[0] == 0 and all(a < b for a, b in zip(spent, spent[1:]))
+    assert not rep["verdict"] and rep["mode"] == "exhaustive"
+    assert walks == [7]
 
 
 def _hermitian(rng, m):
@@ -386,7 +392,7 @@ def test_walk_finishes_past_the_old_stirling_cap(tmp_path, m, r):
     assert verify(str(rep)) == (True, [])
     for seed in range(5):
         local = pave_matrix_check(h, r, 0.5, mode="local", seed=seed)
-        assert res["achieved"] <= local.achieved
+        assert res["achieved"] <= local["achieved"]
 
 
 def test_a_zero_leaf_ends_the_walk(tmp_path):

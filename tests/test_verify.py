@@ -12,7 +12,20 @@ import pytest
 import pavekit
 from pavekit import paving, reports
 from pavekit.cli import main
-from pavekit.core import matrix_from_json, matrix_to_json
+from pavekit.core import Frame, matrix_from_json, matrix_to_json
+from pavekit.decomposition import (
+    epsilon_riesz_partition,
+    feichtinger_partition,
+    tp1_partition,
+)
+from pavekit.dilation import dilate_operator, naimark_dilate
+from pavekit.erasures import erasure_robustness
+from pavekit.frames import spectral_summary
+from pavekit.paving import (
+    pave_matrix_check,
+    pave_projection_check,
+    weaver_check,
+)
 from pavekit.reports import canonical_json, load_report, verify
 
 from report_cases import make_reports
@@ -41,6 +54,40 @@ def test_every_case_records_its_input_under_the_tables_name(cases):
         name = reports._INPUTS.get(payload["command"])
         assert list(payload["inputs"]) == ([] if name is None else [name]), \
             case
+
+
+# case -> the library call that makes its results, on the stored config and
+# the decoded input
+LIBRARY = {
+    "analyze": lambda c, fr: {"summary": spectral_summary(fr)},
+    "dilate": lambda c, mat: naimark_dilate(Frame(mat)),
+    "dilate-operator": lambda c, mat: dilate_operator(mat),
+    "pave": lambda c, t: pave_matrix_check(t, c["r_max"], c["epsilon"],
+                                           c["mode"], c["seed"]),
+    "pave-local": lambda c, t: pave_matrix_check(t, c["r_max"], c["epsilon"],
+                                                 c["mode"], c["seed"]),
+    "pave-projection": lambda c, p: pave_projection_check(
+        p, c["r_max"], c["epsilon"], c["delta"], c["mode"], c["seed"]),
+    "weaver": lambda c, fr: weaver_check(fr, c["bessel"], c["epsilon"],
+                                         c["r_max"], c["seed"]),
+    "riesz": lambda c, fr: epsilon_riesz_partition(fr, c["epsilon"],
+                                                   c["r_max"]),
+    "feichtinger": lambda c, fr: feichtinger_partition(fr, c["a_target"],
+                                                       c["r_max"]),
+    "tp1": lambda c, fr: tp1_partition(fr, c["s"], c["delta"], c["seed"],
+                                       c["r_max"]),
+    "erasure": lambda c, fr: erasure_robustness(fr, c["k"]),
+}
+
+
+@pytest.mark.parametrize("case", LIBRARY)
+def test_the_library_returns_the_results_the_report_stores(cases, case):
+    payload = load_report(str(cases[case]))["payload"]
+    name = reports._INPUTS[payload["command"]]
+    with open(payload["inputs"][name]["path"]) as fh:
+        obj = reports._decode(name, json.load(fh))
+    got = LIBRARY[case](payload["config"], obj)
+    assert canonical_json(got) == canonical_json(payload["results"])
 
 
 def _flip(d, key):
@@ -74,6 +121,8 @@ FORGERIES = {
     "dilate-operator-norm": ("dilate-operator", lambda r: r["meta"].update(
         operator_norm=0.5)),
     "dilate-rank": ("dilate", lambda r: r.update(rank=2)),
+    "erasure-identity-checked": ("erasure",
+                                 lambda r: _flip(r, "identity_checked")),
 }
 
 
