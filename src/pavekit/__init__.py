@@ -12,7 +12,6 @@ from .core import (
     BudgetExceeded,
     ContractViolation,
     Frame,
-    Partition,
     enumerate_partitions,
     frame_from_json,
     frame_to_json,

@@ -209,10 +209,10 @@ def _cmd_ric(args, fr):
 
 
 def _cmd_radohorn(args, fr):
-    ok, part, witness = rado_horn_check(fr, args.r)
-    results = _radohorn(part, witness)
+    ok, blocks, witness = rado_horn_check(fr, args.r)
+    results = _radohorn(blocks, witness)
     if ok:
-        line = f"verdict=True blocks={part.r}"
+        line = f"verdict=True blocks={len(blocks)}"
     else:
         ratio = witness["ratio"]       # None at rank 0
         line = "verdict=False witness_ratio=" + (

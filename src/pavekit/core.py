@@ -6,8 +6,8 @@ downstream (frame operators, Gram matrices, block compressions) is an
 ordinary matrix product away.  This module owns the boundary checks
 (finite entries, Hermitian symmetry, shape sanity), the eigen/rank
 primitives (block_spectra is the one kernel behind every block spectrum),
-partition enumeration in canonical restricted-growth form, the seeded
-generators, and the JSON wire formats.
+partitions as block lists, their enumeration in restricted-growth order,
+the seeded generators, and the JSON wire formats.
 """
 
 from __future__ import annotations
@@ -254,84 +254,41 @@ def hyperplane_flats(t, subsets):
 
 
 # ---------------------------------------------------------------------------
-# partitions in canonical restricted-growth form
+# partitions as block lists
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Partition:
-    """A partition of indices {0..M-1} into blocks labelled 0..r-1.
+# A partition of {0..M-1} is the list of blocks a report stores: nonempty
+# ascending index lists, which the searches give in order of first index.
 
-    block_of[i] is the block label of index i.  Labels must use a prefix
-    0..r-1; blocks are nonempty unless allow_empty is set (local searches
-    may park a label on zero indices while they move mass around).
-    """
+def label_blocks(labels):
+    """The nonempty blocks of a labelling, index i in the block labelled
+    labels[i], in order of first appearance."""
+    blocks = {}
+    for i, b in enumerate(labels):
+        blocks.setdefault(b, []).append(i)
+    return list(blocks.values())
 
-    block_of: tuple
-    r: int
-    allow_empty: bool = False
 
-    def __post_init__(self):
-        labels = tuple(int(b) for b in self.block_of)
-        object.__setattr__(self, "block_of", labels)
-        if len(labels) == 0:
-            raise ContractViolation("partition of an empty index set")
-        if self.r < 1:
-            raise ContractViolation("partition needs r >= 1")
-        if any(b < 0 or b >= self.r for b in labels):
-            raise ContractViolation("block label out of range")
-        if not self.allow_empty:
-            used = set(labels)
-            if used != set(range(self.r)):
-                raise ContractViolation("blocks 0..r-1 must all be nonempty")
-
-    @property
-    def M(self):
-        return len(self.block_of)
-
-    @classmethod
-    def from_blocks(cls, blocks, M=None, allow_empty=False):
-        idx = {}
-        for b, blk in enumerate(blocks):
-            for i in blk:
-                if type(i) is bool or not isinstance(i, (int, np.integer)):
-                    raise ContractViolation(f"index {i!r} is not an integer")
-                if i in idx:
-                    raise ContractViolation(f"index {i} appears in two blocks")
-                idx[int(i)] = b
-        if M is None:
-            M = len(idx)
-        if sorted(idx) != list(range(M)):
-            raise ContractViolation("blocks must cover 0..M-1 exactly once")
-        return cls(tuple(idx[i] for i in range(M)), len(blocks), allow_empty)
-
-    def blocks(self):
-        out = [[] for _ in range(self.r)]
-        for i, b in enumerate(self.block_of):
-            out[b].append(i)
-        return out
-
-    def canonical(self):
-        """Relabel blocks in order of first appearance and drop empty ones."""
-        remap, nxt = {}, 0
-        lab = []
-        for b in self.block_of:
-            if b not in remap:
-                remap[b] = nxt
-                nxt += 1
-            lab.append(remap[b])
-        return Partition(tuple(lab), nxt)
-
-    def to_json(self):
-        return {"blocks": self.blocks()}
-
-    @classmethod
-    def from_json(cls, d, M):
-        """Blocks that must cover 0..M-1 exactly once."""
-        return cls.from_blocks(d["blocks"], M=M)
+def check_blocks(blocks, m):
+    """A partition from outside, each block sorted and the block order
+    kept: blocks must be a list of nonempty lists of integer indices, not
+    bools, that cover 0..m-1 exactly once."""
+    if type(blocks) is not list or \
+            not all(type(blk) is list and blk for blk in blocks):
+        raise ContractViolation("a partition must be a list of nonempty "
+                                "index lists")
+    for i in itertools.chain.from_iterable(blocks):
+        if type(i) is bool or not isinstance(i, (int, np.integer)):
+            raise ContractViolation(f"index {i!r} is not an integer")
+    blocks = [sorted(map(int, blk)) for blk in blocks]
+    if sorted(itertools.chain.from_iterable(blocks)) != list(range(m)):
+        raise ContractViolation(f"blocks must cover 0..{m - 1} exactly once")
+    return blocks
 
 
 def enumerate_partitions(M, r):
-    """Yield each partition of {0..M-1} into at most r blocks exactly once.
+    """Yield the blocks of each partition of {0..M-1} into at most r blocks
+    exactly once.
 
     Canonical restricted-growth strings: label[0] = 0 and each later label
     is at most one past the running maximum, capped at r - 1.
@@ -342,7 +299,7 @@ def enumerate_partitions(M, r):
 
     def rec(i, top):
         if i == M:
-            yield Partition(tuple(labels), top + 1)
+            yield label_blocks(labels)
             return
         for b in range(min(top + 1, r - 1) + 1):
             labels[i] = b

@@ -1,4 +1,4 @@
-"""Partitioning families into well-conditioned pieces, and subspace
+"""Splitting families into well-conditioned pieces, and subspace
 decomposability.
 
 A block of vectors is epsilon-Riesz when every unit coefficient vector maps
@@ -28,11 +28,12 @@ from .core import (
     BudgetExceeded,
     ContractViolation,
     Frame,
-    Partition,
     block_spectra,
     block_spectrum,
+    check_blocks,
     ensure_matrix,
     ensure_unit_norm,
+    label_blocks,
     numeric_rank,
     within,
 )
@@ -113,14 +114,14 @@ def _in_range(bounds, lo_target, hi_target):
                                       within(hi, hi_target))
 
 
-def _riesz_results(bounds, part, target, mode, flags):
-    """The results of the Riesz and Feichtinger searches on part, None when
-    none was found: each block's (lowest, highest) Gram eigenvalue from
-    bounds, and the verdict that there is a block and every one lies in
-    the target range."""
-    per = [bounds(_block_mask(b)) for b in part.blocks()] if part else []
+def _riesz_results(bounds, blocks, target, mode, flags):
+    """The results of the Riesz and Feichtinger searches on a partition's
+    blocks, None when none was found: each block's (lowest, highest) Gram
+    eigenvalue from bounds, and the verdict that there is a block and
+    every one lies in the target range."""
+    per = [bounds(_block_mask(b)) for b in blocks] if blocks else []
     return {"verdict": bool(per) and all(_in_range(b, *target) for b in per),
-            "partition": part.to_json() if part else None,
+            "partition": {"blocks": blocks} if blocks else None,
             "per_block": [list(b) for b in per], "target": list(target),
             "mode": mode, "flags": flags}
 
@@ -161,8 +162,8 @@ def _partition_by_block_predicate(fr, r_max, lo_target, hi_target):
     def leaf(labels, masks, nblocks):
         nonlocal found
         if all(block_ok(masks[b]) for b in range(nblocks)):
-            found = Partition(labels, nblocks)
-        return found.r - 1 if found else r_max
+            found = label_blocks(labels)
+        return len(found) - 1 if found else r_max
 
     try:
         _rgs_walk(m, r_max, bounds, admit, leaf, True)
@@ -176,12 +177,11 @@ def _partition_by_block_predicate(fr, r_max, lo_target, hi_target):
     if labels is None:
         return _riesz_results(bounds, None, target, "greedy",
                               {"exhausted_backtracks": True})
-    return _riesz_results(bounds, Partition(tuple(labels), max(labels) + 1),
-                          target, "greedy", {})
+    return _riesz_results(bounds, label_blocks(labels), target, "greedy", {})
 
 
 def epsilon_riesz_partition(fr, epsilon, r_max):
-    """Partition unit-norm vectors so every block Gram spectrum lies in
+    """Split unit-norm vectors into blocks whose Gram spectra all lie in
     [1 - epsilon, 1 + epsilon]."""
     ensure_unit_norm(fr)
     if not (0.0 < epsilon < 1.0):
@@ -193,7 +193,7 @@ def epsilon_riesz_partition(fr, epsilon, r_max):
 
 
 def feichtinger_partition(fr, a_target, r_max):
-    """Partition into blocks whose lower Riesz bound is at least a_target."""
+    """Split into blocks whose lower Riesz bound is at least a_target."""
     if a_target <= 0.0:
         raise ContractViolation("a_target must be positive")
     if r_max < 1:
@@ -232,32 +232,36 @@ def _tp1_mass_bound(g, s, delta):
     if not (0.0 < delta < 1.0):
         raise ContractViolation("delta must lie in (0, 1)")
     bessel = float(max(block_spectrum(g, range(g.shape[0]))[-1], 1.0))
-    k = max(1, math.ceil(bessel * s / (delta * delta)))
+    ratio = bessel * s / (delta * delta) if delta * delta else math.inf
+    if not math.isfinite(ratio):
+        raise ContractViolation(f"--delta {delta} puts B s / delta^2 out of "
+                                "float range")
+    k = max(1, math.ceil(ratio))
     return bessel, k, bessel / k
 
 
-def _tp1_results(part, per, r_used, bound, delta, flags):
-    """The results of tp1 on part, None when none was found: per holds each
-    block's restricted isometry constant, bound the (bessel, k, mass bound)
-    of delta, and the verdict says there is a block and every one is
-    within delta."""
+def _tp1_results(blocks, per, r_used, bound, delta, flags):
+    """The results of tp1 on a partition's blocks, None when none was
+    found: per holds each block's restricted isometry constant, bound the
+    (bessel, k, mass bound) of delta, and the verdict says there is a block
+    and every one is within delta."""
     bessel, k, mass_bound = bound
     return {"verdict": bool(per) and all(within(d, delta) for d in per),
-            "partition": part.to_json() if part else None,
+            "partition": {"blocks": blocks} if blocks else None,
             "r_used": r_used, "k": k, "bessel": bessel,
             "delta_target": delta, "per_block_delta": per,
             "mass_bound": mass_bound, "flags": flags}
 
 
-def _block_deltas(fr, part, s):
-    """Brute-force restricted isometry constant of each block of part."""
+def _block_deltas(fr, blocks, s):
+    """Brute-force restricted isometry constant of each block."""
     return [restricted_isometry(Frame(fr.synthesis[:, blk]),
                                 min(s, len(blk)))[0]
-            for blk in part.blocks()]
+            for blk in blocks]
 
 
 def tp1_partition(fr, s, delta, seed=0, r_max=64):
-    """Partition a unit-norm family into blocks of restricted isometry
+    """Split a unit-norm family into blocks of restricted isometry
     constant at most delta (for sparsity s).
 
     Row masses of the squared inner-product matrix are balanced with
@@ -281,10 +285,10 @@ def tp1_partition(fr, s, delta, seed=0, r_max=64):
         max_mass = float(res["in_block_mass"].max()) if fr.M else 0.0
         flags["escalations"].append({"r": r, "max_mass": max_mass})
         if within(max_mass, bound[2]):
-            part = res["partition"].canonical()
-            per = _block_deltas(fr, part, s)
+            blocks = label_blocks(res["labels"])
+            per = _block_deltas(fr, blocks, s)
             if all(within(d, delta) for d in per):
-                return _tp1_results(part, per, r, bound, delta, flags)
+                return _tp1_results(blocks, per, r, bound, delta, flags)
             flags["escalations"][-1]["verified"] = False
         r *= 2
     return _tp1_results(None, [], 0, bound, delta, dict(flags, exhausted=True))
@@ -374,14 +378,14 @@ def rado_horn_check(fr, r):
     """Decide whether the indices split into at most r linearly independent
     blocks; by Rado-Horn, iff |J| <= r * dim span(J) for every subset J.
 
-    Returns (True, partition, None) or (False, None, witness).  The witness
-    {subset, size, rank, ratio} is a subset J with |J| > r * rank J, its
-    rank re-priced by numeric_rank; a J that fails that re-check raises
-    rather than being reported.
+    Returns (True, blocks, None), each block ascending, or (False, None,
+    witness).  The witness {subset, size, rank, ratio} is a subset J with
+    |J| > r * rank J, its rank re-priced by numeric_rank; a J that fails
+    that re-check raises rather than being reported.
     """
     blocks, reached = _exchange_chains(fr, r)
     if blocks is not None:
-        return True, Partition.from_blocks(blocks, M=fr.M), None
+        return True, [sorted(b) for b in blocks], None
     witness = _rado_horn_witness(fr, reached)
     if witness["size"] <= r * witness["rank"]:
         raise ContractViolation(
@@ -447,21 +451,16 @@ def is_large(sub, a):
     return mn >= a - CHECK_TOL, mn
 
 
-def is_r_decomposable(sub, p):
-    """(ok, per-block ranks): each block of coordinates must be fully
-    reachable, i.e. the block rows of the basis have full row rank."""
-    if p.M != sub.ambient:
-        raise ContractViolation("partition must cover the ambient coordinates")
-    ranks = []
-    ok = True
-    for blk in p.blocks():
-        rk = numeric_rank(sub.basis[blk, :]) if blk else 0
-        ranks.append(rk)
-        ok = ok and rk == len(blk)
-    return ok, ranks
+def is_r_decomposable(sub, blocks):
+    """(ok, per-block ranks): each block of coordinates, which must cover
+    the ambient ones, must be fully reachable, i.e. the block rows of the
+    basis have full row rank."""
+    blocks = check_blocks(blocks, sub.ambient)
+    ranks = [numeric_rank(sub.basis[blk, :]) for blk in blocks]
+    return ranks == list(map(len, blocks)), ranks
 
 
-def decomposition_vectors(sub, p):
+def decomposition_vectors(sub, blocks):
     """For each block E and each i in E, the minimum-norm h in the subspace
     with h(i) = 1 and h(l) = 0 for the other l in E.
 
@@ -471,12 +470,12 @@ def decomposition_vectors(sub, p):
     in all of H.  Returns one dict per block with the solved vectors as
     columns and the Bessel bound of the off-block parts {h - e_i}.
     """
-    ok, ranks = is_r_decomposable(sub, p)
+    ok, ranks = is_r_decomposable(sub, blocks)
     if not ok:
         raise ContractViolation(f"subspace is not decomposable: ranks {ranks}")
     v = sub.basis
     out = []
-    for blk in p.blocks():
+    for blk in blocks:
         rows = v[blk, :]
         coeff = np.linalg.pinv(rows)          # n x |E|, min-norm coefficients
         resid = np.abs(rows @ coeff - np.eye(len(blk))).max()

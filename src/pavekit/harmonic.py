@@ -252,7 +252,7 @@ def toeplitz_section(g, freqs, coeffs=None):
 
 
 def ap_blocks(freqs, stride):
-    """Partition frequencies into arithmetic-progression blocks by residue."""
+    """Split frequencies into arithmetic-progression blocks by residue."""
     if stride < 1:
         raise ContractViolation("stride must be at least one")
     blocks = {}
@@ -313,6 +313,8 @@ def montgomery_vaughan_theta(freqs, coeffs, t_len, quad_n=None):
         raise ContractViolation("inputs must be finite")
     if not t_len > 0.0:
         raise ContractViolation("interval length must be positive")
+    if quad_n is not None and quad_n < 1:
+        raise ContractViolation(f"--quad-n {quad_n} must be at least 1")
     energy = float(np.sum(np.abs(a) ** 2))
     if energy == 0.0:
         raise ContractViolation("coefficients must not all vanish")
@@ -380,6 +382,8 @@ def kadec_bounds(a, b, gamma, delta):
         raise ContractViolation("need gamma > 0 and delta >= 0")
     ratio = math.sqrt(a / b)
     level = math.pi / (4.0 * gamma) - math.asin((1.0 - ratio) / math.sqrt(2.0)) / gamma
+    if not math.isfinite(level):
+        raise ContractViolation(f"--gamma {gamma} puts L out of float range")
     if not math.isfinite(x := gamma * delta):
         raise ContractViolation(f"--delta {delta} times --gamma {gamma} is "
                                 "out of float range")

@@ -28,12 +28,12 @@ from .core import (
     WKHB_MOVE_BUDGET,
     BudgetExceeded,
     ContractViolation,
-    Partition,
     block_norm,
     block_spectrum,
     ensure_matrix,
     ensure_projection,
     ensure_unit_norm,
+    label_blocks,
     operator_norm,
     sym_eig,
     within,
@@ -171,8 +171,7 @@ def _exhaustive_search(m, r_max, cost):
         return 0 if best == 0.0 else r_max
 
     _rgs_walk(m, r_max, get, admit, leaf, -float("inf"))
-    part = Partition(best_labels, max(best_labels) + 1)
-    return part, best, evaluated
+    return label_blocks(best_labels), best, evaluated
 
 
 def _local_search(m, r_max, cost, seed):
@@ -219,13 +218,13 @@ def _local_search(m, r_max, cost, seed):
             break
         labels[best_move[0]] = best_move[1]
         cur = best_val
-    part = Partition(tuple(labels), r_max, allow_empty=True).canonical()
-    per = [get(_block_mask(b)) for b in part.blocks()]
-    return part, max(per), evaluated
+    blocks = label_blocks(labels)
+    per = [get(_block_mask(b)) for b in blocks]
+    return blocks, max(per), evaluated
 
 
 def _search(m, r_max, cost, seed, flags, mode="auto"):
-    """(partition, achieved, evaluated, mode) of the "exhaustive" search,
+    """(blocks, achieved, evaluated, mode) of the "exhaustive" search,
     which raises BudgetExceeded when the walk does, or of local search from
     seed, which is then recorded in flags; "auto" runs the first and falls
     back to the second."""
@@ -275,23 +274,24 @@ def _pricing(form, a, epsilon, bound=None):
     return cost, target, scale, flags
 
 
-def _priced(form, cost, part, target, scale, mode, evaluated, flags):
-    """The results on a partition: every block priced with cost, and the
-    verdict on the worst of them against target.  scale is the reference
-    norm the target was derived from."""
-    per = [cost(blk) for blk in part.blocks()]
+def _priced(form, cost, blocks, target, scale, mode, evaluated, flags):
+    """The results on a partition's blocks: every block priced with cost,
+    and the verdict on the worst of them against target.  scale is the
+    reference norm the target was derived from."""
+    per = [cost(blk) for blk in blocks]
     achieved = max(per)
     return {"form": form, "verdict": bool(within(achieved, target)),
             "achieved": achieved, "target": target,
-            "partition": part.to_json(), "per_block": per, "mode": mode,
+            "partition": {"blocks": blocks}, "per_block": per, "mode": mode,
             "evaluated": evaluated, "scale": scale, "flags": flags}
 
 
 def _pave(form, a, r_max, epsilon, bound, mode, seed):
     """The results of a search for the best partition of a's indices."""
     cost, target, scale, flags = _pricing(form, a, epsilon, bound)
-    part, _, evaluated, mode = _search(len(a), r_max, cost, seed, flags, mode)
-    return _priced(form, cost, part, target, scale, mode, evaluated, flags)
+    blocks, _, evaluated, mode = _search(len(a), r_max, cost, seed, flags,
+                                         mode)
+    return _priced(form, cost, blocks, target, scale, mode, evaluated, flags)
 
 
 def pave_matrix_check(t, r_max, epsilon, mode="auto", seed=0):
@@ -327,7 +327,7 @@ def _gram_block_top(g):
 
 
 def weaver_check(fr, bessel, epsilon, r_max, seed=0):
-    """Partition a unit-norm family so every block frame operator stays
+    """Split a unit-norm family into blocks whose frame operators all stay
     below bessel - epsilon.
 
     Block spectra are read off Gram submatrices (same nonzero spectrum as
@@ -340,15 +340,16 @@ def weaver_check(fr, bessel, epsilon, r_max, seed=0):
 
 
 def wkhb_partition(a, r, seed=0):
-    """Partition indices so each in-block row mass is at most every
-    cross-block row mass.
+    """Label the indices with r blocks so each in-block row mass is at most
+    every cross-block row mass.
 
     Input: entrywise-nonnegative symmetric matrix with zero diagonal.  The
     search moves one index at a time to a block of strictly smaller row
     mass; the total in-block mass strictly decreases by a positive amount
     each move, so the loop reaches a fixed point.  At the fixed point the
     certificate holds, and consequently each in-block row mass is at most
-    that row's total mass divided by r.  Past WKHB_MOVE_BUDGET moves it
+    that row's total mass divided by r.  labels holds each index's block,
+    0..r-1, and some blocks may be empty.  Past WKHB_MOVE_BUDGET moves it
     raises BudgetExceeded.
     """
     a = ensure_matrix(a, "mass matrix")
@@ -385,7 +386,6 @@ def wkhb_partition(a, r, seed=0):
         masses[:, b] += a[:, i]
     else:
         raise BudgetExceeded("wkhb_partition did not stabilize in budget")
-    part = Partition(tuple(int(b) for b in labels), r, allow_empty=True)
     onehot = np.zeros((m, r))
     onehot[np.arange(m), labels] = 1.0
     masses = a @ onehot                     # recompute to shed update roundoff
@@ -394,7 +394,7 @@ def wkhb_partition(a, r, seed=0):
     certified = bool(np.all(within(in_mass, masses.min(axis=1))) and
                      np.all(within(in_mass, row_tot / r)))
     return {
-        "partition": part,
+        "labels": labels.tolist(),
         "in_block_mass": in_mass.copy(),
         "cross_block_mass": masses.copy(),
         "row_totals": row_tot,

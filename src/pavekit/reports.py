@@ -37,8 +37,8 @@ from . import __version__
 from .core import (
     BudgetExceeded,
     ContractViolation,
-    Partition,
     block_spectrum,
+    check_blocks,
     frame_from_json,
     gen_harmonic_frame,
     gen_random_projection,
@@ -284,12 +284,12 @@ def _subspace(config, mat):
         results["largeness"] = {"verdict": bool(ok), "min_norm": mn,
                                 "a": config["a"]}
     if "blocks" in config:
-        part = Partition.from_blocks(config["blocks"], M=sub.ambient)
-        ok, ranks = is_r_decomposable(sub, part)
+        blocks = check_blocks(config["blocks"], sub.ambient)
+        ok, ranks = is_r_decomposable(sub, blocks)
         entry = {"verdict": bool(ok), "ranks": list(ranks),
-                 "partition": part.to_json()}
+                 "partition": {"blocks": blocks}}
         if ok:
-            solved = decomposition_vectors(sub, part)
+            solved = decomposition_vectors(sub, blocks)
             entry["vectors"] = [matrix_to_json(b["vectors"]) for b in solved]
             entry["bessel"] = [b["bessel"] for b in solved]
         results["decomposable"] = entry
@@ -361,10 +361,10 @@ def _ric(config, fr, subset):
             "worst_subset": subset}
 
 
-def _radohorn(part, witness):
+def _radohorn(blocks, witness):
     """A partition into independent blocks, or else a witness subset."""
-    return {"verdict": part is not None,
-            "partition": None if part is None else part.to_json(),
+    return {"verdict": blocks is not None,
+            "partition": None if blocks is None else {"blocks": blocks},
             "witness": witness}
 
 
@@ -501,12 +501,13 @@ def _index_subset(subset, m, sizes, what):
 
 
 def _partition(res, m, r_max):
-    """The stored partition of range(m), which has at most r_max blocks."""
-    part = Partition.from_json(res["partition"], m)
-    if part.r > r_max:
+    """The blocks of the stored partition of range(m), which has at most
+    r_max of them."""
+    blocks = check_blocks(res["partition"]["blocks"], m)
+    if len(blocks) > r_max:
         raise ContractViolation(
-            f"partition has {part.r} blocks, more than {r_max}")
-    return part
+            f"partition has {len(blocks)} blocks, more than {r_max}")
+    return blocks
 
 
 def _verify_mv_theta(payload, _):
@@ -544,13 +545,13 @@ def _repaved(payload, form, a, bound=None):
     the mode must be the configured one (either one under auto)."""
     config, res = payload["config"], payload["results"]
     cost, target, scale, flags = _pricing(form, a, config["epsilon"], bound)
-    part = _partition(res, a.shape[0], config["r_max"])
+    blocks = _partition(res, a.shape[0], config["r_max"])
     mode = config.get("mode", "auto")       # weaver always runs auto
     if mode == "auto":
         mode = "local" if res["mode"] == "local" else "exhaustive"
     if mode == "local":
         flags["seed"] = config["seed"]
-    got = _priced(form, cost, part, target, scale, mode, UNCHECKED, flags)
+    got = _priced(form, cost, blocks, target, scale, mode, UNCHECKED, flags)
     got["verdict"] = within(got["achieved"], res["target"])
     return got
 
@@ -580,15 +581,15 @@ def _verify_decompose(payload, fr):
     False one is not re-decided, so only the fields it derives from the
     config are rebuilt."""
     config, res = payload["config"], payload["results"]
-    part = _partition(res, fr.M, config["r_max"]) \
+    blocks = _partition(res, fr.M, config["r_max"]) \
         if res["verdict"] is True else None
     criterion = config["criterion"]
     if criterion == "tp1":
         delta = res["delta_target"]
         bound = _tp1_mass_bound(gram_matrix(fr), config["s"], delta)
-        per = _block_deltas(fr, part, config["s"]) if part else []
-        got = _tp1_results(part, per, UNCHECKED if part else 0, bound, delta,
-                           dict(res["flags"], seed=config["seed"]))
+        per = _block_deltas(fr, blocks, config["s"]) if blocks else []
+        got = _tp1_results(blocks, per, UNCHECKED if blocks else 0, bound,
+                           delta, dict(res["flags"], seed=config["seed"]))
         got["verdict"] &= all(within(d, config["delta"]) for d in per)
         return got
     if criterion == "riesz":
@@ -599,8 +600,8 @@ def _verify_decompose(payload, fr):
         raise ContractViolation(f"unknown criterion {criterion!r}")
     stored = tuple(res["target"])
     target = stored if _in_range(stored, *wanted) else wanted
-    return _riesz_results(_gram_block_bounds(gram_matrix(fr)), part, target,
-                          UNCHECKED, UNCHECKED)
+    return _riesz_results(_gram_block_bounds(gram_matrix(fr)), blocks,
+                          target, UNCHECKED, UNCHECKED)
 
 
 def _verify_ric(payload, fr):
@@ -616,13 +617,12 @@ def _verify_radohorn(payload, fr):
     r = payload["config"]["r"]
     res = payload["results"]
     if res["verdict"] is True:
-        part = _partition(res, fr.M, r)
-        blocks = part.blocks()
+        blocks = _partition(res, fr.M, r)
         for blk, rank in zip(blocks, subset_ranks(fr.synthesis, blocks)):
             if rank != len(blk):
                 raise ContractViolation(
                     f"block {blk} is not linearly independent")
-        return _radohorn(part, None)
+        return _radohorn(blocks, None)
     subset = _index_subset(res["witness"]["subset"], fr.M,
                            range(1, fr.M + 1), "witness subset")
     witness = _rado_horn_witness(fr, subset)

@@ -143,7 +143,7 @@ def test_criterion_04_mass_partition():
             for r in (2, 3, 4):
                 res = wkhb_partition(a, r, seed=trial)
                 assert res["certified"]
-                labels = res["partition"].block_of
+                labels = res["labels"]
                 onehot = np.zeros((30, r))
                 onehot[np.arange(30), labels] = 1.0
                 masses = a @ onehot
@@ -184,7 +184,7 @@ def test_criterion_06_spanning_partitions():
             fr = parseval_normalize(gen_harmonic_frame(n, n * k))
             ok, part, _ = rado_horn_check(fr, k)
             assert ok
-            blocks = [blk for blk in part.blocks() if blk]
+            blocks = [blk for blk in part if blk]
             assert len(blocks) == k
             for blk in blocks:
                 assert len(blk) == n

@@ -36,7 +36,7 @@ from pavekit.harmonic import montgomery_vaughan_theta
 from pavekit.reports import canonical_json, load_report, verify
 from report_cases import commands
 
-FINITE_EDGES = ("0", "-1", "1e308")
+FINITE_EDGES = ("0", "-1", "1e308", "-1e308", "5e-324")
 NOT_FINITE = ("nan", "inf", "-inf", "1e999", "x")
 
 
@@ -89,6 +89,8 @@ def test_every_float_option_keeps_the_exit_contract(tmp_path):
                 assert code in (0, 2, 3), (run, code, err)
                 if value in NOT_FINITE:
                     assert code == 2 and "not a finite number" in err, run
+                else:       # writing a report changes no exit code
+                    assert _run(run[:-2])[0] == code, (run, code, err)
                 assert rep.exists() == (code == 0), (run, code, err)
                 if code == 0:
                     text = rep.read_text()
@@ -156,6 +158,27 @@ def test_mv_theta_budget_raises_before_allocating():
     for t_len, quad_n in ((1e308, None), (math.inf, None), (2.0, 10**12)):
         with pytest.raises(BudgetExceeded):
             montgomery_vaughan_theta([0.0, 1.0], [1.0, 1.0], t_len, quad_n)
+
+
+@pytest.mark.parametrize("report", [False, True])
+def test_underflowing_values_exit_2_naming_the_option(tmp_path, report):
+    """A tp1 --delta whose square underflows or whose B s / delta^2
+    overflows, a kadec --gamma that makes L infinite minus infinite, and an
+    mv-theta --quad-n below 1 where 64 t max|lambda| underflows to 0 exit 2,
+    with or without a report to write, naming the option."""
+    tp1 = commands(tmp_path)["tp1"]
+    runs = [(_with_option(tp1, "--delta", d), "--delta")
+            for d in ("5e-324", "1e-300", "1e-160")]
+    runs.append((["kadec", "--a", "1", "--b", "2", "--gamma", "5e-324",
+                  "--delta", "0"], "--gamma"))
+    runs += [(["mv-theta", "--freqs", "0,1e-10", "--coeffs", "1,1",
+               "--t-len", "5e-324", "--quad-n", n], "--quad-n")
+             for n in ("0", "-1")]
+    rep = tmp_path / "report.json"
+    for run, option in runs:
+        code, err = _run(run + ["--report", str(rep)] if report else run)
+        assert code == 2 and err.startswith(f"error: {option} "), (run, err)
+        assert not rep.exists()
 
 
 OVER = (ENTRY_BUDGET + 1, math.isqrt(ENTRY_BUDGET) + 1, 10**30)

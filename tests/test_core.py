@@ -7,7 +7,7 @@ from oracles import count_partitions
 from pavekit.core import (
     ContractViolation,
     Frame,
-    Partition,
+    check_blocks,
     ensure_matrix,
     enumerate_partitions,
     frame_from_json,
@@ -16,6 +16,7 @@ from pavekit.core import (
     gen_random_projection,
     gen_random_unit_frame,
     is_hermitian,
+    label_blocks,
     matrix_from_json,
     matrix_to_json,
     numeric_rank,
@@ -39,9 +40,15 @@ def test_enumeration_matches_counts_and_is_canonical():
     for m in range(1, 8):
         for r in range(1, 5):
             seen = set()
-            for p in enumerate_partitions(m, r):
-                lab = p.block_of
-                assert len(lab) == m and lab[0] == 0
+            for blocks in enumerate_partitions(m, r):
+                lab = [0] * m
+                for b, blk in enumerate(blocks):
+                    assert blk and blk == sorted(blk)
+                    for i in blk:
+                        lab[i] = b
+                lab = tuple(lab)
+                assert sorted(sum(blocks, [])) == list(range(m))
+                assert lab[0] == 0
                 # restricted growth: each new label exceeds the running max by 1
                 top = 0
                 for x in lab:
@@ -52,18 +59,21 @@ def test_enumeration_matches_counts_and_is_canonical():
             assert len(seen) == count_partitions(m, r)
 
 
-def test_partition_blocks_roundtrip():
-    p = Partition.from_blocks([[0, 2], [1], [3, 4]])
-    assert p.blocks() == [[0, 2], [1], [3, 4]]
-    assert p.M == 5 and p.r == 3
-    q = Partition.from_json(p.to_json(), 5)
-    assert q.block_of == p.block_of
+def test_label_blocks_drops_empty_labels_in_first_appearance_order():
+    assert label_blocks([2, 0, 2, 1, 0]) == [[0, 2], [1, 4], [3]]
+    assert label_blocks((0,)) == [[0]]
+
+
+def test_check_blocks():
+    blocks = [[0, 2], [1], [3, 4]]
+    assert check_blocks(blocks, 5) == blocks
+    assert check_blocks([[4, 3], [1], [2, 0]], 5) == [[3, 4], [1], [0, 2]]
     with pytest.raises(ContractViolation):
-        Partition.from_json(p.to_json(), 4)       # names index 4 of 0..3
+        check_blocks(blocks, 4)                   # names index 4 of 0..3
     with pytest.raises(ContractViolation):
-        Partition.from_blocks([[0, 1], [1, 2]])   # overlap
+        check_blocks([[0, 1], [1, 2]], 3)         # overlap
     with pytest.raises(ContractViolation):
-        Partition.from_blocks([[0], [2]])         # gap
+        check_blocks([[0], [2]], 3)               # gap
 
 
 def test_random_unit_frame_deterministic_and_unit():

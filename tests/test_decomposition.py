@@ -8,7 +8,7 @@ from frame_cases import oracle_frames
 from pavekit.core import (
     ContractViolation,
     Frame,
-    Partition,
+    check_blocks,
     gen_harmonic_frame,
     gen_random_unit_frame,
     numeric_rank,
@@ -148,8 +148,9 @@ def test_rado_horn_check():
             assert ok == within(worst, r), (fr.synthesis, r)
             verdicts.add(ok)
             if ok:
-                assert witness is None and part.M == fr.M and part.r <= r
-                for blk in part.blocks():
+                assert witness is None and len(part) <= r
+                assert check_blocks(part, fr.M) == part
+                for blk in part:
                     assert numeric_rank(fr.synthesis[:, blk]) == len(blk)
             else:
                 sub = witness["subset"]
@@ -163,8 +164,8 @@ def test_rado_horn_partition_blocks_independent():
     for n, k in [(2, 2), (3, 2)]:
         fr = parseval_normalize(gen_harmonic_frame(n, k * n))
         ok, part, witness = rado_horn_check(fr, k)
-        assert ok and witness is None and part.r == k
-        for blk in part.blocks():
+        assert ok and witness is None and len(part) == k
+        for blk in part:
             assert len(blk) == n
             assert numeric_rank(fr.synthesis[:, blk]) == n
 
@@ -238,7 +239,7 @@ def test_is_large():
 
 def test_full_space_singleton_blocks_give_basis_vectors():
     full = Subspace(np.eye(4))
-    p = Partition.from_blocks([[i] for i in range(4)])
+    p = [[i] for i in range(4)]
     ok, ranks = is_r_decomposable(full, p)
     assert ok and ranks == [1, 1, 1, 1]
     for entry in decomposition_vectors(full, p):
@@ -253,7 +254,7 @@ def test_decomposition_vectors_stay_in_subspace():
     rng = np.random.default_rng(3)
     q, _ = np.linalg.qr(rng.standard_normal((3, 2)))
     sub = Subspace(q)
-    p = Partition.from_blocks([[0], [1, 2]])
+    p = [[0], [1, 2]]
     ok, _ = is_r_decomposable(sub, p)
     if not ok:
         pytest.skip("random subspace degenerate for this seed")
@@ -268,6 +269,6 @@ def test_decomposition_vectors_stay_in_subspace():
 
 def test_non_decomposable_raises():
     sub = Subspace(np.array([[1.0], [0.0], [0.0]]))
-    p = Partition.from_blocks([[0, 1], [2]])
+    p = [[0, 1], [2]]
     with pytest.raises(ContractViolation):
         decomposition_vectors(sub, p)

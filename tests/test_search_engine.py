@@ -44,7 +44,7 @@ def _scan(m, r_max, cost):
     best = None
     for p in enumerate_partitions(m, r_max):
         per = []
-        for blk in p.blocks():
+        for blk in p:
             key = tuple(blk)
             if key not in cache:
                 cache[key] = cost(blk)
@@ -75,7 +75,7 @@ def _parseval_harmonic(n, m):
 
 def _check(rep_partition, achieved, evaluated, m, r, oracle):
     want_val, want_part = oracle
-    assert rep_partition == want_part.to_json()
+    assert rep_partition == {"blocks": want_part}
     assert achieved == want_val
     assert 1 <= evaluated <= count_partitions(m, r)
 
@@ -171,7 +171,7 @@ def test_ccc_matches_scan(r):
             w = np.linalg.eigvalsh(0.5 * (sub + sub.conj().T))
             return float(max(w[-1], 0.0))
 
-        _check(part.to_json(), achieved, evaluated, fr.M, r,
+        _check({"blocks": part}, achieved, evaluated, fr.M, r,
                _scan(fr.M, r, cost))
 
 
@@ -249,8 +249,8 @@ def _predicate_scan(fr, r_max, lo_target, hi_target):
 
     for rr in range(1, r_max + 1):
         for p in enumerate_partitions(fr.M, rr):
-            if all(ok(b) for b in p.blocks()):
-                return p.to_json()
+            if all(ok(b) for b in p):
+                return {"blocks": p}
     return None
 
 

@@ -123,6 +123,18 @@ FORGERIES = {
     "dilate-rank": ("dilate", lambda r: r.update(rank=2)),
     "erasure-identity-checked": ("erasure",
                                  lambda r: _flip(r, "identity_checked")),
+    # delta * delta underflows to 0 where B s / delta^2 is formed
+    "tp1-delta-underflow": ("tp1", lambda r: r.update(delta_target=5e-324)),
+    # stored partitions that check_blocks refuses: the pave case has M = 6,
+    # and the weaver one stays within its 3 blocks
+    "pave-index-m": ("pave", lambda r: r["partition"]["blocks"][-1].append(6)),
+    "radohorn-duplicate-index": ("radohorn", lambda r: r["partition"][
+        "blocks"][-1].append(0)),
+    "weaver-empty-block": ("weaver", lambda r: r["partition"].update(
+        blocks=[[0, 1, 2, 3, 4], [], [5, 6]])),
+    "riesz-true-index": ("riesz", lambda r: r["partition"].update(
+        blocks=[[True if i == 1 else i for i in blk]
+                for blk in r["partition"]["blocks"]])),
 }
 
 
@@ -169,6 +181,12 @@ PAYLOAD_FORGERIES = {
     # over the quadrature budget: verify reports it instead of raising
     "mv-theta-huge-t-len": ("mv-theta", lambda p: p["config"].update(
         t_len=1e308)),
+    # 64 t max|lambda| underflows to 0, so only quad_n sets the panels
+    "mv-theta-quad-n-zero": ("mv-theta", lambda p: p["config"].update(
+        quad_n=0, t_len=1e-300, freqs=[0, 1e-30, 2e-30])),
+    # pi / (4 gamma) - asin(...) / gamma is inf - inf
+    "kadec-gamma-underflow": ("kadec", lambda p: p["config"].update(
+        gamma=5e-324, delta=0.0)),
     # config and results as a phase run with --trials -1 used to write them
     "phase-negative-trials": ("phase", lambda p: (
         p["config"].update(trials=-1),
