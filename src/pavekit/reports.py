@@ -524,17 +524,16 @@ def _verify_mv_theta(payload, _):
 
 
 def _verify_dilate(payload, original):
-    """Holds the stored projection, embedding and family to the producer's
+    """Holds the input and the stored completion to the producer's
     certificate instead of re-running the dilation, and hands the checked
-    matrices back as stored."""
+    columns back as stored."""
     mode = payload["config"].get("mode")
     if mode not in ("naimark", "operator"):
         raise ContractViolation("dilate mode must be naimark or operator")
-    res = payload["results"]
-    keys = ("projection", "embedding", "frame")
-    got = _dilation_results(mode, original,
-                            *(matrix_from_json(res[key]) for key in keys))
-    got.update((key, res[key]) for key in keys)
+    added = payload["results"]["added_vectors"]
+    got = _dilation_results(
+        mode, original, None if added is None else matrix_from_json(added))
+    got["added_vectors"] = added
     return got
 
 

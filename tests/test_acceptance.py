@@ -53,6 +53,15 @@ def criterion(num, name):
     print(f"[criterion {num:02d}] {name}: PASS", flush=True)
 
 
+def _dilation(original, dil):
+    """The projection P = F* F and the embedding E = F* of the Parseval
+    family F = [input | added_vectors] a dilation stores."""
+    added = dil["added_vectors"]
+    f = original if added is None else \
+        np.hstack([original, matrix_from_json(added)])
+    return f.conj().T @ f, f.conj().T
+
+
 def test_criterion_01_projection_dilation():
     with criterion(1, "tight families dilate to coordinate projections"):
         start = time.perf_counter()
@@ -64,7 +73,10 @@ def test_criterion_01_projection_dilation():
             fr = parseval_normalize(
                 gen_random_unit_frame(n, m, seed=trial, field=field))
             dil = naimark_dilate(fr)
-            p = matrix_from_json(dil["projection"])
+            p, _ = _dilation(fr.synthesis, dil)
+            assert np.max(np.abs(p - gram_matrix(fr))) <= 1e-12
+            assert np.max(np.abs(p - p.conj().T)) <= 1e-10
+            assert abs(np.trace(p).real - n) <= 1e-8
             assert np.linalg.norm(p @ p - p) <= 1e-9
             assert np.linalg.matrix_rank(p) == n
             ips = p.conj().T @ p          # entry (i, j) is <P e_i, P e_j>
@@ -83,8 +95,11 @@ def test_criterion_02_operator_dilation():
             t = x / np.linalg.norm(x, 2)
             dil = dilate_operator(t)
             assert dil["ambient_dim"] == 2 * n - 1
-            p, emb = (matrix_from_json(dil[key])
-                      for key in ("projection", "embedding"))
+            p, emb = _dilation(t, dil)
+            assert np.max(np.abs(p - p.conj().T)) <= 1e-10
+            assert np.linalg.norm(p @ p - p) <= 1e-9
+            assert abs(np.trace(p).real - n) <= 1e-8
+            assert np.linalg.matrix_rank(p) == n
             for i in range(n):
                 assert np.linalg.norm(p[:, i] - emb @ t[:, i]) <= 1e-9
 

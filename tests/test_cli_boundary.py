@@ -409,8 +409,10 @@ def test_huge_integer_options_keep_the_exit_contract_without_allocating(
 def test_square_products_of_an_input_keep_the_entry_budget(tmp_path):
     """The n x n frame operator and the M x M Gram matrix are priced against
     core.ENTRY_BUDGET before they are multiplied: n = 20000 exits 3 in
-    analyze, erasure and dilate, and M = 20000 in ric, weaver, decompose
-    and dilate, without allocating the 3.2 GB product in the 1 GB child."""
+    analyze, erasure and dilate, and M = 20000 in ric, weaver and
+    decompose, without allocating the 3.2 GB product in the 1 GB child.
+    dilate builds no M x M matrix, so a 1 x 20000 Parseval row dilates
+    in the same child, within the same peak, to a report that verifies."""
     tall = np.zeros((20000, 1))
     tall[0, 0] = 1.0
     inputs = {"tall": tall, "wide": np.ones((1, 20000)),
@@ -418,24 +420,27 @@ def test_square_products_of_an_input_keep_the_entry_budget(tmp_path):
     for name, a in inputs.items():
         (tmp_path / name).write_text(canonical_json(matrix_to_json(a)))
     product = {"tall": "20000x20000 frame operator",
-               "wide": "20000x20000 Gram matrix",
-               "parseval": "20000x20000 Gram matrix"}
+               "wide": "20000x20000 Gram matrix"}
     runs = [("tall", ["analyze"]), ("tall", ["erasure", "--k", "0"]),
             ("tall", ["dilate"]), ("wide", ["ric", "--s", "1"]),
             ("wide", ["weaver", "--bessel", "4", "--epsilon", "0.5",
                       "--r-max", "3"]),
             ("wide", ["decompose", "--criterion", "riesz", "--epsilon",
-                      "0.9", "--r-max", "3"]),
-            ("parseval", ["dilate"])]
+                      "0.9", "--r-max", "3"])]
     argvs = [argv + ["--input", str(tmp_path / name),
                      "--report", str(tmp_path / f"{i}.report.json")]
              for i, (name, argv) in enumerate(runs)]
-    for (name, _), argv, (code, err, peak, _) in \
-            zip(runs, argvs, _child_runs(argvs)):
+    parseval = ["dilate", "--input", str(tmp_path / "parseval"),
+                "--report", str(tmp_path / "parseval.report.json")]
+    *over, dilated = _child_runs(argvs + [parseval])
+    for (name, _), argv, (code, err, peak, _) in zip(runs, argvs, over):
         assert code == 3 and peak < 2**24, (argv, code, err, peak)
         assert f"budget exceeded: the {product[name]} of 400000000 " \
             "entries exceeds" in err, (argv, err)
         assert not os.path.exists(argv[-1]), argv
+    code, err, peak, _ = dilated
+    assert code == 0 and peak < 2**24, (parseval, code, err, peak)
+    assert verify(parseval[-1]) == (True, [])
 
 
 # ---------------------------------------------------------------------------

@@ -209,51 +209,61 @@ def test_forged_payload_field_fails_verify(cases, tmp_path, capsys, forgery):
     assert out["verified"] is False and out["reasons"], case
 
 
-def _rank_two(p, emb, fam):
-    """The compression of fam to a 2-dimensional subspace of its span, an
-    orthogonal projection equal to its embedding times fam, of trace 2."""
-    emb = fam.T @ np.diag([1.0, 1.0, 0.0])
-    return emb @ fam, emb, fam
+def _scaled(res):
+    added = matrix_from_json(res["added_vectors"])
+    res["added_vectors"] = matrix_to_json((1 + 1e-6) * added)
 
 
-# Each breaks one property of the dilation certificate of the naimark
-# report, a 3x6 Parseval family, and keeps the others: (the projection,
-# embedding and family it stores instead, the reason verify must give).
+def _row_dropped(res):
+    added = matrix_from_json(res["added_vectors"])
+    res["added_vectors"] = matrix_to_json(added[1:])
+
+
+# Each forges the completion a dilation report stores, F = [input |
+# added_vectors] being the whole certificate: (case, the edit of its
+# results, the reason verify must give).  The naimark case is a 3x6
+# Parseval family and the operator case a norm-one 3x3 operator, completed
+# by 2 columns.
 CERTIFICATE_FORGERIES = {
-    "hermitian": (lambda p, emb, fam: (p + 5e-9 * np.eye(6, k=1), emb, fam),
-                  "dilation projection is not Hermitian"),
-    "idempotent": (lambda p, emb, fam: ((1 + 1e-7) * p, (1 + 1e-7) * emb,
-                                        fam),
-                   "dilation projection is not idempotent"),
-    "embedding": (lambda p, emb, fam: (p, emb + 1e-7 * np.eye(6, 3), fam),
-                  "projection is not embedding @ family"),
-    "input-columns": (lambda p, emb, fam: (p, emb, fam + 1e-10 * np.eye(3, 6)),
-                      "dilated family does not extend the input columns"),
-    "trace": (_rank_two, "projection trace does not match the rank"),
+    "not-parseval": ("dilate-operator", _scaled,
+                     "dilated family is not Parseval"),
+    "dropped-row": ("dilate-operator", _row_dropped,
+                    "dilation shapes do not match the input"),
+    # a zero column keeps F Parseval, but naimark adds none
+    "naimark-extra-column": ("dilate", lambda r: r.update(
+        added_vectors=matrix_to_json(np.zeros((3, 1)))),
+        "dilation shapes do not match the input"),
+    "operator-null": ("dilate-operator",
+                      lambda r: r.update(added_vectors=None),
+                      "dilation shapes do not match the input"),
+    # a plain list of rows, not a matrix object: refused as a contract
+    # violation, not escaped as an exception
+    "non-matrix": ("dilate", lambda r: r.update(
+        added_vectors=[[0.0], [0.0], [0.0]]),
+        "malformed matrix JSON: list indices must be integers or slices, "
+        "not str"),
 }
 
 
 @pytest.mark.parametrize("forgery", CERTIFICATE_FORGERIES)
 def test_forged_dilation_certificate_fails_verify(cases, forgery):
-    edit, reason = CERTIFICATE_FORGERIES[forgery]
-    doc = load_report(str(cases["dilate"]))
-    res = doc["payload"]["results"]
-    keys = ("projection", "embedding", "frame")
-    forged = edit(*(matrix_from_json(res[key]) for key in keys))
-    res.update((key, matrix_to_json(m)) for key, m in zip(keys, forged))
+    case, edit, reason = CERTIFICATE_FORGERIES[forgery]
+    doc = load_report(str(cases[case]))
+    edit(doc["payload"]["results"])
     assert verify(doc) == (False, [reason])
 
 
 def test_dilation_of_the_wrong_shape_fails_verify(tmp_path):
-    """For the Parseval row (1/2, 1/2, 1/2, 1/2), a 1x1 projection [1] with
-    embedding 2 * ones(4, 1) meets every other bound by broadcasting."""
+    """The Parseval row (1/2, 1/2, 1/2, 1/2) relabeled as an operator
+    dilation: F = [row] is Parseval and adds n - 1 = 0 columns, so only the
+    rule that operator mode takes a square input refuses it."""
     row, rep = tmp_path / "row.json", tmp_path / "report.json"
     row.write_text(canonical_json(matrix_to_json(np.full((1, 4), 0.5))))
     assert main(["dilate", "--input", str(row), "--report", str(rep)]) == 0
     doc = load_report(str(rep))
-    doc["payload"]["results"].update(
-        ambient_dim=1, projection=matrix_to_json(np.ones((1, 1))),
-        embedding=matrix_to_json(np.full((4, 1), 2.0)))
+    doc["payload"]["config"]["mode"] = "operator"
+    doc["payload"]["results"]["meta"].update(
+        mode="operator", norm_one=True, operator_norm=1.0)
     assert verify(doc) == (False, ["dilation shapes do not match the input"])
 
 
