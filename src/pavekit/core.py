@@ -158,12 +158,17 @@ def block_spectra(a, subsets, frame=False):
         size = a.itemsize * (n * max(n, k) if frame else k * k)
         for chunk in stacks(run, size):
             idx = np.array(chunk, dtype=np.intp).reshape(len(chunk), k)
-            if frame:
-                t = a[:, idx].transpose(1, 0, 2)
-                blocks = t @ t.conj().transpose(0, 2, 1)
-            else:
-                blocks = _principal(a, idx)
-            yield idx, np.linalg.eigvalsh(blocks)
+            yield idx, stack_spectra(a, idx, frame)
+
+
+def stack_spectra(a, idx, frame=False):
+    """The (B, d) spectra block_spectra gives the rows of the (B, k) index
+    array idx, by one eigvalsh: the caller keeps B within
+    BLOCK_STACK_BYTES, as block_spectra does."""
+    if frame:
+        t = a[:, idx].transpose(1, 0, 2)
+        return np.linalg.eigvalsh(t @ t.conj().transpose(0, 2, 1))
+    return np.linalg.eigvalsh(_principal(a, idx))
 
 
 def _principal(a, idx):
@@ -174,9 +179,10 @@ def _principal(a, idx):
 
 def block_spectrum(a, subset, frame=False):
     """block_spectra of one subset; a principal block takes one eigvalsh."""
+    idx = np.array(subset, dtype=np.intp)
     if frame:  # stacked: a 2-d product may take another BLAS route and bits
-        return next(block_spectra(a, [subset], frame))[1][0]
-    return np.linalg.eigvalsh(_principal(a, np.array(subset, dtype=np.intp)))
+        return stack_spectra(a, idx[None], frame)[0]
+    return np.linalg.eigvalsh(_principal(a, idx))
 
 
 def block_norm(a, subset):
@@ -212,30 +218,41 @@ def subset_ranks(t, subsets):
 
 
 def hyperplane_flats(t, subsets):
-    """The (B, M) rows "subset_ranks gives [S, f_i] rank n - 1" of the
-    (n - 1)-subsets S of the n x M array t, each already of rank n - 1.
+    """(good, rows) for the (n - 1)-subsets S of the n x M array t: good
+    says which S subset_ranks gives rank n - 1, and rows holds, for those
+    S in order, the (G, M) rows "subset_ranks gives [S, f_i] rank n - 1".
 
-    One svd with U per call gives the unit normal nu of each span S (U's
-    last column), and one product nu @ t its distance |nu . f_i| to each
-    vector.  For A = [S, f_i], sigma_n(A) <= |nu . f_i| and, from |det A| =
-    |nu . f_i| prod sigma(S), sigma_n(A) >= |nu . f_i| prod sigma(S) /
-    sigma_max(A)^(n - 1), while sigma_(n-1)(A) >= sigma_(n-1)(S) by
-    interlacing.  A test is decided from these bounds only where they clear
-    subset_ranks' cutoff RANK_TOL * n * sigma_max(A) by a factor of 2 after
-    LAPACK's rounding (err * sigma_max) and the error of the computed normal
-    (err * |f_i| sigma_max(S) / sigma_(n-1)(S)); the band between goes to
-    subset_ranks itself, so every row is the one it would give.  With
-    n = 1, S is empty and U is 1 x 1, so the bounds read |f_i| alone.
+    One svd with U per call decides both.  S has rank n - 1 where its
+    sigma_(n-1) clears the cutoff RANK_TOL * n * sigma_max by a factor of 2
+    after LAPACK's rounding (err * sigma_max), and rank below n - 1 where
+    it lies under half the cutoff; U's last column is the unit normal nu of
+    each span S of rank n - 1, and one product nu @ t its distance
+    |nu . f_i| to each vector.  For A = [S, f_i], sigma_n(A) <= |nu . f_i|
+    and, from |det A| = |nu . f_i| prod sigma(S), sigma_n(A) >=
+    |nu . f_i| prod sigma(S) / sigma_max(A)^(n - 1), while sigma_(n-1)(A)
+    >= sigma_(n-1)(S) by interlacing.  A flat test is decided from these
+    bounds only where they clear subset_ranks' cutoff RANK_TOL * n *
+    sigma_max(A) by a factor of 2 after rounding and the error of the
+    computed normal (err * |f_i| sigma_max(S) / sigma_(n-1)(S)).  Either
+    band between goes to subset_ranks itself, so every answer is the one it
+    would give.  With n = 1, S is empty, of rank 0, and U is 1 x 1, so the
+    bounds read |f_i| alone.
     """
     n, m = t.shape
     err, tol = 64 * n * np.finfo(t.dtype).eps, RANK_TOL * n
     idx = np.array(subsets, dtype=np.intp).reshape(len(subsets), n - 1)
     u, s, _ = np.linalg.svd(t[:, idx].transpose(1, 0, 2))
-    smax = s.max(axis=1, initial=0.0)[:, None]       # (B, 1)
-    smin = s.min(axis=1, initial=np.inf)[:, None]    # inf when n = 1
+    smax = s.max(axis=1, initial=0.0)
+    smin = s.min(axis=1, initial=np.inf)             # inf when n = 1
+    good = smin - err * smax > 2.0 * tol * smax * (1.0 + err)
+    band = ~good & ~(2.0 * (smin + err * smax) <= tol * smax * (1.0 - err))
+    if band.any():
+        good[band] = subset_ranks(t, idx[band]) == n - 1
+    idx, u, s = idx[good], u[good], s[good]
+    smax, smin = smax[good, None], smin[good, None]  # (G, 1)
     es = err * smax
     norms = np.linalg.norm(t, axis=0)                # (M,)
-    dist = np.abs(u[:, :, -1] @ t)                   # (B, M)
+    dist = np.abs(u[:, :, -1] @ t)                   # (G, M)
     dist_err = err * norms * (1.0 + smax / (smin - es))
     amax_hi = np.hypot(smax, norms) * (1.0 + err)    # >= sigma_max(A)
     ea = err * amax_hi
@@ -250,7 +267,7 @@ def hyperplane_flats(t, subsets):
     if band.size:
         inside[band[:, 0], band[:, 1]] = subset_ranks(
             t, np.column_stack((idx[band[:, 0]], band[:, 1]))) == n - 1
-    return inside
+    return good, inside
 
 
 # ---------------------------------------------------------------------------

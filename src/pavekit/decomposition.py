@@ -35,6 +35,7 @@ from .core import (
     ensure_unit_norm,
     label_blocks,
     numeric_rank,
+    subset_ranks,
     within,
 )
 from .frames import gram_matrix
@@ -304,15 +305,16 @@ def _rado_horn_witness(fr, subset):
             "ratio": size / rank if rank else None}
 
 
-def _independent(fr, cache, blk):
-    key = frozenset(blk)
-    if key not in cache:
-        if not key:
-            cache[key] = True
-        else:
-            cols = sorted(key)
-            cache[key] = numeric_rank(fr.synthesis[:, cols]) == len(cols)
-    return cache[key]
+def _price(fr, cache, sets):
+    """Enter in cache, keyed by frozenset, whether each index set in sets
+    is linearly independent: the sets it lacks, ascending and sorted by
+    size, take one subset_ranks call, which gives each the rank a lone
+    numeric_rank would."""
+    new = sorted(map(sorted, {frozenset(s) for s in sets} - cache.keys()),
+                 key=lambda s: (len(s), s))
+    if new:
+        for s, rank in zip(new, subset_ranks(fr.synthesis, new)):
+            cache[frozenset(s)] = rank == len(s)
 
 
 def _exchange_chains(fr, r):
@@ -325,16 +327,19 @@ def _exchange_chains(fr, r):
     the search reached.  Each block spans J, because every member of J
     outside a block closes a circuit in it whose members were all reached.
     So |J| = 1 + r * rank J, a violation of Rado-Horn.  Past M blocks, r
-    adds nothing: at most M blocks are ever filled.
+    adds nothing: at most M blocks are ever filled.  Each step of the
+    search prices all its candidate sets, every block without x plus x and
+    that block's swaps blk - y + x, by one _price call before it reads
+    them in order, and so does the independence check of each placement.
     """
     if r < 1:
         raise ContractViolation("need r >= 1")
     blocks = [[] for _ in range(min(r, fr.M))]
     where = {}
-    cache = {}
+    cache = {frozenset(): True}
 
     def indep(blk):
-        return _independent(fr, cache, blk)
+        return cache[frozenset(blk)]
 
     for e in range(fr.M):
         parent = {e: None}        # element -> (displacer, block it vacates)
@@ -342,6 +347,10 @@ def _exchange_chains(fr, r):
         terminal = None
         while queue and terminal is None:
             x = queue.pop(0)
+            grown = [blk + [x] for blk in blocks if x not in blk]
+            _price(fr, cache, grown + [[z for z in blk if z != y]
+                                       for blk in grown for y in blk[:-1]
+                                       if y not in parent])
             for b, blk in enumerate(blocks):
                 if x in blk:
                     continue
@@ -368,6 +377,7 @@ def _exchange_chains(fr, r):
             else:
                 x, b = link[0], link[1]
         # the chain vacated exactly the slots it refilled; assert anyway
+        _price(fr, cache, blocks)
         for blk in blocks:
             if not indep(blk):
                 raise ContractViolation("exchange chain broke independence")

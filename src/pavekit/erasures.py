@@ -20,10 +20,9 @@ from .core import (
     TRIAL_BUDGET,
     BudgetExceeded,
     ContractViolation,
-    block_spectra,
-    block_spectrum,
     hyperplane_flats,
     numeric_rank,
+    stack_spectra,
     stacks,
     subset_ranks,
 )
@@ -43,10 +42,13 @@ def _erasure_results(k, parseval, worst, subset, scanned, value_max):
 
 
 def _surviving_lower(fr, erased):
-    keep = [i for i in range(fr.M) if i not in erased]
-    if not keep:
-        return 0.0
-    return float(max(block_spectrum(fr.synthesis, keep, frame=True)[0], 0.0))
+    """The lower frame bound left after erasing each row of the (B, k)
+    index array erased, as erasure_robustness prices it."""
+    keep = _complements(erased, fr.M)
+    if not keep.shape[1]:
+        return np.zeros(len(erased))
+    return np.maximum(stack_spectra(fr.synthesis, keep, frame=True)[:, 0],
+                      0.0)
 
 
 def _complements(idx, m):
@@ -70,15 +72,13 @@ def erasure_robustness(fr, k):
         raise BudgetExceeded(f"{total} erasure patterns exceed the budget")
     parseval = _is_parseval(fr)
     g = gram_matrix(fr) if parseval else None
-    m = fr.M
-    keeps = (tuple(i for i in range(m) if i not in erased)
-             for erased in itertools.combinations(range(m), k))
     vmin, vmax, worst_subset, scanned = math.inf, -math.inf, [], 0
-    for keep, w in block_spectra(fr.synthesis, keeps, frame=True):
-        erased, val = _complements(keep, m), np.maximum(w[:, 0], 0.0)
+    for chunk in stacks(itertools.combinations(range(fr.M), k),
+                        fr.synthesis.itemsize * fr.n * max(fr.n, fr.M - k)):
+        erased = np.array(chunk, dtype=np.intp).reshape(len(chunk), k)
+        val = _surviving_lower(fr, erased)
         if parseval and k > 0:
-            via_complement = 1.0 - np.concatenate(
-                [top[:, -1] for _, top in block_spectra(g, erased)])
+            via_complement = 1.0 - stack_spectra(g, erased)[:, -1]
             bad = np.flatnonzero(np.abs(via_complement - val) > 1e-9)
             if bad.size:
                 i = bad[0]
@@ -107,27 +107,29 @@ def _complement_witness(t):
     A failing bipartition can be grown until one side is a flat of rank
     n - 1, so the candidates are the flats F = {i : [S, f_i] has rank
     n - 1} of the (n - 1)-subsets S of rank n - 1: C(M, n - 1) of them,
-    not 2^(M - 1).  Ranks follow numeric_rank's cutoff throughout: the
-    ranks of S and of each flat and its rest come from subset_ranks, and
-    the flat tests from hyperplane_flats, which decides them from one
-    normal vector per S and hands the undecided ones to subset_ranks.
-    Stacks of S, sized so their U's and (B, M, n) bound arrays fill a
-    quarter of BLOCK_STACK_BYTES, take one call of each.
+    not 2^(M - 1).  Ranks follow numeric_rank's cutoff throughout:
+    hyperplane_flats decides the rank of each S and its flat tests from one
+    svd per stack of S, and hands the undecided ones to subset_ranks.  A
+    side of fewer than n members cannot span; the wider flats and rests of
+    a stack take one subset_ranks call.  Stacks of S, sized so their U's
+    and (B, M, n) bound arrays fill a quarter of BLOCK_STACK_BYTES, take
+    one call of each.
     """
     (n, m), seen = t.shape, set()
     for chunk in stacks(itertools.combinations(range(m), n - 1),
                         4 * t.itemsize * n * (n + m)):
-        good = [s for s, r in zip(chunk, subset_ranks(t, chunk)) if r == n - 1]
-        rows = hyperplane_flats(t, good)
+        rows = hyperplane_flats(t, chunk)[1]
         pairs = [p for p in dict.fromkeys(zip(_true_columns(rows),
                                               _true_columns(~rows)))
                  if p[0] not in seen]
-        flats, rests = [p[0] for p in pairs], [p[1] for p in pairs]
-        seen.update(flats)
-        low = subset_ranks(t, flats + rests).reshape(2, len(flats)) < n
-        for flat, rest in itertools.compress(zip(flats, rests), low.all(0)):
-            side, comp = (flat, rest) if 0 in flat else (rest, flat)
-            return {"side": list(side), "complement": list(comp)}
+        seen.update(p[0] for p in pairs)
+        wide = sorted({s for p in pairs for s in p if len(s) >= n},
+                      key=lambda s: (len(s), s))
+        low = dict(zip(wide, subset_ranks(t, wide) < n))
+        for flat, rest in pairs:
+            if low.get(flat, True) and low.get(rest, True):
+                side, comp = (flat, rest) if 0 in flat else (rest, flat)
+                return {"side": list(side), "complement": list(comp)}
     return None
 
 

@@ -634,8 +634,8 @@ def _verify_erasure(payload, fr):
     k = payload["config"]["k"]
     subset = _index_subset(payload["results"]["worst_subset"], fr.M,
                            range(k, k + 1), "worst subset")
-    return _erasure_results(k, _is_parseval(fr),
-                            _surviving_lower(fr, set(subset)), subset,
+    value = float(_surviving_lower(fr, np.array([subset], dtype=np.intp))[0])
+    return _erasure_results(k, _is_parseval(fr), value, subset,
                             math.comb(fr.M, k), UNCHECKED)
 
 

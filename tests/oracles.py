@@ -1,8 +1,11 @@
 """Closed-form counts the partition tests compare the package against, and
-the roll-loop and per-difference routes the grid transforms of
-pavekit.harmonic replaced, kept as second routes."""
+the roll-loop, per-difference and per-set routes that the grid transforms
+of pavekit.harmonic and the Rado-Horn exchange search replaced, kept as
+second routes."""
 
 import numpy as np
+
+from pavekit.core import numeric_rank
 
 
 def count_partitions(M, r):
@@ -45,3 +48,49 @@ def toeplitz_section_by_sums(g, freqs):
              for d in diffs}
     out = np.array([[coeff[a - b] for b in f] for a in f])
     return 0.5 * (out + out.conj().T)
+
+
+def exchange_chains_by_sets(fr, r):
+    """Edmonds' matroid partition as pavekit.decomposition ran it before its
+    search steps were stacked: one numeric_rank per candidate set, in scan
+    order.  (blocks, None) with the nonempty independent blocks, or (None,
+    J) with the elements a stalled search reached."""
+    blocks = [[] for _ in range(min(r, fr.M))]
+    where, cache = {}, {}
+
+    def indep(blk):
+        key = frozenset(blk)
+        if key not in cache:
+            cols = sorted(key)
+            cache[key] = not cols or \
+                numeric_rank(fr.synthesis[:, cols]) == len(cols)
+        return cache[key]
+
+    for e in range(fr.M):
+        parent = {e: None}        # element -> (displacer, block it vacates)
+        queue = [e]
+        terminal = None
+        while queue and terminal is None:
+            x = queue.pop(0)
+            for b, blk in enumerate(blocks):
+                if x in blk:
+                    continue
+                if indep(blk + [x]):
+                    terminal = (x, b)
+                    break
+                for y in blk:
+                    if y not in parent and \
+                            indep([z for z in blk if z != y] + [x]):
+                        parent[y] = (x, b)
+                        queue.append(y)
+        if terminal is None:
+            return None, sorted(parent)
+        x, b = terminal
+        while x is not None:
+            if x in where:
+                blocks[where[x]].remove(x)
+            blocks[b].append(x)
+            where[x] = b
+            x, b = parent[x] if parent[x] is not None else (None, None)
+        assert all(indep(blk) for blk in blocks)
+    return [blk for blk in blocks if blk], None

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from frame_cases import oracle_frames
+from oracles import exchange_chains_by_sets
 import pavekit
 from pavekit import core
 from pavekit.core import (
@@ -32,9 +33,10 @@ from pavekit.core import (
     gen_random_unit_frame,
     numeric_rank,
     operator_norm,
+    stack_spectra,
     subset_ranks,
 )
-from pavekit.decomposition import restricted_isometry
+from pavekit.decomposition import rado_horn_check, restricted_isometry
 from pavekit.erasures import erasure_robustness, phase_retrieval_check
 from pavekit.frames import gram_matrix, parseval_normalize
 
@@ -96,6 +98,20 @@ def test_block_spectra_matches_lone_eigvalsh(monkeypatch, cap):
                 width = a.shape[0] * max(k, a.shape[0]) if frame else k * k
                 assert len(idx) == 1 or \
                     len(idx) * width * a.itemsize <= cap
+
+
+@pytest.mark.parametrize("cap", CAPS)
+def test_stack_spectra_match_block_spectra(monkeypatch, cap):
+    """One stack of every k-subset, frame and principal blocks, gives the
+    bits of block_spectra's stacks, split at the cap or not."""
+    _cap(monkeypatch, cap)
+    for a, frame in _matrices():
+        for k in range(1, 5):
+            subsets = list(itertools.combinations(range(a.shape[1]), k))
+            want = np.concatenate([w for _, w in
+                                   block_spectra(a, subsets, frame)])
+            got = stack_spectra(a, np.array(subsets), frame)
+            assert _bits(got) == _bits(want)
 
 
 def test_block_spectra_keeps_mixed_order():
@@ -217,7 +233,7 @@ def _unit_frames():
 
 def _parseval_frames():
     rng = np.random.default_rng(12)
-    for n, m in ((2, 6), (3, 7)):
+    for n, m in ((2, 6), (3, 7), (5, 20)):   # 5 x 20: the benchmark's shape
         q, _ = np.linalg.qr(rng.standard_normal((m, n)))
         yield Frame(q.T.copy())
     yield parseval_normalize(gen_harmonic_frame(3, 7))
@@ -346,3 +362,58 @@ def test_phase_payloads_do_not_depend_on_stacking(monkeypatch, cap):
     got = [phase_retrieval_check(fr, trials=25, seed=3) for fr in frames]
     assert got == want
     assert {rep["verdict"] for rep in got} == {True, False}
+
+
+def _rado_horn_oracle(fr, r):
+    """rado_horn_check's answer from the per-set exchange search, its
+    witness rank from numeric_rank."""
+    blocks, reached = exchange_chains_by_sets(fr, r)
+    if blocks is not None:
+        return True, [sorted(b) for b in blocks], None
+    rank = numeric_rank(fr.synthesis[:, reached])
+    return False, None, {"subset": reached, "size": len(reached),
+                         "rank": rank,
+                         "ratio": len(reached) / rank if rank else None}
+
+
+@pytest.mark.parametrize("cap", CAPS)
+def test_rado_horn_matches_the_per_set_search(monkeypatch, cap):
+    _cap(monkeypatch, cap)
+    cases = [(fr, r) for fr in oracle_frames(0, 45) for r in range(1, 6)]
+    cases += [(Frame(np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])), 2),
+              (Frame(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])), 2)]
+    wide = gen_random_unit_frame(2, 21, 0)
+    cases += [(wide, 10), (wide, 11)]
+    verdicts = set()
+    for fr, r in cases:
+        got = rado_horn_check(fr, r)
+        assert got == _rado_horn_oracle(fr, r), (fr.synthesis, r)
+        verdicts.add(got[0])
+    assert verdicts == {True, False}
+
+
+def test_subset_scans_take_one_stack_per_step(monkeypatch):
+    """LAPACK calls of each scan on the benchmark's input shapes: erasure
+    (5 x 20 Parseval, k = 3) takes 3 stacks of frame blocks and 3 of Gram
+    blocks; radohorn (4 x 13, r = 4) one rank stack per set size per search
+    step, where it took one svd per set; phase (4 x 13, no trials) the full
+    rank, then one U-svd and one rest-rank stack for each of its 3 stacks
+    of S."""
+    calls = {"eigvalsh": 0, "svd": 0}
+    for name in calls:
+        def counted(*args, _lapack=getattr(np.linalg, name), _name=name,
+                    **kwargs):
+            calls[_name] += 1
+            return _lapack(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    def count(run):
+        calls.update(eigvalsh=0, svd=0)
+        run()
+        return calls["eigvalsh"], calls["svd"]
+
+    q, _ = np.linalg.qr(np.random.default_rng(12).standard_normal((20, 5)))
+    unit = gen_random_unit_frame(4, 13, 5)
+    assert count(lambda: erasure_robustness(Frame(q.T.copy()), 3)) == (6, 0)
+    assert count(lambda: rado_horn_check(unit, 4)) == (0, 44)
+    assert count(lambda: phase_retrieval_check(unit, trials=0)) == (0, 7)

@@ -251,37 +251,48 @@ def _near_cutoff_families():
 
 
 def _witness_and_band(monkeypatch, t):
-    """_complement_witness(t) and the flat tests hyperplane_flats handed to
-    subset_ranks (erasures calls subset_ranks through its own binding)."""
-    band = []
+    """_complement_witness(t) and the counts of flat tests and of S that
+    hyperplane_flats handed to subset_ranks (erasures calls subset_ranks
+    through its own binding)."""
+    n, band = t.shape[0], []
 
     def counted(t, subsets):
         subsets = [tuple(s) for s in subsets]
-        assert all(len(s) == t.shape[0] for s in subsets)
+        assert all(len(s) in (n - 1, n) for s in subsets)
         band.extend(subsets)
         return subset_ranks(t, subsets)
 
     with monkeypatch.context() as patch:
         patch.setattr(core, "subset_ranks", counted)
-        return erasures._complement_witness(t), len(band)
+        witness = erasures._complement_witness(t)
+    sizes = [len(s) for s in band]
+    return witness, sizes.count(n), sizes.count(n - 1)
 
 
-def _flat_rows_oracle(t, good):
+def _flats_oracle(t):
+    """The (n - 1)-subsets S of t, whether each has rank n - 1, and the
+    flat rows of those that do, all from subset_ranks."""
     n, m = t.shape
-    return subset_ranks(t, [(*s, i) for s in good for i in range(m)]) \
+    subsets = list(itertools.combinations(range(m), n - 1))
+    good = [s for s, r in zip(subsets, subset_ranks(t, subsets))
+            if r == n - 1]
+    rows = subset_ranks(t, [(*s, i) for s in good for i in range(m)]) \
         .reshape(len(good), m) == n - 1
+    return subsets, [s in good for s in subsets], rows
+
+
+def _assert_flats(t):
+    subsets, good, rows = _flats_oracle(t)
+    got_good, got_rows = core.hyperplane_flats(t, subsets)
+    assert got_good.tolist() == good, t
+    assert np.array_equal(got_rows, rows), t
 
 
 def test_hyperplane_flats_match_subset_ranks_near_the_cutoff(monkeypatch):
     witnesses = 0
     for t in _near_cutoff_families():
-        n, m = t.shape
-        subsets = list(itertools.combinations(range(m), n - 1))
-        good = [s for s, r in zip(subsets, subset_ranks(t, subsets))
-                if r == n - 1]
-        assert np.array_equal(core.hyperplane_flats(t, good),
-                              _flat_rows_oracle(t, good)), t
-        witness, band = _witness_and_band(monkeypatch, t)
+        _assert_flats(t)
+        witness, band, _ = _witness_and_band(monkeypatch, t)
         assert witness == _complement_witness_oracle(t), t
         assert band > 0, t
         witnesses += witness is not None
@@ -290,14 +301,41 @@ def test_hyperplane_flats_match_subset_ranks_near_the_cutoff(monkeypatch):
 
 def test_hyperplane_flats_on_oracle_frames_and_the_deck_frame(monkeypatch):
     t = gen_random_unit_frame(4, 13, 5).synthesis
-    witness, band = _witness_and_band(monkeypatch, t)
-    assert witness is None and band == 0
+    assert _witness_and_band(monkeypatch, t) == (None, 0, 0)
     for fr in oracle_frames(2, 40):
-        t, n = fr.synthesis, fr.n
-        good = [s for s in itertools.combinations(range(fr.M), n - 1)
-                if subset_ranks(t, [s])[0] == n - 1]
-        assert np.array_equal(core.hyperplane_flats(t, good),
-                              _flat_rows_oracle(t, good)), t
+        _assert_flats(fr.synthesis)
+
+
+def _rank_band_families():
+    """Families with an (n - 1)-subset S of orthogonal columns of length
+    1 and RANK_TOL * n * (1 -+ 1e-3): sigma_(n-1)(S) sits just under and
+    just over S's cutoff RANK_TOL * n * sigma_max, as in
+    test_block_spectra's near-cutoff columns.  The first n - 2 basis
+    columns, the small one, the last basis column and generic vectors."""
+    rng = np.random.default_rng(17)
+    for n in (3, 4):
+        base = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        for off in (1 - 1e-3, 1 + 1e-3):
+            for extra in (0, 1, 3):
+                yield np.column_stack(
+                    [base[:, :n - 2], RANK_TOL * n * off * base[:, n - 2],
+                     base[:, n - 1:], rng.standard_normal((n, extra))])
+
+
+def test_phase_rank_band_matches_the_oracle(monkeypatch):
+    verdicts, ranks = set(), set()
+    for t in _rank_band_families():
+        n = t.shape[0]
+        s = tuple(range(n - 1))
+        ranks.add(n - 1 - int(subset_ranks(t, [s])[0]))
+        _assert_flats(t)
+        _, _, rank_band = _witness_and_band(monkeypatch, t)
+        assert rank_band > 0, t
+        for trials in (0, 9):
+            rep = phase_retrieval_check(Frame(t), trials=trials, seed=2)
+            assert rep == _phase_oracle(Frame(t), trials, 2), t
+            verdicts.add(rep["verdict"])
+    assert ranks == {0, 1} and verdicts == {True, False}
 
 
 def _bits(x):
