@@ -22,35 +22,17 @@ from . import __version__
 from .core import (
     BudgetExceeded,
     ContractViolation,
-    Frame,
     # bound here only for perfbench/test_perfbench.py::
     # test_install_wraps_every_binding_in_pavekit; inputs are decoded by
     # reports._decode
     frame_from_json,
 )
-from .decomposition import (
-    epsilon_riesz_partition,
-    feichtinger_partition,
-    rado_horn_check,
-    restricted_isometry,
-    tp1_partition,
-)
-from .dilation import dilate_operator, naimark_dilate
-from .erasures import erasure_robustness
-from .paving import pave_matrix_check, pave_projection_check, weaver_check
 from .reports import (
+    _BUILDERS,
     _INPUTS,
-    _analyze,
     _decode,
-    _kadec,
-    _mv_theta,
     _object_hash as _object_sha256,  # the name perfbench/tracing.py binds
-    _phase,
-    _radohorn,
-    _regenerate,
-    _ric,
-    _subspace,
-    _toeplitz,
+    _parse_json,
     _write_text as _write_json,  # the name perfbench/tracing.py binds
     input_record,
     make_report,
@@ -70,7 +52,7 @@ def _read_json(path):
     its bytes, so the recorded hash is that of what was parsed."""
     with open(path, "rb") as fh:
         data = fh.read()
-    return json.loads(data), input_record(path, data)
+    return _parse_json(data, path), input_record(path, data)
 
 
 def _finite_float(s):
@@ -85,238 +67,142 @@ def _finite_float(s):
     return x
 
 
-def _parse_ints(s):
-    return [int(x) for x in s.split(",") if x.strip() != ""]
+def _listed(parse, what, sep=","):
+    """argparse type of a list option: the non-blank sep-separated items of
+    its value, each read by parse.  An empty list or an unreadable item
+    exits 2."""
+    def items(s):
+        try:
+            xs = [parse(x) for x in s.split(sep) if x.strip()]
+        except (ValueError, argparse.ArgumentTypeError):
+            xs = None
+        if not xs:
+            raise argparse.ArgumentTypeError(
+                f"{s!r} is not a list of {what} separated by {sep!r}")
+        return xs
+    return items
 
 
-def _parse_floats(s):
-    return [float(x) for x in s.split(",") if x.strip() != ""]
+def _pair(s):
+    """A complex number as the [re, im] pair a config records."""
+    c = complex(s)
+    return [c.real, c.imag]
 
 
-def _parse_complexes(s):
-    return [complex(x.strip()) for x in s.split(",") if x.strip() != ""]
-
-
-def _parse_blocks(s):
-    blocks = []
-    for part in s.split(";"):
-        part = part.strip()
-        if part:
-            blocks.append(_parse_ints(part))
-    if not blocks:
-        raise ContractViolation("empty block specification")
-    return blocks
+_ints = _listed(int, "integers")
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each takes the parsed arguments and the decoded input
-# (None for a command without one) and returns (config, results, summary
-# line)
+# configs: each command's config is read off the parsed arguments by rows
+# (trigger, options, needed).  A row whose trigger holds records its options
+# as parsed; trigger None always holds, (option, value) holds when the
+# option has that value, and an option name holds when it is given.  A
+# needed row's options must all be given.
 # ---------------------------------------------------------------------------
 
-# The options each generator kind records in its config.
-_GEN_OPTIONS = {
-    "harmonic": ("n", "M", "parseval"),
-    "random-unit": ("n", "M", "seed", "field"),
-    "projection": ("M", "n", "seed"),
-    "e1-grid": ("N", "levels", "c"),
-}
+def _flag(dest):
+    return "--" + dest.replace("_", "-")
 
 
-def _cmd_gen(args, _):
-    config = {"kind": args.kind}
-    config.update((key, getattr(args, key)) for key in _GEN_OPTIONS[args.kind])
-    missing = [f"--{key}" for key, val in config.items() if val is None]
-    if missing:
-        raise ContractViolation(
-            f"{args.kind} generation needs {', '.join(missing)}")
-    return config, _regenerate(config, args.out), f"wrote {args.out}"
+def _config(args, rows):
+    """The config of a run, by its command's rows; a needed row with an
+    option missing raises ContractViolation naming its trigger and each
+    missing option."""
+    config = {}
+    for trigger, options, needed in rows:
+        if trigger is None:
+            held = True
+        elif isinstance(trigger, tuple):
+            held = getattr(args, trigger[0]) == trigger[1]
+            trigger = f"{_flag(trigger[0])} {trigger[1]}"
+        else:
+            value = getattr(args, trigger)
+            held = value is not None and value is not False
+            trigger = _flag(trigger)
+        if not held:
+            continue
+        config.update((key, getattr(args, key)) for key in options)
+        missing = [_flag(key) for key in options if config[key] is None]
+        if needed and missing:
+            raise ContractViolation(f"{trigger} needs {', '.join(missing)}")
+    return config
 
 
-def _cmd_analyze(args, fr):
-    results = _analyze({}, fr)
-    summ = results["summary"]
-    line = (f"n={fr.n} M={fr.M} bounds=({summ['lower']:.6g}, "
+# ---------------------------------------------------------------------------
+# summary lines: each takes the parsed arguments and the results
+# ---------------------------------------------------------------------------
+
+def _search_line(args, res):
+    return (f"verdict={res['verdict']} achieved={res['achieved']:.6g}"
+            f" target={res['target']:.6g}")
+
+
+def _analyze_line(args, res):
+    summ = res["summary"]
+    return (f"n={summ['n']} M={summ['M']} bounds=({summ['lower']:.6g}, "
             f"{summ['upper']:.6g}) parseval={summ['is_parseval']}")
-    return {}, results, line
 
 
-def _cmd_dilate(args, mat):
-    results = naimark_dilate(Frame(mat)) if args.mode == "naimark" else \
-        dilate_operator(mat)
-    line = f"ambient={results['ambient_dim']} rank={results['rank']}"
-    return {"mode": args.mode}, results, line
+def _pave_line(args, res):
+    return _search_line(args, res) + \
+        f" blocks={len(res['partition']['blocks'])}"
 
 
-def _cmd_pave(args, t):
-    config = {"form": args.form, "r_max": args.r_max,
-              "epsilon": args.epsilon, "mode": args.mode, "seed": args.seed}
-    if args.form == "projection":
-        config["delta"] = args.delta
-        results = pave_projection_check(t, args.r_max, args.epsilon,
-                                        delta=args.delta, mode=args.mode,
-                                        seed=args.seed)
-    else:
-        results = pave_matrix_check(t, args.r_max, args.epsilon,
-                                    mode=args.mode, seed=args.seed)
-    line = (f"verdict={results['verdict']} achieved={results['achieved']:.6g}"
-            f" target={results['target']:.6g}"
-            f" blocks={len(results['partition']['blocks'])}")
-    return config, results, line
-
-
-def _cmd_weaver(args, fr):
-    results = weaver_check(fr, args.bessel, args.epsilon, args.r_max,
-                           seed=args.seed)
-    config = {"bessel": args.bessel, "epsilon": args.epsilon,
-              "r_max": args.r_max, "seed": args.seed}
-    line = (f"verdict={results['verdict']} achieved={results['achieved']:.6g}"
-            f" target={results['target']:.6g}")
-    return config, results, line
-
-
-def _cmd_decompose(args, fr):
-    config = {"criterion": args.criterion, "r_max": args.r_max,
-              "seed": args.seed}
-    if args.criterion == "riesz":
-        if args.epsilon is None:
-            raise ContractViolation("riesz decomposition needs --epsilon")
-        config["epsilon"] = args.epsilon
-        results = epsilon_riesz_partition(fr, args.epsilon, args.r_max)
-    elif args.criterion == "feichtinger":
-        if args.a_target is None:
-            raise ContractViolation("feichtinger decomposition needs --a-target")
-        config["a_target"] = args.a_target
-        results = feichtinger_partition(fr, args.a_target, args.r_max)
-    else:
-        if args.s is None or args.delta is None:
-            raise ContractViolation("tp1 decomposition needs --s and --delta")
-        config["s"] = args.s
-        config["delta"] = args.delta
-        results = tp1_partition(fr, args.s, args.delta, seed=args.seed,
-                                r_max=args.r_max)
-    part = results["partition"]
+def _decompose_line(args, res):
+    part = res["partition"]
     blocks = len(part["blocks"]) if part else 0
-    return config, results, f"verdict={results['verdict']} blocks={blocks}"
+    return f"verdict={res['verdict']} blocks={blocks}"
 
 
-def _cmd_ric(args, fr):
-    _, worst = restricted_isometry(fr, args.s)
-    config = {"s": args.s}
-    results = _ric(config, fr, list(worst))
-    line = f"delta_{args.s}={results['delta']:.6g} worst={list(worst)}"
-    return config, results, line
+def _radohorn_line(args, res):
+    if res["verdict"]:
+        return f"verdict=True blocks={len(res['partition']['blocks'])}"
+    ratio = res["witness"]["ratio"]       # None at rank 0
+    return "verdict=False witness_ratio=" + (
+        "inf" if ratio is None else f"{ratio:.6g}")
 
 
-def _cmd_radohorn(args, fr):
-    ok, blocks, witness = rado_horn_check(fr, args.r)
-    results = _radohorn(blocks, witness)
-    if ok:
-        line = f"verdict=True blocks={len(blocks)}"
-    else:
-        ratio = witness["ratio"]       # None at rank 0
-        line = "verdict=False witness_ratio=" + (
-            "inf" if ratio is None else f"{ratio:.6g}")
-    return {"r": args.r}, results, line
-
-
-def _cmd_subspace(args, mat):
-    config = {"span": bool(args.span)}
-    if args.a is not None:
-        config["a"] = args.a
-    if args.blocks is not None:
-        config["blocks"] = _parse_blocks(args.blocks)
-    results = _subspace(config, mat)
-    bits = [f"dim={results['dim']}/{results['ambient']}"]
-    if "largeness" in results:
-        large = results["largeness"]
+def _subspace_line(args, res):
+    bits = [f"dim={res['dim']}/{res['ambient']}"]
+    if "largeness" in res:
+        large = res["largeness"]
         bits.append(f"large={large['verdict']} (min {large['min_norm']:.6g})")
-    if "decomposable" in results:
-        bits.append(f"decomposable={results['decomposable']['verdict']}")
-    return config, results, " ".join(bits)
+    if "decomposable" in res:
+        bits.append(f"decomposable={res['decomposable']['verdict']}")
+    return " ".join(bits)
 
 
-def _cmd_toeplitz(args, g):
-    ks = _parse_ints(args.k_list)
-    if not ks:
-        raise ContractViolation("need at least one modulus in --k-list")
-    config = {"k_list": ks, "epsilon": args.epsilon}
-    if args.stride is not None:
-        if args.freq_max is None:
-            raise ContractViolation("--stride needs --freq-max")
-        config.update({"stride": args.stride, "freq_min": args.freq_min,
-                       "freq_max": args.freq_max})
-    results = _toeplitz(config, g)
-    per_k = results["per_k"]
+def _toeplitz_line(args, res):
+    per_k = res["per_k"]
     worst = max(e["tt3_residual"] for e in per_k)
-    line = (f"K={ks} max_identity_residual={worst:.3e} "
+    return (f"K={args.k_list} max_identity_residual={worst:.3e} "
             f"paving_ok={[e['paving_ok'] for e in per_k]}")
-    return config, results, line
 
 
-def _cmd_kadec(args, _):
-    config = {"a": args.a, "b": args.b, "gamma": args.gamma,
-              "delta": args.delta}
-    if args.empirical:
-        if args.n_max is None or args.delta_max is None or args.seed is None:
-            raise ContractViolation(
-                "--empirical needs --n-max, --delta-max and --seed")
-        config.update({"n_max": args.n_max, "delta_max": args.delta_max,
-                       "seed": args.seed})
-    if args.lam is not None or args.mu is not None:
-        if args.lam is None or args.mu is None:
-            raise ContractViolation(
-                "perturbation bounds need both --lam and --mu")
-        config.update({"lam": args.lam, "mu": args.mu})
-    results = _kadec(config)
-    bounds, emp = results["bounds"], results["empirical"]
+def _kadec_line(args, res):
+    bounds, emp = res["bounds"], res["empirical"]
     line = f"L={bounds['L']:.6g} valid={bounds['valid']}"
     if emp is not None:
         line += (f" lambda_min={emp['lambda_min']:.6g} "
                  f"passed={emp['passed']}")
-    return config, results, line
+    return line
 
 
-def _cmd_mv_theta(args, _):
-    config = {"freqs": _parse_floats(args.freqs),
-              "coeffs": [[c.real, c.imag]
-                         for c in _parse_complexes(args.coeffs)],
-              "t_len": args.t_len, "quad_n": args.quad_n}
-    rep = _mv_theta(config)
-    line = f"theta={rep['theta']:.6g} within_unit={rep['within_unit']}"
-    return config, rep, line
+def _erasure_line(args, res):
+    return (f"worst_lower={res['worst_value']:.6g} at erased="
+            f"{res['worst_subset']} (scanned {res['subsets_scanned']})")
 
 
-def _cmd_erasure(args, fr):
-    results = erasure_robustness(fr, args.k)
-    line = (f"worst_lower={results['worst_value']:.6g} at erased="
-            f"{results['worst_subset']} "
-            f"(scanned {results['subsets_scanned']})")
-    return {"k": args.k}, results, line
-
-
-def _cmd_phase(args, fr):
-    config = {"trials": args.trials, "seed": args.seed}
-    report = _phase(config, fr)
-    line = f"verdict={report['verdict']}"
-    if report["witness"] is not None:
-        line += f" witness_side={report['witness']['side']}"
-    return config, report, line
-
-
-def _cmd_verify(args, _):
-    ok, reasons = verify(args.report_path)
-    print(json.dumps({"verified": ok, "reasons": reasons}, sort_keys=True))
-    return None
+def _phase_line(args, res):
+    line = f"verdict={res['verdict']}"
+    if res["witness"] is not None:
+        line += f" witness_side={res['witness']['side']}"
+    return line
 
 
 # ---------------------------------------------------------------------------
 # parser: one table row per subcommand
 # ---------------------------------------------------------------------------
-
-def _add_report(p):
-    p.add_argument("--report", help="write a JSON report to this path")
-
 
 def _gen_options(p):
     p.add_argument("--kind", required=True,
@@ -331,19 +217,16 @@ def _gen_options(p):
     p.add_argument("--levels", type=int, help="moduli 1..levels for e1-grid")
     p.add_argument("--c", type=_finite_float, default=0.5)
     p.add_argument("--out", required=True)
-    _add_report(p)
 
 
 def _analyze_options(p):
     p.add_argument("--input", required=True)
-    _add_report(p)
 
 
 def _dilate_options(p):
     p.add_argument("--input", required=True)
     p.add_argument("--mode", choices=["naimark", "operator"],
                    default="naimark")
-    _add_report(p)
 
 
 def _pave_options(p):
@@ -357,7 +240,6 @@ def _pave_options(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--delta", type=_finite_float,
                    help="diagonal bound precondition (projection form)")
-    _add_report(p)
 
 
 def _weaver_options(p):
@@ -366,7 +248,6 @@ def _weaver_options(p):
     p.add_argument("--epsilon", type=_finite_float, required=True)
     p.add_argument("--r-max", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    _add_report(p)
 
 
 def _decompose_options(p):
@@ -379,13 +260,11 @@ def _decompose_options(p):
     p.add_argument("--delta", type=_finite_float)
     p.add_argument("--r-max", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
-    _add_report(p)
 
 
 def _ric_options(p):
     p.add_argument("--input", required=True)
     p.add_argument("--s", type=int, required=True)
-    _add_report(p)
 
 
 def _radohorn_options(p):
@@ -394,7 +273,6 @@ def _radohorn_options(p):
     p.add_argument("--partition", action="store_true",
                    help="no effect: the partition is always reported when "
                         "one exists; kept so older command lines still run")
-    _add_report(p)
 
 
 def _subspace_options(p):
@@ -404,20 +282,19 @@ def _subspace_options(p):
     p.add_argument("--span", action="store_true",
                    help="orthonormalize the given columns first")
     p.add_argument("--a", type=_finite_float, help="largeness level to test")
-    p.add_argument("--blocks", help="coordinate partition, e.g. '0,1;2,3'")
-    _add_report(p)
+    p.add_argument("--blocks", type=_listed(_ints, "index lists", ";"),
+                   help="coordinate partition, e.g. '0,1;2,3'")
 
 
 def _toeplitz_options(p):
     p.add_argument("--input", required=True)
-    p.add_argument("--k-list", required=True,
+    p.add_argument("--k-list", type=_ints, required=True,
                    help="comma-separated moduli, each dividing N")
     p.add_argument("--epsilon", type=_finite_float, required=True)
     p.add_argument("--stride", type=int,
                    help="also check progression sections at this stride")
     p.add_argument("--freq-min", type=int, default=0)
     p.add_argument("--freq-max", type=int)
-    _add_report(p)
 
 
 def _kadec_options(p):
@@ -433,64 +310,94 @@ def _kadec_options(p):
                    help="relative perturbation constant")
     p.add_argument("--mu", type=_finite_float,
                    help="absolute perturbation constant")
-    _add_report(p)
 
 
 def _mv_theta_options(p):
-    p.add_argument("--freqs", required=True)
-    p.add_argument("--coeffs", required=True,
+    p.add_argument("--freqs", type=_listed(float, "numbers"), required=True)
+    p.add_argument("--coeffs", type=_listed(_pair, "complex numbers"),
+                   required=True,
                    help="comma-separated complex numbers, e.g. '1,0.5-0.2j'")
     p.add_argument("--t-len", type=_finite_float, required=True)
     p.add_argument("--quad-n", type=int)
-    _add_report(p)
 
 
 def _erasure_options(p):
     p.add_argument("--input", required=True)
     p.add_argument("--k", type=int, required=True)
-    _add_report(p)
 
 
 def _phase_options(p):
     p.add_argument("--input", required=True)
     p.add_argument("--trials", type=int, default=10**4)
     p.add_argument("--seed", type=int, default=0)
-    _add_report(p)
 
 
 def _verify_options(p):
     p.add_argument("--report", dest="report_path", required=True)
 
 
-# name -> (help, the function that adds its options, handler), in the order
-# the help lists them
+# name -> (help, the function that adds its options, config rows, summary
+# line), in the order the help lists them; see _config for the rows
 _COMMANDS = {
     "gen": ("generate a frame, projection or grid symbol", _gen_options,
-            _cmd_gen),
+            [(None, ("kind",), False),
+             (("kind", "harmonic"), ("n", "M", "parseval"), True),
+             (("kind", "random-unit"), ("n", "M", "seed", "field"), True),
+             (("kind", "projection"), ("M", "n", "seed"), True),
+             (("kind", "e1-grid"), ("N", "levels", "c"), True)],
+            lambda args, res: f"wrote {args.out}"),
     "analyze": ("spectral summary of a frame file", _analyze_options,
-                _cmd_analyze),
+                [], _analyze_line),
     "dilate": ("projection dilation of a frame or operator", _dilate_options,
-               _cmd_dilate),
-    "pave": ("search for a paving partition", _pave_options, _cmd_pave),
+               [(None, ("mode",), False)],
+               lambda args, res: (f"ambient={res['ambient_dim']} "
+                                  f"rank={res['rank']}")),
+    "pave": ("search for a paving partition", _pave_options,
+             [(None, ("form", "r_max", "epsilon", "mode", "seed"), False),
+              # recorded as null when not given, unlike any other option
+              (("form", "projection"), ("delta",), False)],
+             _pave_line),
     "weaver": ("two-sided block bound partition search", _weaver_options,
-               _cmd_weaver),
+               [(None, ("bessel", "epsilon", "r_max", "seed"), False)],
+               _search_line),
     "decompose": ("partition into well-bounded subfamilies",
-                  _decompose_options, _cmd_decompose),
-    "ric": ("restricted isometry deviation", _ric_options, _cmd_ric),
+                  _decompose_options,
+                  [(None, ("criterion", "r_max", "seed"), False),
+                   (("criterion", "riesz"), ("epsilon",), True),
+                   (("criterion", "feichtinger"), ("a_target",), True),
+                   (("criterion", "tp1"), ("s", "delta"), True)],
+                  _decompose_line),
+    "ric": ("restricted isometry deviation", _ric_options,
+            [(None, ("s",), False)],
+            lambda args, res: (f"delta_{args.s}={res['delta']:.6g} "
+                               f"worst={res['worst_subset']}")),
     "radohorn": ("partition into at most r independent blocks, "
-                 "or a violating subset", _radohorn_options, _cmd_radohorn),
+                 "or a violating subset", _radohorn_options,
+                 [(None, ("r",), False)], _radohorn_line),
     "subspace": ("largeness and decomposability", _subspace_options,
-                 _cmd_subspace),
+                 [(None, ("span",), False), ("a", ("a",), True),
+                  ("blocks", ("blocks",), True)],
+                 _subspace_line),
     "toeplitz": ("grid symbol identities, uniform criteria and "
-                 "section spectra", _toeplitz_options, _cmd_toeplitz),
-    "kadec": ("perturbation stability bounds", _kadec_options, _cmd_kadec),
+                 "section spectra", _toeplitz_options,
+                 [(None, ("k_list", "epsilon"), False),
+                  ("stride", ("stride", "freq_min", "freq_max"), True)],
+                 _toeplitz_line),
+    "kadec": ("perturbation stability bounds", _kadec_options,
+              [(None, ("a", "b", "gamma", "delta"), False),
+               ("empirical", ("n_max", "delta_max", "seed"), True),
+               ("lam", ("lam", "mu"), True), ("mu", ("lam", "mu"), True)],
+              _kadec_line),
     "mv-theta": ("exponential sum energy correction", _mv_theta_options,
-                 _cmd_mv_theta),
+                 [(None, ("freqs", "coeffs", "t_len", "quad_n"), False)],
+                 lambda args, res: (f"theta={res['theta']:.6g} "
+                                    f"within_unit={res['within_unit']}")),
     "erasure": ("worst-case erasure robustness", _erasure_options,
-                _cmd_erasure),
-    "phase": ("sign-blind recovery check", _phase_options, _cmd_phase),
+                [(None, ("k",), False)], _erasure_line),
+    "phase": ("sign-blind recovery check", _phase_options,
+              [(None, ("trials", "seed"), False)], _phase_line),
     "verify": ("recompute a report's certificates", _verify_options,
-               _cmd_verify),
+               None, None),
 }
 
 
@@ -505,10 +412,11 @@ def _parser(names, metavar=None):
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar=metavar)
     for name in names:
-        help_text, add_options, handler = _COMMANDS[name]
+        help_text, add_options, rows, _ = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         add_options(p)
-        p.set_defaults(func=handler)
+        if rows is not None:    # verify's --report names the one it reads
+            p.add_argument("--report", help="write a JSON report to this path")
     return parser
 
 
@@ -535,20 +443,25 @@ def main(argv=None):
     args = _parser_for(argv).parse_args(argv)
     start = time.perf_counter()
     try:
-        name, obj, inputs = _INPUTS.get(args.command), None, {}
-        if name is not None:
+        if args.command == "verify":
+            ok, reasons = verify(args.report_path)
+            print(json.dumps({"verified": ok, "reasons": reasons},
+                             sort_keys=True))
+            return 0
+        name, inputs = _INPUTS.get(args.command), {}
+        if name is None:
+            obj = getattr(args, "out", None)    # where gen writes its object
+        else:
             doc, record = _read_json(args.input)
             obj, inputs = _decode(name, doc), {name: record}
-        out = args.func(args, obj)
-        if out is None:  # verify prints its own verdict
-            return 0
-        config, results, line = out
+        _, _, rows, line = _COMMANDS[args.command]
+        config = _config(args, rows)
+        results = _BUILDERS[args.command](config, obj)
         wall = time.perf_counter() - start
-        print(line)
-        if getattr(args, "report", None):
-            report = make_report(args.command, config, inputs, results,
-                                 wall)
-            write_report(args.report, report)
+        print(line(args, results))
+        if args.report:
+            write_report(args.report, make_report(args.command, config,
+                                                  inputs, results, wall))
             print(f"report: {args.report}")
         return 0
     except BudgetExceeded as exc:

@@ -8,11 +8,13 @@ payloads.
 verify() rebuilds the whole results of a report from its referenced inputs
 with the producer's own code, then compares stored and rebuilt results in
 one place, _match.  Each command reads at most one input file, named in
-_INPUTS, which the CLI and verify decode alike.  A command that runs no
-search is re-run: the CLI and verify build its results with the same
-function below.  A search is not repeated; its certificate (partition,
-worst subset, witness) is re-priced and handed to the results builder its
-producer returns through, so each results schema is written once.  The
+_INPUTS, which the CLI and verify decode alike.  _BUILDERS holds the one
+function per command that the CLI builds its results with, from the config
+and the decoded input.  A command that runs no search is re-run: verify
+calls that same builder.  A search is not repeated; its certificate
+(partition, worst subset, witness) is re-priced by its entry in _VERIFIERS
+and handed to the results builder its producer returns through, so each
+results schema is written once.  The
 fields only the search itself could reproduce (mode, evaluated, search
 flags) go in as UNCHECKED, except that pave and weaver rebuild their
 flags and hold the mode to the configured one, tp1's flags must hold the
@@ -37,6 +39,7 @@ from . import __version__
 from .core import (
     BudgetExceeded,
     ContractViolation,
+    Frame,
     block_spectrum,
     check_blocks,
     frame_from_json,
@@ -48,7 +51,7 @@ from .core import (
     subset_ranks,
     within,
 )
-from .dilation import _dilation_results
+from .dilation import _dilation_results, dilate_operator, naimark_dilate
 from .frames import (
     _is_parseval,
     gram_matrix,
@@ -65,12 +68,18 @@ from .decomposition import (
     _tp1_mass_bound,
     _tp1_results,
     decomposition_vectors,
+    epsilon_riesz_partition,
+    feichtinger_partition,
     is_large,
     is_r_decomposable,
+    rado_horn_check,
+    restricted_isometry,
+    tp1_partition,
 )
 from .erasures import (
     _erasure_results,
     _surviving_lower,
+    erasure_robustness,
     phase_retrieval_check,
 )
 from .harmonic import (
@@ -87,7 +96,13 @@ from .harmonic import (
     uniform_feichtinger_criterion,
     uniform_paving_criterion,
 )
-from .paving import _priced, _pricing
+from .paving import (
+    _priced,
+    _pricing,
+    pave_matrix_check,
+    pave_projection_check,
+    weaver_check,
+)
 
 __all__ = ["make_report", "canonical_json", "write_report", "load_report",
            "file_sha256", "verify"]
@@ -213,9 +228,19 @@ def write_report(path, report):
     _write_text(path, _canonical_pieces(report))
 
 
+def _parse_json(data, path):
+    """The JSON value of data, the bytes read from path.  Text nested past
+    the parser's recursion limit is bad input, not a fault of the program:
+    ContractViolation naming the file."""
+    try:
+        return json.loads(data)
+    except RecursionError:
+        raise ContractViolation(f"{path}: JSON nested too deeply") from None
+
+
 def load_report(path):
-    with open(path) as fh:
-        return json.load(fh)
+    with open(path, "rb") as fh:
+        return _parse_json(fh.read(), path)
 
 
 def file_sha256(data):
@@ -230,9 +255,9 @@ def input_record(path, data):
 
 
 # ---------------------------------------------------------------------------
-# results builders: the CLI writes a command's results with these, and
-# verify rebuilds them with the same function from the stored config and
-# certificate
+# results builders: _BUILDERS holds the one the CLI runs per command, on the
+# config and the decoded input; verify rebuilds results with the same
+# functions from the stored config and certificate
 # ---------------------------------------------------------------------------
 
 def _object_hash(text):
@@ -341,7 +366,7 @@ def _kadec(config, _=None):
     return results
 
 
-def _mv_theta(config):
+def _mv_theta(config, _=None):
     return montgomery_vaughan_theta(
         config["freqs"], [complex(re, im) for re, im in config["coeffs"]],
         config["t_len"], config["quad_n"])
@@ -352,7 +377,7 @@ def _phase(config, fr):
                                  seed=config["seed"])
 
 
-def _ric(config, fr, subset):
+def _ric_results(config, fr, subset):
     """delta_s at the worst subset: the largest deviation of its Gram
     block's spectrum from one."""
     w = block_spectrum(gram_matrix(fr), subset)
@@ -361,11 +386,54 @@ def _ric(config, fr, subset):
             "worst_subset": subset}
 
 
-def _radohorn(blocks, witness):
+def _ric(config, fr):
+    _, worst = restricted_isometry(fr, config["s"])
+    return _ric_results(config, fr, list(worst))
+
+
+def _radohorn_results(blocks, witness):
     """A partition into independent blocks, or else a witness subset."""
     return {"verdict": blocks is not None,
             "partition": None if blocks is None else {"blocks": blocks},
             "witness": witness}
+
+
+def _radohorn(config, fr):
+    _, blocks, witness = rado_horn_check(fr, config["r"])
+    return _radohorn_results(blocks, witness)
+
+
+def _dilate(config, mat):
+    if config["mode"] == "naimark":
+        return naimark_dilate(Frame(mat))
+    return dilate_operator(mat)
+
+
+def _pave(config, t):
+    search = dict(mode=config["mode"], seed=config["seed"])
+    if config["form"] == "projection":
+        return pave_projection_check(t, config["r_max"], config["epsilon"],
+                                     delta=config["delta"], **search)
+    return pave_matrix_check(t, config["r_max"], config["epsilon"], **search)
+
+
+def _weaver(config, fr):
+    return weaver_check(fr, config["bessel"], config["epsilon"],
+                        config["r_max"], seed=config["seed"])
+
+
+def _decompose(config, fr):
+    criterion, r_max = config["criterion"], config["r_max"]
+    if criterion == "riesz":
+        return epsilon_riesz_partition(fr, config["epsilon"], r_max)
+    if criterion == "feichtinger":
+        return feichtinger_partition(fr, config["a_target"], r_max)
+    return tp1_partition(fr, config["s"], config["delta"],
+                         seed=config["seed"], r_max=r_max)
+
+
+def _erasure(config, fr):
+    return erasure_robustness(fr, config["k"])
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +553,7 @@ def _load_input(payload, name):
     if file_sha256(data) != rec["sha256"]:
         raise ContractViolation(
             f"input {name!r} changed since the report was written")
-    return json.loads(data)
+    return _parse_json(data, rec["path"])
 
 
 def _index_subset(subset, m, sizes, what):
@@ -607,7 +675,7 @@ def _verify_ric(payload, fr):
     config = payload["config"]
     subset = _index_subset(payload["results"]["worst_subset"], fr.M,
                            range(1, config["s"] + 1), "worst subset")
-    return _ric(config, fr, subset)
+    return _ric_results(config, fr, subset)
 
 
 def _verify_radohorn(payload, fr):
@@ -621,13 +689,13 @@ def _verify_radohorn(payload, fr):
             if rank != len(blk):
                 raise ContractViolation(
                     f"block {blk} is not linearly independent")
-        return _radohorn(blocks, None)
+        return _radohorn_results(blocks, None)
     subset = _index_subset(res["witness"]["subset"], fr.M,
                            range(1, fr.M + 1), "witness subset")
     witness = _rado_horn_witness(fr, subset)
     if witness["size"] <= r * witness["rank"]:
         raise ContractViolation("witness does not violate |J| <= r * rank J")
-    return _radohorn(None, witness)
+    return _radohorn_results(None, witness)
 
 
 def _verify_erasure(payload, fr):
@@ -639,20 +707,31 @@ def _verify_erasure(payload, fr):
                             math.comb(fr.M, k), UNCHECKED)
 
 
-# Commands that run no search: verify re-runs the results builder the CLI
-# ran, on the stored config and the decoded input (None without one, so
-# _regenerate writes no file).
-_REBUILT = {
+# command -> the builder of its results, on its config and its decoded input
+# (None without one; gen's is the --out path, so _regenerate writes the
+# object there, and under verify writes no file).  The CLI runs it, and so
+# does verify for a command with no entry in _VERIFIERS.
+_BUILDERS = {
     "gen": _regenerate,
     "analyze": _analyze,
+    "dilate": _dilate,
+    "pave": _pave,
+    "weaver": _weaver,
+    "decompose": _decompose,
+    "ric": _ric,
+    "radohorn": _radohorn,
     "subspace": _subspace,
     "toeplitz": _toeplitz,
     "kadec": _kadec,
+    "mv-theta": _mv_theta,
+    "erasure": _erasure,
     "phase": _phase,
 }
 
-# The others: their verifier, on the payload and the decoded input,
-# re-prices the stored certificate.
+# The commands whose verifier verify runs in place of the builder, on the
+# payload and the decoded input: a search's re-prices the stored
+# certificate, and mv-theta's re-runs the builder and allows for its
+# quadrature error.
 _VERIFIERS = {
     "dilate": _verify_dilate,
     "pave": _verify_pave,
@@ -676,15 +755,14 @@ def verify(report_or_path):
     if isinstance(report_or_path, str):
         try:
             report = load_report(report_or_path)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:    # UTF-8, JSON, nesting
             return False, [f"unreadable report: {exc}"]
     payload = report.get("payload") if isinstance(report, dict) else None
     malformed = _malformed(payload)
     if malformed:
         return False, [malformed]
     command, config = payload["command"], payload["config"]
-    rebuild, verifier = _REBUILT.get(command), _VERIFIERS.get(command)
-    if rebuild is None and verifier is None:
+    if command not in _BUILDERS:
         return False, [f"unknown command {command!r}"]
     seed = config.get("seed", 0)
     if type(seed) is not int:
@@ -694,7 +772,9 @@ def verify(report_or_path):
         name = _INPUTS.get(command)
         obj = None if name is None else \
             _decode(name, _load_input(payload, name))
-        got = rebuild(config, obj) if rebuild else verifier(payload, obj)
+        verifier = _VERIFIERS.get(command)
+        got = verifier(payload, obj) if verifier else \
+            _BUILDERS[command](config, obj)
     except (ContractViolation, BudgetExceeded) as exc:
         return False, [str(exc)]
     except (KeyError, TypeError, ValueError) as exc:

@@ -80,12 +80,10 @@ def test_tolerances_are_constants_not_parameters(tmp_path):
 
 @pytest.mark.parametrize("fault", [KeyError, TypeError])
 def test_a_program_fault_is_not_reported_as_bad_input(monkeypatch, fault):
-    def handler(args, _):
+    def builder(config, _):
         raise fault("a fault of the program, not of its input")
 
-    help_text, add_options, _ = cli._COMMANDS["kadec"]
-    monkeypatch.setitem(cli._COMMANDS, "kadec",
-                        (help_text, add_options, handler))
+    monkeypatch.setitem(cli._BUILDERS, "kadec", builder)
     with pytest.raises(fault):
         main(["kadec", "--a", "1", "--b", "2", "--gamma", "3",
               "--delta", "0.1"])

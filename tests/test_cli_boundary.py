@@ -33,8 +33,8 @@ from pavekit.core import (
     matrix_to_json,
 )
 from pavekit.harmonic import montgomery_vaughan_theta
-from pavekit.reports import canonical_json, load_report, verify
-from report_cases import commands
+from pavekit.reports import canonical_json, input_record, load_report, verify
+from report_cases import commands, make_reports
 
 FINITE_EDGES = ("0", "-1", "1e308", "-1e308", "5e-324")
 NOT_FINITE = ("nan", "inf", "-inf", "1e999", "x")
@@ -444,6 +444,145 @@ def test_square_products_of_an_input_keep_the_entry_budget(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# a config group needs all its options; list options are read by argparse
+# ---------------------------------------------------------------------------
+
+KADEC = ["kadec", "--a", "1", "--b", "2", "--gamma", "3", "--delta", "0.1"]
+MV_THETA = ["mv-theta", "--t-len", "2"]
+
+# (argv, the text stderr must hold); F37, BASIS and GRID stand for the
+# inputs of report_cases
+BAD_OPTIONS = [
+    (["gen", "--kind", "harmonic", "--M", "4"], "--kind harmonic needs --n"),
+    (["gen", "--kind", "harmonic", "--n", "2"], "--kind harmonic needs --M"),
+    (["gen", "--kind", "random-unit", "--M", "4", "--seed", "1"],
+     "--kind random-unit needs --n"),
+    (["gen", "--kind", "random-unit", "--n", "2", "--seed", "1"],
+     "--kind random-unit needs --M"),
+    (["gen", "--kind", "random-unit", "--n", "2", "--M", "4"],
+     "--kind random-unit needs --seed"),
+    (["gen", "--kind", "projection", "--n", "2", "--seed", "1"],
+     "--kind projection needs --M"),
+    (["gen", "--kind", "projection", "--M", "4", "--seed", "1"],
+     "--kind projection needs --n"),
+    (["gen", "--kind", "projection", "--M", "4", "--n", "2"],
+     "--kind projection needs --seed"),
+    (["gen", "--kind", "projection"],
+     "--kind projection needs --M, --n, --seed"),
+    (["gen", "--kind", "e1-grid", "--levels", "3"],
+     "--kind e1-grid needs --N"),
+    (["gen", "--kind", "e1-grid", "--N", "360"],
+     "--kind e1-grid needs --levels"),
+    (["decompose", "--input", "F37", "--criterion", "riesz"],
+     "--criterion riesz needs --epsilon"),
+    (["decompose", "--input", "F37", "--criterion", "feichtinger"],
+     "--criterion feichtinger needs --a-target"),
+    (["decompose", "--input", "F37", "--criterion", "tp1"],
+     "--criterion tp1 needs --s, --delta"),
+    (["decompose", "--input", "F37", "--criterion", "tp1", "--delta", "0.5"],
+     "--criterion tp1 needs --s"),
+    (["toeplitz", "--input", "GRID", "--k-list", "2", "--epsilon", "0.5",
+      "--stride", "2"], "--stride needs --freq-max"),
+    (KADEC + ["--empirical"], "--empirical needs --n-max, --delta-max"),
+    (KADEC + ["--empirical", "--n-max", "3"],
+     "--empirical needs --delta-max"),
+    (KADEC + ["--lam", "0.1"], "--lam needs --mu"),
+    (KADEC + ["--mu", "0.1"], "--mu needs --lam"),
+    (["toeplitz", "--input", "GRID", "--k-list", "", "--epsilon", "0.5"],
+     "argument --k-list: '' is not a list of integers"),
+    (["toeplitz", "--input", "GRID", "--k-list", "2,x", "--epsilon", "0.5"],
+     "argument --k-list: '2,x' is not a list of integers"),
+    (["subspace", "--input", "BASIS", "--blocks", ""],
+     "argument --blocks: '' is not a list of index lists"),
+    (["subspace", "--input", "BASIS", "--blocks", " ; "],
+     "argument --blocks: ' ; ' is not a list of index lists"),
+    (["subspace", "--input", "BASIS", "--blocks", "0,1;2,a"],
+     "argument --blocks: '0,1;2,a' is not a list of index lists"),
+    (MV_THETA + ["--freqs", "", "--coeffs", "1"],
+     "argument --freqs: '' is not a list of numbers"),
+    (MV_THETA + ["--freqs", "0,x", "--coeffs", "1,1"],
+     "argument --freqs: '0,x' is not a list of numbers"),
+    (MV_THETA + ["--freqs", "0", "--coeffs", ""],
+     "argument --coeffs: '' is not a list of complex numbers"),
+    (MV_THETA + ["--freqs", "0,1", "--coeffs", "1,1+"],
+     "argument --coeffs: '1,1+' is not a list of complex numbers"),
+]
+
+
+@pytest.mark.parametrize("argv, text", BAD_OPTIONS,
+                         ids=[text for _, text in BAD_OPTIONS])
+def test_a_missing_or_bad_option_exits_2_naming_it(tmp_path, argv, text):
+    """A group of options brought in by a selector's value or by one of
+    them being given needs all of its options; a list option that is empty
+    or holds an unreadable item is refused by argparse.  Either exits 2,
+    names every missing or bad option and writes nothing."""
+    cases = commands(tmp_path)
+    assert _run(cases["gen-grid"])[0] == 0
+    inputs = {"F37": cases["analyze"][2], "BASIS": cases["subspace"][2],
+              "GRID": cases["toeplitz"][2]}
+    out, rep = tmp_path / "out.json", tmp_path / "report.json"
+    run = [inputs.get(a, a) for a in argv] + ["--report", str(rep)]
+    if argv[0] == "gen":
+        run += ["--out", str(out)]
+    code, err = _run(run)
+    assert code == 2 and text in err, (run, err)
+    assert not rep.exists() and not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# one JSON reader for input files and reports: nesting past the parser's
+# recursion limit and bytes that are not UTF-8 are bad input
+# ---------------------------------------------------------------------------
+
+DEEP = "[" * 200000 + "]" * 200000
+
+
+def _verify_line(capsys, path):
+    """(exit code, the parsed line) of pavekit verify on path."""
+    capsys.readouterr()
+    code = cli.main(["verify", "--report", str(path)])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_deeply_nested_json_is_bad_input(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP)
+    code, err = _run(["analyze", "--input", str(deep)])
+    assert code == 2 and f"error: {deep}: JSON nested too deeply" in err
+    assert "Traceback" not in err
+
+    nested = tmp_path / "nested.report.json"
+    nested.write_text('{"payload": ' + DEEP + "}")
+    ok, reasons = verify(str(nested))
+    assert not ok and reasons[0].startswith("unreadable report: ")
+    assert _verify_line(capsys, nested) == \
+        (0, {"verified": False, "reasons": reasons})
+
+    # a sound report whose recorded input is that file, hash and all
+    rep = make_reports(tmp_path)["analyze"]
+    report = load_report(str(rep))
+    report["payload"]["inputs"]["frame"] = input_record(
+        str(deep), deep.read_bytes())
+    rep.write_text(canonical_json(report))
+    ok, reasons = verify(str(rep))
+    assert (ok, reasons) == (False, [f"{deep}: JSON nested too deeply"])
+    assert _verify_line(capsys, rep) == \
+        (0, {"verified": False, "reasons": reasons})
+
+
+def test_a_report_that_is_not_utf8_is_unreadable(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"payload": "\xff\xfe"}')
+    code, err = _run(["analyze", "--input", str(bad)])
+    assert code == 2 and "utf-8" in err and "Traceback" not in err
+    ok, reasons = verify(str(bad))
+    assert not ok and reasons[0].startswith("unreadable report: ")
+    assert "utf-8" in reasons[0]
+    assert _verify_line(capsys, bad) == \
+        (0, {"verified": False, "reasons": reasons})
+
+
+# ---------------------------------------------------------------------------
 # cli.main builds one subcommand's parser; its texts are the full parser's
 # ---------------------------------------------------------------------------
 
@@ -468,16 +607,18 @@ def _same_texts(argv):
 
 def test_the_input_table_names_the_commands_with_an_input():
     """reports._INPUTS names an input for exactly the commands whose parser
-    takes --input, and verify rebuilds every command but verify itself in
-    exactly one way."""
+    takes --input.  reports._BUILDERS holds the one builder the CLI runs
+    for every command but verify itself, the table cli.main calls, and
+    verify re-prices a command through _VERIFIERS only where it has a
+    builder."""
     sub = next(a for a in cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     assert set(reports._INPUTS) == {
         name for name, p in sub.choices.items()
         if any("--input" in a.option_strings for a in p._actions)}
-    assert not reports._REBUILT.keys() & reports._VERIFIERS.keys()
-    assert reports._REBUILT.keys() | reports._VERIFIERS.keys() == \
-        set(SUBCOMMANDS) - {"verify"}
+    assert reports._BUILDERS.keys() == set(SUBCOMMANDS) - {"verify"}
+    assert cli._BUILDERS is reports._BUILDERS
+    assert reports._VERIFIERS.keys() < reports._BUILDERS.keys()
 
 
 def test_float_options_are_all_seen():
