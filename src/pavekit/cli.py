@@ -97,7 +97,8 @@ _ints = _listed(int, "integers")
 # (trigger, options, needed).  A row whose trigger holds records its options
 # as parsed; trigger None always holds, (option, value) holds when the
 # option has that value, and an option name holds when it is given.  A
-# needed row's options must all be given.
+# needed row's options must all be given, and an option of rows none of
+# which holds must keep its default.
 # ---------------------------------------------------------------------------
 
 def _flag(dest):
@@ -105,10 +106,12 @@ def _flag(dest):
 
 
 def _config(args, rows):
-    """The config of a run, by its command's rows; a needed row with an
+    """The config of a run, by its command's rows.  A needed row with an
     option missing raises ContractViolation naming its trigger and each
-    missing option."""
-    config = {}
+    missing option, and so does an option set away from its default
+    (args.default_of) where none of its rows holds, naming the option and
+    those rows' triggers."""
+    config, unheld = {}, {}
     for trigger, options, needed in rows:
         if trigger is None:
             held = True
@@ -120,11 +123,18 @@ def _config(args, rows):
             held = value is not None and value is not False
             trigger = _flag(trigger)
         if not held:
+            for key in options:
+                unheld.setdefault(key, []).append(trigger)
             continue
         config.update((key, getattr(args, key)) for key in options)
         missing = [_flag(key) for key in options if config[key] is None]
         if needed and missing:
             raise ContractViolation(f"{trigger} needs {', '.join(missing)}")
+    for key, triggers in unheld.items():
+        if key not in config and \
+                getattr(args, key) != args.default_of(key):
+            raise ContractViolation(
+                f"{_flag(key)} needs {' or '.join(triggers)}")
     return config
 
 
@@ -318,7 +328,6 @@ def _mv_theta_options(p):
                    required=True,
                    help="comma-separated complex numbers, e.g. '1,0.5-0.2j'")
     p.add_argument("--t-len", type=_finite_float, required=True)
-    p.add_argument("--quad-n", type=int)
 
 
 def _erasure_options(p):
@@ -389,7 +398,7 @@ _COMMANDS = {
                ("lam", ("lam", "mu"), True), ("mu", ("lam", "mu"), True)],
               _kadec_line),
     "mv-theta": ("exponential sum energy correction", _mv_theta_options,
-                 [(None, ("freqs", "coeffs", "t_len", "quad_n"), False)],
+                 [(None, ("freqs", "coeffs", "t_len"), False)],
                  lambda args, res: (f"theta={res['theta']:.6g} "
                                     f"within_unit={res['within_unit']}")),
     "erasure": ("worst-case erasure robustness", _erasure_options,
@@ -417,6 +426,7 @@ def _parser(names, metavar=None):
         add_options(p)
         if rows is not None:    # verify's --report names the one it reads
             p.add_argument("--report", help="write a JSON report to this path")
+            p.set_defaults(default_of=p.get_default)
     return parser
 
 

@@ -26,7 +26,6 @@ SUBSET_BUDGET = 10**6              # most subsets any exhaustive scan may visit
 LOCAL_MOVE_BUDGET = 2000           # most accepted moves of one local search
 WKHB_MOVE_BUDGET = 10**6           # most moves of one wkhb_partition
 GREEDY_BACKTRACKS = 3              # backtracks of the greedy Riesz fallback
-QUADRATURE_BUDGET = 10**6          # most (panel, frequency) terms of mv-theta
 TRIAL_BUDGET = 10**6               # most sign-blind recovery trials of phase
 ENTRY_BUDGET = 2**22               # most entries of a built matrix or grid
 

@@ -227,9 +227,24 @@ def restricted_isometry(fr, s):
     return max(worst, 0.0), worst_subset
 
 
-def _tp1_mass_bound(g, s, delta):
-    """(bessel, k, mass bound) of tp1: B = max(top Gram eigenvalue, 1),
-    k = ceil(B s / delta^2) and the in-block row mass bound B / k."""
+def tp1_partition(fr, s, delta, seed=0, r_max=64):
+    """Split a unit-norm family into blocks of restricted isometry
+    constant at most delta (for sparsity s).
+
+    Row masses of the squared inner-product matrix are balanced with
+    wkhb_partition at geometrically growing block counts until every
+    in-block row mass drops below B / k, where B = max(top Gram
+    eigenvalue, 1) and k = ceil(B s / delta^2); then sqrt(s * max_mass)
+    <= sqrt(B s / k) <= delta bounds each block's deviation.  Every block
+    is re-verified with the brute-force oracle, whose constants the
+    results hold as per_block_delta.  The partition is None when none was
+    found, and the verdict says there is a block and every one is within
+    delta.
+    """
+    ensure_unit_norm(fr)
+    if s < 1:
+        raise ContractViolation("need s >= 1")
+    g = gram_matrix(fr)
     if not (0.0 < delta < 1.0):
         raise ContractViolation("delta must lie in (0, 1)")
     bessel = float(max(block_spectrum(g, range(g.shape[0]))[-1], 1.0))
@@ -238,61 +253,33 @@ def _tp1_mass_bound(g, s, delta):
         raise ContractViolation(f"--delta {delta} puts B s / delta^2 out of "
                                 "float range")
     k = max(1, math.ceil(ratio))
-    return bessel, k, bessel / k
-
-
-def _tp1_results(blocks, per, r_used, bound, delta, flags):
-    """The results of tp1 on a partition's blocks, None when none was
-    found: per holds each block's restricted isometry constant, bound the
-    (bessel, k, mass bound) of delta, and the verdict says there is a block
-    and every one is within delta."""
-    bessel, k, mass_bound = bound
-    return {"verdict": bool(per) and all(within(d, delta) for d in per),
-            "partition": {"blocks": blocks} if blocks else None,
-            "r_used": r_used, "k": k, "bessel": bessel,
-            "delta_target": delta, "per_block_delta": per,
-            "mass_bound": mass_bound, "flags": flags}
-
-
-def _block_deltas(fr, blocks, s):
-    """Brute-force restricted isometry constant of each block."""
-    return [restricted_isometry(Frame(fr.synthesis[:, blk]),
-                                min(s, len(blk)))[0]
-            for blk in blocks]
-
-
-def tp1_partition(fr, s, delta, seed=0, r_max=64):
-    """Split a unit-norm family into blocks of restricted isometry
-    constant at most delta (for sparsity s).
-
-    Row masses of the squared inner-product matrix are balanced with
-    wkhb_partition at geometrically growing block counts until every
-    in-block row mass drops below B / k, where k = ceil(B s / delta^2);
-    then sqrt(s * max_mass) <= sqrt(B s / k) <= delta bounds each block's
-    deviation.  Every block is re-verified with the brute-force oracle.
-    """
-    ensure_unit_norm(fr)
-    if s < 1:
-        raise ContractViolation("need s >= 1")
-    g = gram_matrix(fr)
-    bound = _tp1_mass_bound(g, s, delta)    # (bessel, k, mass bound)
     h = np.abs(g) ** 2
     h = 0.5 * (h + h.T)   # BLAS products need not be bitwise Hermitian
     np.fill_diagonal(h, 0.0)
     r = 2
     flags = {"seed": int(seed), "escalations": []}
+    blocks, per, r_used = None, [], 0
     while r <= r_max:
         res = wkhb_partition(h, r, seed=seed)
         max_mass = float(res["in_block_mass"].max()) if fr.M else 0.0
         flags["escalations"].append({"r": r, "max_mass": max_mass})
-        if within(max_mass, bound[2]):
-            blocks = label_blocks(res["labels"])
-            per = _block_deltas(fr, blocks, s)
-            if all(within(d, delta) for d in per):
-                return _tp1_results(blocks, per, r, bound, delta, flags)
+        if within(max_mass, bessel / k):
+            found = label_blocks(res["labels"])
+            deltas = [restricted_isometry(Frame(fr.synthesis[:, blk]),
+                                          min(s, len(blk)))[0]
+                      for blk in found]
+            if all(within(d, delta) for d in deltas):
+                blocks, per, r_used = found, deltas, r
+                break
             flags["escalations"][-1]["verified"] = False
         r *= 2
-    return _tp1_results(None, [], 0, bound, delta, dict(flags, exhausted=True))
+    else:
+        flags["exhausted"] = True
+    return {"verdict": bool(per) and all(within(d, delta) for d in per),
+            "partition": {"blocks": blocks} if blocks else None,
+            "r_used": r_used, "k": k, "bessel": bessel,
+            "delta_target": delta, "per_block_delta": per,
+            "mass_bound": bessel / k, "flags": flags}
 
 
 def _rado_horn_witness(fr, subset):

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    QUADRATURE_BUDGET,
-    BudgetExceeded,
     ContractViolation,
     _complex_to_pairs,
     _pairs_to_complex,
@@ -291,19 +289,29 @@ def distribution_check(g, freq_blocks, epsilon):
 # exponential sums on an interval
 # ---------------------------------------------------------------------------
 
-def _simpson(vals, h):
-    return h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum()
-                      + 2.0 * vals[2:-1:2].sum())
+def _exponential_gram(freqs, t_len):
+    """G[k, j] = int_0^T exp(2 pi i (freqs[j] - freqs[k]) t) dt in closed
+    form: T where two frequencies coincide, the diagonal included, and
+    (exp(2 pi i diff T) - 1) / (2 pi i diff) elsewhere."""
+    diff = freqs[None, :] - freqs[:, None]
+    gram = np.full(diff.shape, t_len, dtype=np.complex128)
+    nz = diff != 0.0
+    gram[nz] = (np.exp(2j * np.pi * diff[nz] * t_len) - 1.0) / \
+        (2j * np.pi * diff[nz])
+    return gram
 
 
-def montgomery_vaughan_theta(freqs, coeffs, t_len, quad_n=None):
+def montgomery_vaughan_theta(freqs, coeffs, t_len):
     """theta = delta * (I / sum|a|^2 - T) for I the energy of the exponential
     sum over [0, T] and delta the minimum frequency separation.
 
-    The integral uses composite Simpson at quad_n panels with a doubled-
-    resolution Richardson check; the report carries the quadrature error
-    estimate mapped into theta units.  A single frequency short-circuits to
-    theta = 0 (the integrand is constant).
+    I is the Hermitian form of the Gram matrix of the exponentials over
+    [0, T] at the coefficients, in closed form.  Its diagonal part is
+    T sum|a|^2, so I - T sum|a|^2 is summed from the off-diagonal terms
+    alone, without the cancellation of I / sum|a|^2 - T.  A single
+    frequency short-circuits to theta = 0 (the integrand is constant).  A
+    Gram matrix of more than ENTRY_BUDGET entries raises BudgetExceeded
+    before any is built.
     """
     lam = np.asarray(freqs, dtype=float).reshape(-1)
     a = np.asarray(coeffs, dtype=complex).reshape(-1)
@@ -313,44 +321,30 @@ def montgomery_vaughan_theta(freqs, coeffs, t_len, quad_n=None):
         raise ContractViolation("inputs must be finite")
     if not t_len > 0.0:
         raise ContractViolation("interval length must be positive")
-    if quad_n is not None and quad_n < 1:
-        raise ContractViolation(f"--quad-n {quad_n} must be at least 1")
     energy = float(np.sum(np.abs(a) ** 2))
     if energy == 0.0:
         raise ContractViolation("coefficients must not all vanish")
     if lam.size == 1:
         return {"theta": 0.0, "integral": t_len * energy, "separation": None,
-                "quad_n": 0, "quad_error_theta": 0.0, "within_unit": True}
+                "within_unit": True}
     sep = float(np.diff(np.sort(lam)).min())
     if sep <= 0.0:
         raise ContractViolation("frequencies must be distinct")
-    need = 64.0 * t_len * float(np.abs(lam).max())
-    # the finer Simpson run evaluates every frequency at 2n + 1 points
-    terms = 2.0 * max(need, 256.0 if quad_n is None else float(quad_n)) \
-        * lam.size
-    if terms > QUADRATURE_BUDGET:
-        raise BudgetExceeded(
-            f"a quadrature of {terms:.3g} (panel, frequency) terms exceeds "
-            f"the {QUADRATURE_BUDGET} budget")
-    need = math.ceil(need)
-    n = quad_n if quad_n is not None else max(256, need)
-    n += n % 2
-    if n < need:
-        raise ContractViolation(f"quad_n must be at least {need}")
-
-    def integral(panels):
-        t = np.linspace(0.0, t_len, panels + 1)
-        vals = np.abs(np.exp(2j * np.pi * np.outer(t, lam)) @ a) ** 2
-        return _simpson(vals, t_len / panels)
-
-    i_n = integral(n)
-    i_2n = integral(2 * n)
-    err = abs(i_2n - i_n) / 15.0
-    theta = sep * (i_2n / energy - t_len)
+    if sep < np.finfo(float).tiny:  # 1 / (2 pi sep) would overflow
+        raise ContractViolation(f"frequencies {sep:g} apart are closer than "
+                                "the smallest normal float")
+    span = float(lam.max()) - float(lam.min())
+    if not math.isfinite(2.0 * math.pi * span * t_len):
+        raise ContractViolation(f"--t-len {t_len} times the frequency span "
+                                f"{span:g} is out of float range")
+    check_entries(lam.size ** 2, "an exponential Gram matrix")
+    gram = _exponential_gram(lam, t_len)
+    np.fill_diagonal(gram, 0.0)
+    dev = float(np.real(a.conj() @ gram @ a))
+    theta = sep * dev / energy
     return {
-        "theta": float(theta), "integral": float(i_2n), "separation": sep,
-        "quad_n": int(n), "quad_error_theta": float(sep * err / energy),
-        "within_unit": bool(abs(theta) <= 1.0 + 1e-3),
+        "theta": float(theta), "integral": t_len * energy + dev,
+        "separation": sep, "within_unit": bool(abs(theta) <= 1.0 + 1e-3),
     }
 
 
@@ -440,11 +434,7 @@ def kadec_empirical_check(n_max, delta_max=None, seed=0, deltas=None):
     else:
         rng = np.random.default_rng(seed)
         d = rng.uniform(-delta_max, delta_max, size=base.size)
-    mu = base + d
-    diff = mu[None, :] - mu[:, None]
-    gram = np.ones(diff.shape, dtype=np.complex128)
-    nz = diff != 0.0
-    gram[nz] = (np.exp(2j * np.pi * diff[nz]) - 1.0) / (2j * np.pi * diff[nz])
+    gram = _exponential_gram(base + d, 1.0)
     gram = 0.5 * (gram + gram.conj().T)
     w = np.linalg.eigvalsh(gram)
     sup = float(np.abs(d).max())

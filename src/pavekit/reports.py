@@ -17,9 +17,10 @@ and handed to the results builder its producer returns through, so each
 results schema is written once.  The
 fields only the search itself could reproduce (mode, evaluated, search
 flags) go in as UNCHECKED, except that pave and weaver rebuild their
-flags and hold the mode to the configured one, tp1's flags must hold the
-configured seed and dilate's meta the configured mode.  The polynomial
-complement-property decision behind phase is re-run, because its positive
+flags and hold the mode to the configured one and dilate's meta the
+configured mode.  Two polynomial searches are re-run instead: the seeded
+tp1 decomposition, so its escalations and a False verdict are checked
+too, and the complement-property decision behind phase, whose positive
 verdict has no short certificate.
 """
 
@@ -60,13 +61,10 @@ from .frames import (
 )
 from .decomposition import (
     Subspace,
-    _block_deltas,
     _gram_block_bounds,
     _in_range,
     _rado_horn_witness,
     _riesz_results,
-    _tp1_mass_bound,
-    _tp1_results,
     decomposition_vectors,
     epsilon_riesz_partition,
     feichtinger_partition,
@@ -369,7 +367,7 @@ def _kadec(config, _=None):
 def _mv_theta(config, _=None):
     return montgomery_vaughan_theta(
         config["freqs"], [complex(re, im) for re, im in config["coeffs"]],
-        config["t_len"], config["quad_n"])
+        config["t_len"])
 
 
 def _phase(config, fr):
@@ -578,19 +576,6 @@ def _partition(res, m, r_max):
     return blocks
 
 
-def _verify_mv_theta(payload, _):
-    res = payload["results"]
-    got = _mv_theta(payload["config"])
-    # theta is a quadrature: another platform may round it anywhere within
-    # the quadrature error
-    slack = max(1e-9, 4.0 * got["quad_error_theta"],
-                4.0 * res.get("quad_error_theta", 0.0))
-    if type(res.get("theta")) is float and \
-            _close(got["theta"], res["theta"], slack, relative=False):
-        got["theta"] = res["theta"]
-    return got
-
-
 def _verify_dilate(payload, original):
     """Holds the input and the stored completion to the producer's
     certificate instead of re-running the dilation, and hands the checked
@@ -641,30 +626,24 @@ def _verify_weaver(payload, fr):
 
 
 def _verify_decompose(payload, fr):
-    """A True verdict is re-priced from its partition.  Riesz and
-    Feichtinger judge it against the stored target where that range lies
-    inside the configured one, a stronger claim, else against the
-    configured one; tp1 against the configured and the recorded delta.  A
-    False one is not re-decided, so only the fields it derives from the
-    config are rebuilt."""
+    """tp1 is seeded and polynomial, so it is re-run.  A True Riesz or
+    Feichtinger verdict is re-priced from its partition, judged against
+    the stored target where that range lies inside the configured one, a
+    stronger claim, else against the configured one.  A False one is not
+    re-decided, so only the fields it derives from the config are
+    rebuilt."""
     config, res = payload["config"], payload["results"]
-    blocks = _partition(res, fr.M, config["r_max"]) \
-        if res["verdict"] is True else None
     criterion = config["criterion"]
     if criterion == "tp1":
-        delta = res["delta_target"]
-        bound = _tp1_mass_bound(gram_matrix(fr), config["s"], delta)
-        per = _block_deltas(fr, blocks, config["s"]) if blocks else []
-        got = _tp1_results(blocks, per, UNCHECKED if blocks else 0, bound,
-                           delta, dict(res["flags"], seed=config["seed"]))
-        got["verdict"] &= all(within(d, config["delta"]) for d in per)
-        return got
+        return _decompose(config, fr)
     if criterion == "riesz":
         wanted = (1.0 - config["epsilon"], 1.0 + config["epsilon"])
     elif criterion == "feichtinger":
         wanted = (config["a_target"], None)
     else:
         raise ContractViolation(f"unknown criterion {criterion!r}")
+    blocks = _partition(res, fr.M, config["r_max"]) \
+        if res["verdict"] is True else None
     stored = tuple(res["target"])
     target = stored if _in_range(stored, *wanted) else wanted
     return _riesz_results(_gram_block_bounds(gram_matrix(fr)), blocks,
@@ -729,9 +708,8 @@ _BUILDERS = {
 }
 
 # The commands whose verifier verify runs in place of the builder, on the
-# payload and the decoded input: a search's re-prices the stored
-# certificate, and mv-theta's re-runs the builder and allows for its
-# quadrature error.
+# payload and the decoded input: each re-prices a search's stored
+# certificate.
 _VERIFIERS = {
     "dilate": _verify_dilate,
     "pave": _verify_pave,
@@ -739,7 +717,6 @@ _VERIFIERS = {
     "decompose": _verify_decompose,
     "ric": _verify_ric,
     "radohorn": _verify_radohorn,
-    "mv-theta": _verify_mv_theta,
     "erasure": _verify_erasure,
 }
 

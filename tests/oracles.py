@@ -1,7 +1,7 @@
 """Closed-form counts the partition tests compare the package against, and
-the roll-loop, per-difference and per-set routes that the grid transforms
-of pavekit.harmonic and the Rado-Horn exchange search replaced, kept as
-second routes."""
+the roll-loop, per-difference, per-set and quadrature routes that the grid
+transforms and the closed-form energy of pavekit.harmonic and the
+Rado-Horn exchange search replaced, kept as second routes."""
 
 import numpy as np
 
@@ -94,3 +94,28 @@ def exchange_chains_by_sets(fr, r):
             x, b = parent[x] if parent[x] is not None else (None, None)
         assert all(indep(blk) for blk in blocks)
     return [blk for blk in blocks if blk], None
+
+
+def mv_theta_by_quadrature(freqs, coeffs, t_len):
+    """(theta, error estimate) of montgomery_vaughan_theta's energy
+    correction with the energy integrated numerically, as pavekit.harmonic
+    did before it summed the closed form: composite Simpson on |sum a_j
+    exp(2 pi i lambda_j t)|^2 at n >= max(256, 64 T max|lambda|) even
+    panels and at 2n, theta from the 2n run, and the Richardson estimate
+    |I_2n - I_n| / 15 mapped into theta units."""
+    lam = np.asarray(freqs, dtype=float)
+    a = np.asarray(coeffs, dtype=complex)
+    energy = float(np.sum(np.abs(a) ** 2))
+    sep = float(np.diff(np.sort(lam)).min())
+    n = max(256, int(np.ceil(64.0 * t_len * np.abs(lam).max())))
+    n += n % 2
+
+    def integral(panels):
+        t = np.linspace(0.0, t_len, panels + 1)
+        vals = np.abs(np.exp(2j * np.pi * np.outer(t, lam)) @ a) ** 2
+        return t_len / panels / 3.0 * (
+            vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum()
+            + 2.0 * vals[2:-1:2].sum())
+
+    i_n, i_2n = integral(n), integral(2 * n)
+    return sep * (i_2n / energy - t_len), sep * abs(i_2n - i_n) / 15.0 / energy

@@ -13,6 +13,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from oracles import mv_theta_by_quadrature
 from pavekit import (
     Frame,
     GridFunction,
@@ -254,6 +255,8 @@ def test_criterion_09_frequency_separation():
             t_len = float(rng.uniform(1.0, 5.0))
             res = montgomery_vaughan_theta(freqs, coeffs, t_len)
             assert res["within_unit"]
+            theta, err = mv_theta_by_quadrature(freqs, coeffs, t_len)
+            assert abs(res["theta"] - theta) <= 4.0 * err + 1e-12
 
 
 def test_criterion_10_mixed_norm_construction():

@@ -376,22 +376,26 @@ def test_verify_rejects_malformed_subsets(tmp_path, capsys, command, subset):
     assert "not a sorted list" in out["reasons"][-1]
 
 
-def test_tp1_verify_uses_the_verdict_slack(tmp_path, capsys):
+def test_tp1_verify_reruns_the_search(tmp_path, capsys):
+    """verify re-runs tp1 at the configured delta, so a config edited
+    without its results fails: below the top block constant by less than
+    VERDICT_SLACK, which here is a negative delta the producer refuses,
+    and at another delta in (0, 1), whose search has another k."""
     f = _gen_frame(tmp_path, n=2, M=6)
     rep = tmp_path / "tp1.json"
     assert run("decompose", "--input", str(f), "--criterion", "tp1",
                "--s", "2", "--delta", "0.9", "--report", str(rep)) == 0
+    assert _verify_cli(rep, capsys) == {"verified": True, "reasons": []}
     doc = load_report(str(rep))
     assert doc["payload"]["results"]["verdict"]
     top = max(doc["payload"]["results"]["per_block_delta"])
-    doc["payload"]["config"]["delta"] = top - 5e-13   # inside the slack
-    rep.write_text(json.dumps(doc))
-    assert _verify_cli(rep, capsys)["verified"] is True
-    doc["payload"]["config"]["delta"] = top - 1e-10
-    rep.write_text(json.dumps(doc))
-    out = _verify_cli(rep, capsys)
-    assert out["verified"] is False
-    assert "results.verdict" in out["reasons"][-1]
+    for delta, reason in ((top - 5e-13, "delta must lie in (0, 1)"),
+                          (0.5, "results.k differs")):
+        doc["payload"]["config"]["delta"] = delta
+        rep.write_text(json.dumps(doc))
+        out = _verify_cli(rep, capsys)
+        assert out["verified"] is False
+        assert reason in out["reasons"][-1], out
 
 
 def test_write_report_converts_numpy_values(tmp_path):

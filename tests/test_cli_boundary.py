@@ -7,8 +7,8 @@ gen's sizes, --n, --M and --N, which core.ENTRY_BUDGET bounds before any
 allocation.  The block counts (--r-max, --r), kadec's --n-max, toeplitz's
 --freq-min and --freq-max, gen's --levels and the other integer options of
 HUGE_INTEGERS are driven at 10^9 in a child process with a bounded address
-space, and so are a 20000x1 and a 1x20000 input, whose frame operator or
-Gram matrix the same entry budget refuses.
+space, and so are 2049 mv-theta frequencies and a 20000x1 and a 1x20000
+input, whose Gram matrix or frame operator the same entry budget refuses.
 """
 
 import argparse
@@ -29,6 +29,7 @@ from pavekit import cli, reports
 from pavekit.core import (
     ENTRY_BUDGET,
     BudgetExceeded,
+    ContractViolation,
     check_entries,
     matrix_to_json,
 )
@@ -146,34 +147,54 @@ def test_kadec_frame_bound_overflow_names_the_option(tmp_path, values,
     assert not rep.exists()
 
 
-@pytest.mark.parametrize("extra", [["--t-len", "1e308"],
-                                   ["--t-len", "2", "--quad-n", str(10**12)]])
-def test_mv_theta_quadrature_over_budget_exits_3(extra):
+@pytest.mark.parametrize("report", [False, True])
+@pytest.mark.parametrize("t_len", ["1e308", "inf"])
+def test_mv_theta_t_len_overflow_exits_2(tmp_path, t_len, report):
+    """A length whose phases 2 pi T max|lambda_j - lambda_k| overflow is bad
+    input naming --t-len, as is a length that is no finite number."""
+    rep = tmp_path / "report.json"
+    run = ["mv-theta", "--freqs", "0,1", "--coeffs", "1,1",
+           f"--t-len={t_len}"]
+    code, err = _run(run + ["--report", str(rep)] if report else run)
+    assert code == 2 and "--t-len" in err and "Traceback" not in err, err
+    assert not rep.exists()
+
+
+def test_mv_theta_has_no_quad_n_option():
     code, err = _run(["mv-theta", "--freqs", "0,1", "--coeffs", "1,1",
-                      *extra])
-    assert code == 3 and "budget exceeded" in err and "Traceback" not in err
+                      "--t-len", "2", "--quad-n", "5"])
+    assert code == 2 and "unrecognized arguments: --quad-n 5" in err
 
 
 def test_mv_theta_budget_raises_before_allocating():
-    for t_len, quad_n in ((1e308, None), (math.inf, None), (2.0, 10**12)):
-        with pytest.raises(BudgetExceeded):
-            montgomery_vaughan_theta([0.0, 1.0], [1.0, 1.0], t_len, quad_n)
+    """2049 frequencies make a Gram matrix of more than ENTRY_BUDGET
+    entries, refused before it is built; a length whose phases overflow
+    raises ContractViolation naming --t-len."""
+    n = math.isqrt(ENTRY_BUDGET) + 1
+    freqs, coeffs = np.arange(n, dtype=float), np.ones(n)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="entry budget"):
+            montgomery_vaughan_theta(freqs, coeffs, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    for t_len in (1e308, math.inf):
+        with pytest.raises(ContractViolation, match="^--t-len "):
+            montgomery_vaughan_theta([0.0, 1.0], [1.0, 1.0], t_len)
 
 
 @pytest.mark.parametrize("report", [False, True])
 def test_underflowing_values_exit_2_naming_the_option(tmp_path, report):
     """A tp1 --delta whose square underflows or whose B s / delta^2
-    overflows, a kadec --gamma that makes L infinite minus infinite, and an
-    mv-theta --quad-n below 1 where 64 t max|lambda| underflows to 0 exit 2,
-    with or without a report to write, naming the option."""
+    overflows and a kadec --gamma that makes L infinite minus infinite exit
+    2, with or without a report to write, naming the option."""
     tp1 = commands(tmp_path)["tp1"]
     runs = [(_with_option(tp1, "--delta", d), "--delta")
             for d in ("5e-324", "1e-300", "1e-160")]
     runs.append((["kadec", "--a", "1", "--b", "2", "--gamma", "5e-324",
                   "--delta", "0"], "--gamma"))
-    runs += [(["mv-theta", "--freqs", "0,1e-10", "--coeffs", "1,1",
-               "--t-len", "5e-324", "--quad-n", n], "--quad-n")
-             for n in ("0", "-1")]
     rep = tmp_path / "report.json"
     for run, option in runs:
         code, err = _run(run + ["--report", str(rep)] if report else run)
@@ -304,8 +325,11 @@ def test_riesz_decompose_past_the_walk_is_greedy(tmp_path):
 
 
 BIG = 10**9
-# (report_cases case, integer option, a value past every size that command
-# can use, exit code, what the error text must name)
+# 2049 frequencies: their Gram matrix has more than ENTRY_BUDGET entries
+WIDE_N = math.isqrt(ENTRY_BUDGET) + 1
+WIDE = ",".join(map(str, range(WIDE_N)))
+# (report_cases case, integer option or list option, a value past every
+# size that command can use, exit code, what the error text must name)
 HUGE_INTEGERS = (
     ("pave", "--r-max", BIG, 0, None),
     ("pave-local", "--r-max", BIG, 0, None),
@@ -324,7 +348,7 @@ HUGE_INTEGERS = (
     ("tp1", "--s", BIG, 0, None),
     ("toeplitz", "--stride", BIG, 0, None),
     ("toeplitz", "--k-list", BIG, 2, "must divide N"),
-    ("mv-theta", "--quad-n", BIG, 3, "budget exceeded"),
+    ("mv-theta-wide", "--freqs", WIDE, 3, "budget exceeded"),
     ("phase", "--trials", BIG, 3, "--trials"),
 )
 
@@ -385,6 +409,8 @@ def test_huge_integer_options_keep_the_exit_contract_without_allocating(
                  "--seed", "2", "--out", frame])[0] == 0
     argv["riesz-greedy"] = ["decompose", "--input", frame,
                             "--criterion", "riesz", "--epsilon", "0.9"]
+    argv["mv-theta-wide"] = ["mv-theta", "--t-len", "3",
+                             "--coeffs", ",".join(["1"] * WIDE_N)]
     runs = []
     for i, (case, option, value, _, _) in enumerate(HUGE_INTEGERS):
         rep = str(tmp_path / f"huge{i}.json")
@@ -450,8 +476,8 @@ def test_square_products_of_an_input_keep_the_entry_budget(tmp_path):
 KADEC = ["kadec", "--a", "1", "--b", "2", "--gamma", "3", "--delta", "0.1"]
 MV_THETA = ["mv-theta", "--t-len", "2"]
 
-# (argv, the text stderr must hold); F37, BASIS and GRID stand for the
-# inputs of report_cases
+# (argv, the text stderr must hold); F37, BASIS, GRID and MATRIX stand for
+# the inputs of report_cases
 BAD_OPTIONS = [
     (["gen", "--kind", "harmonic", "--M", "4"], "--kind harmonic needs --n"),
     (["gen", "--kind", "harmonic", "--n", "2"], "--kind harmonic needs --M"),
@@ -506,6 +532,23 @@ BAD_OPTIONS = [
      "argument --coeffs: '' is not a list of complex numbers"),
     (MV_THETA + ["--freqs", "0,1", "--coeffs", "1,1+"],
      "argument --coeffs: '1,1+' is not a list of complex numbers"),
+    # an option set away from its default outside every group that holds it
+    (["pave", "--input", "MATRIX", "--r-max", "2", "--epsilon", "0.7",
+      "--delta", "0.3"], "--delta needs --form projection"),
+    (["toeplitz", "--input", "GRID", "--k-list", "2", "--epsilon", "0.5",
+      "--freq-max", "5"], "--freq-max needs --stride"),
+    (["toeplitz", "--input", "GRID", "--k-list", "2", "--epsilon", "0.5",
+      "--freq-min", "1"], "--freq-min needs --stride"),
+    (KADEC + ["--n-max", "3"], "--n-max needs --empirical"),
+    (KADEC + ["--seed", "3"], "--seed needs --empirical"),
+    (["gen", "--kind", "harmonic", "--n", "2", "--M", "4", "--seed", "3"],
+     "--seed needs --kind random-unit or --kind projection"),
+    (["gen", "--kind", "harmonic", "--n", "2", "--M", "4", "--field",
+      "complex"], "--field needs --kind random-unit"),
+    (["gen", "--kind", "random-unit", "--n", "2", "--M", "4", "--seed", "1",
+      "--parseval"], "--parseval needs --kind harmonic"),
+    (["decompose", "--input", "F37", "--criterion", "riesz", "--epsilon",
+      "0.95", "--delta", "0.5"], "--delta needs --criterion tp1"),
 ]
 
 
@@ -513,13 +556,15 @@ BAD_OPTIONS = [
                          ids=[text for _, text in BAD_OPTIONS])
 def test_a_missing_or_bad_option_exits_2_naming_it(tmp_path, argv, text):
     """A group of options brought in by a selector's value or by one of
-    them being given needs all of its options; a list option that is empty
-    or holds an unreadable item is refused by argparse.  Either exits 2,
-    names every missing or bad option and writes nothing."""
+    them being given needs all of its options, and an option of groups
+    none of which is brought in must keep its default; a list option that
+    is empty or holds an unreadable item is refused by argparse.  Each
+    exits 2, names every missing, stray or bad option and writes
+    nothing."""
     cases = commands(tmp_path)
     assert _run(cases["gen-grid"])[0] == 0
     inputs = {"F37": cases["analyze"][2], "BASIS": cases["subspace"][2],
-              "GRID": cases["toeplitz"][2]}
+              "GRID": cases["toeplitz"][2], "MATRIX": cases["pave"][2]}
     out, rep = tmp_path / "out.json", tmp_path / "report.json"
     run = [inputs.get(a, a) for a in argv] + ["--report", str(rep)]
     if argv[0] == "gen":

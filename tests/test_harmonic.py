@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (
     gk_component_by_rolls,
+    mv_theta_by_quadrature,
     toeplitz_section_by_sums,
     translate_average_by_rolls,
 )
@@ -310,10 +311,10 @@ def test_ap_blocks_and_distribution():
 def test_mv_theta_single_and_orthogonal():
     rep = montgomery_vaughan_theta([3.0], [1.0 + 0.5j], 2.0)
     assert rep["theta"] == 0.0
-    # distinct integer frequencies over a full period: energy is exact,
-    # so theta vanishes up to quadrature error
+    # distinct integer frequencies over a full period are orthogonal, so
+    # theta vanishes up to the rounding of the closed form
     rep = montgomery_vaughan_theta([0.0, 1.0, 2.0], [1.0, 2.0, -1.0], 1.0)
-    assert abs(rep["theta"]) <= 10.0 * rep["quad_error_theta"] + 1e-9
+    assert abs(rep["theta"]) <= 64.0 * np.finfo(float).eps
     assert rep["within_unit"]
 
 
@@ -324,15 +325,28 @@ def test_mv_theta_random_instances():
         gaps = rng.uniform(0.5, 2.0, size=k)
         freqs = np.cumsum(gaps)
         coeffs = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        rep = montgomery_vaughan_theta(list(freqs), list(coeffs),
-                                       float(rng.uniform(1.0, 3.0)))
+        t_len = float(rng.uniform(1.0, 3.0))
+        rep = montgomery_vaughan_theta(list(freqs), list(coeffs), t_len)
         assert rep["within_unit"], rep
         assert abs(rep["theta"]) <= 1.0 + 1e-3
+        theta, err = mv_theta_by_quadrature(freqs, coeffs, t_len)
+        assert abs(rep["theta"] - theta) <= 4.0 * err + 1e-12, (rep, theta)
 
 
 def test_mv_theta_rejects_coincident_frequencies():
     with pytest.raises(ContractViolation):
         montgomery_vaughan_theta([1.0, 1.0], [1.0, 1.0], 1.0)
+
+
+def test_mv_theta_at_the_smallest_normal_separation():
+    """A separation below the smallest normal float would overflow the
+    reciprocal in the closed form to NaN, so it is refused; at that float
+    the off-diagonal entry is T and theta = -sep for coefficients 1, -1."""
+    tiny = np.finfo(float).tiny
+    with pytest.raises(ContractViolation, match="smallest normal float"):
+        montgomery_vaughan_theta([0.0, 5e-324], [1.0, -1.0], 1e300)
+    rep = montgomery_vaughan_theta([0.0, tiny], [1.0, -1.0], 1.0)
+    assert rep["theta"] == -tiny and rep["integral"] == 0.0
 
 
 def test_kadec_bounds_constants():

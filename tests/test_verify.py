@@ -178,10 +178,20 @@ PAYLOAD_FORGERIES = {
         mode="operator")),
     "tp1-other-seed": ("tp1", lambda p: p["config"].update(
         seed=p["config"]["seed"] + 1)),
-    # over the quadrature budget: verify reports it instead of raising
+    # the search record and a False verdict of the seeded tp1 search, which
+    # verify re-runs
+    "tp1-r-used": ("tp1", lambda p: p["results"].update(r_used=4)),
+    "tp1-escalation": ("tp1", lambda p: p["results"]["flags"][
+        "escalations"][0].update(max_mass=0.0)),
+    "tp1-false-verdict": ("tp1", lambda p: p["results"].update(
+        verdict=False, partition=None, per_block_delta=[], r_used=0)),
+    # 2 pi T max|lambda_j - lambda_k| overflows: verify reports it instead
+    # of raising
     "mv-theta-huge-t-len": ("mv-theta", lambda p: p["config"].update(
         t_len=1e308)),
-    # 64 t max|lambda| underflows to 0, so only quad_n sets the panels
+    # a config as the quadrature once recorded it, its frequencies and
+    # length moved so that 64 T max|lambda| underflows: quad_n is no option
+    # now, and the closed form at the moved ones gives another theta
     "mv-theta-quad-n-zero": ("mv-theta", lambda p: p["config"].update(
         quad_n=0, t_len=1e-300, freqs=[0, 1e-30, 2e-30])),
     # pi / (4 gamma) - asin(...) / gamma is inf - inf
