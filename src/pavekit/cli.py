@@ -299,7 +299,8 @@ def _subspace_options(p):
 def _toeplitz_options(p):
     p.add_argument("--input", required=True)
     p.add_argument("--k-list", type=_ints, required=True,
-                   help="comma-separated moduli, each dividing N")
+                   help="comma-separated moduli, each dividing N; a list "
+                        "that starts with '-' takes the --k-list=... form")
     p.add_argument("--epsilon", type=_finite_float, required=True)
     p.add_argument("--stride", type=int,
                    help="also check progression sections at this stride")
@@ -323,10 +324,14 @@ def _kadec_options(p):
 
 
 def _mv_theta_options(p):
-    p.add_argument("--freqs", type=_listed(float, "numbers"), required=True)
+    p.add_argument("--freqs", type=_listed(float, "numbers"), required=True,
+                   help="comma-separated numbers; a list that starts with "
+                        "'-' takes the --freqs=-1.5,0,2 form")
     p.add_argument("--coeffs", type=_listed(_pair, "complex numbers"),
                    required=True,
-                   help="comma-separated complex numbers, e.g. '1,0.5-0.2j'")
+                   help="comma-separated complex numbers, e.g. '1,0.5-0.2j'; "
+                        "a list that starts with '-' takes the "
+                        "--coeffs=-1,2 form")
     p.add_argument("--t-len", type=_finite_float, required=True)
 
 
@@ -468,10 +473,14 @@ def main(argv=None):
         config = _config(args, rows)
         results = _BUILDERS[args.command](config, obj)
         wall = time.perf_counter() - start
-        print(line(args, results))
+        summary = line(args, results)
+        # written before the summary is printed, so a report that cannot
+        # be encoded or written leaves no verdict on stdout
         if args.report:
             write_report(args.report, make_report(args.command, config,
                                                   inputs, results, wall))
+        print(summary)
+        if args.report:
             print(f"report: {args.report}")
         return 0
     except BudgetExceeded as exc:

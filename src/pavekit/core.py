@@ -184,10 +184,11 @@ def block_spectrum(a, subset, frame=False):
     return np.linalg.eigvalsh(_principal(a, idx))
 
 
-def block_norm(a, subset):
-    """operator_norm of a[S, S], bit for bit, from one unchecked svd."""
-    idx = np.array(subset, dtype=np.intp)
-    return float(np.linalg.svd(a[idx[:, None], idx], compute_uv=False)[0])
+def stack_norms(a, idx):
+    """operator_norm of each block a[S, S] for the rows S of the (B, k)
+    index array idx, bit for bit, from one unchecked svd."""
+    sub = a[idx[:, :, None], idx[:, None, :]]
+    return np.linalg.svd(sub, compute_uv=False)[:, 0]
 
 
 def operator_norm(m):

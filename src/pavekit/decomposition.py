@@ -35,6 +35,7 @@ from .core import (
     ensure_unit_norm,
     label_blocks,
     numeric_rank,
+    stack_spectra,
     subset_ranks,
     within,
 )
@@ -56,12 +57,12 @@ __all__ = [
 
 def _gram_block_bounds(g):
     """(lowest, highest) Gram eigenvalue of each block, memoized by the
-    block's bitmask."""
-    def spectrum(idx):
-        w = block_spectrum(g, idx)
-        return float(w[0]), float(w[-1])
+    block's bitmask and priced in stacks."""
+    def spectra(idx):
+        w = stack_spectra(g, idx)
+        return list(zip(w[:, 0].tolist(), w[:, -1].tolist()))
 
-    return _block_cost_cache(spectrum)
+    return _block_cost_cache(spectra)
 
 
 def _greedy_blocks(m, r_max, ok, score):

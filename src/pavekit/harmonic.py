@@ -311,7 +311,8 @@ def montgomery_vaughan_theta(freqs, coeffs, t_len):
     alone, without the cancellation of I / sum|a|^2 - T.  A single
     frequency short-circuits to theta = 0 (the integrand is constant).  A
     Gram matrix of more than ENTRY_BUDGET entries raises BudgetExceeded
-    before any is built.
+    before any is built, and an energy out of float range raises
+    ContractViolation naming the option that set it.
     """
     lam = np.asarray(freqs, dtype=float).reshape(-1)
     a = np.asarray(coeffs, dtype=complex).reshape(-1)
@@ -321,7 +322,15 @@ def montgomery_vaughan_theta(freqs, coeffs, t_len):
         raise ContractViolation("inputs must be finite")
     if not t_len > 0.0:
         raise ContractViolation("interval length must be positive")
-    energy = float(np.sum(np.abs(a) ** 2))
+    with np.errstate(over="ignore"):    # an overflow is refused below
+        energy = float(np.sum(np.abs(a) ** 2))
+    if not math.isfinite(energy):
+        raise ContractViolation("--coeffs have a sum of squared moduli out "
+                                "of float range")
+    if not math.isfinite(t_len * energy):
+        raise ContractViolation(f"--t-len {t_len} times the coefficients' "
+                                f"sum of squared moduli {energy:g} is out of "
+                                "float range")
     if energy == 0.0:
         raise ContractViolation("coefficients must not all vanish")
     if lam.size == 1:
@@ -341,6 +350,9 @@ def montgomery_vaughan_theta(freqs, coeffs, t_len):
     gram = _exponential_gram(lam, t_len)
     np.fill_diagonal(gram, 0.0)
     dev = float(np.real(a.conj() @ gram @ a))
+    if not math.isfinite(t_len * energy + dev):
+        raise ContractViolation("the energy of --coeffs over --t-len is out "
+                                "of float range")
     theta = sep * dev / energy
     return {
         "theta": float(theta), "integral": t_len * energy + dev,

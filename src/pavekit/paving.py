@@ -10,13 +10,13 @@ placement budget, with block costs memoized by bitmask, and prune a prefix
 only when it provably cannot beat the best partition found so far; they
 return the partition a full scan would.  The local search does steepest-
 descent single-index moves and never claims optimality.  Every report
-records which mode produced it.  Blocks are priced on memo misses by core's
-one-block kernels, one cost for the searches, _priced and verify.
+records which mode produced it.  A block cost prices a stack of same-size
+blocks in one LAPACK call (core's stack_norms and stack_spectra), one cost
+for the searches, _priced and verify; a memo miss in the walk prices the
+missed block with the siblings the walk may place next.
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 import numpy as np
 
@@ -28,13 +28,13 @@ from .core import (
     WKHB_MOVE_BUDGET,
     BudgetExceeded,
     ContractViolation,
-    block_norm,
-    block_spectrum,
     ensure_matrix,
     ensure_projection,
     ensure_unit_norm,
     label_blocks,
     operator_norm,
+    stack_norms,
+    stack_spectra,
     sym_eig,
     within,
 )
@@ -72,19 +72,31 @@ def _block_mask(indices):
 
 
 def _block_cost_cache(cost):
-    """Memo of block costs keyed by bitmask, filled on first use.
+    """Memo of block costs keyed by bitmask, filled in stacks on first use.
 
-    cost is called once per distinct nonempty block, on its sorted index
-    list; the empty block costs 0.0.  A search over M indices holds at most
-    2^M entries.
+    cost takes a (B, k) array whose rows are the sorted index lists of B
+    blocks and returns their B costs; the empty block costs 0.0.  get(mask)
+    prices a missing block alone.  get(mask, m), the walk's call, prices
+    the missing block R + {i}, i its top index, together with every
+    sibling R + {j}, i < j < m, not yet held, in one call of cost: the
+    walk reaches those blocks when it places a later index into the same
+    block.  Every key is a subset of {0..m-1}, so a search over M indices
+    holds at most 2^M entries.
     """
     cache = {0: 0.0}
 
-    def get(mask):
+    def get(mask, m=0):
         val = cache.get(mask)
         if val is None:
-            idx = [i for i in range(mask.bit_length()) if mask >> i & 1]
-            val = cache[mask] = cost(idx)
+            top = mask.bit_length() - 1
+            rest = mask ^ (1 << top)
+            head = [i for i in range(top) if rest >> i & 1]
+            tops = [j for j in range(top, max(m, top + 1))
+                    if (rest | 1 << j) not in cache]
+            idx = np.array([head + [j] for j in tops], dtype=np.intp)
+            for j, c in zip(tops, cost(idx)):
+                cache[rest | 1 << j] = c
+            val = cache[mask]
         return val
 
     return get
@@ -94,8 +106,8 @@ def _rgs_walk(m, r_max, get, admit, leaf, carry):
     """Depth-first walk over the partitions of {0..m-1} into at most r_max
     blocks, in enumerate_partitions order (restricted-growth label strings).
 
-    Placing index i in block b prices the grown block with get(mask) and
-    asks admit(carry, price) for the carry of the longer prefix; None
+    Placing index i in block b prices the grown block with get(mask, m)
+    and asks admit(carry, price) for the carry of the longer prefix; None
     prunes every completion of that prefix.  leaf(labels, masks, nblocks)
     sees each complete partition that survives and returns how many blocks
     the rest of the walk may use: r_max goes on, fewer drops every prefix
@@ -127,7 +139,7 @@ def _rgs_walk(m, r_max, get, admit, leaf, carry):
                 raise BudgetExceeded(f"partition search reached {spent} "
                                      f"placements, over the {allowed} allowed")
             mask = masks[b] | bit
-            nxt = admit(carry, get(mask))
+            nxt = admit(carry, get(mask, m))
             if nxt is not None:
                 labels[i] = b
                 masks[b] = mask
@@ -244,8 +256,8 @@ def _search(m, r_max, cost, seed, flags, mode="auto"):
 
 def _pricing(form, a, epsilon, bound=None):
     """(block cost, target, scale, flags) of a paving form on the matrix its
-    blocks are read from: T for "matrix" (block_norm of T - D(T), target
-    epsilon ||T - D(T)||), the projection for "projection" (block_norm of P,
+    blocks are read from: T for "matrix" (block norms of T - D(T), target
+    epsilon ||T - D(T)||), the projection for "projection" (block norms of P,
     target 1 - epsilon, flags on diag_delta against the bound delta), the
     Gram matrix for "weaver" (top Gram block eigenvalue, target bessel -
     epsilon, flags on the top Gram eigenvalue against the bound bessel).
@@ -270,15 +282,19 @@ def _pricing(form, a, epsilon, bound=None):
     if bound is not None and form != "matrix" and \
             max(flags.values()) > bound + CHECK_TOL:
         flags["precondition_violated"] = True
-    cost = _gram_block_top(a) if form == "weaver" else partial(block_norm, a)
+    cost = _gram_block_top(a) if form == "weaver" else _block_norms(a)
     return cost, target, scale, flags
 
 
 def _priced(form, cost, blocks, target, scale, mode, evaluated, flags):
     """The results on a partition's blocks: every block priced with cost,
-    and the verdict on the worst of them against target.  scale is the
-    reference norm the target was derived from."""
-    per = [cost(blk) for blk in blocks]
+    one stack per block size, and the verdict on the worst of them against
+    target.  scale is the reference norm the target was derived from."""
+    per = {}
+    for k in {len(blk) for blk in blocks}:
+        run = [blk for blk in blocks if len(blk) == k]
+        per.update(zip(map(tuple, run), cost(np.array(run, dtype=np.intp))))
+    per = [per[tuple(blk)] for blk in blocks]
     achieved = max(per)
     return {"form": form, "verdict": bool(within(achieved, target)),
             "achieved": achieved, "target": target,
@@ -320,10 +336,17 @@ def pave_projection_check(p, r_max, epsilon, delta=None, mode="auto", seed=0):
                  mode, seed)
 
 
+def _block_norms(a):
+    """Block cost of matrix and projection paving: the norm of each
+    compression a[S, S] of a stack."""
+    return lambda idx: stack_norms(a, idx).tolist()
+
+
 def _gram_block_top(g):
-    """Block cost of weaver: the top eigenvalue of the Gram block,
-    clipped at 0, which is the norm of the block frame operator."""
-    return lambda blk: float(max(block_spectrum(g, blk)[-1], 0.0))
+    """Block cost of weaver: the top eigenvalue of each Gram block of a
+    stack, clipped at 0, which is the norm of the block frame operator."""
+    return lambda idx: [max(w, 0.0)
+                        for w in stack_spectra(g, idx)[:, -1].tolist()]
 
 
 def weaver_check(fr, bessel, epsilon, r_max, seed=0):

@@ -1,10 +1,11 @@
-"""The stacked block-spectrum kernel, its one-block forms, and the subset
-scans built on it.
+"""The stacked block-spectrum kernel, its one-block form, the stacked block
+norms, and the subset scans built on them.
 
 block_spectra must give every block the bits a lone eigvalsh of that block
-gives, however the blocks are stacked; block_spectrum and block_norm, which
-price one block of a partition walk, must give the bits of the stacked
-kernel and of operator_norm.  The oracles below are the
+gives, however the blocks are stacked; block_spectrum, which prices one
+block, must give the bits of the stacked kernel, and stack_norms, which
+prices the stacks of a partition walk, the bits of a lone operator_norm of
+each block.  The oracles below are the
 per-subset loops the scans ran before they were stacked; the scans must
 match them bit for bit: values, worst subset, tie order and counts.
 """
@@ -25,7 +26,6 @@ from pavekit.core import (
     RANK_TOL,
     ContractViolation,
     Frame,
-    block_norm,
     block_spectra,
     block_spectrum,
     gen_harmonic_frame,
@@ -33,6 +33,7 @@ from pavekit.core import (
     gen_random_unit_frame,
     numeric_rank,
     operator_norm,
+    stack_norms,
     stack_spectra,
     subset_ranks,
 )
@@ -152,8 +153,11 @@ def test_one_block_kernels_match_stacked_and_checked_routes():
         assert len(stacked) == len(subsets)
         for subset, w in zip(subsets, stacked):
             assert _bits(block_spectrum(a, subset)) == _bits(w)
-            assert _bits(block_norm(a, subset)) == \
-                _bits(operator_norm(a[np.ix_(subset, subset)]))
+        for k in {len(subset) for subset in subsets}:
+            run = [subset for subset in subsets if len(subset) == k]
+            norms = stack_norms(a, np.array(run, dtype=np.intp))
+            assert _bits(norms) == _bits(
+                [operator_norm(a[np.ix_(s, s)]) for s in run])
 
 
 def test_no_hand_copied_eigensolves():

@@ -21,6 +21,7 @@ import resource
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -53,16 +54,22 @@ def _float_options():
             for name, p in sub.choices.items()}
 
 
-def _run(argv):
-    """(exit code, stderr) of cli.main, argparse's own exits included."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(err):
+def _outputs(argv):
+    """(exit code, stdout, stderr) of cli.main, argparse's own exits
+    included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _run(argv):
+    """(exit code, stderr) of cli.main, argparse's own exits included."""
+    code, _, err = _outputs(argv)
+    return code, err
 
 
 def _with_option(argv, option, value):
@@ -158,6 +165,63 @@ def test_mv_theta_t_len_overflow_exits_2(tmp_path, t_len, report):
     code, err = _run(run + ["--report", str(rep)] if report else run)
     assert code == 2 and "--t-len" in err and "Traceback" not in err, err
     assert not rep.exists()
+
+
+@pytest.mark.parametrize("coeffs, t_len, option", [
+    ("1e200,1", "1", "--coeffs"),       # sum |a|^2 overflows
+    ("1e150,1", "1e200", "--t-len"),    # T sum |a|^2 overflows
+])
+def test_mv_theta_energy_overflow_exits_2(tmp_path, coeffs, t_len, option):
+    """An energy out of float range is bad input naming the option that
+    set it, refused before numpy warns, and with no verdict printed."""
+    rep = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _outputs(["mv-theta", "--freqs", "0,1", "--coeffs",
+                                   coeffs, "--t-len", t_len,
+                                   "--report", str(rep)])
+    assert code == 2 and err.startswith(f"error: {option} "), err
+    assert "out of float range" in err and out == ""
+    assert not rep.exists()
+
+
+def test_mv_theta_refuses_an_overflowing_integral():
+    """Each sum |a|^2 is finite here, but the energy over the interval,
+    T sum |a|^2 plus the off-diagonal terms, is not."""
+    with pytest.raises(ContractViolation, match="out of float range"):
+        montgomery_vaughan_theta([0.0, 0.001, 0.002], [5e153] * 3, 1.0)
+
+
+def test_a_report_that_cannot_be_encoded_prints_no_verdict(tmp_path,
+                                                           monkeypatch):
+    """The report is encoded and written before the summary line is
+    printed, so one that cannot be written leaves no verdict on stdout."""
+    monkeypatch.setitem(reports._BUILDERS, "mv-theta", lambda config, obj: {
+        "theta": math.nan, "within_unit": True})
+    rep = tmp_path / "report.json"
+    code, out, err = _outputs(MV_THETA + ["--freqs", "0,1", "--coeffs", "1,1",
+                                          "--report", str(rep)])
+    assert code == 2 and "not JSON compliant" in err and out == "", err
+    assert not rep.exists()
+
+
+@pytest.mark.parametrize("option, value, rest", [
+    ("--freqs", "-1.5,0,2", ["--coeffs", "1,1,1"]),
+    ("--coeffs", "-1,0.5j,2", ["--freqs", "0,1,2"]),
+])
+def test_a_list_starting_with_minus_takes_the_equals_form(tmp_path, option,
+                                                          value, rest):
+    """argparse reads a separate value that starts with '-' as an option:
+    the option=value form runs, and the separate form exits 2 naming the
+    option."""
+    rep = tmp_path / "report.json"
+    code, err = _run(MV_THETA + rest + [f"{option}={value}",
+                                        "--report", str(rep)])
+    assert code == 0, err
+    assert verify(str(rep)) == (True, [])
+    code, err = _run(MV_THETA + rest + [option, value])
+    assert code == 2 and f"argument {option}: expected one argument" in err
+    assert "Traceback" not in err
 
 
 def test_mv_theta_has_no_quad_n_option():
@@ -518,6 +582,9 @@ BAD_OPTIONS = [
      "argument --k-list: '' is not a list of integers"),
     (["toeplitz", "--input", "GRID", "--k-list", "2,x", "--epsilon", "0.5"],
      "argument --k-list: '2,x' is not a list of integers"),
+    # a list that starts with '-' needs the --k-list=-2,4 form
+    (["toeplitz", "--input", "GRID", "--k-list", "-2,4", "--epsilon", "0.5"],
+     "argument --k-list: expected one argument"),
     (["subspace", "--input", "BASIS", "--blocks", ""],
      "argument --blocks: '' is not a list of index lists"),
     (["subspace", "--input", "BASIS", "--blocks", " ; "],

@@ -19,7 +19,6 @@ from pavekit.core import (
     EXHAUSTIVE_INDEX_MAX,
     PARTITION_BUDGET,
     Frame,
-    block_spectra,
     enumerate_partitions,
     gen_harmonic_frame,
     gen_random_projection,
@@ -176,20 +175,23 @@ def test_ccc_matches_scan(r):
 
 
 def _old_pricing(monkeypatch, calls):
-    """The block costs before the one-block kernels, counted in calls:
-    operator_norm of an np.ix_ copy, and block_spectra of a one-subset
-    stack."""
-    def norm(a, blk):
+    """The block costs before the stacked kernels, counted in calls: each
+    block of a stack priced alone, by operator_norm of an np.ix_ copy or
+    by a lone eigvalsh of the symmetrized block."""
+    def norms(a, idx):
         calls.append("norm")
-        return operator_norm(a[np.ix_(blk, blk)])
+        return np.array([operator_norm(a[np.ix_(row, row)]) for row in idx])
 
-    def spectrum(a, blk, frame=False):
+    def spectra(a, idx, frame=False):
         calls.append("spectrum")
-        return next(block_spectra(a, [blk], frame))[1][0]
+        assert not frame
+        subs = [a[np.ix_(row, row)] for row in idx]
+        return np.array([np.linalg.eigvalsh(0.5 * (sub + sub.conj().T))
+                         for sub in subs])
 
-    monkeypatch.setattr(paving, "block_norm", norm)
-    monkeypatch.setattr(paving, "block_spectrum", spectrum)
-    monkeypatch.setattr(decomposition, "block_spectrum", spectrum)
+    monkeypatch.setattr(paving, "stack_norms", norms)
+    monkeypatch.setattr(paving, "stack_spectra", spectra)
+    monkeypatch.setattr(decomposition, "stack_spectra", spectra)
 
 
 def _searches_at_10():
@@ -229,6 +231,50 @@ def test_one_block_pricing_matches_the_old_costs(monkeypatch, r):
         assert calls, form
         assert rep["mode"] == "exhaustive", form
         assert _fingerprint(rep) == _fingerprint(old), form
+
+
+# (form, r) -> (LAPACK calls when each memo miss priced one block, calls
+# now, evaluated, partition): svd for matrix and projection, eigvalsh for
+# the rest, the pricing of the found partition included (one call per
+# block before, one per block size now)
+_WALK_STACKS = {
+    ("matrix", 3): (254, 108, 106, [[0, 9], [1, 4, 5, 6], [2, 3, 7, 8]]),
+    ("projection", 3): (347, 174, 297, [[0, 4, 5], [1, 3],
+                                        [2, 6, 7, 8, 9]]),
+    ("weaver", 3): (308, 137, 192, [[0, 2, 8], [1, 4, 5], [3, 6, 7, 9]]),
+    ("riesz", 3): (43, 26, None, None),
+    ("riesz-wide", 3): (136, 60, None, [[0, 5, 8, 9], [1, 3, 6],
+                                        [2, 4, 7]]),
+    ("matrix", 4): (241, 92, 316, [[0, 1, 2], [3, 7], [4, 5, 6], [8, 9]]),
+    ("projection", 4): (363, 173, 1574, [[0, 2, 7, 8], [1], [3, 9],
+                                         [4, 5, 6]]),
+    ("weaver", 4): (304, 120, 862, [[0, 5, 9], [1, 3], [2, 4, 8], [6, 7]]),
+    ("riesz", 4): (64, 35, None, [[0, 2, 6], [1, 3], [4, 7, 8], [5, 9]]),
+    ("riesz-wide", 4): (143, 61, None, [[0, 5, 8, 9], [1, 3, 6],
+                                        [2, 4, 7]]),
+}
+
+
+@pytest.mark.parametrize("r", (3, 4))
+def test_partition_walks_price_blocks_in_stacks(monkeypatch, r):
+    """A memo miss prices the missed block with its unpriced siblings in
+    one LAPACK call, a stack of blocks of one size, and the walk still
+    reaches the same partitions in the same order."""
+    shapes = []
+    for name in ("svd", "eigvalsh"):
+        def counted(x, *args, _lapack=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(x))
+            return _lapack(x, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    for form, search in _searches_at_10().items():
+        shapes.clear()
+        rep = search(r)
+        before, after, evaluated, blocks = _WALK_STACKS[form, r]
+        assert len(shapes) == after < before, form
+        assert all(len(shape) == 3 and shape[-1] == shape[-2]
+                   for shape in shapes), form
+        assert rep.get("evaluated") == evaluated, form
+        assert (rep["partition"] and rep["partition"]["blocks"]) == blocks
 
 
 def _predicate_scan(fr, r_max, lo_target, hi_target):
@@ -300,7 +346,7 @@ def test_walk_counts_one_placement_per_prefix():
     for m, r in ((1, 1), (5, 2), (6, 3), (7, 7)):
         placed = []
 
-        def get(mask):
+        def get(mask, m=0):
             placed.append(mask)
             return 0.0
 

@@ -321,7 +321,11 @@ def test_weaver_verify_prices_the_worst_block_twice(cases, tmp_path, capsys,
                                                     monkeypatch):
     # a wrong Gram-route cost, shared by the search and the re-pricing
     gram_top = paving._gram_block_top
-    wrong = lambda g: (lambda blk: 2.0 * gram_top(g)(blk))  # noqa: E731
+
+    def wrong(g):
+        cost = gram_top(g)
+        return lambda idx: [2.0 * c for c in cost(idx)]
+
     monkeypatch.setattr(paving, "_gram_block_top", wrong)
     monkeypatch.setattr(reports, "_gram_block_top", wrong, raising=False)
     rep = tmp_path / "weaver-wrong.json"
