@@ -342,8 +342,13 @@ def _erasure_options(p):
 
 def _phase_options(p):
     p.add_argument("--input", required=True)
-    p.add_argument("--trials", type=int, default=10**4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int,
+                   help="no effect: the complement property decides "
+                        "recovery, so no trials run; kept so older command "
+                        "lines still run")
+    p.add_argument("--seed", type=int,
+                   help="no effect: phase draws nothing at random; kept so "
+                        "older command lines still run")
 
 
 def _verify_options(p):
@@ -408,8 +413,8 @@ _COMMANDS = {
                                     f"within_unit={res['within_unit']}")),
     "erasure": ("worst-case erasure robustness", _erasure_options,
                 [(None, ("k",), False)], _erasure_line),
-    "phase": ("sign-blind recovery check", _phase_options,
-              [(None, ("trials", "seed"), False)], _phase_line),
+    "phase": ("sign-blind recovery check", _phase_options, [],
+              _phase_line),
     "verify": ("recompute a report's certificates", _verify_options,
                None, None),
 }

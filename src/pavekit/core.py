@@ -26,7 +26,6 @@ SUBSET_BUDGET = 10**6              # most subsets any exhaustive scan may visit
 LOCAL_MOVE_BUDGET = 2000           # most accepted moves of one local search
 WKHB_MOVE_BUDGET = 10**6           # most moves of one wkhb_partition
 GREEDY_BACKTRACKS = 3              # backtracks of the greedy Riesz fallback
-TRIAL_BUDGET = 10**6               # most sign-blind recovery trials of phase
 ENTRY_BUDGET = 2**22               # most entries of a built matrix or grid
 
 # Absolute slack of every "achieved <= target" verdict.  Producers and
@@ -129,8 +128,8 @@ def sym_eig(m):
     return w, v
 
 
-# Most bytes stacked for one batched eigvalsh, svd or lstsq call, a constant
-# so a scan's memory stays flat however many subsets or trials it has.
+# Most bytes stacked for one batched eigvalsh or svd call, a constant so a
+# scan's memory stays flat however many subsets it visits.
 BLOCK_STACK_BYTES = 256 * 1024
 
 

@@ -43,6 +43,7 @@ from .frames import gram_matrix
 from .paving import (
     _ROUND_SLACK,
     _block_cost_cache,
+    _block_costs,
     _block_mask,
     _rgs_walk,
     wkhb_partition,
@@ -56,13 +57,14 @@ __all__ = [
 
 
 def _gram_block_bounds(g):
-    """(lowest, highest) Gram eigenvalue of each block, memoized by the
-    block's bitmask and priced in stacks."""
+    """The stacked block cost of the Riesz and Feichtinger searches: the
+    (lowest, highest) Gram eigenvalue of each row of a (B, k) index
+    array, from one eigvalsh."""
     def spectra(idx):
         w = stack_spectra(g, idx)
         return list(zip(w[:, 0].tolist(), w[:, -1].tolist()))
 
-    return _block_cost_cache(spectra)
+    return spectra
 
 
 def _greedy_blocks(m, r_max, ok, score):
@@ -116,12 +118,12 @@ def _in_range(bounds, lo_target, hi_target):
                                       within(hi, hi_target))
 
 
-def _riesz_results(bounds, blocks, target, mode, flags):
+def _riesz_results(cost, blocks, target, mode, flags):
     """The results of the Riesz and Feichtinger searches on a partition's
     blocks, None when none was found: each block's (lowest, highest) Gram
-    eigenvalue from bounds, and the verdict that there is a block and
-    every one lies in the target range."""
-    per = [bounds(_block_mask(b)) for b in blocks] if blocks else []
+    eigenvalue from the stacked cost, and the verdict that there is a block
+    and every one lies in the target range."""
+    per = _block_costs(cost, blocks) if blocks else []
     return {"verdict": bool(per) and all(_in_range(b, *target) for b in per),
             "partition": {"blocks": blocks} if blocks else None,
             "per_block": [list(b) for b in per], "target": list(target),
@@ -144,7 +146,7 @@ def _partition_by_block_predicate(fr, r_max, lo_target, hi_target):
     with a small backtrack budget takes over.
     """
     g = gram_matrix(fr)
-    bounds = _gram_block_bounds(g)
+    bounds = _block_cost_cache(_gram_block_bounds(g))
     m = fr.M
     r_max = min(r_max, m)
     target = (lo_target, hi_target)
@@ -153,6 +155,9 @@ def _partition_by_block_predicate(fr, r_max, lo_target, hi_target):
 
     def block_ok(mask):
         return _in_range(bounds(mask), lo_target, hi_target)
+
+    def held(idx):      # the found blocks, every one memoized on the way
+        return [bounds(_block_mask(row)) for row in idx.tolist()]
 
     def admit(carry, spectrum):
         lo, hi = spectrum
@@ -169,7 +174,7 @@ def _partition_by_block_predicate(fr, r_max, lo_target, hi_target):
 
     try:
         _rgs_walk(m, r_max, bounds, admit, leaf, True)
-        return _riesz_results(bounds, found, target, "exhaustive", {})
+        return _riesz_results(held, found, target, "exhaustive", {})
     except BudgetExceeded:
         pass
     labels = _greedy_blocks(
@@ -177,9 +182,9 @@ def _partition_by_block_predicate(fr, r_max, lo_target, hi_target):
         score=lambda blk: -bounds(blk)[0] + (bounds(blk)[1]
                                              if hi_target is not None else 0.0))
     if labels is None:
-        return _riesz_results(bounds, None, target, "greedy",
+        return _riesz_results(held, None, target, "greedy",
                               {"exhausted_backtracks": True})
-    return _riesz_results(bounds, label_blocks(labels), target, "greedy", {})
+    return _riesz_results(held, label_blocks(labels), target, "greedy", {})
 
 
 def epsilon_riesz_partition(fr, epsilon, r_max):

@@ -1,11 +1,12 @@
 """Erasure robustness and sign-blind recovery for finite families.
 
-Deleting a set J of vectors from a Parseval family leaves a family whose
-frame operator is I minus the partial sum over J, so the surviving lower
-bound is one minus the largest eigenvalue of the erased block; that
-complementarity is asserted on every subset the scans visit, never silently
-assumed.  Sign-blind recovery (real case) is decided by the complement
-property: every way of splitting the index set must leave a spanning side.
+Erasing a set J of vectors leaves the family's complement of J, whose
+lowest frame operator eigenvalue is the surviving lower bound; erasure
+prices each J once, on that surviving family.  (For a Parseval family it
+equals one minus the largest Gram eigenvalue of J's block; the tests hold
+the scan to that second route.)  Sign-blind recovery (real case) holds if
+and only if the complement property does (Balan, Casazza and Edidin): every
+way of splitting the index set must leave a spanning side.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 
 from .core import (
     SUBSET_BUDGET,
-    TRIAL_BUDGET,
     BudgetExceeded,
     ContractViolation,
     hyperplane_flats,
@@ -26,7 +26,7 @@ from .core import (
     stacks,
     subset_ranks,
 )
-from .frames import _is_parseval, gram_matrix
+from .frames import _is_parseval
 
 __all__ = ["erasure_robustness", "phase_retrieval_check"]
 
@@ -34,11 +34,10 @@ __all__ = ["erasure_robustness", "phase_retrieval_check"]
 def _erasure_results(k, parseval, worst, subset, scanned, value_max):
     """The results of erasure: the worst surviving lower bound and the
     erased subset that leaves it, out of scanned k-subsets, and whether the
-    complementarity identity was checked: on Parseval input, for k > 0."""
+    input is Parseval."""
     return {"k": k, "worst_value": worst, "worst_subset": subset,
-            "is_parseval": parseval, "identity_checked": parseval and k > 0,
-            "subsets_scanned": scanned, "value_min": worst,
-            "value_max": value_max, "flags": {}}
+            "is_parseval": parseval, "subsets_scanned": scanned,
+            "value_min": worst, "value_max": value_max, "flags": {}}
 
 
 def _surviving_lower(fr, erased):
@@ -61,31 +60,20 @@ def _complements(idx, m):
 def erasure_robustness(fr, k):
     """Worst surviving lower frame bound over every erasure of k vectors.
 
-    For Parseval inputs the complementary route 1 - lambda_max(gram block)
-    is computed alongside the direct eigensolve and the two are required to
-    agree to 1e-9; the report records that the check ran.
+    Each erasure is priced once, by the lowest eigenvalue of the surviving
+    family's frame operator, in stacks of erasures.
     """
     if not (0 <= k < fr.M):
         raise ContractViolation(f"--k {k} must be in 0 <= k < M = {fr.M}")
     total = math.comb(fr.M, k)
     if total > SUBSET_BUDGET:
         raise BudgetExceeded(f"{total} erasure patterns exceed the budget")
-    parseval = _is_parseval(fr)
-    g = gram_matrix(fr) if parseval else None
+    parseval = _is_parseval(fr)     # refuses a frame operator past budget
     vmin, vmax, worst_subset, scanned = math.inf, -math.inf, [], 0
     for chunk in stacks(itertools.combinations(range(fr.M), k),
                         fr.synthesis.itemsize * fr.n * max(fr.n, fr.M - k)):
         erased = np.array(chunk, dtype=np.intp).reshape(len(chunk), k)
         val = _surviving_lower(fr, erased)
-        if parseval and k > 0:
-            via_complement = 1.0 - stack_spectra(g, erased)[:, -1]
-            bad = np.flatnonzero(np.abs(via_complement - val) > 1e-9)
-            if bad.size:
-                i = bad[0]
-                raise ContractViolation(
-                    f"complementarity identity violated at "
-                    f"{tuple(erased[i].tolist())}: {val[i]} vs "
-                    f"{via_complement[i]}")
         scanned += len(val)
         lo, hi = int(np.argmin(val)), int(np.argmax(val))  # first occurrences
         if val[lo] < vmin:
@@ -133,25 +121,17 @@ def _complement_witness(t):
     return None
 
 
-def phase_retrieval_check(fr, trials=10**4, seed=0):
-    """Decide sign-blind recovery for a real family, then stress-test it.
+def phase_retrieval_check(fr):
+    """Decide sign-blind recovery for a real family.
 
-    Complement property: every bipartition must leave one spanning side.
-    The first rank-(n - 1) flat whose complement does not span is returned
-    as the witness.  When the property holds, randomized cross-validation
-    solves for vectors matching the absolute analysis coefficients of
-    random inputs under random sign patterns (the two uniform patterns are
-    always included so at least two solvable instances exist) and every
-    solvable instance must recover the input up to a global sign.  A stack
-    of trials, sized so its eight (trials, M) arrays fill a quarter of
-    BLOCK_STACK_BYTES, is one least-squares solve with a column per trial.
-    More than TRIAL_BUDGET trials raise BudgetExceeded before any work.
+    Every real signal is recovered up to a global sign from the moduli of
+    its analysis coefficients exactly when the family has the complement
+    property: every bipartition leaves one spanning side.  So the verdict
+    is that property, and the witness is None when it holds, else the
+    first bipartition found with neither side spanning: the whole index
+    set for a family of rank below n, otherwise a rank-(n - 1) flat and
+    its complement.
     """
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 0:
-        raise ContractViolation("trials must be a non-negative integer")
-    if trials > TRIAL_BUDGET:
-        raise BudgetExceeded(f"--trials {trials} exceeds the {TRIAL_BUDGET} "
-                             "trial budget")
     if np.iscomplexobj(fr.synthesis) and np.abs(fr.synthesis.imag).max() > 0.0:
         raise ContractViolation("sign-blind recovery check is real-case only")
     m, n = fr.M, fr.n
@@ -160,32 +140,6 @@ def phase_retrieval_check(fr, trials=10**4, seed=0):
             f"{total} candidate hyperplanes exceed the {SUBSET_BUDGET} "
             "subset budget")
     t = np.real(fr.synthesis)
-    report = {"verdict": False, "witness": None, "trials": 0,
-              "solvable": 0, "failures": 0, "seed": int(seed)}
-    if numeric_rank(t) < n:
-        report["witness"] = {"side": list(range(m)), "complement": []}
-        return report
-    report["witness"] = _complement_witness(t)
-    if report["witness"] is not None:
-        return report
-    rng = np.random.default_rng(seed)
-    solvable = failures = 0
-    for chunk in stacks(range(trials), 32 * t.itemsize * m):
-        f, signs = np.empty((len(chunk), n)), np.ones((len(chunk), m))
-        for j, trial in enumerate(chunk):   # the stream rng.choice draws
-            rng.standard_normal(out=f[j])
-            if trial:
-                signs[j] = rng.integers(0, 2, size=m) if trial > 1 else 0.0
-        signs = 2.0 * signs - 1.0       # 0 and 1 become -1 and +1
-        c = np.einsum("jn,nm->jm", f, t)  # @ would page in gemm buffers
-        g = np.linalg.lstsq(t.T, (signs * c).T, rcond=None)[0].T
-        # an unrealizable sign pattern has nothing to test
-        resid = np.abs(np.einsum("jn,nm->jm", g, t) - signs * c).max(axis=1)
-        ok = ~(resid > 1e-9 * np.maximum(1.0, np.abs(c).max(axis=1)))
-        bad = np.linalg.norm(g - [f, -f], axis=2).min(axis=0) > \
-            1e-6 * (1.0 + np.linalg.norm(f, axis=1))
-        solvable += int(ok.sum())
-        failures += int((ok & bad).sum())
-    report.update({"verdict": failures == 0, "trials": trials,
-                   "solvable": solvable, "failures": failures})
-    return report
+    witness = {"side": list(range(m)), "complement": []} \
+        if numeric_rank(t) < n else _complement_witness(t)
+    return {"verdict": witness is None, "witness": witness}

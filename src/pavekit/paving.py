@@ -286,15 +286,21 @@ def _pricing(form, a, epsilon, bound=None):
     return cost, target, scale, flags
 
 
-def _priced(form, cost, blocks, target, scale, mode, evaluated, flags):
-    """The results on a partition's blocks: every block priced with cost,
-    one stack per block size, and the verdict on the worst of them against
-    target.  scale is the reference norm the target was derived from."""
+def _block_costs(cost, blocks):
+    """The cost of each of a partition's blocks, in order: one call of the
+    stacked cost per block size."""
     per = {}
     for k in {len(blk) for blk in blocks}:
         run = [blk for blk in blocks if len(blk) == k]
         per.update(zip(map(tuple, run), cost(np.array(run, dtype=np.intp))))
-    per = [per[tuple(blk)] for blk in blocks]
+    return [per[tuple(blk)] for blk in blocks]
+
+
+def _priced(form, cost, blocks, target, scale, mode, evaluated, flags):
+    """The results on a partition's blocks: every block priced with cost,
+    one stack per block size, and the verdict on the worst of them against
+    target.  scale is the reference norm the target was derived from."""
+    per = _block_costs(cost, blocks)
     achieved = max(per)
     return {"form": form, "verdict": bool(within(achieved, target)),
             "achieved": achieved, "target": target,

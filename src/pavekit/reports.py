@@ -371,8 +371,7 @@ def _mv_theta(config, _=None):
 
 
 def _phase(config, fr):
-    return phase_retrieval_check(fr, trials=config["trials"],
-                                 seed=config["seed"])
+    return phase_retrieval_check(fr)
 
 
 def _ric_results(config, fr, subset):

@@ -1,0 +1,43 @@
+"""The benchmark deck's command lines still run: job 0 of each workload in
+perfbench/jobs.py, at seed 1, exits 0 through cli.main and its every report
+passes verify.  An option the deck passes cannot be dropped unnoticed."""
+
+import contextlib
+import importlib.util
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from pavekit import cli
+
+_JOBS = Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py"
+
+
+def _jobs():
+    spec = importlib.util.spec_from_file_location("perfbench_jobs", _JOBS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _main(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("workload", ["pave-search", "subset-scan",
+                                      "wide-frames"])
+def test_deck_job_zero_runs_and_verifies(monkeypatch, tmp_path, workload):
+    jobs = _jobs()
+    assert workload in jobs.WORKLOADS
+    monkeypatch.chdir(tmp_path)     # the deck writes under relative paths
+    steps = jobs.build_job(workload, 1, 0)
+    assert steps
+    for argv, report in steps:
+        assert _main(argv)[0] == 0, argv
+        code, out = _main(["verify", "--report", report])
+        assert code == 0 and json.loads(out)["verified"] is True, (argv, out)

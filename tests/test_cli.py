@@ -178,16 +178,6 @@ def test_budget_exits_3(tmp_path):
     assert run("phase", "--input", str(f)) == 3
 
 
-def test_negative_trials_exit_2(tmp_path, capsys):
-    f = _gen_frame(tmp_path, kind="random-unit", n=2, M=5, seed=1)
-    rep = tmp_path / "ph.json"
-    assert run("phase", "--input", str(f), "--trials", "-3",
-               "--report", str(rep)) == 2
-    err = capsys.readouterr().err
-    assert "trials must be a non-negative integer" in err
-    assert "Traceback" not in err and not rep.exists()
-
-
 def test_verdict_false_still_exits_0(tmp_path, capsys):
     f = _gen_frame(tmp_path, n=2, M=6)
     rep = tmp_path / "w.json"
@@ -483,6 +473,33 @@ def test_kadec_mv_erasure_phase(tmp_path):
         assert run(*argv, "--report", str(rep)) == 0
         ok, reasons = verify(str(rep))
         assert ok, (argv, reasons)
+
+
+def test_near_parseval_erasure_exits_0_and_verifies(tmp_path, capsys):
+    # a 5 x 20 Parseval frame scaled by c = 1 + 4e-9 passes the Parseval
+    # test (1e-8), while 1 - lambda_max of an erased Gram block misses the
+    # survivors' lower bound by about c^2 - 1 = 8e-9
+    q, _ = np.linalg.qr(np.random.default_rng(12).standard_normal((20, 5)))
+    f = tmp_path / "bent.json"
+    f.write_text(canonical_json(matrix_to_json((1.0 + 4e-9) * q.T)))
+    rep = tmp_path / "r.json"
+    assert run("erasure", "--input", str(f), "--k", "3",
+               "--report", str(rep)) == 0
+    assert capsys.readouterr().err == ""
+    assert load_report(str(rep))["payload"]["results"]["is_parseval"] is True
+    assert verify(str(rep)) == (True, [])
+
+
+def test_phase_trials_and_seed_have_no_effect(tmp_path):
+    rf = _gen_frame(tmp_path, "rf.json", kind="random-unit", n=2, M=5, seed=7)
+    payloads = []
+    for extra in ([], ["--trials", "500", "--seed", "9"], ["--trials", "-3"]):
+        rep = tmp_path / f"ph{len(payloads)}.json"
+        assert run("phase", "--input", str(rf), *extra,
+                   "--report", str(rep)) == 0
+        payloads.append(load_report(str(rep))["payload"])
+    assert payloads[0]["config"] == {}
+    assert payloads[1] == payloads[0] == payloads[2]
 
 
 def test_entry_point_subprocess(tmp_path):

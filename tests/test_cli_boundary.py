@@ -413,7 +413,6 @@ HUGE_INTEGERS = (
     ("toeplitz", "--stride", BIG, 0, None),
     ("toeplitz", "--k-list", BIG, 2, "must divide N"),
     ("mv-theta-wide", "--freqs", WIDE, 3, "budget exceeded"),
-    ("phase", "--trials", BIG, 3, "--trials"),
 )
 
 # Runs each argv of a JSON list through cli.main and prints, per argv, its

@@ -121,8 +121,6 @@ FORGERIES = {
     "dilate-operator-norm": ("dilate-operator", lambda r: r["meta"].update(
         operator_norm=0.5)),
     "dilate-rank": ("dilate", lambda r: r.update(rank=2)),
-    "erasure-identity-checked": ("erasure",
-                                 lambda r: _flip(r, "identity_checked")),
     # delta * delta underflows to 0 where B s / delta^2 is formed
     "tp1-delta-underflow": ("tp1", lambda r: r.update(delta_target=5e-324)),
     # stored partitions that check_blocks refuses: the pave case has M = 6,
