@@ -492,7 +492,7 @@ def main(argv=None):
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
     except (ContractViolation, ValueError, OSError, OverflowError,
-            json.JSONDecodeError, np.linalg.LinAlgError) as exc:
+            np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,11 +7,13 @@ ordinary matrix product away.  This module owns the boundary checks
 (finite entries, Hermitian symmetry, shape sanity), the eigen/rank
 primitives (block_spectra is the one kernel behind every block spectrum),
 partitions as block lists, their enumeration in restricted-growth order,
-the seeded generators, and the JSON wire formats.
+the seeded generators, and the JSON wire formats: values as base64 of
+little-endian float64, every bit kept, or as the [re, im] pairs still read.
 """
 
 from __future__ import annotations
 
+import base64
 import itertools
 import math
 from dataclasses import dataclass
@@ -399,12 +401,37 @@ def gen_random_projection(M, n, seed):
 # JSON wire formats
 # ---------------------------------------------------------------------------
 
-def _complex_to_pairs(v):
-    """The entries of v in flattened (C) order as an (n, 2) float64 array of
-    [re, im] rows: the in-memory form of a wire entry list, which
-    reports.canonical_json writes as [[re, im], ...]."""
-    v = np.ravel(v)
-    return np.stack([v.real, v.imag], 1)
+def _to_base64(v, dtype):
+    """The values of v in C order as base64 of little-endian float64, a
+    complex value as its re, im pair."""
+    data = np.asarray(v, dtype=np.dtype(dtype).newbyteorder("<")).tobytes()
+    return base64.b64encode(data).decode("ascii")
+
+
+def _wire_values(d, pairs, n, real, what):
+    """The n values of the wire dict d, held under exactly one of the keys
+    pairs, as [re, im] pairs, and "base64", as _to_base64 writes n float64
+    values when real, else 2n interleaved re, im.  base64 is read strictly:
+    a non-string, a character outside the alphabet (whitespace included),
+    bad padding or other than 8 bytes a float64 value is malformed."""
+    keys = [k for k in (pairs, "base64") if k in d]
+    if len(keys) != 1:
+        raise ContractViolation(
+            f"{what} JSON needs exactly one of {pairs!r} and 'base64'")
+    if keys[0] == pairs:
+        return _pairs_to_complex(d[pairs], n, what)
+    if type(d["base64"]) is not str:
+        raise ContractViolation(f"{what} JSON base64 must be a string")
+    try:
+        data = base64.b64decode(d["base64"], validate=True)
+    except ValueError as exc:       # binascii.Error, or non-ASCII text
+        raise ContractViolation(f"malformed {what} base64: {exc}") from None
+    count = n if real else 2 * n
+    if len(data) != 8 * count:
+        raise ContractViolation(f"{what} base64 holds {len(data)} bytes, "
+                                f"not the {8 * count} of {count} float64s")
+    v = np.frombuffer(data, "<f8").astype(np.float64)
+    return v if real else v.view(np.complex128)
 
 
 def _pairs_to_complex(entries, n, what):
@@ -412,13 +439,8 @@ def _pairs_to_complex(entries, n, what):
 
     The (n, 2) float64 array is viewed, not recombined as re + 1j * im,
     so every bit survives, signed zeros included.  Booleans, strings,
-    bare numbers and pairs of any other length are malformed.  The (n, 2)
-    float64 array _complex_to_pairs gives is read too, so an in-memory
-    wire dict decodes without a trip through JSON text.
+    bare numbers and pairs of any other length are malformed.
     """
-    if type(entries) is np.ndarray and entries.dtype == np.float64 and \
-            entries.shape == (n, 2):
-        return entries.copy().view(np.complex128).reshape(n)
     if type(entries) is not list or len(entries) != n:
         raise ContractViolation(f"{what} JSON needs a list of {n} entries")
     if set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}:
@@ -434,20 +456,20 @@ def _pairs_to_complex(entries, n, what):
 
 
 def matrix_to_json(m):
-    """Shape, field and the column-major entries as _complex_to_pairs
-    gives them."""
+    """Shape, field and the column-major values as _to_base64 gives them."""
     m = ensure_matrix(m)
     rows, cols = m.shape
     return {"rows": rows, "cols": cols,
             "field": "complex" if np.iscomplexobj(m) else "real",
-            "entries": _complex_to_pairs(m.T)}
+            "base64": _to_base64(m.T, m.dtype)}
 
 
 def matrix_from_json(d):
+    """The matrix of a wire dict, its column-major values in either wire
+    form (_wire_values)."""
     try:
         rows, cols = d["rows"], d["cols"]
         fieldname = d["field"]
-        entries = d["entries"]
     except (KeyError, TypeError) as exc:
         raise ContractViolation(f"malformed matrix JSON: {exc}")
     if type(rows) is not int or type(cols) is not int:
@@ -458,12 +480,12 @@ def matrix_from_json(d):
         raise ContractViolation(f"unknown field {fieldname!r}")
     if rows < 1 or cols < 1:
         raise ContractViolation("matrix JSON shape mismatch")
-    z = _pairs_to_complex(entries, rows * cols, "matrix")
+    z = _wire_values(d, "entries", rows * cols, fieldname == "real", "matrix")
     out = np.ascontiguousarray(z.reshape(cols, rows).T)
-    if fieldname == "real":
+    if fieldname == "real" and np.iscomplexobj(out):   # the pair form
         if np.abs(out.imag).max() > 0.0:
             raise ContractViolation("real matrix JSON carries imaginary parts")
-        return ensure_matrix(out.real)
+        out = out.real
     return ensure_matrix(out)
 
 

@@ -27,11 +27,21 @@ __all__ = [
 ]
 
 
+def _product(a, b, what):
+    """a @ b within ENTRY_BUDGET.  Finite factors whose product overflows
+    float64 are refused as such, not blamed on their entries."""
+    check_entries(a.shape[0] * b.shape[1], what)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = a @ b
+    if not np.isfinite(p).all():
+        raise ContractViolation(f"{what} overflows float64")
+    return p
+
+
 def frame_operator(fr):
-    """S = T T*, an n x n positive semidefinite matrix, within ENTRY_BUDGET."""
+    """S = T T*, an n x n positive semidefinite matrix (_product)."""
     t = fr.synthesis
-    check_entries(fr.n ** 2, f"the {fr.n}x{fr.n} frame operator")
-    return t @ t.conj().T
+    return _product(t, t.conj().T, f"the {fr.n}x{fr.n} frame operator")
 
 
 def _is_parseval(fr):
@@ -40,10 +50,9 @@ def _is_parseval(fr):
 
 
 def gram_matrix(fr):
-    """G = T* T, an M x M positive semidefinite matrix, within ENTRY_BUDGET."""
+    """G = T* T, an M x M positive semidefinite matrix (_product)."""
     t = fr.synthesis
-    check_entries(fr.M ** 2, f"the {fr.M}x{fr.M} Gram matrix")
-    return t.conj().T @ t
+    return _product(t.conj().T, t, f"the {fr.M}x{fr.M} Gram matrix")
 
 
 def analysis_matrix(fr):

@@ -18,8 +18,8 @@ import numpy as np
 
 from .core import (
     ContractViolation,
-    _complex_to_pairs,
-    _pairs_to_complex,
+    _to_base64,
+    _wire_values,
     check_entries,
     within,
 )
@@ -63,19 +63,22 @@ class GridFunction:
         return float(np.abs(self.values).max() ** 2)
 
     def to_json(self):
-        return {"N": int(self.N), "values": _complex_to_pairs(self.values)}
+        """N and the samples as 2N interleaved re, im base64 values."""
+        return {"N": int(self.N),
+                "base64": _to_base64(self.values, np.complex128)}
 
     @classmethod
     def from_json(cls, d):
+        """The grid of a wire dict, read as real when no sample has a
+        nonzero imaginary part."""
         try:
             n = d["N"]
-            vals = d["values"]
         except (KeyError, TypeError) as exc:
             raise ContractViolation(f"malformed grid JSON: {exc}")
         if type(n) is not int:
             raise ContractViolation(f"malformed grid JSON: N {n!r} must be "
                                     "an integer")
-        v = _pairs_to_complex(vals, n, "grid")
+        v = _wire_values(d, "values", n, False, "grid")
         if not np.any(v.imag):
             v = v.real
         return cls(v)

@@ -7,10 +7,13 @@ payloads.
 
 verify() rebuilds the whole results of a report from its referenced inputs
 with the producer's own code, then compares stored and rebuilt results in
-one place, _match.  Each command reads at most one input file, named in
-_INPUTS, which the CLI and verify decode alike.  _BUILDERS holds the one
-function per command that the CLI builds its results with, from the config
-and the decoded input.  A command that runs no search is re-run: verify
+one place, _match.  A wire matrix there is held to the rebuilt one by its
+decoded values, in either wire form, with the command's float slack, and
+not by its text, so a report written on another BLAS still verifies.
+Each command reads at most one input file, named in _INPUTS, which the
+CLI and verify decode alike.  _BUILDERS holds the one function per
+command that the CLI builds its results with, from the config and the
+decoded input.  A command that runs no search is re-run: verify
 calls that same builder.  A search is not repeated; its certificate
 (partition, worst subset, witness) is re-priced by its entry in _VERIFIERS
 and handed to the results builder its producer returns through, so each
@@ -27,7 +30,6 @@ verdict has no short certificate.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -113,89 +115,14 @@ def _numpy_default(x):
     raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
-# Rows of a pair array formatted per piece of text, so a writer never holds
-# the text of a whole large matrix at once.
-_PAIR_ROWS = 4096
-
-
-def _pair_mark(nonce):
-    """The string that stands in the skeleton text for a pair array."""
-    return f"\0pavekit-pairs-{nonce}\0"
-
-
-def _skeleton(obj, mark):
-    """(parts, arrays): the C encoder's text of obj with mark in place of
-    each pair array, an (n, 2) float64 array such as a wire entry list,
-    split at the marks, and those arrays in text order."""
-    arrays = []
-
-    def default(x):
-        if type(x) is np.ndarray and x.dtype == np.float64 and \
-                x.ndim == 2 and x.shape[1] == 2:
-            arrays.append(x)
-            return mark
-        return _numpy_default(x)
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      default=default, allow_nan=False)
-    return text.split(json.dumps(mark)), arrays
-
-
-def _pair_text(a):
-    """The JSON text of the rows of a finite pair array, [[re, im], ...], in
-    pieces of _PAIR_ROWS rows: each float as float.__repr__, as json.dumps
-    writes a.tolist().  A real matrix's imaginary column is all +0.0, so
-    its rows take one "[re,0.0]" template."""
-    if not len(a):
-        yield "[]"
-        return
-    real = not a[:, 1].any() and not np.signbit(a[:, 1]).any()
-    sep = "[["
-    for start in range(0, len(a), _PAIR_ROWS):
-        rows = a[start:start + _PAIR_ROWS]
-        if real:
-            text = ",0.0],[".join(map(float.__repr__, rows[:, 0].tolist())) \
-                + ",0.0"
-        else:
-            r = list(map(float.__repr__, rows.ravel().tolist()))
-            text = "],[".join(map(",".join, zip(r[::2], r[1::2])))
-        yield sep
-        yield text
-        sep = "],["
-    yield "]]"
-
-
-def _splice(parts, arrays):
-    yield parts[0]
-    for a, part in zip(arrays, parts[1:]):
-        yield from _pair_text(a)
-        yield part
-
-
-def _canonical_pieces(obj):
-    """canonical_json's text as an iterator of pieces.  Every check runs
-    before this returns, so a writer that opens its file afterwards never
-    leaves a partial one.
-
-    The C encoder writes the skeleton, with a marker string in place of
-    each pair array, and _pair_text writes the arrays between.  A marker
-    that also occurs in the data is retried with the next nonce."""
-    for nonce in itertools.count():
-        parts, arrays = _skeleton(obj, _pair_mark(nonce))
-        if len(parts) == len(arrays) + 1:
-            break
-    for a in arrays:
-        if not np.isfinite(a).all():    # raise the C encoder's own error
-            json.dumps(float(a[~np.isfinite(a)][0]), allow_nan=False)
-    return _splice(parts, arrays)
-
-
 def canonical_json(obj):
     """The one JSON text pavekit writes or hashes: sorted keys, no
-    whitespace, numpy values as their Python values, byte for byte the
-    text json.dumps gives with those options.  The C encoder writes all of
-    it but the pair arrays (_canonical_pieces).  NaN and infinities raise
-    ValueError, since RFC 8259 JSON has no text for them."""
-    return "".join(_canonical_pieces(obj))
+    whitespace, numpy values as their Python values.  Wire matrices and
+    grids are base64 strings, so the C encoder writes all of it.  NaN and
+    infinities raise ValueError, since RFC 8259 JSON has no text for
+    them."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      default=_numpy_default, allow_nan=False)
 
 
 def make_report(command, config, inputs, results, wall_time_s):
@@ -212,28 +139,29 @@ def make_report(command, config, inputs, results, wall_time_s):
     }
 
 
-def _write_text(path, pieces):
-    """Write a canonical JSON text, given as an iterable of pieces, and one
-    trailing newline."""
+def _write_text(path, text):
+    """Write a canonical JSON text and one trailing newline."""
     with open(path, "w") as fh:
-        fh.writelines(pieces)
+        fh.write(text)
         fh.write("\n")
 
 
 def write_report(path, report):
-    """canonical_json of report and a newline, written piece by piece
-    without joining the whole text first."""
-    _write_text(path, _canonical_pieces(report))
+    """canonical_json of report and a newline.  The text is built before
+    the file is opened, so a report that cannot be encoded leaves none."""
+    _write_text(path, canonical_json(report))
 
 
 def _parse_json(data, path):
-    """The JSON value of data, the bytes read from path.  Text nested past
-    the parser's recursion limit is bad input, not a fault of the program:
-    ContractViolation naming the file."""
+    """The JSON value of data, the bytes read from path.  Text that is not
+    JSON, or is nested past the parser's recursion limit, is bad input,
+    not a fault of the program: ContractViolation naming the file."""
     try:
         return json.loads(data)
     except RecursionError:
         raise ContractViolation(f"{path}: JSON nested too deeply") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ContractViolation(f"{path}: not a JSON text: {exc}") from None
 
 
 def load_report(path):
@@ -289,7 +217,7 @@ def _regenerate(config, out=None):
     text = canonical_json(obj)
     results["object_sha256"] = _object_hash(text)
     if out is not None:
-        _write_text(out, (text,))
+        _write_text(out, text)
     return results
 
 
@@ -456,6 +384,35 @@ def _close(x, y, bound=_MATCH_TOL, relative=True):
     return abs(x - y) <= bound * (max(1.0, abs(x), abs(y)) if relative else 1.0)
 
 
+# The keys of a wire matrix as matrix_to_json writes it.
+_WIRE_MATRIX = {"rows", "cols", "field", "base64"}
+
+
+def _match_matrix(stored, got, slack, path):
+    """_match of a rebuilt wire matrix: the stored one, in either wire
+    form, must decode to its shape and field, with each real and imaginary
+    part _close to the rebuilt one's."""
+    try:
+        s, g = matrix_from_json(stored), matrix_from_json(got)
+    except ContractViolation as exc:
+        return f"{path} is not a wire matrix: {exc}"
+    if stored.keys() - {"entries", "base64"} != got.keys() - {"base64"} or \
+            s.shape != g.shape or s.dtype != g.dtype:
+        return (f"{path} differs: stored {reprlib.repr(stored)}, rebuilt "
+                f"{reprlib.repr(got)}")
+    x, y = np.stack([s.real, s.imag]), np.stack([g.real, g.imag])
+    bound, relative = slack
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.maximum(1.0, np.maximum(abs(x), abs(y))) if relative else 1
+        bad = np.argwhere(~(np.abs(x - y) <= bound * scale))
+    if bad.size:
+        i = tuple(map(int, bad[0]))
+        return (f"{path} differs in the {('real', 'imaginary')[i[0]]} part "
+                f"of entry {i[1:]}: stored {float(x[i])!r}, rebuilt "
+                f"{float(y[i])!r}")
+    return None
+
+
 def _match(stored, got, slack=(_MATCH_TOL, True), path="results"):
     """None when a stored value matches the rebuilt one, else a reason that
     names the first field that differs.
@@ -464,12 +421,15 @@ def _match(stored, got, slack=(_MATCH_TOL, True), path="results"):
     equal or _close; every other value must be equal and of the same type,
     so true is not 1.  UNCHECKED matches anything, and so does the stored
     value itself, which a verifier hands back for a part it checked by
-    other means.  got is what a producer would write: numpy values count
+    other means.  A wire matrix matches by value (_match_matrix), not by
+    its text.  got is what a producer would write: numpy values count
     as their Python values, tuples as lists and non-string keys as their
     JSON text.
     """
     if got is UNCHECKED or got is stored:
         return None
+    if isinstance(got, dict) and got.keys() == _WIRE_MATRIX:
+        return _match_matrix(stored, got, slack, path)
     if isinstance(got, (np.ndarray, np.generic)):
         got = got.tolist()
     if isinstance(got, dict) and type(stored) is dict:

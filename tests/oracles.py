@@ -1,7 +1,11 @@
 """Closed-form counts the partition tests compare the package against, and
 the roll-loop, per-difference, per-set and quadrature routes that the grid
 transforms and the closed-form energy of pavekit.harmonic and the
-Rado-Horn exchange search replaced, kept as second routes."""
+Rado-Horn exchange search replaced, kept as second routes, and a
+per-value encoder of the base64 wire form."""
+
+import base64
+import struct
 
 import numpy as np
 
@@ -119,3 +123,20 @@ def mv_theta_by_quadrature(freqs, coeffs, t_len):
 
     i_n, i_2n = integral(n), integral(2 * n)
     return sep * (i_2n / energy - t_len), sep * abs(i_2n - i_n) / 15.0 / energy
+
+
+def base64_by_struct(m):
+    """The base64 wire string of a matrix, one struct.pack('<d', x) per
+    value in column-major order, a complex value as re then im: an encoder
+    that shares nothing with numpy's byte layout."""
+    m = np.asarray(m)
+    rows, cols = m.shape
+    values = []
+    for j in range(cols):
+        for i in range(rows):
+            z = m[i, j]
+            values.append(float(z.real))
+            if np.iscomplexobj(m):
+                values.append(float(z.imag))
+    return base64.b64encode(
+        b"".join(struct.pack("<d", x) for x in values)).decode()

@@ -5,6 +5,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,32 @@ def test_malformed_matrix_entry_exits_2(tmp_path, capsys):
                                        "entries": [[1.0, 0.0], entry]}))
             assert run("analyze", "--input", str(bad)) == 2, (field, entry)
             assert "malformed matrix entry" in capsys.readouterr().err
+
+
+def test_unparsable_input_names_its_file(tmp_path, capsys):
+    bad = tmp_path / "t.json"
+    # a JSON syntax error, and bytes that are not UTF-8 text
+    for data in (b"[1", b'"\x80"'):
+        bad.write_bytes(data)
+        assert run("analyze", "--input", str(bad)) == 2, data
+        assert capsys.readouterr().err.startswith(
+            f"error: {bad}: not a JSON text: "), data
+
+
+def test_overflowing_frame_operator_is_named_not_its_entries(tmp_path,
+                                                             capsys):
+    """Every entry is finite; the product T T* is not."""
+    big = tmp_path / "big.json"
+    for doc in ({"rows": 2, "cols": 2, "field": "real",
+                 "entries": [[1e200, 0], [0, 0], [0, 0], [1e200, 0]]},
+                matrix_to_json(np.diag([1e200, -1e200]))):
+        big.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("analyze", "--input", str(big)) == 2
+        assert caught == []
+        assert capsys.readouterr().err == \
+            "error: the 2x2 frame operator overflows float64\n"
 
 
 def test_malformed_size_exits_2(tmp_path, capsys):
@@ -291,7 +318,8 @@ def test_verify_detects_changed_input(tmp_path):
     rep = tmp_path / "a.json"
     assert run("analyze", "--input", str(f), "--report", str(rep)) == 0
     doc = json.loads(f.read_text())
-    doc["entries"][0][0] += 0.01
+    doc["base64"] = ("B" if doc["base64"][0] == "A" else "A") + \
+        doc["base64"][1:]           # one character flipped
     f.write_text(json.dumps(doc))
     ok, reasons = verify(str(rep))
     assert not ok

@@ -1,6 +1,15 @@
-import numpy as np
+import warnings
 
-from pavekit.core import gen_harmonic_frame, gen_random_unit_frame, numeric_rank
+import numpy as np
+import pytest
+
+from pavekit.core import (
+    ContractViolation,
+    Frame,
+    gen_harmonic_frame,
+    gen_random_unit_frame,
+    numeric_rank,
+)
 from pavekit.frames import (
     analysis_matrix,
     frame_operator,
@@ -64,3 +73,15 @@ def test_parseval_normalize_gram_idempotent():
 def test_analysis_is_adjoint_of_synthesis():
     fr = gen_random_unit_frame(4, 6, 3, field="complex")
     assert np.abs(analysis_matrix(fr) - fr.synthesis.conj().T).max() == 0.0
+
+
+def test_overflowing_products_are_refused_by_name():
+    fr = Frame(np.array([[1e200, 1e200, 0.0], [0.0, 0.0, 1e-300]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractViolation,
+                           match="the 2x2 frame operator overflows float64"):
+            frame_operator(fr)
+        with pytest.raises(ContractViolation,
+                           match="the 3x3 Gram matrix overflows float64"):
+            gram_matrix(fr)

@@ -261,6 +261,60 @@ def test_forged_dilation_certificate_fails_verify(cases, forgery):
     assert verify(doc) == (False, [reason])
 
 
+def _with_vector(doc, edit):
+    """doc, a subspace report, with its first solved vector matrix
+    replaced by edit(that matrix's wire dict)."""
+    vectors = doc["payload"]["results"]["decomposable"]["vectors"]
+    vectors[0] = edit(vectors[0])
+    return doc
+
+
+def _moved(by):
+    def edit(wire):
+        m = matrix_from_json(wire)
+        m[0, 0] += by
+        return matrix_to_json(m)
+    return edit
+
+
+def _pair_form(wire):
+    """The same matrix in the pair form older versions wrote."""
+    m = matrix_from_json(wire)
+    return {"rows": wire["rows"], "cols": wire["cols"],
+            "field": wire["field"],
+            "entries": [[float(z.real), float(z.imag)]
+                        for z in m.T.ravel().astype(complex)]}
+
+
+def test_wire_matrices_match_by_value(cases):
+    """Stored solved vectors are held to the rebuilt ones with subspace's
+    absolute 1e-9, whatever their text: a move far inside it verifies, one
+    past it does not, an undecodable matrix is a reason and a report in the
+    pair form still verifies."""
+    def check(edit):
+        return verify(_with_vector(load_report(str(cases["subspace"])),
+                                   edit))
+    assert check(lambda w: w) == (True, [])
+    assert check(_moved(1e-12)) == (True, [])
+    assert check(_pair_form) == (True, [])
+    ok, reasons = check(_moved(1e-6))
+    assert not ok and reasons[0].startswith(
+        "results.decomposable.vectors[0] differs in the real part of entry "
+        "(0, 0): stored ")
+    ok, reasons = check(lambda w: dict(w, base64="!" + w["base64"][1:]))
+    assert not ok and reasons[0].startswith(
+        "results.decomposable.vectors[0] is not a wire matrix: malformed "
+        "matrix base64: ")
+    for edit, why in ((lambda w: dict(w, cols=w["cols"] + 1), "bytes"),
+                      (lambda w: dict(w, extra=1), "differs: stored"),
+                      (lambda w: matrix_to_json(
+                          matrix_from_json(w).astype(complex)),
+                       "differs: stored"),
+                      (lambda w: [w], "not a wire matrix")):
+        ok, reasons = check(edit)
+        assert not ok and why in reasons[0], why
+
+
 def test_dilation_of_the_wrong_shape_fails_verify(tmp_path):
     """The Parseval row (1/2, 1/2, 1/2, 1/2) relabeled as an operator
     dilation: F = [row] is Parseval and adds n - 1 = 0 columns, so only the

@@ -1,7 +1,8 @@
 """The file format pavekit writes: every report and gen --out file is one
 canonical JSON text (sorted keys, no whitespace) and a newline, gen's
 object_sha256 hashes that text, and indented files that older versions
-wrote still read and verify."""
+wrote still read and verify.  Matrices and grids travel as base64 of
+little-endian float64, and the [re, im] pair form still reads."""
 
 import ast
 import builtins
@@ -20,7 +21,6 @@ from pavekit import cli, reports
 from pavekit.cli import main
 from pavekit.core import (
     ContractViolation,
-    _complex_to_pairs,
     _pairs_to_complex,
     matrix_from_json,
     matrix_to_json,
@@ -28,6 +28,7 @@ from pavekit.core import (
 from pavekit.harmonic import GridFunction
 from pavekit.reports import canonical_json, load_report, verify, write_report
 
+from oracles import base64_by_struct
 from report_cases import commands, make_reports
 
 
@@ -95,9 +96,15 @@ def test_no_second_json_writer():
 
 
 # ---------------------------------------------------------------------------
-# the codec: wire entries as (n, 2) float64 arrays, spliced into the C
-# encoder's text
+# the codec: canonical_json is json.dumps with numpy values as Python values
 # ---------------------------------------------------------------------------
+
+def _complex_to_pairs(v):
+    """The entries of v in flattened (C) order as an (n, 2) float64 array of
+    [re, im] rows: the values of a pair-form entry list."""
+    v = np.ravel(v)
+    return np.stack([v.real, v.imag], 1)
+
 
 def _plain(x):
     """x with every numpy value as its Python value: the form whose
@@ -130,8 +137,8 @@ def test_every_report_case_encodes_as_its_plain_form(tmp_path, monkeypatch):
         text = canonical_json(report)
         assert text == _dumps(report), path
         assert Path(path).read_text() == text + "\n", path
-        arrays += text.count("[[")
-    assert arrays > 10       # dilate, subspace and gen-grid's grid matrices
+        arrays += text.count('"base64":')
+    assert arrays >= 3       # dilate-operator's and subspace's matrices
 
 
 SPECIAL = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 1e22, 1e-7,
@@ -157,7 +164,7 @@ def _complex(re, im):
 @pytest.mark.parametrize("n", [1, 2, 13, 4096, 4097, 9000])
 def test_pair_arrays_encode_as_their_lists(n):
     """Real and complex entries, signed zeros in either part, subnormals,
-    huge and tiny values, across the row-chunk boundary."""
+    huge and tiny values, encoded as their lists."""
     rng = np.random.default_rng(n)
     re, im = _values(rng, n), _values(rng, n)
     negzero_im = np.zeros(n)
@@ -185,14 +192,6 @@ def test_empty_and_nested_pair_arrays():
     for obj in (empty, {"a": empty, "b": [empty, {"c": empty}]},
                 [np.zeros((0, 3)), np.arange(4.0).reshape(2, 2),
                  np.arange(6).reshape(3, 2), np.float32([[0.1, 0.2]])]):
-        assert canonical_json(obj) == _dumps(obj)
-
-
-def test_a_string_equal_to_the_marker_is_written_as_itself():
-    pairs = _complex_to_pairs(np.array([1.5, -0.0, 1e22]))
-    for mark in (reports._pair_mark(0), json.dumps(reports._pair_mark(0))):
-        obj = {"label": mark, "entries": pairs, mark: [mark, pairs],
-               reports._pair_mark(1): pairs}
         assert canonical_json(obj) == _dumps(obj)
 
 
@@ -239,6 +238,92 @@ def test_in_memory_grid_decodes_as_its_text():
               GridFunction.from_json(json.loads(canonical_json(g.to_json())))):
         assert h.values.dtype == g.values.dtype
         assert h.values.tobytes() == g.values.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# base64 values: every bit kept, either wire form read alike
+# ---------------------------------------------------------------------------
+
+EXTREMES = (-0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+            -1.7976931348623157e308)
+
+
+@pytest.mark.parametrize("n", [1, 2, 13, 9000])
+def test_base64_round_trips_every_bit(n):
+    """1 x n and n x 1 matrices, real and complex, with -0.0, the smallest
+    subnormals and the largest finite values in either part, back through
+    the JSON text bit for bit; a grid of the same values too."""
+    rng = np.random.default_rng(n)
+    re, im = _values(rng, n), _values(rng, n)
+    vectors = [re, _complex(re, im)]
+    for x in EXTREMES:
+        vectors += [np.full(n, x), _complex(np.full(n, x), im),
+                    _complex(re, np.full(n, x))]
+    for v in vectors:
+        for m in (v.reshape(1, n), v.reshape(n, 1)):
+            text = canonical_json(matrix_to_json(m))
+            got = matrix_from_json(json.loads(text))
+            assert got.dtype == m.dtype and got.shape == m.shape
+            assert got.tobytes() == m.tobytes()
+        if np.iscomplexobj(v) and not v.imag.any():
+            continue        # a grid with no nonzero imaginary part is real
+        g = GridFunction.from_json(
+            json.loads(canonical_json(GridFunction(v).to_json())))
+        assert g.values.dtype == v.dtype and g.values.tobytes() == v.tobytes()
+
+
+def test_base64_matches_a_per_value_struct_encoder():
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((3, 5))
+    a[0, 0], a[1, 2], a[2, 4] = EXTREMES[:3]
+    b = _complex(rng.standard_normal((4, 2)), rng.standard_normal((4, 2)))
+    b[0, 0], b[3, 1] = complex(EXTREMES[3], -0.0), complex(0.0, EXTREMES[4])
+    for m in (a, b, a.T, b.T, a[:1], b[:, :1]):
+        assert matrix_to_json(m)["base64"] == base64_by_struct(m)
+    for v in (a[0], b[:, 0]):
+        assert GridFunction(v).to_json()["base64"] == \
+            base64_by_struct(v.astype(complex).reshape(-1, 1))
+
+
+def _decoded_by_cli(monkeypatch, tmp_path, doc, argv):
+    """The object cli.main decodes from an input file holding doc, caught
+    on its way into the builder of the command argv[0]."""
+    seen, builder = [], reports._BUILDERS[argv[0]]
+
+    def capture(config, obj):
+        seen.append(obj)
+        return builder(config, obj)
+    monkeypatch.setitem(reports._BUILDERS, argv[0], capture)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([argv[0], "--input", str(path), *argv[1:]]) == 0
+    return seen[0]
+
+
+def test_pair_and_base64_files_decode_alike(tmp_path, monkeypatch):
+    """One matrix, and one grid, written in each wire form and read through
+    the CLI's input path: the same dtype and the same bits."""
+    rng = np.random.default_rng(4)
+    re, im = rng.standard_normal((3, 5)), rng.standard_normal((3, 5))
+    re[0, 0], re[1, 1], im[2, 2] = -0.0, 5e-324, -0.0
+    for m in (re, _complex(re, im)):
+        field = "complex" if np.iscomplexobj(m) else "real"
+        pairs = {"rows": 3, "cols": 5, "field": field,
+                 "entries": _complex_to_pairs(m.T).tolist()}
+        got = [_decoded_by_cli(monkeypatch, tmp_path, doc,
+                               ["analyze"]).synthesis
+               for doc in (pairs, matrix_to_json(m))]
+        for a in got:
+            assert a.dtype == m.dtype and a.tobytes() == m.tobytes()
+    for v in (re.ravel(), _complex(re.ravel(), im.ravel())):
+        pairs = {"N": v.size, "values": _complex_to_pairs(v).tolist()}
+        got = [_decoded_by_cli(monkeypatch, tmp_path, doc,
+                               ["toeplitz", "--k-list", "3",
+                                "--epsilon", "0.5"]).values
+               for doc in (pairs, GridFunction(v).to_json())]
+        for a in got:
+            assert a.dtype == v.dtype and a.tobytes() == v.tobytes()
 
 
 def test_each_input_is_opened_once_per_command(tmp_path, monkeypatch):
