@@ -381,10 +381,10 @@ _COMMANDS = {
                _search_line),
     "decompose": ("partition into well-bounded subfamilies",
                   _decompose_options,
-                  [(None, ("criterion", "r_max", "seed"), False),
+                  [(None, ("criterion", "r_max"), False),
                    (("criterion", "riesz"), ("epsilon",), True),
                    (("criterion", "feichtinger"), ("a_target",), True),
-                   (("criterion", "tp1"), ("s", "delta"), True)],
+                   (("criterion", "tp1"), ("s", "delta", "seed"), True)],
                   _decompose_line),
     "ric": ("restricted isometry deviation", _ric_options,
             [(None, ("s",), False)],

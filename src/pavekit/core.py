@@ -5,7 +5,8 @@ n x M array whose column i is the i-th vector of a family; everything
 downstream (frame operators, Gram matrices, block compressions) is an
 ordinary matrix product away.  This module owns the boundary checks
 (finite entries, Hermitian symmetry, shape sanity), the eigen/rank
-primitives (block_spectra is the one kernel behind every block spectrum),
+primitives (every subset scan cuts its stacks with index_stacks and prices
+them with stack_spectra, stack_norms or subset_ranks),
 partitions as block lists, their enumeration in restricted-growth order,
 the seeded generators, and the JSON wire formats: values as base64 of
 little-endian float64, every bit kept, or as the [re, im] pairs still read.
@@ -95,15 +96,17 @@ def ensure_projection(p):
     """p if it is an orthogonal projection, up to CHECK_TOL * (1 + max|p|)."""
     p = ensure_matrix(p, "projection")
     slack = CHECK_TOL * (1.0 + np.abs(p).max())
-    if p.shape[0] != p.shape[1] or np.abs(p @ p - p).max() > slack or \
-            np.abs(p - p.conj().T).max() > slack:
-        raise ContractViolation("matrix is not an orthogonal projection")
+    with np.errstate(over="ignore", invalid="ignore"):  # p @ p of a huge p
+        if p.shape[0] != p.shape[1] or np.abs(p @ p - p).max() > slack or \
+                np.abs(p - p.conj().T).max() > slack:
+            raise ContractViolation("matrix is not an orthogonal projection")
     return p
 
 
 def ensure_unit_norm(fr):
     """Raise unless every vector of fr has norm one up to CHECK_TOL."""
-    norms = np.linalg.norm(fr.synthesis, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf for huge ones
+        norms = np.linalg.norm(fr.synthesis, axis=0)
     if np.abs(norms - 1.0).max() > CHECK_TOL:
         raise ContractViolation("the family needs unit-norm vectors")
 
@@ -135,54 +138,28 @@ def sym_eig(m):
 BLOCK_STACK_BYTES = 256 * 1024
 
 
-def stacks(items, size):
-    """items, read lazily, in lists of BLOCK_STACK_BYTES // size (min 1)."""
-    items = iter(items)
-    while chunk := list(itertools.islice(
-            items, max(1, BLOCK_STACK_BYTES // max(size, 1)))):
-        yield chunk
-
-
-def block_spectra(a, subsets, frame=False):
-    """Ascending eigenvalues of each subset's block of a: the symmetrized
-    principal block a[S, S], or with frame=True the partial frame operator
-    a[:, S] a[:, S]*, not symmetrized.
-
-    subsets is read lazily.  Runs of same-size subsets are stacked up to
-    BLOCK_STACK_BYTES and solved by one eigvalsh, which gives each block
-    the bits a lone eigvalsh would.  Yields (idx, w) per stack: the (B, k)
-    subsets and their (B, d) spectra, in input order.
-    """
-    n = a.shape[0]
+def index_stacks(subsets, row_bytes):
+    """subsets, read lazily, as (B, k) intp index arrays in input order:
+    each run of same-size subsets cut into stacks of at most
+    BLOCK_STACK_BYTES // row_bytes(k) rows (at least 1).  Every subset scan
+    cuts its LAPACK stacks here, with its own bytes per row."""
     for k, run in itertools.groupby(subsets, len):
-        size = a.itemsize * (n * max(n, k) if frame else k * k)
-        for chunk in stacks(run, size):
-            idx = np.array(chunk, dtype=np.intp).reshape(len(chunk), k)
-            yield idx, stack_spectra(a, idx, frame)
+        rows = max(1, BLOCK_STACK_BYTES // max(row_bytes(k), 1))
+        while chunk := list(itertools.islice(run, rows)):
+            yield np.array(chunk, dtype=np.intp).reshape(len(chunk), k)
 
 
 def stack_spectra(a, idx, frame=False):
-    """The (B, d) spectra block_spectra gives the rows of the (B, k) index
-    array idx, by one eigvalsh: the caller keeps B within
-    BLOCK_STACK_BYTES, as block_spectra does."""
+    """Ascending eigenvalues of the block of a at each row S of the (B, k)
+    index array idx: the symmetrized principal block a[S, S], or with
+    frame=True the partial frame operator a[:, S] a[:, S]*, not
+    symmetrized.  One eigvalsh gives each block the bits a lone eigvalsh
+    would; the caller cuts idx with index_stacks."""
     if frame:
         t = a[:, idx].transpose(1, 0, 2)
         return np.linalg.eigvalsh(t @ t.conj().transpose(0, 2, 1))
-    return np.linalg.eigvalsh(_principal(a, idx))
-
-
-def _principal(a, idx):
-    """Symmetrized principal blocks a[S, S] of index arrays idx (..., k)."""
     sub = a[idx[..., :, None], idx[..., None, :]]
-    return 0.5 * (sub + np.swapaxes(sub.conj(), -1, -2))
-
-
-def block_spectrum(a, subset, frame=False):
-    """block_spectra of one subset; a principal block takes one eigvalsh."""
-    idx = np.array(subset, dtype=np.intp)
-    if frame:  # stacked: a 2-d product may take another BLAS route and bits
-        return stack_spectra(a, idx[None], frame)[0]
-    return np.linalg.eigvalsh(_principal(a, idx))
+    return np.linalg.eigvalsh(0.5 * (sub + np.swapaxes(sub.conj(), -1, -2)))
 
 
 def stack_norms(a, idx):
@@ -207,14 +184,12 @@ def numeric_rank(m):
 def subset_ranks(t, subsets):
     """Numeric rank of each t[:, S] (0 for an empty S), as one int array:
     the count of singular values above RANK_TOL * sigma_max * max(rows,
-    cols).  Stacked as in block_spectra, one svd per stack; each matrix
-    still gets the bits a lone svd would."""
+    cols).  One svd per index_stacks stack; each matrix still gets the
+    bits a lone svd would."""
     n, ranks = t.shape[0], [np.zeros(0, dtype=np.intp)]
-    for k, run in itertools.groupby(subsets, len):
-        for chunk in stacks(run, t.itemsize * n * k):
-            idx = np.array(chunk, dtype=np.intp).reshape(len(chunk), k)
-            s = np.linalg.svd(t[:, idx].transpose(1, 0, 2), compute_uv=False)
-            ranks.append(np.sum(s > RANK_TOL * s[:, :1] * max(n, k), axis=1))
+    for idx in index_stacks(subsets, lambda k: t.itemsize * n * k):
+        s = np.linalg.svd(t[:, idx].transpose(1, 0, 2), compute_uv=False)
+        ranks.append(np.sum(s > RANK_TOL * s[:, :1] * max(n, idx.shape[1]), 1))
     return np.concatenate(ranks)
 
 
@@ -252,19 +227,21 @@ def hyperplane_flats(t, subsets):
     idx, u, s = idx[good], u[good], s[good]
     smax, smin = smax[good, None], smin[good, None]  # (G, 1)
     es = err * smax
-    norms = np.linalg.norm(t, axis=0)                # (M,)
-    dist = np.abs(u[:, :, -1] @ t)                   # (G, M)
-    dist_err = err * norms * (1.0 + smax / (smin - es))
-    amax_hi = np.hypot(smax, norms) * (1.0 + err)    # >= sigma_max(A)
-    ea = err * amax_hi
-    cut_lo = tol * (np.maximum(smax, norms) - 2.0 * ea)
-    cut_hi = tol * (amax_hi + ea)
-    shrink = np.prod(np.maximum(s - es, 0.0)[:, None, :] / amax_hi[..., None],
-                     axis=2)
-    low = np.maximum(dist - dist_err, 0.0) * shrink - ea
-    inside = (2.0 * (dist + dist_err + ea) <= cut_lo) & \
-        (smin - es - ea >= 2.0 * cut_hi)
-    band = np.argwhere(~(inside | (low > 2.0 * cut_hi)))
+    # norms past 1e154 are inf and make NaN bounds: those tests go to the band
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(t, axis=0)            # (M,)
+        dist = np.abs(u[:, :, -1] @ t)               # (G, M)
+        dist_err = err * norms * (1.0 + smax / (smin - es))
+        amax_hi = np.hypot(smax, norms) * (1.0 + err)  # >= sigma_max(A)
+        ea = err * amax_hi
+        cut_lo = tol * (np.maximum(smax, norms) - 2.0 * ea)
+        cut_hi = tol * (amax_hi + ea)
+        shrink = np.prod(np.maximum(s - es, 0.0)[:, None, :] /
+                         amax_hi[..., None], axis=2)
+        low = np.maximum(dist - dist_err, 0.0) * shrink - ea
+        inside = (2.0 * (dist + dist_err + ea) <= cut_lo) & \
+            (smin - es - ea >= 2.0 * cut_hi)
+        band = np.argwhere(~(inside | (low > 2.0 * cut_hi)))
     if band.size:
         inside[band[:, 0], band[:, 1]] = subset_ranks(
             t, np.column_stack((idx[band[:, 0]], band[:, 1]))) == n - 1

@@ -28,11 +28,10 @@ from .core import (
     BudgetExceeded,
     ContractViolation,
     Frame,
-    block_spectra,
-    block_spectrum,
     check_blocks,
     ensure_matrix,
     ensure_unit_norm,
+    index_stacks,
     label_blocks,
     numeric_rank,
     stack_spectra,
@@ -205,7 +204,8 @@ def feichtinger_partition(fr, a_target, r_max):
         raise ContractViolation("a_target must be positive")
     if r_max < 1:
         raise ContractViolation("need r_max >= 1")
-    norms = np.linalg.norm(fr.synthesis, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf for huge ones
+        norms = np.linalg.norm(fr.synthesis, axis=0)
     if norms.min() <= CHECK_TOL:
         raise ContractViolation("zero vectors can never sit in a Riesz block")
     return _partition_by_block_predicate(fr, r_max, a_target, None)
@@ -224,8 +224,9 @@ def restricted_isometry(fr, s):
             f"{total} subsets exceed the {SUBSET_BUDGET} budget")
     subsets = itertools.chain.from_iterable(
         itertools.combinations(range(fr.M), k) for k in range(1, s + 1))
-    worst, worst_subset = -1.0, None
-    for idx, w in block_spectra(gram_matrix(fr), subsets):
+    g, worst, worst_subset = gram_matrix(fr), -1.0, None
+    for idx in index_stacks(subsets, lambda k: g.itemsize * k * k):
+        w = stack_spectra(g, idx)
         dev = np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0])
         i = int(np.argmax(dev))        # first occurrence, as a scan finds
         if dev[i] > worst:
@@ -253,7 +254,7 @@ def tp1_partition(fr, s, delta, seed=0, r_max=64):
     g = gram_matrix(fr)
     if not (0.0 < delta < 1.0):
         raise ContractViolation("delta must lie in (0, 1)")
-    bessel = float(max(block_spectrum(g, range(g.shape[0]))[-1], 1.0))
+    bessel = float(max(stack_spectra(g, np.arange(fr.M)[None])[0, -1], 1.0))
     ratio = bessel * s / (delta * delta) if delta * delta else math.inf
     if not math.isfinite(ratio):
         raise ContractViolation(f"--delta {delta} puts B s / delta^2 out of "
@@ -422,7 +423,9 @@ class Subspace:
         m, n = self.basis.shape
         if n > m:
             raise ContractViolation("basis has more columns than ambient dim")
-        if np.abs(self.basis.conj().T @ self.basis - np.eye(n)).max() > 1e-8:
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge basis
+            gram = self.basis.conj().T @ self.basis
+        if np.abs(gram - np.eye(n)).max() > 1e-8:
             raise ContractViolation("basis columns must be orthonormal")
 
     @property

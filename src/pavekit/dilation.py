@@ -99,7 +99,7 @@ def dilate_operator(t):
         raise ContractViolation("dilate_operator needs a square matrix")
     nrm = operator_norm(t)
     if nrm > 1.0 + CHECK_TOL:
-        raise ContractViolation(f"operator norm {nrm:.6f} exceeds one")
+        raise ContractViolation(f"operator norm {nrm:.12g} exceeds one")
     w, v = sym_eig(t @ t.conj().T)  # ascending
     lam = w[::-1]                   # descending
     start = 1 if lam[0] >= 1.0 - CHECK_TOL else 0   # skip the top at norm one

@@ -21,9 +21,9 @@ from .core import (
     BudgetExceeded,
     ContractViolation,
     hyperplane_flats,
+    index_stacks,
     numeric_rank,
     stack_spectra,
-    stacks,
     subset_ranks,
 )
 from .frames import _is_parseval
@@ -70,9 +70,9 @@ def erasure_robustness(fr, k):
         raise BudgetExceeded(f"{total} erasure patterns exceed the budget")
     parseval = _is_parseval(fr)     # refuses a frame operator past budget
     vmin, vmax, worst_subset, scanned = math.inf, -math.inf, [], 0
-    for chunk in stacks(itertools.combinations(range(fr.M), k),
-                        fr.synthesis.itemsize * fr.n * max(fr.n, fr.M - k)):
-        erased = np.array(chunk, dtype=np.intp).reshape(len(chunk), k)
+    row_bytes = fr.synthesis.itemsize * fr.n * max(fr.n, fr.M - k)
+    for erased in index_stacks(itertools.combinations(range(fr.M), k),
+                               lambda _: row_bytes):
         val = _surviving_lower(fr, erased)
         scanned += len(val)
         lo, hi = int(np.argmin(val)), int(np.argmax(val))  # first occurrences
@@ -104,9 +104,9 @@ def _complement_witness(t):
     one call of each.
     """
     (n, m), seen = t.shape, set()
-    for chunk in stacks(itertools.combinations(range(m), n - 1),
-                        4 * t.itemsize * n * (n + m)):
-        rows = hyperplane_flats(t, chunk)[1]
+    for idx in index_stacks(itertools.combinations(range(m), n - 1),
+                            lambda _: 4 * t.itemsize * n * (n + m)):
+        rows = hyperplane_flats(t, idx)[1]
         pairs = [p for p in dict.fromkeys(zip(_true_columns(rows),
                                               _true_columns(~rows)))
                  if p[0] not in seen]

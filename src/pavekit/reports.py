@@ -43,7 +43,6 @@ from .core import (
     BudgetExceeded,
     ContractViolation,
     Frame,
-    block_spectrum,
     check_blocks,
     frame_from_json,
     gen_harmonic_frame,
@@ -51,6 +50,7 @@ from .core import (
     gen_random_unit_frame,
     matrix_from_json,
     matrix_to_json,
+    stack_spectra,
     subset_ranks,
     within,
 )
@@ -305,7 +305,7 @@ def _phase(config, fr):
 def _ric_results(config, fr, subset):
     """delta_s at the worst subset: the largest deviation of its Gram
     block's spectrum from one."""
-    w = block_spectrum(gram_matrix(fr), subset)
+    w = stack_spectra(gram_matrix(fr), np.array([subset], dtype=np.intp))[0]
     return {"s": config["s"],
             "delta": max(float(w[-1] - 1.0), float(1.0 - w[0]), 0.0),
             "worst_subset": subset}
@@ -579,8 +579,9 @@ def _verify_weaver(payload, fr):
     # operator T_S T_S*, so a fault in the Gram route shows as an achieved
     # value that differs from the stored one.
     worst = got["partition"]["blocks"][int(np.argmax(got["per_block"]))]
-    got["achieved"] = float(max(
-        block_spectrum(fr.synthesis, worst, frame=True)[-1], 0.0))
+    got["achieved"] = float(max(stack_spectra(
+        fr.synthesis, np.array([worst], dtype=np.intp), frame=True)[0, -1],
+        0.0))
     return got
 
 

@@ -1,13 +1,13 @@
-"""The stacked block-spectrum kernel, its one-block form, the stacked block
-norms, and the subset scans built on them.
+"""The one stacking path into LAPACK, index_stacks, the stacked block
+spectra and norms it feeds, and the subset scans built on them.
 
-block_spectra must give every block the bits a lone eigvalsh of that block
-gives, however the blocks are stacked; block_spectrum, which prices one
-block, must give the bits of the stacked kernel, and stack_norms, which
-prices the stacks of a partition walk, the bits of a lone operator_norm of
-each block.  The oracles below are the
-per-subset loops the scans ran before they were stacked; the scans must
-match them bit for bit: values, worst subset, tie order and counts.
+stack_spectra on index_stacks' stacks must give every block the bits a
+lone eigvalsh of that block gives, however the blocks are stacked, and so
+must a one-row stack, which prices one block; stack_norms, which prices the
+stacks of a partition walk, must give the bits of a lone operator_norm of
+each block.  The oracles below are the per-subset loops the scans ran
+before they were stacked; the scans must match them bit for bit: values,
+worst subset, tie order and counts.
 """
 
 import ast
@@ -25,11 +25,10 @@ from pavekit import core, erasures
 from pavekit.core import (
     RANK_TOL,
     Frame,
-    block_spectra,
-    block_spectrum,
     gen_harmonic_frame,
     gen_random_projection,
     gen_random_unit_frame,
+    index_stacks,
     numeric_rank,
     operator_norm,
     stack_norms,
@@ -44,6 +43,21 @@ from pavekit.frames import gram_matrix, parseval_normalize
 def _bits(x):
     """Bytes of a float or array, so -0.0 and 0.0 differ."""
     return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def block_spectra(a, subsets, frame=False):
+    """(idx, w) per stack of index_stacks: the (B, k) subsets and their
+    stack_spectra, with a frame block's a.itemsize * n * max(n, k) bytes
+    per row, or a principal block's a.itemsize * k * k."""
+    n = a.shape[0]
+    for idx in index_stacks(subsets, lambda k: a.itemsize * (
+            n * max(n, k) if frame else k * k)):
+        yield idx, stack_spectra(a, idx, frame)
+
+
+def block_spectrum(a, subset, frame=False):
+    """The spectrum of one block, from a one-row stack."""
+    return stack_spectra(a, np.array([subset], dtype=np.intp), frame)[0]
 
 
 def _lone(a, subset, frame):
@@ -123,6 +137,41 @@ def test_block_spectra_keeps_mixed_order():
     assert _bits(block_spectrum(g, [1, 3, 5])) == _bits(got[3])
 
 
+def test_index_stacks_reads_an_endless_stream_lazily():
+    first = next(index_stacks(((i, i + 1) for i in itertools.count()),
+                              lambda k: 1024 * k))
+    assert first.dtype == np.intp
+    assert first.tolist() == [[i, i + 1] for i in range(128)]
+
+
+def test_index_stacks_splits_runs_at_the_cap(monkeypatch):
+    monkeypatch.setattr(core, "BLOCK_STACK_BYTES", 100)
+    subsets = [(i,) for i in range(25)] + [(i, i + 1, i + 2)
+                                           for i in range(7)]
+    got = list(index_stacks(iter(subsets), lambda k: 10 * k))
+    assert [idx.shape for idx in got] == \
+        [(10, 1), (10, 1), (5, 1), (3, 3), (3, 3), (1, 3)]
+    assert [tuple(row) for idx in got for row in idx.tolist()] == subsets
+    # a row wider than the cap is a stack of its own; empty rows stack
+    assert [idx.shape for idx in index_stacks([(0, 1), (2, 3)],
+                                              lambda k: 1000)] == \
+        [(1, 2), (1, 2)]
+    assert [idx.shape for idx in index_stacks([(), ()], lambda k: 0)] == \
+        [(2, 0)]
+
+
+def test_index_stacks_keeps_order_across_sizes():
+    subsets = [(0, 1), (2,), (3, 4), (5, 6), (1, 3, 5), (7,), (8,), (0, 2)]
+    got = list(index_stacks(subsets, lambda k: k))
+    assert [idx.shape for idx in got] == \
+        [(1, 2), (1, 1), (2, 2), (1, 3), (2, 1), (1, 2)]
+    assert [tuple(row) for idx in got for row in idx.tolist()] == subsets
+
+
+def test_index_stacks_of_nothing_is_nothing():
+    assert list(index_stacks(iter([]), lambda k: 8)) == []
+
+
 def _one_block_cases():
     """(matrix, subsets): every subset of a real and a complex 10 x 10
     Hermitian matrix and of a rank-4 projection, and 300 random blocks of
@@ -162,7 +211,9 @@ def test_one_block_kernels_match_stacked_and_checked_routes():
 def test_no_hand_copied_eigensolves():
     """Block eigensolves go through core's block kernels; only harmonic's
     Toeplitz sections and Kadec Gram, which are not blocks of a stored
-    matrix, call eigvalsh themselves."""
+    matrix, call eigvalsh themselves.  In core, eigvalsh is called only by
+    stack_spectra and BLOCK_STACK_BYTES read only by index_stacks, and the
+    routes they replaced are gone."""
     allowed = {"core.py", "harmonic.py"}
     found = []
     for path in sorted(Path(pavekit.__file__).parent.glob("*.py")):
@@ -175,6 +226,21 @@ def test_no_hand_copied_eigensolves():
             if "eigvalsh" in names:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+    sites = {"eigvalsh": set(), "BLOCK_STACK_BYTES": set()}
+    for stmt in ast.parse(Path(core.__file__).read_text()).body:
+        owner = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Attribute) and node.attr == "eigvalsh" \
+                    or isinstance(node, ast.Name) and node.id == "eigvalsh":
+                sites["eigvalsh"].add(owner)
+            if isinstance(node, ast.Name) and \
+                    node.id == "BLOCK_STACK_BYTES" and \
+                    isinstance(node.ctx, ast.Load):
+                sites["BLOCK_STACK_BYTES"].add(owner)
+    assert sites == {"eigvalsh": {"stack_spectra"},
+                     "BLOCK_STACK_BYTES": {"index_stacks"}}
+    for name in ("stacks", "block_spectra", "block_spectrum", "_principal"):
+        assert not hasattr(core, name), name
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,56 @@ def test_overflowing_frame_operator_is_named_not_its_entries(tmp_path,
             "error: the 2x2 frame operator overflows float64\n"
 
 
+# (argv, exit code, the one line stderr or stdout holds) on the 2x2
+# diag(1e200) frame, whose entries are finite but whose norms, Gram and
+# frame operators are not
+HUGE_INPUT_RUNS = [
+    (["ric", "--s", "1"], 2, "error: the family needs unit-norm vectors"),
+    (["weaver", "--bessel", "4", "--epsilon", "0.5", "--r-max", "2"], 2,
+     "error: the family needs unit-norm vectors"),
+    (["decompose", "--criterion", "riesz", "--epsilon", "0.5"], 2,
+     "error: the family needs unit-norm vectors"),
+    (["decompose", "--criterion", "tp1", "--s", "1", "--delta", "0.5"], 2,
+     "error: the family needs unit-norm vectors"),
+    (["decompose", "--criterion", "feichtinger", "--a-target", "0.1"], 2,
+     "error: the 2x2 Gram matrix overflows float64"),
+    (["subspace", "--a", "0.1"], 2,
+     "error: basis columns must be orthonormal"),
+    (["pave", "--form", "projection", "--r-max", "2", "--epsilon", "0.5"], 2,
+     "error: matrix is not an orthogonal projection"),
+    (["phase"], 0, "verdict=False witness_side=[0]"),
+]
+
+
+@pytest.mark.parametrize("argv, code, line", HUGE_INPUT_RUNS,
+                         ids=[" ".join(argv[:3]) for argv, _, _ in
+                              HUGE_INPUT_RUNS])
+def test_huge_finite_input_warns_of_nothing(tmp_path, capsys, argv, code,
+                                            line):
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"rows": 2, "cols": 2, "field": "real",
+                               "entries": [[1e200, 0], [0, 0], [0, 0],
+                                           [1e200, 0]]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(*argv, "--input", str(big)) == code
+    out, err = capsys.readouterr()
+    assert (err if code else out) == line + "\n"
+    assert (out if code else err) == ""
+
+
+def test_refused_operator_norm_is_printed_to_12_digits(tmp_path, capsys):
+    """A huge norm prints as 1e+200, not 200 digits, and one just past the
+    CHECK_TOL slack shows the digits that refuse it."""
+    t = tmp_path / "op.json"
+    for diag, text in (([1e200, 0.0], "1e+200"),
+                       ([1.0 + 2e-8, 0.5], "1.00000002")):
+        t.write_text(canonical_json(matrix_to_json(np.diag(diag))))
+        assert run("dilate", "--input", str(t), "--mode", "operator") == 2
+        assert capsys.readouterr().err == \
+            f"error: operator norm {text} exceeds one\n"
+
+
 def test_malformed_size_exits_2(tmp_path, capsys):
     bad = tmp_path / "size.json"
     for size in (float("inf"), float("nan"), "x", None, [1], 2.7, True,

@@ -615,6 +615,8 @@ BAD_OPTIONS = [
       "--parseval"], "--parseval needs --kind harmonic"),
     (["decompose", "--input", "F37", "--criterion", "riesz", "--epsilon",
       "0.95", "--delta", "0.5"], "--delta needs --criterion tp1"),
+    (["decompose", "--input", "F37", "--criterion", "feichtinger",
+      "--a-target", "0.01", "--seed", "3"], "--seed needs --criterion tp1"),
 ]
 
 

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,23 @@ def _sign_blind_frames():
     yield gen_random_unit_frame(4, 13, 5)       # the benchmark's shape
     yield Frame(np.tile(np.eye(3), 2))          # each side spans too little
     yield Frame(np.ones((1, 3)))                # n = 1, no zero column
+
+
+def test_phase_does_not_depend_on_scale():
+    """Scaled near 1e200, a family's flat tests overflow their norms and
+    bounds and fall to subset_ranks, so phase gives the unscaled answer,
+    and numpy warns of nothing."""
+    verdicts = set()
+    for fr in itertools.chain(oracle_frames(7, 60),
+                              [gen_random_unit_frame(4, 13, 5)]):
+        want = phase_retrieval_check(fr)
+        for scale in (1e200, 2.0 ** 600):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = phase_retrieval_check(Frame(scale * fr.synthesis))
+            assert got == want, (scale, fr.synthesis)
+        verdicts.add(want["verdict"])
+    assert verdicts == {True, False}
 
 
 def test_phase_matches_per_subset_and_per_trial_oracle():
