@@ -24,7 +24,6 @@ from .core import (
     operator_norm,
 )
 from .frames import (
-    analysis_matrix,
     frame_operator,
     gram_matrix,
     parseval_normalize,
@@ -56,7 +55,6 @@ from .harmonic import (
     christensen_bounds,
     distribution_check,
     example_e1_set,
-    gk_component,
     grid_indicator,
     kadec_bounds,
     kadec_empirical_check,

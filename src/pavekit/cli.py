@@ -229,18 +229,12 @@ def _gen_options(p):
     p.add_argument("--out", required=True)
 
 
-def _analyze_options(p):
-    p.add_argument("--input", required=True)
-
-
 def _dilate_options(p):
-    p.add_argument("--input", required=True)
     p.add_argument("--mode", choices=["naimark", "operator"],
                    default="naimark")
 
 
 def _pave_options(p):
-    p.add_argument("--input", required=True)
     p.add_argument("--form", choices=["matrix", "projection"],
                    default="matrix")
     p.add_argument("--r-max", type=int, required=True)
@@ -253,7 +247,6 @@ def _pave_options(p):
 
 
 def _weaver_options(p):
-    p.add_argument("--input", required=True)
     p.add_argument("--bessel", type=_finite_float, required=True)
     p.add_argument("--epsilon", type=_finite_float, required=True)
     p.add_argument("--r-max", type=int, required=True)
@@ -261,7 +254,6 @@ def _weaver_options(p):
 
 
 def _decompose_options(p):
-    p.add_argument("--input", required=True)
     p.add_argument("--criterion", required=True,
                    choices=["riesz", "feichtinger", "tp1"])
     p.add_argument("--epsilon", type=_finite_float)
@@ -273,12 +265,10 @@ def _decompose_options(p):
 
 
 def _ric_options(p):
-    p.add_argument("--input", required=True)
     p.add_argument("--s", type=int, required=True)
 
 
 def _radohorn_options(p):
-    p.add_argument("--input", required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--partition", action="store_true",
                    help="no effect: the partition is always reported when "
@@ -286,9 +276,6 @@ def _radohorn_options(p):
 
 
 def _subspace_options(p):
-    p.add_argument("--input", required=True,
-                   help="matrix whose columns span or orthonormally base "
-                        "the subspace")
     p.add_argument("--span", action="store_true",
                    help="orthonormalize the given columns first")
     p.add_argument("--a", type=_finite_float, help="largeness level to test")
@@ -297,7 +284,6 @@ def _subspace_options(p):
 
 
 def _toeplitz_options(p):
-    p.add_argument("--input", required=True)
     p.add_argument("--k-list", type=_ints, required=True,
                    help="comma-separated moduli, each dividing N; a list "
                         "that starts with '-' takes the --k-list=... form")
@@ -336,12 +322,10 @@ def _mv_theta_options(p):
 
 
 def _erasure_options(p):
-    p.add_argument("--input", required=True)
     p.add_argument("--k", type=int, required=True)
 
 
 def _phase_options(p):
-    p.add_argument("--input", required=True)
     p.add_argument("--trials", type=int,
                    help="no effect: the complement property decides "
                         "recovery, so no trials run; kept so older command "
@@ -355,8 +339,8 @@ def _verify_options(p):
     p.add_argument("--report", dest="report_path", required=True)
 
 
-# name -> (help, the function that adds its options, config rows, summary
-# line), in the order the help lists them; see _config for the rows
+# name -> (help, the function that adds its options, or None, config rows,
+# summary line), in the order the help lists them; see _config for the rows
 _COMMANDS = {
     "gen": ("generate a frame, projection or grid symbol", _gen_options,
             [(None, ("kind",), False),
@@ -365,7 +349,7 @@ _COMMANDS = {
              (("kind", "projection"), ("M", "n", "seed"), True),
              (("kind", "e1-grid"), ("N", "levels", "c"), True)],
             lambda args, res: f"wrote {args.out}"),
-    "analyze": ("spectral summary of a frame file", _analyze_options,
+    "analyze": ("spectral summary of a frame file", None,
                 [], _analyze_line),
     "dilate": ("projection dilation of a frame or operator", _dilate_options,
                [(None, ("mode",), False)],
@@ -393,7 +377,9 @@ _COMMANDS = {
     "radohorn": ("partition into at most r independent blocks, "
                  "or a violating subset", _radohorn_options,
                  [(None, ("r",), False)], _radohorn_line),
-    "subspace": ("largeness and decomposability", _subspace_options,
+    "subspace": ("largeness and decomposability of the subspace that the "
+                 "columns of --input base orthonormally, or span with "
+                 "--span", _subspace_options,
                  [(None, ("span",), False), ("a", ("a",), True),
                   ("blocks", ("blocks",), True)],
                  _subspace_line),
@@ -421,7 +407,8 @@ _COMMANDS = {
 
 
 def _parser(names, metavar=None):
-    """The root parser with the subparsers of the named commands."""
+    """The root parser with the subparsers of the named commands.  A
+    command in reports._INPUTS takes --input, before its own options."""
     parser = argparse.ArgumentParser(
         prog="pavekit",
         description="Finite-dimensional paving, dilation and partition "
@@ -433,7 +420,10 @@ def _parser(names, metavar=None):
     for name in names:
         help_text, add_options, rows, _ = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        add_options(p)
+        if name in _INPUTS:
+            p.add_argument(_flag("input"), required=True)
+        if add_options is not None:
+            add_options(p)
         if rows is not None:    # verify's --report names the one it reads
             p.add_argument("--report", help="write a JSON report to this path")
             p.set_defaults(default_of=p.get_default)

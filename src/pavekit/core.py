@@ -50,7 +50,7 @@ class BudgetExceeded(RuntimeError):
 EIG_TOL = 1e-9      # eigen-residuals, relative to the matrix norm
 RANK_TOL = 1e-10    # numeric-rank cutoff, relative to the top singular value
 CHECK_TOL = 1e-8    # yes/no predicates: Parseval, tight, equal- and unit-norm,
-                    # Hermitian, projection
+                    # Hermitian, projection, orthonormal basis, block solve
 
 
 def check_entries(count, what):

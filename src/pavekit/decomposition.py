@@ -25,6 +25,7 @@ from .core import (
     CHECK_TOL,
     GREEDY_BACKTRACKS,
     SUBSET_BUDGET,
+    VERDICT_SLACK,
     BudgetExceeded,
     ContractViolation,
     Frame,
@@ -149,7 +150,8 @@ def _partition_by_block_predicate(fr, r_max, lo_target, hi_target):
     m = fr.M
     r_max = min(r_max, m)
     target = (lo_target, hi_target)
-    slack = 1e-12 + _ROUND_SLACK * (1.0 + float(np.trace(g).real))
+    # the leaf's own slack, within's, plus the rounding of a block spectrum
+    slack = VERDICT_SLACK + _ROUND_SLACK * (1.0 + float(np.trace(g).real))
     found = None
 
     def block_ok(mask):
@@ -425,7 +427,7 @@ class Subspace:
             raise ContractViolation("basis has more columns than ambient dim")
         with np.errstate(over="ignore", invalid="ignore"):  # a huge basis
             gram = self.basis.conj().T @ self.basis
-        if np.abs(gram - np.eye(n)).max() > 1e-8:
+        if np.abs(gram - np.eye(n)).max() > CHECK_TOL:
             raise ContractViolation("basis columns must be orthonormal")
 
     @property
@@ -485,7 +487,7 @@ def decomposition_vectors(sub, blocks):
         rows = v[blk, :]
         coeff = np.linalg.pinv(rows)          # n x |E|, min-norm coefficients
         resid = np.abs(rows @ coeff - np.eye(len(blk))).max()
-        if resid > 1e-8:
+        if resid > CHECK_TOL:
             raise ContractViolation(f"block solve residual {resid:.3e}")
         vectors = v @ coeff                   # M x |E|, column i solves for blk[i]
         offblock = vectors.copy()

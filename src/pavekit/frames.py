@@ -22,8 +22,7 @@ from .core import (
 )
 
 __all__ = [
-    "frame_operator", "gram_matrix", "analysis_matrix", "spectral_summary",
-    "parseval_normalize",
+    "frame_operator", "gram_matrix", "spectral_summary", "parseval_normalize",
 ]
 
 
@@ -53,11 +52,6 @@ def gram_matrix(fr):
     """G = T* T, an M x M positive semidefinite matrix (_product)."""
     t = fr.synthesis
     return _product(t.conj().T, t, f"the {fr.M}x{fr.M} Gram matrix")
-
-
-def analysis_matrix(fr):
-    """The M x n matrix of the analysis map f -> (<f, f_i>)_i."""
-    return fr.synthesis.conj().T
 
 
 def spectral_summary(fr):

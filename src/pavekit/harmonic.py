@@ -5,8 +5,8 @@ Functions on the circle are sampled on a uniform N-point grid and every
 translate is by a fraction k/K with K dividing N, so all operations stay
 exact on the grid (no interpolation anywhere).  The K-fold translate
 average of |g|^2 splits exactly into the squared moduli of the K frequency
-components of g (residues mod K); that identity is the keystone the tests
-lean on.
+components of g (residues mod K), which tt3_identity_check reads off one
+K-point FFT of the orbits.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ TT3_REL_TOL = 1e-10     # slack of tt3_identity_check, times 1 + sup|g|^2
 KADEC_MARGIN = 0.05     # how far lambda_min may fall below the Kadec bound
 
 __all__ = [
-    "GridFunction", "grid_indicator", "translate_average", "gk_component",
+    "GridFunction", "grid_indicator", "translate_average",
     "tt3_identity_check", "uniform_paving_criterion",
     "uniform_feichtinger_criterion", "example_e1_set", "toeplitz_section",
     "ap_blocks", "distribution_check", "montgomery_vaughan_theta",
@@ -105,19 +105,6 @@ def translate_average(g, k):
     over the orbit of t."""
     orbit_mean = (np.abs(_orbits(g, k)) ** 2).mean(axis=0)
     return GridFunction(np.tile(orbit_mean, k))
-
-
-def gk_component(g, k, res):
-    """Frequency component of g for residue res mod K, via translates:
-    (1/K) sum_j g(t - j/K) exp(2 pi i j res / K).  On row u of the orbit
-    view that is exp(2 pi i u res / K) times the orbits' K-point DFT at
-    res, over K."""
-    orbits = _orbits(g, k)
-    if not (0 <= res < k):
-        raise ContractViolation("residue must lie in 0..K-1")
-    spec = np.fft.fft(orbits, axis=0)[res] / k
-    phase = np.exp(2j * np.pi * np.arange(k) * res / k)
-    return GridFunction(np.outer(phase, spec).reshape(-1))
 
 
 def tt3_identity_check(g, k, avg=None):
@@ -424,31 +411,25 @@ def christensen_bounds(a, b, lam, mu):
     return {"valid": slack < 1.0, "lower": lower, "upper": upper}
 
 
-def kadec_empirical_check(n_max, delta_max=None, seed=0, deltas=None):
+def kadec_empirical_check(n_max, delta_max, seed=0):
     """Gram spectrum of a perturbed exponential system on the unit interval
     against the predicted lower bound.
 
-    Frequencies are n + delta_n for |n| <= n_max with |delta_n| <= delta_max
-    (seeded uniform draws unless explicit deltas are given).  Gram entries
-    come from the closed-form integral of a unimodular exponential, so the
-    only numerics here are one Hermitian eigensolve.  Passes when
+    Frequencies are n + delta_n for |n| <= n_max, with delta_n seeded
+    uniform draws from [-delta_max, delta_max].  Gram entries come from the
+    closed-form integral of a unimodular exponential, so the only numerics
+    here are one Hermitian eigensolve.  Passes when
     lambda_min >= predicted lower - KADEC_MARGIN.  A Gram matrix of more
     than ENTRY_BUDGET entries raises BudgetExceeded before any is built.
     """
     if n_max < 0:
         raise ContractViolation("need n_max >= 0")
-    if deltas is None and (delta_max is None or
-                           not (0.0 <= delta_max < 0.25)):
+    if not (0.0 <= delta_max < 0.25):
         raise ContractViolation("need 0 <= delta_max < 1/4")
     check_entries((2 * n_max + 1) ** 2, "a Kadec Gram matrix")
     base = np.arange(-n_max, n_max + 1, dtype=float)
-    if deltas is not None:
-        d = np.asarray(deltas, dtype=float).reshape(-1)
-        if d.size != base.size:
-            raise ContractViolation("need one delta per frequency")
-    else:
-        rng = np.random.default_rng(seed)
-        d = rng.uniform(-delta_max, delta_max, size=base.size)
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(-delta_max, delta_max, size=base.size)
     gram = _exponential_gram(base + d, 1.0)
     gram = 0.5 * (gram + gram.conj().T)
     w = np.linalg.eigvalsh(gram)
@@ -459,5 +440,5 @@ def kadec_empirical_check(n_max, delta_max=None, seed=0, deltas=None):
         "delta_sup": sup, "predicted_lower": bound["lower"],
         "predicted_upper": bound["upper"], "valid_radius": bound["valid"],
         "passed": bool(w[0] >= bound["lower"] - KADEC_MARGIN),
-        "seed": None if deltas is not None else int(seed),
+        "seed": int(seed),
     }

@@ -419,14 +419,11 @@ def wkhb_partition(a, r, seed=0):
     onehot[np.arange(m), labels] = 1.0
     masses = a @ onehot                     # recompute to shed update roundoff
     in_mass = masses[np.arange(m), labels]
-    row_tot = a.sum(axis=1)
     certified = bool(np.all(within(in_mass, masses.min(axis=1))) and
-                     np.all(within(in_mass, row_tot / r)))
+                     np.all(within(in_mass, a.sum(axis=1) / r)))
     return {
         "labels": labels.tolist(),
-        "in_block_mass": in_mass.copy(),
-        "cross_block_mass": masses.copy(),
-        "row_totals": row_tot,
+        "in_block_mass": in_mass,
         "moves": moves,
         "certified": certified,
         "seed": int(seed),

@@ -108,21 +108,14 @@ __all__ = ["make_report", "canonical_json", "write_report", "load_report",
            "file_sha256", "verify"]
 
 
-def _numpy_default(x):
-    """json fallback: numpy arrays and scalars as their Python values."""
-    if isinstance(x, (np.ndarray, np.generic)):
-        return x.tolist()
-    raise TypeError(f"{type(x).__name__} is not JSON serializable")
-
-
 def canonical_json(obj):
     """The one JSON text pavekit writes or hashes: sorted keys, no
-    whitespace, numpy values as their Python values.  Wire matrices and
-    grids are base64 strings, so the C encoder writes all of it.  NaN and
-    infinities raise ValueError, since RFC 8259 JSON has no text for
-    them."""
+    whitespace.  Wire matrices and grids are base64 strings, so the C
+    encoder writes all of it.  A value JSON has no type for raises
+    TypeError, and NaN and infinities raise ValueError, since RFC 8259 JSON
+    has no text for them."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      default=_numpy_default, allow_nan=False)
+                      allow_nan=False)
 
 
 def make_report(command, config, inputs, results, wall_time_s):
@@ -422,16 +415,13 @@ def _match(stored, got, slack=(_MATCH_TOL, True), path="results"):
     so true is not 1.  UNCHECKED matches anything, and so does the stored
     value itself, which a verifier hands back for a part it checked by
     other means.  A wire matrix matches by value (_match_matrix), not by
-    its text.  got is what a producer would write: numpy values count
-    as their Python values, tuples as lists and non-string keys as their
-    JSON text.
+    its text.  got is what a producer would write: tuples count as lists
+    and non-string keys as their JSON text.
     """
     if got is UNCHECKED or got is stored:
         return None
     if isinstance(got, dict) and got.keys() == _WIRE_MATRIX:
         return _match_matrix(stored, got, slack, path)
-    if isinstance(got, (np.ndarray, np.generic)):
-        got = got.tolist()
     if isinstance(got, dict) and type(stored) is dict:
         got = {k if type(k) is str else json.dumps(k): v
                for k, v in got.items()}

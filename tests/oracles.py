@@ -33,15 +33,6 @@ def translate_average_by_rolls(g, k):
     return acc / k
 
 
-def gk_component_by_rolls(g, k, res):
-    """(1/K) sum_j g(t - j/K) exp(2 pi i j res / K) as K phased rolls."""
-    step = g.N // k
-    acc = np.zeros(g.N, dtype=np.complex128)
-    for j in range(k):
-        acc += np.roll(g.values, j * step) * np.exp(2j * np.pi * j * res / k)
-    return acc / k
-
-
 def toeplitz_section_by_sums(g, freqs):
     """Hermitian part of the matrix (1/N) sum_j g(j) exp(2 pi i (f_a - f_b)
     j / N), one N-term exponential sum per frequency difference."""

@@ -22,14 +22,17 @@ def commands(tmp):
 
     Both verdicts of radohorn are covered; dilate is covered in both modes,
     decompose with each criterion and pave in both forms and both search
-    modes."""
+    modes.  gen makes every kind, subspace also takes a spanning set,
+    analyze also reads a frame in the [re, im] pair form, and riesz also
+    runs past EXHAUSTIVE_INDEX_MAX vectors, on its greedy fallback."""
     rng = np.random.default_rng(5)
 
     def unit(n, m):
         a = rng.standard_normal((n, m))
         return a / np.linalg.norm(a, axis=0)
 
-    f37 = _write(tmp / "f37.json", unit(3, 7))
+    a37 = unit(3, 7)
+    f37 = _write(tmp / "f37.json", a37)
     f39 = _write(tmp / "f39.json", unit(3, 9))
     sym = rng.standard_normal((6, 6))
     matrix = _write(tmp / "matrix.json", sym + sym.T)
@@ -42,6 +45,12 @@ def commands(tmp):
     op = rng.standard_normal((3, 3))
     operator = _write(tmp / "operator.json", op / np.linalg.norm(op, 2))
     grid = str(tmp / "grid.json")
+    span = _write(tmp / "span.json", rng.standard_normal((4, 3)))
+    f315 = _write(tmp / "f315.json", unit(3, 15))
+    pairs = tmp / "pairs.json"      # a37 in the [re, im] pair form
+    pairs.write_text(canonical_json({
+        "rows": 3, "cols": 7, "field": "real",
+        "entries": [[x, 0.0] for x in a37.T.ravel().tolist()]}))
     return {
         "gen": ["gen", "--kind", "harmonic", "--n", "2", "--M", "4",
                 "--out", str(tmp / "harmonic.json")],
@@ -82,6 +91,19 @@ def commands(tmp):
                      "--coeffs", "1,0.5-0.2j,2", "--t-len", "2.0"],
         "erasure": ["erasure", "--input", parseval, "--k", "1"],
         "phase": ["phase", "--input", f37, "--trials", "20", "--seed", "1"],
+        "gen-random-unit": ["gen", "--kind", "random-unit", "--n", "3",
+                            "--M", "5", "--seed", "2", "--field", "complex",
+                            "--out", str(tmp / "random-unit.json")],
+        "gen-projection": ["gen", "--kind", "projection", "--M", "6",
+                           "--n", "2", "--seed", "1",
+                           "--out", str(tmp / "projection.json")],
+        "gen-parseval": ["gen", "--kind", "harmonic", "--n", "2", "--M", "5",
+                         "--parseval", "--out", str(tmp / "parseval-h.json")],
+        "subspace-span": ["subspace", "--input", span, "--span",
+                          "--a", "0.05", "--blocks", "0,1;2,3"],
+        "analyze-pairs": ["analyze", "--input", str(pairs)],
+        "riesz-15": ["decompose", "--input", f315, "--criterion", "riesz",
+                     "--epsilon", "0.9", "--r-max", "15"],
     }
 
 

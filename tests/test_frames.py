@@ -11,7 +11,6 @@ from pavekit.core import (
     numeric_rank,
 )
 from pavekit.frames import (
-    analysis_matrix,
     frame_operator,
     gram_matrix,
     parseval_normalize,
@@ -68,11 +67,6 @@ def test_parseval_normalize_gram_idempotent():
         stacked = np.vstack([fr.synthesis, pn.synthesis])
         assert numeric_rank(stacked) == numeric_rank(fr.synthesis) == \
             numeric_rank(pn.synthesis)
-
-
-def test_analysis_is_adjoint_of_synthesis():
-    fr = gen_random_unit_frame(4, 6, 3, field="complex")
-    assert np.abs(analysis_matrix(fr) - fr.synthesis.conj().T).max() == 0.0
 
 
 def test_overflowing_products_are_refused_by_name():

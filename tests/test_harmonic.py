@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from oracles import (
-    gk_component_by_rolls,
     mv_theta_by_quadrature,
     toeplitz_section_by_sums,
     translate_average_by_rolls,
@@ -18,7 +17,6 @@ from pavekit.harmonic import (
     christensen_bounds,
     distribution_check,
     example_e1_set,
-    gk_component,
     grid_indicator,
     kadec_bounds,
     kadec_empirical_check,
@@ -80,11 +78,6 @@ def test_orbit_transforms_match_the_roll_oracles():
         for k in _divisors(360):
             avg = translate_average(g, k).values
             assert np.abs(avg - translate_average_by_rolls(g, k)).max() <= tol
-            # every residue up to K = 4, the ends and the middle beyond
-            for res in sorted({0, 1 % k, k // 2, k - 1}):
-                comp = gk_component(g, k, res).values
-                want = gk_component_by_rolls(g, k, res)
-                assert np.abs(comp - want).max() <= tol, (k, res)
 
 
 def test_sections_match_the_difference_sums():
@@ -120,7 +113,6 @@ def test_grid_transforms_count_no_rolls_and_one_fft_per_modulus(monkeypatch):
     g = _trig_poly(np.random.default_rng(10), 360)
     for k in _divisors(360):
         translate_average(g, k)
-        gk_component(g, k, k - 1)
         calls["fft"] = 0
         assert tt3_identity_check(g, k)[0]
         assert calls["fft"] == 1, k
@@ -182,47 +174,6 @@ def test_identity_check_at_k_equal_n_stays_linear_in_memory():
     assert ok, resid
     # a (K, N) component array would take K * N * 16 bytes, 943 MB here
     assert peak < 16 * n * 16
-
-
-def _component_by_mask(g, k, res):
-    """gk_component through the DFT: keep the bins congruent to res mod K."""
-    spec = np.fft.fft(g.values)
-    return np.fft.ifft(spec * ((np.arange(g.N) % k) == res))
-
-
-def test_component_routes_agree():
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        g = _trig_poly(rng, 48)
-        for k in (2, 3, 4):
-            for res in range(k):
-                a = gk_component(g, k, res)
-                b = _component_by_mask(g, k, res)
-                assert np.abs(a.values - b).max() < 1e-10
-
-
-def test_components_sum_to_function():
-    rng = np.random.default_rng(3)
-    g = _trig_poly(rng, 36)
-    for k in (2, 3, 6):
-        acc = np.zeros(36, dtype=np.complex128)
-        for res in range(k):
-            acc += gk_component(g, k, res).values
-        assert np.abs(acc - g.values).max() < 1e-10
-
-
-def test_shift_covariance():
-    # shifting a component by ell/K, a roll by ell * N / K cells, only
-    # multiplies it by exp(-2 pi i res ell / K)
-    rng = np.random.default_rng(4)
-    g = _trig_poly(rng, 60)
-    for k in (2, 3, 5):
-        for res in range(k):
-            comp = gk_component(g, k, res).values
-            for ell in range(1, k):
-                shifted = np.roll(comp, ell * (g.N // k))
-                phase = np.exp(-2j * np.pi * res * ell / k)
-                assert np.abs(shifted - phase * comp).max() < 1e-10
 
 
 def test_e1_bookkeeping_and_criteria():
@@ -376,11 +327,12 @@ def test_christensen_bounds():
 
 
 def test_kadec_empirical_edge_cases():
-    rep = kadec_empirical_check(4, deltas=np.zeros(9))
+    rep = kadec_empirical_check(4, delta_max=0.0)
     assert abs(rep["lambda_min"] - 1.0) < 1e-9 and rep["passed"]
+    assert rep["delta_sup"] == 0.0 and rep["seed"] == 0
     # a common shift modulates every vector by the same unimodular factor
-    rep = kadec_empirical_check(4, deltas=np.full(9, 0.2))
-    assert abs(rep["lambda_min"] - 1.0) < 1e-9
+    gram = harmonic._exponential_gram(np.arange(-4.0, 5.0) + 0.2, 1.0)
+    assert abs(np.linalg.eigvalsh(gram)[0] - 1.0) < 1e-9
     with pytest.raises(ContractViolation):
         kadec_empirical_check(4, delta_max=0.3)
 

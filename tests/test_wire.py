@@ -96,31 +96,14 @@ def test_no_second_json_writer():
 
 
 # ---------------------------------------------------------------------------
-# the codec: canonical_json is json.dumps with numpy values as Python values
+# the codec: canonical_json is json.dumps of Python values
 # ---------------------------------------------------------------------------
 
-def _complex_to_pairs(v):
-    """The entries of v in flattened (C) order as an (n, 2) float64 array of
-    [re, im] rows: the values of a pair-form entry list."""
+def _pair_list(v):
+    """The entries of v in flattened (C) order as the [re, im] rows of a
+    pair-form entry list."""
     v = np.ravel(v)
-    return np.stack([v.real, v.imag], 1)
-
-
-def _plain(x):
-    """x with every numpy value as its Python value: the form whose
-    json.dumps canonical_json must reproduce."""
-    if isinstance(x, dict):
-        return {k: _plain(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_plain(v) for v in x]
-    if isinstance(x, (np.ndarray, np.generic)):
-        return x.tolist()
-    return x
-
-
-def _dumps(obj):
-    return json.dumps(_plain(obj), sort_keys=True, separators=(",", ":"),
-                      allow_nan=False)
+    return np.stack([v.real, v.imag], 1).tolist()
 
 
 def test_every_report_case_encodes_as_its_plain_form(tmp_path, monkeypatch):
@@ -135,7 +118,6 @@ def test_every_report_case_encodes_as_its_plain_form(tmp_path, monkeypatch):
     arrays = 0
     for path, report in written:
         text = canonical_json(report)
-        assert text == _dumps(report), path
         assert Path(path).read_text() == text + "\n", path
         arrays += text.count('"base64":')
     assert arrays >= 3       # dilate-operator's and subspace's matrices
@@ -164,48 +146,35 @@ def _complex(re, im):
 @pytest.mark.parametrize("n", [1, 2, 13, 4096, 4097, 9000])
 def test_pair_arrays_encode_as_their_lists(n):
     """Real and complex entries, signed zeros in either part, subnormals,
-    huge and tiny values, encoded as their lists."""
+    huge and tiny values, as [re, im] pair lists, the form inputs may
+    still take, and as base64: each reads back bit for bit from its
+    canonical_json text."""
     rng = np.random.default_rng(n)
     re, im = _values(rng, n), _values(rng, n)
     negzero_im = np.zeros(n)
     negzero_im[rng.integers(n)] = -0.0
     for v in (re, _complex(re, im), _complex(re, negzero_im),
               _complex(im, -re)):
-        pairs = _complex_to_pairs(v)
-        assert pairs.dtype == np.float64 and pairs.shape == (n, 2)
-        obj = {"entries": pairs, "label": "x", "n": np.int64(n)}
-        assert canonical_json(obj) == _dumps(obj)
-        assert np.array_equal(json.loads(canonical_json(pairs)),
-                              pairs.tolist())
+        field = "complex" if np.iscomplexobj(v) else "real"
+        d = {"rows": 1, "cols": n, "field": field, "entries": _pair_list(v)}
+        got = matrix_from_json(json.loads(canonical_json(d)))
+        assert got.dtype == v.dtype and got.tobytes() == v.tobytes()
     for m in (re.reshape(1, n), _complex(re, negzero_im).reshape(n, 1)):
         d = matrix_to_json(m)
-        assert canonical_json(d) == _dumps(d)
         got = matrix_from_json(d)                 # the in-memory form
         assert got.dtype == m.dtype and got.tobytes() == m.tobytes()
         got = matrix_from_json(json.loads(canonical_json(d)))
         assert got.dtype == m.dtype and got.tobytes() == m.tobytes()
 
 
-def test_empty_and_nested_pair_arrays():
-    empty = _complex_to_pairs(np.zeros(0))
-    assert empty.shape == (0, 2)
-    for obj in (empty, {"a": empty, "b": [empty, {"c": empty}]},
-                [np.zeros((0, 3)), np.arange(4.0).reshape(2, 2),
-                 np.arange(6).reshape(3, 2), np.float32([[0.1, 0.2]])]):
-        assert canonical_json(obj) == _dumps(obj)
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_entries_raise_as_the_c_encoder_does(tmp_path, bad):
-    pairs = _complex_to_pairs(np.array([1.0, bad, 2.0]))
-    with pytest.raises(ValueError) as want:
-        _dumps({"entries": pairs})
-    with pytest.raises(ValueError) as got:
-        canonical_json({"entries": pairs})
-    assert str(got.value) == str(want.value)
+    entries = [[1.0, 0.0], [float(bad), 0.0], [2.0, 0.0]]
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        canonical_json({"entries": entries})
     path = tmp_path / "r.json"
     with pytest.raises(ValueError):
-        write_report(str(path), {"payload": {"entries": pairs}})
+        write_report(str(path), {"payload": {"entries": entries}})
     assert not path.exists()
 
 
@@ -310,14 +279,14 @@ def test_pair_and_base64_files_decode_alike(tmp_path, monkeypatch):
     for m in (re, _complex(re, im)):
         field = "complex" if np.iscomplexobj(m) else "real"
         pairs = {"rows": 3, "cols": 5, "field": field,
-                 "entries": _complex_to_pairs(m.T).tolist()}
+                 "entries": _pair_list(m.T)}
         got = [_decoded_by_cli(monkeypatch, tmp_path, doc,
                                ["analyze"]).synthesis
                for doc in (pairs, matrix_to_json(m))]
         for a in got:
             assert a.dtype == m.dtype and a.tobytes() == m.tobytes()
     for v in (re.ravel(), _complex(re.ravel(), im.ravel())):
-        pairs = {"N": v.size, "values": _complex_to_pairs(v).tolist()}
+        pairs = {"N": v.size, "values": _pair_list(v)}
         got = [_decoded_by_cli(monkeypatch, tmp_path, doc,
                                ["toeplitz", "--k-list", "3",
                                 "--epsilon", "0.5"]).values
