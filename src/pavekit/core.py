@@ -28,7 +28,6 @@ PARTITION_BUDGET = 10**7           # most placements of one partition search
 SUBSET_BUDGET = 10**6              # most subsets any exhaustive scan may visit
 LOCAL_MOVE_BUDGET = 2000           # most accepted moves of one local search
 WKHB_MOVE_BUDGET = 10**6           # most moves of one wkhb_partition
-GREEDY_BACKTRACKS = 3              # backtracks of the greedy Riesz fallback
 ENTRY_BUDGET = 2**22               # most entries of a built matrix or grid
 
 # Absolute slack of every "achieved <= target" verdict.  Producers and
@@ -64,6 +63,15 @@ def check_entries(count, what):
 def within(achieved, target):
     """The verdict comparator: achieved <= target up to VERDICT_SLACK."""
     return achieved <= target + VERDICT_SLACK
+
+
+def in_range(bounds, lo_target, hi_target):
+    """The two-sided verdict comparator: whether bounds (lo, hi) lie in
+    [lo_target, hi_target] up to within's slack; hi_target None leaves the
+    range open above."""
+    lo, hi = bounds
+    return within(lo_target, lo) and (hi_target is None or
+                                      within(hi, hi_target))
 
 
 # ---------------------------------------------------------------------------

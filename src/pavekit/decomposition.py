@@ -5,7 +5,7 @@ A block of vectors is epsilon-Riesz when every unit coefficient vector maps
 to a combination of squared norm within epsilon of one; equivalently the
 block Gram spectrum sits inside [1 - eps, 1 + eps].  Both block feasibility
 predicates here are monotone (enlarging a block only widens its Gram
-spectrum), which is what makes greedy assignment with pruning sound.
+spectrum), which is what makes pruning the partition walk sound.
 
 Restricted isometry constants are computed by brute force over small
 subsets; the partition algorithm that drives them down routes squared
@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import (
     CHECK_TOL,
-    GREEDY_BACKTRACKS,
+    EXHAUSTIVE_INDEX_MAX,
     SUBSET_BUDGET,
     VERDICT_SLACK,
     BudgetExceeded,
@@ -32,6 +32,7 @@ from .core import (
     check_blocks,
     ensure_matrix,
     ensure_unit_norm,
+    in_range,
     index_stacks,
     label_blocks,
     numeric_rank,
@@ -67,83 +68,35 @@ def _gram_block_bounds(g):
     return spectra
 
 
-def _greedy_blocks(m, r_max, ok, score):
-    """Depth-first assignment with GREEDY_BACKTRACKS backtracks.
-
-    ok(block_mask) says whether a block is still feasible; feasibility must
-    be monotone under removal for the pruning to be sound.  score orders the
-    candidate blocks for each index (lower is better).  Returns labels or
-    None when the budget runs out.
-    """
-    labels = [-1] * m
-    blocks = [0] * r_max
-    tried = [set() for _ in range(m)]
-    i = 0
-    budget = GREEDY_BACKTRACKS
-    while 0 <= i < m:
-        cands = []
-        used = max(labels[:i], default=-1) + 1
-        for b in range(min(used + 1, r_max)):  # canonical: open at most one new block
-            if b in tried[i]:
-                continue
-            cand = blocks[b] | 1 << i
-            if ok(cand):
-                cands.append((score(cand), b))
-        if cands:
-            cands.sort()
-            b = cands[0][1]
-            tried[i].add(b)
-            labels[i] = b
-            blocks[b] |= 1 << i
-            i += 1
-        else:
-            if budget == 0:
-                return None
-            budget -= 1
-            tried[i] = set()
-            i -= 1
-            if i < 0:
-                return None
-            blocks[labels[i]] ^= 1 << i
-            labels[i] = -1
-            # tried[i] keeps the failed choice so the retry moves on
-    return labels
-
-
-def _in_range(bounds, lo_target, hi_target):
-    """Whether a block's (lowest, highest) Gram eigenvalue lies in the
-    target range; hi_target None leaves it open above."""
-    lo, hi = bounds
-    return within(lo_target, lo) and (hi_target is None or
-                                      within(hi, hi_target))
-
-
 def _riesz_results(cost, blocks, target, mode, flags):
     """The results of the Riesz and Feichtinger searches on a partition's
     blocks, None when none was found: each block's (lowest, highest) Gram
     eigenvalue from the stacked cost, and the verdict that there is a block
     and every one lies in the target range."""
     per = _block_costs(cost, blocks) if blocks else []
-    return {"verdict": bool(per) and all(_in_range(b, *target) for b in per),
+    return {"verdict": bool(per) and all(in_range(b, *target) for b in per),
             "partition": {"blocks": blocks} if blocks else None,
             "per_block": [list(b) for b in per], "target": list(target),
             "mode": mode, "flags": flags}
 
 
 def _partition_by_block_predicate(fr, r_max, lo_target, hi_target):
-    """Shared search for epsilon-Riesz and lower-bound partitions.
+    """Shared search for epsilon-Riesz and lower-bound partitions: one walk
+    over the partitions into at most min(r_max, m) blocks (more blocks than
+    vectors add nothing) in enumeration order.
 
-    The search is exact while its walk fits the placement budget: it walks
-    the partitions into at most min(r_max, m) blocks (more blocks than
-    vectors add nothing) in enumeration order, and each partition whose
-    blocks all pass block_ok lowers the block cap of the rest of the walk
-    to one below its own count, so the last one found is the first in
-    enumeration order with the fewest blocks.  Block feasibility is downward
-    closed (Cauchy interlacing), so a prefix whose newest block fails by
-    more than rounding has no feasible completion.  Every block spectrum
-    lies in [0, trace g], which bounds the rounding the slack must cover.
-    Past the budget, or past EXHAUSTIVE_INDEX_MAX vectors, a greedy search
-    with a small backtrack budget takes over.
+    Block feasibility is downward closed (Cauchy interlacing), so a prefix
+    whose newest block fails by more than rounding has no feasible
+    completion; every block spectrum lies in [0, trace g], which bounds the
+    rounding the slack must cover.  Up to EXHAUSTIVE_INDEX_MAX vectors each
+    partition whose blocks all pass lowers the block cap of the rest of the
+    walk to one below its own count, so a walk that ends gives the first
+    partition in enumeration order with the fewest blocks, mode
+    "exhaustive".  Past that the walk stops at its first feasible
+    partition, mode "first-fit", as it does when the placement budget trips
+    after a partition was found; a walk that ends without one proves that
+    none exists.  A budget that trips before any is found raises
+    BudgetExceeded.
     """
     g = gram_matrix(fr)
     bounds = _block_cost_cache(_gram_block_bounds(g))
@@ -153,9 +106,6 @@ def _partition_by_block_predicate(fr, r_max, lo_target, hi_target):
     # the leaf's own slack, within's, plus the rounding of a block spectrum
     slack = VERDICT_SLACK + _ROUND_SLACK * (1.0 + float(np.trace(g).real))
     found = None
-
-    def block_ok(mask):
-        return _in_range(bounds(mask), lo_target, hi_target)
 
     def held(idx):      # the found blocks, every one memoized on the way
         return [bounds(_block_mask(row)) for row in idx.tolist()]
@@ -169,23 +119,21 @@ def _partition_by_block_predicate(fr, r_max, lo_target, hi_target):
 
     def leaf(labels, masks, nblocks):
         nonlocal found
-        if all(block_ok(masks[b]) for b in range(nblocks)):
+        if all(in_range(bounds(masks[b]), *target) for b in range(nblocks)):
             found = label_blocks(labels)
-        return len(found) - 1 if found else r_max
+        if found is None:
+            return r_max
+        return len(found) - 1 if m <= EXHAUSTIVE_INDEX_MAX else 0
 
     try:
         _rgs_walk(m, r_max, bounds, admit, leaf, True)
-        return _riesz_results(held, found, target, "exhaustive", {})
+        first_fit = found is not None and m > EXHAUSTIVE_INDEX_MAX
     except BudgetExceeded:
-        pass
-    labels = _greedy_blocks(
-        m, r_max, block_ok,
-        score=lambda blk: -bounds(blk)[0] + (bounds(blk)[1]
-                                             if hi_target is not None else 0.0))
-    if labels is None:
-        return _riesz_results(held, None, target, "greedy",
-                              {"exhausted_backtracks": True})
-    return _riesz_results(held, label_blocks(labels), target, "greedy", {})
+        if found is None:
+            raise
+        first_fit = True
+    return _riesz_results(held, found, target,
+                          "first-fit" if first_fit else "exhaustive", {})
 
 
 def epsilon_riesz_partition(fr, epsilon, r_max):

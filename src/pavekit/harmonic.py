@@ -21,7 +21,7 @@ from .core import (
     _to_base64,
     _wire_values,
     check_entries,
-    within,
+    in_range,
 )
 
 TT3_REL_TOL = 1e-10     # slack of tt3_identity_check, times 1 + sup|g|^2
@@ -266,8 +266,8 @@ def distribution_check(g, freq_blocks, epsilon):
         sec = toeplitz_section(g, blk, coeffs)
         w = np.linalg.eigvalsh(sec)
         lo, hi = float(w[0]), float(w[-1])
-        inside = within((1.0 - epsilon) * mean, lo) and \
-            within(hi, (1.0 + epsilon) * mean)
+        inside = in_range((lo, hi), (1.0 - epsilon) * mean,
+                          (1.0 + epsilon) * mean)
         ok = ok and inside
         per.append({"freqs": [int(x) for x in blk], "min": lo, "max": hi,
                     "inside": bool(inside)})

@@ -106,47 +106,50 @@ def _rgs_walk(m, r_max, get, admit, leaf, carry):
     """Depth-first walk over the partitions of {0..m-1} into at most r_max
     blocks, in enumerate_partitions order (restricted-growth label strings).
 
-    Placing index i in block b prices the grown block with get(mask, m)
-    and asks admit(carry, price) for the carry of the longer prefix; None
-    prunes every completion of that prefix.  leaf(labels, masks, nblocks)
-    sees each complete partition that survives and returns how many blocks
-    the rest of the walk may use: r_max goes on, fewer drops every prefix
-    that already uses more, and 0 stops the walk.
+    Placing index i in block b prices the grown block with get(mask, m),
+    with the siblings the walk may place next (past EXHAUSTIVE_INDEX_MAX
+    indices with get(mask) alone: most siblings are never read there), and
+    asks admit(carry, price) for the carry of the longer prefix; None prunes
+    every completion of that prefix.  leaf(labels, masks, nblocks) sees
+    each complete partition that survives and returns how many blocks the
+    rest of the walk may use: r_max goes on, fewer drops every prefix that
+    already uses more, and 0 stops the walk.
 
-    A walk may make PARTITION_BUDGET placements, and the memo behind get
-    holds up to 2^m entries; past either bound, PARTITION_BUDGET or
-    EXHAUSTIVE_INDEX_MAX, the walk raises BudgetExceeded.
+    A walk may make PARTITION_BUDGET placements, and past them it raises
+    BudgetExceeded.  Its stack of prefixes is its own, so Python's
+    recursion limit does not bound its depth, one level per index.
     """
-    if m > EXHAUSTIVE_INDEX_MAX:
-        raise BudgetExceeded(f"the partition walk runs on at most "
-                             f"{EXHAUSTIVE_INDEX_MAX} indices, not {m}")
     allowed = PARTITION_BUDGET       # read per call, so tests can lower it
     labels = [0] * m
     masks = [0] * r_max
-    spent, cap = 0, r_max
-
-    def rec(i, top, carry):
-        nonlocal spent, cap
-        if i == m:
-            cap = leaf(labels, masks, top + 1)
-            return
-        bit = 1 << i
-        for b in range(min(top + 2, r_max)):
-            if b >= cap or top >= cap:      # a leaf may have lowered cap
-                return
+    tops = [-1] * (m + 1)            # tops[i]: the highest block of labels[:i]
+    carries = [carry] * (m + 1)      # carries[i]: the carry of that prefix
+    fill = m if m <= EXHAUSTIVE_INDEX_MAX else 0
+    spent, cap, i, b = 0, r_max, 0, 0
+    while True:
+        top = tops[i]
+        if i < m and b <= top + 1 and b < cap and top < cap:  # cap may fall
             spent += 1
             if spent > allowed:
                 raise BudgetExceeded(f"partition search reached {spent} "
                                      f"placements, over the {allowed} allowed")
-            mask = masks[b] | bit
-            nxt = admit(carry, get(mask, m))
-            if nxt is not None:
-                labels[i] = b
-                masks[b] = mask
-                rec(i + 1, b if b > top else top, nxt)
-                masks[b] = mask ^ bit
-
-    rec(0, -1, carry)
+            mask = masks[b] | 1 << i
+            nxt = admit(carries[i], get(mask, fill))
+            if nxt is None:
+                b += 1
+            else:
+                labels[i], masks[b] = b, mask
+                tops[i + 1] = b if b > top else top
+                carries[i + 1] = nxt
+                i, b = i + 1, 0
+            continue
+        if i == m:
+            cap = leaf(labels, masks, top + 1)
+        if i == 0:
+            return
+        i -= 1                       # back up: index i tries its next block
+        masks[labels[i]] ^= 1 << i
+        b = labels[i] + 1
 
 
 def _exhaustive_search(m, r_max, cost):
@@ -162,7 +165,12 @@ def _exhaustive_search(m, r_max, cost):
 
     Every block cost must be >= 0 (norms and clipped eigenvalues are), so
     no partition beats a value of 0.0 and the walk stops at the first one.
+    Nothing bounds the blocks this walk prices but the 2^m subsets, so past
+    EXHAUSTIVE_INDEX_MAX indices it raises BudgetExceeded before it starts.
     """
+    if m > EXHAUSTIVE_INDEX_MAX:
+        raise BudgetExceeded(f"the exhaustive search runs on at most "
+                             f"{EXHAUSTIVE_INDEX_MAX} indices, not {m}")
     get = _block_cost_cache(cost)
     best, best_labels = None, None
     limit = float("inf")

@@ -48,6 +48,7 @@ from .core import (
     gen_harmonic_frame,
     gen_random_projection,
     gen_random_unit_frame,
+    in_range,
     matrix_from_json,
     matrix_to_json,
     stack_spectra,
@@ -64,7 +65,6 @@ from .frames import (
 from .decomposition import (
     Subspace,
     _gram_block_bounds,
-    _in_range,
     _rado_horn_witness,
     _riesz_results,
     decomposition_vectors,
@@ -595,7 +595,7 @@ def _verify_decompose(payload, fr):
     blocks = _partition(res, fr.M, config["r_max"]) \
         if res["verdict"] is True else None
     stored = tuple(res["target"])
-    target = stored if _in_range(stored, *wanted) else wanted
+    target = stored if in_range(stored, *wanted) else wanted
     return _riesz_results(_gram_block_bounds(gram_matrix(fr)), blocks,
                           target, UNCHECKED, UNCHECKED)
 

@@ -24,7 +24,8 @@ def commands(tmp):
     decompose with each criterion and pave in both forms and both search
     modes.  gen makes every kind, subspace also takes a spanning set,
     analyze also reads a frame in the [re, im] pair form, and riesz also
-    runs past EXHAUSTIVE_INDEX_MAX vectors, on its greedy fallback."""
+    runs past EXHAUSTIVE_INDEX_MAX vectors, where its walk stops at the first
+    feasible partition."""
     rng = np.random.default_rng(5)
 
     def unit(n, m):

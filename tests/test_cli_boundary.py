@@ -377,14 +377,16 @@ def test_generated_projection_paves(tmp_path):
         assert verify(str(rep)) == (True, [])
 
 
-def test_riesz_decompose_past_the_walk_is_greedy(tmp_path):
+def test_riesz_decompose_past_the_exhaustive_walk_is_first_fit(tmp_path):
     frame, rep = tmp_path / "frame.json", tmp_path / "riesz.json"
     assert _run(["gen", "--kind", "random-unit", "--n", "3", "--M", "16",
                  "--seed", "2", "--out", str(frame)])[0] == 0
     assert _run(["decompose", "--input", str(frame), "--criterion", "riesz",
                  "--epsilon", "0.9", "--r-max", "16",
                  "--report", str(rep)])[0] == 0
-    assert load_report(str(rep))["payload"]["results"]["mode"] == "greedy"
+    res = load_report(str(rep))["payload"]["results"]
+    assert res["mode"] == "first-fit" and res["verdict"] is True
+    assert len(res["partition"]["blocks"]) < 16
     assert verify(str(rep)) == (True, [])
 
 
@@ -398,7 +400,7 @@ HUGE_INTEGERS = (
     ("pave", "--r-max", BIG, 0, None),
     ("pave-local", "--r-max", BIG, 0, None),
     ("weaver", "--r-max", BIG, 0, None),
-    ("riesz-greedy", "--r-max", BIG, 0, None),
+    ("riesz-first-fit", "--r-max", BIG, 0, None),
     ("radohorn", "--r", BIG, 0, None),
     ("radohorn-false", "--r", BIG, 0, None),
     ("kadec", "--n-max", BIG, 3, "entry budget"),
@@ -470,8 +472,8 @@ def test_huge_integer_options_keep_the_exit_contract_without_allocating(
     frame = str(tmp_path / "f16.json")
     assert _run(["gen", "--kind", "random-unit", "--n", "3", "--M", "16",
                  "--seed", "2", "--out", frame])[0] == 0
-    argv["riesz-greedy"] = ["decompose", "--input", frame,
-                            "--criterion", "riesz", "--epsilon", "0.9"]
+    argv["riesz-first-fit"] = ["decompose", "--input", frame,
+                               "--criterion", "riesz", "--epsilon", "0.9"]
     argv["mv-theta-wide"] = ["mv-theta", "--t-len", "3",
                              "--coeffs", ",".join(["1"] * WIDE_N)]
     runs = []
@@ -492,7 +494,8 @@ def test_huge_integer_options_keep_the_exit_contract_without_allocating(
             payload = load_report(rep)["payload"]
             assert payload["config"][option[2:].replace("-", "_")] == value
     riesz = load_report(runs[3][-1])["payload"]["results"]
-    assert riesz["mode"] == "greedy"
+    assert riesz["mode"] == "first-fit"
+    assert len(riesz["partition"]["blocks"]) < 16
 
 
 def test_square_products_of_an_input_keep_the_entry_budget(tmp_path):

@@ -8,6 +8,7 @@ on tie-heavy ones where many partitions share the optimum.
 """
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -277,10 +278,11 @@ def test_partition_walks_price_blocks_in_stacks(monkeypatch, r):
         assert (rep["partition"] and rep["partition"]["blocks"]) == blocks
 
 
-def _predicate_scan(fr, r_max, lo_target, hi_target):
+def _predicate_scan(fr, r_max, lo_target, hi_target, first_fit=False):
     """First partition, by block count and then enumeration order, whose
-    every block Gram spectrum passes the targets, as results store it; None
-    when none does."""
+    every block Gram spectrum passes the targets, as results store it; with
+    first_fit, the first one in enumeration order into at most r_max
+    blocks.  None when none does."""
     g = gram_matrix(fr)
     cache = {}
 
@@ -293,33 +295,45 @@ def _predicate_scan(fr, r_max, lo_target, hi_target):
                 hi_target is None or w[-1] <= hi_target + 1e-12)
         return cache[key]
 
-    for rr in range(1, r_max + 1):
+    for rr in [r_max] if first_fit else range(1, r_max + 1):
         for p in enumerate_partitions(fr.M, rr):
             if all(ok(b) for b in p):
                 return {"blocks": p}
     return None
 
 
-def test_riesz_and_feichtinger_match_scan():
+def _match_predicate_scan(first_fit):
+    """Riesz and Feichtinger searches against _predicate_scan: exhaustive
+    ones against the fewest blocks, first-fit ones against the first
+    feasible partition; a search that finds none is exhaustive."""
     verdicts = set()
     frames = [gen_random_unit_frame(3, 8, s) for s in range(2)]
     frames += [gen_harmonic_frame(3, 8), gen_harmonic_frame(2, 9)]
     for fr in frames:
         # at r = M the block cap can fall below the blocks an open prefix uses
         for r in R_VALUES + (fr.M,):
-            for eps in (0.3, 0.9):
-                rep = epsilon_riesz_partition(fr, eps, r)
-                want = _predicate_scan(fr, r, 1.0 - eps, 1.0 + eps)
-                assert rep["mode"] == "exhaustive"
+            runs = [(epsilon_riesz_partition(fr, eps, r),
+                     (fr, 1.0 - eps, 1.0 + eps)) for eps in (0.3, 0.9)]
+            scaled = Frame(fr.synthesis * np.linspace(0.5, 2.0, fr.M))
+            runs += [(feichtinger_partition(scaled, a_target, r),
+                      (scaled, a_target, None)) for a_target in (0.05, 0.8)]
+            for rep, (frame, lo, hi) in runs:
+                want = _predicate_scan(frame, r, lo, hi, first_fit)
                 assert rep["partition"] == want
-                verdicts.add(rep["verdict"])
-            for a_target in (0.05, 0.8):
-                scaled = Frame(fr.synthesis * np.linspace(0.5, 2.0, fr.M))
-                rep = feichtinger_partition(scaled, a_target, r)
-                want = _predicate_scan(scaled, r, a_target, None)
-                assert rep["partition"] == want
+                assert rep["mode"] == ("first-fit" if first_fit and want
+                                       else "exhaustive")
                 verdicts.add(rep["verdict"])
     assert verdicts == {True, False}
+
+
+def test_riesz_and_feichtinger_match_scan():
+    _match_predicate_scan(first_fit=False)
+
+
+def test_riesz_and_feichtinger_first_fit_match_scan(monkeypatch):
+    # past EXHAUSTIVE_INDEX_MAX vectors the walk stops at its first fit
+    monkeypatch.setattr(decomposition, "EXHAUSTIVE_INDEX_MAX", 0)
+    _match_predicate_scan(first_fit=True)
 
 
 def test_predicate_walk_checks_leaves_exactly():
@@ -343,7 +357,9 @@ def _full_tree(m, r):
 
 
 def test_walk_counts_one_placement_per_prefix():
-    for m, r in ((1, 1), (5, 2), (6, 3), (7, 7)):
+    # the last walk is deeper than Python's recursion limit
+    for m, r in ((1, 1), (5, 2), (6, 3), (7, 7),
+                 (sys.getrecursionlimit() + 1, 1)):
         placed = []
 
         def get(mask, m=0):
@@ -353,6 +369,24 @@ def test_walk_counts_one_placement_per_prefix():
         _rgs_walk(m, r, get, lambda carry, price: carry,
                   lambda labels, masks, nblocks: r, 0)
         assert len(placed) == _full_tree(m, r)
+
+
+def test_walk_prices_siblings_only_up_to_the_index_cap(monkeypatch):
+    # past EXHAUSTIVE_INDEX_MAX indices a memo miss prices its block alone:
+    # most siblings are never read there (they filled over 3 GB on a
+    # 16 x 1500 frame at the default --r-max)
+    stacks = []
+    bounds = decomposition._gram_block_bounds
+
+    def recorded(g):
+        cost = bounds(g)
+        return lambda idx: stacks.append(len(idx)) or cost(idx)
+
+    monkeypatch.setattr(decomposition, "_gram_block_bounds", recorded)
+    for m in (EXHAUSTIVE_INDEX_MAX, EXHAUSTIVE_INDEX_MAX + 1):
+        stacks.clear()
+        epsilon_riesz_partition(gen_random_unit_frame(3, m, 0), 0.9, m)
+        assert (max(stacks) > 1) == (m <= EXHAUSTIVE_INDEX_MAX)
 
 
 def test_admitted_trees_fit_the_placement_budget():
@@ -394,11 +428,32 @@ def test_exhaustive_past_the_budget_exits_3(tmp_path, small_budget, capsys):
     assert "Traceback" not in err
 
 
-def test_riesz_falls_back_to_greedy_past_the_budget(monkeypatch):
+def test_riesz_is_first_fit_past_the_budget(tmp_path, monkeypatch):
     fr = gen_random_unit_frame(3, 9, 2)
     assert epsilon_riesz_partition(fr, 0.9, 4)["mode"] == "exhaustive"
     monkeypatch.setattr(paving, "PARTITION_BUDGET", 100)
-    assert epsilon_riesz_partition(fr, 0.9, 4)["mode"] == "greedy"
+    rep = tmp_path / "riesz.json"
+    assert main(["decompose", "--input", _write_matrix(tmp_path, fr.synthesis),
+                 "--criterion", "riesz", "--epsilon", "0.9", "--r-max", "4",
+                 "--report", str(rep)]) == 0
+    res = load_report(str(rep))["payload"]["results"]
+    assert res["mode"] == "first-fit" and res["verdict"] is True
+    assert verify(str(rep)) == (True, [])
+
+
+def test_riesz_past_the_budget_with_no_partition_exits_3(
+        tmp_path, small_budget, capsys):
+    # 3 blocks suffice, but the walk spends its 100 placements before its
+    # first fit, so it has neither a partition nor a proof that none exists
+    frame = _write_matrix(tmp_path, gen_random_unit_frame(3, 9, 2).synthesis)
+    rep = tmp_path / "riesz.json"
+    assert main(["decompose", "--input", frame, "--criterion", "riesz",
+                 "--epsilon", "0.9", "--r-max", "3",
+                 "--report", str(rep)]) == 3
+    err = capsys.readouterr().err
+    assert "reached 101 placements, over the 100 allowed" in err
+    assert "Traceback" not in err
+    assert not rep.exists()
 
 
 def test_riesz_search_is_one_walk_with_r_clipped_to_m(monkeypatch):
