@@ -97,6 +97,11 @@ def _partition_by_block_predicate(fr, r_max, lo_target, hi_target):
     after a partition was found; a walk that ends without one proves that
     none exists.  A budget that trips before any is found raises
     BudgetExceeded.
+
+    No walk runs when lo_target exceeds the slack and there are more than
+    r_max * n vectors: a feasible block then has its lowest Gram eigenvalue
+    above 0, so its vectors are independent and at most n of them fit, and
+    the results are those of a walk that finds no partition.
     """
     g = gram_matrix(fr)
     bounds = _block_cost_cache(_gram_block_bounds(g))
@@ -109,6 +114,9 @@ def _partition_by_block_predicate(fr, r_max, lo_target, hi_target):
 
     def held(idx):      # the found blocks, every one memoized on the way
         return [bounds(_block_mask(row)) for row in idx.tolist()]
+
+    if lo_target > slack and m > r_max * fr.n:
+        return _riesz_results(held, None, target, "exhaustive", {})
 
     def admit(carry, spectrum):
         lo, hi = spectrum

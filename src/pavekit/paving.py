@@ -7,16 +7,20 @@ matrix, since there the diagonal is the obstruction being measured.
 
 The exhaustive searches walk canonical partitions depth first under one
 placement budget, with block costs memoized by bitmask, and prune a prefix
-only when it provably cannot beat the best partition found so far; they
-return the partition a full scan would.  The local search does steepest-
-descent single-index moves and never claims optimality.  Every report
-records which mode produced it.  A block cost prices a stack of same-size
-blocks in one LAPACK call (core's stack_norms and stack_spectra), one cost
-for the searches, _priced and verify; a memo miss in the walk prices the
+only when it provably cannot beat the best partition known; a greedy dive
+before the walk gives the first such bound.  They return the partition a
+full scan would.  The local search does steepest-descent single-index
+moves and never claims optimality.  Every report records which mode
+produced it.  A block cost prices a stack of same-size blocks in one LAPACK
+call (core's stack_norms and stack_spectra), one cost for the searches,
+_priced and verify; a memo miss in the walk prices every block of its size
+when the missed block holds at most _FILL_SIZE indices, and otherwise the
 missed block with the siblings the walk may place next.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -31,6 +35,7 @@ from .core import (
     ensure_matrix,
     ensure_projection,
     ensure_unit_norm,
+    index_stacks,
     label_blocks,
     operator_norm,
     stack_norms,
@@ -62,6 +67,12 @@ def delta_diag(t):
 # completion the full scan would have accepted.
 _ROUND_SLACK = 1e-12
 
+# A memo miss on a block of at most this many indices prices every block
+# of its size at once: up to EXHAUSTIVE_INDEX_MAX indices that is at most
+# 364 blocks, the walk and its dive read many of them, and one stack of
+# them costs little more than one LAPACK call of a few.
+_FILL_SIZE = 3
+
 
 def _block_mask(indices):
     """Bitmask of a block: bit i is set when index i belongs to it."""
@@ -76,26 +87,32 @@ def _block_cost_cache(cost):
 
     cost takes a (B, k) array whose rows are the sorted index lists of B
     blocks and returns their B costs; the empty block costs 0.0.  get(mask)
-    prices a missing block alone.  get(mask, m), the walk's call, prices
-    the missing block R + {i}, i its top index, together with every
-    sibling R + {j}, i < j < m, not yet held, in one call of cost: the
-    walk reaches those blocks when it places a later index into the same
-    block.  Every key is a subset of {0..m-1}, so a search over M indices
-    holds at most 2^M entries.
+    prices a missing block alone.  get(mask, m), the call of the walk and
+    of its greedy dive, fills more on a miss, in stacks cut by
+    core.index_stacks: a block of at most _FILL_SIZE indices comes with
+    every block of its size below m, and a larger block R + {i}, i its top
+    index, with every sibling R + {j}, i < j < m, not yet held, which the
+    walk reaches when it places a later index into the same block.  Every
+    key is a subset of {0..m-1}, so a search over M indices holds at most
+    2^M entries.
     """
     cache = {0: 0.0}
 
     def get(mask, m=0):
         val = cache.get(mask)
         if val is None:
-            top = mask.bit_length() - 1
-            rest = mask ^ (1 << top)
-            head = [i for i in range(top) if rest >> i & 1]
-            tops = [j for j in range(top, max(m, top + 1))
-                    if (rest | 1 << j) not in cache]
-            idx = np.array([head + [j] for j in tops], dtype=np.intp)
-            for j, c in zip(tops, cost(idx)):
-                cache[rest | 1 << j] = c
+            size = mask.bit_count()
+            if m and size <= _FILL_SIZE:
+                blocks = itertools.combinations(range(m), size)
+            else:
+                top = mask.bit_length() - 1
+                head = [i for i in range(top) if mask >> i & 1]
+                blocks = (head + [j] for j in range(top, max(m, top + 1)))
+            missing = [b for b in blocks if _block_mask(b) not in cache]
+            # rows sized as complex k x k blocks, the largest a cost reads
+            for idx in index_stacks(missing, lambda k: 16 * k * k):
+                for row, c in zip(idx.tolist(), cost(idx)):
+                    cache[_block_mask(row)] = c
             val = cache[mask]
         return val
 
@@ -107,8 +124,8 @@ def _rgs_walk(m, r_max, get, admit, leaf, carry):
     blocks, in enumerate_partitions order (restricted-growth label strings).
 
     Placing index i in block b prices the grown block with get(mask, m),
-    with the siblings the walk may place next (past EXHAUSTIVE_INDEX_MAX
-    indices with get(mask) alone: most siblings are never read there), and
+    with the fill of _block_cost_cache (past EXHAUSTIVE_INDEX_MAX indices
+    with get(mask) alone: most of that fill is never read there), and
     asks admit(carry, price) for the carry of the longer prefix; None prunes
     every completion of that prefix.  leaf(labels, masks, nblocks) sees
     each complete partition that survives and returns how many blocks the
@@ -155,13 +172,20 @@ def _rgs_walk(m, r_max, get, admit, leaf, carry):
 def _exhaustive_search(m, r_max, cost):
     """Minimize the max block cost over every partition into <= r_max blocks.
 
-    Branch-and-bound over _rgs_walk.  The carry is the largest block cost
-    seen along the prefix; a prefix is pruned once it exceeds the incumbent
-    by more than _ROUND_SLACK * (1 + incumbent), so by monotonicity each
-    pruned completion costs strictly more than the incumbent.  The
-    incumbent is replaced only on a strict <, as in a full scan, so the
-    result is the first optimal partition in enumeration order.
-    evaluated counts the complete partitions reached.
+    Branch-and-bound over _rgs_walk, bounded from the start by one greedy
+    dive: each index in turn goes into the open block whose grown block
+    costs least, or into a new one while fewer than r_max are open, the
+    lowest block on ties.  The dive prices through the walk's memo, and
+    its partition's value g sets the first limit.  The carry is the
+    largest block cost seen along the prefix; a prefix is pruned once it
+    exceeds the limit, the best value known (g, then the incumbent's) plus
+    _ROUND_SLACK * (1 + that value), so by monotonicity each pruned
+    completion costs strictly more than the best value known.  The limit
+    never falls below the optimum plus that slack, and the incumbent, which
+    starts empty, is replaced only on a strict <, as in a full scan, so the
+    result is the first optimal partition in enumeration order.  evaluated
+    counts the complete partitions the walk reaches under that bound, the
+    dive's own partition not among them.
 
     Every block cost must be >= 0 (norms and clipped eigenvalues are), so
     no partition beats a value of 0.0 and the walk stops at the first one.
@@ -172,8 +196,15 @@ def _exhaustive_search(m, r_max, cost):
         raise BudgetExceeded(f"the exhaustive search runs on at most "
                              f"{EXHAUSTIVE_INDEX_MAX} indices, not {m}")
     get = _block_cost_cache(cost)
+    masks, opened = [0] * r_max, 0
+    for i in range(m):
+        _, b = min((get(masks[b] | 1 << i, m), b)
+                   for b in range(min(opened + 1, r_max)))
+        masks[b] |= 1 << i
+        opened = max(opened, b + 1)
+    g = max(map(get, masks))
     best, best_labels = None, None
-    limit = float("inf")
+    limit = g + _ROUND_SLACK * (1.0 + g)
     evaluated = 0
 
     def admit(partial, c):

@@ -91,6 +91,11 @@ def _matrices():
     yield _blockdiag(_sym(rng, 4), _sym(rng, 4)).real
     yield np.kron(np.eye(3), np.ones((3, 3)))              # equal blocks
     yield gram_matrix(gen_harmonic_frame(3, 8))
+    yield np.ones((8, 8)) - np.eye(8)                      # J - I: all ties
+    # the greedy bound's slack at both ends of its 1 + value scale
+    tiny = _sym(rng, 7)
+    yield tiny * 2.0**-60
+    yield tiny * 2.0**60
 
 
 @pytest.mark.parametrize("r", R_VALUES)
@@ -229,38 +234,40 @@ def test_one_block_pricing_matches_the_old_costs(monkeypatch, r):
         with monkeypatch.context() as patched:
             _old_pricing(patched, calls)
             old = search(r)
-        assert calls, form
+        # at r = 2 the riesz searches price nothing: a block holds at most
+        # 4 of the 10 vectors in C^4, so a count decides them
+        assert bool(calls) == (r > 2 or not form.startswith("riesz")), form
         assert rep["mode"] == "exhaustive", form
         assert _fingerprint(rep) == _fingerprint(old), form
 
 
 # (form, r) -> (LAPACK calls when each memo miss priced one block, calls
 # now, evaluated, partition): svd for matrix and projection, eigvalsh for
-# the rest, the pricing of the found partition included (one call per
-# block before, one per block size now)
+# the rest, the greedy dive and the pricing of the found partition
+# included (one call per block before, one per block size now)
 _WALK_STACKS = {
-    ("matrix", 3): (254, 108, 106, [[0, 9], [1, 4, 5, 6], [2, 3, 7, 8]]),
-    ("projection", 3): (347, 174, 297, [[0, 4, 5], [1, 3],
-                                        [2, 6, 7, 8, 9]]),
-    ("weaver", 3): (308, 137, 192, [[0, 2, 8], [1, 4, 5], [3, 6, 7, 9]]),
-    ("riesz", 3): (43, 26, None, None),
-    ("riesz-wide", 3): (136, 60, None, [[0, 5, 8, 9], [1, 3, 6],
+    ("matrix", 3): (254, 44, 16, [[0, 9], [1, 4, 5, 6], [2, 3, 7, 8]]),
+    ("projection", 3): (347, 36, 3, [[0, 4, 5], [1, 3], [2, 6, 7, 8, 9]]),
+    ("weaver", 3): (308, 39, 5, [[0, 2, 8], [1, 4, 5], [3, 6, 7, 9]]),
+    ("riesz", 3): (43, 5, None, None),
+    ("riesz-wide", 3): (136, 25, None, [[0, 5, 8, 9], [1, 3, 6],
                                         [2, 4, 7]]),
-    ("matrix", 4): (241, 92, 316, [[0, 1, 2], [3, 7], [4, 5, 6], [8, 9]]),
-    ("projection", 4): (363, 173, 1574, [[0, 2, 7, 8], [1], [3, 9],
-                                         [4, 5, 6]]),
-    ("weaver", 4): (304, 120, 862, [[0, 5, 9], [1, 3], [2, 4, 8], [6, 7]]),
-    ("riesz", 4): (64, 35, None, [[0, 2, 6], [1, 3], [4, 7, 8], [5, 9]]),
-    ("riesz-wide", 4): (143, 61, None, [[0, 5, 8, 9], [1, 3, 6],
+    ("matrix", 4): (241, 15, 4, [[0, 1, 2], [3, 7], [4, 5, 6], [8, 9]]),
+    ("projection", 4): (363, 21, 4, [[0, 2, 7, 8], [1], [3, 9],
+                                     [4, 5, 6]]),
+    ("weaver", 4): (304, 7, 3, [[0, 5, 9], [1, 3], [2, 4, 8], [6, 7]]),
+    ("riesz", 4): (64, 7, None, [[0, 2, 6], [1, 3], [4, 7, 8], [5, 9]]),
+    ("riesz-wide", 4): (143, 25, None, [[0, 5, 8, 9], [1, 3, 6],
                                         [2, 4, 7]]),
 }
 
 
 @pytest.mark.parametrize("r", (3, 4))
 def test_partition_walks_price_blocks_in_stacks(monkeypatch, r):
-    """A memo miss prices the missed block with its unpriced siblings in
-    one LAPACK call, a stack of blocks of one size, and the walk still
-    reaches the same partitions in the same order."""
+    """A memo miss prices the missed block with its unpriced siblings, or
+    with every block of its size when it holds at most three indices, in
+    stacks of blocks of one size, and the searches still return the same
+    partitions."""
     shapes = []
     for name in ("svd", "eigvalsh"):
         def counted(x, *args, _lapack=getattr(np.linalg, name), **kwargs):
@@ -456,6 +463,33 @@ def test_riesz_past_the_budget_with_no_partition_exits_3(
     assert not rep.exists()
 
 
+def test_a_cap_no_partition_meets_is_decided_by_a_count(
+        tmp_path, small_budget):
+    # at epsilon 0.5 a block's vectors are independent, so 300 vectors in
+    # R^3 need more than the default --r-max of 64 blocks: False at once,
+    # where a walk would spend its placement budget and exit 3
+    frame = tmp_path / "frame.json"
+    assert main(["gen", "--kind", "random-unit", "--n", "3", "--M", "300",
+                 "--seed", "0", "--out", str(frame)]) == 0
+    rep = tmp_path / "riesz.json"
+    assert main(["decompose", "--input", str(frame), "--criterion", "riesz",
+                 "--epsilon", "0.5", "--report", str(rep)]) == 0
+    res = load_report(str(rep))["payload"]["results"]
+    assert res["verdict"] is False and res["partition"] is None
+    assert res["mode"] == "exhaustive"
+    assert verify(str(rep)) == (True, [])
+
+
+def test_a_target_inside_the_slack_still_walks():
+    # a dependent block passes a target this small, so five vectors in R^2
+    # fit one block although 5 > 1 * 2
+    fr = gen_random_unit_frame(2, 5, 0)
+    rep = feichtinger_partition(fr, 1e-13, 1)
+    assert rep["verdict"] is True and rep["mode"] == "exhaustive"
+    assert rep["partition"] == _predicate_scan(fr, 1, 1e-13, None) == {
+        "blocks": [[0, 1, 2, 3, 4]]}
+
+
 def test_riesz_search_is_one_walk_with_r_clipped_to_m(monkeypatch):
     walks = []
     walk = decomposition._rgs_walk
@@ -482,8 +516,11 @@ def _hermitian(rng, m):
 
 
 @pytest.mark.parametrize("m, r", [(14, 4), (13, 5)])
-def test_walk_finishes_past_the_old_stirling_cap(tmp_path, m, r):
+def test_walk_finishes_past_the_old_stirling_cap(tmp_path, monkeypatch, m, r):
+    # the walk that starts from the greedy bound makes 10,121 and 20,590
+    # placements here; one that starts unbounded made 28,112 and 64,727
     assert count_partitions(m, r) > 10**7
+    monkeypatch.setattr(paving, "PARTITION_BUDGET", 25_000)
     h = _hermitian(np.random.default_rng(m), m)
     rep = tmp_path / "pave.json"
     assert main(["pave", "--input", _write_matrix(tmp_path, h), "--r-max",
