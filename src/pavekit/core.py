@@ -6,7 +6,8 @@ downstream (frame operators, Gram matrices, block compressions) is an
 ordinary matrix product away.  This module owns the boundary checks
 (finite entries, Hermitian symmetry, shape sanity), the eigen/rank
 primitives (every subset scan cuts its stacks with index_stacks and prices
-them with stack_spectra, stack_norms or subset_ranks),
+them with stack_spectra, stack_norms or subset_ranks, where cheap bounds
+cannot decide: bound_first_scan, spanning, hyperplane_flats),
 partitions as block lists, their enumeration in restricted-growth order,
 the seeded generators, and the JSON wire formats: values as base64 of
 little-endian float64, every bit kept, or as the [re, im] pairs still read.
@@ -154,7 +155,8 @@ def index_stacks(subsets, row_bytes):
     for k, run in itertools.groupby(subsets, len):
         rows = max(1, BLOCK_STACK_BYTES // max(row_bytes(k), 1))
         while chunk := list(itertools.islice(run, rows)):
-            yield np.array(chunk, dtype=np.intp).reshape(len(chunk), k)
+            yield np.fromiter(itertools.chain.from_iterable(chunk), np.intp,
+                              len(chunk) * k).reshape(len(chunk), k)
 
 
 def stack_spectra(a, idx, frame=False):
@@ -168,6 +170,100 @@ def stack_spectra(a, idx, frame=False):
         return np.linalg.eigvalsh(t @ t.conj().transpose(0, 2, 1))
     sub = a[idx[..., :, None], idx[..., None, :]]
     return np.linalg.eigvalsh(0.5 * (sub + np.swapaxes(sub.conj(), -1, -2)))
+
+
+def bound_first_scan(m, sizes, bounds, bound_bytes, price, price_bytes,
+                     top=False):
+    """(least, first, greatest) of price over the subsets of range(m) of
+    each size in sizes, in itertools.combinations order, as a full scan
+    finds them: the least price, the first subset (a list) with that
+    price, and with top the greatest price (else None).
+
+    price(idx) prices the rows of a (B, k) index array, each with the bits
+    it would get alone, and bounds(idx) gives each row bounds (lo, hi) on
+    that computed price, the caller's rounding margin folded in; a bound
+    that is not finite counts as none, so its row is priced.  Both read
+    stacks cut by index_stacks, with bound_bytes(k) and price_bytes(k)
+    bytes per row.
+
+    Every subset is bounded, and a row stays live only while it may still
+    change the answer: for the least, lo at most the least hi seen (a row
+    above it prices more than the row with that hi) and at most the least
+    price known, equal only at an earlier row; with top, hi at least the
+    greatest lo seen and above the greatest price known.  When the stacks
+    held before the newest take more bytes than the largest bound stack,
+    and at the end, the live row of least lo (with top, also that of
+    greatest hi) is priced first, as the likeliest to decide the rest,
+    then every row still live.  A row never priced cannot be the first
+    least nor, with top, raise the greatest, so the answer is the full
+    scan's, bit for bit, ties included.  Held stacks keep their size and
+    flag their dead rows: arrays cut down to the live rows would take sizes
+    that vary with the input's values, and such small allocations fragment
+    the heap.
+    """
+    least, first, at, greatest = math.inf, None, -1, -math.inf
+    cap, floor, room, held, start = math.inf, -math.inf, 0, [], 0
+
+    def take(pos, subsets):
+        nonlocal least, first, at, greatest
+        for rows in index_stacks(subsets, price_bytes):
+            val, here, pos = price(rows), pos[:len(rows)], pos[len(rows):]
+            i = int(np.argmin(val))     # first occurrence, as a scan finds
+            if val[i] < least or val[i] == least and here[i] < at:
+                least, first, at = float(val[i]), rows[i].tolist(), here[i]
+            greatest = max(greatest, float(val.max()))
+
+    def prune(piece):
+        """Clear, in place, the live flag of each row of a held stack that
+        can no longer change the answer; whether any row is left."""
+        pos, _, lo, hi, live = piece
+        wanted = (lo <= cap) & ((lo < least) | (lo == least) & (pos < at))
+        if top:
+            wanted |= (hi >= floor) & (hi > greatest)
+        live &= wanted
+        return live.any()
+
+    def end(col, fill, pick):
+        """(position, subset) of the live held row whose bound in column
+        col pick, np.argmin or np.argmax, selects."""
+        vals = [np.where(p[4], p[col], fill) for p in held]
+        j = int(pick([v[pick(v)] for v in vals]))
+        i = int(pick(vals[j]))
+        return int(held[j][0][i]), held[j][1][i].tolist()
+
+    def settle():
+        ends = dict([end(2, np.inf, np.argmin)] +
+                    ([end(3, -np.inf, np.argmax)] if top else []))
+        done = sorted(ends)
+        take(np.array(done), [ends[i] for i in done])
+        pos, rows = [], []
+        for piece in held:
+            if prune(piece):
+                live = piece[4] & (piece[0][:, None] != done).all(axis=1)
+                pos.append(piece[0][live])
+                rows += piece[1][live].tolist()
+        if rows:
+            take(np.concatenate(pos), rows)
+        held.clear()
+
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(range(m), k) for k in sizes)
+    for idx in index_stacks(subsets, bound_bytes):
+        with np.errstate(over="ignore", invalid="ignore"):
+            lo, hi = bounds(idx)
+        lo = np.where(np.isfinite(lo), lo, -np.inf)
+        hi = np.where(np.isfinite(hi), hi, np.inf)
+        cap, floor = min(cap, hi.min()), max(floor, lo.max())
+        room = max(room, len(idx) * bound_bytes(idx.shape[1]))
+        held.append((start + np.arange(len(idx)), idx, lo, hi,
+                     np.ones(len(idx), dtype=bool)))
+        start += len(idx)
+        held[:] = [piece for piece in held if prune(piece)]
+        if sum(a.nbytes for piece in held[:-1] for a in piece) > room:
+            settle()
+    if held:
+        settle()
+    return least, first, greatest if top else None
 
 
 def stack_norms(a, idx):
@@ -199,6 +295,35 @@ def subset_ranks(t, subsets):
         s = np.linalg.svd(t[:, idx].transpose(1, 0, 2), compute_uv=False)
         ranks.append(np.sum(s > RANK_TOL * s[:, :1] * max(n, idx.shape[1]), 1))
     return np.concatenate(ranks)
+
+
+def spanning(t, subsets):
+    """Whether subset_ranks gives each t[:, S] the full rank n of the n x M
+    array t, as one bool array, most of it from a basis certificate.
+
+    S of n or more members spans where the computed sigma_n of its first n
+    members clears 2 (RANK_TOL max(n, M) (1 + err) + 2 err) ||t||_F, err =
+    64 n eps.  Adding columns never lowers sigma_n, ||t||_F bounds every
+    sigma_1, and LAPACK's sigmas err by at most err sigma_1, so then S's
+    computed sigma_n clears subset_ranks' cutoff RANK_TOL sigma_1 max(n,
+    |S|).  One svd per index_stacks stack prices the distinct heads, and
+    each S they leave undecided goes to subset_ranks itself, so every
+    answer is the one it would give.
+    """
+    (n, m), subsets = t.shape, [tuple(s) for s in subsets]
+    err = 64 * n * np.finfo(t.dtype).eps
+    with np.errstate(over="ignore"):     # inf past 1e154: certifies nothing
+        cut = 2.0 * (RANK_TOL * max(n, m) * (1.0 + err) + 2.0 * err) * \
+            np.linalg.norm(t)
+    heads = dict.fromkeys(s[:n] for s in subsets if len(s) >= n)
+    for idx in index_stacks(list(heads), lambda k: t.itemsize * n * k):
+        sig = np.linalg.svd(t[:, idx].transpose(1, 0, 2), compute_uv=False)
+        heads.update(zip(map(tuple, idx.tolist()), sig[:, -1] > cut))
+    out = np.array([len(s) >= n and bool(heads[s[:n]]) for s in subsets],
+                   dtype=bool)
+    rest = [i for i, s in enumerate(subsets) if len(s) >= n and not out[i]]
+    out[rest] = subset_ranks(t, [subsets[i] for i in rest]) == n
+    return out
 
 
 def hyperplane_flats(t, subsets):

@@ -7,10 +7,11 @@ block Gram spectrum sits inside [1 - eps, 1 + eps].  Both block feasibility
 predicates here are monotone (enlarging a block only widens its Gram
 spectrum), which is what makes pruning the partition walk sound.
 
-Restricted isometry constants are computed by brute force over small
-subsets; the partition algorithm that drives them down routes squared
-inner-product row mass through wkhb_partition and then re-verifies every
-block with the brute-force oracle.
+Restricted isometry constants are exact over every small subset: each is
+bounded by cheap norms, and only the subsets those bounds cannot rule out
+are eigen-priced.  The partition algorithm that drives them down routes
+squared inner-product row mass through wkhb_partition and then re-verifies
+every block with restricted_isometry.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ from .core import (
     BudgetExceeded,
     ContractViolation,
     Frame,
+    bound_first_scan,
     check_blocks,
     ensure_matrix,
     ensure_unit_norm,
     in_range,
-    index_stacks,
     label_blocks,
     numeric_rank,
     stack_spectra,
@@ -170,8 +171,18 @@ def feichtinger_partition(fr, a_target, r_max):
 
 
 def restricted_isometry(fr, s):
-    """delta_s by brute force: worst Gram-spectrum deviation from one over
-    all subsets of size at most s.  Returns (delta, worst_subset)."""
+    """delta_s: the worst Gram-spectrum deviation from one over all subsets
+    S of size at most s, max(lambda_max - 1, 1 - lambda_min) of G[S, S].
+    Returns (delta, worst_subset), the first worst S in scan order.
+
+    Every subset is bounded, and core.bound_first_scan eigen-prices only
+    the subsets whose bounds leave them in play.  The deviation is the
+    norm of G[S, S] - I, which lies between its largest column norm and
+    the Gershgorin row sum or the Frobenius norm of |G[S, S] - I|,
+    whichever is less.  Both bounds are widened by the rounding margin
+    err (1 + s max|G|), err = 64 (n + M) eps, so delta and its subset are
+    those of pricing every subset, bit for bit.
+    """
     ensure_unit_norm(fr)
     if s < 1:
         raise ContractViolation("need s >= 1")
@@ -180,16 +191,28 @@ def restricted_isometry(fr, s):
     if total > SUBSET_BUDGET:
         raise BudgetExceeded(
             f"{total} subsets exceed the {SUBSET_BUDGET} budget")
-    subsets = itertools.chain.from_iterable(
-        itertools.combinations(range(fr.M), k) for k in range(1, s + 1))
-    g, worst, worst_subset = gram_matrix(fr), -1.0, None
-    for idx in index_stacks(subsets, lambda k: g.itemsize * k * k):
+    g = gram_matrix(fr)
+    spread = np.abs(g - np.eye(fr.M))
+    err = 64 * (fr.n + fr.M) * np.finfo(float).eps * \
+        (1.0 + s * np.abs(g).max())
+
+    def bounds(idx):
+        ix = np.ascontiguousarray(idx.T)        # (k, B): short axes first
+        dev = spread[ix[:, None], ix[None]]     # |G[S, S] - I| as (k, k, B)
+        square = dev * dev
+        upper = np.minimum(dev.sum(axis=1).max(axis=0),
+                           np.sqrt(square.sum(axis=(0, 1))))
+        lower = np.sqrt(square.sum(axis=0).max(axis=0))
+        return -upper - err, err - lower        # bounds on the price, -dev
+
+    def price(idx):
         w = stack_spectra(g, idx)
-        dev = np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0])
-        i = int(np.argmax(dev))        # first occurrence, as a scan finds
-        if dev[i] > worst:
-            worst, worst_subset = float(dev[i]), idx[i].tolist()
-    return max(worst, 0.0), worst_subset
+        return -np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0])
+
+    least, worst_subset, _ = bound_first_scan(
+        fr.M, range(1, s + 1), bounds, lambda k: 4 * g.itemsize * k * k,
+        price, lambda k: g.itemsize * k * k)
+    return max(-least, 0.0), worst_subset
 
 
 def tp1_partition(fr, s, delta, seed=0, r_max=64):
@@ -201,7 +224,7 @@ def tp1_partition(fr, s, delta, seed=0, r_max=64):
     in-block row mass drops below B / k, where B = max(top Gram
     eigenvalue, 1) and k = ceil(B s / delta^2); then sqrt(s * max_mass)
     <= sqrt(B s / k) <= delta bounds each block's deviation.  Every block
-    is re-verified with the brute-force oracle, whose constants the
+    is re-verified with restricted_isometry, whose constants the
     results hold as per_block_delta.  The partition is None when none was
     found, and the verdict says there is a block and every one is within
     delta.

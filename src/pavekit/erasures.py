@@ -1,8 +1,11 @@
 """Erasure robustness and sign-blind recovery for finite families.
 
 Erasing a set J of vectors leaves the family's complement of J, whose
-lowest frame operator eigenvalue is the surviving lower bound; erasure
-prices each J once, on that surviving family.  (For a Parseval family it
+lowest frame operator eigenvalue is the surviving lower bound.  erasure
+bounds that value for every J from cheap norms of J's own vectors, and
+eigen-prices, once and on the surviving family, only the J whose bounds,
+widened by a rounding margin, leave them able to change the answer; so it
+returns what pricing every J would.  (For a Parseval family the value
 equals one minus the largest Gram eigenvalue of J's block; the tests hold
 the scan to that second route.)  Sign-blind recovery (real case) holds if
 and only if the complement property does (Balan, Casazza and Edidin): every
@@ -20,11 +23,12 @@ from .core import (
     SUBSET_BUDGET,
     BudgetExceeded,
     ContractViolation,
+    bound_first_scan,
     hyperplane_flats,
     index_stacks,
     numeric_rank,
+    spanning,
     stack_spectra,
-    subset_ranks,
 )
 from .frames import _is_parseval
 
@@ -60,8 +64,18 @@ def _complements(idx, m):
 def erasure_robustness(fr, k):
     """Worst surviving lower frame bound over every erasure of k vectors.
 
-    Each erasure is priced once, by the lowest eigenvalue of the surviving
-    family's frame operator, in stacks of erasures.
+    Each erasure E is bounded, and priced only where core.bound_first_scan
+    finds that its bounds leave it in play, by the lowest eigenvalue of
+    the surviving family's frame operator S - T_E T_E*, S = TT*, in stacks
+    of erasures.  By Weyl that value lies above lambda_min(S) minus the
+    Gershgorin row sum or the Frobenius norm of |G[E, E]|, whichever is
+    less, and below the least diagonal entry min_j (S_jj - sum_(i in E)
+    |t_ji|^2).  Both bounds are widened by the rounding margin
+    err (||T||_F^2 + tiny), err = 64 (n + M) eps and tiny the least normal
+    float, which covers the rounding of every product and spectrum on
+    either side, subnormal ones included.  So worst_value, its first
+    subset and value_max are the full scan's, bit for bit, and
+    subsets_scanned counts every erasure bounded, C(M, k).
     """
     if not (0 <= k < fr.M):
         raise ContractViolation(f"--k {k} must be in 0 <= k < M = {fr.M}")
@@ -69,17 +83,32 @@ def erasure_robustness(fr, k):
     if total > SUBSET_BUDGET:
         raise BudgetExceeded(f"{total} erasure patterns exceed the budget")
     parseval = _is_parseval(fr)     # refuses a frame operator past budget
-    vmin, vmax, worst_subset, scanned = math.inf, -math.inf, [], 0
-    row_bytes = fr.synthesis.itemsize * fr.n * max(fr.n, fr.M - k)
-    for erased in index_stacks(itertools.combinations(range(fr.M), k),
-                               lambda _: row_bytes):
-        val = _surviving_lower(fr, erased)
-        scanned += len(val)
-        lo, hi = int(np.argmin(val)), int(np.argmax(val))  # first occurrences
-        if val[lo] < vmin:
-            vmin, worst_subset = float(val[lo]), erased[lo].tolist()
-        vmax = max(vmax, float(val[hi]))
-    return _erasure_results(k, parseval, vmin, worst_subset, scanned, vmax)
+    t = fr.synthesis
+    bottom = stack_spectra(t, np.arange(fr.M)[None], frame=True)[0, 0]
+    with np.errstate(over="ignore"):    # err past the float range: inf
+        sq = np.abs(t) ** 2
+        diag = sq.sum(axis=1)
+        err = 64 * (fr.n + fr.M) * np.finfo(float).eps * \
+            (diag.sum() + np.finfo(float).tiny)
+
+    def bounds(erased):
+        ix = np.ascontiguousarray(erased.T)     # (k, B): short axes first
+        te = t[:, ix]                            # (n, k, B)
+        g = np.abs(np.einsum("nib,njb->ijb", te.conj(), te))
+        top = g.max(axis=(0, 1), initial=0.0)   # |G[E, E]| as (k, k, B)
+        frobenius = top * np.sqrt(((g / np.where(top > 0.0, top, 1.0)) ** 2)
+                                  .sum(axis=(0, 1)))
+        spread = np.minimum(g.sum(axis=1).max(axis=0, initial=0.0),
+                            frobenius)
+        least = (diag[:, None] - sq[:, ix].sum(axis=1)).min(axis=0)
+        return (np.maximum(bottom - spread - err, 0.0),
+                np.maximum(least + err, 0.0))
+
+    worst, subset, vmax = bound_first_scan(
+        fr.M, [k], bounds, lambda _: 4 * t.itemsize * (fr.n + k) * (k + 1),
+        lambda erased: _surviving_lower(fr, erased),
+        lambda _: t.itemsize * fr.n * max(fr.n, fr.M - k), top=True)
+    return _erasure_results(k, parseval, worst, subset, total, vmax)
 
 
 def _true_columns(rows):
@@ -98,10 +127,14 @@ def _complement_witness(t):
     not 2^(M - 1).  Ranks follow numeric_rank's cutoff throughout:
     hyperplane_flats decides the rank of each S and its flat tests from one
     svd per stack of S, and hands the undecided ones to subset_ranks.  A
-    side of fewer than n members cannot span; the wider flats and rests of
-    a stack take one subset_ranks call.  Stacks of S, sized so their U's
-    and (B, M, n) bound arrays fill a quarter of BLOCK_STACK_BYTES, take
-    one call of each.
+    side of fewer than n members cannot span.  A wider flat or rest spans
+    when core.spanning's basis certificate holds: the first n members of
+    the side form a basis whose computed sigma_n clears 2 (RANK_TOL
+    max(n, M) (1 + err) + 2 err) ||t||_F, err = 64 n eps, which no superset
+    can fall below.  One svd per stack prices the distinct bases of a
+    stack of S, and only the sides the certificate leaves undecided take a
+    subset_ranks call.  Stacks of S, sized so their U's and (B, M, n) bound
+    arrays fill a quarter of BLOCK_STACK_BYTES, take one call of each.
     """
     (n, m), seen = t.shape, set()
     for idx in index_stacks(itertools.combinations(range(m), n - 1),
@@ -111,9 +144,9 @@ def _complement_witness(t):
                                               _true_columns(~rows)))
                  if p[0] not in seen]
         seen.update(p[0] for p in pairs)
-        wide = sorted({s for p in pairs for s in p if len(s) >= n},
-                      key=lambda s: (len(s), s))
-        low = dict(zip(wide, subset_ranks(t, wide) < n))
+        wide = sorted(dict.fromkeys(s for p in pairs for s in p
+                                    if len(s) >= n), key=len)
+        low = dict(zip(wide, ~spanning(t, wide)))
         for flat, rest in pairs:
             if low.get(flat, True) and low.get(rest, True):
                 side, comp = (flat, rest) if 0 in flat else (rest, flat)

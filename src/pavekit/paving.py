@@ -88,34 +88,39 @@ def _block_cost_cache(cost):
     cost takes a (B, k) array whose rows are the sorted index lists of B
     blocks and returns their B costs; the empty block costs 0.0.  get(mask)
     prices a missing block alone.  get(mask, m), the call of the walk and
-    of its greedy dive, fills more on a miss, in stacks cut by
-    core.index_stacks: a block of at most _FILL_SIZE indices comes with
-    every block of its size below m, and a larger block R + {i}, i its top
-    index, with every sibling R + {j}, i < j < m, not yet held, which the
-    walk reaches when it places a later index into the same block.  Every
-    key is a subset of {0..m-1}, so a search over M indices holds at most
-    2^M entries.
+    of its greedy dive, fills more on a miss: a block of at most
+    _FILL_SIZE indices comes with every block of its size below m, and a
+    larger block R + {i}, i its top index, with every sibling R + {j},
+    i < j < m, not yet held, which the walk reaches when it places a later
+    index into the same block.  get.fill(blocks) prices the index lists
+    blocks that the memo lacks, as the local search does with the blocks of
+    each move round.  Every fill goes in stacks cut by core.index_stacks,
+    one per run of same-size blocks.  Every key is a subset of {0..m-1}, so
+    a search over M indices holds at most 2^M entries.
     """
     cache = {0: 0.0}
+
+    def fill(blocks):
+        missing = [b for b in blocks if _block_mask(b) not in cache]
+        # rows sized as complex k x k blocks, the largest a cost reads
+        for idx in index_stacks(missing, lambda k: 16 * k * k):
+            for row, c in zip(idx.tolist(), cost(idx)):
+                cache[_block_mask(row)] = c
 
     def get(mask, m=0):
         val = cache.get(mask)
         if val is None:
             size = mask.bit_count()
             if m and size <= _FILL_SIZE:
-                blocks = itertools.combinations(range(m), size)
+                fill(itertools.combinations(range(m), size))
             else:
                 top = mask.bit_length() - 1
                 head = [i for i in range(top) if mask >> i & 1]
-                blocks = (head + [j] for j in range(top, max(m, top + 1)))
-            missing = [b for b in blocks if _block_mask(b) not in cache]
-            # rows sized as complex k x k blocks, the largest a cost reads
-            for idx in index_stacks(missing, lambda k: 16 * k * k):
-                for row, c in zip(idx.tolist(), cost(idx)):
-                    cache[_block_mask(row)] = c
+                fill(head + [j] for j in range(top, max(m, top + 1)))
             val = cache[mask]
         return val
 
+    get.fill = fill
     return get
 
 
@@ -231,7 +236,9 @@ def _local_search(m, r_max, cost, seed):
 
     The mass tie-break is the sum of squared block costs, which lets moves
     drain weight out of non-binding blocks; the primary objective is
-    monotone nonincreasing over accepted moves.
+    monotone nonincreasing over accepted moves.  Each round first prices
+    every block its moves reach that the memo lacks, one stack per block
+    size, then tries the moves.
     """
     rng = np.random.default_rng(seed)
     order = rng.permutation(m)
@@ -250,6 +257,17 @@ def _local_search(m, r_max, cost, seed):
         per = [get(mask) for mask in masks_of(lab)]
         return max(per), float(sum(v * v for v in per))
 
+    def reach(lab):
+        """The blocks of lab and of every single-index move from it."""
+        masks = masks_of(lab)
+        out = set(masks)
+        for i, old in enumerate(lab):
+            out.add(masks[old] & ~(1 << i))
+            out.update(masks[b] | 1 << i for b in range(r_max) if b != old)
+        return sorted(([i for i in range(m) if mask >> i & 1] for mask in out),
+                      key=len)
+
+    get.fill(reach(labels))
     cur = objective(labels)
     evaluated = 1
     for _ in range(LOCAL_MOVE_BUDGET):
@@ -269,6 +287,7 @@ def _local_search(m, r_max, cost, seed):
             break
         labels[best_move[0]] = best_move[1]
         cur = best_val
+        get.fill(reach(labels))
     blocks = label_blocks(labels)
     per = [get(_block_mask(b)) for b in blocks]
     return blocks, max(per), evaluated

@@ -19,12 +19,18 @@ import numpy as np
 import pytest
 
 from frame_cases import oracle_frames
-from oracles import exchange_chains_by_sets
+from oracles import (
+    erasure_by_full_scan,
+    exchange_chains_by_sets,
+    phase_by_side_ranks,
+    restricted_isometry_by_full_scan,
+)
 import pavekit
 from pavekit import core, erasures
 from pavekit.core import (
     RANK_TOL,
     Frame,
+    bound_first_scan,
     gen_harmonic_frame,
     gen_random_projection,
     gen_random_unit_frame,
@@ -477,27 +483,159 @@ def test_rado_horn_matches_the_per_set_search(monkeypatch, cap):
     assert verdicts == {True, False}
 
 
+# ---------------------------------------------------------------------------
+# bound-first scans against the full scans they replaced
+# ---------------------------------------------------------------------------
+
+def _scan_frames():
+    """Seeded families for the bound-first scans: Parseval, unit real and
+    complex, harmonic (exact ties), repeated and antipodal columns, and
+    rank-deficient; M from 3 to 9, so s runs past M."""
+    rng = np.random.default_rng(32)
+    for n, m in ((2, 3), (2, 6), (3, 4), (3, 7), (4, 9)):
+        q, _ = np.linalg.qr(rng.standard_normal((m, n)))
+        unit = gen_random_unit_frame(n, m, m).synthesis
+        low = rng.standard_normal((n, n - 1)) @ \
+            rng.standard_normal((n - 1, m))
+        yield Frame(q.T.copy())
+        yield Frame(unit)
+        yield gen_random_unit_frame(n, m, m, "complex")
+        yield gen_harmonic_frame(n, m)
+        yield Frame(unit[:, rng.integers(max(1, m // 3), size=m)])
+        yield Frame(np.column_stack([unit[:, :m - 2], -unit[:, :2]]))
+        yield Frame(low / np.linalg.norm(low, axis=0))
+
+
+def _results_bits(res):
+    """A results dict with every float as its bytes, so -0.0 and 0.0
+    differ."""
+    return {key: _bits(val) if isinstance(val, float) else val
+            for key, val in res.items()}
+
+
+def _assert_scans_match(fr, scales):
+    """erasure at k = 0..3 and phase at each scale, and ric at s = 1..5 on
+    a unit-norm family, match the full scans: values by their bits,
+    subsets, tie order and counts."""
+    for scale in scales:
+        scaled = Frame(scale * fr.synthesis)
+        for k in range(min(4, fr.M)):
+            assert _results_bits(erasure_robustness(scaled, k)) == \
+                _results_bits(erasure_by_full_scan(scaled, k)), (scale, k)
+        real = Frame(np.real(scaled.synthesis))
+        assert phase_retrieval_check(real) == phase_by_side_ranks(real)
+    if np.allclose(np.linalg.norm(fr.synthesis, axis=0), 1.0):
+        for s in range(1, 6):
+            delta, subset = restricted_isometry(fr, s)
+            want, want_subset = restricted_isometry_by_full_scan(fr, s)
+            assert (_bits(delta), subset) == (_bits(want), want_subset), s
+
+
+@pytest.mark.parametrize("cap", [None, 200, 600])
+def test_bound_first_scans_match_the_full_scans(monkeypatch, cap):
+    _cap(monkeypatch, cap)
+    for fr in _scan_frames():
+        _assert_scans_match(fr, (1.0, 2.0 ** 60, 2.0 ** -60))
+
+
+def test_bound_first_scans_warn_of_nothing_at_extreme_scales():
+    """Scaled by 2^500 or 2^-500, the bounds' squares and sums overflow or
+    underflow; the scans warn of nothing (pytest makes RuntimeWarnings
+    errors) and still match the full scans.  ric needs unit vectors, so it
+    runs on families with one coordinate shrunk by 2^-500."""
+    for fr in itertools.islice(_scan_frames(), 7, 21):
+        _assert_scans_match(fr, (2.0 ** 500, 2.0 ** -500))
+        a = fr.synthesis * np.array([[1.0]] + [[2.0 ** -500]] * (fr.n - 1))
+        if np.linalg.norm(a, axis=0).min() > 0.0:
+            _assert_scans_match(Frame(a / np.linalg.norm(a, axis=0)), ())
+
+
+def test_a_row_whose_bound_is_not_finite_is_priced():
+    """Rows with NaN or infinite bounds are priced, while exact bounds rule
+    out the rest: a row of lo = inf or hi = -inf read as a bound would be
+    skipped, and here holds the least or the greatest price."""
+    subsets = list(itertools.combinations(range(7), 3))
+    value = {s: float(sum(s) % 5) for s in subsets}
+    blind = {(0, 1, 5): (np.inf, np.inf),      # price 1, the first least
+             (0, 1, 3): (np.nan, np.nan),      # price 4, the greatest
+             (2, 4, 6): (-np.inf, -np.inf)}    # price 2
+    value[(0, 1, 3)], value[(0, 1, 5)] = 4.5, -1.0
+    priced = []
+
+    def price(idx):
+        priced.extend(map(tuple, idx.tolist()))
+        return np.array([value[tuple(row)] for row in idx.tolist()])
+
+    def bounds(idx):
+        pairs = [blind.get(tuple(row), (value[tuple(row)],) * 2)
+                 for row in idx.tolist()]
+        return tuple(np.array(side) for side in zip(*pairs))
+
+    got = bound_first_scan(7, [3], bounds, lambda k: 8 * k, price,
+                           lambda k: 8 * k, top=True)
+    assert got == (-1.0, [0, 1, 5], 4.5)
+    assert set(blind) <= set(priced) and len(priced) < len(subsets)
+
+
+def test_an_earlier_row_that_may_tie_the_least_is_priced():
+    """After the row of least lo prices 3, a row before it whose lo is 3 is
+    priced, since it may tie first, and a later one with lo 3 is not."""
+    value = {(0,): 3.0, (1,): 3.0, (2,): 4.0, (3,): 3.0}
+    bound = {(0,): (3.0, 5.0), (1,): (0.0, 3.0), (2,): (3.5, 4.0),
+             (3,): (3.0, 3.0)}
+    priced = []
+
+    def price(idx):
+        priced.extend(map(tuple, idx.tolist()))
+        return np.array([value[tuple(row)] for row in idx.tolist()])
+
+    def bounds(idx):
+        return tuple(np.array(side) for side in
+                     zip(*[bound[tuple(row)] for row in idx.tolist()]))
+
+    got = bound_first_scan(4, [1], bounds, lambda k: 8, price, lambda k: 8)
+    assert got == (3.0, [0], None)
+    assert priced == [(1,), (0,)]
+
+
 def test_subset_scans_take_one_stack_per_step(monkeypatch):
-    """LAPACK calls of each scan on the benchmark's input shapes: erasure
-    (5 x 20 Parseval, k = 3) takes 3 stacks of frame blocks; radohorn
-    (4 x 13, r = 4) one rank stack per set size per search step, where it
-    took one svd per set; phase (4 x 13) the full rank, then one U-svd and
-    one rest-rank stack for each of its 3 stacks of S."""
-    calls = {"eigvalsh": 0, "svd": 0}
+    """LAPACK calls, and the blocks or matrices they price, of each scan
+    on the benchmark's input shapes.  erasure (5 x 20 Parseval, k = 3):
+    one eigvalsh of the whole frame operator, then 34 of the 1,140
+    erasures in two stacks, where all 1,140 took 3 stacks.  ric (6 x 20
+    unit, s = 3): 3 of the 1,350 Gram blocks in two stacks, where all took
+    3.  radohorn (4 x 13, r = 4): one rank stack per set size per search
+    step.  phase (4 x 13): the full rank, then for each of its 3 stacks of
+    S one U-svd and one svd of the distinct bases heading its wide sides,
+    37 of them in all, which certify every side, where 286 sides took a
+    rank svd each."""
+    calls = {"eigvalsh": [], "svd": []}
     for name in calls:
-        def counted(*args, _lapack=getattr(np.linalg, name), _name=name,
+        def counted(x, *args, _lapack=getattr(np.linalg, name), _name=name,
                     **kwargs):
-            calls[_name] += 1
-            return _lapack(*args, **kwargs)
+            calls[_name].append(len(x) if np.ndim(x) == 3 else 1)
+            return _lapack(x, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
 
     def count(run):
-        calls.update(eigvalsh=0, svd=0)
+        for made in calls.values():
+            made.clear()
         run()
-        return calls["eigvalsh"], calls["svd"]
+        return {name: (len(made), sum(made))
+                for name, made in calls.items() if made}
 
     q, _ = np.linalg.qr(np.random.default_rng(12).standard_normal((20, 5)))
-    unit = gen_random_unit_frame(4, 13, 5)
-    assert count(lambda: erasure_robustness(Frame(q.T.copy()), 3)) == (3, 0)
-    assert count(lambda: rado_horn_check(unit, 4)) == (0, 44)
-    assert count(lambda: phase_retrieval_check(unit)) == (0, 7)
+    parseval = Frame(q.T.copy())
+    unit6, unit4 = gen_random_unit_frame(6, 20, 0), \
+        gen_random_unit_frame(4, 13, 5)
+    assert count(lambda: erasure_robustness(parseval, 3)) == \
+        {"eigvalsh": (3, 35)}
+    assert count(lambda: restricted_isometry(unit6, 3)) == \
+        {"eigvalsh": (2, 3)}
+    assert count(lambda: rado_horn_check(unit4, 4)) == {"svd": (44, 112)}
+    assert count(lambda: phase_retrieval_check(unit4)) == {"svd": (7, 324)}
+    assert _results_bits(erasure_robustness(parseval, 3)) == \
+        _results_bits(erasure_by_full_scan(parseval, 3))
+    assert restricted_isometry(unit6, 3) == \
+        restricted_isometry_by_full_scan(unit6, 3)
+    assert phase_retrieval_check(unit4) == phase_by_side_ranks(unit4)

@@ -27,10 +27,16 @@ import numpy as np
 import pytest
 
 from pavekit import cli, reports
+from oracles import (
+    erasure_by_full_scan,
+    phase_by_side_ranks,
+    restricted_isometry_by_full_scan,
+)
 from pavekit.core import (
     ENTRY_BUDGET,
     BudgetExceeded,
     ContractViolation,
+    Frame,
     check_entries,
     matrix_to_json,
 )
@@ -362,6 +368,51 @@ def test_rank_zero_radohorn_witness_is_json(tmp_path):
     witness = json.loads(text)["payload"]["results"]["witness"]
     assert witness == {"subset": [1], "size": 1, "rank": 0, "ratio": None}
     assert verify(str(rep)) == (True, [])
+
+
+def _bound_first_inputs():
+    """(array, commands) for the bound-first scans: a 4 x 9 unit frame
+    scaled by 2^500 and by 2^-500 (ric needs unit vectors), that frame
+    with all but its first coordinate shrunk by 2^-500, renormalized, and
+    a rank-2 3 x 8 unit frame."""
+    rng = np.random.default_rng(32)
+    unit = rng.standard_normal((4, 9))
+    unit /= np.linalg.norm(unit, axis=0)
+    shrunk = unit * np.array([[1.0], [2.0 ** -500], [2.0 ** -500],
+                              [2.0 ** -500]])
+    low = rng.standard_normal((3, 2)) @ rng.standard_normal((2, 8))
+    return [(unit * 2.0 ** 500, ("erasure", "phase")),
+            (unit * 2.0 ** -500, ("erasure", "phase")),
+            (shrunk / np.linalg.norm(shrunk, axis=0),
+             ("erasure", "ric", "phase")),
+            (low / np.linalg.norm(low, axis=0), ("erasure", "ric", "phase"))]
+
+
+def _float_bits(res):
+    return {key: np.float64(val).tobytes() if isinstance(val, float) else val
+            for key, val in res.items()}
+
+
+def test_bound_first_scans_at_extreme_scales_and_low_rank(tmp_path):
+    """erasure, ric and phase exit 0 on inputs whose bounds overflow or
+    underflow and on a rank-deficient frame, warn of nothing, verify, and
+    store the full scans' results, bit for bit."""
+    for i, (a, names) in enumerate(_bound_first_inputs()):
+        path = tmp_path / f"f{i}.json"
+        path.write_text(canonical_json(matrix_to_json(a)))
+        delta, subset = restricted_isometry_by_full_scan(Frame(a), 3)
+        want = {"erasure": erasure_by_full_scan(Frame(a), 3),
+                "ric": {"s": 3, "delta": delta, "worst_subset": subset},
+                "phase": phase_by_side_ranks(Frame(a))}
+        options = {"erasure": ["--k", "3"], "ric": ["--s", "3"], "phase": []}
+        for name in names:
+            rep = tmp_path / f"{name}{i}.report.json"
+            code, _, err = _outputs([name, "--input", str(path),
+                                     *options[name], "--report", str(rep)])
+            assert (code, err) == (0, ""), (name, i, err)
+            assert verify(str(rep)) == (True, []), (name, i)
+            got = load_report(str(rep))["payload"]["results"]
+            assert _float_bits(got) == _float_bits(want[name]), (name, i)
 
 
 def test_generated_projection_paves(tmp_path):

@@ -265,8 +265,8 @@ def _near_cutoff_families():
 
 def _witness_and_band(monkeypatch, t):
     """_complement_witness(t) and the counts of flat tests and of S that
-    hyperplane_flats handed to subset_ranks (erasures calls subset_ranks
-    through its own binding)."""
+    hyperplane_flats handed to subset_ranks (the sides whose basis
+    certificate falls short reach subset_ranks too, and are not counted)."""
     n, band = t.shape[0], []
 
     def counted(t, subsets):
@@ -275,8 +275,13 @@ def _witness_and_band(monkeypatch, t):
         band.extend(subsets)
         return subset_ranks(t, subsets)
 
+    def flats(t, subsets):
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "subset_ranks", counted)
+            return core.hyperplane_flats(t, subsets)
+
     with monkeypatch.context() as patch:
-        patch.setattr(core, "subset_ranks", counted)
+        patch.setattr(erasures, "hyperplane_flats", flats)
         witness = erasures._complement_witness(t)
     sizes = [len(s) for s in band]
     return witness, sizes.count(n), sizes.count(n - 1)

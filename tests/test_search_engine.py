@@ -426,6 +426,35 @@ def test_auto_falls_back_to_local_past_the_budget(tmp_path, small_budget):
     assert verify(str(rep)) == (True, [])
 
 
+def test_local_search_prices_each_move_round_in_one_stack_per_size(
+        monkeypatch):
+    """pave --mode local on a 16 x 16 random symmetric matrix at r 4, seed
+    0: each move round prices the blocks its moves reach that the memo
+    lacks, one stack per block size, so 215 blocks take 25 svd calls where
+    a call per missed block took 214.  The partition, the bits of achieved
+    and evaluated are those of pricing every block alone."""
+    rng = np.random.default_rng(14)
+    a = rng.standard_normal((16, 16))
+    shapes = []
+
+    def counted(x, *args, _lapack=np.linalg.svd, **kwargs):
+        shapes.append(np.shape(x))
+        return _lapack(x, *args, **kwargs)
+
+    def search():
+        return pave_matrix_check(a + a.T, 4, 0.5, mode="local", seed=0)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(np.linalg, "svd", counted)
+        rep = search()
+    assert (len(shapes), sum(shape[0] for shape in shapes)) == (25, 215)
+    with monkeypatch.context() as patched:
+        _old_pricing(patched, [])
+        old = search()
+    assert rep["mode"] == "local"
+    assert _fingerprint(rep) == _fingerprint(old)
+
+
 def test_exhaustive_past_the_budget_exits_3(tmp_path, small_budget, capsys):
     t = _write_matrix(tmp_path, _sym(np.random.default_rng(3), 8))
     assert main(["pave", "--input", t, "--mode", "exhaustive", "--r-max",
