@@ -16,7 +16,6 @@ every block with restricted_isometry.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
