@@ -151,7 +151,14 @@ def index_stacks(subsets, row_bytes):
     """subsets, read lazily, as (B, k) intp index arrays in input order:
     each run of same-size subsets cut into stacks of at most
     BLOCK_STACK_BYTES // row_bytes(k) rows (at least 1).  Every subset scan
-    cuts its LAPACK stacks here, with its own bytes per row."""
+    cuts its LAPACK stacks here, with its own bytes per row.  A (B, k)
+    array is one run, cut by slicing."""
+    if isinstance(subsets, np.ndarray):
+        k = subsets.shape[1]
+        rows = max(1, BLOCK_STACK_BYTES // max(row_bytes(k), 1))
+        for a in range(0, len(subsets), rows):
+            yield subsets[a:a + rows]
+        return
     for k, run in itertools.groupby(subsets, len):
         rows = max(1, BLOCK_STACK_BYTES // max(row_bytes(k), 1))
         while chunk := list(itertools.islice(run, rows)):
@@ -186,23 +193,33 @@ def bound_first_scan(m, sizes, bounds, bound_bytes, price, price_bytes,
     stacks cut by index_stacks, with bound_bytes(k) and price_bytes(k)
     bytes per row.
 
-    Every subset is bounded, and a row stays live only while it may still
-    change the answer: for the least, lo at most the least hi seen (a row
-    above it prices more than the row with that hi) and at most the least
-    price known, equal only at an earlier row; with top, hi at least the
-    greatest lo seen and above the greatest price known.  When the stacks
-    held before the newest take more bytes than the largest bound stack,
-    and at the end, the live row of least lo (with top, also that of
-    greatest hi) is priced first, as the likeliest to decide the rest,
-    then every row still live.  A row never priced cannot be the first
-    least nor, with top, raise the greatest, so the answer is the full
-    scan's, bit for bit, ties included.  Held stacks keep their size and
-    flag their dead rows: arrays cut down to the live rows would take sizes
-    that vary with the input's values, and such small allocations fragment
-    the heap.
+    Each stack is bounded as it is read, and a row stays live only while
+    it may still change the answer: for the least, lo at most the least hi
+    seen (a row above it prices more than the row with that hi) and at
+    most the least price known, equal only at an earlier row; with top, hi
+    at least the greatest lo seen and above the greatest price known.
+    When the stacks held before the newest still take more bytes than the
+    largest bound stack once their dead rows are dropped, and at the end,
+    the held rows are settled: the live row of least lo (with top, also
+    that of greatest hi) is priced first, as the likeliest to decide the
+    rest, then every row still live.  A row never priced cannot be the
+    first least nor, with top, raise the greatest, so the answer is the
+    full scan's, bit for bit, ties included.  Held stacks keep their size
+    and flag their dead rows: arrays cut down to the live rows would take
+    sizes that vary with the input's values, and such small allocations
+    fragment the heap.
+
+    The bounds pay only where they rule out most rows: where values tie or
+    the bounds are loose, they add their own cost to a full scan's.  So a
+    settle that has to price more than half of the rows bounded since the
+    last ends the bounding of their size, and the rest of that size is
+    priced as the full scan prices it.  A scan that fits in one settle,
+    about BLOCK_STACK_BYTES / (25 + 8 k) subsets of size k, pays the
+    bounds whatever they rule out.
     """
     least, first, at, greatest = math.inf, None, -1, -math.inf
     cap, floor, room, held, start = math.inf, -math.inf, 0, [], 0
+    bounded, plain = 0, set()
 
     def take(pos, subsets):
         nonlocal least, first, at, greatest
@@ -232,37 +249,47 @@ def bound_first_scan(m, sizes, bounds, bound_bytes, price, price_bytes,
         return int(held[j][0][i]), held[j][1][i].tolist()
 
     def settle():
+        """Price the live held rows, the ends first; how many were priced."""
+        held[:] = [piece for piece in held if prune(piece)]
+        if not held:
+            return 0
         ends = dict([end(2, np.inf, np.argmin)] +
                     ([end(3, -np.inf, np.argmax)] if top else []))
         done = sorted(ends)
         take(np.array(done), [ends[i] for i in done])
-        pos, rows = [], []
-        for piece in held:
-            if prune(piece):
-                live = piece[4] & (piece[0][:, None] != done).all(axis=1)
-                pos.append(piece[0][live])
-                rows += piece[1][live].tolist()
-        if rows:
-            take(np.concatenate(pos), rows)
+        rest = [(p[0][keep], p[1][keep]) for p in held if prune(p)
+                for keep in [p[4] & (p[0][:, None] != done).all(axis=1)]]
+        for _, run in itertools.groupby(rest, lambda q: q[1].shape[1]):
+            pos, rows = zip(*run)
+            take(np.concatenate(pos), np.concatenate(rows))
         held.clear()
+        return len(done) + sum(len(q[0]) for q in rest)
 
     subsets = itertools.chain.from_iterable(
         itertools.combinations(range(m), k) for k in sizes)
     for idx in index_stacks(subsets, bound_bytes):
+        k, pos = idx.shape[1], start + np.arange(len(idx))
+        start += len(idx)
+        if k in plain:
+            take(pos, idx)
+            continue
         with np.errstate(over="ignore", invalid="ignore"):
             lo, hi = bounds(idx)
         lo = np.where(np.isfinite(lo), lo, -np.inf)
         hi = np.where(np.isfinite(hi), hi, np.inf)
         cap, floor = min(cap, hi.min()), max(floor, lo.max())
-        room = max(room, len(idx) * bound_bytes(idx.shape[1]))
-        held.append((start + np.arange(len(idx)), idx, lo, hi,
-                     np.ones(len(idx), dtype=bool)))
-        start += len(idx)
-        held[:] = [piece for piece in held if prune(piece)]
+        room = max(room, len(idx) * bound_bytes(k))
+        bounded += len(idx)
+        new = (pos, idx, lo, hi, np.ones(len(idx), dtype=bool))
+        if prune(new):
+            held.append(new)
         if sum(a.nbytes for piece in held[:-1] for a in piece) > room:
-            settle()
-    if held:
-        settle()
+            held[:] = [piece for piece in held if prune(piece)]
+            if sum(a.nbytes for piece in held[:-1] for a in piece) > room:
+                if 2 * settle() > bounded:
+                    plain.add(k)
+                bounded = 0
+    settle()
     return least, first, greatest if top else None
 
 
@@ -285,6 +312,17 @@ def numeric_rank(m):
     return int(subset_ranks(m, [range(m.shape[1])])[0])
 
 
+def scaled_norm(t, axis=None):
+    """np.linalg.norm(t, axis=axis) of t divided first by its largest
+    |entry| (along axis), so that no square underflows or overflows; inf
+    only where the norm itself passes float64's range."""
+    a = np.abs(t).max(axis=axis, keepdims=True, initial=0.0)
+    a = np.where(a > 0.0, a, 1.0)
+    with np.errstate(over="ignore"):
+        return (a * np.linalg.norm(t / a, axis=axis, keepdims=True)
+                ).squeeze(axis)
+
+
 def subset_ranks(t, subsets):
     """Numeric rank of each t[:, S] (0 for an empty S), as one int array:
     the count of singular values above RANK_TOL * sigma_max * max(rows,
@@ -302,19 +340,21 @@ def spanning(t, subsets):
     array t, as one bool array, most of it from a basis certificate.
 
     S of n or more members spans where the computed sigma_n of its first n
-    members clears 2 (RANK_TOL max(n, M) (1 + err) + 2 err) ||t||_F, err =
-    64 n eps.  Adding columns never lowers sigma_n, ||t||_F bounds every
-    sigma_1, and LAPACK's sigmas err by at most err sigma_1, so then S's
-    computed sigma_n clears subset_ranks' cutoff RANK_TOL sigma_1 max(n,
-    |S|).  One svd per index_stacks stack prices the distinct heads, and
-    each S they leave undecided goes to subset_ranks itself, so every
-    answer is the one it would give.
+    members clears 2 (RANK_TOL max(n, M) (1 + err) + 2 err) ||t||_F plus
+    the least normal float, err = 64 n eps.  Adding columns never lowers
+    sigma_n, ||t||_F bounds every sigma_1, and LAPACK's sigmas err by at
+    most err sigma_1 while they stay normal, so then S's computed sigma_n
+    clears subset_ranks' cutoff RANK_TOL sigma_1 max(n, |S|).  ||t||_F is
+    taken by scaled_norm, since the squares of a tiny t underflow to a
+    norm and a cut of 0.  One svd per index_stacks stack prices the
+    distinct heads, and each S they leave undecided goes to subset_ranks
+    itself, so every answer is the one it would give.
     """
     (n, m), subsets = t.shape, [tuple(s) for s in subsets]
-    err = 64 * n * np.finfo(t.dtype).eps
-    with np.errstate(over="ignore"):     # inf past 1e154: certifies nothing
+    err, tiny = 64 * n * np.finfo(t.dtype).eps, np.finfo(t.dtype).tiny
+    with np.errstate(over="ignore"):     # inf near float64's top: no basis
         cut = 2.0 * (RANK_TOL * max(n, m) * (1.0 + err) + 2.0 * err) * \
-            np.linalg.norm(t)
+            scaled_norm(t) + tiny
     heads = dict.fromkeys(s[:n] for s in subsets if len(s) >= n)
     for idx in index_stacks(list(heads), lambda k: t.itemsize * n * k):
         sig = np.linalg.svd(t[:, idx].transpose(1, 0, 2), compute_uv=False)
@@ -342,31 +382,37 @@ def hyperplane_flats(t, subsets):
     >= sigma_(n-1)(S) by interlacing.  A flat test is decided from these
     bounds only where they clear subset_ranks' cutoff RANK_TOL * n *
     sigma_max(A) by a factor of 2 after rounding and the error of the
-    computed normal (err * |f_i| sigma_max(S) / sigma_(n-1)(S)).  Either
+    computed normal (err * |f_i| sigma_max(S) / sigma_(n-1)(S)).  Each
+    rounding term also carries the least normal float, since sigmas that
+    are subnormal lose more than err of their value, and |f_i| is taken
+    by scaled_norm, since the squares of tiny columns underflow.  Either
     band between goes to subset_ranks itself, so every answer is the one it
     would give.  With n = 1, S is empty, of rank 0, and U is 1 x 1, so the
     bounds read |f_i| alone.
     """
     n, m = t.shape
     err, tol = 64 * n * np.finfo(t.dtype).eps, RANK_TOL * n
+    tiny = np.finfo(t.dtype).tiny
     idx = np.array(subsets, dtype=np.intp).reshape(len(subsets), n - 1)
     u, s, _ = np.linalg.svd(t[:, idx].transpose(1, 0, 2))
     smax = s.max(axis=1, initial=0.0)
     smin = s.min(axis=1, initial=np.inf)             # inf when n = 1
-    good = smin - err * smax > 2.0 * tol * smax * (1.0 + err)
-    band = ~good & ~(2.0 * (smin + err * smax) <= tol * smax * (1.0 - err))
+    good = smin - err * smax - tiny > 2.0 * tol * smax * (1.0 + err)
+    band = ~good & ~(2.0 * (smin + err * smax + tiny) <=
+                     tol * smax * (1.0 - err))
     if band.any():
         good[band] = subset_ranks(t, idx[band]) == n - 1
     idx, u, s = idx[good], u[good], s[good]
     smax, smin = smax[good, None], smin[good, None]  # (G, 1)
-    es = err * smax
-    # norms past 1e154 are inf and make NaN bounds: those tests go to the band
+    es = err * smax + tiny
+    # values near float64's top are inf and make NaN bounds: those go to
+    # the band
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(t, axis=0)            # (M,)
+        norms = scaled_norm(t, axis=0)               # (M,)
         dist = np.abs(u[:, :, -1] @ t)               # (G, M)
         dist_err = err * norms * (1.0 + smax / (smin - es))
         amax_hi = np.hypot(smax, norms) * (1.0 + err)  # >= sigma_max(A)
-        ea = err * amax_hi
+        ea = err * amax_hi + tiny
         cut_lo = tol * (np.maximum(smax, norms) - 2.0 * ea)
         cut_hi = tol * (amax_hi + ea)
         shrink = np.prod(np.maximum(s - es, 0.0)[:, None, :] /

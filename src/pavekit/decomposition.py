@@ -180,7 +180,9 @@ def restricted_isometry(fr, s):
     the Gershgorin row sum or the Frobenius norm of |G[S, S] - I|,
     whichever is less.  Both bounds are widened by the rounding margin
     err (1 + s max|G|), err = 64 (n + M) eps, so delta and its subset are
-    those of pricing every subset, bit for bit.
+    those of pricing every subset, bit for bit.  Where a settle of the scan
+    shows the bounds ruling out little, the rest of that size is priced
+    unbounded.
     """
     ensure_unit_norm(fr)
     if s < 1:

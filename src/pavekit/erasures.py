@@ -75,7 +75,8 @@ def erasure_robustness(fr, k):
     float, which covers the rounding of every product and spectrum on
     either side, subnormal ones included.  So worst_value, its first
     subset and value_max are the full scan's, bit for bit, and
-    subsets_scanned counts every erasure bounded, C(M, k).
+    subsets_scanned counts every erasure, C(M, k).  Where a settle of the
+    scan shows the bounds ruling out little, the rest is priced unbounded.
     """
     if not (0 <= k < fr.M):
         raise ContractViolation(f"--k {k} must be in 0 <= k < M = {fr.M}")
@@ -130,11 +131,12 @@ def _complement_witness(t):
     side of fewer than n members cannot span.  A wider flat or rest spans
     when core.spanning's basis certificate holds: the first n members of
     the side form a basis whose computed sigma_n clears 2 (RANK_TOL
-    max(n, M) (1 + err) + 2 err) ||t||_F, err = 64 n eps, which no superset
-    can fall below.  One svd per stack prices the distinct bases of a
-    stack of S, and only the sides the certificate leaves undecided take a
-    subset_ranks call.  Stacks of S, sized so their U's and (B, M, n) bound
-    arrays fill a quarter of BLOCK_STACK_BYTES, take one call of each.
+    max(n, M) (1 + err) + 2 err) ||t||_F plus the least normal float,
+    err = 64 n eps, which no superset can fall below.  One svd per stack
+    prices the distinct bases of a stack of S, and only the sides the
+    certificate leaves undecided take a subset_ranks call.  Stacks of S,
+    sized so their U's and (B, M, n) bound arrays fill a quarter of
+    BLOCK_STACK_BYTES, take one call of each.
     """
     (n, m), seen = t.shape, set()
     for idx in index_stacks(itertools.combinations(range(m), n - 1),

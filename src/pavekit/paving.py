@@ -267,11 +267,10 @@ def _local_search(m, r_max, cost, seed):
         return sorted(([i for i in range(m) if mask >> i & 1] for mask in out),
                       key=len)
 
-    get.fill(reach(labels))
-    cur = objective(labels)
     evaluated = 1
     for _ in range(LOCAL_MOVE_BUDGET):
-        best_move, best_val = None, cur
+        get.fill(reach(labels))
+        best_move, best_val = None, objective(labels)
         for i in range(m):
             old = labels[i]
             for b in range(r_max):
@@ -286,8 +285,6 @@ def _local_search(m, r_max, cost, seed):
         if best_move is None:
             break
         labels[best_move[0]] = best_move[1]
-        cur = best_val
-        get.fill(reach(labels))
     blocks = label_blocks(labels)
     per = [get(_block_mask(b)) for b in blocks]
     return blocks, max(per), evaluated

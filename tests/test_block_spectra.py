@@ -166,6 +166,18 @@ def test_index_stacks_splits_runs_at_the_cap(monkeypatch):
         [(2, 0)]
 
 
+def test_index_stacks_cuts_an_array_as_its_rows(monkeypatch):
+    """A (B, k) array is cut where the same rows, read as tuples, are."""
+    monkeypatch.setattr(core, "BLOCK_STACK_BYTES", 100)
+    for shape in ((25, 3), (7, 1), (2, 0), (0, 2)):
+        idx = np.arange(shape[0] * shape[1], dtype=np.intp).reshape(shape)
+        rows = [tuple(row) for row in idx.tolist()]
+        got = list(index_stacks(idx, lambda k: 10 * k))
+        want = list(index_stacks(rows, lambda k: 10 * k))
+        assert [a.tolist() for a in got] == [a.tolist() for a in want]
+        assert all(a.dtype == np.intp for a in got)
+
+
 def test_index_stacks_keeps_order_across_sizes():
     subsets = [(0, 1), (2,), (3, 4), (5, 6), (1, 3, 5), (7,), (8,), (0, 2)]
     got = list(index_stacks(subsets, lambda k: k))
@@ -539,12 +551,20 @@ def test_bound_first_scans_match_the_full_scans(monkeypatch, cap):
 
 
 def test_bound_first_scans_warn_of_nothing_at_extreme_scales():
-    """Scaled by 2^500 or 2^-500, the bounds' squares and sums overflow or
-    underflow; the scans warn of nothing (pytest makes RuntimeWarnings
-    errors) and still match the full scans.  ric needs unit vectors, so it
-    runs on families with one coordinate shrunk by 2^-500."""
+    """Scaled by 2^500, 2^-500 or 2^-560, the bounds' squares and sums
+    overflow or underflow; the scans warn of nothing (pytest makes
+    RuntimeWarnings errors) and still match the full scans.  ric needs unit
+    vectors, so it runs on families with one coordinate shrunk by 2^-500.
+    A 3 x 5 frame whose third vector is the sum of the first two plus
+    1e-13 of another has a near-degenerate basis that the phase scan's
+    certificate must not take for spanning at 2^-560."""
+    rng = np.random.default_rng(560)
+    near = rng.standard_normal((3, 5))
+    near[:, 2] = near[:, 0] + near[:, 1] + 1e-13 * rng.standard_normal(3)
+    _assert_scans_match(Frame(near), (2.0 ** -560,))
+    assert not phase_retrieval_check(Frame(near * 2.0 ** -560))["verdict"]
     for fr in itertools.islice(_scan_frames(), 7, 21):
-        _assert_scans_match(fr, (2.0 ** 500, 2.0 ** -500))
+        _assert_scans_match(fr, (2.0 ** 500, 2.0 ** -500, 2.0 ** -560))
         a = fr.synthesis * np.array([[1.0]] + [[2.0 ** -500]] * (fr.n - 1))
         if np.linalg.norm(a, axis=0).min() > 0.0:
             _assert_scans_match(Frame(a / np.linalg.norm(a, axis=0)), ())
@@ -575,6 +595,32 @@ def test_a_row_whose_bound_is_not_finite_is_priced():
                            lambda k: 8 * k, top=True)
     assert got == (-1.0, [0, 1, 5], 4.5)
     assert set(blind) <= set(priced) and len(priced) < len(subsets)
+
+
+def test_a_settle_that_prices_most_rows_ends_the_bounding(monkeypatch):
+    """Ten-row stacks of the 120 3-subsets of range(10), settled each
+    second stack: bounds 10 wide leave every row live, so the first settle
+    prices all it held and the rest is priced unbounded; exact bounds are
+    read for every stack.  Both give the full scan's answer."""
+    _cap(monkeypatch, 240)
+    subsets = list(itertools.combinations(range(10), 3))
+    value = {s: float((7 * sum(s) + s[0]) % 11) for s in subsets}
+    want = (min(value.values()), list(min(subsets, key=value.get)),
+            max(value.values()))
+    for width, reads in ((10.0, 2), (0.0, 12)):
+        stacks = []
+
+        def bounds(idx):
+            stacks.append(len(idx))
+            val = np.array([value[tuple(row)] for row in idx.tolist()])
+            return val - width, val + width
+
+        def price(idx):
+            return np.array([value[tuple(row)] for row in idx.tolist()])
+
+        got = bound_first_scan(10, [3], bounds, lambda k: 8 * k, price,
+                               lambda k: 8 * k, top=True)
+        assert got == want and len(stacks) == reads, (width, stacks)
 
 
 def test_an_earlier_row_that_may_tie_the_least_is_priced():

@@ -373,16 +373,20 @@ def test_rank_zero_radohorn_witness_is_json(tmp_path):
 def _bound_first_inputs():
     """(array, commands) for the bound-first scans: a 4 x 9 unit frame
     scaled by 2^500 and by 2^-500 (ric needs unit vectors), that frame
-    with all but its first coordinate shrunk by 2^-500, renormalized, and
-    a rank-2 3 x 8 unit frame."""
+    with all but its first coordinate shrunk by 2^-500, renormalized, a
+    rank-2 3 x 8 unit frame, and a 3 x 5 frame scaled by 2^-560 whose
+    third vector is the sum of the first two plus 1e-13 of another."""
     rng = np.random.default_rng(32)
     unit = rng.standard_normal((4, 9))
     unit /= np.linalg.norm(unit, axis=0)
     shrunk = unit * np.array([[1.0], [2.0 ** -500], [2.0 ** -500],
                               [2.0 ** -500]])
     low = rng.standard_normal((3, 2)) @ rng.standard_normal((2, 8))
+    near = rng.standard_normal((3, 5))
+    near[:, 2] = near[:, 0] + near[:, 1] + 1e-13 * rng.standard_normal(3)
     return [(unit * 2.0 ** 500, ("erasure", "phase")),
             (unit * 2.0 ** -500, ("erasure", "phase")),
+            (near * 2.0 ** -560, ("erasure", "phase")),
             (shrunk / np.linalg.norm(shrunk, axis=0),
              ("erasure", "ric", "phase")),
             (low / np.linalg.norm(low, axis=0), ("erasure", "ric", "phase"))]

@@ -355,3 +355,32 @@ def test_phase_rank_band_matches_the_oracle(monkeypatch):
         if rep["verdict"]:
             _assert_trials_recover(t)
     assert ranks == {0, 1} and verdicts == {True, False}
+
+
+def _tiny_families():
+    """Frames whose entries' squares underflow: 2 x 5, 3 x 5, 3 x 7 and
+    4 x 8 frames whose third vector is the sum of the first two plus 1e-13
+    of a generic one, as they are and with the last vector shrunk by
+    2^-300, each scaled by 2^-560, 2^-1000 and 2^-1060 (entries
+    subnormal)."""
+    rng = np.random.default_rng(560)
+    for n, m in ((2, 5), (3, 5), (3, 7), (4, 8)):
+        t = rng.standard_normal((n, m))
+        t[:, 2] = t[:, 0] + t[:, 1] + 1e-13 * rng.standard_normal(n)
+        for last in (1.0, 2.0 ** -300):
+            t[:, -1] *= last
+            for scale in (2.0 ** -560, 2.0 ** -1000, 2.0 ** -1060):
+                yield t * scale
+
+
+def test_tiny_frames_keep_subset_ranks_answers():
+    """A norm taken from underflowing squares reads 0 and would certify a
+    near-degenerate basis or misplace a flat test; the flats and the
+    complement witness still match subset_ranks."""
+    witnesses = 0
+    for t in _tiny_families():
+        _assert_flats(t)
+        witness = erasures._complement_witness(t)
+        assert witness == _complement_witness_oracle(t), t
+        witnesses += witness is not None
+    assert witnesses >= 3
