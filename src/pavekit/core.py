@@ -162,8 +162,7 @@ def index_stacks(subsets, row_bytes):
     for k, run in itertools.groupby(subsets, len):
         rows = max(1, BLOCK_STACK_BYTES // max(row_bytes(k), 1))
         while chunk := list(itertools.islice(run, rows)):
-            yield np.fromiter(itertools.chain.from_iterable(chunk), np.intp,
-                              len(chunk) * k).reshape(len(chunk), k)
+            yield np.array(chunk, dtype=np.intp).reshape(len(chunk), k)
 
 
 def stack_spectra(a, idx, frame=False):
@@ -362,7 +361,8 @@ def spanning(t, subsets):
     out = np.array([len(s) >= n and bool(heads[s[:n]]) for s in subsets],
                    dtype=bool)
     rest = [i for i, s in enumerate(subsets) if len(s) >= n and not out[i]]
-    out[rest] = subset_ranks(t, [subsets[i] for i in rest]) == n
+    if rest:
+        out[rest] = subset_ranks(t, [subsets[i] for i in rest]) == n
     return out
 
 

@@ -204,16 +204,16 @@ def restricted_isometry(fr, s):
         upper = np.minimum(dev.sum(axis=1).max(axis=0),
                            np.sqrt(square.sum(axis=(0, 1))))
         lower = np.sqrt(square.sum(axis=0).max(axis=0))
-        return -upper - err, err - lower        # bounds on the price, -dev
+        return -err - upper, err - lower        # bounds on the price, -dev
 
     def price(idx):
         w = stack_spectra(g, idx)
-        return -np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0])
+        return np.minimum(1.0 - w[:, -1], w[:, 0] - 1.0)    # -dev
 
     least, worst_subset, _ = bound_first_scan(
         fr.M, range(1, s + 1), bounds, lambda k: 4 * g.itemsize * k * k,
         price, lambda k: g.itemsize * k * k)
-    return max(-least, 0.0), worst_subset
+    return max(0.0, -least), worst_subset       # +0.0 where least is 0
 
 
 def tp1_partition(fr, s, delta, seed=0, r_max=64):

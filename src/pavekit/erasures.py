@@ -95,7 +95,7 @@ def erasure_robustness(fr, k):
     def bounds(erased):
         ix = np.ascontiguousarray(erased.T)     # (k, B): short axes first
         te = t[:, ix]                            # (n, k, B)
-        g = np.abs(np.einsum("nib,njb->ijb", te.conj(), te))
+        g = np.abs((te.conj()[:, :, None] * te[:, None]).sum(axis=0))
         top = g.max(axis=(0, 1), initial=0.0)   # |G[E, E]| as (k, k, B)
         frobenius = top * np.sqrt(((g / np.where(top > 0.0, top, 1.0)) ** 2)
                                   .sum(axis=(0, 1)))
