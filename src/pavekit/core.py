@@ -7,9 +7,10 @@ ordinary matrix product away.  This module owns the boundary checks
 (finite entries, Hermitian symmetry, shape sanity), the eigen/rank
 primitives (every subset scan cuts its stacks with index_stacks and prices
 them with stack_spectra, stack_norms or subset_ranks, where cheap bounds
-cannot decide: bound_first_scan, spanning, hyperplane_flats),
-partitions as block lists, their enumeration in restricted-growth order,
-the seeded generators, and the JSON wire formats: values as base64 of
+cannot decide: bound_first_scan, spanning, hyperplane_flats; or proves a
+threshold on every basis by Cholesky: every_basis_clears), partitions as
+block lists, their enumeration in restricted-growth order, the seeded
+generators, and the JSON wire formats: values as base64 of
 little-endian float64, every bit kept, or as the [re, im] pairs still read.
 """
 
@@ -334,6 +335,18 @@ def subset_ranks(t, subsets):
     return np.concatenate(ranks)
 
 
+def basis_cut(t):
+    """The sigma_n that an n-column basis of the n x M array t must clear
+    to certify every superset as spanning under subset_ranks' cutoff:
+    2 (RANK_TOL max(n, M) (1 + err) + 2 err) ||t||_F plus the least normal
+    float, err = 64 n eps (see spanning); inf near float64's top."""
+    n, m = t.shape
+    err, tiny = 64 * n * np.finfo(t.dtype).eps, np.finfo(t.dtype).tiny
+    with np.errstate(over="ignore"):
+        return 2.0 * (RANK_TOL * max(n, m) * (1.0 + err) + 2.0 * err) * \
+            scaled_norm(t) + tiny
+
+
 def spanning(t, subsets):
     """Whether subset_ranks gives each t[:, S] the full rank n of the n x M
     array t, as one bool array, most of it from a basis certificate.
@@ -349,11 +362,7 @@ def spanning(t, subsets):
     distinct heads, and each S they leave undecided goes to subset_ranks
     itself, so every answer is the one it would give.
     """
-    (n, m), subsets = t.shape, [tuple(s) for s in subsets]
-    err, tiny = 64 * n * np.finfo(t.dtype).eps, np.finfo(t.dtype).tiny
-    with np.errstate(over="ignore"):     # inf near float64's top: no basis
-        cut = 2.0 * (RANK_TOL * max(n, m) * (1.0 + err) + 2.0 * err) * \
-            scaled_norm(t) + tiny
+    n, subsets, cut = t.shape[0], [tuple(s) for s in subsets], basis_cut(t)
     heads = dict.fromkeys(s[:n] for s in subsets if len(s) >= n)
     for idx in index_stacks(list(heads), lambda k: t.itemsize * n * k):
         sig = np.linalg.svd(t[:, idx].transpose(1, 0, 2), compute_uv=False)
@@ -364,6 +373,63 @@ def spanning(t, subsets):
     if rest:
         out[rest] = subset_ranks(t, [subsets[i] for i in rest]) == n
     return out
+
+
+def every_basis_clears(t, cut):
+    """Whether sigma_n(t[:, A]) > cut for every n-subset A of the columns
+    of the real n x M array t, proved by one Cholesky factorization per
+    index_stacks stack of shifted Gram blocks G_A - s I; False, which
+    proves nothing, at the first stack that does not factor.
+
+    t is scaled by the power of two 2^-e that brings its largest |entry|
+    into [1/2, 1), so no product overflows, and the cut with it: c =
+    cut 2^-e is exact, as it stays normal.  The scaling moves an entry of
+    T only where it falls below the normal range, by under tiny eps, tiny
+    the least normal float, so sigma_n(T_A) >= c + n tiny proves the
+    claim.  With u = eps / 2, gamma_k = k u / (1 - k u), g_k = gamma_k /
+    (1 - gamma_k), G~ the computed Gram matrix T^T T, whose entries are
+    dot products of n terms, and W = n max_i G~_ii >= tr G~_A:
+    - ||G~_A - G_A|| <= gamma_n || |T_A|^T |T_A| || <= gamma_n tr G_A,
+      so at most g_n W + 2 n^2 tiny with underflow;
+    - H = G~_A - s I rounds each diagonal entry by at most u (W + s);
+    - where the Cholesky factorization of H runs to completion, its
+      backward error is at most gamma_(n+1) |R^T| |R| (Demmel), whose norm
+      Rump (Verification of positive definiteness, BIT 2006) bounds by
+      g_(n+1) tr H <= g_(n+1) W, plus an underflow term below
+      4 n (2 (n + 1) + W) tiny; so lambda_min(H) is above minus that.
+    Hence lambda_min(G_A) > s (1 - u) - (g_n + g_(n+1) + u) W
+    - 16 n (n + 1 + W) tiny, and s makes that (c + n tiny)^2, with a
+    factor 1 + 16 eps over the rounding of s's own sum.
+    """
+    n, m = t.shape
+    eps, tiny = np.finfo(t.dtype).eps, np.finfo(t.dtype).tiny
+    top = float(np.abs(t).max())
+    if not (top > 0.0 and np.isfinite(cut)):
+        return False
+    e = math.frexp(top)[1]
+    ts = np.ldexp(t, -e)
+    gram = ts.T @ ts
+    w = n * float(np.diagonal(gram).max())
+
+    def g(k):
+        gamma = k * eps / 2 / (1 - k * eps / 2)
+        return gamma / (1 - gamma)
+
+    shift = ((math.ldexp(float(cut), -e) + n * tiny) ** 2 +
+             g(n) * w +               # the Gram products
+             g(n + 1) * w +           # Rump's term for the Cholesky
+             eps / 2 * w +            # the shift's own subtraction
+             16 * n * (n + 1 + w) * tiny) * (1 + 16 * eps)
+    diag = np.arange(n)
+    for idx in index_stacks(itertools.combinations(range(m), n),
+                            lambda k: 2 * t.itemsize * k * k):
+        blocks = gram[idx[:, :, None], idx[:, None, :]]
+        blocks[:, diag, diag] -= shift
+        try:
+            np.linalg.cholesky(blocks)
+        except np.linalg.LinAlgError:
+            return False
+    return True
 
 
 def hyperplane_flats(t, subsets):

@@ -283,10 +283,13 @@ def _rado_horn_witness(fr, subset):
 
 def _price(fr, cache, sets):
     """Enter in cache, keyed by frozenset, whether each index set in sets
-    is linearly independent: the sets it lacks, ascending and sorted by
-    size, take one subset_ranks call, which gives each the rank a lone
-    numeric_rank would."""
-    new = sorted(map(sorted, {frozenset(s) for s in sets} - cache.keys()),
+    is linearly independent.  A set of more than n vectors is entered as
+    dependent, since subset_ranks gives it rank at most n; the other sets
+    it lacks, ascending and sorted by size, take one subset_ranks call,
+    which gives each the rank a lone numeric_rank would."""
+    new = {frozenset(s) for s in sets} - cache.keys()
+    cache.update(dict.fromkeys([s for s in new if len(s) > fr.n], False))
+    new = sorted((sorted(s) for s in new if len(s) <= fr.n),
                  key=lambda s: (len(s), s))
     if new:
         for s, rank in zip(new, subset_ranks(fr.synthesis, new)):
@@ -304,9 +307,12 @@ def _exchange_chains(fr, r):
     outside a block closes a circuit in it whose members were all reached.
     So |J| = 1 + r * rank J, a violation of Rado-Horn.  Past M blocks, r
     adds nothing: at most M blocks are ever filled.  Each step of the
-    search prices all its candidate sets, every block without x plus x and
-    that block's swaps blk - y + x, by one _price call before it reads
-    them in order, and so does the independence check of each placement.
+    search prices every block without x plus x by one _price call; only
+    where none of them takes x does it price the swaps blk - y + x of
+    those blocks, by a second call, before it reads them in order.  The
+    swaps of the blocks before the one that takes x would only add
+    reached elements, which a step that ends the search never reads.  The
+    independence check of each placement takes one call too.
     """
     if r < 1:
         raise ContractViolation("need r >= 1")
@@ -323,20 +329,17 @@ def _exchange_chains(fr, r):
         terminal = None
         while queue and terminal is None:
             x = queue.pop(0)
-            grown = [blk + [x] for blk in blocks if x not in blk]
-            _price(fr, cache, grown + [[z for z in blk if z != y]
-                                       for blk in grown for y in blk[:-1]
-                                       if y not in parent])
-            for b, blk in enumerate(blocks):
-                if x in blk:
-                    continue
-                if indep(blk + [x]):
-                    terminal = (x, b)
-                    break
-                for y in blk:     # circuit members: removing y admits x
-                    if y in parent:
-                        continue
-                    if indep([z for z in blk if z != y] + [x]):
+            free = [b for b, blk in enumerate(blocks) if x not in blk]
+            _price(fr, cache, [blocks[b] + [x] for b in free])
+            terminal = next(((x, b) for b in free
+                             if indep(blocks[b] + [x])), None)
+            if terminal is None:
+                # circuit members: removing y admits x
+                swaps = [(b, y, [z for z in blocks[b] if z != y] + [x])
+                         for b in free for y in blocks[b] if y not in parent]
+                _price(fr, cache, [swap for _, _, swap in swaps])
+                for b, y, swap in swaps:
+                    if indep(swap):
                         parent[y] = (x, b)
                         queue.append(y)
         if terminal is None:

@@ -18,6 +18,7 @@ from .core import (
     Frame,
     check_entries,
     numeric_rank,
+    spanning,
     sym_eig,
 )
 
@@ -65,15 +66,18 @@ def spectral_summary(fr):
     reported only when the columns are linearly independent (they are then
     the extreme eigenvalues of the Gram matrix; square roots of the frame
     bounds in the basis case), else None.  is_parseval reads the extreme
-    eigenvalues of S, not its entries.
+    eigenvalues of S, not its entries.  rank is numeric_rank's; where
+    core.spanning certifies the whole family from one n x n svd, it is n
+    without the n x M svd.
     """
     s = frame_operator(fr)
     w, _ = sym_eig(s)
     upper = float(max(w[-1], 0.0))
-    rank = numeric_rank(fr.synthesis)
+    t = fr.synthesis
+    rank = fr.n if spanning(t, [range(fr.M)])[0] else numeric_rank(t)
     spans = rank == fr.n
     lower = float(max(w[0], 0.0)) if spans else 0.0
-    norms = np.linalg.norm(fr.synthesis, axis=0)
+    norms = np.linalg.norm(t, axis=0)
     degenerate = upper <= 0.0
     scale = max(1.0, upper)
     riesz_lower = riesz_upper = None

@@ -20,7 +20,7 @@ def commands(tmp):
     """{case: argv} over every command, with inputs written to tmp; run in
     order, since toeplitz reads the grid gen-grid writes.
 
-    Both verdicts of radohorn are covered; dilate is covered in both modes,
+    Both verdicts of radohorn and of phase are covered; dilate is covered in both modes,
     decompose with each criterion and pave in both forms and both search
     modes.  gen makes every kind, subspace also takes a spanning set,
     analyze also reads a frame in the [re, im] pair form, and riesz also
@@ -48,6 +48,9 @@ def commands(tmp):
     grid = str(tmp / "grid.json")
     span = _write(tmp / "span.json", rng.standard_normal((4, 3)))
     f315 = _write(tmp / "f315.json", unit(3, 15))
+    # a37's first four vectors and its first again: no Cholesky certificate,
+    # and the scan finds the flat {0, 1, 4} and a complement of two
+    repeated = _write(tmp / "repeated.json", a37[:, [0, 1, 2, 3, 0]])
     pairs = tmp / "pairs.json"      # a37 in the [re, im] pair form
     pairs.write_text(canonical_json({
         "rows": 3, "cols": 7, "field": "real",
@@ -92,6 +95,7 @@ def commands(tmp):
                      "--coeffs", "1,0.5-0.2j,2", "--t-len", "2.0"],
         "erasure": ["erasure", "--input", parseval, "--k", "1"],
         "phase": ["phase", "--input", f37, "--trials", "20", "--seed", "1"],
+        "phase-witness": ["phase", "--input", repeated],
         "gen-random-unit": ["gen", "--kind", "random-unit", "--n", "3",
                             "--M", "5", "--seed", "2", "--field", "complex",
                             "--out", str(tmp / "random-unit.json")],

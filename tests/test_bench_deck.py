@@ -1,6 +1,7 @@
 """The benchmark deck's command lines still run: job 0 of each workload in
 perfbench/jobs.py, at seed 1, exits 0 through cli.main and its every report
-passes verify.  An option the deck passes cannot be dropped unnoticed."""
+passes verify.  An option the deck passes cannot be dropped unnoticed, nor
+the Cholesky certificate that decides the deck's phase frame."""
 
 import contextlib
 import importlib.util
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from pavekit import cli
+from pavekit import cli, erasures
 
 _JOBS = Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py"
 
@@ -41,3 +42,21 @@ def test_deck_job_zero_runs_and_verifies(monkeypatch, tmp_path, workload):
         assert _main(argv)[0] == 0, argv
         code, out = _main(["verify", "--report", report])
         assert code == 0 and json.loads(out)["verified"] is True, (argv, out)
+
+
+def test_deck_phase_is_decided_without_the_flat_scan(monkeypatch, tmp_path):
+    """Job 0's phase frame, a random unit 4 x 13 frame, is decided by
+    core.every_basis_clears, in the run and in its verify: neither reaches
+    the flat scan, so a change that falls back to it fails here."""
+    scans, scan = [], erasures._complement_witness
+    monkeypatch.setattr(erasures, "_complement_witness",
+                        lambda t: scans.append(t) or scan(t))
+    monkeypatch.chdir(tmp_path)
+    steps = [(argv, report) for argv, report
+             in _jobs().build_job("subset-scan", 1, 0) if argv[0] == "phase"]
+    assert len(steps) == 1
+    for argv, report in steps:
+        assert _main(argv)[0] == 0, argv
+        code, out = _main(["verify", "--report", report])
+        assert code == 0 and json.loads(out)["verified"] is True, out
+    assert scans == []

@@ -230,32 +230,35 @@ def test_no_hand_copied_eigensolves():
     """Block eigensolves go through core's block kernels; only harmonic's
     Toeplitz sections and Kadec Gram, which are not blocks of a stored
     matrix, call eigvalsh themselves.  In core, eigvalsh is called only by
-    stack_spectra and BLOCK_STACK_BYTES read only by index_stacks, and the
-    routes they replaced are gone."""
+    stack_spectra, cholesky only by every_basis_clears, whose shift its
+    proof derives, and BLOCK_STACK_BYTES read only by index_stacks, and
+    the routes they replaced are gone; no other module calls cholesky."""
     allowed = {"core.py", "harmonic.py"}
     found = []
     for path in sorted(Path(pavekit.__file__).parent.glob("*.py")):
-        if path.name in allowed:
-            continue
         for node in ast.walk(ast.parse(path.read_text())):
             names = [node.attr] if isinstance(node, ast.Attribute) else \
                 [a.name for a in node.names] \
                 if isinstance(node, ast.ImportFrom) else []
-            if "eigvalsh" in names:
+            if "eigvalsh" in names and path.name not in allowed or \
+                    "cholesky" in names and path.name != "core.py":
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
-    sites = {"eigvalsh": set(), "BLOCK_STACK_BYTES": set()}
+    sites = {"eigvalsh": set(), "cholesky": set(),
+             "BLOCK_STACK_BYTES": set()}
     for stmt in ast.parse(Path(core.__file__).read_text()).body:
         owner = getattr(stmt, "name", None)
         for node in ast.walk(stmt):
-            if isinstance(node, ast.Attribute) and node.attr == "eigvalsh" \
-                    or isinstance(node, ast.Name) and node.id == "eigvalsh":
-                sites["eigvalsh"].add(owner)
+            for name in ("eigvalsh", "cholesky"):
+                if isinstance(node, ast.Attribute) and node.attr == name \
+                        or isinstance(node, ast.Name) and node.id == name:
+                    sites[name].add(owner)
             if isinstance(node, ast.Name) and \
                     node.id == "BLOCK_STACK_BYTES" and \
                     isinstance(node.ctx, ast.Load):
                 sites["BLOCK_STACK_BYTES"].add(owner)
     assert sites == {"eigvalsh": {"stack_spectra"},
+                     "cholesky": {"every_basis_clears"},
                      "BLOCK_STACK_BYTES": {"index_stacks"}}
     for name in ("stacks", "block_spectra", "block_spectrum", "_principal"):
         assert not hasattr(core, name), name
@@ -650,12 +653,12 @@ def test_subset_scans_take_one_stack_per_step(monkeypatch):
     one eigvalsh of the whole frame operator, then 34 of the 1,140
     erasures in two stacks, where all 1,140 took 3 stacks.  ric (6 x 20
     unit, s = 3): 3 of the 1,350 Gram blocks in two stacks, where all took
-    3.  radohorn (4 x 13, r = 4): one rank stack per set size per search
-    step.  phase (4 x 13): the full rank, then for each of its 3 stacks of
-    S one U-svd and one svd of the distinct bases heading its wide sides,
-    37 of them in all, which certify every side, where 286 sides took a
-    rank svd each."""
-    calls = {"eigvalsh": [], "svd": []}
+    3.  radohorn (4 x 13, r = 4): the first block with room takes each
+    vector, so no swap is priced, each step prices only the grown blocks
+    the cache lacks, and a grown block of 5 vectors needs no svd.  phase
+    (4 x 13): one Cholesky of all 715 shifted 4 x 4 Gram blocks certifies
+    the frame, where the scan took 7 svd calls over 324 matrices."""
+    calls = {"eigvalsh": [], "svd": [], "cholesky": []}
     for name in calls:
         def counted(x, *args, _lapack=getattr(np.linalg, name), _name=name,
                     **kwargs):
@@ -678,8 +681,9 @@ def test_subset_scans_take_one_stack_per_step(monkeypatch):
         {"eigvalsh": (3, 35)}
     assert count(lambda: restricted_isometry(unit6, 3)) == \
         {"eigvalsh": (2, 3)}
-    assert count(lambda: rado_horn_check(unit4, 4)) == {"svd": (44, 112)}
-    assert count(lambda: phase_retrieval_check(unit4)) == {"svd": (7, 324)}
+    assert count(lambda: rado_horn_check(unit4, 4)) == {"svd": (22, 22)}
+    assert count(lambda: phase_retrieval_check(unit4)) == \
+        {"cholesky": (1, 715)}
     assert _results_bits(erasure_robustness(parseval, 3)) == \
         _results_bits(erasure_by_full_scan(parseval, 3))
     assert restricted_isometry(unit6, 3) == \

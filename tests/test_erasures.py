@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from frame_cases import oracle_frames
+from oracles import phase_by_side_ranks
 from pavekit import core, erasures
 from pavekit.core import (
     RANK_TOL,
@@ -204,9 +205,10 @@ def _sign_blind_frames():
 
 
 def test_phase_does_not_depend_on_scale():
-    """Scaled near 1e200, a family's flat tests overflow their norms and
-    bounds and fall to subset_ranks, so phase gives the unscaled answer,
-    and numpy warns of nothing."""
+    """Scaled near 1e200, the Cholesky certificate scales the family back
+    by a power of two before its Gram products, and where it refuses, the
+    flat tests overflow their norms and bounds and fall to subset_ranks;
+    so phase gives the unscaled answer, and numpy warns of nothing."""
     verdicts = set()
     for fr in itertools.chain(oracle_frames(7, 60),
                               [gen_random_unit_frame(4, 13, 5)]):
@@ -384,3 +386,107 @@ def test_tiny_frames_keep_subset_ranks_answers():
         assert witness == _complement_witness_oracle(t), t
         witnesses += witness is not None
     assert witnesses >= 3
+
+
+# ---------------------------------------------------------------------------
+# the Cholesky certificate phase tries before the flat scan
+# ---------------------------------------------------------------------------
+
+def _certificate_frames():
+    """Real families for the certificate: generic unit ones, the real parts
+    of harmonic ones (repeated and antipodal columns among them), ones
+    with a repeated vector, rank-deficient ones, and near-cut ones, whose
+    third vector lies 10^-9 to 10^-5 off the plane of the first two, so
+    that one basis's sigma_n sits on either side of the certificate's
+    threshold; M from 2n - 1 up, and one below."""
+    rng = np.random.default_rng(33)
+    for n, m in ((1, 3), (2, 3), (2, 9), (3, 5), (3, 8), (4, 7), (4, 13),
+                 (5, 9), (3, 4)):
+        unit = gen_random_unit_frame(n, m, 10 * n + m).synthesis
+        yield unit
+        yield np.real(gen_harmonic_frame(n, m).synthesis)
+        yield unit[:, [*range(m - 1), 0]]
+        if n > 1:
+            yield rng.standard_normal((n, n - 1)) @ \
+                rng.standard_normal((n - 1, m))
+        if n > 2:
+            nu = np.linalg.svd(unit[:, :2])[0][:, -1]
+            for off in (1e-9, 1e-8, 1e-7, 1e-6, 1e-5):
+                near = unit.copy()
+                near[:, 2] = 0.6 * unit[:, 0] - 0.8 * unit[:, 1] + off * nu
+                yield near
+
+
+def test_certificate_route_matches_the_side_rank_scan(monkeypatch):
+    """phase, which tries core.every_basis_clears before the flat scan,
+    gives tests/oracles.py's scan of side ranks the same results on every
+    family above at scales 1 and 2^+-500, and on the 3 x 5 frame at 2^-560
+    whose near-degenerate basis a norm of 0 would certify; the certificate
+    decides some families and refuses others, numpy warns of nothing."""
+    decided = []
+
+    def recorded(t, cut):
+        decided.append(core.every_basis_clears(t, cut))
+        return decided[-1]
+
+    monkeypatch.setattr(erasures, "every_basis_clears", recorded)
+    rng = np.random.default_rng(560)
+    near = rng.standard_normal((3, 5))
+    near[:, 2] = near[:, 0] + near[:, 1] + 1e-13 * rng.standard_normal(3)
+    cases = [scale * t for t in _certificate_frames()
+             for scale in (1.0, 2.0 ** 500, 2.0 ** -500)]
+    for t in cases + [near * 2.0 ** -560]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = phase_retrieval_check(Frame(t))
+        assert got == phase_by_side_ranks(Frame(t)), t
+    assert set(decided) == {True, False}
+    assert decided[-1] is False
+    assert sum(decided) >= 3 * 15
+
+
+def _least_basis_sigma(t):
+    n, m = t.shape
+    bases = np.array(list(itertools.combinations(range(m), n)))
+    return np.linalg.svd(t[:, bases].transpose(1, 0, 2),
+                         compute_uv=False)[:, -1].min()
+
+
+@pytest.mark.parametrize("cap", [None, 200])
+def test_every_basis_clears_holds_to_the_least_sigma(monkeypatch, cap):
+    """Against one svd per basis: a cut 0.1% under the least sigma_n of
+    every n-column basis is certified, and one 0.1% over it never is, in
+    one stack or in stacks of a few bases, at scales 1 and 2^+-500."""
+    if cap is not None:
+        monkeypatch.setattr(core, "BLOCK_STACK_BYTES", cap)
+    for n, m in ((1, 4), (2, 6), (3, 7), (4, 9), (5, 8)):
+        t = gen_random_unit_frame(n, m, n + m).synthesis
+        least = _least_basis_sigma(t)
+        assert least > 1e-3
+        for scale in (1.0, 2.0 ** 500, 2.0 ** -500):
+            assert core.every_basis_clears(scale * t,
+                                           scale * least * (1 - 1e-3))
+            assert not core.every_basis_clears(scale * t,
+                                               scale * least * (1 + 1e-3))
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_every_basis_clears_covers_the_rounding_of_its_proof(n):
+    """An n x n basis whose Gram matrix diag(1, ..., 1, L) is exact, and
+    which a Cholesky factorization shifted by s decides exactly by L > s:
+    the certificate refuses it where L - c^2 stays under 0.9 of the
+    rounding its proof covers, Higham's gamma_n for the Gram products and
+    Rump's gamma_(n+1) / (1 - gamma_(n+1)) for the factorization, each
+    times n - 1, the trace less L, and takes it at 4 times that."""
+    u = np.finfo(float).eps / 2
+
+    def gamma(k):
+        return k * u / (1 - k * u)
+
+    cut = 1e-9
+    for share, want in ((0.9, False), (4.0, True)):
+        trace = n - 1.0
+        lam = cut ** 2 + share * (gamma(n) + gamma(n + 1) /
+                                  (1 - gamma(n + 1))) * trace
+        t = np.diag([1.0] * (n - 1) + [np.sqrt(lam)])
+        assert core.every_basis_clears(t, cut) is want, share
