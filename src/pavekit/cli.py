@@ -11,6 +11,8 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import sys
@@ -406,51 +408,59 @@ _COMMANDS = {
 }
 
 
-def _parser(names, metavar=None):
-    """The root parser with the subparsers of the named commands.  A
-    command in reports._INPUTS takes --input, before its own options."""
+def _add_command(p, name):
+    """Add the named command's arguments to its parser p: --input first for
+    a command in reports._INPUTS, then its options, then --report and
+    default_of, which gives _config each option's default."""
+    _, add_options, rows, _ = _COMMANDS[name]
+    if name in _INPUTS:
+        p.add_argument(_flag("input"), required=True)
+    if add_options is not None:
+        add_options(p)
+    if rows is not None:    # verify's --report names the one it reads
+        p.add_argument("--report", help="write a JSON report to this path")
+        p.set_defaults(default_of=p.get_default)
+
+
+def build_parser():
+    """The parser of every subcommand, which prints every error."""
     parser = argparse.ArgumentParser(
         prog="pavekit",
         description="Finite-dimensional paving, dilation and partition "
                     "toolkit with verifiable reports.")
     parser.add_argument("--version", action="version",
                         version=f"pavekit {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar=metavar)
-    for name in names:
-        help_text, add_options, rows, _ = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        if name in _INPUTS:
-            p.add_argument(_flag("input"), required=True)
-        if add_options is not None:
-            add_options(p)
-        if rows is not None:    # verify's --report names the one it reads
-            p.add_argument("--report", help="write a JSON report to this path")
-            p.set_defaults(default_of=p.get_default)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, *_) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text), name)
     return parser
 
 
-def build_parser():
-    """The parser of every subcommand: what help, --version and any
-    misspelled command get."""
-    return _parser(_COMMANDS)
-
-
-def _parser_for(argv):
-    """Only the named subcommand's parser when argv starts with one, the
-    full parser otherwise.  The narrow root still lists every command in
-    its usage line, which its "unrecognized arguments" error prints; the
-    full root keeps argparse's own metavar, since its errors name the
-    command argument by it."""
+def _parse_args(argv):
+    """argv parsed by its command's parser alone, with errors unprinted;
+    where that errs or leaves an argument unused, or argv names no command,
+    by build_parser(), which prints the error, the root's where the root
+    reads one first (an option abbreviating both --help and --version)."""
     if argv and argv[0] in _COMMANDS:
-        return _parser([argv[0]], "{" + ",".join(_COMMANDS) + "}")
-    return build_parser()
+        parser = argparse.ArgumentParser(prog=f"pavekit {argv[0]}")
+        _add_command(parser, argv[0])
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                args, extra = parser.parse_known_args(argv[1:])
+        except SystemExit as exc:
+            if not exc.code:    # --help
+                raise
+            extra = True
+        if not extra:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    args = _parser_for(argv).parse_args(argv)
+    args = _parse_args(argv)
     start = time.perf_counter()
     try:
         if args.command == "verify":

@@ -84,7 +84,8 @@ def erasure_robustness(fr, k):
         raise ContractViolation(f"--k {k} must be in 0 <= k < M = {fr.M}")
     total = math.comb(fr.M, k)
     if total > SUBSET_BUDGET:
-        raise BudgetExceeded(f"{total} erasure patterns exceed the budget")
+        raise BudgetExceeded(
+            f"{total} erasures exceed the {SUBSET_BUDGET} budget")
     parseval = _is_parseval(fr)     # refuses a frame operator past budget
     t = fr.synthesis
     bottom = stack_spectra(t, np.arange(fr.M)[None], frame=True)[0, 0]

@@ -469,7 +469,8 @@ def wkhb_partition(a, r, seed=0):
         masses[:, old] -= a[:, i]
         masses[:, b] += a[:, i]
     else:
-        raise BudgetExceeded("wkhb_partition did not stabilize in budget")
+        raise BudgetExceeded(f"wkhb_partition did not stabilize in the "
+                             f"{WKHB_MOVE_BUDGET} moves allowed")
     onehot = np.zeros((m, r))
     onehot[np.arange(m), labels] = 1.0
     masses = a @ onehot                     # recompute to shed update roundoff

@@ -1,7 +1,8 @@
 """The benchmark deck's command lines still run: job 0 of each workload in
 perfbench/jobs.py, at seed 1, exits 0 through cli.main and its every report
-passes verify.  An option the deck passes cannot be dropped unnoticed, nor
-the Cholesky certificate that decides the deck's phase frame."""
+passes verify, each call building one argument parser.  An option the deck
+passes cannot be dropped unnoticed, nor the Cholesky certificate that
+decides the deck's phase frame."""
 
 import contextlib
 import importlib.util
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from pavekit import cli, erasures
+from test_cli_boundary import _count_parsers
 
 _JOBS = Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py"
 
@@ -38,10 +40,13 @@ def test_deck_job_zero_runs_and_verifies(monkeypatch, tmp_path, workload):
     monkeypatch.chdir(tmp_path)     # the deck writes under relative paths
     steps = jobs.build_job(workload, 1, 0)
     assert steps
+    built = _count_parsers(monkeypatch)
     for argv, report in steps:
-        assert _main(argv)[0] == 0, argv
-        code, out = _main(["verify", "--report", report])
-        assert code == 0 and json.loads(out)["verified"] is True, (argv, out)
+        for run in (argv, ["verify", "--report", report]):
+            built.clear()
+            code, out = _main(run)
+            assert code == 0 and len(built) == 1, (run, len(built))
+        assert json.loads(out)["verified"] is True, (argv, out)
 
 
 def test_deck_phase_is_decided_without_the_flat_scan(monkeypatch, tmp_path):

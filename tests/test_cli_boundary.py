@@ -26,7 +26,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pavekit import cli, reports
+from pavekit import cli, paving, reports
 from oracles import (
     erasure_by_full_scan,
     phase_by_side_ranks,
@@ -34,6 +34,7 @@ from oracles import (
 )
 from pavekit.core import (
     ENTRY_BUDGET,
+    SUBSET_BUDGET,
     BudgetExceeded,
     ContractViolation,
     Frame,
@@ -813,6 +814,14 @@ def test_subcommand_texts_are_the_full_parsers(tmp_path, name):
         _same_texts(argv)
 
 
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_an_option_ambiguous_at_the_root_gets_the_roots_error(name):
+    """The full root reads every argument for its own options first, so
+    "--=" after a command, which abbreviates both --help and --version, is
+    the root's error, not the command's."""
+    _same_texts([name, "--=1"])
+
+
 def _count_parsers(monkeypatch):
     """The list that every ArgumentParser built from now on appends to."""
     built = []
@@ -832,12 +841,61 @@ def test_a_command_builds_only_its_own_parser(tmp_path, monkeypatch,
     assert cli.main(commands(tmp_path)["kadec"] + ["--report", rep]) == 0
     built = _count_parsers(monkeypatch)
     assert cli.main(["verify", "--report", rep]) == 0
-    assert len(built) <= 2
+    assert len(built) == 1
     built.clear()
     monkeypatch.setattr(sys, "argv", ["pavekit", "verify", "--report", rep])
     assert cli.main() == 0
-    assert len(built) <= 2
+    assert len(built) == 1
     assert capsys.readouterr().out.count('"verified": true') == 2
     built.clear()
     assert _run(["--help"])[0] == 0
     assert len(built) == 1 + len(SUBCOMMANDS)
+    built.clear()       # the command's parser, then the full one for its error
+    code, err = _run(["verify", "--report", rep, "extra"])
+    assert code == 2 and "unrecognized arguments: extra" in err
+    assert len(built) == 2 + len(SUBCOMMANDS)
+
+
+def _configs(args):
+    """The fields of a parsed namespace, with default_of read off as each
+    option's default, since the two parsers' bound methods differ."""
+    fields = dict(vars(args))
+    default_of = fields.pop("default_of", None)
+    if default_of is not None:
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        fields["default_of"] = {
+            a.dest: default_of(a.dest)
+            for a in sub.choices[args.command]._actions}
+    return fields
+
+
+def test_one_parser_configs_are_the_full_parsers(tmp_path):
+    """Every argv of report_cases, with and without --report, and the
+    verify of each of its reports parse to the namespace the full parser
+    gives, field by field."""
+    cases = commands(tmp_path)
+    runs = [argv + extra for argv in cases.values()
+            for extra in ([], ["--report", str(tmp_path / "r.json")])]
+    runs += [["verify", "--report", str(tmp_path / f"{case}.report.json")]
+             for case in cases]
+    for argv in runs:
+        one, full = cli._parse_args(argv), cli.build_parser().parse_args(argv)
+        assert _configs(one) == _configs(full), argv
+        assert ("default_of" in vars(one)) == (argv[0] != "verify"), argv
+
+
+def test_erasure_budget_names_the_budget(tmp_path):
+    frame = tmp_path / "f240.json"
+    frame.write_text(canonical_json(matrix_to_json(
+        np.random.default_rng(0).standard_normal((2, 40)))))
+    code, err = _run(["erasure", "--input", str(frame), "--k", "6"])
+    assert (code, err) == (3, f"budget exceeded: {math.comb(40, 6)} erasures "
+                              f"exceed the {SUBSET_BUDGET} budget\n")
+
+
+def test_wkhb_budget_names_the_moves_allowed(tmp_path, monkeypatch):
+    monkeypatch.setattr(paving, "WKHB_MOVE_BUDGET", 0)
+    code, err = _run(commands(tmp_path)["tp1"])
+    assert (code, err) == (3, "budget exceeded: wkhb_partition did not "
+                              "stabilize in the 0 moves allowed\n")
