@@ -15,6 +15,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import sys
 import time
 
@@ -55,6 +56,15 @@ def _read_json(path):
     with open(path, "rb") as fh:
         data = fh.read()
     return _parse_json(data, path), input_record(path, data)
+
+
+def _same_file(a, b):
+    """Whether paths a and b name one file: os.path.samefile where both
+    exist, so a symlink or hard link counts, else by their real paths."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return os.path.realpath(a) == os.path.realpath(b)
 
 
 def _finite_float(s):
@@ -468,6 +478,13 @@ def main(argv=None):
             print(json.dumps({"verified": ok, "reasons": reasons},
                              sort_keys=True))
             return 0
+        for option in ("input", "out"):     # what the command reads or writes
+            path = getattr(args, option, None)
+            if args.report and path is not None and \
+                    _same_file(args.report, path):
+                raise ContractViolation(
+                    f"--report {args.report!r} and --{option} {path!r} "
+                    "name the same file")
         name, inputs = _INPUTS.get(args.command), {}
         if name is None:
             obj = getattr(args, "out", None)    # where gen writes its object

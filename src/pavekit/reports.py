@@ -34,6 +34,7 @@ import json
 import math
 import os
 import reprlib
+import stat
 import time
 
 import numpy as np
@@ -133,10 +134,26 @@ def make_report(command, config, inputs, results, wall_time_s):
 
 
 def _write_text(path, text):
-    """Write a canonical JSON text and one trailing newline."""
-    with open(path, "w") as fh:
-        fh.write(text)
-        fh.write("\n")
+    """Write the ASCII bytes of a canonical JSON text and one trailing
+    newline over the file's old bytes, then trim a regular file that was
+    longer to their length.  The file is never truncated to zero: on ext4,
+    whose auto_da_alloc default starts writeback of a file truncated to
+    zero and rewritten when it is closed, the next truncate of that path
+    waits for it.  The inode, its links and mode bits stay, and a new file
+    gets 0o666 less the umask, as with open(path, "w").  Nothing is synced:
+    an interrupted write leaves the new text cut short or followed by old
+    bytes, where a truncating write left it cut short."""
+    data = text.encode("ascii")     # raises before the file is opened
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        for chunk in (memoryview(data), b"\n"):
+            while chunk:
+                chunk = chunk[os.write(fd, chunk):]
+        st = os.fstat(fd)
+        if stat.S_ISREG(st.st_mode) and st.st_size > len(data) + 1:
+            os.ftruncate(fd, len(data) + 1)
+    finally:
+        os.close(fd)
 
 
 def write_report(path, report):

@@ -2,17 +2,20 @@
 perfbench/jobs.py, at seed 1, exits 0 through cli.main and its every report
 passes verify, each call building one argument parser.  An option the deck
 passes cannot be dropped unnoticed, nor the Cholesky certificate that
-decides the deck's phase frame."""
+decides the deck's phase frame.  A second run in the same directory
+rewrites every file over the first run's, byte for byte."""
 
 import contextlib
 import importlib.util
 import io
 import json
+import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from pavekit import cli, erasures
+from pavekit import cli, erasures, reports
 from test_cli_boundary import _count_parsers
 
 _JOBS = Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py"
@@ -65,3 +68,36 @@ def test_deck_phase_is_decided_without_the_flat_scan(monkeypatch, tmp_path):
         code, out = _main(["verify", "--report", report])
         assert code == 0 and json.loads(out)["verified"] is True, out
     assert scans == []
+
+
+def _files(root):
+    """{path under root: (bytes, inode)} of every file below root."""
+    return {str(path.relative_to(root)): (path.read_bytes(),
+                                          path.stat().st_ino)
+            for path in sorted(Path(root).rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("workload", ["pave-search", "subset-scan",
+                                      "wide-frames"])
+def test_deck_job_zero_rewrites_its_files_in_place(monkeypatch, tmp_path,
+                                                  workload):
+    """Job 0 run twice in one directory, as the benchmark runs its jobs:
+    the second run writes every report and gen object over the first's.
+    With the clocks in meta held still, each file is byte-identical to
+    the first run's, on the same inode, and each report verifies."""
+    monkeypatch.setattr(reports, "time", SimpleNamespace(time=lambda: 1.5))
+    monkeypatch.setattr(cli, "time",
+                        SimpleNamespace(perf_counter=lambda: 0.25))
+    monkeypatch.chdir(tmp_path)
+    jobs = _jobs()
+    runs = []
+    for _ in range(2):
+        steps = jobs.build_job(workload, 1, 0)
+        for argv, report in steps:
+            assert _main(argv)[0] == 0, argv
+            code, out = _main(["verify", "--report", report])
+            assert code == 0 and json.loads(out)["verified"] is True, out
+        runs.append(_files(tmp_path))
+    reports_written = {os.path.normpath(report) for _, report in steps}
+    assert reports_written <= set(runs[0]), sorted(runs[0])
+    assert runs[1] == runs[0]

@@ -202,14 +202,73 @@ def test_mv_theta_refuses_an_overflowing_integral():
 def test_a_report_that_cannot_be_encoded_prints_no_verdict(tmp_path,
                                                            monkeypatch):
     """The report is encoded and written before the summary line is
-    printed, so one that cannot be written leaves no verdict on stdout."""
+    printed, so one that cannot be written leaves no verdict on stdout.
+    No file is opened: a new path stays absent and an old file keeps its
+    bytes."""
     monkeypatch.setitem(reports._BUILDERS, "mv-theta", lambda config, obj: {
         "theta": math.nan, "within_unit": True})
-    rep = tmp_path / "report.json"
-    code, out, err = _outputs(MV_THETA + ["--freqs", "0,1", "--coeffs", "1,1",
-                                          "--report", str(rep)])
-    assert code == 2 and "not JSON compliant" in err and out == "", err
+    opened, os_open = [], os.open
+    monkeypatch.setattr(os, "open", lambda *a, **k: opened.append(a[0]) or
+                        os_open(*a, **k))
+    rep, old = tmp_path / "report.json", tmp_path / "old.json"
+    old.write_bytes(b'{"an": "older report"}\n')
+    for path in (rep, old):
+        code, out, err = _outputs(MV_THETA + [
+            "--freqs", "0,1", "--coeffs", "1,1", "--report", str(path)])
+        assert code == 2 and "not JSON compliant" in err and out == "", err
     assert not rep.exists()
+    assert old.read_bytes() == b'{"an": "older report"}\n'
+    assert opened == []
+
+
+def _same_file_cases(tmp_path):
+    """(argv, the option --report collides with, the file both name) for
+    a report path that is the file itself, a symlink to it and a hard link
+    to it, over ric's --input and gen's --out."""
+    frame = tmp_path / "frame.json"
+    assert _run(["gen", "--kind", "random-unit", "--n", "3", "--M", "7",
+                 "--seed", "0", "--out", str(frame)])[0] == 0
+    out = tmp_path / "out.json"
+    out.write_bytes(b"an older object\n")
+    gen = ["gen", "--kind", "random-unit", "--n", "3", "--M", "7", "--seed",
+           "1", "--out"]
+    for option, target, argv in (
+            ("--input", frame, ["ric", "--input", str(frame), "--s", "2"]),
+            ("--out", out, gen + [str(out)])):
+        link, hard = tmp_path / f"{target.stem}.lnk", tmp_path / \
+            f"{target.stem}.hard"
+        link.symlink_to(target)
+        os.link(target, hard)
+        for rep in (target, link, hard):
+            yield argv + ["--report", str(rep)], option, target
+
+
+def test_a_report_cannot_name_the_file_its_command_reads_or_writes(
+        tmp_path):
+    """--report naming the --input or --out file, by its own path, a
+    symlink or a hard link, exits 2 naming both options, and the file
+    keeps its bytes."""
+    cases = list(_same_file_cases(tmp_path))
+    assert len(cases) == 6
+    for argv, option, target in cases:
+        before = target.read_bytes()
+        code, out, err = _outputs(argv)
+        assert code == 2 and out == "", (argv, err)
+        assert "--report" in err and option in err and \
+            "name the same file" in err, err
+        assert target.read_bytes() == before, argv
+
+
+def test_a_report_over_a_new_out_path_is_refused_first(tmp_path):
+    """gen --out and --report naming one path that does not exist yet
+    exits 2 before writing either."""
+    same = tmp_path / "sub" / ".." / "g.json"
+    (tmp_path / "sub").mkdir()
+    code, err = _run(["gen", "--kind", "harmonic", "--n", "2", "--M", "4",
+                      "--out", str(tmp_path / "g.json"),
+                      "--report", str(same)])
+    assert code == 2 and "--out" in err and "--report" in err, err
+    assert list(tmp_path.iterdir()) == [tmp_path / "sub"]
 
 
 @pytest.mark.parametrize("option, value, rest", [

@@ -2,7 +2,9 @@
 canonical JSON text (sorted keys, no whitespace) and a newline, gen's
 object_sha256 hashes that text, and indented files that older versions
 wrote still read and verify.  Matrices and grids travel as base64 of
-little-endian float64, and the [re, im] pair form still reads."""
+little-endian float64, and the [re, im] pair form still reads.  Every file
+is written by reports._write_text, over its old bytes and then trimmed,
+never truncated to zero."""
 
 import ast
 import builtins
@@ -11,6 +13,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -320,3 +324,208 @@ def test_each_input_is_opened_once_per_command(tmp_path, monkeypatch):
             assert opened[rep] == 1, case
             seen += len(inputs)
     assert seen >= 15
+
+
+# ---------------------------------------------------------------------------
+# the write path: reports._write_text writes over a file's old bytes and
+# trims what is left of them
+# ---------------------------------------------------------------------------
+
+_TEXT = canonical_json({"a": [1, 2, 3], "b": "x" * 40})
+_BYTES = (_TEXT + "\n").encode()
+
+
+def test_write_text_creates_a_new_file_with_the_umasks_mode(tmp_path):
+    path = tmp_path / "new.json"
+    reports._write_text(str(path), _TEXT)
+    mask = os.umask(0o22)
+    os.umask(mask)
+    assert path.read_bytes() == _BYTES
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~mask
+
+
+@pytest.mark.parametrize("old", [b"y" * 500 + b"\n", b"{}\n", b""],
+                         ids=["longer", "shorter", "empty"])
+def test_write_text_over_an_old_file_leaves_no_stale_tail(tmp_path, old):
+    path = tmp_path / "old.json"
+    path.write_bytes(old)
+    inode = path.stat().st_ino
+    reports._write_text(str(path), _TEXT)
+    assert path.read_bytes() == _BYTES
+    assert path.stat().st_ino == inode
+
+
+def test_write_text_through_a_symlink_rewrites_its_target(tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_bytes(b"z" * 500)
+    link.symlink_to(target)
+    reports._write_text(str(link), _TEXT)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == _BYTES
+
+
+def test_write_text_keeps_the_inode_of_a_hard_linked_file(tmp_path):
+    path, other = tmp_path / "a.json", tmp_path / "b.json"
+    path.write_bytes(b"z" * 500)
+    os.link(path, other)
+    inode = path.stat().st_ino
+    reports._write_text(str(path), _TEXT)
+    assert path.stat().st_ino == other.stat().st_ino == inode
+    assert path.stat().st_nlink == 2 and other.read_bytes() == _BYTES
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o640, 0o664])
+def test_write_text_keeps_an_old_files_mode_bits(tmp_path, mode):
+    path = tmp_path / "old.json"
+    path.write_bytes(b"z" * 500)
+    path.chmod(mode)
+    reports._write_text(str(path), _TEXT)
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+    assert path.read_bytes() == _BYTES
+
+
+def test_write_text_finishes_short_writes(tmp_path, monkeypatch):
+    """os.write may write less than it is given; every byte still lands,
+    in order."""
+    os_write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, b: os_write(fd, b[:7]))
+    path = tmp_path / "short.json"
+    path.write_bytes(b"z" * 500)
+    reports._write_text(str(path), _TEXT)
+    assert path.read_bytes() == _BYTES
+
+
+def test_write_text_trims_only_a_regular_file(tmp_path, monkeypatch):
+    """A file that fstat does not call regular (a device, a pipe) is
+    written over and never trimmed, whatever size it reports."""
+    trims, os_fstat = [], os.fstat
+
+    def as_device(fd):
+        st = list(os_fstat(fd))
+        st[stat.ST_MODE] = stat.S_IFCHR | 0o666
+        return os.stat_result(st)
+    monkeypatch.setattr(os, "fstat", as_device)
+    monkeypatch.setattr(os, "ftruncate", lambda fd, n: trims.append(n))
+    path = tmp_path / "device.json"
+    path.write_bytes(b"z" * 500)
+    reports._write_text(str(path), _TEXT)
+    assert trims == []
+    assert path.read_bytes() == _BYTES + b"z" * (500 - len(_BYTES))
+
+
+def test_write_text_of_a_text_it_cannot_encode_opens_nothing(tmp_path):
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_bytes(_BYTES)
+    for path in (old, new):
+        with pytest.raises(UnicodeEncodeError):
+            reports._write_text(str(path), '"\u00e9"')
+    assert old.read_bytes() == _BYTES and not new.exists()
+
+
+def test_reports_and_objects_to_dev_null_exit_0(tmp_path):
+    frame = str(tmp_path / "frame.json")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen", "--kind", "harmonic", "--n", "2", "--M", "4",
+                     "--out", frame]) == 0
+        assert main(["ric", "--input", frame, "--s", "2",
+                     "--report", os.devnull]) == 0
+        assert main(["gen", "--kind", "harmonic", "--n", "2", "--M", "4",
+                     "--out", os.devnull,
+                     "--report", str(tmp_path / "gen.json")]) == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    assert verify(str(tmp_path / "gen.json")) == (True, [])
+
+
+def _opens_for_writing(node):
+    """Whether an AST node can open a file for writing: os.open or
+    os.fdopen, open() or a Path's open() in a mode that writes or one not
+    spelled out, an import of open from os, or a Path write method."""
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "os" and \
+            any(a.name in ("open", "fdopen") for a in node.names)
+    if isinstance(node, ast.Attribute) and \
+            node.attr in ("write_text", "write_bytes"):
+        return True
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
+            and func.value.id == "os":
+        return func.attr in ("open", "fdopen")
+    if isinstance(func, ast.Name) and func.id == "open":
+        at = 1                      # open(file, mode)
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        at = 0 if not isinstance(func.value, ast.Name) or \
+            func.value.id not in ("io", "builtins") else 1
+    else:
+        return False
+    modes = node.args[at:at + 1] + [k.value for k in node.keywords
+                                    if k.arg == "mode"]
+    return any(not isinstance(m, ast.Constant) or set("wax+") & set(m.value)
+               for m in modes)
+
+
+def test_one_write_path():
+    """reports._write_text is the one function in the package that opens
+    a file to write it, so no other writer can truncate a file to zero."""
+    found = set()
+    for path in sorted(Path(pavekit.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            owner = f"{path.stem}.{getattr(stmt, 'name', stmt.lineno)}"
+            if any(map(_opens_for_writing, ast.walk(stmt))):
+                found.add(owner)
+    assert found == {"reports._write_text"}
+
+
+def test_the_write_scan_sees_each_writer():
+    for src in ('open(p, "w")', 'open(p, mode="a")', "open(p, m)",
+                'open(p, "r+b")', "os.open(p, 1)", "os.fdopen(3, 'w')",
+                "from os import open", 'io.open(p, "x")', "Path(p).open('w')",
+                "p.write_text(t)", "p.write_bytes(b)"):
+        assert any(map(_opens_for_writing, ast.walk(ast.parse(src)))), src
+    for src in ("open(p)", 'open(p, "rb")', "Path(p).open()",
+                "fh.write(t)", 'io.open(p, mode="r")'):
+        assert not any(map(_opens_for_writing, ast.walk(ast.parse(src)))), src
+
+
+def test_no_write_truncates_a_file_to_zero(tmp_path, monkeypatch):
+    """Every report and gen --out file, new or rewritten over a longer old
+    one, is opened once by os.open, never with O_TRUNC, and os.ftruncate
+    trims only a regular file that was longer; a rewritten report is its
+    canonical text and verifies.  A report to /dev/null is trimmed never."""
+    opens, trims = [], []
+    os_open, ftruncate = os.open, os.ftruncate
+
+    def opening(path, flags, *args, **kwargs):
+        opens.append((str(path), flags))
+        return os_open(path, flags, *args, **kwargs)
+
+    def trimming(fd, length):
+        trims.append(stat.S_ISREG(os.fstat(fd).st_mode))
+        return ftruncate(fd, length)
+    monkeypatch.setattr(os, "open", opening)
+    monkeypatch.setattr(os, "ftruncate", trimming)
+    cases = commands(tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        for stale in (False, True):
+            for case, argv in cases.items():
+                rep = str(tmp_path / f"{case}.report.json")
+                written = [rep] + [argv[i + 1] for i, a in enumerate(argv)
+                                   if a == "--out"]
+                if stale:
+                    for path in written:
+                        with open(path, "ab") as fh:
+                            fh.write(b" stale tail" * 50)
+                opens.clear()
+                trims.clear()
+                assert main(argv + ["--report", rep]) == 0, case
+                assert sorted(p for p, _ in opens) == sorted(written), case
+                assert not [f for _, f in opens if f & os.O_TRUNC], case
+                assert trims == [True] * len(written) * stale, case
+                assert Path(rep).read_text() == \
+                    canonical_json(load_report(rep)) + "\n", case
+                assert verify(rep) == (True, []), case
+        opens.clear()
+        trims.clear()
+        assert main(cases["ric"] + ["--report", os.devnull]) == 0
+    assert [p for p, _ in opens] == [os.devnull] and trims == []
