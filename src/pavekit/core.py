@@ -7,8 +7,9 @@ ordinary matrix product away.  This module owns the boundary checks
 (finite entries, Hermitian symmetry, shape sanity), the eigen/rank
 primitives (every subset scan cuts its stacks with index_stacks and prices
 them with stack_spectra, stack_norms or subset_ranks, where cheap bounds
-cannot decide: bound_first_scan, spanning, hyperplane_flats; or proves a
-threshold on every basis by Cholesky: every_basis_clears), partitions as
+cannot decide: spanning, hyperplane_flats; the scans of erasure, ric and
+phase take their subsets from combination_table and prove thresholds on
+whole stacks with stack_clears' Cholesky certificate), partitions as
 block lists, their enumeration in restricted-growth order, the seeded
 generators, and the JSON wire formats: values as base64 of
 little-endian float64, every bit kept, or as the [re, im] pairs still read.
@@ -143,9 +144,12 @@ def sym_eig(m):
     return w, v
 
 
-# Most bytes stacked for one batched eigvalsh or svd call, a constant so a
-# scan's memory stays flat however many subsets it visits.
+# Most bytes stacked for one batched eigvalsh, svd or stack_clears call, a
+# constant so a scan's memory stays flat however many subsets it visits.
 BLOCK_STACK_BYTES = 256 * 1024
+
+# Rows a threshold descent prices first, per end, before stack_clears runs.
+FEW_PRICED = 4
 
 
 def index_stacks(subsets, row_bytes):
@@ -179,118 +183,83 @@ def stack_spectra(a, idx, frame=False):
     return np.linalg.eigvalsh(0.5 * (sub + np.swapaxes(sub.conj(), -1, -2)))
 
 
-def bound_first_scan(m, sizes, bounds, bound_bytes, price, price_bytes,
-                     top=False):
-    """(least, first, greatest) of price over the subsets of range(m) of
-    each size in sizes, in itertools.combinations order, as a full scan
-    finds them: the least price, the first subset (a list) with that
-    price, and with top the greatest price (else None).
+def combination_table(m, k):
+    """The k-subsets of range(m) as a (C(m, k), k) intp array, in
+    itertools.combinations order.  Built by recurrence on k: the j-subsets
+    with first member a are a followed by the (j - 1)-subsets of
+    range(a + 1, m), which are the last C(m - a - 1, j - 1) rows of the
+    (j - 1)-table, in order."""
+    table, binom = np.zeros((1, 0), dtype=np.intp), np.ones(m, dtype=np.intp)
+    for j in range(1, k + 1):
+        counts = binom[::-1]                # C(m - a - 1, j - 1) by a
+        ends = np.cumsum(counts)
+        first = np.repeat(np.arange(m), counts)
+        out = np.empty((len(first), j), dtype=np.intp)
+        out[:, 0] = first
+        out[:, 1:] = table[np.arange(len(out)) + (len(table) - ends)[first]]
+        table, binom = out, np.cumsum(binom) - binom    # C(x, j)
+    return table
 
-    price(idx) prices the rows of a (B, k) index array, each with the bits
-    it would get alone, and bounds(idx) gives each row bounds (lo, hi) on
-    that computed price, the caller's rounding margin folded in; a bound
-    that is not finite counts as none, so its row is priced.  Both read
-    stacks cut by index_stacks, with bound_bytes(k) and price_bytes(k)
-    bytes per row.
 
-    Each stack is bounded as it is read, and a row stays live only while
-    it may still change the answer: for the least, lo at most the least hi
-    seen (a row above it prices more than the row with that hi) and at
-    most the least price known, equal only at an earlier row; with top, hi
-    at least the greatest lo seen and above the greatest price known.
-    When the stacks held before the newest still take more bytes than the
-    largest bound stack once their dead rows are dropped, and at the end,
-    the held rows are settled: the live row of least lo (with top, also
-    that of greatest hi) is priced first, as the likeliest to decide the
-    rest, then every row still live.  A row never priced cannot be the
-    first least nor, with top, raise the greatest, so the answer is the
-    full scan's, bit for bit, ties included.  Held stacks keep their size
-    and flag their dead rows: arrays cut down to the live rows would take
-    sizes that vary with the input's values, and such small allocations
-    fragment the heap.
+def combination_ranks(idx, m):
+    """The row of each row of the (B, k) index array idx, ascending rows,
+    in combination_table(m, k): C(m, k) - 1 - sum_i C(m - 1 - c_i, k - i)
+    for the row c_0 < ... < c_(k-1)."""
+    k = idx.shape[1]
+    binom = np.zeros((m, k + 1), dtype=np.intp)
+    binom[:, 0] = 1
+    for j in range(1, k + 1):
+        binom[:, j] = np.cumsum(binom[:, j - 1]) - binom[:, j - 1]
+    return math.comb(m, k) - 1 - \
+        binom[m - 1 - idx, np.arange(k, 0, -1)].sum(axis=1)
 
-    The bounds pay only where they rule out most rows: where values tie or
-    the bounds are loose, they add their own cost to a full scan's.  So a
-    settle that has to price more than half of the rows bounded since the
-    last ends the bounding of their size, and the rest of that size is
-    priced as the full scan prices it.  A scan that fits in one settle,
-    about BLOCK_STACK_BYTES / (25 + 8 k) subsets of size k, pays the
-    bounds whatever they rule out.
+
+def stack_clears(blocks, theta):
+    """Whether lambda_min(B) > theta for each B of the (n, n, R) stack
+    blocks, rows last, theta a scalar or one per row: the certified
+    threshold kernel of the subset scans.  It overwrites blocks and reads
+    only their lower triangles, each B the Hermitian matrix of its own,
+    diagonal read as real; lambda_max(B) < theta is -B cleared at -theta.
+
+    A row clears where the Cholesky factorization of K = B - t I, n
+    column steps over the whole stack, meets only finite positive pivots
+    (a non-finite entry makes a later pivot non-finite).  With u = eps / 2,
+    gamma_k = k u / (1 - k u), g_k = gamma_k / (1 - gamma_k) and tiny the
+    least normal float:
+    - t is theta + s rounded, then one float up, so t > theta + s;
+    - each fl(b_jj - t) errs by at most u, so K = B - t I + E with ||E||
+      <= 2 u tr K, as a positive pivot needs a positive K_jj;
+    - a factorization that runs to completion has backward error at most
+      gamma_(n+1) |R*| |R| (Demmel; gamma_(n+3) for complex rows, a
+      complex product erring by at most sqrt(2) gamma_2 < gamma_3), whose
+      norm Rump (Verification of positive definiteness, BIT 2006) bounds
+      by g_(n+1) tr K plus an underflow term below 4 n (2 (n + 1) +
+      tr K) tiny.
+    So lambda_min(B) > theta + s - (g_(n+1) + 2 u) tr K - 16 n (n + 1 +
+    tr K) tiny, where tr K <= w = (1 + g_(n+2)) sum_j max(b_jj - theta,
+    0), the sum as computed.  s is that bound's rest, per row, times
+    1 + 16 eps for its own rounding, so a row that clears has lambda_min(B)
+    above theta.
     """
-    least, first, at, greatest = math.inf, None, -1, -math.inf
-    cap, floor, room, held, start = math.inf, -math.inf, 0, [], 0
-    bounded, plain = 0, set()
+    n = blocks.shape[0]
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
 
-    def take(pos, subsets):
-        nonlocal least, first, at, greatest
-        for rows in index_stacks(subsets, price_bytes):
-            val, here, pos = price(rows), pos[:len(rows)], pos[len(rows):]
-            i = int(np.argmin(val))     # first occurrence, as a scan finds
-            if val[i] < least or val[i] == least and here[i] < at:
-                least, first, at = float(val[i]), rows[i].tolist(), here[i]
-            greatest = max(greatest, float(val.max()))
+    def g(k):
+        gamma = k * eps / 2 / (1 - k * eps / 2)
+        return gamma / (1 - gamma)
 
-    def prune(piece):
-        """Clear, in place, the live flag of each row of a held stack that
-        can no longer change the answer; whether any row is left."""
-        pos, _, lo, hi, live = piece
-        wanted = (lo <= cap) & ((lo < least) | (lo == least) & (pos < at))
-        if top:
-            wanted |= (hi >= floor) & (hi > greatest)
-        live &= wanted
-        return live.any()
-
-    def end(col, fill, pick):
-        """(position, subset) of the live held row whose bound in column
-        col pick, np.argmin or np.argmax, selects."""
-        vals = [np.where(p[4], p[col], fill) for p in held]
-        j = int(pick([v[pick(v)] for v in vals]))
-        i = int(pick(vals[j]))
-        return int(held[j][0][i]), held[j][1][i].tolist()
-
-    def settle():
-        """Price the live held rows, the ends first; how many were priced."""
-        held[:] = [piece for piece in held if prune(piece)]
-        if not held:
-            return 0
-        ends = dict([end(2, np.inf, np.argmin)] +
-                    ([end(3, -np.inf, np.argmax)] if top else []))
-        done = sorted(ends)
-        take(np.array(done), [ends[i] for i in done])
-        rest = [(p[0][keep], p[1][keep]) for p in held if prune(p)
-                for keep in [p[4] & (p[0][:, None] != done).all(axis=1)]]
-        for _, run in itertools.groupby(rest, lambda q: q[1].shape[1]):
-            pos, rows = zip(*run)
-            take(np.concatenate(pos), np.concatenate(rows))
-        held.clear()
-        return len(done) + sum(len(q[0]) for q in rest)
-
-    subsets = itertools.chain.from_iterable(
-        itertools.combinations(range(m), k) for k in sizes)
-    for idx in index_stacks(subsets, bound_bytes):
-        k, pos = idx.shape[1], start + np.arange(len(idx))
-        start += len(idx)
-        if k in plain:
-            take(pos, idx)
-            continue
-        with np.errstate(over="ignore", invalid="ignore"):
-            lo, hi = bounds(idx)
-        lo = np.where(np.isfinite(lo), lo, -np.inf)
-        hi = np.where(np.isfinite(hi), hi, np.inf)
-        cap, floor = min(cap, hi.min()), max(floor, lo.max())
-        room = max(room, len(idx) * bound_bytes(k))
-        bounded += len(idx)
-        new = (pos, idx, lo, hi, np.ones(len(idx), dtype=bool))
-        if prune(new):
-            held.append(new)
-        if sum(a.nbytes for piece in held[:-1] for a in piece) > room:
-            held[:] = [piece for piece in held if prune(piece)]
-            if sum(a.nbytes for piece in held[:-1] for a in piece) > room:
-                if 2 * settle() > bounded:
-                    plain.add(k)
-                bounded = 0
-    settle()
-    return least, first, greatest if top else None
+    diag = np.arange(n)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        w = (1 + g(n + 2)) * np.maximum(blocks[diag, diag].real - theta,
+                                        0.0).sum(axis=0)
+        shift = ((g(n + 3 if np.iscomplexobj(blocks) else n + 1) + eps) * w
+                 + 16 * n * (n + 1 + w) * tiny) * (1 + 16 * eps)
+        blocks[diag, diag] -= np.nextafter(theta + shift, np.inf)
+        for j in range(n - 1):
+            col = blocks[j + 1:, j] / np.sqrt(blocks[j, j].real)
+            blocks[j + 1:, j + 1:] -= col[:, None] * col.conj()[None, :]
+        pivots = blocks[diag, diag].real
+        return ((pivots > 0.0) & (pivots < np.inf)).all(axis=0)
 
 
 def stack_norms(a, idx):
@@ -377,29 +346,20 @@ def spanning(t, subsets):
 
 def every_basis_clears(t, cut):
     """Whether sigma_n(t[:, A]) > cut for every n-subset A of the columns
-    of the real n x M array t, proved by one Cholesky factorization per
-    index_stacks stack of shifted Gram blocks G_A - s I; False, which
-    proves nothing, at the first stack that does not factor.
+    of the real n x M array t, by stack_clears on each stack of Gram
+    blocks; False, which proves nothing, at the first that fails a row.
 
     t is scaled by the power of two 2^-e that brings its largest |entry|
     into [1/2, 1), so no product overflows, and the cut with it: c =
     cut 2^-e is exact, as it stays normal.  The scaling moves an entry of
-    T only where it falls below the normal range, by under tiny eps, tiny
-    the least normal float, so sigma_n(T_A) >= c + n tiny proves the
-    claim.  With u = eps / 2, gamma_k = k u / (1 - k u), g_k = gamma_k /
-    (1 - gamma_k), G~ the computed Gram matrix T^T T, whose entries are
-    dot products of n terms, and W = n max_i G~_ii >= tr G~_A:
-    - ||G~_A - G_A|| <= gamma_n || |T_A|^T |T_A| || <= gamma_n tr G_A,
-      so at most g_n W + 2 n^2 tiny with underflow;
-    - H = G~_A - s I rounds each diagonal entry by at most u (W + s);
-    - where the Cholesky factorization of H runs to completion, its
-      backward error is at most gamma_(n+1) |R^T| |R| (Demmel), whose norm
-      Rump (Verification of positive definiteness, BIT 2006) bounds by
-      g_(n+1) tr H <= g_(n+1) W, plus an underflow term below
-      4 n (2 (n + 1) + W) tiny; so lambda_min(H) is above minus that.
-    Hence lambda_min(G_A) > s (1 - u) - (g_n + g_(n+1) + u) W
-    - 16 n (n + 1 + W) tiny, and s makes that (c + n tiny)^2, with a
-    factor 1 + 16 eps over the rounding of s's own sum.
+    T only below the normal range, by under tiny eps, tiny the least
+    normal float, so sigma_n(T_A) >= c + n tiny proves the claim.  Each
+    entry of the computed Gram matrix G~ = T^T T is a dot product of n
+    terms, so with u = eps / 2, gamma_n = n u / (1 - n u) and W = n
+    max_i G~_ii >= tr G~_A, ||G~_A - G_A|| <= gamma_n tr G_A <= W gamma_n /
+    (1 - gamma_n), plus 2 n^2 tiny with underflow.  So lambda_min(G~_A)
+    above (c + n tiny)^2 plus those terms, times 1 + 16 eps for the
+    rounding of their sum, proves the claim.
     """
     n, m = t.shape
     eps, tiny = np.finfo(t.dtype).eps, np.finfo(t.dtype).tiny
@@ -410,24 +370,14 @@ def every_basis_clears(t, cut):
     ts = np.ldexp(t, -e)
     gram = ts.T @ ts
     w = n * float(np.diagonal(gram).max())
-
-    def g(k):
-        gamma = k * eps / 2 / (1 - k * eps / 2)
-        return gamma / (1 - gamma)
-
-    shift = ((math.ldexp(float(cut), -e) + n * tiny) ** 2 +
-             g(n) * w +               # the Gram products
-             g(n + 1) * w +           # Rump's term for the Cholesky
-             eps / 2 * w +            # the shift's own subtraction
-             16 * n * (n + 1 + w) * tiny) * (1 + 16 * eps)
-    diag = np.arange(n)
-    for idx in index_stacks(itertools.combinations(range(m), n),
-                            lambda k: 2 * t.itemsize * k * k):
-        blocks = gram[idx[:, :, None], idx[:, None, :]]
-        blocks[:, diag, diag] -= shift
-        try:
-            np.linalg.cholesky(blocks)
-        except np.linalg.LinAlgError:
+    gamma = n * eps / 2 / (1 - n * eps / 2)
+    theta = ((math.ldexp(float(cut), -e) + n * tiny) ** 2 +
+             gamma / (1 - gamma) * w +      # the Gram products
+             2 * n * n * tiny) * (1 + 16 * eps)
+    for idx in index_stacks(combination_table(m, n),
+                            lambda k: t.itemsize * k * k):
+        if not stack_clears(gram[idx.T[:, None], idx.T[None, :]],
+                            theta).all():
             return False
     return True
 

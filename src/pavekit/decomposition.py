@@ -7,15 +7,16 @@ block Gram spectrum sits inside [1 - eps, 1 + eps].  Both block feasibility
 predicates here are monotone (enlarging a block only widens its Gram
 spectrum), which is what makes pruning the partition walk sound.
 
-Restricted isometry constants are exact over every small subset: each is
-bounded by cheap norms, and only the subsets those bounds cannot rule out
-are eigen-priced.  The partition algorithm that drives them down routes
-squared inner-product row mass through wkhb_partition and then re-verifies
-every block with restricted_isometry.
+Restricted isometry constants are exact over every small subset: only the
+subsets core.stack_clears cannot rule out are eigen-priced.  The partition
+algorithm that drives them down routes squared inner-product row mass
+through wkhb_partition and then re-verifies every block with
+restricted_isometry.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,18 +25,22 @@ import numpy as np
 from .core import (
     CHECK_TOL,
     EXHAUSTIVE_INDEX_MAX,
+    FEW_PRICED,
     SUBSET_BUDGET,
     VERDICT_SLACK,
     BudgetExceeded,
     ContractViolation,
     Frame,
-    bound_first_scan,
     check_blocks,
+    combination_ranks,
+    combination_table,
     ensure_matrix,
     ensure_unit_norm,
     in_range,
+    index_stacks,
     label_blocks,
     numeric_rank,
+    stack_clears,
     stack_spectra,
     subset_ranks,
     within,
@@ -169,51 +174,75 @@ def feichtinger_partition(fr, a_target, r_max):
     return _partition_by_block_predicate(fr, r_max, a_target, None)
 
 
+def _isometry_prices(g, idx):
+    """min(1 - lambda_max, lambda_min - 1) of the Gram block G[S, S] of
+    each row S of the (B, k) index array idx, minus the deviation
+    restricted_isometry wants the greatest of, in index_stacks stacks."""
+    return np.concatenate([np.zeros(0)] + [
+        np.minimum(1.0 - w[:, -1], w[:, 0] - 1.0)
+        for w in (stack_spectra(g, i) for i in
+                  index_stacks(idx, lambda k: g.itemsize * k * k))])
+
+
 def restricted_isometry(fr, s):
     """delta_s: the worst Gram-spectrum deviation from one over all subsets
     S of size at most s, max(lambda_max - 1, 1 - lambda_min) of G[S, S].
     Returns (delta, worst_subset), the first worst S in scan order.
 
-    Every subset is bounded, and core.bound_first_scan eigen-prices only
-    the subsets whose bounds leave them in play.  The deviation is the
-    norm of G[S, S] - I, which lies between its largest column norm and
-    the Gershgorin row sum or the Frobenius norm of |G[S, S] - I|,
-    whichever is less.  Both bounds are widened by the rounding margin
-    err (1 + s max|G|), err = 64 (n + M) eps, so delta and its subset are
-    those of pricing every subset, bit for bit.  Where a settle of the scan
-    shows the bounds ruling out little, the rest of that size is priced
-    unbounded.
+    A threshold descent on core.stack_clears: the few s-subsets of most
+    off-diagonal mass are priced first, d the greatest deviation among
+    them, and every other one only where stack_clears does not prove its
+    symmetrized block's spectrum inside (1 - d + err, 1 + d - err).  err =
+    64 (n + M) eps (1 + s max|G|) covers eigvalsh's rounding and that of
+    the deviation and thresholds.  Each smaller subset's block is a
+    principal block of the same floats as its s-supersets' blocks, so by
+    Cauchy interlacing its spectrum lies inside theirs, exactly: it is
+    priced only where no s-superset clears.  So the results are those of
+    pricing every subset, bit for bit.
     """
     ensure_unit_norm(fr)
     if s < 1:
         raise ContractViolation("need s >= 1")
-    s = min(s, fr.M)
-    total = sum(math.comb(fr.M, k) for k in range(1, s + 1))
+    m, s = fr.M, min(s, fr.M)
+    total = sum(math.comb(m, k) for k in range(1, s + 1))
     if total > SUBSET_BUDGET:
         raise BudgetExceeded(
             f"{total} subsets exceed the {SUBSET_BUDGET} budget")
     g = gram_matrix(fr)
-    spread = np.abs(g - np.eye(fr.M))
-    err = 64 * (fr.n + fr.M) * np.finfo(float).eps * \
+    err = 64 * (fr.n + m) * np.finfo(float).eps * \
         (1.0 + s * np.abs(g).max())
-
-    def bounds(idx):
-        ix = np.ascontiguousarray(idx.T)        # (k, B): short axes first
-        dev = spread[ix[:, None], ix[None]]     # |G[S, S] - I| as (k, k, B)
-        square = dev * dev
-        upper = np.minimum(dev.sum(axis=1).max(axis=0),
-                           np.sqrt(square.sum(axis=(0, 1))))
-        lower = np.sqrt(square.sum(axis=0).max(axis=0))
-        return -err - upper, err - lower        # bounds on the price, -dev
-
-    def price(idx):
-        w = stack_spectra(g, idx)
-        return np.minimum(1.0 - w[:, -1], w[:, 0] - 1.0)    # -dev
-
-    least, worst_subset, _ = bound_first_scan(
-        fr.M, range(1, s + 1), bounds, lambda k: 4 * g.itemsize * k * k,
-        price, lambda k: g.itemsize * k * k)
-    return max(0.0, -least), worst_subset       # +0.0 where least is 0
+    sym = 0.5 * (g + g.conj().T)        # the entries stack_spectra reads
+    square = np.abs(sym) ** 2
+    rows = combination_table(m, s)
+    spread = np.zeros(len(rows))
+    for a, b in itertools.combinations(rows.T, 2):
+        spread += square[a, b]
+    first = np.argsort(-spread, kind="stable")[:FEW_PRICED]
+    price, live = np.full(len(rows), np.nan), np.ones(len(rows), dtype=bool)
+    price[first] = _isometry_prices(g, rows[first])
+    d = -float(np.nanmin(price))
+    for pos in index_stacks(np.flatnonzero(np.isnan(price))[:, None],
+                            lambda _: 2 * g.itemsize * s * s):
+        idx = rows[pos[:, 0]].T
+        sub = sym[idx[:, None], idx[None, :]]
+        clear = stack_clears(np.concatenate((sub, -sub), axis=2), np.repeat(
+            [1.0 - d + err, -(1.0 + d - err)], len(pos)))
+        live[pos[:, 0]] = ~(clear[:len(pos)] & clear[len(pos):])
+    wanted = live & np.isnan(price)
+    price[wanted] = _isometry_prices(g, rows[wanted])
+    sizes = [(price, rows)]
+    for k in range(s - 1, 0, -1):       # live where every s-superset is
+        supersets, table = math.comb(m - k, s - k), np.zeros((0, k), int)
+        if live.sum() >= supersets:
+            sel = combination_table(s, k)
+            count = sum(np.bincount(combination_ranks(
+                idx[:, sel].reshape(-1, k), m), minlength=math.comb(m, k))
+                for idx in index_stacks(rows[live], lambda _: 8 * sel.size))
+            table = combination_table(m, k)[count == supersets]
+        sizes.insert(0, (_isometry_prices(g, table), table))
+    least = min(float(np.nanmin(p, initial=np.inf)) for p, _ in sizes)
+    got, table = next((p, t) for p, t in sizes if (p == least).any())
+    return max(0.0, -least), table[np.argmax(got == least)].tolist()
 
 
 def tp1_partition(fr, s, delta, seed=0, r_max=64):

@@ -2,10 +2,9 @@
 
 Erasing a set J of vectors leaves the family's complement of J, whose
 lowest frame operator eigenvalue is the surviving lower bound.  erasure
-bounds that value for every J from cheap norms of J's own vectors, and
-eigen-prices, once and on the surviving family, only the J whose bounds,
-widened by a rounding margin, leave them able to change the answer; so it
-returns what pricing every J would.  (For a Parseval family the value
+eigen-prices, once and on the surviving family, only the J that a cheap
+bound or core.stack_clears' certificate leaves able to change the answer;
+so it returns what pricing every J would.  (For a Parseval family the value
 equals one minus the largest Gram eigenvalue of J's block; the tests hold
 the scan to that second route.)  Sign-blind recovery (real case) holds if
 and only if the complement property does (Balan, Casazza and Edidin): every
@@ -20,16 +19,18 @@ import math
 import numpy as np
 
 from .core import (
+    FEW_PRICED,
     SUBSET_BUDGET,
     BudgetExceeded,
     ContractViolation,
     basis_cut,
-    bound_first_scan,
+    combination_table,
     every_basis_clears,
     hyperplane_flats,
     index_stacks,
     numeric_rank,
     spanning,
+    stack_clears,
     stack_spectra,
 )
 from .frames import _is_parseval
@@ -48,12 +49,16 @@ def _erasure_results(k, parseval, worst, subset, scanned, value_max):
 
 def _surviving_lower(fr, erased):
     """The lower frame bound left after erasing each row of the (B, k)
-    index array erased, as erasure_robustness prices it."""
-    keep = _complements(erased, fr.M)
-    if not keep.shape[1]:
+    index array erased, as erasure_robustness prices it, in index_stacks
+    stacks."""
+    t, n, keep = fr.synthesis, fr.n, fr.M - erased.shape[1]
+    if not keep:
         return np.zeros(len(erased))
-    return np.maximum(stack_spectra(fr.synthesis, keep, frame=True)[:, 0],
-                      0.0)
+    return np.concatenate([np.zeros(0)] + [
+        np.maximum(stack_spectra(t, _complements(idx, fr.M), frame=True)
+                   [:, 0], 0.0)
+        for idx in index_stacks(erased,
+                                lambda _: t.itemsize * n * max(n, keep))])
 
 
 def _complements(idx, m):
@@ -66,19 +71,16 @@ def _complements(idx, m):
 def erasure_robustness(fr, k):
     """Worst surviving lower frame bound over every erasure of k vectors.
 
-    Each erasure E is bounded, and priced only where core.bound_first_scan
-    finds that its bounds leave it in play, by the lowest eigenvalue of
-    the surviving family's frame operator S - T_E T_E*, S = TT*, in stacks
-    of erasures.  By Weyl that value lies above lambda_min(S) minus the
-    Gershgorin row sum or the Frobenius norm of |G[E, E]|, whichever is
-    less, and below the least diagonal entry min_j (S_jj - sum_(i in E)
-    |t_ji|^2).  Both bounds are widened by the rounding margin
-    err (||T||_F^2 + tiny), err = 64 (n + M) eps and tiny the least normal
-    float, which covers the rounding of every product and spectrum on
-    either side, subnormal ones included.  So worst_value, its first
-    subset and value_max are the full scan's, bit for bit, and
-    subsets_scanned counts every erasure, C(M, k).  Where a settle of the
-    scan shows the bounds ruling out little, the rest is priced unbounded.
+    An erasure E is priced by lambda_min(S - T_E T_E*), S = TT*, clipped
+    at 0, only where it may change the answer.  Its least diagonal entry,
+    plus err = 64 (n + M) eps (||T||_F^2 + tiny), tiny the least normal
+    float, bounds that price from above: err covers the rounding of every
+    product and spectrum on either side.  The few erasures of least and
+    greatest bound are priced first, then, for value_max, every other one
+    whose bound tops the greatest price.  The rest are priced only where
+    core.stack_clears does not prove lambda_min(S - T_E T_E*) above the
+    least price plus err, a threshold descent.  So the results are the
+    full scan's, bit for bit; subsets_scanned counts C(M, k).
     """
     if not (0 <= k < fr.M):
         raise ContractViolation(f"--k {k} must be in 0 <= k < M = {fr.M}")
@@ -87,32 +89,46 @@ def erasure_robustness(fr, k):
         raise BudgetExceeded(
             f"{total} erasures exceed the {SUBSET_BUDGET} budget")
     parseval = _is_parseval(fr)     # refuses a frame operator past budget
-    t = fr.synthesis
-    bottom = stack_spectra(t, np.arange(fr.M)[None], frame=True)[0, 0]
-    with np.errstate(over="ignore"):    # err past the float range: inf
+    t, n = fr.synthesis, fr.n
+    erased = combination_table(fr.M, k)
+
+    def row_bytes(_):       # an n x n block per row, as stack_clears takes
+        return t.itemsize * n * n
+
+    with np.errstate(over="ignore", invalid="ignore"):  # inf past the range
         sq = np.abs(t) ** 2
-        diag = sq.sum(axis=1)
-        err = 64 * (fr.n + fr.M) * np.finfo(float).eps * \
-            (diag.sum() + np.finfo(float).tiny)
+        err = 64 * (n + fr.M) * np.finfo(float).eps * \
+            (sq.sum() + np.finfo(float).tiny)
+        top = np.concatenate([np.zeros(0)] + [
+            _erased_sums(sq, sq.sum(axis=1), idx).min(axis=0)
+            for idx in index_stacks(erased, row_bytes)]) + err
+    top[np.isnan(top)] = np.inf
+    ends = np.argsort(top, kind="stable")
+    priced, value = np.zeros(total, dtype=bool), np.full(total, np.nan)
+    priced[ends[:FEW_PRICED]] = priced[ends[-FEW_PRICED:]] = True
+    value[priced] = _surviving_lower(fr, erased[priced])
+    wanted = ~priced & (top > np.nanmax(value))     # may raise value_max
+    outer = (t[:, None, :] * t.conj()[None, :, :]).reshape(n * n, -1)
+    least = float(np.nanmin(value)) + err
+    for pos in index_stacks(np.flatnonzero(~priced & ~wanted)[:, None],
+                            row_bytes):
+        kept = _erased_sums(outer, outer.sum(axis=1), erased[pos[:, 0]])
+        wanted[pos[:, 0]] = ~stack_clears(kept.reshape(n, n, -1), least)
+    value[wanted] = _surviving_lower(fr, erased[wanted])
+    first = int(np.nanargmin(value))
+    return _erasure_results(k, parseval, float(value[first]),
+                            erased[first].tolist(), total,
+                            float(np.nanmax(value)))
 
-    def bounds(erased):
-        ix = np.ascontiguousarray(erased.T)     # (k, B): short axes first
-        te = t[:, ix]                            # (n, k, B)
-        g = np.abs((te.conj()[:, :, None] * te[:, None]).sum(axis=0))
-        top = g.max(axis=(0, 1), initial=0.0)   # |G[E, E]| as (k, k, B)
-        frobenius = top * np.sqrt(((g / np.where(top > 0.0, top, 1.0)) ** 2)
-                                  .sum(axis=(0, 1)))
-        spread = np.minimum(g.sum(axis=1).max(axis=0, initial=0.0),
-                            frobenius)
-        least = (diag[:, None] - sq[:, ix].sum(axis=1)).min(axis=0)
-        return (np.maximum(bottom - spread - err, 0.0),
-                np.maximum(least + err, 0.0))
 
-    worst, subset, vmax = bound_first_scan(
-        fr.M, [k], bounds, lambda _: 4 * t.itemsize * (fr.n + k) * (k + 1),
-        lambda erased: _surviving_lower(fr, erased),
-        lambda _: t.itemsize * fr.n * max(fr.n, fr.M - k), top=True)
-    return _erasure_results(k, parseval, worst, subset, total, vmax)
+def _erased_sums(a, whole, erased):
+    """whole[:, None] less the sum of a's columns in each row of the (B, k)
+    index array erased, as a (len(whole), B) array: a's row sums left
+    after each erasure."""
+    out = np.repeat(whole[:, None], len(erased), axis=1)
+    for col in erased.T:
+        out -= a[:, col]
+    return out
 
 
 def _true_columns(rows):
@@ -181,8 +197,9 @@ def phase_retrieval_check(fr):
     A family in general position with M >= 2n - 1 has the property
     (Balan, Casazza and Edidin), and core.every_basis_clears proves it
     first, where the gate above admits it: sigma_n(T_A) > c for every
-    n-subset A, c = core.basis_cut(T).  That is the scan's own answer,
-    under numeric_rank's cutoff throughout:
+    n-subset A, c = core.basis_cut(T), by one core.stack_clears call per
+    stack of Gram blocks.  That is the scan's own answer, under
+    numeric_rank's cutoff throughout:
     - T has rank n, since sigma_n(T) >= sigma_n(T_A), which clears
       numeric_rank's cutoff by basis_cut's margin, as in core.spanning;
     - every (n - 1)-subset S lies in some A, so sigma_(n-1)(S) >=
@@ -192,7 +209,7 @@ def phase_retrieval_check(fr):
     - its rest holds M - n + 1 >= n vectors, and the first n of them are
       an A, so the rest spans, as core.spanning argues from a basis.
     So every flat has fewer than n members and its rest spans: the scan
-    finds no witness.  A stack that does not factor proves nothing, and
+    finds no witness.  A block that does not clear proves nothing, and
     the scan decides.
     """
     if np.iscomplexobj(fr.synthesis) and np.abs(fr.synthesis.imag).max() > 0.0:

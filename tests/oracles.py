@@ -1,7 +1,7 @@
 """Closed-form counts the partition tests compare the package against, and
 the roll-loop, per-difference, per-set and quadrature routes that the grid
 transforms and the closed-form energy of pavekit.harmonic and the
-Rado-Horn exchange search replaced, the full scans that the bound-first
+Rado-Horn exchange search replaced, the full scans that the threshold
 erasure, restricted-isometry and complement-property scans replaced, kept
 as second routes, and a per-value encoder of the base64 wire form."""
 

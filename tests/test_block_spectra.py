@@ -30,7 +30,6 @@ from pavekit import core, erasures
 from pavekit.core import (
     RANK_TOL,
     Frame,
-    bound_first_scan,
     gen_harmonic_frame,
     gen_random_projection,
     gen_random_unit_frame,
@@ -230,9 +229,10 @@ def test_no_hand_copied_eigensolves():
     """Block eigensolves go through core's block kernels; only harmonic's
     Toeplitz sections and Kadec Gram, which are not blocks of a stored
     matrix, call eigvalsh themselves.  In core, eigvalsh is called only by
-    stack_spectra, cholesky only by every_basis_clears, whose shift its
-    proof derives, and BLOCK_STACK_BYTES read only by index_stacks, and
-    the routes they replaced are gone; no other module calls cholesky."""
+    stack_spectra and BLOCK_STACK_BYTES read only by index_stacks, and
+    the routes they replaced are gone.  No module calls LAPACK's cholesky:
+    thresholds are proved by core.stack_clears, whose shift its own
+    proof derives."""
     allowed = {"core.py", "harmonic.py"}
     found = []
     for path in sorted(Path(pavekit.__file__).parent.glob("*.py")):
@@ -241,7 +241,7 @@ def test_no_hand_copied_eigensolves():
                 [a.name for a in node.names] \
                 if isinstance(node, ast.ImportFrom) else []
             if "eigvalsh" in names and path.name not in allowed or \
-                    "cholesky" in names and path.name != "core.py":
+                    "cholesky" in names:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
     sites = {"eigvalsh": set(), "cholesky": set(),
@@ -257,10 +257,10 @@ def test_no_hand_copied_eigensolves():
                     node.id == "BLOCK_STACK_BYTES" and \
                     isinstance(node.ctx, ast.Load):
                 sites["BLOCK_STACK_BYTES"].add(owner)
-    assert sites == {"eigvalsh": {"stack_spectra"},
-                     "cholesky": {"every_basis_clears"},
+    assert sites == {"eigvalsh": {"stack_spectra"}, "cholesky": set(),
                      "BLOCK_STACK_BYTES": {"index_stacks"}}
-    for name in ("stacks", "block_spectra", "block_spectrum", "_principal"):
+    for name in ("stacks", "block_spectra", "block_spectrum", "_principal",
+                 "bound_first_scan"):
         assert not hasattr(core, name), name
 
 
@@ -499,11 +499,11 @@ def test_rado_horn_matches_the_per_set_search(monkeypatch, cap):
 
 
 # ---------------------------------------------------------------------------
-# bound-first scans against the full scans they replaced
+# threshold scans against the full scans they replaced
 # ---------------------------------------------------------------------------
 
 def _scan_frames():
-    """Seeded families for the bound-first scans: Parseval, unit real and
+    """Seeded families for the threshold scans: Parseval, unit real and
     complex, harmonic (exact ties), repeated and antipodal columns, and
     rank-deficient; M from 3 to 9, so s runs past M."""
     rng = np.random.default_rng(32)
@@ -573,91 +573,19 @@ def test_bound_first_scans_warn_of_nothing_at_extreme_scales():
             _assert_scans_match(Frame(a / np.linalg.norm(a, axis=0)), ())
 
 
-def test_a_row_whose_bound_is_not_finite_is_priced():
-    """Rows with NaN or infinite bounds are priced, while exact bounds rule
-    out the rest: a row of lo = inf or hi = -inf read as a bound would be
-    skipped, and here holds the least or the greatest price."""
-    subsets = list(itertools.combinations(range(7), 3))
-    value = {s: float(sum(s) % 5) for s in subsets}
-    blind = {(0, 1, 5): (np.inf, np.inf),      # price 1, the first least
-             (0, 1, 3): (np.nan, np.nan),      # price 4, the greatest
-             (2, 4, 6): (-np.inf, -np.inf)}    # price 2
-    value[(0, 1, 3)], value[(0, 1, 5)] = 4.5, -1.0
-    priced = []
-
-    def price(idx):
-        priced.extend(map(tuple, idx.tolist()))
-        return np.array([value[tuple(row)] for row in idx.tolist()])
-
-    def bounds(idx):
-        pairs = [blind.get(tuple(row), (value[tuple(row)],) * 2)
-                 for row in idx.tolist()]
-        return tuple(np.array(side) for side in zip(*pairs))
-
-    got = bound_first_scan(7, [3], bounds, lambda k: 8 * k, price,
-                           lambda k: 8 * k, top=True)
-    assert got == (-1.0, [0, 1, 5], 4.5)
-    assert set(blind) <= set(priced) and len(priced) < len(subsets)
-
-
-def test_a_settle_that_prices_most_rows_ends_the_bounding(monkeypatch):
-    """Ten-row stacks of the 120 3-subsets of range(10), settled each
-    second stack: bounds 10 wide leave every row live, so the first settle
-    prices all it held and the rest is priced unbounded; exact bounds are
-    read for every stack.  Both give the full scan's answer."""
-    _cap(monkeypatch, 240)
-    subsets = list(itertools.combinations(range(10), 3))
-    value = {s: float((7 * sum(s) + s[0]) % 11) for s in subsets}
-    want = (min(value.values()), list(min(subsets, key=value.get)),
-            max(value.values()))
-    for width, reads in ((10.0, 2), (0.0, 12)):
-        stacks = []
-
-        def bounds(idx):
-            stacks.append(len(idx))
-            val = np.array([value[tuple(row)] for row in idx.tolist()])
-            return val - width, val + width
-
-        def price(idx):
-            return np.array([value[tuple(row)] for row in idx.tolist()])
-
-        got = bound_first_scan(10, [3], bounds, lambda k: 8 * k, price,
-                               lambda k: 8 * k, top=True)
-        assert got == want and len(stacks) == reads, (width, stacks)
-
-
-def test_an_earlier_row_that_may_tie_the_least_is_priced():
-    """After the row of least lo prices 3, a row before it whose lo is 3 is
-    priced, since it may tie first, and a later one with lo 3 is not."""
-    value = {(0,): 3.0, (1,): 3.0, (2,): 4.0, (3,): 3.0}
-    bound = {(0,): (3.0, 5.0), (1,): (0.0, 3.0), (2,): (3.5, 4.0),
-             (3,): (3.0, 3.0)}
-    priced = []
-
-    def price(idx):
-        priced.extend(map(tuple, idx.tolist()))
-        return np.array([value[tuple(row)] for row in idx.tolist()])
-
-    def bounds(idx):
-        return tuple(np.array(side) for side in
-                     zip(*[bound[tuple(row)] for row in idx.tolist()]))
-
-    got = bound_first_scan(4, [1], bounds, lambda k: 8, price, lambda k: 8)
-    assert got == (3.0, [0], None)
-    assert priced == [(1,), (0,)]
-
-
 def test_subset_scans_take_one_stack_per_step(monkeypatch):
     """LAPACK calls, and the blocks or matrices they price, of each scan
     on the benchmark's input shapes.  erasure (5 x 20 Parseval, k = 3):
-    one eigvalsh of the whole frame operator, then 34 of the 1,140
-    erasures in two stacks, where all 1,140 took 3 stacks.  ric (6 x 20
-    unit, s = 3): 3 of the 1,350 Gram blocks in two stacks, where all took
-    3.  radohorn (4 x 13, r = 4): the first block with room takes each
-    vector, so no swap is priced, each step prices only the grown blocks
-    the cache lacks, and a grown block of 5 vectors needs no svd.  phase
-    (4 x 13): one Cholesky of all 715 shifted 4 x 4 Gram blocks certifies
-    the frame, where the scan took 7 svd calls over 324 matrices."""
+    the 4 erasures of least and the 4 of greatest bound, then 35 of the
+    1,140 that may raise value_max or that core.stack_clears does not
+    clear, where all 1,140 took 3 stacks.  ric (6 x 20 unit, s = 3): the
+    4 Gram blocks of most off-diagonal mass, and every other one of the
+    1,350 blocks of sizes 1 to 3 is cleared, where all took 3 stacks.
+    radohorn (4 x 13, r = 4): the first block with room takes each vector,
+    so no swap is priced, each step prices only the grown blocks the cache
+    lacks, and a grown block of 5 vectors needs no svd.  phase (4 x 13):
+    stack_clears certifies all 715 bases with no LAPACK call, where the
+    scan took 7 svd calls over 324 matrices."""
     calls = {"eigvalsh": [], "svd": [], "cholesky": []}
     for name in calls:
         def counted(x, *args, _lapack=getattr(np.linalg, name), _name=name,
@@ -678,12 +606,11 @@ def test_subset_scans_take_one_stack_per_step(monkeypatch):
     unit6, unit4 = gen_random_unit_frame(6, 20, 0), \
         gen_random_unit_frame(4, 13, 5)
     assert count(lambda: erasure_robustness(parseval, 3)) == \
-        {"eigvalsh": (3, 35)}
+        {"eigvalsh": (2, 43)}
     assert count(lambda: restricted_isometry(unit6, 3)) == \
-        {"eigvalsh": (2, 3)}
+        {"eigvalsh": (1, 4)}
     assert count(lambda: rado_horn_check(unit4, 4)) == {"svd": (22, 22)}
-    assert count(lambda: phase_retrieval_check(unit4)) == \
-        {"cholesky": (1, 715)}
+    assert count(lambda: phase_retrieval_check(unit4)) == {}
     assert _results_bits(erasure_robustness(parseval, 3)) == \
         _results_bits(erasure_by_full_scan(parseval, 3))
     assert restricted_isometry(unit6, 3) == \

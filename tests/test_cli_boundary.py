@@ -431,7 +431,7 @@ def test_rank_zero_radohorn_witness_is_json(tmp_path):
 
 
 def _bound_first_inputs():
-    """(array, commands) for the bound-first scans: a 4 x 9 unit frame
+    """(array, commands) for the threshold scans: a 4 x 9 unit frame
     scaled by 2^500 and by 2^-500 (ric needs unit vectors), that frame
     with all but its first coordinate shrunk by 2^-500, renormalized, a
     rank-2 3 x 8 unit frame, and a 3 x 5 frame scaled by 2^-560 whose
