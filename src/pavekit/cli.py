@@ -11,8 +11,6 @@ exceeded.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import json
 import math
 import os
@@ -419,9 +417,9 @@ _COMMANDS = {
 
 
 def _add_command(p, name):
-    """Add the named command's arguments to its parser p: --input first for
-    a command in reports._INPUTS, then its options, then --report and
-    default_of, which gives _config each option's default."""
+    """Add the named command's arguments to p, a subparser of build_parser()
+    or an _Options: --input first for a command in reports._INPUTS, then its
+    options, then --report and default_of, _config's default of an option."""
     _, add_options, rows, _ = _COMMANDS[name]
     if name in _INPUTS:
         p.add_argument(_flag("input"), required=True)
@@ -446,22 +444,74 @@ def build_parser():
     return parser
 
 
-def _parse_args(argv):
-    """argv parsed by its command's parser alone, with errors unprinted;
-    where that errs or leaves an argument unused, or argv names no command,
-    by build_parser(), which prints the error, the root's where the root
-    reads one first (an option abbreviating both --help and --version)."""
-    if argv and argv[0] in _COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"pavekit {argv[0]}")
-        _add_command(parser, argv[0])
+class _Options:
+    """One command's option table, filled by the add_argument and
+    set_defaults calls _add_command makes on a subparser of build_parser().
+    add_argument takes only what parse implements: nargs=, another action
+    or a flag not starting with '--' is a TypeError."""
+
+    def __init__(self):
+        self.flags, self.required, self.defaults = {}, set(), {}
+
+    def add_argument(self, flag, *, type=None, required=False, choices=None,
+                     default=None, action=None, dest=None, help=None):
+        if action not in (None, "store_true") or flag[:2] != "--":
+            raise TypeError(f"{flag} with action={action!r} is not parsed")
+        dest = dest or flag[2:].replace("-", "_")
+        self.flags[flag] = (dest, type, choices, action is not None)
+        self.defaults[dest] = False if action and default is None else default
+        if required:
+            self.required.add(dest)
+
+    def set_defaults(self, **defaults):
+        self.defaults.update(defaults)
+
+    def get_default(self, dest):
+        """ArgumentParser.get_default, whose -h has the default SUPPRESS."""
+        return argparse.SUPPRESS if dest == "help" else \
+            self.defaults.get(dest)
+
+    def parse(self, argv):
+        """argparse's namespace for an argv of table flags each followed by
+        a value not starting with '-', --flag=value words and bare
+        store_true flags, with argparse's type, choices, required options,
+        last one wins and defaults, a string one read by type.  None for
+        any other argv or any error, which build_parser() then prints."""
+        args, given, words = dict(self.defaults), set(), iter(argv)
         try:
-            with contextlib.redirect_stderr(io.StringIO()):
-                args, extra = parser.parse_known_args(argv[1:])
-        except SystemExit as exc:
-            if not exc.code:    # --help
-                raise
-            extra = True
-        if not extra:
+            for word in words:
+                flag, eq, value = word.partition("=")
+                if flag not in self.flags:
+                    return None
+                dest, type, choices, alone = self.flags[flag]
+                if alone and eq:
+                    return None
+                if not (alone or eq):
+                    value = next(words, "-")    # "-" where none follows
+                    if value.startswith("-"):
+                        return None
+                args[dest] = True if alone else type(value) if type else value
+                if choices is not None and args[dest] not in choices:
+                    return None
+                given.add(dest)
+            for dest, type, _, _ in self.flags.values():
+                if dest not in given and type and isinstance(args[dest], str):
+                    args[dest] = type(args[dest])
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        return argparse.Namespace(**args) if self.required <= given else None
+
+
+def _parse_args(argv):
+    """argv parsed off its command's option table, _Options; where that
+    declines or argv names no command, by build_parser(), which prints
+    every help and error text, its root's where the root reads one first
+    (an option abbreviating both --help and --version)."""
+    if argv and argv[0] in _COMMANDS:
+        table = _Options()
+        _add_command(table, argv[0])
+        args = table.parse(argv[1:])
+        if args is not None:
             args.command = argv[0]
             return args
     return build_parser().parse_args(argv)

@@ -814,7 +814,8 @@ def test_a_report_that_is_not_utf8_is_unreadable(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# cli.main builds one subcommand's parser; its texts are the full parser's
+# cli.main parses a known command off its option table; every help and
+# error text is the full parser's
 # ---------------------------------------------------------------------------
 
 SUBCOMMANDS = tuple(next(
@@ -894,25 +895,25 @@ def _count_parsers(monkeypatch):
     return built
 
 
-def test_a_command_builds_only_its_own_parser(tmp_path, monkeypatch,
-                                              capsys):
+def test_a_valid_command_builds_no_parser(tmp_path, monkeypatch, capsys):
+    """A call that its command's option table parses builds no
+    ArgumentParser; --help and a call with an error build the full one,
+    the root and its fifteen subparsers, once."""
     rep = str(tmp_path / "kadec.json")
-    assert cli.main(commands(tmp_path)["kadec"] + ["--report", rep]) == 0
     built = _count_parsers(monkeypatch)
+    assert cli.main(commands(tmp_path)["kadec"] + ["--report", rep]) == 0
     assert cli.main(["verify", "--report", rep]) == 0
-    assert len(built) == 1
-    built.clear()
+    assert len(built) == 0
     monkeypatch.setattr(sys, "argv", ["pavekit", "verify", "--report", rep])
     assert cli.main() == 0
-    assert len(built) == 1
+    assert len(built) == 0
     assert capsys.readouterr().out.count('"verified": true') == 2
-    built.clear()
     assert _run(["--help"])[0] == 0
     assert len(built) == 1 + len(SUBCOMMANDS)
-    built.clear()       # the command's parser, then the full one for its error
+    built.clear()
     code, err = _run(["verify", "--report", rep, "extra"])
     assert code == 2 and "unrecognized arguments: extra" in err
-    assert len(built) == 2 + len(SUBCOMMANDS)
+    assert len(built) == 1 + len(SUBCOMMANDS)
 
 
 def _configs(args):
@@ -942,6 +943,117 @@ def test_one_parser_configs_are_the_full_parsers(tmp_path):
         one, full = cli._parse_args(argv), cli.build_parser().parse_args(argv)
         assert _configs(one) == _configs(full), argv
         assert ("default_of" in vars(one)) == (argv[0] != "verify"), argv
+
+
+def _table_agrees(argv):
+    """Whether the option table of argv's command parses argv, which it may
+    only where the full parser gives the same namespace; where the full
+    parser exits, the table declines and cli.main prints the same texts
+    with the same exit code."""
+    table = cli._Options()
+    cli._add_command(table, argv[0])
+    one = table.parse(argv[1:])
+    try:
+        with contextlib.redirect_stderr(io.StringIO()), \
+                contextlib.redirect_stdout(io.StringIO()):
+            full = cli.build_parser().parse_args(argv)
+    except SystemExit:
+        assert one is None, argv
+        _same_texts(argv)
+        return False
+    if one is not None:
+        one.command = argv[0]
+        assert _configs(one) == _configs(full), argv
+    return one is not None
+
+
+@pytest.mark.parametrize("argv", [
+    ["erasure", "--input", "f.json", "--k", "3"],
+    ["erasure", "--input=f.json", "--k=-1"],
+    ["erasure", "--input=", "--k", " 3 "],
+    ["erasure", "--k", "1", "--input", "a", "--k", "3", "--input=b=c"],
+    ["gen", "--kind", "harmonic", "--out", "o", "--parseval", "--parseval"],
+    ["gen", "--kind=e1-grid", "--out=o", "--c=-0.25", "--field", "complex"],
+    ["mv-theta", "--freqs=-1.5,0,2", "--coeffs=-1,2", "--t-len", "1"],
+    ["subspace", "--input", "b", "--blocks", "0,1;2", "--span"],
+    ["verify", "--report", "r.json"],
+])
+def test_the_table_parses_exact_flags_as_the_full_parser(argv):
+    assert _table_agrees(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["erasure", "--inp", "f", "--k", "3"],               # abbreviation
+    ["erasure", "--input", "f", "--k", "-1"],            # '-' value apart
+    ["mv-theta", "--freqs", "-1.5,0", "--coeffs", "1", "--t-len", "1"],
+    ["erasure", "--input", "-", "--k", "3"],
+    ["erasure", "--input", "f", "--", "--k", "3"],
+    ["erasure", "-h"],
+    ["erasure", "--input", "f", "--k", "3", "--help"],
+    ["radohorn", "--input", "f", "--r", "2", "--partition=x"],
+    ["radohorn", "--input", "f", "--r", "2", "--partition="],
+    ["erasure", "--input", "f", "--k", "x"],
+    ["erasure", "--input", "f", "--k", "x", "--k", "3"],
+    ["gen", "--kind", "bogus", "--out", "o"],
+    ["erasure", "--input", "f"],
+    ["erasure", "--input", "f", "--k"],
+    ["erasure", "--input", "f", "--k", "3", "--bogus", "1"],
+    ["erasure", "--input", "f", "--k", "3", "extra"],
+    ["erasure", "--input", "f", "--k", "3", ""],
+    ["erasure", "--input", "f", "--k", "3", "--=1"],
+])
+def test_the_table_declines_what_it_does_not_implement(argv):
+    assert not _table_agrees(argv)
+
+
+def test_every_option_function_records_its_table():
+    """Each _*_options function fills an _Options with the flags, dests and
+    defaults it gives an ArgumentParser."""
+    functions = {getattr(cli, name) for name in dir(cli)
+                 if name.startswith("_") and name.endswith("_options")}
+    assert functions == {row[1] for row in cli._COMMANDS.values()} - {None}
+    for add_options in functions:
+        table, parser = cli._Options(), argparse.ArgumentParser()
+        add_options(table)
+        add_options(parser)
+        actions = parser._actions[1:]       # after argparse's own -h
+        assert list(table.flags) == [a.option_strings[0] for a in actions]
+        for a in actions:
+            dest, type_, choices, alone = table.flags[a.option_strings[0]]
+            # a list type is a fresh closure of cli._listed on each call
+            assert (dest, getattr(type_, "__qualname__", None), choices,
+                    alone) == (a.dest, getattr(a.type, "__qualname__", None),
+                               a.choices, a.nargs == 0)
+            assert (dest in table.required) == a.required
+            assert table.get_default(dest) == parser.get_default(dest)
+
+
+def test_a_string_default_is_read_by_type():
+    """As in argparse, a string default of an option not given is read by
+    its type, and one that its type refuses is argparse's error."""
+    for default, parsed in (("3", 3), ("x", None)):
+        table, parser = cli._Options(), argparse.ArgumentParser()
+        for p in (table, parser):
+            p.add_argument("--n", type=int, default=default)
+        args = table.parse([])
+        if parsed is None:
+            assert args is None
+            with contextlib.redirect_stderr(io.StringIO()), \
+                    pytest.raises(SystemExit):
+                parser.parse_args([])
+        else:
+            assert vars(args) == vars(parser.parse_args([])) == {"n": parsed}
+
+
+@pytest.mark.parametrize("flag, kwargs", [
+    ("--x", {"nargs": 2}), ("--x", {"nargs": "?"}),
+    ("--x", {"action": "append"}), ("--x", {"action": "store_false"}),
+    ("--x", {"action": "count"}), ("--x", {"const": 1}),
+    ("--x", {"metavar": "X"}), ("-x", {}), ("x", {}),
+])
+def test_the_table_refuses_an_option_it_cannot_parse(flag, kwargs):
+    with pytest.raises(TypeError):
+        cli._Options().add_argument(flag, **kwargs)
 
 
 def test_erasure_budget_names_the_budget(tmp_path):
